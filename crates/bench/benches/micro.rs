@@ -238,9 +238,86 @@ fn bench_db_reads(c: &mut Criterion) {
     server.shutdown();
 }
 
+/// Read-path scaling probe (reported, not gated): what one reader's `get`
+/// costs alone and beside a second reader doing the same on another thread,
+/// for bloom-negative gets (no fabric: pure compute-side software) and
+/// present remote gets, with the read cache off and at 32 MiB over 84 MB of
+/// data. Two readers deliver `2 / latency`; flat latency is perfect scaling.
+fn bench_db_read_scaling(c: &mut Criterion) {
+    use dlsm::{CacheConfig, ComputeContext, Db, DbConfig, MemNodeHandle};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let n = 200_000u64;
+    let key = |i: u64, suffix: &[u8]| -> Vec<u8> {
+        let mut k = i.wrapping_mul(0x9E3779B97F4A7C15).to_be_bytes().to_vec();
+        k.extend_from_slice(suffix);
+        k
+    };
+    for (cache_name, cache) in
+        [("cache_off", CacheConfig::default()), ("cache_32MiB", CacheConfig::with_capacity(32 << 20))]
+    {
+        let fabric = Fabric::new(NetworkProfile::edr_100g());
+        let server = MemServer::start(
+            &fabric,
+            MemServerConfig {
+                region_size: 1 << 30,
+                flush_zone: 512 << 20,
+                compaction_workers: 2,
+                dispatchers: 1,
+            },
+        );
+        let ctx = ComputeContext::new(&fabric);
+        let mem = MemNodeHandle::from_server(&server);
+        let db = Db::open(ctx, mem, DbConfig { cache, ..DbConfig::default() }).unwrap();
+        // Paced fill: flush and drain after every MemTable's worth, so the
+        // level shape does not depend on background timing.
+        for i in 0..n {
+            db.put(&key(i, b"-bench-key"), &[7u8; 400]).unwrap();
+            if i % 16_384 == 16_383 || i == n - 1 {
+                db.force_flush().unwrap();
+                db.wait_until_quiescent();
+            }
+        }
+        eprintln!("level shape {:?}", db.level_shape());
+
+        let mut group = c.benchmark_group(format!("db_read_scaling_edr/{cache_name}"));
+        group.throughput(Throughput::Elements(1));
+        for (kind, suffix, present) in
+            [("bloom_negative", &b"-absent-key"[..], false), ("present_remote", &b"-bench-key"[..], true)]
+        {
+            for readers in [1usize, 2] {
+                let stop = AtomicBool::new(false);
+                std::thread::scope(|s| {
+                    for _ in 1..readers {
+                        s.spawn(|| {
+                            let mut reader = db.reader();
+                            let mut i = 17u64;
+                            while !stop.load(Ordering::Relaxed) {
+                                i = (i + 7919) % n;
+                                assert_eq!(reader.get(&key(i, suffix)).unwrap().is_some(), present);
+                            }
+                        });
+                    }
+                    let mut reader = db.reader();
+                    let mut i = 0u64;
+                    group.bench_function(format!("{kind}/{readers}_readers"), |b| {
+                        b.iter(|| {
+                            i = (i + 4099) % n;
+                            assert_eq!(reader.get(&key(i, suffix)).unwrap().is_some(), present);
+                        });
+                    });
+                    stop.store(true, Ordering::Relaxed);
+                });
+            }
+        }
+        group.finish();
+        db.shutdown();
+        server.shutdown();
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_rdma_ops, bench_skiplist, bench_bloom, bench_table_builders, bench_table_gets, bench_rpc, bench_db_reads
+    targets = bench_rdma_ops, bench_skiplist, bench_bloom, bench_table_builders, bench_table_gets, bench_rpc, bench_db_reads, bench_db_read_scaling
 }
 criterion_main!(benches);

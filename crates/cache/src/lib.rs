@@ -19,10 +19,11 @@
 //!   no LRU lock convoy on the read path.
 //! * **Version-aware invalidation** — table ids are never reused, and
 //!   [`ReadCache::invalidate_table`] both purges a table's entries and
-//!   *fences* the id in a dead-table set so a racing in-flight fill can
-//!   never resurrect a block of a freed extent. Hooked into version
-//!   install, where compaction obsoletes its inputs — before GC can
-//!   recycle their extents.
+//!   *fences* the id in every shard's dead-table set, under the same shard
+//!   lock an admission holds, so a racing in-flight fill can never
+//!   resurrect a block of a freed extent. Hooked into version install,
+//!   where compaction obsoletes its inputs — before GC can recycle their
+//!   extents.
 //!
 //! The crate is dependency-free (std only) so it can sit under the model
 //! checker and on the hottest path without pulling anything in.
@@ -51,7 +52,7 @@ const MAX_BLOCK_ADMIT: usize = 256 << 10;
 /// Frequency counter saturation (S3-FIFO uses tiny counters by design).
 const FREQ_MAX: u8 = 3;
 
-/// How many dead table ids the invalidation fence remembers. Ids are never
+/// How many dead table ids each shard's invalidation fence remembers. Ids are never
 /// reused, so aging an id out of the fence can only re-admit bytes that a
 /// *very* slow in-flight read fetched while the table was still pinned —
 /// harmless for correctness, bounded waste for budget.
@@ -108,35 +109,22 @@ impl CacheConfig {
     }
 }
 
-/// Monotonic cache counters, shared by both pools.
-///
-/// All counters are statistics only: they order nothing, so every access is
-/// relaxed (each carries its own ORDERING tag at the use site).
+/// The counters the promotion throttle reads (and so cannot live in a
+/// shard): bytes hits saved against bytes promotions spent. Hit, miss,
+/// insert, eviction and invalidation counts are kept in the shards, under
+/// the lock the operation already holds. Every access is relaxed (each
+/// carries its own ORDERING tag at the use site).
 #[derive(Default)]
-pub struct CacheStats {
-    /// Block-pool hits.
-    pub block_hits: AtomicU64,
-    /// Block-pool misses.
-    pub block_misses: AtomicU64,
-    /// Extent-pool hits (one per table probe served from a local image).
-    pub extent_hits: AtomicU64,
-    /// Extent-pool misses.
-    pub extent_misses: AtomicU64,
-    /// Entries admitted (both pools).
-    pub inserts: AtomicU64,
-    /// Entries evicted by the policy (both pools).
-    pub evictions: AtomicU64,
-    /// Entries purged by table invalidation (both pools).
-    pub invalidations: AtomicU64,
+struct PromotionLedger {
     /// Fabric bytes that cache hits avoided reading.
-    pub bytes_saved: AtomicU64,
+    bytes_saved: AtomicU64,
     /// Whole-extent images admitted by on-demand promotion.
-    pub extent_promotions: AtomicU64,
+    extent_promotions: AtomicU64,
     /// Fabric bytes spent fetching images for on-demand promotion.
-    pub promoted_bytes: AtomicU64,
+    promoted_bytes: AtomicU64,
 }
 
-/// A point-in-time copy of [`CacheStats`] plus occupancy gauges.
+/// A point-in-time copy of the cache counters plus occupancy gauges.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStatsSnapshot {
     /// Block-pool hits.
@@ -187,6 +175,17 @@ impl CacheStatsSnapshot {
     }
 }
 
+/// What the extent pool holds for a table probe ([`ReadCache::extent_probe`]).
+pub enum ExtentProbe {
+    /// The table's whole local image.
+    Image(Arc<Vec<u8>>),
+    /// No image; `promote` asks the caller to fetch and admit one.
+    Missing {
+        /// The table has proven hot and the promotion budget allows it.
+        promote: bool,
+    },
+}
+
 /// Cache key: which table, and where inside it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CacheKey {
@@ -206,6 +205,29 @@ fn mix64(mut x: u64) -> u64 {
 fn key_hash(key: CacheKey) -> u64 {
     mix64(key.table ^ mix64(key.offset))
 }
+
+/// Hasher for the shard maps. Their keys are table ids, record offsets and
+/// fingerprints this process made itself — nothing an outsider chooses — so
+/// the maps use the same splitmix the shard selection does instead of the
+/// default keyed hash, which costs more than the rest of a lookup.
+#[derive(Default)]
+struct Splitmix(u64);
+
+impl std::hash::Hasher for Splitmix {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = mix64(self.0 ^ x);
+    }
+}
+
+type ShardMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<Splitmix>>;
 
 /// Which FIFO queue an entry currently sits in.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -230,16 +252,25 @@ struct Shard {
 }
 
 struct ShardInner {
-    map: HashMap<CacheKey, Entry>,
+    map: ShardMap<CacheKey, Entry>,
     small: VecDeque<CacheKey>,
     main: VecDeque<CacheKey>,
     /// Ghost list: fingerprints of keys recently evicted from the small
     /// queue, with a re-reference count (also used for extent-promotion
     /// heat). FIFO-bounded by `ghost_cap`.
-    ghost: HashMap<u64, u32>,
+    ghost: ShardMap<u64, u32>,
     ghost_fifo: VecDeque<u64>,
     small_bytes: u64,
     main_bytes: u64,
+    /// This shard's copy of the dead-table fence: marked by invalidation
+    /// and checked by admission under the one shard lock, so there is no
+    /// window between the check and the insert.
+    dead: DeadFence,
+    hits: u64,
+    misses: u64,
+    inserts: u64,
+    evictions: u64,
+    invalidations: u64,
 }
 
 impl ShardInner {
@@ -257,15 +288,6 @@ struct Pool {
     small_capacity: u64,
     /// Per-shard ghost capacity.
     ghost_cap: usize,
-    /// Bytes resident across all shards (gauge; maintained under the shard
-    /// locks, read lock-free by metrics).
-    resident: AtomicU64,
-    /// Policy evictions (this pool).
-    evictions: AtomicU64,
-    /// Admissions (this pool).
-    inserts: AtomicU64,
-    /// Invalidation purges (this pool).
-    invalidations: AtomicU64,
 }
 
 /// Outcome of a ghost-list consultation during admission.
@@ -284,26 +306,23 @@ impl Pool {
         let shards = (0..shards)
             .map(|_| Shard {
                 inner: Mutex::new(ShardInner {
-                    map: HashMap::new(),
+                    map: ShardMap::default(),
                     small: VecDeque::new(),
                     main: VecDeque::new(),
-                    ghost: HashMap::new(),
+                    ghost: ShardMap::default(),
                     ghost_fifo: VecDeque::new(),
                     small_bytes: 0,
                     main_bytes: 0,
+                    dead: DeadFence::default(),
+                    hits: 0,
+                    misses: 0,
+                    inserts: 0,
+                    evictions: 0,
+                    invalidations: 0,
                 }),
             })
             .collect();
-        Pool {
-            shards,
-            shard_capacity,
-            small_capacity,
-            ghost_cap,
-            resident: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-        }
+        Pool { shards, shard_capacity, small_capacity, ghost_cap }
     }
 
     fn shard_for(&self, hash: u64) -> &Shard {
@@ -311,12 +330,21 @@ impl Pool {
         &self.shards[(hash >> 48) as usize & (self.shards.len() - 1)]
     }
 
-    /// Look up `key`; a hit bumps the entry's saturating frequency counter.
-    fn get(&self, key: CacheKey) -> Option<Arc<Vec<u8>>> {
-        let mut inner = plock(&self.shard_for(key_hash(key)).inner);
-        let entry = inner.map.get_mut(&key)?;
-        entry.freq = (entry.freq + 1).min(FREQ_MAX);
-        Some(Arc::clone(&entry.data))
+    /// Look up `key`, counting the hit or miss; a hit bumps the entry's
+    /// saturating frequency counter. With `heat_on_miss`, a miss also bumps
+    /// the key's ghost heat under the same lock and reports it (0 for a
+    /// fenced table) — the extent pool's promotion signal.
+    fn get(&self, key: CacheKey, heat_on_miss: bool) -> Result<Arc<Vec<u8>>, u32> {
+        let hash = key_hash(key);
+        let mut inner = plock(&self.shard_for(hash).inner);
+        let inner = &mut *inner;
+        if let Some(entry) = inner.map.get_mut(&key) {
+            inner.hits += 1;
+            entry.freq = (entry.freq + 1).min(FREQ_MAX);
+            return Ok(Arc::clone(&entry.data));
+        }
+        inner.misses += 1;
+        Err(if heat_on_miss { self.ghost_heat(inner, hash, key.table) } else { 0 })
     }
 
     /// Whether `key` is resident, without touching frequency or stats.
@@ -326,7 +354,8 @@ impl Pool {
     }
 
     /// Admit `data` under `key`. Returns false if the object alone exceeds
-    /// the shard budget or the key is already resident.
+    /// the shard budget, the table is fenced dead, or the key is already
+    /// resident.
     fn insert(&self, key: CacheKey, data: Arc<Vec<u8>>) -> bool {
         let charge = data.len() as u64 + ENTRY_OVERHEAD;
         if charge > self.shard_capacity {
@@ -334,8 +363,8 @@ impl Pool {
         }
         let hash = key_hash(key);
         let mut inner = plock(&self.shard_for(hash).inner);
-        if inner.map.contains_key(&key) {
-            return false; // racing fill already admitted it
+        if inner.dead.contains(key.table) || inner.map.contains_key(&key) {
+            return false; // invalidated, or a racing fill already admitted it
         }
         // Ghost hit => the key was evicted recently while still wanted:
         // admit straight into the main queue (S3-FIFO's second chance).
@@ -357,10 +386,7 @@ impl Pool {
             }
         };
         inner.map.insert(key, Entry { data, charge, freq: 0, loc });
-        // ORDERING: relaxed — occupancy gauge; exactness is maintained by the shard lock, the atomic only publishes it.
-        self.resident.fetch_add(charge, Ordering::Relaxed);
-        // ORDERING: relaxed — statistics counter, no ordering required.
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+        inner.inserts += 1;
         self.evict_to_fit(&mut inner);
         true
     }
@@ -394,7 +420,7 @@ impl Pool {
                     // PANIC-SAFE: get_mut above just proved the key is mapped.
                     let entry = inner.map.remove(&key).unwrap();
                     inner.small_bytes -= entry.charge;
-                    self.forget(entry.charge, &self.evictions);
+                    inner.evictions += 1;
                     self.remember_ghost(inner, key_hash(key));
                 }
             } else {
@@ -415,18 +441,10 @@ impl Pool {
                     // PANIC-SAFE: get_mut above just proved the key is mapped.
                     let entry = inner.map.remove(&key).unwrap();
                     inner.main_bytes -= entry.charge;
-                    self.forget(entry.charge, &self.evictions);
+                    inner.evictions += 1;
                 }
             }
         }
-    }
-
-    /// Account one entry's departure (eviction or invalidation).
-    fn forget(&self, charge: u64, counter: &AtomicU64) {
-        // ORDERING: relaxed — occupancy gauge maintained under the shard lock.
-        self.resident.fetch_sub(charge, Ordering::Relaxed);
-        // ORDERING: relaxed — statistics counter, no ordering required.
-        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record an evicted key's fingerprint in the FIFO-bounded ghost list.
@@ -443,23 +461,18 @@ impl Pool {
 
     /// Bump (and report) the ghost heat of `hash` — used for on-demand
     /// extent promotion, where the "key" never entered the cache proper.
-    fn ghost_heat(&self, hash: u64) -> u32 {
-        let shard = self.shard_for(hash);
-        let mut inner = plock(&shard.inner);
+    /// A fenced table has no heat.
+    fn ghost_heat(&self, inner: &mut ShardInner, hash: u64, table: u64) -> u32 {
+        if inner.dead.contains(table) {
+            return 0;
+        }
         match inner.ghost.get_mut(&hash) {
             Some(heat) => {
                 *heat = heat.saturating_add(1);
                 *heat
             }
             None => {
-                let cap = self.ghost_cap;
-                inner.ghost.insert(hash, 1);
-                inner.ghost_fifo.push_back(hash);
-                while inner.ghost_fifo.len() > cap {
-                    if let Some(old) = inner.ghost_fifo.pop_front() {
-                        inner.ghost.remove(&old);
-                    }
-                }
+                self.remember_ghost(inner, hash);
                 1
             }
         }
@@ -471,10 +484,14 @@ impl Pool {
         inner.ghost.remove(&hash);
     }
 
-    /// Purge every entry belonging to `table` from every shard.
-    fn remove_table(&self, table: u64) {
+    /// Fence `table` dead and purge its entries, shard by shard. Mark and
+    /// purge happen under the lock an admission holds for its fence check
+    /// and insert, so once this returns no entry of `table` is resident and
+    /// none can be admitted.
+    fn invalidate_table(&self, table: u64) {
         for shard in &self.shards {
             let mut inner = plock(&shard.inner);
+            inner.dead.mark(table);
             let victims: Vec<CacheKey> =
                 inner.map.keys().filter(|k| k.table == table).copied().collect();
             if victims.is_empty() {
@@ -486,7 +503,7 @@ impl Pool {
                         Loc::Small => inner.small_bytes -= entry.charge,
                         Loc::Main => inner.main_bytes -= entry.charge,
                     }
-                    self.forget(entry.charge, &self.invalidations);
+                    inner.invalidations += 1;
                 }
             }
             // Compact the queues so invalidation storms cannot grow them
@@ -496,13 +513,18 @@ impl Pool {
         }
     }
 
+    /// Sum `f` over the shards, each read under its lock.
+    fn sum(&self, f: impl Fn(&ShardInner) -> u64) -> u64 {
+        self.shards.iter().map(|s| f(&plock(&s.inner))).sum()
+    }
+
     fn resident_bytes(&self) -> u64 {
-        // ORDERING: relaxed — gauge read for reporting only.
-        self.resident.load(Ordering::Relaxed)
+        self.sum(ShardInner::total_bytes)
     }
 }
 
 /// FIFO-bounded set of dead (invalidated) table ids: the version fence.
+#[derive(Default)]
 struct DeadFence {
     set: std::collections::HashSet<u64>,
     fifo: VecDeque<u64>,
@@ -525,14 +547,14 @@ impl DeadFence {
     }
 }
 
-/// The compute-side read cache: block pool + hot-extent pool + dead-table
-/// fence, shared by every reader thread of one `Db` shard.
+/// The compute-side read cache: block pool + hot-extent pool, each shard
+/// with its own dead-table fence, shared by every reader thread of one
+/// `Db` shard.
 pub struct ReadCache {
     cfg: CacheConfig,
     blocks: Pool,
     extents: Pool,
-    dead: Mutex<DeadFence>,
-    stats: CacheStats,
+    ledger: PromotionLedger,
     /// Extent-pool total capacity (for promotion sizing checks).
     extent_capacity: u64,
 }
@@ -566,8 +588,7 @@ impl ReadCache {
             cfg,
             blocks,
             extents,
-            dead: Mutex::new(DeadFence { set: Default::default(), fifo: VecDeque::new() }),
-            stats: CacheStats::default(),
+            ledger: PromotionLedger::default(),
             extent_capacity: extent_capacity.max(1),
         };
         Some(Arc::new(cache))
@@ -588,44 +609,19 @@ impl ReadCache {
         self.blocks.resident_bytes() + self.extents.resident_bytes()
     }
 
-    fn is_dead(&self, table: u64) -> bool {
-        plock(&self.dead).contains(table)
-    }
-
     /// Look up a data block / record of `table` at `offset`. A hit also
     /// accounts the fabric bytes the caller did not have to read.
     pub fn block_get(&self, table: u64, offset: u64) -> Option<Arc<Vec<u8>>> {
-        match self.blocks.get(CacheKey { table, offset }) {
-            Some(data) => {
-                // ORDERING: relaxed — statistics counters, no ordering required.
-                self.stats.block_hits.fetch_add(1, Ordering::Relaxed);
-                // ORDERING: relaxed — statistics counter, no ordering required.
-                self.stats.bytes_saved.fetch_add(data.len() as u64, Ordering::Relaxed);
-                Some(data)
-            }
-            None => {
-                // ORDERING: relaxed — statistics counter, no ordering required.
-                self.stats.block_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let data = self.blocks.get(CacheKey { table, offset }, false).ok()?;
+        self.note_saved(data.len() as u64);
+        Some(data)
     }
 
     /// Offer a freshly fetched block for admission. Refused for dead
     /// tables (the version fence) and for oversized objects.
     pub fn block_admit(&self, table: u64, offset: u64, data: &Arc<Vec<u8>>) {
-        if data.len() > MAX_BLOCK_ADMIT || self.is_dead(table) {
-            return;
-        }
-        self.blocks.insert(CacheKey { table, offset }, Arc::clone(data));
-        // Re-check after the insert: an invalidation may have marked the
-        // fence and purged between our pre-check and the insert above, in
-        // which case we must undo our own resurrection. (If the mark lands
-        // after this check, the invalidator's purge runs later still and
-        // removes the entry itself.) `check/tests/model_cache.rs` explores
-        // this exact window.
-        if self.is_dead(table) {
-            self.blocks.remove_table(table);
+        if data.len() <= MAX_BLOCK_ADMIT {
+            self.blocks.insert(CacheKey { table, offset }, Arc::clone(data));
         }
     }
 
@@ -633,18 +629,7 @@ impl ReadCache {
     /// Callers report the bytes a hit actually saved via [`Self::note_saved`]
     /// (a probe serves one record, not the whole image).
     pub fn extent_get(&self, table: u64) -> Option<Arc<Vec<u8>>> {
-        match self.extents.get(CacheKey { table, offset: 0 }) {
-            Some(img) => {
-                // ORDERING: relaxed — statistics counter, no ordering required.
-                self.stats.extent_hits.fetch_add(1, Ordering::Relaxed);
-                Some(img)
-            }
-            None => {
-                // ORDERING: relaxed — statistics counter, no ordering required.
-                self.stats.extent_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.extents.get(CacheKey { table, offset: 0 }, false).ok()
     }
 
     /// Look up `table`'s image without touching stats or frequency (used by
@@ -656,17 +641,7 @@ impl ReadCache {
     /// Admit a whole table image (flush-time mirror or on-demand
     /// promotion). Returns whether it was admitted.
     pub fn extent_admit(&self, table: u64, image: Arc<Vec<u8>>) -> bool {
-        if self.is_dead(table) {
-            return false;
-        }
-        let admitted = self.extents.insert(CacheKey { table, offset: 0 }, image);
-        // Same post-insert fence re-check as `block_admit`: close the
-        // check-then-insert window against a concurrent `invalidate_table`.
-        if self.is_dead(table) {
-            self.extents.remove_table(table);
-            return false;
-        }
-        admitted
+        self.extents.insert(CacheKey { table, offset: 0 }, image)
     }
 
     /// Whether a flush should mirror its image locally: the extent pool
@@ -675,19 +650,23 @@ impl ReadCache {
         len + ENTRY_OVERHEAD <= self.extents.shard_capacity
     }
 
-    /// Record a table-probe miss for `table` (image of `image_len` bytes);
-    /// returns true when the table has proven hot enough that the caller
-    /// should fetch and [`Self::extent_admit`] its whole image.
-    pub fn note_extent_miss(&self, table: u64, image_len: u64) -> bool {
-        if self.cfg.promote_extent_after == 0
-            || image_len + ENTRY_OVERHEAD > self.extents.shard_capacity
-            || self.is_dead(table)
-        {
-            return false;
+    /// [`Self::extent_get`] for a table probe that located a record: a miss
+    /// also records the probe's heat for `table` (image of `image_len`
+    /// bytes) in the same visit to the shard, and says whether the table
+    /// has now proven hot enough that the caller should fetch and
+    /// [`Self::extent_admit`] its whole image.
+    pub fn extent_probe(&self, table: u64, image_len: u64) -> ExtentProbe {
+        let key = CacheKey { table, offset: 0 };
+        let promotable = self.cfg.promote_extent_after != 0
+            && image_len + ENTRY_OVERHEAD <= self.extents.shard_capacity;
+        match self.extents.get(key, promotable) {
+            Ok(image) => ExtentProbe::Image(image),
+            Err(heat) => ExtentProbe::Missing { promote: self.pays_to_promote(key, heat, image_len) },
         }
-        let hash = key_hash(CacheKey { table, offset: 0 });
-        let heat = self.extents.ghost_heat(hash);
-        if heat < self.cfg.promote_extent_after {
+    }
+
+    fn pays_to_promote(&self, key: CacheKey, heat: u32, image_len: u64) -> bool {
+        if heat == 0 || heat < self.cfg.promote_extent_after {
             return false;
         }
         // Promotion economics: fetching an image costs a whole-extent
@@ -702,25 +681,25 @@ impl ReadCache {
         // ORDERING: relaxed — both loads are advisory throttle inputs; two
         // racing promoters may both pass, overshooting by at most one
         // image per thread, which the budget comparison tolerates.
-        let spent = self.stats.promoted_bytes.load(Ordering::Relaxed);
+        let spent = self.ledger.promoted_bytes.load(Ordering::Relaxed);
         // ORDERING: relaxed — see above; advisory throttle input.
-        let saved = self.stats.bytes_saved.load(Ordering::Relaxed);
+        let saved = self.ledger.bytes_saved.load(Ordering::Relaxed);
         if spent + image_len > saved + self.extent_capacity {
             return false;
         }
-        self.extents.clear_ghost(hash);
+        self.extents.clear_ghost(key_hash(key));
         // ORDERING: relaxed — statistics counter, no ordering required.
-        self.stats.extent_promotions.fetch_add(1, Ordering::Relaxed);
+        self.ledger.extent_promotions.fetch_add(1, Ordering::Relaxed);
         // ORDERING: relaxed — throttle accumulator; see the loads above.
-        self.stats.promoted_bytes.fetch_add(image_len, Ordering::Relaxed);
+        self.ledger.promoted_bytes.fetch_add(image_len, Ordering::Relaxed);
         true
     }
 
     /// Account fabric bytes a cache hit avoided reading (extent-pool hits;
     /// block-pool hits account themselves in [`Self::block_get`]).
     pub fn note_saved(&self, bytes: u64) {
-        // ORDERING: relaxed — statistics counter, no ordering required.
-        self.stats.bytes_saved.fetch_add(bytes, Ordering::Relaxed);
+        // ORDERING: relaxed — throttle accumulator, no ordering required.
+        self.ledger.bytes_saved.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Version-aware invalidation: purge every cached object of `table`
@@ -728,32 +707,26 @@ impl ReadCache {
     /// Called on version install for obsoleted tables, before GC recycles
     /// their extents (idempotent).
     pub fn invalidate_table(&self, table: u64) {
-        // Fence FIRST: a fill racing with this call either lands before the
-        // purge (and is removed by it), checks the fence after this mark
-        // (and is refused), or slips its insert between mark and purge —
-        // in which case its own post-insert re-check (see `block_admit`)
-        // observes the mark and undoes it. Either way no entry of `table`
-        // survives once both calls return.
-        plock(&self.dead).mark(table);
-        self.blocks.remove_table(table);
-        self.extents.remove_table(table);
+        self.blocks.invalidate_table(table);
+        self.extents.invalidate_table(table);
     }
 
     /// Point-in-time counters + occupancy.
     pub fn snapshot(&self) -> CacheStatsSnapshot {
         // ORDERING: relaxed — statistics reads for reporting only.
         let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let both = |f: fn(&ShardInner) -> u64| self.blocks.sum(f) + self.extents.sum(f);
         CacheStatsSnapshot {
-            block_hits: ld(&self.stats.block_hits),
-            block_misses: ld(&self.stats.block_misses),
-            extent_hits: ld(&self.stats.extent_hits),
-            extent_misses: ld(&self.stats.extent_misses),
-            inserts: ld(&self.blocks.inserts) + ld(&self.extents.inserts),
-            evictions: ld(&self.blocks.evictions) + ld(&self.extents.evictions),
-            invalidations: ld(&self.blocks.invalidations) + ld(&self.extents.invalidations),
-            bytes_saved: ld(&self.stats.bytes_saved),
-            extent_promotions: ld(&self.stats.extent_promotions),
-            promoted_bytes: ld(&self.stats.promoted_bytes),
+            block_hits: self.blocks.sum(|s| s.hits),
+            block_misses: self.blocks.sum(|s| s.misses),
+            extent_hits: self.extents.sum(|s| s.hits),
+            extent_misses: self.extents.sum(|s| s.misses),
+            inserts: both(|s| s.inserts),
+            evictions: both(|s| s.evictions),
+            invalidations: both(|s| s.invalidations),
+            bytes_saved: ld(&self.ledger.bytes_saved),
+            extent_promotions: ld(&self.ledger.extent_promotions),
+            promoted_bytes: ld(&self.ledger.promoted_bytes),
             resident_bytes: self.resident_bytes(),
             capacity_bytes: self.cfg.capacity_bytes,
         }
@@ -783,6 +756,11 @@ mod tests {
 
     fn blob(n: usize) -> Arc<Vec<u8>> {
         Arc::new(vec![0xAB; n])
+    }
+
+    /// One missing probe of `table`: does it ask for promotion?
+    fn probe_promotes(c: &ReadCache, table: u64, image_len: u64) -> bool {
+        matches!(c.extent_probe(table, image_len), ExtentProbe::Missing { promote: true })
     }
 
     #[test]
@@ -895,14 +873,15 @@ mod tests {
     #[test]
     fn extent_promotion_after_threshold() {
         let c = cache(1 << 20); // promote_extent_after = 3
-        assert!(!c.note_extent_miss(9, 10_000));
-        assert!(!c.note_extent_miss(9, 10_000));
-        assert!(c.note_extent_miss(9, 10_000), "third miss crosses the threshold");
+        assert!(!probe_promotes(&c, 9, 10_000));
+        assert!(!probe_promotes(&c, 9, 10_000));
+        assert!(probe_promotes(&c, 9, 10_000), "third miss crosses the threshold");
         assert!(c.extent_admit(9, blob(10_000)));
-        assert!(c.extent_get(9).is_some());
-        assert_eq!(c.snapshot().extent_promotions, 1);
+        assert!(matches!(c.extent_probe(9, 10_000), ExtentProbe::Image(_)));
+        let s = c.snapshot();
+        assert_eq!((s.extent_promotions, s.extent_hits, s.extent_misses), (1, 1, 3));
         // Oversized images are never promoted.
-        assert!(!c.note_extent_miss(10, 10 << 20));
+        assert!(!probe_promotes(&c, 10, 10 << 20));
         // Disabled promotion never fires.
         let c2 = ReadCache::new(CacheConfig {
             promote_extent_after: 0,
@@ -910,7 +889,7 @@ mod tests {
         })
         .unwrap();
         for _ in 0..10 {
-            assert!(!c2.note_extent_miss(1, 100));
+            assert!(!probe_promotes(&c2, 1, 100));
         }
     }
 
@@ -921,7 +900,7 @@ mod tests {
         let mut promoted = 0;
         for t in 0..50u64 {
             for _ in 0..3 {
-                if c.note_extent_miss(t, img) {
+                if probe_promotes(&c, t, img) {
                     promoted += 1;
                 }
             }
@@ -936,7 +915,7 @@ mod tests {
         // Savings unlock promotion again — the heat was never forgotten,
         // so one more miss suffices.
         c.note_saved(1 << 20);
-        assert!(c.note_extent_miss(7, img), "promotion must resume once savings cover it");
+        assert!(probe_promotes(&c, 7, img), "promotion must resume once savings cover it");
         assert_eq!(c.snapshot().promoted_bytes, 3 * img);
     }
 

@@ -1,16 +1,19 @@
 //! Model-check the read cache's version fence from `crates/cache`
-//! (ISSUE 7): concurrent admit / lookup / evict / invalidate on a
-//! miniature shard re-implemented over the dlsm-check shim. The property
-//! under test is the one the fence exists for: **once
+//! (ISSUE 7, per-shard since ISSUE 17): concurrent admit / lookup / evict /
+//! invalidate on miniature shards re-implemented over the dlsm-check shim.
+//! The property under test is the one the fence exists for: **once
 //! `invalidate_table(T)` has returned, no lookup of `T` ever hits** — a
 //! cached block can never serve data from a deleted extent.
 //!
-//! The protocol modelled is exactly the crate's check-insert-recheck
-//! dance: an admission pre-checks the dead set, inserts, then re-checks
-//! and undoes its own insert if an invalidation marked the fence in the
-//! window. The straw man (`FENCED = false`) skips the fence entirely —
-//! purge-only invalidation — and the checker must catch it serving a
-//! stale block after an in-flight fill resurrects the dead table's entry.
+//! The protocol modelled is the crate's: every shard keeps its own copy of
+//! the dead set beside its entries, under the one shard lock. An admission
+//! checks the fence and inserts in one critical section; an invalidation
+//! walks the shards, marking and purging each in one critical section — so
+//! there is no window between check and insert to re-check, whichever
+//! shard the fill and the walk meet in. The straw man (`FENCED = false`)
+//! skips the fence entirely — purge-only invalidation — and the checker
+//! must catch it serving a stale block after an in-flight fill resurrects
+//! the dead table's entry.
 
 use std::sync::Arc;
 
@@ -19,87 +22,91 @@ use dlsm_check::Checker;
 
 /// One cache shard in miniature: a FIFO of `(table, bytes)` entries (the
 /// S3-FIFO queues collapse to one FIFO — eviction order is irrelevant to
-/// the fence) plus the dead-table set.
+/// the fence) and the shard's copy of the dead-table set, under one lock.
 struct MiniShard {
     cap: usize,
-    entries: Mutex<Vec<(u64, u64)>>,
-    dead: Mutex<Vec<u64>>,
+    state: Mutex<ShardState>,
 }
 
-impl MiniShard {
-    fn new(cap: usize) -> Arc<MiniShard> {
-        Arc::new(MiniShard { cap, entries: Mutex::new(Vec::new()), dead: Mutex::new(Vec::new()) })
+#[derive(Default)]
+struct ShardState {
+    entries: Vec<(u64, u64)>,
+    dead: Vec<u64>,
+}
+
+/// Two shards, as a table's objects spread over the real cache's pools and
+/// shards: `invalidate` must fence and purge every one of them.
+struct MiniCache {
+    shards: [MiniShard; 2],
+}
+
+impl MiniCache {
+    fn new(cap: usize) -> Arc<MiniCache> {
+        let shard = || MiniShard { cap, state: Mutex::new(ShardState::default()) };
+        Arc::new(MiniCache { shards: [shard(), shard()] })
     }
 
-    fn is_dead(&self, table: u64) -> bool {
-        self.dead.lock().contains(&table)
+    fn get(&self, shard: usize, table: u64) -> Option<u64> {
+        self.shards[shard].state.lock().entries.iter().find(|e| e.0 == table).map(|e| e.1)
     }
 
-    fn get(&self, table: u64) -> Option<u64> {
-        self.entries.lock().iter().find(|e| e.0 == table).map(|e| e.1)
-    }
-
-    /// `ReadCache::block_admit`: fence pre-check, insert (evicting FIFO
-    /// order past `cap`), fence re-check undoing our own resurrection.
-    /// `FENCED = false` is the straw man: insert unconditionally.
-    fn admit<const FENCED: bool>(&self, table: u64, bytes: u64) {
-        if FENCED && self.is_dead(table) {
+    /// `Pool::insert`: fence check and insert (evicting FIFO order past
+    /// `cap`) under the shard lock. `FENCED = false` is the straw man:
+    /// insert unconditionally.
+    fn admit<const FENCED: bool>(&self, shard: usize, table: u64, bytes: u64) {
+        let shard = &self.shards[shard];
+        let mut s = shard.state.lock();
+        if FENCED && s.dead.contains(&table) {
             return;
         }
-        {
-            let mut e = self.entries.lock();
-            e.retain(|x| x.0 != table); // overwrite, don't duplicate
-            e.push((table, bytes));
-            if e.len() > self.cap {
-                e.remove(0); // evict the FIFO head
-            }
-        }
-        if FENCED && self.is_dead(table) {
-            self.entries.lock().retain(|x| x.0 != table);
+        s.entries.retain(|x| x.0 != table); // overwrite, don't duplicate
+        s.entries.push((table, bytes));
+        if s.entries.len() > shard.cap {
+            s.entries.remove(0); // evict the FIFO head
         }
     }
 
-    /// `ReadCache::invalidate_table`: mark the fence FIRST, then purge.
-    /// The straw man purges without ever marking usable state — the dead
-    /// list is still recorded (after the purge) so the oracle knows which
-    /// tables must never hit again.
-    fn invalidate<const FENCED: bool>(&self, table: u64) {
-        if FENCED {
-            self.dead.lock().push(table);
-        }
-        self.entries.lock().retain(|x| x.0 != table);
-        if !FENCED {
-            self.dead.lock().push(table);
+    /// `ReadCache::invalidate_table`: shard by shard, mark the fence and
+    /// purge in one critical section. (The straw man records the dead id
+    /// too — nothing reads it there but the oracle below.)
+    fn invalidate(&self, table: u64) {
+        for shard in &self.shards {
+            let mut s = shard.state.lock();
+            s.dead.push(table);
+            s.entries.retain(|x| x.0 != table);
         }
     }
 }
 
-/// Drive the shard with a filler racing an invalidator, a reader mixing
+/// Drive the shards with a filler racing an invalidator, a reader mixing
 /// in lookups, and a capacity small enough that admissions evict. The
 /// oracle inside every interleaving: after `invalidate(1)` returns,
-/// `get(1)` misses — and it keeps missing at join time even though the
-/// filler may still have been mid-admission when the first probe ran.
+/// `get(_, 1)` misses in both shards — and it keeps missing at join time
+/// even though the filler may still have been mid-admission when the first
+/// probe ran.
 fn explore<const FENCED: bool>() -> dlsm_check::Report {
     Checker::new(if FENCED { "cache-fence" } else { "cache-fence-strawman" })
         .preemption_bound(3)
         .explore(|| {
-            let shard = MiniShard::new(2);
+            let cache = MiniCache::new(1);
 
-            // In-flight fill of table 1 (bytes already fetched from the
-            // fabric) racing the invalidation, plus traffic on table 2
-            // to exercise eviction alongside.
-            let s1 = Arc::clone(&shard);
+            // In-flight fills of table 1 (bytes already fetched from the
+            // fabric) — a record into shard 0, an image into shard 1 —
+            // racing the invalidation, plus traffic on table 2 to exercise
+            // eviction alongside.
+            let c1 = Arc::clone(&cache);
             let filler = thread::spawn(move || {
-                s1.admit::<FENCED>(1, 10);
-                s1.admit::<FENCED>(2, 20);
+                c1.admit::<FENCED>(1, 1, 10);
+                c1.admit::<FENCED>(0, 1, 10);
+                c1.admit::<FENCED>(0, 2, 20);
             });
 
             // Reader: lookups must only ever observe a table's one
             // immutable value, live or not.
-            let s2 = Arc::clone(&shard);
+            let c2 = Arc::clone(&cache);
             let reader = thread::spawn(move || {
                 for t in [1u64, 2] {
-                    if let Some(v) = s2.get(t) {
+                    if let Some(v) = c2.get(0, t) {
                         assert_eq!(v, t * 10, "table {t} served foreign bytes {v}");
                     }
                 }
@@ -107,31 +114,36 @@ fn explore<const FENCED: bool>() -> dlsm_check::Report {
 
             // Invalidator: compaction obsoletes table 1 and immediately
             // re-probes — the stale-serve oracle.
-            shard.invalidate::<FENCED>(1);
-            assert!(
-                shard.get(1).is_none(),
-                "dead table 1 served a cached block after invalidate returned"
-            );
+            cache.invalidate(1);
+            for shard in 0..2 {
+                assert!(
+                    cache.get(shard, 1).is_none(),
+                    "dead table 1 served from shard {shard} after invalidate returned"
+                );
+            }
 
             filler.join().unwrap();
             reader.join().unwrap();
 
             // Quiescent oracle: every dead table drained, capacity held.
-            let entries = shard.entries.lock();
-            for &t in shard.dead.lock().iter() {
-                assert!(
-                    !entries.iter().any(|e| e.0 == t),
-                    "dead table {t} still resident at join"
-                );
+            for shard in &cache.shards {
+                let s = shard.state.lock();
+                for t in &s.dead {
+                    assert!(
+                        !s.entries.iter().any(|e| e.0 == *t),
+                        "dead table {t} still resident at join"
+                    );
+                }
+                assert!(s.entries.len() <= 1, "capacity exceeded: {:?}", s.entries);
             }
-            assert!(entries.len() <= 2, "capacity exceeded: {:?}", *entries);
         })
 }
 
 /// The fenced protocol holds the no-stale-serve property across every
-/// interleaving — including the fill that pre-checks the fence before the
-/// mark and inserts after the purge (the re-check undoes it). Exhaustive
-/// over >= 1000 interleavings (ISSUE 7 acceptance).
+/// interleaving — including the fill that reaches a shard the walk has
+/// already left (refused: that shard's fence is marked) and the one that
+/// reaches a shard the walk has not come to yet (purged when it does).
+/// Exhaustive over >= 1000 interleavings (ISSUE 7 acceptance).
 #[test]
 fn fenced_cache_never_serves_a_dead_table() {
     let report = explore::<true>();

@@ -19,11 +19,11 @@ use crate::context::{ComputeContext, MemNodeHandle};
 use crate::flush::{flush_memtable, FlushTransport};
 use crate::handle::{Extent, GcSink, MetaKind, Origin, TableHandle};
 use crate::memtable::{MemGet, MemTable};
-use crate::remote::{table_get, ReadChannel};
-use dlsm_sstable::source::DataSource as _;
+use crate::remote::{fetch_wave, table_get, table_step, ReadChannel, RecordFetch, Step};
 use crate::scan::DbScan;
 use crate::stats::DbStats;
-use crate::version::{VersionEdit, VersionSet};
+use crate::telemetry::{record_op, ReadCounter, ReadStats, ReaderSlot};
+use crate::version::{ReadView, Version, VersionEdit, VersionSet};
 use crate::{DbError, Result};
 
 /// Expected bytes per entry used to derive the sequence-range width when the
@@ -36,9 +36,15 @@ pub(crate) struct Shared {
     pub(crate) cfg: DbConfig,
     /// Next sequence number to assign.
     seq: AtomicU64,
+    /// The MemTable writers insert into; readers never take this lock.
     current: RwLock<Arc<MemTable>>,
-    /// Immutable MemTables awaiting flush, oldest first.
-    immutables: Mutex<Vec<Arc<MemTable>>>,
+    /// The published [`ReadView`]; the lock serializes the three
+    /// publishers (switch, flush install, compaction install) and is taken
+    /// by a reader only to refresh.
+    view: Mutex<Arc<ReadView>>,
+    /// Id of the published view — the one word a read loads to validate
+    /// the view it cached.
+    view_id: ViewId,
     imm_count: AtomicUsize,
     flush_queue_len: AtomicUsize,
     switch_lock: Mutex<()>,
@@ -73,6 +79,11 @@ pub(crate) struct Shared {
     /// When this shard was opened (uptime gauge).
     opened_at: Instant,
 }
+
+/// On a line of its own: every read loads it, and it must not share a line
+/// with counters the write path bumps.
+#[repr(align(64))]
+struct ViewId(AtomicU64);
 
 /// Point-in-time write-path state, read by the gauge sampler
 /// (`crate::metrics`) and stats report without reaching into `Shared`'s
@@ -159,6 +170,22 @@ impl Shared {
         }
     }
 
+    /// See [`Db::telemetry_snapshot`]; also what the metrics collector
+    /// exports.
+    pub(crate) fn telemetry_snapshot(&self) -> dlsm_telemetry::TelemetrySnapshot {
+        let mut s = self.telemetry.snapshot();
+        s.merge(&self.stats.readers.snapshot());
+        for (name, v) in self.stats.snapshot().named_counters() {
+            s.set_counter(name, v);
+        }
+        if let Some(cache) = &self.cache {
+            for (name, v) in crate::named_cache_counters(&cache.snapshot()) {
+                s.set_counter(name, v);
+            }
+        }
+        s
+    }
+
     fn notify_stall(&self) {
         let _g = self.stall_lock.lock();
         self.stall_cv.notify_all();
@@ -169,20 +196,44 @@ impl Shared {
         self.work_cv.notify_all();
     }
 
-    /// Pin the MemTables (newest first) then the version — in that order, so
-    /// a concurrent flush (which installs the version *before* removing the
-    /// MemTable) can never hide a table from the reader.
-    fn pin(&self) -> (Vec<Arc<MemTable>>, Arc<crate::version::Version>) {
-        let mut mems = Vec::with_capacity(4);
-        mems.push(Arc::clone(&self.current.read()));
-        {
-            let imms = self.immutables.lock();
-            for m in imms.iter().rev() {
-                mems.push(Arc::clone(m));
+    /// Pin the published view: the refresh path of a reader whose cached
+    /// view was superseded, and how a snapshot is taken.
+    fn pin(&self) -> Arc<ReadView> {
+        Arc::clone(&self.view.lock())
+    }
+
+    /// Publish the successor of the current view, built by `next` from it.
+    /// The only place the read-visible set changes. Two rules keep reads
+    /// consistent (DESIGN.md §5.5, model-checked in `model_readview.rs`):
+    /// a reader loads its horizon *before* it validates its view against
+    /// `view_id`, and a view is published *before* anything it newly holds
+    /// can accept a write — so whatever a horizon covers is in the view
+    /// that passes validation after it.
+    fn publish_view(&self, next: impl FnOnce(&ReadView) -> (Vec<Arc<MemTable>>, Arc<Version>)) {
+        let mut view = self.view.lock();
+        let (mems, version) = next(&view);
+        self.imm_count.store(mems.len() - 1, Ordering::Release);
+        self.l0_count.store(version.level(0).len(), Ordering::Release);
+        *view = Arc::new(ReadView { id: view.id + 1, mems, version });
+        self.view_id.0.store(view.id, Ordering::Release);
+    }
+
+    /// After a publication: empty the slot of every idle reader whose view
+    /// was superseded, so it pins neither MemTables nor dead tables' remote
+    /// extents. A reader that is mid-call holds its view itself and drops
+    /// it at call end, when it finds the id moved.
+    fn release_idle_views(&self) {
+        let id = self.view_id.0.load(Ordering::Acquire);
+        let mut stale = Vec::new();
+        self.stats.readers.for_each_live(|slot| {
+            let mut parked = slot.view.lock();
+            if parked.as_ref().is_some_and(|v| v.id != id) {
+                stale.extend(parked.take());
             }
-        }
-        let version = self.versions.current();
-        (mems, version)
+        });
+        // Dropped outside the registry lock: the last reference frees
+        // MemTables and queues extents for GC.
+        drop(stale);
     }
 
     /// Switch because `seq` ran past the current range's end `expected_end`
@@ -218,16 +269,25 @@ impl Shared {
     fn do_switch(&self, start: SeqNo) {
         let _sp = dlsm_trace::span(dlsm_trace::Category::Db, "memtable_switch");
         let new = self.new_memtable(start);
-        // Hold the immutables lock *across* the swap: a reader pins the
-        // current table first and the immutable list second, so the retired
-        // table must already be in the list by the time the list becomes
-        // readable — otherwise there is a window where it is neither
-        // current nor immutable and its data vanishes from reads.
-        let mut imms = self.immutables.lock();
-        let old = {
-            let mut w = self.current.write();
-            std::mem::replace(&mut *w, new)
+        let (old, keep_old) = {
+            // Under the write lock no insert is in flight, so "empty" is
+            // final, and the view that holds `new` is published before the
+            // swap lets any writer reach `new`. The retiring table stays
+            // in the view until its flush installs.
+            let mut cur = self.current.write();
+            let keep_old = !cur.is_empty();
+            if keep_old {
+                let order = self.retire_counter.fetch_add(1, Ordering::AcqRel);
+                cur.flush_order.store(order, Ordering::Release);
+            }
+            self.publish_view(|view| {
+                let mut mems = vec![Arc::clone(&new)];
+                mems.extend_from_slice(&view.mems[usize::from(!keep_old)..]);
+                (mems, Arc::clone(&view.version))
+            });
+            (std::mem::replace(&mut *cur, new), keep_old)
         };
+        self.release_idle_views();
         // Jump the counter so no future fetch lands in the old range (only
         // meaningful for the range-disciplined protocol — naive tables all
         // cover the full sequence space).
@@ -241,12 +301,7 @@ impl Shared {
         }
         DbStats::bump(&self.stats.switches);
         dlsm_timeline::post(dlsm_timeline::EngineEvent::MemtableSwitch { mem_id: old.id });
-        if !old.is_empty() {
-            let order = self.retire_counter.fetch_add(1, Ordering::AcqRel);
-            old.flush_order.store(order, Ordering::Release);
-            imms.push(Arc::clone(&old));
-            drop(imms);
-            self.imm_count.fetch_add(1, Ordering::Release);
+        if keep_old {
             let queued = self.flush_queue_len.fetch_add(1, Ordering::Release) + 1;
             dlsm_trace::instant(dlsm_trace::Category::Flush, "flush_enqueue", queued as u64);
             let _ = self.flush_tx.send(old);
@@ -395,7 +450,7 @@ impl Shared {
                     }
                 }
                 // One Put sample per committed batch (not per entry).
-                self.telemetry.record_op(dlsm_telemetry::OpClass::Put, t0.elapsed());
+                record_op(&self.telemetry.ops, dlsm_telemetry::OpClass::Put, t0.elapsed());
                 return Ok(crate::batch::BatchCommit { first_seq: base, count: n });
             }
         }
@@ -411,7 +466,7 @@ impl Shared {
             SwitchProtocol::NaiveDoubleChecked => self.write_naive(user_key, value, vt),
         };
         if result.is_ok() {
-            self.telemetry.record_op(dlsm_telemetry::OpClass::Put, t0.elapsed());
+            record_op(&self.telemetry.ops, dlsm_telemetry::OpClass::Put, t0.elapsed());
         }
         result
     }
@@ -515,25 +570,32 @@ impl Db {
         let cfg = cfg.normalized(DEFAULT_ENTRY_BYTES);
         let (flush_tx, flush_rx) = unbounded();
         let gc = GcSink::new(Arc::clone(memnode.flush_alloc()));
+        let first = Arc::new(MemTable::new(
+            0,
+            match cfg.switch_protocol {
+                SwitchProtocol::SeqRange => 1..1 + cfg.seq_range_width,
+                SwitchProtocol::NaiveDoubleChecked => 0..dlsm_sstable::key::MAX_SEQ,
+            },
+            cfg.memtable_size,
+            cfg.arena_capacity(),
+        ));
+        let versions = VersionSet::new(cfg.max_levels);
         let shared = Arc::new(Shared {
             ctx,
             memnode,
             seq: AtomicU64::new(1),
-            current: RwLock::new(Arc::new(MemTable::new(
-                0,
-                match cfg.switch_protocol {
-                    SwitchProtocol::SeqRange => 1..1 + cfg.seq_range_width,
-                    SwitchProtocol::NaiveDoubleChecked => 0..dlsm_sstable::key::MAX_SEQ,
-                },
-                cfg.memtable_size,
-                cfg.arena_capacity(),
-            ))),
-            immutables: Mutex::new(Vec::new()),
+            view: Mutex::new(Arc::new(ReadView {
+                id: 0,
+                mems: vec![Arc::clone(&first)],
+                version: versions.current(),
+            })),
+            view_id: ViewId(AtomicU64::new(0)),
+            current: RwLock::new(first),
             imm_count: AtomicUsize::new(0),
             flush_queue_len: AtomicUsize::new(0),
             switch_lock: Mutex::new(()),
             next_id: AtomicU64::new(1),
-            versions: VersionSet::new(cfg.max_levels),
+            versions,
             l0_count: AtomicUsize::new(0),
             stall_lock: Mutex::new(()),
             stall_cv: Condvar::new(),
@@ -600,7 +662,8 @@ impl Db {
     /// connection to the memnode (e.g. during a partition window).
     pub fn try_reader(&self) -> Result<DbReader> {
         let channel = self.shared.read_channel()?;
-        Ok(DbReader { shared: Arc::clone(&self.shared), channel })
+        let slot = self.shared.stats.readers.register();
+        Ok(DbReader { shared: Arc::clone(&self.shared), channel, slot })
     }
 
     /// Infallible convenience wrapper over [`Db::try_reader`] for benches,
@@ -616,8 +679,7 @@ impl Db {
     pub fn snapshot(&self) -> Snapshot {
         let seq = self.current_seq();
         *self.shared.snapshots.lock().entry(seq).or_insert(0) += 1;
-        let (mems, version) = self.shared.pin();
-        Snapshot { seq, mems, version, shared: Arc::clone(&self.shared) }
+        Snapshot { seq, view: self.shared.pin(), shared: Arc::clone(&self.shared) }
     }
 
     /// Database counters.
@@ -636,22 +698,14 @@ impl Db {
         &self.shared.telemetry
     }
 
-    /// A frozen telemetry snapshot: op/breakdown histograms plus every
+    /// A frozen telemetry snapshot: op/breakdown histograms — the shared
+    /// write-side ones plus the sum over every reader's block — and every
     /// [`DbStats`] counter. RDMA verb traffic is *not* included — attach it
     /// from the fabric (or a reader's channel) with
     /// [`crate::telemetry::verb_traffic`], so merging shard snapshots never
     /// double-counts shared fabric counters.
     pub fn telemetry_snapshot(&self) -> dlsm_telemetry::TelemetrySnapshot {
-        let mut s = self.shared.telemetry.snapshot();
-        for (name, v) in self.shared.stats.snapshot().named_counters() {
-            s.set_counter(name, v);
-        }
-        if let Some(cs) = self.cache_stats() {
-            for (name, v) in crate::named_cache_counters(&cs) {
-                s.set_counter(name, v);
-            }
-        }
-        s
+        self.shared.telemetry_snapshot()
     }
 
     /// Read-cache counters and occupancy, if the cache is enabled.
@@ -734,9 +788,10 @@ impl Db {
         let snap = self.snapshot();
         let mut out = Vec::new();
         put_u64(&mut out, snap.seq);
-        put_u32(&mut out, snap.version.level_count() as u32);
-        for level in 0..snap.version.level_count() {
-            let tables = snap.version.level(level);
+        let version = &snap.view.version;
+        put_u32(&mut out, version.level_count() as u32);
+        for level in 0..version.level_count() {
+            let tables = version.level(level);
             put_u32(&mut out, tables.len() as u32);
             for t in tables {
                 put_u64(&mut out, t.id);
@@ -832,20 +887,18 @@ impl Db {
                 );
             }
         }
-        let v = shared.versions.install(&edit);
-        shared.l0_count.store(v.level(0).len(), Ordering::Release);
+        shared.publish_view(|view| (view.mems.clone(), shared.versions.install(&edit)));
         let prev = shared.seq.fetch_max(seq, Ordering::AcqRel);
         if prev < seq {
             shared.publication.publish(prev, seq - prev);
         }
         shared.next_id.fetch_max(max_id + 1, Ordering::AcqRel);
-        // The restored sequence horizon starts a fresh MemTable range.
+        // The restored sequence horizon starts a fresh MemTable range (the
+        // empty initial table is dropped by the switch, not retired).
         let start = shared.seq.load(Ordering::Acquire);
         {
             let _g = shared.switch_lock.lock();
-            let new = shared.new_memtable(start);
-            let mut w = shared.current.write();
-            *w = new;
+            shared.do_switch(start);
         }
         Ok(db)
     }
@@ -856,10 +909,11 @@ impl Db {
     pub fn debug_lookup(&self, key: &[u8]) -> String {
         use std::fmt::Write as _;
         let seq = self.shared.read_horizon();
-        let (mems, version) = self.shared.pin();
+        let view = self.shared.pin();
+        let reader = self.reader();
         let mut out = String::new();
         let _ = writeln!(out, "horizon={seq}");
-        for m in &mems {
+        for m in &view.mems {
             let _ = writeln!(
                 out,
                 "  mem id={} range={:?} order={} len={} -> {:?}",
@@ -870,15 +924,14 @@ impl Db {
                 m.get(key, seq)
             );
         }
-        let channel = self.shared.read_channel().expect("debug channel");
-        for (li, _) in (0..version.level_count()).enumerate() {
-            for t in version.level(li) {
+        for level in 0..view.version.level_count() {
+            for t in view.version.level(level) {
                 if t.smallest_user() <= key && key <= t.largest_user() {
-                    let got =
-                        crate::remote::table_get(&channel, t, key, seq, self.shared.cache.as_ref());
+                    let cache = self.shared.cache.as_ref();
+                    let got = table_get(&reader.channel, t, key, seq, cache, &reader.slot.stats);
                     let _ = writeln!(
                         out,
-                        "  L{li} table id={} [{:?}..{:?}] -> {:?}",
+                        "  L{level} table id={} [{:?}..{:?}] -> {:?}",
                         t.id,
                         String::from_utf8_lossy(&t.smallest[..t.smallest.len().min(12)]),
                         String::from_utf8_lossy(&t.largest[..t.largest.len().min(12)]),
@@ -930,8 +983,7 @@ impl Drop for Db {
 /// A pinned, immutable view of the database at one sequence horizon.
 pub struct Snapshot {
     seq: SeqNo,
-    mems: Vec<Arc<MemTable>>,
-    version: Arc<crate::version::Version>,
+    view: Arc<ReadView>,
     shared: Arc<Shared>,
 }
 
@@ -939,10 +991,6 @@ impl Snapshot {
     /// The snapshot's sequence horizon.
     pub fn seq(&self) -> SeqNo {
         self.seq
-    }
-
-    pub(crate) fn parts(&self) -> (&[Arc<MemTable>], &Arc<crate::version::Version>) {
-        (&self.mems, &self.version)
     }
 }
 
@@ -959,10 +1007,99 @@ impl Drop for Snapshot {
 }
 
 /// A thread-local read handle: owns one queue pair shared by all table
-/// readers/iterators it creates (Sec. X-B: thread-local queue pairs).
+/// readers/iterators it creates (Sec. X-B: thread-local queue pairs), the
+/// [`ReadView`] it keeps between calls, and the counters its reads feed —
+/// a read writes no cache line another reader touches.
 pub struct DbReader {
     shared: Arc<Shared>,
     channel: ReadChannel,
+    slot: Arc<ReaderSlot>,
+}
+
+/// How one key's walk over a pinned view ended.
+enum Walk<'v> {
+    /// The newest visible version, from a MemTable, the cache or a block
+    /// table.
+    Found(Vec<u8>),
+    /// No visible version, or a tombstone.
+    Absent,
+    /// The newest visible version is this remote record; its READ joins the
+    /// caller's wave.
+    Fetch(RecordFetch<'v>),
+}
+
+/// Observer of a walk. `get` times the phases with it, `get_traced` writes
+/// down every source consulted, `multi_get` passes `()`.
+trait WalkVisitor {
+    /// The walk moves on: MemTables → L0 → deeper levels.
+    fn next_phase(&mut self) {}
+    /// One source answered; `level` is `None` for a MemTable.
+    fn source(&mut self, _level: Option<usize>, _id: u64, _answer: &dyn std::fmt::Debug) {}
+}
+
+impl WalkVisitor for () {}
+
+/// The [`WalkVisitor`] of a `get`: times the call and its phases into the
+/// reader's histograms and keeps the running phase's trace span open. A
+/// record fetch that follows the walk belongs to the phase that located it.
+struct PhaseClock<'a> {
+    stats: &'a ReadStats,
+    called: Instant,
+    phase_began: Instant,
+    phase: usize,
+    span: Option<dlsm_trace::Span>,
+}
+
+const PHASES: [&str; 3] = ["get_memtable", "get_l0", "get_deep"];
+
+impl<'a> PhaseClock<'a> {
+    fn start(stats: &'a ReadStats) -> PhaseClock<'a> {
+        let now = Instant::now();
+        let span = Some(dlsm_trace::span(dlsm_trace::Category::Db, PHASES[0]));
+        PhaseClock { stats, called: now, phase_began: now, phase: 0, span }
+    }
+
+    fn close_phase(&mut self, now: Instant) {
+        let hists = [&self.stats.get_memtable, &self.stats.get_l0, &self.stats.get_deep];
+        // LOSSY: ~584 years of nanoseconds fit in u64.
+        hists[self.phase].record_exclusive((now - self.phase_began).as_nanos() as u64);
+        self.phase_began = now;
+        self.span = None;
+    }
+
+    /// The call succeeded: record its last phase and its latency.
+    fn finish(mut self, hit: bool) {
+        let now = Instant::now();
+        self.close_phase(now);
+        let class = if hit {
+            self.stats.add(ReadCounter::GetHits, 1);
+            dlsm_telemetry::OpClass::GetHit
+        } else {
+            dlsm_telemetry::OpClass::GetMiss
+        };
+        self.stats.record_op(class, now - self.called);
+    }
+}
+
+impl WalkVisitor for PhaseClock<'_> {
+    fn next_phase(&mut self) {
+        self.close_phase(Instant::now());
+        self.phase = (self.phase + 1).min(PHASES.len() - 1);
+        self.span = Some(dlsm_trace::span(dlsm_trace::Category::Db, PHASES[self.phase]));
+    }
+}
+
+/// The [`WalkVisitor`] of `get_traced`.
+struct SourceLog(String);
+
+impl WalkVisitor for SourceLog {
+    fn source(&mut self, level: Option<usize>, id: u64, answer: &dyn std::fmt::Debug) {
+        use std::fmt::Write as _;
+        let _ = match level {
+            None => writeln!(self.0, "  mem id={id} -> {answer:?}"),
+            Some(level) => writeln!(self.0, "  L{level} id={id} -> {answer:?}"),
+        };
+    }
 }
 
 impl DbReader {
@@ -974,445 +1111,196 @@ impl DbReader {
         self.channel.traffic()
     }
 
+    /// Run `f` at the current horizon over the published view, pinned
+    /// without writing a shared cache line: the view comes out of this
+    /// reader's slot and is revalidated by one load of the published id
+    /// (only a superseded view takes the refresh path through
+    /// `Shared::pin`). The horizon is loaded first — see
+    /// `Shared::publish_view` for why the order matters.
+    fn with_view<T>(&self, f: impl FnOnce(SeqNo, &Arc<ReadView>) -> T) -> T {
+        let seq = self.shared.read_horizon();
+        let parked = self.slot.view.lock().take();
+        let id = self.shared.view_id.0.load(Ordering::Acquire);
+        let view = match parked {
+            Some(view) if view.id == id => view,
+            _ => self.shared.pin(),
+        };
+        let out = f(seq, &view);
+        // Back into the slot only while it is still the published view.
+        // The id is read under the slot lock, which the publisher's sweep
+        // also takes: a view parked before the sweep is found by it, and
+        // after the sweep the new id is visible here — either way a
+        // superseded view is released, exactly once, and no idle reader
+        // keeps one.
+        let mut slot = self.slot.view.lock();
+        if view.id == self.shared.view_id.0.load(Ordering::Acquire) {
+            *slot = Some(view);
+        }
+        out
+    }
+
     /// Read the newest visible version of `key` at the current horizon.
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let seq = self.shared.read_horizon();
-        let (mems, version) = self.shared.pin();
-        self.get_pinned(key, seq, &mems, &version)
+        self.with_view(|seq, view| self.get_in(view, seq, key))
     }
 
     /// Diagnostic twin of [`DbReader::get`]: also returns a trace of every
     /// source consulted. Test-only; not part of the public contract.
     #[doc(hidden)]
     pub fn get_traced(&mut self, key: &[u8]) -> Result<(Option<Vec<u8>>, String)> {
-        use std::fmt::Write as _;
-        let seq = self.shared.read_horizon();
-        let (mems, version) = self.shared.pin();
-        let mut trace = format!("horizon={seq}\n");
-        for mem in &mems {
-            let got = mem.get(key, seq);
-            let _ = writeln!(
-                trace,
-                "  mem id={} range={:?} len={} -> {:?}",
-                mem.id,
-                mem.range,
-                mem.len(),
-                got
-            );
-            match got {
-                MemGet::Found(v) => return Ok((Some(v), trace)),
-                MemGet::Deleted => return Ok((None, trace)),
-                MemGet::NotFound => {}
-            }
-        }
-        for t in version.level(0) {
-            if t.smallest_user() <= key && key <= t.largest_user() {
-                let got = table_get(&self.channel, t, key, seq, self.shared.cache.as_ref())?;
-                let _ = writeln!(trace, "  L0 id={} -> {:?}", t.id, got);
-                match got {
-                    TableGet::Found(v) => return Ok((Some(v), trace)),
-                    TableGet::Deleted => return Ok((None, trace)),
-                    TableGet::NotFound => {}
-                }
-            }
-        }
-        for level in 1..version.level_count() {
-            if let Some(t) = version.table_for_key(level, key) {
-                let got = table_get(&self.channel, t, key, seq, self.shared.cache.as_ref())?;
-                let _ = writeln!(trace, "  L{level} id={} -> {:?}", t.id, got);
-                match got {
-                    TableGet::Found(v) => return Ok((Some(v), trace)),
-                    TableGet::Deleted => return Ok((None, trace)),
-                    TableGet::NotFound => {}
-                }
-            }
-        }
-        Ok((None, trace))
+        self.with_view(|seq, view| {
+            let mut log = SourceLog(format!("horizon={seq}\n"));
+            let got = self.lookup(view, seq, key, &mut log)?;
+            Ok((got, log.0))
+        })
     }
 
     /// Read at a pinned snapshot.
     pub fn get_at(&mut self, snap: &Snapshot, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let (mems, version) = snap.parts();
-        self.get_pinned(key, snap.seq(), mems, version)
+        self.get_in(&snap.view, snap.seq, key)
     }
 
-    fn get_pinned(
-        &mut self,
-        key: &[u8],
-        seq: SeqNo,
-        mems: &[Arc<MemTable>],
-        version: &crate::version::Version,
-    ) -> Result<Option<Vec<u8>>> {
-        DbStats::bump(&self.shared.stats.gets);
+    fn get_in(&self, view: &ReadView, seq: SeqNo, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let _sp = dlsm_trace::span(dlsm_trace::Category::Db, "get");
-        let t0 = Instant::now();
-        let outcome = self.get_phases(key, seq, mems, version, t0);
-        if let Ok(found) = &outcome {
-            let class = if found.is_some() {
-                DbStats::bump(&self.shared.stats.get_hits);
-                dlsm_telemetry::OpClass::GetHit
-            } else {
-                dlsm_telemetry::OpClass::GetMiss
-            };
-            self.shared.telemetry.record_op(class, t0.elapsed());
-        }
-        outcome
+        let mut clock = PhaseClock::start(&self.slot.stats);
+        let found = self.lookup(view, seq, key, &mut clock)?;
+        clock.finish(found.is_some());
+        Ok(found)
     }
 
-    /// The probe sequence of a point get, with per-phase breakdown spans
-    /// (MemTables / L0 / deeper levels) recorded into the telemetry.
-    fn get_phases(
-        &mut self,
-        key: &[u8],
+    /// A point lookup: the one-key, one-wave case of [`DbReader::multi_get`].
+    fn lookup(
+        &self,
+        view: &ReadView,
         seq: SeqNo,
-        mems: &[Arc<MemTable>],
-        version: &crate::version::Version,
-        t0: Instant,
+        key: &[u8],
+        visitor: &mut impl WalkVisitor,
     ) -> Result<Option<Vec<u8>>> {
-        let tel = Arc::clone(&self.shared.telemetry);
+        Ok(match self.walk(view, seq, key, visitor)? {
+            Walk::Found(v) => Some(v),
+            Walk::Absent => None,
+            Walk::Fetch(mut fetch) => {
+                fetch_wave(&self.channel, std::slice::from_mut(&mut fetch))?;
+                Some(fetch.finish(self.shared.cache.as_ref())?)
+            }
+        })
+    }
+
+    /// Walk one key down the pinned sources — the one walk every lookup
+    /// takes — until a source settles it or the one remote record that
+    /// holds its value is located.
+    fn walk<'v>(
+        &self,
+        view: &'v ReadView,
+        seq: SeqNo,
+        key: &[u8],
+        visitor: &mut impl WalkVisitor,
+    ) -> Result<Walk<'v>> {
+        let stats = &self.slot.stats;
+        stats.add(ReadCounter::Gets, 1);
         // MemTables, newest first. The first table holding any visible
         // version wins — correct because table seq ranges are disjoint and
         // ordered (Sec. IV).
-        let sp_mem = dlsm_trace::span(dlsm_trace::Category::Db, "get_memtable");
-        for mem in mems {
-            match mem.get(key, seq) {
-                MemGet::Found(v) => {
-                    tel.get_memtable.record_elapsed(t0.elapsed());
-                    return Ok(Some(v));
-                }
+        for mem in &view.mems {
+            let got = mem.get(key, seq);
+            visitor.source(None, mem.id, &got);
+            match got {
+                MemGet::Found(v) => return Ok(Walk::Found(v)),
                 MemGet::Deleted => {
-                    tel.get_memtable.record_elapsed(t0.elapsed());
-                    crate::telemetry::DbTelemetry::bump(&tel.get_tombstones);
-                    return Ok(None);
+                    stats.add(ReadCounter::GetTombstones, 1);
+                    return Ok(Walk::Absent);
                 }
                 MemGet::NotFound => {}
             }
         }
-        tel.get_memtable.record_elapsed(t0.elapsed());
-        drop(sp_mem);
+        visitor.next_phase();
         // L0: overlapping tables, newest first.
-        let sp_l0 = dlsm_trace::span(dlsm_trace::Category::Db, "get_l0");
-        let t_l0 = Instant::now();
-        for t in version.level(0) {
+        for t in view.version.level(0) {
             if t.smallest_user() <= key && key <= t.largest_user() {
-                let probe = self.probe_table(t, key, seq)?;
-                match probe {
-                    TableGet::Found(v) => {
-                        tel.get_l0.record_elapsed(t_l0.elapsed());
-                        return Ok(Some(v));
-                    }
-                    TableGet::Deleted => {
-                        tel.get_l0.record_elapsed(t_l0.elapsed());
-                        crate::telemetry::DbTelemetry::bump(&tel.get_tombstones);
-                        return Ok(None);
-                    }
-                    TableGet::NotFound => {}
+                if let Some(end) = self.walk_table(0, t, seq, key, visitor)? {
+                    return Ok(end);
                 }
             }
         }
-        tel.get_l0.record_elapsed(t_l0.elapsed());
-        drop(sp_l0);
+        visitor.next_phase();
         // Deeper levels: at most one candidate table per level.
-        let _sp_deep = dlsm_trace::span(dlsm_trace::Category::Db, "get_deep");
-        let t_deep = Instant::now();
-        for level in 1..version.level_count() {
-            if let Some(t) = version.table_for_key(level, key) {
-                let probe = self.probe_table(t, key, seq)?;
-                match probe {
-                    TableGet::Found(v) => {
-                        tel.get_deep.record_elapsed(t_deep.elapsed());
-                        return Ok(Some(v));
-                    }
-                    TableGet::Deleted => {
-                        tel.get_deep.record_elapsed(t_deep.elapsed());
-                        crate::telemetry::DbTelemetry::bump(&tel.get_tombstones);
-                        return Ok(None);
-                    }
-                    TableGet::NotFound => {}
+        for level in 1..view.version.level_count() {
+            if let Some(t) = view.version.table_for_key(level, key) {
+                if let Some(end) = self.walk_table(level, t, seq, key, visitor)? {
+                    return Ok(end);
                 }
             }
         }
-        tel.get_deep.record_elapsed(t_deep.elapsed());
-        Ok(None)
+        Ok(Walk::Absent)
     }
 
-    /// One table probe, accounting bloom/index skips (byte-addressable
-    /// `NotFound` never fetches a record — Sec. VI) and hot-L0 cache hits.
-    fn probe_table(
-        &mut self,
-        t: &Arc<TableHandle>,
-        key: &[u8],
+    /// One table of the walk; `None` when it holds no visible version and
+    /// the walk goes on.
+    fn walk_table<'v>(
+        &self,
+        level: usize,
+        t: &'v TableHandle,
         seq: SeqNo,
-    ) -> Result<TableGet> {
-        let _sp = dlsm_trace::span_arg(dlsm_trace::Category::Db, "probe_table", t.id);
-        let cache = self.shared.cache.as_ref();
-        let local = cache.is_some_and(|c| c.extent_peek(t.id).is_some());
-        let got = table_get(&self.channel, t, key, seq, cache)?;
-        match &got {
-            TableGet::NotFound => {
-                if matches!(t.meta, MetaKind::ByteAddr(_)) {
-                    crate::telemetry::DbTelemetry::bump(&self.shared.telemetry.bloom_skips);
-                }
+        key: &[u8],
+        visitor: &mut impl WalkVisitor,
+    ) -> Result<Option<Walk<'v>>> {
+        let _sp = dlsm_trace::span_arg(dlsm_trace::Category::Db, "table_probe", t.id);
+        let stats = &self.slot.stats;
+        let got = match table_step(&self.channel, t, key, seq, self.shared.cache.as_ref(), stats)? {
+            Step::Done(got) => got,
+            Step::Fetch(fetch) => {
+                visitor.source(Some(level), t.id, &"remote record");
+                return Ok(Some(Walk::Fetch(fetch)));
             }
-            TableGet::Found(_) | TableGet::Deleted => {
-                if local {
-                    crate::telemetry::DbTelemetry::bump(&self.shared.telemetry.l0_cache_hits);
-                }
+        };
+        visitor.source(Some(level), t.id, &got);
+        Ok(match got {
+            TableGet::Found(v) => Some(Walk::Found(v)),
+            TableGet::Deleted => {
+                stats.add(ReadCounter::GetTombstones, 1);
+                Some(Walk::Absent)
             }
-        }
-        Ok(got)
+            TableGet::NotFound => None,
+        })
     }
 
-    /// Batched point lookups: all byte-addressable record fetches of one
-    /// probe wave are posted as asynchronous RDMA reads on the reader's
-    /// queue pair and polled together, amortizing per-operation latency —
-    /// the read-side counterpart of the asynchronous flush pipeline
-    /// (Sec. X-C). Results are positionally aligned with `keys`.
+    /// Batched point lookups: every key takes the same walk as a `get`,
+    /// and the remote records the walks end in are fetched as one wave —
+    /// all READs posted on the reader's queue pair, then polled together,
+    /// amortizing the round trip — the read-side counterpart of the
+    /// asynchronous flush pipeline (Sec. X-C). Results are positionally
+    /// aligned with `keys`.
     pub fn multi_get(&mut self, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
-        use dlsm_sstable::byte_addr::Locate;
-
-        let seq = self.shared.read_horizon();
-        let (mems, version) = self.shared.pin();
-        let mut out: Vec<Option<Vec<u8>>> = vec![None; keys.len()];
-        let mut resolved = vec![false; keys.len()];
-        DbStats::add(&self.shared.stats.gets, keys.len() as u64);
-
-        // Phase 1: MemTables (local memory, no batching needed).
-        for (i, key) in keys.iter().enumerate() {
-            for mem in &mems {
-                match mem.get(key, seq) {
-                    MemGet::Found(v) => {
-                        DbStats::bump(&self.shared.stats.get_hits);
-                        out[i] = Some(v);
-                        resolved[i] = true;
-                        break;
+        self.with_view(|seq, view| {
+            let _sp =
+                dlsm_trace::span_arg(dlsm_trace::Category::Db, "multi_get", keys.len() as u64);
+            let mut out = Vec::with_capacity(keys.len());
+            let (mut waiting, mut wave) = (Vec::new(), Vec::new());
+            for key in keys {
+                out.push(match self.walk(view, seq, key, &mut ())? {
+                    Walk::Found(v) => Some(v),
+                    Walk::Absent => None,
+                    Walk::Fetch(fetch) => {
+                        waiting.push(out.len());
+                        wave.push(fetch);
+                        None
                     }
-                    MemGet::Deleted => {
-                        resolved[i] = true;
-                        break;
-                    }
-                    MemGet::NotFound => {}
-                }
+                });
             }
-        }
-
-        // Phase 2: walk each key's source list (L0 tables newest-first, then
-        // one candidate per deeper level); each wave posts every pending
-        // byte-addressable record read at once.
-        let sources_for = |key: &[u8]| -> Vec<Arc<TableHandle>> {
-            let mut v: Vec<Arc<TableHandle>> = Vec::new();
-            for t in version.level(0) {
-                if t.smallest_user() <= key && key <= t.largest_user() {
-                    v.push(Arc::clone(t));
-                }
+            fetch_wave(&self.channel, &mut wave)?;
+            for (i, fetch) in waiting.into_iter().zip(wave) {
+                out[i] = Some(fetch.finish(self.shared.cache.as_ref())?);
             }
-            for level in 1..version.level_count() {
-                if let Some(t) = version.table_for_key(level, key) {
-                    v.push(Arc::clone(t));
-                }
-            }
-            v
-        };
-        let sources: Vec<Vec<Arc<TableHandle>>> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| if resolved[i] { Vec::new() } else { sources_for(k) })
-            .collect();
-        let mut cursor = vec![0usize; keys.len()];
-
-        struct Fetch {
-            key_idx: usize,
-            buf: Vec<u8>,
-            expected_index: usize,
-            /// Record offset within the table (cache key on admission).
-            offset: u64,
-            table: Arc<TableHandle>,
-            /// Resolved from the cache — no fabric read to post, and the
-            /// record must not be re-admitted.
-            local: bool,
-        }
-
-        loop {
-            let mut wave: Vec<Fetch> = Vec::new();
-            for i in 0..keys.len() {
-                if resolved[i] {
-                    continue;
-                }
-                // Advance through sources answerable from local metadata
-                // until this key needs a network fetch (or is resolved).
-                while cursor[i] < sources[i].len() {
-                    let table = &sources[i][cursor[i]];
-                    match &table.meta {
-                        MetaKind::ByteAddr(meta) => match meta.locate(keys[i], seq) {
-                            Locate::NotFound => cursor[i] += 1,
-                            Locate::Deleted => {
-                                resolved[i] = true;
-                                break;
-                            }
-                            Locate::Record { index, offset, len } => {
-                                // Cache-first: a hot-extent image or a
-                                // cached record resolves locally; a table
-                                // hot enough to promote is fetched whole so
-                                // the rest of the batch (and every later
-                                // read) is local too.
-                                let slice_of = |image: &Arc<Vec<u8>>| {
-                                    image[offset as usize..offset as usize + len].to_vec()
-                                };
-                                let mut local_buf: Option<Vec<u8>> = None;
-                                if let Some(c) = &self.shared.cache {
-                                    if let Some(image) = c.extent_get(table.id) {
-                                        c.note_saved(len as u64);
-                                        local_buf = Some(slice_of(&image));
-                                    } else if let Some(rec) = c.block_get(table.id, offset) {
-                                        if rec.len() == len {
-                                            local_buf = Some(rec.as_ref().clone());
-                                        }
-                                    } else if c.note_extent_miss(table.id, table.extent.len) {
-                                        if let Ok(img) = crate::remote::fetch_extent_image(
-                                            &self.channel,
-                                            table,
-                                        ) {
-                                            c.extent_admit(table.id, Arc::clone(&img));
-                                            // The promotion read paid for
-                                            // this record; no bytes saved.
-                                            local_buf = Some(slice_of(&img));
-                                        }
-                                    }
-                                }
-                                let local = local_buf.is_some();
-                                wave.push(Fetch {
-                                    key_idx: i,
-                                    buf: local_buf.unwrap_or_else(|| vec![0u8; len]),
-                                    expected_index: index,
-                                    offset,
-                                    table: Arc::clone(table),
-                                    local,
-                                });
-                                break;
-                            }
-                        },
-                        // Block tables cannot split decision from fetch;
-                        // resolve synchronously.
-                        MetaKind::Block(_, _) => {
-                            match table_get(
-                                &self.channel,
-                                table,
-                                keys[i],
-                                seq,
-                                self.shared.cache.as_ref(),
-                            )? {
-                                TableGet::Found(v) => {
-                                    DbStats::bump(&self.shared.stats.get_hits);
-                                    out[i] = Some(v);
-                                    resolved[i] = true;
-                                    break;
-                                }
-                                TableGet::Deleted => {
-                                    resolved[i] = true;
-                                    break;
-                                }
-                                TableGet::NotFound => cursor[i] += 1,
-                            }
-                        }
-                    }
-                }
-                if cursor[i] >= sources[i].len() {
-                    resolved[i] = true; // exhausted: stays None
-                }
-            }
-            if wave.is_empty() {
-                break;
-            }
-            // Post every fetch of this wave, then poll them all (skip the
-            // ones already satisfied from the local cache).
-            if let ReadChannel::OneSided(qp) = &self.channel {
-                // Post in bounded batches so the send queue never overflows.
-                const BATCH: usize = 128;
-                let mut qp = qp.borrow_mut();
-                let mut pending = 0usize;
-                for (wi, f) in wave.iter_mut().enumerate() {
-                    if f.local {
-                        continue; // buf already filled from the cache
-                    }
-                    let (off, len) = match &f.table.meta {
-                        MetaKind::ByteAddr(meta) => meta.index.record(f.expected_index),
-                        // PANIC-SAFE: wave construction above only enqueues
-                        // byte-addressable tables; block tables resolve inline.
-                        MetaKind::Block(..) => unreachable!("block fetches resolve inline"),
-                    };
-                    debug_assert_eq!(len, f.buf.len());
-                    let addr = f.table.home.addr(f.table.extent.offset + off);
-                    qp.post_read(addr, &mut f.buf, wi as u64)?;
-                    pending += 1;
-                    if pending >= BATCH {
-                        for _ in 0..pending {
-                            qp.poll_one_blocking(Duration::from_secs(10))?;
-                        }
-                        pending = 0;
-                    }
-                }
-                for _ in 0..pending {
-                    qp.poll_one_blocking(Duration::from_secs(10))?;
-                }
-            } else {
-                // Two-sided channel: no posting interface; fetch serially.
-                for f in wave.iter_mut() {
-                    if f.local {
-                        continue;
-                    }
-                    let (off, len) = match &f.table.meta {
-                        MetaKind::ByteAddr(meta) => meta.index.record(f.expected_index),
-                        // PANIC-SAFE: same wave invariant as the one-sided arm.
-                        MetaKind::Block(..) => unreachable!(),
-                    };
-                    debug_assert_eq!(len, f.buf.len());
-                    let source = crate::remote::RemoteSource::for_table(&self.channel, &f.table);
-                    source
-                        .read(off, &mut f.buf)
-                        .map_err(|e| DbError::Sst(e.to_string()))?;
-                }
-            }
-            // Parse the fetched records.
-            for f in wave {
-                // PANIC-SAFE: waves hold byte-addr fetches only (see above).
-                let MetaKind::ByteAddr(meta) = &f.table.meta else { unreachable!() };
-                let expected_key = meta.index.key(f.expected_index);
-                let buf = Arc::new(f.buf);
-                match dlsm_sstable::byte_addr::parse_record_bytes(&buf) {
-                    Ok((ikey, value)) if ikey == expected_key => {
-                        DbStats::bump(&self.shared.stats.get_hits);
-                        out[f.key_idx] = Some(value.to_vec());
-                        resolved[f.key_idx] = true;
-                        if !f.local {
-                            if let Some(c) = &self.shared.cache {
-                                c.block_admit(f.table.id, f.offset, &buf);
-                            }
-                        }
-                    }
-                    Ok(_) => {
-                        return Err(DbError::Sst("record key does not match index".into()))
-                    }
-                    Err(e) => return Err(DbError::Sst(e.to_string())),
-                }
-            }
-        }
-        Ok(out)
+            let hits = out.iter().filter(|v| v.is_some()).count();
+            self.slot.stats.add(ReadCounter::GetHits, hits as u64);
+            Ok(out)
+        })
     }
 
     /// Range scan from `start` (inclusive) at the current horizon, with
     /// chunked prefetching (Sec. VI).
     pub fn scan(&mut self, start: &[u8]) -> Result<DbScan> {
-        let seq = self.shared.read_horizon();
-        let (mems, version) = self.shared.pin();
-        DbScan::build(
-            &self.shared,
-            &self.channel,
-            mems,
-            version,
-            seq,
-            start,
-            self.shared.cfg.scan_prefetch,
-        )
+        self.with_view(|seq, view| self.scan_in(Arc::clone(view), seq, start))
     }
 
     /// Bounded range scan: user keys in `[start, end)` at the current
@@ -1423,16 +1311,20 @@ impl DbReader {
 
     /// Range scan at a pinned snapshot.
     pub fn scan_at(&mut self, snap: &Snapshot, start: &[u8]) -> Result<DbScan> {
-        let (mems, version) = snap.parts();
-        DbScan::build(
-            &self.shared,
-            &self.channel,
-            mems.to_vec(),
-            Arc::clone(version),
-            snap.seq(),
-            start,
-            self.shared.cfg.scan_prefetch,
-        )
+        self.scan_in(Arc::clone(&snap.view), snap.seq, start)
+    }
+
+    fn scan_in(&self, view: Arc<ReadView>, seq: SeqNo, start: &[u8]) -> Result<DbScan> {
+        let prefetch = self.shared.cfg.scan_prefetch;
+        DbScan::build(&self.shared, &self.channel, Arc::clone(&self.slot), view, seq, start, prefetch)
+    }
+}
+
+impl Drop for DbReader {
+    fn drop(&mut self) {
+        // Release the parked view now rather than at the registry's next
+        // sweep of dropped readers.
+        self.slot.view.lock().take();
     }
 }
 
@@ -1506,7 +1398,7 @@ fn flush_loop(shared: Arc<Shared>, rx: Receiver<Arc<MemTable>>) {
                 shared.cfg.flush_poll_timeout,
             ) {
                 Ok(out) => {
-                    shared.telemetry.record_op(dlsm_telemetry::OpClass::Flush, t_flush.elapsed());
+                    record_op(&shared.telemetry.ops, dlsm_telemetry::OpClass::Flush, t_flush.elapsed());
                     break Some(out);
                 }
                 Err(DbError::OutOfRemoteMemory { .. }) => {
@@ -1545,6 +1437,7 @@ fn flush_loop(shared: Arc<Shared>, rx: Receiver<Arc<MemTable>>) {
         // MemTable retirement order (see `install_in_order`).
         let order = mem.flush_order.load(Ordering::Acquire);
         shared.install_in_order(order, || {
+            let mut edit = VersionEdit::default();
             if let Some(mut out) = out {
                 let handle = TableHandle::new(
                     mem.id,
@@ -1562,18 +1455,17 @@ fn flush_loop(shared: Arc<Shared>, rx: Receiver<Arc<MemTable>>) {
                     // definition hot (every read consults it first).
                     c.extent_admit(handle.id, Arc::new(image));
                 }
-                let mut edit = VersionEdit::default();
                 edit.add(0, handle);
-                let v = shared.versions.install(&edit);
-                shared.l0_count.store(v.level(0).len(), Ordering::Release);
                 DbStats::bump(&shared.stats.flushes);
             }
-            // Install first, then retire the MemTable (readers pin mems
-            // before the version, so the data is never invisible).
-            let mut imms = shared.immutables.lock();
-            imms.retain(|m| m.id != mem.id);
-            shared.imm_count.store(imms.len(), Ordering::Release);
+            // One publication adds the table and retires the MemTable: no
+            // view holds both or neither.
+            shared.publish_view(|view| {
+                let mems = view.mems.iter().filter(|m| m.id != mem.id).cloned().collect();
+                (mems, shared.versions.install(&edit))
+            });
         });
+        shared.release_idle_views();
         shared.flush_queue_len.fetch_sub(1, Ordering::AcqRel);
         shared.notify_stall();
         shared.notify_work();
@@ -1665,7 +1557,11 @@ fn compaction_loop(shared: Arc<Shared>) {
         };
         match result {
             Ok(outcome) => {
-                shared.telemetry.record_op(dlsm_telemetry::OpClass::CompactRpc, t_compact.elapsed());
+                record_op(
+                    &shared.telemetry.ops,
+                    dlsm_telemetry::OpClass::CompactRpc,
+                    t_compact.elapsed(),
+                );
                 consecutive_failures = 0;
                 let mut edit = VersionEdit::default();
                 edit.delete(job.level, job.inputs_lo.iter().map(|t| t.id).collect());
@@ -1674,7 +1570,8 @@ fn compaction_loop(shared: Arc<Shared>) {
                 for t in &outcome.outputs {
                     edit.add(job.level + 1, Arc::clone(t));
                 }
-                let v = shared.versions.install(&edit);
+                shared.publish_view(|view| (view.mems.clone(), shared.versions.install(&edit)));
+                shared.release_idle_views();
                 if let Some(c) = &shared.cache {
                     // Version-aware invalidation: the inputs this edit
                     // obsoleted are purged and their ids fenced *at install*
@@ -1690,7 +1587,6 @@ fn compaction_loop(shared: Arc<Shared>) {
                         });
                     }
                 }
-                shared.l0_count.store(v.level(0).len(), Ordering::Release);
                 DbStats::bump(&shared.stats.compactions);
                 DbStats::add(&shared.stats.compaction_subtasks, subtasks);
                 DbStats::add(&shared.stats.compaction_records_in, outcome.records_in);

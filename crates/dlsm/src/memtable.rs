@@ -85,8 +85,7 @@ impl MemTable {
 
     /// Newest version of `user_key` visible at `snapshot`.
     pub fn get(&self, user_key: &[u8], snapshot: SeqNo) -> MemGet {
-        let lookup = InternalKey::for_lookup(user_key, snapshot);
-        match self.list.seek_ge(lookup.as_bytes()) {
+        match key::with_lookup_key(user_key, snapshot, |lookup| self.list.seek_ge(lookup)) {
             Some((ikey, value)) => match key::split(ikey) {
                 Some((ukey, _, vt)) if ukey == user_key => match vt {
                     ValueType::Value => MemGet::Found(value.to_vec()),

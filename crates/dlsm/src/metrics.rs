@@ -165,14 +165,5 @@ fn collect_shard(shared: &Shared, labels: &[(&'static str, &str)], out: &mut Sam
         out.gauge_with("dlsm_cache_invalidations", labels, cs.invalidations as f64);
     }
 
-    let mut snap = shared.telemetry.snapshot();
-    for (name, v) in shared.stats.snapshot().named_counters() {
-        snap.set_counter(name, v);
-    }
-    if let Some(cs) = &cache_snap {
-        for (name, v) in crate::named_cache_counters(cs) {
-            snap.set_counter(name, v);
-        }
-    }
-    out.push_telemetry("dlsm_", labels, &snap);
+    out.push_telemetry("dlsm_", labels, &shared.telemetry_snapshot());
 }

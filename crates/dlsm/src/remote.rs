@@ -14,17 +14,18 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dlsm_cache::ReadCache;
+use dlsm_cache::{ExtentProbe, ReadCache};
 use dlsm_memnode::RpcClient;
 use dlsm_sstable::block::{BlockFetcher, BlockTableReader};
-use dlsm_sstable::byte_addr::{ByteAddrIter, ByteAddrReader, Locate, TableGet};
+use dlsm_sstable::byte_addr::{record_value, ByteAddrIter, Locate, TableGet};
 use dlsm_sstable::iter::ForwardIter;
 use dlsm_sstable::key::SeqNo;
-use dlsm_sstable::source::{CachedSource, DataSource, SliceSource};
+use dlsm_sstable::source::{DataSource, SliceSource};
 use dlsm_sstable::SstError;
 use rdma_sim::QueuePair;
 
 use crate::handle::{MetaKind, TableHandle};
+use crate::telemetry::{ReadCounter, ReadStats};
 use crate::Result;
 
 /// A thread-local queue pair shared by a reader's table sources.
@@ -142,24 +143,22 @@ impl AsRef<[u8]> for ArcBytes {
     }
 }
 
-/// Binds the shared [`ReadCache`] to one table, at the [`BlockFetcher`]
-/// granularity the sstable readers understand: data blocks for the block
-/// format, single records for the byte-addressable format — both keyed
-/// `(table id, offset)` in the cache's block pool.
-pub struct TableFetcher {
-    cache: Arc<ReadCache>,
+/// Binds the shared [`ReadCache`] to one block table for one lookup, at the
+/// [`BlockFetcher`] granularity the block reader understands: a data block,
+/// cut from the table's local image or taken from the block pool.
+struct TableFetcher<'a> {
+    cache: &'a ReadCache,
     table: u64,
+    stats: &'a ReadStats,
 }
 
-impl TableFetcher {
-    /// A fetcher for `table`'s objects in `cache`.
-    pub fn new(cache: &Arc<ReadCache>, table: u64) -> Arc<TableFetcher> {
-        Arc::new(TableFetcher { cache: Arc::clone(cache), table })
-    }
-}
-
-impl BlockFetcher for TableFetcher {
-    fn fetch(&self, offset: u64) -> Option<Arc<Vec<u8>>> {
+impl BlockFetcher for TableFetcher<'_> {
+    fn fetch(&self, offset: u64, len: usize) -> Option<Arc<Vec<u8>>> {
+        if let Some(image) = self.cache.extent_get(self.table) {
+            let block = image.get(offset as usize..offset as usize + len)?;
+            self.stats.add(ReadCounter::L0CacheHits, 1);
+            return Some(Arc::new(block.to_vec()));
+        }
         self.cache.block_get(self.table, offset)
     }
 
@@ -171,102 +170,173 @@ impl BlockFetcher for TableFetcher {
 /// Fetch `handle`'s whole extent in one fabric read (the on-demand
 /// promotion path: a table that keeps missing earns a single large read so
 /// every later probe is local).
-pub(crate) fn fetch_extent_image(
-    channel: &ReadChannel,
-    handle: &TableHandle,
-) -> Result<Arc<Vec<u8>>> {
+fn fetch_extent_image(channel: &ReadChannel, handle: &TableHandle) -> Result<Arc<Vec<u8>>> {
     let source = RemoteSource::for_table(channel, handle);
     let mut buf = vec![0u8; handle.extent.len as usize];
     source.read(0, &mut buf)?;
     Ok(Arc::new(buf))
 }
 
-/// If the extent pool holds an image of `handle`, serve probes from it.
-/// Counts the hit and the record bytes the image saved (exact, via a local
-/// index lookup — no fabric traffic either way).
-fn image_get(
-    cache: &Arc<ReadCache>,
-    image: Arc<Vec<u8>>,
-    handle: &TableHandle,
-    user_key: &[u8],
-    seq: SeqNo,
-    count_saved: bool,
-) -> Result<TableGet> {
-    if count_saved {
-        if let MetaKind::ByteAddr(meta) = &handle.meta {
-            if let Locate::Record { len, .. } = meta.locate(user_key, seq) {
-                cache.note_saved(len as u64);
-            }
-        }
-    }
-    let source = SliceSource(ArcBytes(image));
-    match &handle.meta {
-        MetaKind::ByteAddr(meta) => {
-            Ok(ByteAddrReader::new(Arc::clone(meta), source).get(user_key, seq)?)
-        }
-        MetaKind::Block(bmc, _) => {
-            Ok(BlockTableReader::from_cache(source, bmc.clone()).get(user_key, seq)?)
-        }
+/// One located record that no compute-local copy could serve: the fabric
+/// READ a lookup is left with.
+pub(crate) struct RecordFetch<'v> {
+    table: &'v TableHandle,
+    /// The key the index holds for the record; the bytes that arrive must
+    /// carry it.
+    ikey: &'v [u8],
+    offset: u64,
+    /// The READ's target — the one buffer that then becomes the admitted
+    /// cache entry and the source of the returned value.
+    buf: Vec<u8>,
+}
+
+impl RecordFetch<'_> {
+    /// Check the record that arrived, offer it to the cache, return its
+    /// value.
+    pub(crate) fn finish(mut self, cache: Option<&Arc<ReadCache>>) -> Result<Vec<u8>> {
+        let value = record_value(&self.buf, self.ikey)?;
+        let Some(cache) = cache else {
+            self.buf.truncate(value.end);
+            self.buf.drain(..value.start);
+            return Ok(self.buf);
+        };
+        let record = Arc::new(self.buf);
+        cache.block_admit(self.table.id, self.offset, &record);
+        Ok(record[value].to_vec())
     }
 }
 
-/// Point lookup against one table handle. One bloom probe + one read of a
-/// single record for byte-addressable tables; a whole-block read for block
-/// tables. With a [`ReadCache`], reads go cache-first: a hot-extent image
-/// serves the probe with zero fabric traffic, otherwise the record/block
-/// fetch consults the block pool and admits its miss.
+/// What one table answered.
+pub(crate) enum Step<'v> {
+    /// Settled from compute-local state (or, for a block table, by its own
+    /// block read).
+    Done(TableGet),
+    /// The newest visible version is this remote record.
+    Fetch(RecordFetch<'v>),
+}
+
+/// The value of the `len`-byte record at `offset` in `bytes`, checked
+/// against the index's key for it.
+fn local_record(bytes: &[u8], offset: u64, len: usize, ikey: &[u8]) -> Result<Step<'static>> {
+    let record = bytes
+        .get(offset as usize..offset as usize + len)
+        .ok_or_else(|| SstError::Corrupt("record beyond its cached image".into()))?;
+    let value = record_value(record, ikey)?;
+    Ok(Step::Done(TableGet::Found(record[value].to_vec())))
+}
+
+/// One step of a lookup's walk: what does table `t` hold for `user_key` at
+/// `seq`? Compute-local state is asked in cost order. The bloom filter and
+/// index decide first (`locate`, once): a negative or a tombstone costs
+/// nothing and touches no cache state. Only a located record consults the
+/// [`ReadCache`] — the table's extent image (a table that keeps missing
+/// there earns promotion of its whole extent), then the cached record. What
+/// is left is one fabric READ, returned for the caller to post with the
+/// rest of its wave.
+pub(crate) fn table_step<'v>(
+    channel: &ReadChannel,
+    t: &'v TableHandle,
+    user_key: &[u8],
+    seq: SeqNo,
+    cache: Option<&Arc<ReadCache>>,
+    stats: &ReadStats,
+) -> Result<Step<'v>> {
+    let meta = match &t.meta {
+        MetaKind::ByteAddr(meta) => meta,
+        // A block table cannot split the decision from the fetch (the
+        // entry is found by scanning the block): it resolves inline, its
+        // block cache-first.
+        MetaKind::Block(bmc, _) => {
+            let reader =
+                BlockTableReader::from_cache(RemoteSource::for_table(channel, t), bmc.clone());
+            let fetcher = cache.map(|cache| TableFetcher { cache, table: t.id, stats });
+            let fetcher = fetcher.as_ref().map(|f| f as &dyn BlockFetcher);
+            return Ok(Step::Done(reader.get_with(user_key, seq, fetcher)?));
+        }
+    };
+    let (index, offset, len) = match meta.locate(user_key, seq) {
+        Locate::NotFound => {
+            stats.add(ReadCounter::BloomSkips, 1);
+            return Ok(Step::Done(TableGet::NotFound));
+        }
+        Locate::Deleted => return Ok(Step::Done(TableGet::Deleted)),
+        Locate::Record { index, offset, len } => (index, offset, len),
+    };
+    let ikey = meta.index.key(index);
+    if let Some(c) = cache {
+        match c.extent_probe(t.id, t.extent.len) {
+            ExtentProbe::Image(image) => {
+                c.note_saved(len as u64);
+                stats.add(ReadCounter::L0CacheHits, 1);
+                return local_record(&image, offset, len, ikey);
+            }
+            ExtentProbe::Missing { promote: true } => {
+                if let Ok(image) = fetch_extent_image(channel, t) {
+                    c.extent_admit(t.id, Arc::clone(&image));
+                    // The promotion read paid for this record — no saved
+                    // bytes to claim until the next one.
+                    return local_record(&image, offset, len, ikey);
+                }
+            }
+            ExtentProbe::Missing { promote: false } => {}
+        }
+        if let Some(record) = c.block_get(t.id, offset).filter(|r| r.len() == len) {
+            return local_record(&record, 0, len, ikey);
+        }
+    }
+    Ok(Step::Fetch(RecordFetch { table: t, ikey, offset, buf: vec![0u8; len] }))
+}
+
+/// Fetch a wave of records: every READ is posted back to back on the
+/// reader's queue pair and then all are polled, so the wave costs one round
+/// trip rather than one per record. A point get is the one-record wave.
+pub(crate) fn fetch_wave(channel: &ReadChannel, wave: &mut [RecordFetch<'_>]) -> Result<()> {
+    /// READs in flight at once (the send queue holds 256).
+    const DEPTH: usize = 128;
+    let qp = match channel {
+        ReadChannel::OneSided(qp) => qp,
+        // No posting interface on the RPC path: one call per record.
+        ReadChannel::TwoSided(_) => {
+            for f in wave {
+                RemoteSource::for_table(channel, f.table).read(f.offset, &mut f.buf)?;
+            }
+            return Ok(());
+        }
+    };
+    let bytes: usize = wave.iter().map(|f| f.buf.len()).sum();
+    let _sp = dlsm_trace::span_arg(dlsm_trace::Category::Rdma, "rdma_read", bytes as u64);
+    let mut qp = qp.borrow_mut();
+    for batch in wave.chunks_mut(DEPTH) {
+        for f in batch.iter_mut() {
+            let addr = f.table.home.addr(f.table.extent.offset + f.offset);
+            qp.post_read(addr, &mut f.buf, 0)?;
+        }
+        for _ in 0..batch.len() {
+            qp.poll_one_blocking(Duration::from_secs(10))?;
+        }
+    }
+    Ok(())
+}
+
+/// Point lookup against one table handle, start to finish: one
+/// [`table_step`] and, if it asks for one, the record READ — one bloom
+/// probe + one read of a single record for byte-addressable tables, a
+/// whole-block read for block tables, nothing over the fabric when the
+/// [`ReadCache`] holds the bytes. For diagnostics and tests; `get` and
+/// `multi_get` drive the steps themselves.
 pub fn table_get(
     channel: &ReadChannel,
     handle: &TableHandle,
     user_key: &[u8],
     seq: SeqNo,
     cache: Option<&Arc<ReadCache>>,
+    stats: &ReadStats,
 ) -> Result<TableGet> {
-    if let Some(c) = cache {
-        if let Some(image) = c.extent_get(handle.id) {
-            return image_get(c, image, handle, user_key, seq, true);
-        }
-        match &handle.meta {
-            MetaKind::ByteAddr(meta) => {
-                // Decide from local metadata first: bloom/index negatives
-                // cost nothing and must not count as cache traffic (or
-                // extent-promotion heat).
-                match meta.locate(user_key, seq) {
-                    Locate::NotFound => return Ok(TableGet::NotFound),
-                    Locate::Deleted => return Ok(TableGet::Deleted),
-                    Locate::Record { .. } => {}
-                }
-                if c.note_extent_miss(handle.id, handle.extent.len) {
-                    if let Ok(image) = fetch_extent_image(channel, handle) {
-                        c.extent_admit(handle.id, Arc::clone(&image));
-                        // The promotion read just paid for this probe — no
-                        // saved bytes to claim until the next one.
-                        return image_get(c, image, handle, user_key, seq, false);
-                    }
-                }
-                let source = CachedSource::new(
-                    RemoteSource::for_table(channel, handle),
-                    TableFetcher::new(c, handle.id),
-                );
-                return Ok(ByteAddrReader::new(Arc::clone(meta), source).get(user_key, seq)?);
-            }
-            MetaKind::Block(bmc, _) => {
-                let source = RemoteSource::for_table(channel, handle);
-                let reader = BlockTableReader::from_cache(source, bmc.clone())
-                    .with_fetcher(TableFetcher::new(c, handle.id));
-                return Ok(reader.get(user_key, seq)?);
-            }
-        }
-    }
-    let source = RemoteSource::for_table(channel, handle);
-    match &handle.meta {
-        MetaKind::ByteAddr(meta) => {
-            let reader = ByteAddrReader::new(Arc::clone(meta), source);
-            Ok(reader.get(user_key, seq)?)
-        }
-        MetaKind::Block(bmc, _) => {
-            let reader = BlockTableReader::from_cache(source, bmc.clone());
-            Ok(reader.get(user_key, seq)?)
+    match table_step(channel, handle, user_key, seq, cache, stats)? {
+        Step::Done(got) => Ok(got),
+        Step::Fetch(mut fetch) => {
+            fetch_wave(channel, std::slice::from_mut(&mut fetch))?;
+            Ok(TableGet::Found(fetch.finish(cache)?))
         }
     }
 }
@@ -360,7 +430,8 @@ mod tests {
         let channel =
             ReadChannel::one_sided(fabric.create_qp(compute.id(), memory.id()).unwrap());
         let before = fabric.stats().snapshot();
-        let got = table_get(&channel, &handle, b"key0042", 100, None).unwrap();
+        let stats = ReadStats::default();
+        let got = table_get(&channel, &handle, b"key0042", 100, None, &stats).unwrap();
         assert_eq!(got, TableGet::Found(b"val42".to_vec()));
         let d = fabric.stats().snapshot().delta(&before);
         // Exactly one RDMA read, sized as one record (not a block).
@@ -368,7 +439,7 @@ mod tests {
         assert!(d.bytes(Verb::Read) < 64, "read {} bytes", d.bytes(Verb::Read));
         // A bloom miss costs zero network reads.
         let before = fabric.stats().snapshot();
-        let got = table_get(&channel, &handle, b"nope", 100, None).unwrap();
+        let got = table_get(&channel, &handle, b"nope", 100, None, &stats).unwrap();
         assert_eq!(got, TableGet::NotFound);
         assert_eq!(fabric.stats().snapshot().delta(&before).ops(Verb::Read), 0);
     }

@@ -14,9 +14,9 @@ use dlsm_sstable::key::{self, InternalKey, SeqNo, ValueType};
 
 use crate::db::Shared;
 use crate::handle::TableHandle;
-use crate::memtable::MemTable;
 use crate::remote::{table_iter, ReadChannel};
-use crate::version::Version;
+use crate::telemetry::ReaderSlot;
+use crate::version::ReadView;
 use crate::{DbError, Result};
 
 /// Lazy concatenation over one level's disjoint, sorted tables: only the
@@ -123,25 +123,27 @@ pub struct DbScan {
     have_last: bool,
     /// Exclusive upper bound on user keys (empty = unbounded).
     end: Vec<u8>,
-    telemetry: Arc<crate::telemetry::DbTelemetry>,
-    // Pins: MemTables live through their iterators; the version's handles
-    // keep SSTable extents alive.
-    _version: Arc<Version>,
-    _mems: Vec<Arc<MemTable>>,
+    /// The slot of the reader that opened the scan (its `ScanNext`
+    /// histogram; the scan stays on that reader's thread).
+    reader: Arc<ReaderSlot>,
+    // Pin: the view's version handles keep SSTable extents alive for as
+    // long as the scan runs, whatever is published meanwhile.
+    _view: Arc<ReadView>,
 }
 
 impl DbScan {
     pub(crate) fn build(
         shared: &Arc<Shared>,
         channel: &ReadChannel,
-        mems: Vec<Arc<MemTable>>,
-        version: Arc<Version>,
+        reader: Arc<ReaderSlot>,
+        view: Arc<ReadView>,
         snapshot: SeqNo,
         start: &[u8],
         prefetch: usize,
     ) -> Result<DbScan> {
+        let version = &view.version;
         let mut children: Vec<Box<dyn ForwardIter>> = Vec::new();
-        for mem in &mems {
+        for mem in &view.mems {
             children.push(Box::new(mem.iter()));
         }
         for t in version.level(0) {
@@ -176,9 +178,8 @@ impl DbScan {
             last_user: Vec::new(),
             have_last: false,
             end: Vec::new(),
-            telemetry: Arc::clone(&shared.telemetry),
-            _version: version,
-            _mems: mems,
+            reader,
+            _view: view,
         })
     }
 
@@ -235,7 +236,7 @@ impl Iterator for DbScan {
         let t0 = std::time::Instant::now();
         let item = self.step().transpose();
         if item.is_some() {
-            self.telemetry.record_op(dlsm_telemetry::OpClass::ScanNext, t0.elapsed());
+            self.reader.stats.record_op(dlsm_telemetry::OpClass::ScanNext, t0.elapsed());
         }
         item
     }

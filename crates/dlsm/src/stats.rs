@@ -3,17 +3,18 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Atomic counters exported by one [`crate::Db`].
+use crate::telemetry::{ReadCounter, Readers};
+
+/// Counters exported by one [`crate::Db`]: shared atomics for the write
+/// side and background work, per-reader blocks (summed on read) for gets.
 #[derive(Debug, Default)]
 pub struct DbStats {
     /// Successful `put`s.
     pub puts: AtomicU64,
     /// Successful `delete`s.
     pub deletes: AtomicU64,
-    /// `get` calls.
-    pub gets: AtomicU64,
-    /// `get` calls that found a live value.
-    pub get_hits: AtomicU64,
+    /// The reader slots: `gets` and `get_hits` are sums over them.
+    pub(crate) readers: Readers,
     /// MemTable switches.
     pub switches: AtomicU64,
     /// Sequence numbers abandoned and re-fetched (stale or arena-full).
@@ -75,8 +76,8 @@ impl DbStats {
         DbStatsSnapshot {
             puts: Self::get(&self.puts),
             deletes: Self::get(&self.deletes),
-            gets: Self::get(&self.gets),
-            get_hits: Self::get(&self.get_hits),
+            gets: self.readers.counter(ReadCounter::Gets),
+            get_hits: self.readers.counter(ReadCounter::GetHits),
             switches: Self::get(&self.switches),
             reseqs: Self::get(&self.reseqs),
             flushes: Self::get(&self.flushes),
@@ -256,7 +257,7 @@ mod tests {
         assert_eq!(before.flush_bytes, 100);
         assert_eq!(before.to_string(), s.to_string());
         DbStats::bump(&s.puts);
-        DbStats::bump(&s.gets);
+        s.readers.register().stats.add(ReadCounter::Gets, 1);
         let d = s.snapshot().delta(&before);
         assert_eq!(d.puts, 1);
         assert_eq!(d.gets, 1);

@@ -12,6 +12,22 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::handle::TableHandle;
+use crate::memtable::MemTable;
+
+/// Everything a read pins, published by the database as one immutable
+/// object (DESIGN.md §5.5). A new view is built whenever the set changes —
+/// MemTable switch, flush install, compaction install — so a reader that
+/// holds one view sees every write at or below its horizon exactly once: a
+/// flushed MemTable leaves the view in the same step that adds its table.
+pub struct ReadView {
+    /// Publication number. A reader's cached view is current iff this
+    /// equals the id the database last published.
+    pub(crate) id: u64,
+    /// The current MemTable, then the immutables newest first.
+    pub(crate) mems: Vec<Arc<MemTable>>,
+    /// The table layout.
+    pub(crate) version: Arc<Version>,
+}
 
 /// Immutable table layout. Level 0 is ordered newest-first and may overlap;
 /// levels ≥ 1 are ordered by smallest key and are disjoint.

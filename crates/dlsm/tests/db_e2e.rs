@@ -610,6 +610,48 @@ fn local_l0_cache_serves_reads_without_network() {
     server.shutdown();
 }
 
+/// Block-format tables go through the same cache, at block granularity: a
+/// resident image serves the block with no READ at all, and without one the
+/// block pool serves every lookup of a block after its first.
+#[test]
+fn block_tables_read_through_the_cache() {
+    use dlsm::CacheConfig;
+    let keep_l0 = |cache: CacheConfig| DbConfig {
+        format: TableFormat::Block(1024),
+        l0_compaction_trigger: 1_000,
+        l0_stop_writes_trigger: None,
+        cache,
+        ..DbConfig::small()
+    };
+    let fabric = Fabric::new(NetworkProfile::instant());
+    let server = small_server(&fabric);
+    let blocks_only =
+        CacheConfig { extent_percent: 0, promote_extent_after: 0, ..CacheConfig::with_capacity(8 << 20) };
+    for (cache, first_pass_reads) in [(CacheConfig::with_capacity(32 << 20), false), (blocks_only, true)] {
+        let db = open_db(&fabric, &server, keep_l0(cache));
+        for i in 0..1_000u64 {
+            db.put(&key(i), format!("blk{i}").as_bytes()).unwrap();
+        }
+        db.force_flush().unwrap();
+        let mut r = db.reader();
+        let mut reads = [0u64; 2];
+        for pass in &mut reads {
+            let before = r.traffic().ops(Verb::Read);
+            for i in (0..1_000u64).step_by(13) {
+                assert_eq!(r.get(&key(i)).unwrap(), Some(format!("blk{i}").into_bytes()));
+                assert_eq!(r.get(&key(i + 5_000)).unwrap(), None);
+            }
+            *pass = r.traffic().ops(Verb::Read) - before;
+        }
+        assert_eq!(reads[0] > 0, first_pass_reads, "first pass issued {} READs", reads[0]);
+        assert_eq!(reads[1], 0, "second pass must be served from the cache");
+        let hits = db.telemetry_snapshot().counter("l0_cache_hits");
+        assert_eq!(hits > 0, !first_pass_reads, "image hits: {hits}");
+        db.shutdown();
+    }
+    server.shutdown();
+}
+
 #[test]
 fn local_l0_cache_budget_is_respected_and_recycled() {
     let fabric = Fabric::new(NetworkProfile::instant());

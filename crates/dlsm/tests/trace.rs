@@ -1,7 +1,8 @@
 //! End-to-end tracing over a real deep tree (DESIGN.md §8a): a traced
-//! point get descending below L0 records exactly one `rdma_read` span per
-//! table probe that actually fetched a record (byte-addressable tables,
-//! Sec. VI — the trace must agree with the fabric's own READ counters),
+//! point get descending below L0 records its table probes and then at most
+//! one `rdma_read` span — the wave that fetches the one located record
+//! (byte-addressable tables, Sec. VI — the trace must agree with the
+//! fabric's own READ counters) — inside the phase span that located it,
 //! and an RPC carries its trace context across the wire so the server's
 //! dispatch span is a child of the compute-side call span.
 
@@ -67,7 +68,7 @@ fn traced_get_and_cross_node_dispatch() {
     let deepest = shape.iter().rposition(|&c| c > 0).unwrap_or(0);
     assert!(deepest >= 2, "tree never grew deep: {shape:?}");
 
-    // ---- Traced point gets: one rdma_read span per fetching probe. ----
+    // ---- Traced point gets: probes, then one rdma_read for the record. ----
     let mut reader = db.reader();
     dlsm_trace::clear();
     dlsm_trace::set_enabled(true);
@@ -87,22 +88,24 @@ fn traced_get_and_cross_node_dispatch() {
             .filter(|e| e.kind == EventKind::Span && e.name == "get")
             .max_by_key(|e| e.ts_us)
             .expect("traced get span");
-        let probes = within(&events, get, "probe_table");
+        let probes = within(&events, get, "table_probe");
         let reads = within(&events, get, "rdma_read");
-        // The trace agrees exactly with the fabric's READ counter.
+        // The trace agrees exactly with the fabric's READ counter, and a
+        // point get never needs more than the one record (Sec. VI).
         assert_eq!(reads.len() as u64, fabric_reads, "key {i}");
-        // Every READ happened inside exactly one table probe, and no
-        // probe issued more than one READ (byte-addressable point get).
+        assert!(reads.len() <= 1, "key {i} issued {} READs", reads.len());
+        // The READ follows the probe that located the record (probes are
+        // compute-local: no READ runs inside one) and lies inside exactly
+        // one phase span.
         for r in &reads {
-            let owners = probes
+            let last_probe = probes.iter().map(|p| p.end_us()).max().expect("a probe located it");
+            assert!(last_probe <= r.ts_us, "rdma_read started before the walk ended");
+            let owners = ["get_memtable", "get_l0", "get_deep"]
                 .iter()
+                .flat_map(|phase| within(&events, get, phase))
                 .filter(|p| p.ts_us <= r.ts_us && r.end_us() <= p.end_us())
                 .count();
-            assert_eq!(owners, 1, "rdma_read outside a probe_table span");
-        }
-        for p in &probes {
-            let n = reads.iter().filter(|r| p.ts_us <= r.ts_us && r.end_us() <= p.end_us()).count();
-            assert!(n <= 1, "probe of table {} issued {n} READs", p.arg);
+            assert_eq!(owners, 1, "rdma_read outside a phase span");
         }
         if !within(&events, get, "get_deep")
             .first()

@@ -1,5 +1,6 @@
 //! The fabric: the set of nodes, the cost model, statistics and faults.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -30,6 +31,9 @@ pub struct Fabric {
     nodes: RwLock<Vec<Arc<Node>>>,
     stats: FabricStats,
     fault: RwLock<Option<Arc<dyn FaultHook>>>,
+    /// Whether `fault` holds a hook. Read-mostly, so posting a verb on a
+    /// healthy fabric takes no lock.
+    fault_armed: AtomicBool,
 }
 
 impl Fabric {
@@ -40,6 +44,7 @@ impl Fabric {
             nodes: RwLock::new(Vec::new()),
             stats: FabricStats::default(),
             fault: RwLock::new(None),
+            fault_armed: AtomicBool::new(false),
         })
     }
 
@@ -78,10 +83,11 @@ impl Fabric {
         local: NodeId,
         remote: NodeId,
     ) -> Result<crate::qp::QueuePair, RdmaError> {
-        // Validate both endpoints exist now, not at first post.
+        // Validate both endpoints exist now, not at first post; the queue
+        // pair keeps its peer so no verb looks it up again.
         self.node(local)?;
-        self.node(remote)?;
-        Ok(crate::qp::QueuePair::new(Arc::clone(self), local, remote))
+        let peer = self.node(remote)?;
+        Ok(crate::qp::QueuePair::new(Arc::clone(self), local, peer))
     }
 
     /// Traffic counters.
@@ -89,16 +95,19 @@ impl Fabric {
         &self.stats
     }
 
-    pub(crate) fn record(&self, verb: crate::verbs::Verb, bytes: usize) {
-        self.stats.record(verb, bytes);
-    }
-
     /// Install (or clear) a fault-injection hook.
     pub fn set_fault_hook(&self, hook: Option<Arc<dyn FaultHook>>) {
-        *self.fault.write() = hook;
+        let mut slot = self.fault.write();
+        // Flag flipped under the write lock: a poster that sees it set
+        // waits on the lock and finds the hook.
+        self.fault_armed.store(hook.is_some(), Ordering::Release);
+        *slot = hook;
     }
 
     pub(crate) fn fault(&self) -> Option<Arc<dyn FaultHook>> {
+        if !self.fault_armed.load(Ordering::Acquire) {
+            return None;
+        }
         self.fault.read().clone()
     }
 }

@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 use crate::fabric::Fabric;
 use crate::fault::{FaultAction, OpContext};
 use crate::msg::{ImmEvent, Message};
-use crate::node::NodeId;
-use crate::region::RemoteAddr;
+use crate::node::{Node, NodeId};
+use crate::region::{MemoryRegion, RemoteAddr};
 use crate::verbs::{Completion, RdmaError, Verb, WrId};
 
 /// Spin (or sleep, for long waits) until the wall clock reaches `t`.
@@ -73,18 +73,12 @@ impl CompletionQueue {
         self.pending.push_back(c);
     }
 
-    /// Pop up to `max` completions whose deadline has passed.
-    fn poll_ready(&mut self, max: usize, out: &mut Vec<Completion>) {
-        let now = Instant::now();
-        while out.len() < max {
-            match self.pending.front() {
-                Some(c) if c.completed_at <= now => {
-                    // PANIC-SAFE: front() just returned Some under &mut self.
-                    out.push(self.pending.pop_front().expect("front exists"));
-                }
-                _ => break,
-            }
+    /// Pop the oldest completion if its deadline has passed by `now`.
+    fn pop_ready(&mut self, now: Instant) -> Option<Completion> {
+        if self.pending.front()?.completed_at > now {
+            return None;
         }
+        self.pending.pop_front()
     }
 
     /// Deadline of the oldest pending completion, if any.
@@ -123,28 +117,32 @@ impl ChargeOutcome {
 pub struct QueuePair {
     fabric: Arc<Fabric>,
     local: NodeId,
-    remote: NodeId,
+    /// The remote endpoint, resolved once at creation.
+    peer: Arc<Node>,
+    /// The region the last one-sided verb addressed; a verb takes it out
+    /// and puts it back, so the steady state clones and looks up nothing.
+    last_region: Option<Arc<MemoryRegion>>,
     cq: CompletionQueue,
     /// Monotone per-QP completion horizon, enforcing FIFO completions.
     last_ready: Instant,
     /// Send-queue depth limit (outstanding, un-polled work requests).
     max_outstanding: usize,
-    /// Per-QP traffic: every verb posted on this queue pair, counted at
-    /// the same point as the fabric-global stats. Plain counters — a
-    /// queue pair is single-threaded by design.
-    traffic: crate::stats::StatsSnapshot,
+    /// Every verb posted on this queue pair; the fabric-wide stats are the
+    /// sum of these blocks.
+    traffic: Arc<crate::stats::QpTraffic>,
 }
 
 impl QueuePair {
-    pub(crate) fn new(fabric: Arc<Fabric>, local: NodeId, remote: NodeId) -> QueuePair {
+    pub(crate) fn new(fabric: Arc<Fabric>, local: NodeId, peer: Arc<Node>) -> QueuePair {
         QueuePair {
+            traffic: fabric.stats().register(),
             fabric,
             local,
-            remote,
+            peer,
+            last_region: None,
             cq: CompletionQueue::default(),
             last_ready: Instant::now(),
             max_outstanding: 256,
-            traffic: crate::stats::StatsSnapshot::default(),
         }
     }
 
@@ -152,7 +150,7 @@ impl QueuePair {
     /// copies to attribute the exact RDMA cost of one operation (e.g. "a
     /// point `get` issued one READ of 64 bytes").
     pub fn traffic(&self) -> crate::stats::StatsSnapshot {
-        self.traffic
+        self.traffic.snapshot()
     }
 
     /// Local endpoint.
@@ -162,7 +160,7 @@ impl QueuePair {
 
     /// Remote endpoint.
     pub fn remote(&self) -> NodeId {
-        self.remote
+        self.peer.id()
     }
 
     /// The fabric this queue pair belongs to.
@@ -180,6 +178,25 @@ impl QueuePair {
         self.cq.len()
     }
 
+    fn node(&self, id: NodeId) -> Result<Arc<Node>, RdmaError> {
+        if id == self.peer.id() {
+            return Ok(Arc::clone(&self.peer));
+        }
+        self.fabric.node(id)
+    }
+
+    /// The region `addr` names, with its rkey checked: taken out of the
+    /// one-entry cache (the verb puts it back once it has succeeded) or
+    /// looked up on its node.
+    fn region(&mut self, addr: RemoteAddr) -> Result<Arc<MemoryRegion>, RdmaError> {
+        let region = match self.last_region.take() {
+            Some(r) if r.node() == addr.node && r.mr() == addr.mr => r,
+            _ => self.node(addr.node)?.region(addr.mr)?,
+        };
+        region.check_rkey(addr.rkey)?;
+        Ok(region)
+    }
+
     /// Charge the cost model and consult the fault hook for one posted work
     /// request targeting `dst`. `Deliver` carries the completion deadline;
     /// `LostAck` means payload effects must still be applied but no
@@ -189,11 +206,13 @@ impl QueuePair {
             return Err(RdmaError::SendQueueFull { depth: self.max_outstanding });
         }
         let profile = *self.fabric.profile();
-        // The posting thread pays the doorbell cost synchronously.
+        // The posting thread pays the doorbell cost synchronously; the
+        // request is on the wire at `posted`.
+        let mut posted = Instant::now();
         if !profile.post_overhead.is_zero() {
-            spin_until(Instant::now() + profile.post_overhead);
+            posted += profile.post_overhead;
+            spin_until(posted);
         }
-        self.fabric.record(verb, bytes);
         self.traffic.accumulate(verb, bytes);
         let mut latency = profile.transfer_cost(bytes);
         if verb == Verb::Send {
@@ -208,7 +227,7 @@ impl QueuePair {
                 FaultAction::Blackhole => return Ok(ChargeOutcome::Lost),
             }
         }
-        let ready = (Instant::now() + latency).max(self.last_ready);
+        let ready = (posted + latency).max(self.last_ready);
         self.last_ready = ready;
         Ok(ChargeOutcome::Deliver(ready))
     }
@@ -232,8 +251,7 @@ impl QueuePair {
         dst: &mut [u8],
         wr_id: WrId,
     ) -> Result<(), RdmaError> {
-        let region = self.fabric.node(src.node)?.region(src.mr)?;
-        region.check_rkey(src.rkey)?;
+        let region = self.region(src)?;
         let outcome = self.charge(Verb::Read, dst.len(), src.node)?;
         if outcome.payload_lands() {
             region.local_read(src.offset, dst)?;
@@ -241,6 +259,7 @@ impl QueuePair {
         if let Some(ready) = outcome.ready() {
             self.complete(wr_id, Verb::Read, dst.len(), 0, ready);
         }
+        self.last_region = Some(region);
         Ok(())
     }
 
@@ -253,8 +272,7 @@ impl QueuePair {
         wr_id: WrId,
     ) -> Result<(), RdmaError> {
         dlsm_trace::instant(dlsm_trace::Category::Rdma, "rdma_post_write", src.len() as u64);
-        let region = self.fabric.node(dst.node)?.region(dst.mr)?;
-        region.check_rkey(dst.rkey)?;
+        let region = self.region(dst)?;
         let outcome = self.charge(Verb::Write, src.len(), dst.node)?;
         if outcome.payload_lands() {
             region.local_write(dst.offset, src)?;
@@ -262,6 +280,7 @@ impl QueuePair {
         if let Some(ready) = outcome.ready() {
             self.complete(wr_id, Verb::Write, src.len(), 0, ready);
         }
+        self.last_region = Some(region);
         Ok(())
     }
 
@@ -276,9 +295,8 @@ impl QueuePair {
         wr_id: WrId,
     ) -> Result<(), RdmaError> {
         dlsm_trace::instant(dlsm_trace::Category::Rdma, "rdma_write_imm", src.len() as u64);
-        let node = self.fabric.node(dst.node)?;
-        let region = node.region(dst.mr)?;
-        region.check_rkey(dst.rkey)?;
+        let node = self.node(dst.node)?;
+        let region = self.region(dst)?;
         let outcome = self.charge(Verb::WriteImm, src.len(), dst.node)?;
         if outcome.payload_lands() {
             region.local_write(dst.offset, src)?;
@@ -292,17 +310,17 @@ impl QueuePair {
             });
             self.complete(wr_id, Verb::WriteImm, src.len(), 0, ready);
         }
+        self.last_region = Some(region);
         Ok(())
     }
 
     /// Post a two-sided SEND delivering `payload` to the remote node's inbox.
     pub fn post_send(&mut self, payload: Vec<u8>, wr_id: WrId) -> Result<(), RdmaError> {
         dlsm_trace::instant(dlsm_trace::Category::Rdma, "rdma_send", payload.len() as u64);
-        let node = self.fabric.node(self.remote)?;
         let bytes = payload.len();
-        let outcome = self.charge(Verb::Send, bytes, self.remote)?;
+        let outcome = self.charge(Verb::Send, bytes, self.peer.id())?;
         if let Some(ready) = outcome.ready() {
-            let _ = node.inbox_tx.send(Message { src: self.local, payload, ready_at: ready });
+            let _ = self.peer.inbox_tx.send(Message { src: self.local, payload, ready_at: ready });
             self.complete(wr_id, Verb::Send, bytes, 0, ready);
         }
         Ok(())
@@ -312,13 +330,13 @@ impl QueuePair {
     /// the completion and returns the previous value.
     pub fn fetch_add(&mut self, addr: RemoteAddr, delta: u64) -> Result<u64, RdmaError> {
         let _sp = dlsm_trace::span_arg(dlsm_trace::Category::Rdma, "rdma_fetch_add", 8);
-        let region = self.fabric.node(addr.node)?.region(addr.mr)?;
-        region.check_rkey(addr.rkey)?;
+        let region = self.region(addr)?;
         let outcome = self.charge(Verb::FetchAdd, 8, addr.node)?;
         if !outcome.payload_lands() {
             return Err(RdmaError::Dropped);
         }
         let old = region.atomic_u64(addr.offset)?.fetch_add(delta, Ordering::AcqRel);
+        self.last_region = Some(region);
         match outcome.ready() {
             Some(ready) => {
                 self.complete(0, Verb::FetchAdd, 8, old, ready);
@@ -339,8 +357,7 @@ impl QueuePair {
         new: u64,
     ) -> Result<u64, RdmaError> {
         let _sp = dlsm_trace::span_arg(dlsm_trace::Category::Rdma, "rdma_cas", 8);
-        let region = self.fabric.node(addr.node)?.region(addr.mr)?;
-        region.check_rkey(addr.rkey)?;
+        let region = self.region(addr)?;
         let outcome = self.charge(Verb::CompareSwap, 8, addr.node)?;
         if !outcome.payload_lands() {
             return Err(RdmaError::Dropped);
@@ -354,6 +371,7 @@ impl QueuePair {
             Ok(prev) => prev,
             Err(prev) => prev,
         };
+        self.last_region = Some(region);
         match outcome.ready() {
             Some(ready) => {
                 self.complete(0, Verb::CompareSwap, 8, old, ready);
@@ -367,25 +385,34 @@ impl QueuePair {
 
     /// Poll up to `max` ready completions without blocking.
     pub fn poll(&mut self, max: usize) -> Vec<Completion> {
+        let now = Instant::now();
         let mut out = Vec::new();
-        self.cq.poll_ready(max, &mut out);
+        while out.len() < max {
+            match self.cq.pop_ready(now) {
+                Some(c) => out.push(c),
+                None => break,
+            }
+        }
         out
     }
 
     /// Poll exactly one completion, blocking until one is ready or `timeout`
     /// elapses.
     pub fn poll_one_blocking(&mut self, timeout: Duration) -> Result<Completion, RdmaError> {
-        let deadline = Instant::now() + timeout;
+        let mut now = Instant::now();
+        let deadline = now + timeout;
         loop {
-            let mut out = Vec::with_capacity(1);
-            self.cq.poll_ready(1, &mut out);
-            if let Some(c) = out.pop() {
+            if let Some(c) = self.cq.pop_ready(now) {
                 return Ok(c);
             }
             match self.cq.head_deadline() {
-                Some(t) if t <= deadline => spin_until(t),
+                Some(t) if t <= deadline => {
+                    spin_until(t);
+                    now = t; // reached: the head pops without another clock read
+                }
                 _ => {
-                    if Instant::now() >= deadline {
+                    now = Instant::now();
+                    if now >= deadline {
                         return Err(RdmaError::RecvTimeout);
                     }
                     // HOTPATH: CQ spin-poll mirrors real ibv_poll_cq usage;
@@ -604,6 +631,43 @@ mod tests {
         assert_eq!(d.total_ops(), 2);
         assert_eq!(other.traffic().ops(Verb::Write), 1);
         assert!(f.stats().ops(Verb::Write) >= 2);
+    }
+
+    #[test]
+    fn cached_region_is_still_checked_on_every_verb() {
+        let (f, mut qp, region) = setup();
+        qp.write_sync(b"warm", region.addr(0)).unwrap(); // region now cached
+        let mut forged = region.addr(0);
+        forged.rkey ^= 1;
+        assert!(matches!(qp.write_sync(b"x", forged), Err(RdmaError::BadRkey { .. })));
+        qp.write_sync(b"warm", region.addr(0)).unwrap();
+        assert!(matches!(
+            qp.post_write(b"toolong", region.addr((1 << 16) - 2), 1),
+            Err(RdmaError::OutOfBounds { .. })
+        ));
+        // A second region of the same node is looked up, not mistaken for
+        // the cached one.
+        let other = f.node(qp.remote()).unwrap().register_region(64);
+        qp.write_sync(b"other", other.addr(8)).unwrap();
+        let mut buf = [0u8; 5];
+        qp.read_sync(other.addr(8), &mut buf).unwrap();
+        assert_eq!(&buf, b"other");
+        qp.read_sync(region.addr(0), &mut buf[..4]).unwrap();
+        assert_eq!(&buf[..4], b"warm");
+    }
+
+    #[test]
+    fn fabric_stats_are_exact_across_qp_drop() {
+        let (f, mut qp, region) = setup();
+        qp.write_sync(&[0u8; 10], region.addr(0)).unwrap();
+        let mut second = f.create_qp(qp.local(), qp.remote()).unwrap();
+        second.write_sync(&[0u8; 5], region.addr(0)).unwrap();
+        assert_eq!(f.stats().ops(Verb::Write), 2);
+        drop(second); // its block is folded into the retired total
+        assert_eq!(f.stats().ops(Verb::Write), 2);
+        qp.write_sync(&[0u8; 1], region.addr(0)).unwrap();
+        let s = f.stats().snapshot();
+        assert_eq!((s.ops(Verb::Write), s.bytes(Verb::Write)), (3, 16));
     }
 
     #[test]

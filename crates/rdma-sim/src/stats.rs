@@ -5,64 +5,104 @@
 //! compaction traffic to (almost) zero.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use crate::verbs::Verb;
 
+/// Per-verb counters of one queue pair. A `QueuePair` posts through
+/// `&mut self`, so every word has one writer at a time: an increment is a
+/// plain load + store on a line no other poster touches, and a reader on
+/// any thread still sees an exact value. This block is the only place a
+/// posted verb is counted; [`FabricStats`] sums the blocks.
 #[derive(Default)]
-struct Counter {
-    ops: AtomicU64,
-    bytes: AtomicU64,
+#[repr(align(64))]
+pub(crate) struct QpTraffic {
+    ops: [AtomicU64; 6],
+    bytes: [AtomicU64; 6],
 }
 
-/// Atomic per-verb operation/byte counters for one fabric.
+impl QpTraffic {
+    pub(crate) fn accumulate(&self, verb: Verb, bytes: usize) {
+        let (ops, total) = (&self.ops[verb as usize], &self.bytes[verb as usize]);
+        // ORDERING: relaxed — single-writer statistics (see the type docs);
+        // ownership of the queue pair moves between threads with its own
+        // happens-before edge.
+        ops.store(ops.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        // ORDERING: relaxed — same single-writer counter discipline.
+        total.store(total.load(Ordering::Relaxed) + bytes as u64, Ordering::Relaxed);
+    }
+
+    pub(crate) fn snapshot(&self) -> StatsSnapshot {
+        let mut s = StatsSnapshot::default();
+        for i in 0..6 {
+            // ORDERING: relaxed — stats reads; each word is exact on its own.
+            s.ops[i] = self.ops[i].load(Ordering::Relaxed);
+            s.bytes[i] = self.bytes[i].load(Ordering::Relaxed);
+        }
+        s
+    }
+}
+
+/// Per-verb operation/byte counters for one fabric: the sum of every live
+/// queue pair's block plus the total of the queue pairs already dropped.
 #[derive(Default)]
 pub struct FabricStats {
-    read: Counter,
-    write: Counter,
-    write_imm: Counter,
-    send: Counter,
-    fetch_add: Counter,
-    cas: Counter,
+    blocks: Mutex<Blocks>,
+}
+
+#[derive(Default)]
+struct Blocks {
+    retired: StatsSnapshot,
+    live: Vec<Arc<QpTraffic>>,
+}
+
+impl Blocks {
+    /// Fold into `retired` every block whose queue pair is gone (the
+    /// registry holds the last reference, so nobody can post to it again).
+    fn sweep(&mut self) {
+        let retired = &mut self.retired;
+        // `get_mut` succeeds only for the last reference, and acquires the
+        // dropped queue pair's release of its own: its last counts are
+        // visible.
+        self.live.retain_mut(|block| match Arc::get_mut(block) {
+            Some(block) => {
+                retired.merge(&block.snapshot());
+                false
+            }
+            None => true,
+        });
+    }
 }
 
 impl FabricStats {
-    fn counter(&self, verb: Verb) -> &Counter {
-        match verb {
-            Verb::Read => &self.read,
-            Verb::Write => &self.write,
-            Verb::WriteImm => &self.write_imm,
-            Verb::Send => &self.send,
-            Verb::FetchAdd => &self.fetch_add,
-            Verb::CompareSwap => &self.cas,
-        }
-    }
-
-    pub(crate) fn record(&self, verb: Verb, bytes: usize) {
-        let c = self.counter(verb);
-        // ORDERING: relaxed — verb counters; monotonic, readers tolerate staleness.
-        c.ops.fetch_add(1, Ordering::Relaxed);
-        c.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+    /// A fresh counter block for a new queue pair.
+    pub(crate) fn register(&self) -> Arc<QpTraffic> {
+        let block = Arc::new(QpTraffic::default());
+        let mut blocks = self.blocks.lock();
+        blocks.sweep();
+        blocks.live.push(Arc::clone(&block));
+        block
     }
 
     /// Number of operations posted with `verb` so far.
     pub fn ops(&self, verb: Verb) -> u64 {
-        // ORDERING: relaxed — stats reads; tolerate staleness.
-        self.counter(verb).ops.load(Ordering::Relaxed)
+        self.snapshot().ops(verb)
     }
 
     /// Payload bytes moved by `verb` so far.
     pub fn bytes(&self, verb: Verb) -> u64 {
-        // ORDERING: relaxed — stats reads; tolerate staleness.
-        self.counter(verb).bytes.load(Ordering::Relaxed)
+        self.snapshot().bytes(verb)
     }
 
     /// A point-in-time copy of all counters.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let mut s = StatsSnapshot::default();
-        for v in Verb::ALL {
-            let c = self.counter(v);
-            // ORDERING: relaxed — stats reads; tolerate staleness.
-            s.set(v, c.ops.load(Ordering::Relaxed), c.bytes.load(Ordering::Relaxed));
+        let mut blocks = self.blocks.lock();
+        blocks.sweep();
+        let mut s = blocks.retired;
+        for block in &blocks.live {
+            s.merge(&block.snapshot());
         }
         s
     }
@@ -76,25 +116,14 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    fn idx(verb: Verb) -> usize {
-        // PANIC-SAFE: Verb::ALL enumerates every Verb variant by construction.
-        Verb::ALL.iter().position(|&v| v == verb).expect("verb in ALL")
-    }
-
-    fn set(&mut self, verb: Verb, ops: u64, bytes: u64) {
-        let i = Self::idx(verb);
-        self.ops[i] = ops;
-        self.bytes[i] = bytes;
-    }
-
     /// Operations posted with `verb`.
     pub fn ops(&self, verb: Verb) -> u64 {
-        self.ops[Self::idx(verb)]
+        self.ops[verb as usize]
     }
 
     /// Payload bytes moved by `verb`.
     pub fn bytes(&self, verb: Verb) -> u64 {
-        self.bytes[Self::idx(verb)]
+        self.bytes[verb as usize]
     }
 
     /// Total operations across all verbs.
@@ -107,13 +136,11 @@ impl StatsSnapshot {
         self.bytes.iter().sum()
     }
 
-    /// Count one posted operation. `StatsSnapshot` doubles as the plain
-    /// (non-atomic) per-queue-pair accumulator: a `QueuePair` is `!Sync`,
-    /// so its traffic counter needs no atomics — see `QueuePair::traffic`.
+    /// Count one operation (for building expected values in tests and
+    /// folding traffic outside a fabric).
     pub fn accumulate(&mut self, verb: Verb, bytes: usize) {
-        let i = Self::idx(verb);
-        self.ops[i] += 1;
-        self.bytes[i] += bytes as u64;
+        self.ops[verb as usize] += 1;
+        self.bytes[verb as usize] += bytes as u64;
     }
 
     /// Counter-wise sum (e.g. folding per-QP traffic across clients).
@@ -156,9 +183,10 @@ mod tests {
     #[test]
     fn record_and_snapshot() {
         let s = FabricStats::default();
-        s.record(Verb::Read, 100);
-        s.record(Verb::Read, 50);
-        s.record(Verb::Write, 7);
+        let qp = s.register();
+        qp.accumulate(Verb::Read, 100);
+        qp.accumulate(Verb::Read, 50);
+        s.register().accumulate(Verb::Write, 7); // block dropped at once: retired
         assert_eq!(s.ops(Verb::Read), 2);
         assert_eq!(s.bytes(Verb::Read), 150);
         let snap = s.snapshot();
@@ -170,10 +198,12 @@ mod tests {
     #[test]
     fn delta_measures_a_phase() {
         let s = FabricStats::default();
-        s.record(Verb::Send, 10);
+        let qp = s.register();
+        qp.accumulate(Verb::Send, 10);
         let before = s.snapshot();
-        s.record(Verb::Send, 20);
-        s.record(Verb::FetchAdd, 8);
+        qp.accumulate(Verb::Send, 20);
+        qp.accumulate(Verb::FetchAdd, 8);
+        drop(qp); // retiring a block neither loses nor repeats its counts
         let d = s.snapshot().delta(&before);
         assert_eq!(d.ops(Verb::Send), 1);
         assert_eq!(d.bytes(Verb::Send), 20);
@@ -184,7 +214,7 @@ mod tests {
     #[test]
     fn display_skips_idle_verbs() {
         let s = FabricStats::default();
-        s.record(Verb::Write, 1 << 20);
+        s.register().accumulate(Verb::Write, 1 << 20);
         let text = s.snapshot().to_string();
         assert!(text.contains("write"));
         assert!(!text.contains("cas"));

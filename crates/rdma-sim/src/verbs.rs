@@ -134,6 +134,10 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), Verb::ALL.len());
+        // Stats tables index by discriminant.
+        for (i, v) in Verb::ALL.iter().enumerate() {
+            assert_eq!(*v as usize, i);
+        }
     }
 
     #[test]

@@ -219,14 +219,15 @@ impl<'a> ExactSizeIterator for UserKeys<'a> {
     }
 }
 
-/// Cache-first fetch policy for table bytes: point reads consult the
-/// fetcher before touching the [`DataSource`] and offer fresh fetches back
-/// for admission. Implemented by the compute-side read cache (dlsm-cache);
-/// the offsets are table-relative, so one fetcher instance is bound to one
-/// table. Scans deliberately bypass the fetcher (scan resistance).
-pub trait BlockFetcher: Send + Sync {
-    /// The cached bytes at `offset`, if resident.
-    fn fetch(&self, offset: u64) -> Option<Arc<Vec<u8>>>;
+/// Cache-first fetch policy for data blocks: a point read that has passed
+/// the filter and the index consults the fetcher before touching the
+/// [`DataSource`] and offers a fresh fetch back for admission. Implemented
+/// over the compute-side read cache (dlsm-cache); the offsets are
+/// table-relative, so one fetcher is bound to one table for one lookup.
+/// Scans deliberately bypass the fetcher (scan resistance).
+pub trait BlockFetcher {
+    /// The `len` cached bytes at `offset`, if resident.
+    fn fetch(&self, offset: u64, len: usize) -> Option<Arc<Vec<u8>>>;
 
     /// Offer freshly read bytes at `offset` for admission.
     fn admit(&self, offset: u64, data: &Arc<Vec<u8>>);
@@ -235,14 +236,13 @@ pub trait BlockFetcher: Send + Sync {
 /// Reader over a block-based table.
 ///
 /// `open` performs three remote reads (footer, index, filter) and caches the
-/// results; per-lookup traffic is then one block-sized read — or zero when a
-/// [`BlockFetcher`] is attached and holds the block.
+/// results; per-lookup traffic is then one block-sized read — or zero when
+/// the lookup's [`BlockFetcher`] holds the block.
 pub struct BlockTableReader<S: DataSource> {
     source: S,
     index: Arc<Vec<BlockHandleOwned>>,
     bloom: Arc<BloomFilter>,
     num_entries: u64,
-    fetcher: Option<Arc<dyn BlockFetcher>>,
 }
 
 #[derive(Debug, Clone)]
@@ -294,14 +294,7 @@ impl<S: DataSource> BlockTableReader<S> {
             index: Arc::new(index),
             bloom: Arc::new(bloom),
             num_entries,
-            fetcher: None,
         })
-    }
-
-    /// Attach a cache-first [`BlockFetcher`] for data-block reads.
-    pub fn with_fetcher(mut self, fetcher: Arc<dyn BlockFetcher>) -> BlockTableReader<S> {
-        self.fetcher = Some(fetcher);
-        self
     }
 
     /// Number of records in the table.
@@ -322,6 +315,16 @@ impl<S: DataSource> BlockTableReader<S> {
     /// Point lookup: bloom probe, index search, one whole-block read, linear
     /// scan within the block.
     pub fn get(&self, user_key: &[u8], seq: SeqNo) -> Result<TableGet> {
+        self.get_with(user_key, seq, None)
+    }
+
+    /// [`Self::get`] with a cache-first `fetcher` for the data block.
+    pub fn get_with(
+        &self,
+        user_key: &[u8],
+        seq: SeqNo,
+        fetcher: Option<&dyn BlockFetcher>,
+    ) -> Result<TableGet> {
         if !self.bloom.may_contain(user_key) {
             return Ok(TableGet::NotFound);
         }
@@ -333,21 +336,19 @@ impl<S: DataSource> BlockTableReader<S> {
         let h = &self.index[bi];
         // Cache-first: a resident block costs zero fabric reads; a miss is
         // fetched from the source and offered back for admission.
-        let block: Arc<Vec<u8>> = match &self.fetcher {
-            Some(f) => match f.fetch(h.offset) {
-                Some(cached) if cached.len() == h.len as usize => cached,
-                _ => {
-                    let mut buf = vec![0u8; h.len as usize];
-                    self.source.read(h.offset, &mut buf)?;
-                    let buf = Arc::new(buf);
-                    f.admit(h.offset, &buf);
-                    buf
-                }
-            },
+        let cached = fetcher
+            .and_then(|f| f.fetch(h.offset, h.len as usize))
+            .filter(|block| block.len() == h.len as usize);
+        let block: Arc<Vec<u8>> = match cached {
+            Some(block) => block,
             None => {
                 let mut buf = vec![0u8; h.len as usize];
                 self.source.read(h.offset, &mut buf)?;
-                Arc::new(buf)
+                let buf = Arc::new(buf);
+                if let Some(f) = fetcher {
+                    f.admit(h.offset, &buf);
+                }
+                buf
             }
         };
         let count = get_u32(&block, 0)?;
@@ -399,7 +400,6 @@ impl<S: DataSource> BlockTableReader<S> {
             index: cache.index,
             bloom: cache.bloom,
             num_entries: cache.num_entries,
-            fetcher: None,
         }
     }
 
@@ -609,6 +609,46 @@ mod tests {
         assert_eq!(r.get(b"key000777", 100).unwrap(), TableGet::Found(b"value-777".to_vec()));
         assert_eq!(r.get(b"key002000", 100).unwrap(), TableGet::NotFound);
         assert_eq!(r.get(b"key000777", 10).unwrap(), TableGet::NotFound);
+    }
+
+    #[test]
+    fn fetcher_is_asked_after_filter_and_index_and_admits_misses() {
+        use std::cell::RefCell;
+        use std::collections::HashMap;
+
+        #[derive(Default)]
+        struct MapFetcher {
+            map: RefCell<HashMap<u64, Arc<Vec<u8>>>>,
+            asked: RefCell<usize>,
+        }
+        impl BlockFetcher for MapFetcher {
+            fn fetch(&self, offset: u64, _len: usize) -> Option<Arc<Vec<u8>>> {
+                *self.asked.borrow_mut() += 1;
+                self.map.borrow().get(&offset).cloned()
+            }
+            fn admit(&self, offset: u64, data: &Arc<Vec<u8>>) {
+                self.map.borrow_mut().insert(offset, Arc::clone(data));
+            }
+        }
+
+        let r = BlockTableReader::open(SliceSource(build(2000, 8192))).unwrap();
+        let cache = MapFetcher::default();
+        let found = TableGet::Found(b"value-777".to_vec());
+        // A filter negative never reaches the fetcher.
+        assert_eq!(r.get_with(b"nope", 100, Some(&cache)).unwrap(), TableGet::NotFound);
+        assert_eq!(*cache.asked.borrow(), 0);
+        // The miss reads the source and admits the block...
+        assert_eq!(r.get_with(b"key000777", 100, Some(&cache)).unwrap(), found);
+        assert_eq!((*cache.asked.borrow(), cache.map.borrow().len()), (1, 1));
+        // ...which then serves the lookup without the source: an empty one
+        // over the same metadata still finds the key.
+        let sourceless = BlockTableReader::from_cache(SliceSource(Vec::new()), r.meta_cache());
+        assert_eq!(sourceless.get_with(b"key000777", 100, Some(&cache)).unwrap(), found);
+        assert!(sourceless.get(b"key000777", 100).is_err());
+        // A cached object of the wrong length is ignored, not mis-served.
+        let offset = *cache.map.borrow().keys().next().unwrap();
+        cache.admit(offset, &Arc::new(vec![0u8; 3]));
+        assert_eq!(r.get_with(b"key000777", 100, Some(&cache)).unwrap(), found);
     }
 
     #[test]

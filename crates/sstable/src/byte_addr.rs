@@ -24,7 +24,7 @@ use std::sync::Arc;
 use crate::bloom::BloomFilter;
 use crate::coding::{get_len_prefixed, get_u32, get_u64, get_varint, put_len_prefixed, put_u32, put_u64, put_varint};
 use crate::iter::ForwardIter;
-use crate::key::{self, compare_internal, InternalKey, SeqNo, ValueType};
+use crate::key::{self, compare_internal, SeqNo, ValueType};
 use crate::source::DataSource;
 use crate::{Result, SstError};
 
@@ -137,8 +137,7 @@ impl TableMeta {
         if !self.bloom.may_contain(user_key) {
             return Locate::NotFound;
         }
-        let lookup = InternalKey::for_lookup(user_key, seq);
-        let i = self.index.seek_ge(lookup.as_bytes());
+        let i = key::with_lookup_key(user_key, seq, |lookup| self.index.seek_ge(lookup));
         if i >= self.index.len() {
             return Locate::NotFound;
         }
@@ -306,10 +305,16 @@ impl<'a> ExactSizeIterator for UserKeyIter<'a> {
     }
 }
 
-/// Parse one complete record image: returns `(internal_key, value)`.
-pub fn parse_record_bytes(buf: &[u8]) -> Result<(&[u8], &[u8])> {
-    let (k, v, _) = parse_record(buf)?;
-    Ok((k, v))
+/// The byte range of the value inside one complete record image, after
+/// checking that the record carries `expected_ikey` — the key the index
+/// promised at that offset. Bytes fetched from remote memory (or kept in a
+/// cache) are untrusted until this has passed.
+pub fn record_value(buf: &[u8], expected_ikey: &[u8]) -> Result<std::ops::Range<usize>> {
+    let (ikey, value, end) = parse_record(buf)?;
+    if ikey != expected_ikey {
+        return Err(SstError::Corrupt("record key does not match index".into()));
+    }
+    Ok(end - value.len()..end)
 }
 
 /// Parse one record at `buf[0..]`: returns `(ikey, value, record_len)`.
@@ -380,11 +385,8 @@ impl<S: DataSource> ByteAddrReader<S> {
             Locate::Record { index, offset, len } => {
                 let mut buf = vec![0u8; len];
                 self.source.read(offset, &mut buf)?;
-                let (ikey, value, _) = parse_record(&buf)?;
-                if ikey != self.meta.index.key(index) {
-                    return Err(SstError::Corrupt("record key does not match index".into()));
-                }
-                Ok(TableGet::Found(value.to_vec()))
+                let value = record_value(&buf, self.meta.index.key(index))?;
+                Ok(TableGet::Found(buf[value].to_vec()))
             }
         }
     }
@@ -639,6 +641,7 @@ impl<S: DataSource> ForwardIter for RawTableIter<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key::InternalKey;
     use crate::source::SliceSource;
 
     fn build_table(n: usize) -> (Vec<u8>, Arc<TableMeta>) {

@@ -97,6 +97,21 @@ impl InternalKey {
     }
 }
 
+/// Run `f` on the seek target for `user_key` at snapshot `seq` (the bytes of
+/// [`InternalKey::for_lookup`]), built on the stack for user keys of up to
+/// 56 bytes so that a point read allocates nothing in order to search.
+#[inline]
+pub fn with_lookup_key<T>(user_key: &[u8], seq: SeqNo, f: impl FnOnce(&[u8]) -> T) -> T {
+    let mut stack = [0u8; 64];
+    let Some(buf) = stack.get_mut(..user_key.len() + TRAILER_LEN) else {
+        return f(InternalKey::for_lookup(user_key, seq).as_bytes());
+    };
+    let (user, trailer) = buf.split_at_mut(user_key.len());
+    user.copy_from_slice(user_key);
+    trailer.copy_from_slice(&pack_trailer(seq, ValueType::Value).to_le_bytes());
+    f(buf)
+}
+
 /// The user-key portion of an encoded internal key.
 #[inline]
 pub fn user_key(ikey: &[u8]) -> &[u8] {
@@ -151,6 +166,14 @@ impl Comparator for InternalKeyComparator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lookup_key_on_stack_matches_owned() {
+        for user in [&b"k"[..], &[7u8; 56], &[9u8; 57], &[1u8; 300]] {
+            let owned = InternalKey::for_lookup(user, 42);
+            with_lookup_key(user, 42, |ikey| assert_eq!(ikey, owned.as_bytes()));
+        }
+    }
 
     #[test]
     fn roundtrip_parts() {

@@ -38,7 +38,7 @@ pub use bloom::BloomFilter;
 pub use iter::{ClampIter, ForwardIter, MergingIter};
 pub use key::{InternalKey, InternalKeyComparator, SeqNo, ValueType, MAX_SEQ};
 pub use block::BlockFetcher;
-pub use source::{CachedSource, DataSource, SliceSource};
+pub use source::{DataSource, SliceSource};
 
 /// Errors surfaced by table building and reading.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -91,48 +91,6 @@ impl DataSource for RegionSource {
     }
 }
 
-/// Largest read a [`CachedSource`] will offer for admission — keeps scans
-/// and whole-extent fetches from flooding the cache with oversized objects.
-const MAX_CACHED_READ: usize = 256 << 10;
-
-/// A [`DataSource`] with a cache-first read path: every read consults a
-/// [`crate::block::BlockFetcher`] keyed by offset before touching the inner
-/// source, and offers misses back for admission. dLSM wraps the remote
-/// source of a byte-addressable table in this, so each cached *record*
-/// costs zero fabric reads (the block-format reader plugs the same fetcher
-/// in at block granularity instead).
-pub struct CachedSource<S: DataSource> {
-    inner: S,
-    fetcher: Arc<dyn crate::block::BlockFetcher>,
-}
-
-impl<S: DataSource> CachedSource<S> {
-    /// Wrap `inner` with the cache policy `fetcher`.
-    pub fn new(inner: S, fetcher: Arc<dyn crate::block::BlockFetcher>) -> CachedSource<S> {
-        CachedSource { inner, fetcher }
-    }
-}
-
-impl<S: DataSource> DataSource for CachedSource<S> {
-    fn read(&self, offset: u64, dst: &mut [u8]) -> Result<()> {
-        if let Some(cached) = self.fetcher.fetch(offset) {
-            if cached.len() == dst.len() {
-                dst.copy_from_slice(&cached);
-                return Ok(());
-            }
-        }
-        self.inner.read(offset, dst)?;
-        if dst.len() <= MAX_CACHED_READ {
-            self.fetcher.admit(offset, &Arc::new(dst.to_vec()));
-        }
-        Ok(())
-    }
-
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,38 +104,6 @@ mod tests {
         assert_eq!(&buf, b"3456");
         assert_eq!(s.len(), 10);
         assert!(s.read(8, &mut buf).is_err());
-    }
-
-    #[test]
-    fn cached_source_serves_hits_and_admits_misses() {
-        use crate::block::BlockFetcher;
-        use std::sync::Mutex;
-
-        #[derive(Default)]
-        struct MapFetcher {
-            map: Mutex<std::collections::HashMap<u64, Arc<Vec<u8>>>>,
-        }
-        impl crate::block::BlockFetcher for MapFetcher {
-            fn fetch(&self, offset: u64) -> Option<Arc<Vec<u8>>> {
-                self.map.lock().unwrap().get(&offset).cloned()
-            }
-            fn admit(&self, offset: u64, data: &Arc<Vec<u8>>) {
-                self.map.lock().unwrap().insert(offset, Arc::clone(data));
-            }
-        }
-
-        let fetcher = Arc::new(MapFetcher::default());
-        let src = CachedSource::new(SliceSource(b"0123456789".to_vec()), fetcher.clone());
-        let mut buf = [0u8; 4];
-        src.read(3, &mut buf).unwrap();
-        assert_eq!(&buf, b"3456");
-        // The miss was admitted; a hit no longer needs the inner source.
-        assert_eq!(fetcher.fetch(3).unwrap().as_slice(), b"3456");
-        // A cached object of the wrong length is ignored, not mis-served.
-        let mut five = [0u8; 5];
-        src.read(3, &mut five).unwrap();
-        assert_eq!(&five, b"34567");
-        assert_eq!(src.len(), 10);
     }
 
     #[test]

@@ -113,6 +113,25 @@ impl Histogram {
         self.record(d.as_nanos().min(u64::MAX as u128) as u64);
     }
 
+    /// [`Histogram::record`] for a histogram only one thread records into
+    /// (a block owned by that thread): a plain load + store per word
+    /// instead of three atomic read-modify-writes. Snapshots from other
+    /// threads stay exact; a second concurrent recorder would lose updates.
+    #[inline]
+    pub fn record_exclusive(&self, v: u64) {
+        let bucket = &self.buckets[bucket_index(v)];
+        // ORDERING: relaxed — single-writer words (see above); snapshots
+        // are approximate while recording, as for `record`.
+        bucket.store(bucket.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        // ORDERING: relaxed — same single-writer discipline.
+        self.sum.store(self.sum.load(Ordering::Relaxed).wrapping_add(v), Ordering::Relaxed);
+        // ORDERING: relaxed — same single-writer discipline.
+        if v > self.max.load(Ordering::Relaxed) {
+            // ORDERING: relaxed — same single-writer discipline.
+            self.max.store(v, Ordering::Relaxed);
+        }
+    }
+
     /// Fold a thread-local histogram in (one atomic add per non-empty
     /// bucket — the benchmark-phase merge path).
     pub fn merge_local(&self, local: &LocalHist) {
