@@ -115,10 +115,9 @@ impl EngineReader for LsmReader {
         visit: &mut dyn FnMut(&[u8], &[u8]),
     ) -> Result<u64> {
         let mut n = 0;
-        for item in self.inner.scan(start)? {
-            if n >= limit {
-                break;
-            }
+        // `take` stops at the limit without pulling (and maybe fetching
+        // for) an entry past it.
+        for item in self.inner.scan(start)?.take(usize::try_from(limit).unwrap_or(usize::MAX)) {
             let (k, v) = item?;
             visit(&k, &v);
             n += 1;

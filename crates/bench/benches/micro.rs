@@ -238,46 +238,55 @@ fn bench_db_reads(c: &mut Criterion) {
     server.shutdown();
 }
 
+/// Key `i` of the probe database: hashed, so key order is not fill order.
+fn probe_key(i: u64, suffix: &[u8]) -> Vec<u8> {
+    let mut k = i.wrapping_mul(0x9E3779B97F4A7C15).to_be_bytes().to_vec();
+    k.extend_from_slice(suffix);
+    k
+}
+
+/// The database the read-path probes run on: `n` keys × 400 B on the EDR
+/// profile. Paced fill — flush and drain after every MemTable's worth — so
+/// the level shape does not depend on background timing.
+fn probe_db(n: u64, cache: dlsm::CacheConfig) -> (MemServer, dlsm::Db) {
+    use dlsm::{ComputeContext, Db, DbConfig, MemNodeHandle};
+    let fabric = Fabric::new(NetworkProfile::edr_100g());
+    let server = MemServer::start(
+        &fabric,
+        MemServerConfig {
+            region_size: 1 << 30,
+            flush_zone: 512 << 20,
+            compaction_workers: 2,
+            dispatchers: 1,
+        },
+    );
+    let ctx = ComputeContext::new(&fabric);
+    let mem = MemNodeHandle::from_server(&server);
+    let db = Db::open(ctx, mem, DbConfig { cache, ..DbConfig::default() }).unwrap();
+    for i in 0..n {
+        db.put(&probe_key(i, b"-bench-key"), &[7u8; 400]).unwrap();
+        if i % 16_384 == 16_383 || i == n - 1 {
+            db.force_flush().unwrap();
+            db.wait_until_quiescent();
+        }
+    }
+    eprintln!("level shape {:?}", db.level_shape());
+    (server, db)
+}
+
 /// Read-path scaling probe (reported, not gated): what one reader's `get`
 /// costs alone and beside a second reader doing the same on another thread,
 /// for bloom-negative gets (no fabric: pure compute-side software) and
 /// present remote gets, with the read cache off and at 32 MiB over 84 MB of
 /// data. Two readers deliver `2 / latency`; flat latency is perfect scaling.
 fn bench_db_read_scaling(c: &mut Criterion) {
-    use dlsm::{CacheConfig, ComputeContext, Db, DbConfig, MemNodeHandle};
+    use dlsm::CacheConfig;
     use std::sync::atomic::{AtomicBool, Ordering};
     let n = 200_000u64;
-    let key = |i: u64, suffix: &[u8]| -> Vec<u8> {
-        let mut k = i.wrapping_mul(0x9E3779B97F4A7C15).to_be_bytes().to_vec();
-        k.extend_from_slice(suffix);
-        k
-    };
     for (cache_name, cache) in
         [("cache_off", CacheConfig::default()), ("cache_32MiB", CacheConfig::with_capacity(32 << 20))]
     {
-        let fabric = Fabric::new(NetworkProfile::edr_100g());
-        let server = MemServer::start(
-            &fabric,
-            MemServerConfig {
-                region_size: 1 << 30,
-                flush_zone: 512 << 20,
-                compaction_workers: 2,
-                dispatchers: 1,
-            },
-        );
-        let ctx = ComputeContext::new(&fabric);
-        let mem = MemNodeHandle::from_server(&server);
-        let db = Db::open(ctx, mem, DbConfig { cache, ..DbConfig::default() }).unwrap();
-        // Paced fill: flush and drain after every MemTable's worth, so the
-        // level shape does not depend on background timing.
-        for i in 0..n {
-            db.put(&key(i, b"-bench-key"), &[7u8; 400]).unwrap();
-            if i % 16_384 == 16_383 || i == n - 1 {
-                db.force_flush().unwrap();
-                db.wait_until_quiescent();
-            }
-        }
-        eprintln!("level shape {:?}", db.level_shape());
+        let (server, db) = probe_db(n, cache);
 
         let mut group = c.benchmark_group(format!("db_read_scaling_edr/{cache_name}"));
         group.throughput(Throughput::Elements(1));
@@ -293,7 +302,7 @@ fn bench_db_read_scaling(c: &mut Criterion) {
                             let mut i = 17u64;
                             while !stop.load(Ordering::Relaxed) {
                                 i = (i + 7919) % n;
-                                assert_eq!(reader.get(&key(i, suffix)).unwrap().is_some(), present);
+                                assert_eq!(reader.get(&probe_key(i, suffix)).unwrap().is_some(), present);
                             }
                         });
                     }
@@ -302,7 +311,7 @@ fn bench_db_read_scaling(c: &mut Criterion) {
                     group.bench_function(format!("{kind}/{readers}_readers"), |b| {
                         b.iter(|| {
                             i = (i + 4099) % n;
-                            assert_eq!(reader.get(&key(i, suffix)).unwrap().is_some(), present);
+                            assert_eq!(reader.get(&probe_key(i, suffix)).unwrap().is_some(), present);
                         });
                     });
                     stop.store(true, Ordering::Relaxed);
@@ -315,9 +324,53 @@ fn bench_db_read_scaling(c: &mut Criterion) {
     }
 }
 
+/// Scan probe (reported, not gated) on the read-scaling probe's database,
+/// cache off: what a scan costs in time, READs and fabric bytes per entry
+/// returned (DEX's accounting) — 100 and 10 000 entries with the bound
+/// given, 100 entries taken from an unbounded scan, and a full sweep.
+fn bench_db_scans(c: &mut Criterion) {
+    use rdma_sim::Verb;
+    let n = 200_000u64;
+    let (server, db) = probe_db(n, dlsm::CacheConfig::default());
+    let mut keys: Vec<Vec<u8>> = (0..n).map(|i| probe_key(i, b"-bench-key")).collect();
+    keys.sort();
+    let mut group = c.benchmark_group("db_scans_edr");
+    let mut reader = db.reader();
+    // (name, entries, bounded)
+    for (name, len, bounded) in [
+        ("scan_range_100", 100usize, true),
+        ("scan_range_10000", 10_000, true),
+        ("scan_take_100", 100, false),
+        ("full_sweep", n as usize, false),
+    ] {
+        let (mut at, mut calls, mut entries) = (0usize, 0u64, 0u64);
+        let before = reader.traffic();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                at = (at + 40_009) % (n as usize - len).max(1);
+                let end = if bounded { &keys[at + len][..] } else { &[] };
+                let got = reader.scan_range(&keys[at], end).unwrap().take(len).count();
+                assert!(got == len || len == n as usize);
+                calls += 1;
+                entries += got as u64;
+            });
+        });
+        let d = reader.traffic().delta(&before);
+        eprintln!(
+            "{name}: {:.1} READs/call, {:.0} fabric bytes/entry",
+            d.ops(Verb::Read) as f64 / calls as f64,
+            d.bytes(Verb::Read) as f64 / entries as f64,
+        );
+    }
+    group.finish();
+    drop(reader);
+    db.shutdown();
+    server.shutdown();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_rdma_ops, bench_skiplist, bench_bloom, bench_table_builders, bench_table_gets, bench_rpc, bench_db_reads, bench_db_read_scaling
+    targets = bench_rdma_ops, bench_skiplist, bench_bloom, bench_table_builders, bench_table_gets, bench_rpc, bench_db_reads, bench_db_read_scaling, bench_db_scans
 }
 criterion_main!(benches);

@@ -440,7 +440,10 @@ pub fn run_local(
                     .all_inputs()
                     // Compaction sweeps every input once; caching those
                     // reads would only churn the point-read working set.
-                    .map(|t| crate::remote::table_iter(&channel, t, cfg.scan_prefetch, None))
+                    .map(|t| {
+                        let window = cfg.scan_prefetch;
+                        crate::remote::table_scan(&channel, t, &[], window as u64, window, None).boxed()
+                    })
                     .collect();
                 let merged =
                     ClampIter::new(MergingIter::new(iters), lo.clone(), hi.clone());

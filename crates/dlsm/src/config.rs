@@ -77,7 +77,9 @@ pub struct DbConfig {
     pub flush_buf_size: usize,
     /// Number of in-flight flush buffers before the flusher must recycle.
     pub flush_buf_count: usize,
-    /// Prefetch window for range scans (paper: several MB).
+    /// The most one scan fetch may ask for (paper: several MB). A ceiling,
+    /// not a price: a scan fetches only the bytes its range covers, and
+    /// without a bound ramps up to this from 16 KiB (DESIGN.md §5.11).
     pub scan_prefetch: usize,
     /// RPC reply/argument buffer size (must hold compaction replies, whose
     /// dominant part is the per-record index of each output table).

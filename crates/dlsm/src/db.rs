@@ -713,9 +713,14 @@ impl Db {
         self.shared.cache.as_ref().map(|c| c.snapshot())
     }
 
+    /// The current table layout, pinned.
+    pub fn version(&self) -> Arc<Version> {
+        self.shared.versions.current()
+    }
+
     /// Tables per level of the current version.
     pub fn level_shape(&self) -> Vec<usize> {
-        self.shared.versions.current().shape()
+        self.version().shape()
     }
 
     /// Bytes resident in the remote flush zone + compute-visible metadata.
@@ -729,7 +734,7 @@ impl Db {
     /// `in_use()` figures to prove that retried flushes and compactions
     /// leak no remote memory.
     pub fn live_extents(&self) -> Vec<(Origin, u64, u64)> {
-        let version = self.shared.versions.current();
+        let version = self.version();
         let mut out = Vec::new();
         for level in 0..version.level_count() {
             for table in version.level(level) {
@@ -1297,26 +1302,28 @@ impl DbReader {
         })
     }
 
-    /// Range scan from `start` (inclusive) at the current horizon, with
-    /// chunked prefetching (Sec. VI).
+    /// Range scan from `start` (inclusive) at the current horizon. With no
+    /// bound the scan may stop anywhere, so its fetches start small and grow
+    /// as it goes on (DESIGN.md §5.11); prefer [`DbReader::scan_range`] when
+    /// the end is known.
     pub fn scan(&mut self, start: &[u8]) -> Result<DbScan> {
-        self.with_view(|seq, view| self.scan_in(Arc::clone(view), seq, start))
+        self.scan_range(start, &[])
     }
 
     /// Bounded range scan: user keys in `[start, end)` at the current
-    /// horizon.
+    /// horizon (empty `end` = unbounded). Fetches exactly the bytes of
+    /// each sorted run that the range covers.
     pub fn scan_range(&mut self, start: &[u8], end: &[u8]) -> Result<DbScan> {
-        Ok(self.scan(start)?.until(end))
+        self.with_view(|seq, view| self.scan_in(Arc::clone(view), seq, start, end))
     }
 
     /// Range scan at a pinned snapshot.
     pub fn scan_at(&mut self, snap: &Snapshot, start: &[u8]) -> Result<DbScan> {
-        self.scan_in(Arc::clone(&snap.view), snap.seq, start)
+        self.scan_in(Arc::clone(&snap.view), snap.seq, start, &[])
     }
 
-    fn scan_in(&self, view: Arc<ReadView>, seq: SeqNo, start: &[u8]) -> Result<DbScan> {
-        let prefetch = self.shared.cfg.scan_prefetch;
-        DbScan::build(&self.shared, &self.channel, Arc::clone(&self.slot), view, seq, start, prefetch)
+    fn scan_in(&self, view: Arc<ReadView>, seq: SeqNo, start: &[u8], end: &[u8]) -> Result<DbScan> {
+        DbScan::build(&self.shared, &self.channel, Arc::clone(&self.slot), view, seq, start, end)
     }
 }
 

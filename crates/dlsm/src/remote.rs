@@ -177,24 +177,28 @@ fn fetch_extent_image(channel: &ReadChannel, handle: &TableHandle) -> Result<Arc
     Ok(Arc::new(buf))
 }
 
-/// One located record that no compute-local copy could serve: the fabric
-/// READ a lookup is left with.
-pub(crate) struct RecordFetch<'v> {
-    table: &'v TableHandle,
-    /// The key the index holds for the record; the bytes that arrive must
-    /// carry it.
-    ikey: &'v [u8],
-    offset: u64,
-    /// The READ's target — the one buffer that then becomes the admitted
-    /// cache entry and the source of the returned value.
-    buf: Vec<u8>,
+/// One READ of a wave: `buf.len()` bytes at `offset` of `table`'s extent,
+/// and what they are for.
+pub(crate) struct Fetch<'v, T> {
+    pub(crate) table: &'v TableHandle,
+    pub(crate) offset: u64,
+    /// The READ's target. For a record it then becomes the admitted cache
+    /// entry and the source of the returned value; for a scan, the
+    /// iterator's first chunk.
+    pub(crate) buf: Vec<u8>,
+    pub(crate) what: T,
 }
+
+/// One located record that no compute-local copy could serve: the fabric
+/// READ a lookup is left with. `what` is the key the index holds for the
+/// record; the bytes that arrive must carry it.
+pub(crate) type RecordFetch<'v> = Fetch<'v, &'v [u8]>;
 
 impl RecordFetch<'_> {
     /// Check the record that arrived, offer it to the cache, return its
     /// value.
     pub(crate) fn finish(mut self, cache: Option<&Arc<ReadCache>>) -> Result<Vec<u8>> {
-        let value = record_value(&self.buf, self.ikey)?;
+        let value = record_value(&self.buf, self.what)?;
         let Some(cache) = cache else {
             self.buf.truncate(value.end);
             self.buf.drain(..value.start);
@@ -284,18 +288,22 @@ pub(crate) fn table_step<'v>(
             return local_record(&record, 0, len, ikey);
         }
     }
-    Ok(Step::Fetch(RecordFetch { table: t, ikey, offset, buf: vec![0u8; len] }))
+    Ok(Step::Fetch(Fetch { table: t, offset, buf: vec![0u8; len], what: ikey }))
 }
 
-/// Fetch a wave of records: every READ is posted back to back on the
-/// reader's queue pair and then all are polled, so the wave costs one round
-/// trip rather than one per record. A point get is the one-record wave.
-pub(crate) fn fetch_wave(channel: &ReadChannel, wave: &mut [RecordFetch<'_>]) -> Result<()> {
+/// Fetch a wave: every READ is posted back to back on the reader's queue
+/// pair and then all are polled, so the wave costs one round trip rather
+/// than one per READ. A point get is the one-record wave; a scan's wave is
+/// the first chunk of each of its sorted runs.
+pub(crate) fn fetch_wave<T>(channel: &ReadChannel, wave: &mut [Fetch<'_, T>]) -> Result<()> {
     /// READs in flight at once (the send queue holds 256).
     const DEPTH: usize = 128;
+    if wave.is_empty() {
+        return Ok(());
+    }
     let qp = match channel {
         ReadChannel::OneSided(qp) => qp,
-        // No posting interface on the RPC path: one call per record.
+        // No posting interface on the RPC path: one call per READ.
         ReadChannel::TwoSided(_) => {
             for f in wave {
                 RemoteSource::for_table(channel, f.table).read(f.offset, &mut f.buf)?;
@@ -341,35 +349,57 @@ pub fn table_get(
     }
 }
 
-/// Build an owning iterator over one table handle with the given prefetch
-/// window. Scans only *peek* at the extent pool (a resident image is free
-/// to use) — they never admit, bump frequencies, or touch the block pool,
-/// so sequential sweeps cannot displace the point-read working set.
-pub fn table_iter(
+/// How a scan reads one table.
+pub(crate) enum TableScan {
+    /// With nothing a wave could carry: the cache holds the table's extent
+    /// image, or it is a block table, whose iterator fetches block-wise.
+    Own(Box<dyn ForwardIter>),
+    /// Remote byte-addressable records: the caller may fetch the first
+    /// chunk ([`ByteAddrIter::plan`]) together with other tables'.
+    Wave(ByteAddrIter<RemoteSource>),
+}
+
+impl TableScan {
+    /// The iterator, to fetch for itself from its first chunk on.
+    pub(crate) fn boxed(self) -> Box<dyn ForwardIter> {
+        match self {
+            TableScan::Own(it) => it,
+            TableScan::Wave(it) => Box::new(it),
+        }
+    }
+}
+
+/// An iterator over `handle` for a scan of user keys below `end` (empty =
+/// unbounded) by a sorted run that has fetched `fetched` bytes so far and
+/// may ask for `ceiling` at a time ([`ByteAddrIter::scan_to`]; a sweep of
+/// the whole table, as a compute-side compaction makes of its inputs, has
+/// no `end` and starts at the ceiling). Scans only *peek* at the extent
+/// pool (a resident image is free to use) — they never admit, bump
+/// frequencies, or touch the block pool, so sequential sweeps cannot
+/// displace the point-read working set.
+pub(crate) fn table_scan(
     channel: &ReadChannel,
     handle: &TableHandle,
-    prefetch: usize,
+    end: &[u8],
+    fetched: u64,
+    ceiling: usize,
     cache: Option<&Arc<ReadCache>>,
-) -> Box<dyn ForwardIter> {
-    if let Some(image) = cache.and_then(|c| c.extent_peek(handle.id)) {
-        let source = SliceSource(ArcBytes(image));
-        return match &handle.meta {
-            MetaKind::ByteAddr(meta) => {
-                Box::new(ByteAddrIter::from_parts(Arc::clone(meta), source, prefetch))
-            }
-            MetaKind::Block(bmc, _) => {
-                Box::new(BlockTableReader::from_cache(source, bmc.clone()).iter(prefetch))
-            }
-        };
-    }
-    let source = RemoteSource::for_table(channel, handle);
-    match &handle.meta {
-        MetaKind::ByteAddr(meta) => {
-            Box::new(ByteAddrIter::from_parts(Arc::clone(meta), source, prefetch))
+) -> TableScan {
+    let image = cache.and_then(|c| c.extent_peek(handle.id));
+    let image = image.map(|image| SliceSource(ArcBytes(image)));
+    let remote = RemoteSource::for_table(channel, handle);
+    match (&handle.meta, image) {
+        (MetaKind::ByteAddr(meta), None) => TableScan::Wave(
+            ByteAddrIter::from_parts(Arc::clone(meta), remote, ceiling).scan_to(end, fetched),
+        ),
+        (MetaKind::ByteAddr(meta), Some(image)) => TableScan::Own(Box::new(
+            ByteAddrIter::from_parts(Arc::clone(meta), image, ceiling).scan_to(end, fetched),
+        )),
+        (MetaKind::Block(bmc, _), None) => {
+            TableScan::Own(Box::new(BlockTableReader::from_cache(remote, bmc.clone()).iter(ceiling)))
         }
-        MetaKind::Block(bmc, _) => {
-            let reader = BlockTableReader::from_cache(source, bmc.clone());
-            Box::new(reader.iter(prefetch))
+        (MetaKind::Block(bmc, _), Some(image)) => {
+            TableScan::Own(Box::new(BlockTableReader::from_cache(image, bmc.clone()).iter(ceiling)))
         }
     }
 }

@@ -182,9 +182,16 @@ impl ShardedReader {
     /// Shards own contiguous key ranges, so scanning shard `i` to exhaustion
     /// before opening shard `i + 1` preserves global order.
     pub fn scan(&mut self, start: &[u8]) -> Result<ShardedScan<'_>> {
-        let first = shard_of(start, self.lambda);
-        let scan = self.readers[first].scan(start)?;
-        Ok(ShardedScan { readers: &mut self.readers, shard: first, cur: Some(scan) })
+        self.scan_range(start, &[])
+    }
+
+    /// Bounded scan: user keys in `[start, end)` (empty `end` = unbounded),
+    /// each shard fetching only what the range covers of it.
+    pub fn scan_range(&mut self, start: &[u8], end: &[u8]) -> Result<ShardedScan<'_>> {
+        let shard = shard_of(start, self.lambda);
+        let last = if end.is_empty() { self.lambda - 1 } else { shard_of(end, self.lambda) };
+        let cur = Some(self.readers[shard].scan_range(start, end)?);
+        Ok(ShardedScan { readers: &mut self.readers, shard, last, end: end.to_vec(), cur })
     }
 }
 
@@ -192,6 +199,9 @@ impl ShardedReader {
 pub struct ShardedScan<'r> {
     readers: &'r mut Vec<DbReader>,
     shard: usize,
+    /// The last shard the range reaches, and its bound.
+    last: usize,
+    end: Vec<u8>,
     cur: Option<crate::scan::DbScan>,
 }
 
@@ -206,10 +216,10 @@ impl<'r> Iterator for ShardedScan<'r> {
                 }
             }
             self.shard += 1;
-            if self.shard >= self.readers.len() {
+            if self.shard > self.last {
                 return None;
             }
-            match self.readers[self.shard].scan(b"") {
+            match self.readers[self.shard].scan_range(b"", &self.end) {
                 Ok(s) => self.cur = Some(s),
                 Err(e) => return Some(Err(e)),
             }

@@ -402,6 +402,14 @@ fn sharded_db_routes_and_scans() {
         count += 1;
     }
     assert_eq!(count, n);
+    // A bounded scan is the same scan cut at its end, inside one shard or
+    // across several, and empty when the bounds are inverted.
+    let all: Vec<Vec<u8>> = r.scan(b"").unwrap().map(|item| item.unwrap().0).collect();
+    for (from, to) in [(10, 20), (900, 3_100), (0, 4_000), (3_990, 4_000), (50, 50), (70, 60)] {
+        let end = all.get(to).map_or(&[][..], |k| k.as_slice());
+        let got: Vec<Vec<u8>> = r.scan_range(&all[from], end).unwrap().map(|item| item.unwrap().0).collect();
+        assert_eq!(got, all[from..to.max(from)], "[{from}, {to})");
+    }
     db.shutdown();
     server.shutdown();
 }

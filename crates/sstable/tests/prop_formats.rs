@@ -1,14 +1,14 @@
 //! Property tests: both SSTable formats must round-trip arbitrary sorted
 //! key-value sets, and the compaction merge must match a model.
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use dlsm_sstable::block::{BlockTableBuilder, BlockTableReader};
-use dlsm_sstable::byte_addr::{ByteAddrBuilder, ByteAddrReader, TableGet, TableMeta};
-use dlsm_sstable::iter::{collect_all, MergingIter, VecIter};
+use dlsm_sstable::byte_addr::{ByteAddrBuilder, ByteAddrIter, ByteAddrReader, TableGet, TableMeta};
+use dlsm_sstable::iter::{collect_all, ForwardIter, MergingIter, VecIter};
 use dlsm_sstable::key::{self, InternalKey, ValueType, MAX_SEQ};
 use dlsm_sstable::merge::{CompactionIter, MergeConfig};
 use dlsm_sstable::source::{DataSource, SliceSource};
@@ -128,20 +128,25 @@ proptest! {
 /// exact, not probabilistic).
 struct CountingSource<S> {
     inner: S,
-    reads: Rc<Cell<u64>>,
-    bytes: Rc<Cell<u64>>,
+    /// `(offset, len)` of every fetch, in order.
+    log: Rc<RefCell<Vec<(u64, u64)>>>,
 }
 
 impl<S: DataSource> DataSource for CountingSource<S> {
     fn read(&self, offset: u64, dst: &mut [u8]) -> dlsm_sstable::Result<()> {
-        self.reads.set(self.reads.get() + 1);
-        self.bytes.set(self.bytes.get() + dst.len() as u64);
+        self.log.borrow_mut().push((offset, dst.len() as u64));
         self.inner.read(offset, dst)
     }
 
     fn len(&self) -> u64 {
         self.inner.len()
     }
+}
+
+/// Encoded size of one record.
+fn record_len(user_key: &[u8], value: &[u8]) -> u64 {
+    let (ikey_len, value_len) = (user_key.len() as u64 + 8, value.len() as u64);
+    varint_len(ikey_len) + varint_len(value_len) + ikey_len + value_len
 }
 
 fn varint_len(mut x: u64) -> u64 {
@@ -186,51 +191,133 @@ proptest! {
             b.add(&ikey(k, 100 + i as u64), v).unwrap();
         }
         let (data, meta) = b.finish();
-        let reads = Rc::new(Cell::new(0u64));
-        let bytes = Rc::new(Cell::new(0u64));
-        let source = CountingSource {
-            inner: SliceSource(data),
-            reads: Rc::clone(&reads),
-            bytes: Rc::clone(&bytes),
-        };
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let source = CountingSource { inner: SliceSource(data), log: Rc::clone(&log) };
         let reader = ByteAddrReader::new(Arc::new(meta), source);
         for (k, v) in &entries {
-            let reads_before = reads.get();
-            let bytes_before = bytes.get();
+            log.borrow_mut().clear();
             prop_assert_eq!(reader.get(k, MAX_SEQ).unwrap(), TableGet::Found(v.clone()));
-            let record = {
-                let ikey_len = k.len() as u64 + 8;
-                let value_len = v.len() as u64;
-                varint_len(ikey_len) + varint_len(value_len) + ikey_len + value_len
-            };
             prop_assert_eq!(
-                reads.get() - reads_before,
-                1,
-                "point read of a present key must cost exactly one fetch"
-            );
-            prop_assert_eq!(
-                bytes.get() - bytes_before,
-                record,
-                "the single fetch must cover exactly the record's bytes"
+                log.borrow().iter().map(|r| r.1).collect::<Vec<_>>(),
+                vec![record_len(k, v)],
+                "a point read of a present key is one fetch of exactly the record's bytes"
             );
         }
         // Probes for keys not in the table never touch the source: the
         // per-record index is exact, so a miss is decided compute-side.
         let present: std::collections::BTreeSet<&[u8]> =
             entries.iter().map(|(k, _)| k.as_slice()).collect();
+        log.borrow_mut().clear();
         for (k, _) in &entries {
             let mut absent = k.clone();
             absent.push(0x01); // strictly longer sibling, never inserted
             if present.contains(absent.as_slice()) {
                 continue;
             }
-            let reads_before = reads.get();
             prop_assert_eq!(reader.get(&absent, MAX_SEQ).unwrap(), TableGet::NotFound);
-            prop_assert_eq!(
-                reads.get(),
-                reads_before,
-                "a miss must cost zero fetches"
-            );
+            prop_assert!(log.borrow().is_empty(), "a miss must cost zero fetches");
+        }
+    }
+
+    /// A scan's iterator (DESIGN.md §5.11): limited to `end` it yields what
+    /// an unlimited one yields below `end`; it never reads past the limit
+    /// nor a byte twice; every fetch is the run's window — 16 KiB plus what
+    /// was fetched before, never above the ceiling — in whole records; and
+    /// handing it its first chunk changes nothing but who fetched it.
+    #[test]
+    fn limited_iterator_fetches_its_range_once(
+        versions in prop::collection::btree_map(
+            prop::collection::vec(0u8..4, 1..4),
+            prop::collection::vec((any::<bool>(), prop::collection::vec(any::<u8>(), 0..1500)), 1..4),
+            1..60,
+        ),
+        start in prop::collection::vec(0u8..4, 0..4),
+        end in prop::collection::vec(0u8..4, 0..4),
+        snapshot in 0u64..40,
+        (ceiling_log2, ceiling_frac) in (0u32..21, 0usize..1024),
+        ramped in any::<bool>(),
+    ) {
+        // Versions of a user key newest first, as internal keys order them.
+        let mut records: Vec<(Vec<u8>, u64, Vec<u8>)> = Vec::new();
+        let mut b = ByteAddrBuilder::new(Vec::new(), 10);
+        for (user, vs) in &versions {
+            for (age, (is_put, value)) in vs.iter().enumerate() {
+                let seq = 10 * (vs.len() - age) as u64;
+                let (vt, value) = if *is_put { (ValueType::Value, &value[..]) } else { (ValueType::Deletion, &[][..]) };
+                b.add(InternalKey::new(user, seq, vt).as_bytes(), value).unwrap();
+                records.push((user.clone(), seq, value.to_vec()));
+            }
+        }
+        let (data, meta) = b.finish();
+        let meta = Arc::new(meta);
+        let ceiling = ((1usize << ceiling_log2) + ((ceiling_frac << ceiling_log2) >> 10)).min(1 << 20);
+        let fetched = if ramped { 0 } else { ceiling as u64 };
+        let target = InternalKey::for_lookup(&start, snapshot);
+        let scan = |it: &mut dyn ForwardIter| {
+            let mut out = Vec::new();
+            it.seek(target.as_bytes()).unwrap();
+            while it.valid() {
+                out.push((it.key().to_vec(), it.value().to_vec()));
+                it.next().unwrap();
+            }
+            out
+        };
+
+        // The model: the wanted records are those at or after the target
+        // whose user key is below `end`; offsets follow from their sizes.
+        let wanted = |(user, seq, _): &(Vec<u8>, u64, Vec<u8>)| {
+            (user.as_slice(), std::cmp::Reverse(*seq)) >= (start.as_slice(), std::cmp::Reverse(snapshot))
+                && (end.is_empty() || user < &end)
+        };
+        let sizes: Vec<u64> = records.iter().map(|(user, _, value)| record_len(user, value)).collect();
+        let first = records.iter().position(wanted).unwrap_or(records.len());
+        let count = records.iter().filter(|r| wanted(r)).count();
+        let offset_of = |i: usize| sizes[..i].iter().sum::<u64>();
+        let (lo, limit) = (offset_of(first), offset_of(first + count));
+
+        let unlimited = scan(&mut ByteAddrIter::from_parts(Arc::clone(&meta), SliceSource(data.clone()), 1 << 20));
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let source = CountingSource { inner: SliceSource(data.clone()), log: Rc::clone(&log) };
+        let mut limited = ByteAddrIter::from_parts(Arc::clone(&meta), source, ceiling).scan_to(&end, fetched);
+        let planned = limited.plan(Some(target.as_bytes())).unwrap();
+        let got = scan(&mut limited);
+        let below_end: Vec<_> = unlimited
+            .into_iter()
+            .filter(|(k, _)| end.is_empty() || key::user_key(k) < end.as_slice())
+            .collect();
+        prop_assert_eq!(below_end.len(), count);
+        prop_assert_eq!(&got, &below_end);
+
+        let reads = log.borrow().clone();
+        let (mut at, mut run_fetched, mut record) = (lo, fetched, first);
+        for &(offset, len) in &reads {
+            prop_assert_eq!(offset, at, "every fetch starts where the last one ended");
+            prop_assert!(offset + len <= limit, "fetch [{}, +{}) passes the limit {}", offset, len, limit);
+            // Whole records, as many as the window holds, at least one.
+            let window = (run_fetched + (16 << 10)).min(ceiling as u64);
+            let mut whole = sizes[record];
+            record += 1;
+            while offset + whole < limit && whole + sizes[record] <= window {
+                whole += sizes[record];
+                record += 1;
+            }
+            prop_assert_eq!(len, whole, "window {} at offset {}", window, offset);
+            (at, run_fetched) = (offset + len, run_fetched + len);
+        }
+        prop_assert_eq!(at, limit, "the wanted range is fetched to its end");
+
+        // The same scan with its first chunk fetched by the caller.
+        match planned {
+            None => prop_assert!(reads.is_empty() && count == 0),
+            Some((range, len)) => {
+                prop_assert_eq!((range.start, range.end, len as u64), (lo, limit, reads[0].1));
+                log.borrow_mut().clear();
+                let source = CountingSource { inner: SliceSource(data.clone()), log: Rc::clone(&log) };
+                let mut primed = ByteAddrIter::from_parts(Arc::clone(&meta), source, ceiling).scan_to(&end, fetched);
+                primed.prime(range.start, data[range.start as usize..][..len].to_vec());
+                prop_assert_eq!(&scan(&mut primed), &got);
+                prop_assert_eq!(&log.borrow()[..], &reads[1..]);
+            }
         }
     }
 }

@@ -90,17 +90,11 @@ fn main() {
                 let sensor = windows % SENSORS;
                 let newest = ingested2.load(Ordering::Relaxed) / SENSORS as u64;
                 let from = newest.saturating_sub(256);
-                let mut rows = 0;
-                for item in reader.scan(&key(sensor, from)).expect("scan") {
-                    let (k, _) = item.expect("scan item");
-                    if k[..4] != sensor_prefix(sensor) {
-                        break; // left this sensor's range
-                    }
-                    rows += 1;
-                    if rows >= 256 {
-                        break;
-                    }
-                }
+                // The window's end is known, so say it: the scan then
+                // fetches this sensor's 256 readings and nothing after them.
+                let window = reader.scan_range(&key(sensor, from), &key(sensor, from + 256));
+                let rows = window.expect("scan").inspect(|item| assert!(item.is_ok(), "scan item")).count();
+                assert!(rows <= 256);
                 windows += 1;
                 std::thread::sleep(std::time::Duration::from_millis(20));
             }
@@ -117,14 +111,8 @@ fn main() {
     // Verify a full sensor history survived flush + compaction.
     db.wait_until_quiescent();
     let mut reader = db.reader();
-    let mut rows = 0u64;
-    for item in reader.scan(&key(7, 0)).expect("scan") {
-        let (k, _) = item.expect("item");
-        if k[..4] != sensor_prefix(7) {
-            break;
-        }
-        rows += 1;
-    }
+    let history = reader.scan_range(&key(7, 0), &key(7, u64::MAX)).expect("scan");
+    let rows = history.inspect(|item| assert!(item.is_ok(), "scan item")).count() as u64;
     assert_eq!(rows, READINGS_PER_SENSOR, "sensor 7 history incomplete");
     println!("sensor 7 history intact: {rows} readings");
     for (i, shard) in db.shards().iter().enumerate() {
