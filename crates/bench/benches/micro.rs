@@ -8,12 +8,15 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dlsm_memnode::{MemServer, MemServerConfig, RpcClient};
+use dlsm_memnode::{
+    execute_compaction, CompactArgs, InputTable, MemServer, MemServerConfig, RegionAllocator, RpcClient, TableFormat,
+};
 use dlsm_skiplist::{BytewiseComparator, SkipList};
 use dlsm_sstable::block::{BlockTableBuilder, BlockTableReader};
 use dlsm_sstable::bloom::BloomFilter;
-use dlsm_sstable::byte_addr::{ByteAddrBuilder, ByteAddrReader};
-use dlsm_sstable::key::{InternalKey, ValueType};
+use dlsm_sstable::byte_addr::{ByteAddrBuilder, ByteAddrReader, TableMeta};
+use dlsm_sstable::iter::{ForwardIter, MergingIter};
+use dlsm_sstable::key::{InternalKey, ValueType, MAX_SEQ};
 use dlsm_sstable::source::SliceSource;
 use rdma_sim::{Fabric, NetworkProfile};
 
@@ -156,6 +159,163 @@ fn bench_table_gets(c: &mut Criterion) {
             reader.get(format!("key{i:09}").as_bytes(), 100).unwrap()
         });
     });
+    group.finish();
+}
+
+/// A byte-addressable table of the `keys` (ascending) of [`table_entries`].
+fn table_of(keys: impl Iterator<Item = u64>) -> (Vec<u8>, Arc<TableMeta>) {
+    let mut builder = ByteAddrBuilder::new(Vec::new(), 10);
+    for i in keys {
+        let key = InternalKey::new(format!("key{i:09}").as_bytes(), 5, ValueType::Value);
+        builder.add(key.as_bytes(), &[0x42u8; 400]).unwrap();
+    }
+    let (data, meta) = builder.finish();
+    (data, Arc::new(meta))
+}
+
+/// Merge probe (reported, not gated): ns per entry of a `MergingIter` over
+/// k local tables of 420 B records, when the children take turns entry by
+/// entry (every step changes the leader) and when one child holds 90 % of
+/// the entries (a deep level under a few small runs: most steps do not).
+fn bench_merge(c: &mut Criterion) {
+    let n = 40_000u64;
+    let mut group = c.benchmark_group("merge");
+    group.throughput(Throughput::Elements(n));
+    for k in [2u64, 5, 8] {
+        for (shape, child_of) in [
+            ("interleaved", (|i, k| i % k) as fn(u64, u64) -> u64),
+            ("one_child_90pct", |i, k| if i % 10 != 0 { 0 } else { 1 + (i / 10) % (k - 1) }),
+        ] {
+            let readers: Vec<_> = (0..k)
+                .map(|child| {
+                    let (data, meta) = table_of((0..n).filter(|&i| child_of(i, k) == child));
+                    ByteAddrReader::new(meta, SliceSource(data))
+                })
+                .collect();
+            group.bench_function(format!("k{k}/{shape}"), |b| {
+                b.iter(|| {
+                    let mut merged = MergingIter::new(readers.iter().map(|r| r.iter(2 << 20)).collect());
+                    merged.seek_to_first().unwrap();
+                    let mut bytes = 0usize;
+                    while merged.valid() {
+                        bytes += merged.value().len();
+                        merged.next().unwrap();
+                    }
+                    bytes
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
+/// What `DbScan::next` adds to the merge per entry (reported, not gated): a
+/// clock pair plus a histogram record on every entry, the same on one entry
+/// in 16 with the group's weight, and the two `to_vec` of a 420 B record.
+fn bench_scan_entry_parts(c: &mut Criterion) {
+    use std::hint::black_box;
+    use std::time::Instant;
+    let hist = dlsm_telemetry::Histogram::new();
+    let mut group = c.benchmark_group("scan_entry_parts");
+    group.bench_function("clock_pair_and_record", |b| {
+        b.iter(|| {
+            let t0 = Instant::now();
+            black_box(&hist).record_exclusive(t0.elapsed().as_nanos() as u64);
+        });
+    });
+    let (mut unrecorded, mut sample) = (0u64, 0u64);
+    group.bench_function("clock_pair_and_record_1_in_16", |b| {
+        b.iter(|| {
+            let t0 = (unrecorded == 0).then(Instant::now);
+            black_box(&hist);
+            if let Some(t0) = t0 {
+                sample = t0.elapsed().as_nanos() as u64;
+            }
+            unrecorded += 1;
+            if unrecorded == 16 {
+                hist.record_exclusive_n(sample, unrecorded);
+                unrecorded = 0;
+            }
+        });
+    });
+    let (key, value) = (vec![7u8; 20], vec![0x42u8; 400]);
+    group.bench_function("two_to_vec_420b", |b| {
+        b.iter(|| (black_box(&key[..]).to_vec(), black_box(&value[..]).to_vec()));
+    });
+    group.finish();
+}
+
+/// Memory-node compaction probe (reported, not gated): `execute_compaction`
+/// over 8 inputs of 19 000 × 420 B records, as 1, 2 and 12 sub-ranges run
+/// one after another on one core, each sub-task given every input whole or
+/// only its clip of it (`TableMeta::user_range_bytes`, what `run_near_data`
+/// sends). Elements are input records: 1000 / (Melem/s) = ns per record.
+fn bench_memnode_compaction(c: &mut Criterion) {
+    let (tables, per_table) = (8u64, 19_000u64);
+    let n = tables * per_table;
+    let fabric = Fabric::new(NetworkProfile::instant());
+    let region = fabric.add_node().register_region(256 << 20);
+    let mut group = c.benchmark_group("memnode_compaction");
+    group.throughput(Throughput::Elements(n));
+    for (shape, overlapping) in [("l0_to_l1", 4u64), ("l1_to_l2", 1)] {
+        // The first `overlapping` tables span the whole key range; the others
+        // split what is left into disjoint runs, as a deeper level does.
+        let deep = tables - overlapping;
+        let table_keys = |t: u64| {
+            (0..n).filter(move |&i| match i % tables {
+                r if r < overlapping => r == t,
+                _ => t >= overlapping && i * deep / n == t - overlapping,
+            })
+        };
+        let mut inputs: Vec<(u64, Arc<TableMeta>)> = Vec::new();
+        let mut offset = 0u64;
+        for t in 0..tables {
+            let (data, meta) = table_of(table_keys(t));
+            region.local_write(offset, &data).unwrap();
+            inputs.push((offset, meta));
+            offset += (data.len() as u64).next_multiple_of(8);
+        }
+        for ranges in [1u64, 2, 12] {
+            for clipped in [false, true] {
+                if clipped && ranges == 1 {
+                    continue;
+                }
+                let bound = |r: u64| if r.is_multiple_of(ranges) { Vec::new() } else { format!("key{:09}", r * n / ranges).into_bytes() };
+                let tasks: Vec<CompactArgs> = (0..ranges)
+                    .map(|r| {
+                        let (range_lo, range_hi) = (bound(r), bound(r + 1));
+                        let clip = |(offset, meta): &(u64, Arc<TableMeta>)| {
+                            let within = if clipped { meta.user_range_bytes(&range_lo, &range_hi) } else { 0..meta.data_len };
+                            InputTable { offset: offset + within.start, len: within.end - within.start }
+                        };
+                        CompactArgs {
+                            format: TableFormat::ByteAddr,
+                            smallest_snapshot: MAX_SEQ,
+                            drop_deletions: true,
+                            max_output_bytes: 8 << 20,
+                            bits_per_key: 10,
+                            inputs: inputs.iter().map(clip).filter(|t| t.len > 0).collect(),
+                            range_lo,
+                            range_hi,
+                        }
+                    })
+                    .collect();
+                let name = format!("{shape}/{ranges}_ranges/{}", if clipped { "clipped" } else { "whole" });
+                group.bench_function(name, |b| {
+                    b.iter(|| {
+                        let zone = RegionAllocator::new(128 << 20, 128 << 20);
+                        let (mut records_in, mut records_out) = (0, 0);
+                        for args in &tasks {
+                            let reply = execute_compaction(&region, &zone, args).unwrap();
+                            records_in += reply.records_in;
+                            records_out += reply.records_out;
+                        }
+                        assert_eq!((records_in, records_out), (n, n));
+                    });
+                });
+            }
+        }
+    }
     group.finish();
 }
 
@@ -371,6 +531,6 @@ fn bench_db_scans(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_rdma_ops, bench_skiplist, bench_bloom, bench_table_builders, bench_table_gets, bench_rpc, bench_db_reads, bench_db_read_scaling, bench_db_scans
+    targets = bench_rdma_ops, bench_skiplist, bench_bloom, bench_table_builders, bench_table_gets, bench_merge, bench_scan_entry_parts, bench_memnode_compaction, bench_rpc, bench_db_reads, bench_db_read_scaling, bench_db_scans
 }
 criterion_main!(benches);

@@ -15,7 +15,8 @@
 //! Large compactions split into up to `compaction_subtasks` disjoint
 //! user-key ranges executed in parallel (the paper's sub-compaction,
 //! Sec. V-A); boundaries come from the compute-node-resident index, so
-//! splitting costs no remote I/O.
+//! splitting costs no remote I/O, and the same index clips every input to
+//! each sub-range ([`clip_inputs`]), so a sub-task is handed only its bytes.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -231,7 +232,7 @@ fn interpolate_keys(lo: &[u8], hi: &[u8], k: usize) -> Vec<Vec<u8>> {
 
 /// Sub-range bounds from boundaries: `[(lo0, hi0), (lo1, hi1), ...]` with
 /// empty vectors meaning open ends.
-fn subranges(boundaries: &[Vec<u8>]) -> Vec<(Vec<u8>, Vec<u8>)> {
+pub fn subranges(boundaries: &[Vec<u8>]) -> Vec<(Vec<u8>, Vec<u8>)> {
     if boundaries.is_empty() {
         return vec![(Vec::new(), Vec::new())];
     }
@@ -243,6 +244,25 @@ fn subranges(boundaries: &[Vec<u8>]) -> Vec<(Vec<u8>, Vec<u8>)> {
     }
     out.push((lo, Vec::new()));
     out
+}
+
+/// What the sub-task for user keys `[lo, hi)` (empty bound = open) is sent
+/// of each input. A byte-addressable table is clipped to its records in
+/// range by its compute-resident index — records are self-describing, so any
+/// run of whole records is a table to the memory node — and left out when it
+/// has none; a block table goes whole. Over a job's sub-ranges the clips of
+/// one input tile it: the memory node parses every record once, however many
+/// sub-tasks there are.
+pub fn clip_inputs(job: &CompactionJob, lo: &[u8], hi: &[u8]) -> Vec<InputTable> {
+    let clip = |t: &Arc<TableHandle>| {
+        let within = match &t.meta {
+            MetaKind::ByteAddr(meta) => meta.user_range_bytes(lo, hi),
+            MetaKind::Block(..) => 0..t.extent.len,
+        };
+        let input = || InputTable { offset: t.extent.offset + within.start, len: within.end - within.start };
+        (!within.is_empty()).then(input)
+    };
+    job.all_inputs().filter_map(clip).collect()
 }
 
 /// Outcome of one executed compaction.
@@ -274,10 +294,6 @@ pub fn run_near_data(
     clients: &mut Vec<RpcClient>,
     net: &Arc<ClientNetStats>,
 ) -> Result<CompactionOutcome> {
-    let inputs: Vec<InputTable> = job
-        .all_inputs()
-        .map(|t| InputTable { offset: t.extent.offset, len: t.extent.len })
-        .collect();
     let boundaries = pick_boundaries(job, cfg.compaction_subtasks.max(1));
     let ranges = subranges(&boundaries);
     while clients.len() < ranges.len() {
@@ -304,7 +320,7 @@ pub fn run_near_data(
                 bits_per_key: cfg.bits_per_key as u32,
                 range_lo: lo.clone(),
                 range_hi: hi.clone(),
-                inputs: inputs.clone(),
+                inputs: clip_inputs(job, lo, hi),
             };
             handles.push(scope.spawn(move || -> Result<dlsm_memnode::CompactReply> {
                 let _sp = match trace_ctx {
@@ -440,9 +456,11 @@ pub fn run_local(
                     .all_inputs()
                     // Compaction sweeps every input once; caching those
                     // reads would only churn the point-read working set.
+                    // Each scan stops at the sub-range's `hi`, so no
+                    // sub-task prefetches past what it merges.
                     .map(|t| {
                         let window = cfg.scan_prefetch;
-                        crate::remote::table_scan(&channel, t, &[], window as u64, window, None).boxed()
+                        crate::remote::table_scan(&channel, t, hi, window as u64, window, None).boxed()
                     })
                     .collect();
                 let merged =

@@ -133,6 +133,10 @@ fn in_range<'v>(run: &'v [Arc<TableHandle>], start: &[u8], end: &[u8]) -> &'v [A
     run.get(from..to).unwrap_or(&[])
 }
 
+/// One yielded entry in this many reads the clock (DESIGN.md §5.11: the
+/// per-entry budget has no room for two clock reads).
+const SAMPLE_EVERY: u64 = 16;
+
 /// A streaming range scan. Yields `(user_key, value)` pairs in key order,
 /// newest visible version per key, tombstoned keys skipped.
 pub struct DbScan {
@@ -145,6 +149,10 @@ pub struct DbScan {
     /// The slot of the reader that opened the scan (its `ScanNext`
     /// histogram; the scan stays on that reader's thread).
     reader: Arc<ReaderSlot>,
+    /// Entries yielded and not yet in `ScanNext`, and what the first of them
+    /// took: one entry in [`SAMPLE_EVERY`] is timed and stands for the group.
+    unrecorded: u64,
+    sample: std::time::Duration,
     // Pin: the view's version handles keep SSTable extents alive for as
     // long as the scan runs, whatever is published meanwhile.
     _view: Arc<ReadView>,
@@ -217,8 +225,19 @@ impl DbScan {
             have_last: false,
             end: end.to_vec(),
             reader,
+            unrecorded: 0,
+            sample: std::time::Duration::ZERO,
             _view: view,
         })
+    }
+
+    /// Put the entries yielded since the last record into `ScanNext`, at the
+    /// latency of the one that was timed: the count stays exact.
+    fn settle(&mut self) {
+        if self.unrecorded > 0 {
+            self.reader.stats.record_ops(dlsm_telemetry::OpClass::ScanNext, self.sample, self.unrecorded);
+            self.unrecorded = 0;
+        }
     }
 
     fn step(&mut self) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
@@ -264,17 +283,28 @@ impl Iterator for DbScan {
     type Item = Result<(Vec<u8>, Vec<u8>)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let t0 = std::time::Instant::now();
+        let t0 = (self.unrecorded == 0).then(std::time::Instant::now);
         let item = self.step().transpose();
         match &item {
             Some(Ok(_)) => {
-                self.reader.stats.record_op(dlsm_telemetry::OpClass::ScanNext, t0.elapsed());
+                if let Some(t0) = t0 {
+                    self.sample = t0.elapsed();
+                }
+                self.unrecorded += 1;
+                if self.unrecorded == SAMPLE_EVERY {
+                    self.settle();
+                }
             }
-            // A child that failed is in no state to be asked again: the
-            // scan ends with the error.
-            Some(Err(_)) => self.merged = MergingIter::new(Vec::new()),
-            None => {}
+            // The end, or an error, which leaves the merge invalid: the scan
+            // ends with it.
+            _ => self.settle(),
         }
         item
+    }
+}
+
+impl Drop for DbScan {
+    fn drop(&mut self) {
+        self.settle();
     }
 }

@@ -143,9 +143,15 @@ impl ReadStats {
     /// histogram record.
     #[inline]
     pub(crate) fn record_op(&self, class: OpClass, d: std::time::Duration) {
+        self.record_ops(class, d, 1);
+    }
+
+    /// [`ReadStats::record_op`] for `n` ops of which one was timed, at `d`.
+    #[inline]
+    pub(crate) fn record_ops(&self, class: OpClass, d: std::time::Duration, n: u64) {
         // LOSSY: ~584 years of nanoseconds fit in u64.
         let nanos = d.as_nanos() as u64;
-        self.ops.hist(class).record_exclusive(nanos);
+        self.ops.hist(class).record_exclusive_n(nanos, n);
         if let Some(ctx) = dlsm_trace::current_ctx() {
             self.ops.exemplars(class).record(nanos, ctx.trace_id);
         }

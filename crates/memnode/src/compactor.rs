@@ -1,11 +1,12 @@
 //! Near-data compaction execution.
 //!
 //! The merge runs entirely against the memory node's own DRAM: inputs are
-//! scanned in place ([`RegionSource`] — zero network cost) and outputs are
-//! serialized straight into extents allocated from the node's **compaction
-//! zone**. The only bytes that ever cross the network for a compaction are
-//! the small RPC argument and the output metadata in the reply (paper
-//! Sec. V).
+//! read in place at zero network cost (byte-addressable records are parsed
+//! where they lie, [`MemoryRegion::local_slice`]; block tables go through
+//! [`RegionSource`]) and outputs are serialized straight into extents
+//! allocated from the node's **compaction zone**. The only bytes that ever
+//! cross the network for a compaction are the small RPC argument and the
+//! output metadata in the reply (paper Sec. V).
 //!
 //! The same code also runs *on the compute node* when near-data compaction
 //! is disabled (the Fig. 12 "compaction on compute node" bar and the
@@ -31,7 +32,7 @@ use crate::{MemNodeError, Result};
 /// format, the filter/index/footer). The unused tail is freed afterwards.
 const OUTPUT_SLACK: u64 = 4 << 20;
 
-/// Chunk size for scanning input tables from local DRAM.
+/// Chunk size for scanning block-format input tables from local DRAM.
 const LOCAL_SCAN_CHUNK: usize = 1 << 20;
 
 /// Smallest extent worth reserving for an output table.
@@ -49,17 +50,20 @@ pub fn execute_compaction(
 ) -> Result<CompactReply> {
     match args.format {
         TableFormat::ByteAddr => {
-            let iters: Vec<RawTableIter<RegionSource>> = args
+            let iters = args
                 .inputs
                 .iter()
                 .map(|t| {
-                    RawTableIter::new(
-                        RegionSource::new(Arc::clone(region), t.offset, t.len),
-                        t.len,
-                        LOCAL_SCAN_CHUNK,
-                    )
+                    let len = usize::try_from(t.len).unwrap_or(usize::MAX);
+                    // Inputs are records of published tables, and outputs
+                    // go to extents allocated here.
+                    // SAFETY: nothing writes these bytes while the slice
+                    // lives — table extents are write-once and pinned by the
+                    // requesting version until it installs the outputs.
+                    let data = unsafe { region.local_slice(t.offset, len) }?;
+                    Ok(RawTableIter::new(data))
                 })
-                .collect();
+                .collect::<Result<Vec<_>>>()?;
             let clamped = ClampIter::new(MergingIter::new(iters), args.range_lo.clone(), args.range_hi.clone());
             compact_byte_addr(clamped, region, allocator, args)
         }

@@ -135,6 +135,18 @@ impl TableMeta {
         self.index.slots.get(i).map_or(self.data_len, |s| u64::from(s.2))
     }
 
+    /// The bytes of the data image that hold every record of the user keys
+    /// in `[lo, hi)` (empty bound = open) — whole records, found in the
+    /// index alone. Internal keys sort user-ascending, seq-descending, so a
+    /// user key's first record is the one at or after `(user, MAX_SEQ)`.
+    pub fn user_range_bytes(&self, lo: &[u8], hi: &[u8]) -> std::ops::Range<u64> {
+        let first_of = |user: &[u8]| {
+            self.offset_of(key::with_lookup_key(user, key::MAX_SEQ, |k| self.index.seek_ge(k)))
+        };
+        let start = if lo.is_empty() { 0 } else { first_of(lo) };
+        start..if hi.is_empty() { self.data_len } else { first_of(hi) }
+    }
+
     /// Resolve a point lookup against the compute-resident metadata alone:
     /// either the answer is already known (bloom miss, out of range,
     /// tombstone) or exactly one remote record must be fetched. Separating
@@ -583,118 +595,68 @@ impl<S: DataSource> ForwardIter for ByteAddrIter<S> {
     }
 }
 
-/// Index-free sequential iterator over a byte-addressable table image.
+/// Index-free sequential iterator over the records of a byte-addressable
+/// table, parsed where they lie.
 ///
 /// Records are self-describing (varint lengths), so a reader that has the
-/// raw data — the memory node during near-data compaction — can scan a table
-/// without the compute-node-resident index. Only forward iteration is
-/// supported; `seek` degrades to a linear scan from the start (compaction
-/// never seeks).
-pub struct RawTableIter<S: DataSource> {
-    source: S,
-    data_len: u64,
-    /// Absolute offset of the byte after the current record.
-    next_off: u64,
-    buf: Vec<u8>,
-    buf_start: u64,
-    key_range: std::ops::Range<usize>,
-    val_range: std::ops::Range<usize>,
+/// raw bytes — the memory node during near-data compaction — can scan a
+/// table, or any run of whole records of one, without the compute-node-
+/// resident index. `seek` walks forward from the first byte: the requester
+/// clips each input to its sub-range by the index, so the walk is short.
+pub struct RawTableIter<'a> {
+    data: &'a [u8],
+    /// Offset of the byte after the current record.
+    next_off: usize,
+    key: &'a [u8],
+    value: &'a [u8],
     valid: bool,
-    chunk: usize,
 }
 
-impl<S: DataSource> RawTableIter<S> {
-    /// Iterate the `data_len`-byte table in `source`, reading `chunk` bytes
-    /// per fetch.
-    pub fn new(source: S, data_len: u64, chunk: usize) -> RawTableIter<S> {
-        RawTableIter {
-            source,
-            data_len,
-            next_off: 0,
-            buf: Vec::new(),
-            buf_start: 0,
-            key_range: 0..0,
-            val_range: 0..0,
-            valid: false,
-            chunk: chunk.max(64),
-        }
+impl<'a> RawTableIter<'a> {
+    /// Iterate the records that fill `data`.
+    pub fn new(data: &'a [u8]) -> RawTableIter<'a> {
+        RawTableIter { data, next_off: 0, key: &[], value: &[], valid: false }
     }
 
-    /// Ensure `buf` holds at least `min_len` bytes starting at `off`.
-    fn ensure(&mut self, off: u64, min_len: usize) -> Result<()> {
-        let have = off >= self.buf_start
-            && off + min_len as u64 <= self.buf_start + self.buf.len() as u64;
-        if have {
-            return Ok(());
+    /// Make the record at `off` current; no record is, at the end of the
+    /// data and after an error.
+    fn parse_at(&mut self, off: usize) -> Result<()> {
+        self.valid = false;
+        if off < self.data.len() {
+            let (key, value, len) = parse_record(&self.data[off..])?;
+            (self.key, self.value, self.next_off, self.valid) = (key, value, off + len, true);
         }
-        let want = (self.chunk.max(min_len) as u64).min(self.data_len - off) as usize;
-        if (min_len as u64) > self.data_len - off {
-            return Err(SstError::Corrupt("record extends past table".into()));
-        }
-        self.buf.resize(want, 0);
-        self.source.read(off, &mut self.buf)?;
-        self.buf_start = off;
-        Ok(())
-    }
-
-    fn parse_at(&mut self, off: u64) -> Result<()> {
-        // A record header is at most 10+10 varint bytes; over-fetch a little
-        // so the two varints parse from the buffer, then re-ensure for the
-        // full record.
-        self.ensure(off, (20u64.min(self.data_len - off)) as usize)?;
-        let rel = (off - self.buf_start) as usize;
-        let (klen, n1) = get_varint(&self.buf, rel)?;
-        let (vlen, n2) = get_varint(&self.buf, rel + n1)?;
-        let total = n1 + n2 + klen as usize + vlen as usize;
-        self.ensure(off, total)?;
-        let rel = (off - self.buf_start) as usize;
-        let kstart = rel + n1 + n2;
-        let vstart = kstart + klen as usize;
-        self.key_range = kstart..vstart;
-        self.val_range = vstart..vstart + vlen as usize;
-        self.next_off = off + total as u64;
-        self.valid = true;
         Ok(())
     }
 }
 
-impl<S: DataSource> ForwardIter for RawTableIter<S> {
+impl ForwardIter for RawTableIter<'_> {
     fn valid(&self) -> bool {
         self.valid
     }
 
     fn key(&self) -> &[u8] {
-        debug_assert!(self.valid);
-        &self.buf[self.key_range.clone()]
+        self.key
     }
 
     fn value(&self) -> &[u8] {
-        debug_assert!(self.valid);
-        &self.buf[self.val_range.clone()]
+        self.value
     }
 
     fn next(&mut self) -> Result<()> {
         debug_assert!(self.valid);
-        if self.next_off >= self.data_len {
-            self.valid = false;
-            return Ok(());
-        }
         self.parse_at(self.next_off)
     }
 
     fn seek(&mut self, ikey: &[u8]) -> Result<()> {
         self.seek_to_first()?;
-        while self.valid && compare_internal(self.key(), ikey) == Ordering::Less {
+        while self.valid && compare_internal(self.key, ikey) == Ordering::Less {
             self.next()?;
         }
         Ok(())
     }
 
     fn seek_to_first(&mut self) -> Result<()> {
-        if self.data_len == 0 {
-            self.valid = false;
-            return Ok(());
-        }
         self.parse_at(0)
     }
 }
@@ -860,8 +822,8 @@ mod tests {
 
     #[test]
     fn raw_iter_scans_without_index() {
-        let (data, meta) = build_table(400);
-        let mut it = RawTableIter::new(SliceSource(data), meta.data_len, 128);
+        let (data, _) = build_table(400);
+        let mut it = RawTableIter::new(&data);
         it.seek_to_first().unwrap();
         let mut n = 0;
         while it.valid() {
@@ -875,8 +837,8 @@ mod tests {
 
     #[test]
     fn raw_iter_seek_linear() {
-        let (data, meta) = build_table(50);
-        let mut it = RawTableIter::new(SliceSource(data), meta.data_len, 4096);
+        let (data, _) = build_table(50);
+        let mut it = RawTableIter::new(&data);
         it.seek(InternalKey::for_lookup(b"key000030", 1000).as_bytes()).unwrap();
         assert!(it.valid());
         assert_eq!(key::user_key(it.key()), b"key000030");
@@ -884,16 +846,16 @@ mod tests {
 
     #[test]
     fn raw_iter_empty_table() {
-        let mut it = RawTableIter::new(SliceSource(Vec::new()), 0, 64);
+        let mut it = RawTableIter::new(&[]);
         it.seek_to_first().unwrap();
         assert!(!it.valid());
     }
 
     #[test]
     fn raw_iter_rejects_truncated_table() {
-        let (mut data, meta) = build_table(5);
+        let (mut data, _) = build_table(5);
         data.truncate(data.len() - 3);
-        let mut it = RawTableIter::new(SliceSource(data), meta.data_len, 4096);
+        let mut it = RawTableIter::new(&data);
         // The truncation bites on some record before the end.
         let mut r = it.seek_to_first();
         while r.is_ok() && it.valid() {

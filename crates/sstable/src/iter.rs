@@ -95,19 +95,23 @@ impl ForwardIter for VecIter {
 
 /// K-way merge of child iterators into one internal-key-ordered stream.
 ///
-/// The level count of an LSM-tree is small (≤ 8 here), so the merge picks
-/// the minimum child by linear scan; ties (which cannot happen between
-/// well-formed LSM inputs, as sequence numbers are unique) resolve to the
-/// earliest child, which in LSM usage is the *newest* data.
+/// The level count of an LSM-tree is small (≤ 8 here), so the merge keeps no
+/// heap: it remembers the child holding the smallest key and the *runner-up*,
+/// the smallest among the rest. A step moves only the leading child, so one
+/// comparison against the runner-up says whether it still leads; the other
+/// children are rescanned only when the lead changes. Ties (which cannot
+/// happen between well-formed LSM inputs, as sequence numbers are unique)
+/// resolve to the earliest child, which in LSM usage is the *newest* data.
 pub struct MergingIter<I: ForwardIter> {
     children: Vec<I>,
     current: Option<usize>,
+    runner_up: Option<usize>,
 }
 
 impl<I: ForwardIter> MergingIter<I> {
     /// Merge `children`. The result starts invalid.
     pub fn new(children: Vec<I>) -> MergingIter<I> {
-        MergingIter { children, current: None }
+        MergingIter { children, current: None, runner_up: None }
     }
 
     /// Number of child iterators.
@@ -115,24 +119,31 @@ impl<I: ForwardIter> MergingIter<I> {
         self.children.len()
     }
 
-    fn find_smallest(&mut self) {
+    /// Whether valid child `a` comes before valid child `b` in the merge.
+    #[inline]
+    fn leads(&self, a: usize, b: usize) -> bool {
+        match compare_internal(self.children[a].key(), self.children[b].key()) {
+            Ordering::Less => true,
+            Ordering::Equal => a < b,
+            Ordering::Greater => false,
+        }
+    }
+
+    /// The leading valid child, `except` left out.
+    fn smallest_except(&self, except: Option<usize>) -> Option<usize> {
         let mut best: Option<usize> = None;
         for (i, c) in self.children.iter().enumerate() {
-            if !c.valid() {
-                continue;
+            if Some(i) != except && c.valid() && best.is_none_or(|b| self.leads(i, b)) {
+                best = Some(i);
             }
-            best = match best {
-                None => Some(i),
-                Some(b) => {
-                    if compare_internal(c.key(), self.children[b].key()) == Ordering::Less {
-                        Some(i)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
         }
-        self.current = best;
+        best
+    }
+
+    /// Every child has been positioned: find the leader and its runner-up.
+    fn rank_all(&mut self) {
+        self.current = self.smallest_except(None);
+        self.runner_up = self.smallest_except(self.current);
     }
 }
 
@@ -141,40 +152,47 @@ impl<I: ForwardIter> ForwardIter for MergingIter<I> {
         self.current.is_some()
     }
 
-    // ForwardIter's contract (like LevelDB's Iterator) is that key(),
-    // value(), and next() are only called while valid() — i.e. current is
-    // Some. Callers in the scan/compaction paths all check valid() first.
+    // `valid()` comes before use (the `ForwardIter` contract): an invalid
+    // merge has no key and no value to give, and does not move.
     fn key(&self) -> &[u8] {
-        // PANIC-SAFE: valid()-before-use contract, as above.
-        self.children[self.current.expect("valid")].key()
+        self.current.map_or(&[], |c| self.children[c].key())
     }
 
     fn value(&self) -> &[u8] {
-        // PANIC-SAFE: valid()-before-use contract, as above.
-        self.children[self.current.expect("valid")].value()
+        self.current.map_or(&[], |c| self.children[c].value())
     }
 
     fn next(&mut self) -> Result<()> {
-        // PANIC-SAFE: valid()-before-use contract, as above.
-        let cur = self.current.expect("valid");
+        // A child that fails is in no state to be asked again: the merge
+        // stays invalid behind the error.
+        let Some(cur) = self.current.take() else { return Ok(()) };
         self.children[cur].next()?;
-        self.find_smallest();
+        // No other child moved, so the runner-up is still the smallest of
+        // the rest: the stepped child leads if it is ahead of that one.
+        if self.children[cur].valid() && self.runner_up.is_none_or(|r| self.leads(cur, r)) {
+            self.current = Some(cur);
+        } else {
+            self.current = self.runner_up;
+            self.runner_up = self.smallest_except(self.current);
+        }
         Ok(())
     }
 
     fn seek(&mut self, ikey: &[u8]) -> Result<()> {
+        self.current = None;
         for c in &mut self.children {
             c.seek(ikey)?;
         }
-        self.find_smallest();
+        self.rank_all();
         Ok(())
     }
 
     fn seek_to_first(&mut self) -> Result<()> {
+        self.current = None;
         for c in &mut self.children {
             c.seek_to_first()?;
         }
-        self.find_smallest();
+        self.rank_all();
         Ok(())
     }
 }
