@@ -12,11 +12,14 @@
 //!   table id, generalizing the old `local_l0_cache_bytes` flush-time
 //!   mirror: images are admitted at flush time *and* promoted on demand
 //!   once a remote table proves hot (ghost-frequency admission).
-//! * **S3-FIFO admission/eviction** — per shard: a small probationary FIFO,
-//!   a main FIFO, a ghost list of recently evicted keys, and 2-bit
-//!   frequency counters. One-touch scan traffic dies in the small queue;
-//!   re-referenced entries promote to main. Hits never reorder a list —
-//!   no LRU lock convoy on the read path.
+//! * **Ghost-gated admission, FIFO eviction with second chance** — per
+//!   shard: one FIFO, 2-bit frequency counters, and a ghost table of key
+//!   fingerprints seen missing. A lookup that misses admits its record
+//!   while the shard has room; once it is full, only a key the ghost table
+//!   already remembers ([`ReadCache::block_probe`] decides *before* the
+//!   bytes are copied), so one-touch traffic costs a probe and displaces
+//!   nothing. Hits never reorder a list — no LRU lock convoy on the read
+//!   path.
 //! * **Version-aware invalidation** — table ids are never reused, and
 //!   [`ReadCache::invalidate_table`] both purges a table's entries and
 //!   *fences* the id in every shard's dead-table set, under the same shard
@@ -33,7 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Poison-tolerant lock: a thread that panicked while holding a shard lock
-/// leaves at worst an approximate S3-FIFO state (freq counters, queue
+/// leaves at worst an approximate policy state (freq counters, queue
 /// order), never a correctness problem — and the read hot path must not
 /// turn someone else's panic into its own.
 fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -49,8 +52,11 @@ const ENTRY_OVERHEAD: u64 = 96;
 /// shard in one admission.
 const MAX_BLOCK_ADMIT: usize = 256 << 10;
 
-/// Frequency counter saturation (S3-FIFO uses tiny counters by design).
+/// Frequency counter saturation: the second chances a hot entry has earned.
 const FREQ_MAX: u8 = 3;
+
+/// A ghost word is a key fingerprint above a saturating heat count.
+const HEAT_MAX: u32 = 0xFF;
 
 /// How many dead table ids each shard's invalidation fence remembers. Ids are never
 /// reused, so aging an id out of the fence can only re-admit bytes that a
@@ -72,11 +78,8 @@ pub struct CacheConfig {
     /// Shard count (rounded up to a power of two). 0 = auto-size from the
     /// host's available parallelism.
     pub shards: usize,
-    /// Percentage of each shard's budget given to the probationary small
-    /// queue (S3-FIFO's scan filter).
-    pub small_percent: u8,
-    /// Total ghost-list capacity (recently evicted key fingerprints),
-    /// split across shards.
+    /// Total ghost-table capacity (fingerprints of keys recently seen
+    /// missing), split across shards.
     pub ghost_entries: usize,
     /// Probe misses against one remote table before its whole extent is
     /// fetched and admitted into the extent pool. 0 disables on-demand
@@ -90,7 +93,6 @@ impl Default for CacheConfig {
             capacity_bytes: 0,
             extent_percent: 60,
             shards: 0,
-            small_percent: 10,
             ghost_entries: 8192,
             promote_extent_after: 4,
         }
@@ -186,6 +188,18 @@ pub enum ExtentProbe {
     },
 }
 
+/// What the block pool holds for a located record ([`ReadCache::block_probe`]).
+pub enum BlockProbe {
+    /// The cached record.
+    Record(Arc<Vec<u8>>),
+    /// Not resident; `admit` says whether the caller should offer the bytes
+    /// it is about to fetch ([`ReadCache::block_admit`]).
+    Missing {
+        /// The shard has room, or its ghost table remembered the key.
+        admit: bool,
+    },
+}
+
 /// Cache key: which table, and where inside it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CacheKey {
@@ -206,10 +220,11 @@ fn key_hash(key: CacheKey) -> u64 {
     mix64(key.table ^ mix64(key.offset))
 }
 
-/// Hasher for the shard maps. Their keys are table ids, record offsets and
-/// fingerprints this process made itself — nothing an outsider chooses — so
-/// the maps use the same splitmix the shard selection does instead of the
-/// default keyed hash, which costs more than the rest of a lookup.
+/// Hasher for the shard maps and the dead-table fence. Their keys are table
+/// ids, record offsets and fingerprints this process made itself — nothing
+/// an outsider chooses — so they use the same splitmix the shard selection
+/// does instead of the default keyed hash, which costs more than the rest
+/// of a lookup.
 #[derive(Default)]
 struct Splitmix(u64);
 
@@ -229,39 +244,28 @@ impl std::hash::Hasher for Splitmix {
 
 type ShardMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<Splitmix>>;
 
-/// Which FIFO queue an entry currently sits in.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    Small,
-    Main,
-}
-
 struct Entry {
     data: Arc<Vec<u8>>,
     charge: u64,
     freq: u8,
-    loc: Loc,
 }
 
-/// One S3-FIFO shard. Everything lives under one mutex: a hit is a hash
-/// lookup plus a saturating frequency bump — O(1), no list reordering, so
-/// the critical section is a handful of instructions (the convoy LRU builds
-/// by rotating its recency list on every hit cannot form).
-struct Shard {
-    inner: Mutex<ShardInner>,
-}
-
+/// One shard. Everything lives under one mutex: a hit is a hash lookup plus
+/// a saturating frequency bump, a miss one more word in the ghost table —
+/// O(1), no list reordering, so the critical section is a handful of
+/// instructions (the convoy LRU builds by rotating its recency list on
+/// every hit cannot form).
+#[derive(Default)]
 struct ShardInner {
     map: ShardMap<CacheKey, Entry>,
-    small: VecDeque<CacheKey>,
-    main: VecDeque<CacheKey>,
-    /// Ghost list: fingerprints of keys recently evicted from the small
-    /// queue, with a re-reference count (also used for extent-promotion
-    /// heat). FIFO-bounded by `ghost_cap`.
-    ghost: ShardMap<u64, u32>,
-    ghost_fifo: VecDeque<u64>,
-    small_bytes: u64,
-    main_bytes: u64,
+    fifo: VecDeque<CacheKey>,
+    /// Ghost table: pairs of words indexed by key hash, each the
+    /// fingerprint of a key seen missing above its heat, the misses counted
+    /// for it since (0 = empty). A third key of a pair overwrites the one
+    /// touched longer ago. Gates admission to a full shard and carries
+    /// extent-promotion heat.
+    ghost: Vec<u32>,
+    bytes: u64,
     /// This shard's copy of the dead-table fence: marked by invalidation
     /// and checked by admission under the one shard lock, so there is no
     /// window between the check and the insert.
@@ -274,69 +278,73 @@ struct ShardInner {
 }
 
 impl ShardInner {
-    fn total_bytes(&self) -> u64 {
-        self.small_bytes + self.main_bytes
+    /// The ghost pair of the key hashing to `hash`, the key's own word
+    /// first — at heat 0, in place of the word touched longer ago, if the
+    /// table did not hold the key.
+    fn ghost_pair(&mut self, hash: u64) -> &mut [u32] {
+        let tag = (hash >> 16) as u32 & !HEAT_MAX;
+        // Slot count is a power of two chosen at construction.
+        let at = hash as usize & (self.ghost.len() - 2);
+        let pair = &mut self.ghost[at..at + 2];
+        if pair[0] & !HEAT_MAX != tag {
+            pair.swap(0, 1);
+        }
+        if pair[0] & !HEAT_MAX != tag {
+            pair[0] = tag;
+        }
+        pair
+    }
+
+    /// Count one more miss of the key hashing to `hash` and report its
+    /// heat: 1 for a key the table did not hold.
+    fn ghost_touch(&mut self, hash: u64) -> u32 {
+        let word = &mut self.ghost_pair(hash)[0];
+        if *word & HEAT_MAX < HEAT_MAX {
+            *word += 1;
+        }
+        *word & HEAT_MAX
+    }
+
+    /// Forget the key hashing to `hash` (it was admitted or promoted).
+    fn ghost_clear(&mut self, hash: u64) {
+        let pair = self.ghost_pair(hash);
+        (pair[0], pair[1]) = (pair[1], 0);
     }
 }
 
-/// One budgeted pool (blocks or extents): a vector of S3-FIFO shards.
+/// One budgeted pool (blocks or extents): a vector of shards.
 struct Pool {
-    shards: Vec<Shard>,
+    shards: Vec<Mutex<ShardInner>>,
     /// Per-shard byte budget.
     shard_capacity: u64,
-    /// Per-shard small-queue target.
-    small_capacity: u64,
-    /// Per-shard ghost capacity.
-    ghost_cap: usize,
-}
-
-/// Outcome of a ghost-list consultation during admission.
-enum Admit {
-    Small,
-    Main,
 }
 
 impl Pool {
-    fn new(capacity: u64, shards: usize, small_percent: u8, ghost_entries: usize) -> Pool {
+    fn new(capacity: u64, shards: usize, ghost_entries: usize) -> Pool {
         let shards = shards.max(1);
         let shard_capacity = (capacity / shards as u64).max(1);
-        let small_capacity =
-            (shard_capacity * u64::from(small_percent.clamp(1, 90)) / 100).max(ENTRY_OVERHEAD);
-        let ghost_cap = (ghost_entries / shards).max(64);
-        let shards = (0..shards)
-            .map(|_| Shard {
-                inner: Mutex::new(ShardInner {
-                    map: ShardMap::default(),
-                    small: VecDeque::new(),
-                    main: VecDeque::new(),
-                    ghost: ShardMap::default(),
-                    ghost_fifo: VecDeque::new(),
-                    small_bytes: 0,
-                    main_bytes: 0,
-                    dead: DeadFence::default(),
-                    hits: 0,
-                    misses: 0,
-                    inserts: 0,
-                    evictions: 0,
-                    invalidations: 0,
-                }),
-            })
-            .collect();
-        Pool { shards, shard_capacity, small_capacity, ghost_cap }
+        let ghost_slots = (ghost_entries / shards).max(64).next_power_of_two();
+        let shard = || ShardInner { ghost: vec![0; ghost_slots], ..ShardInner::default() };
+        let shards = (0..shards).map(|_| Mutex::new(shard())).collect();
+        Pool { shards, shard_capacity }
     }
 
-    fn shard_for(&self, hash: u64) -> &Shard {
+    fn shard_for(&self, hash: u64) -> &Mutex<ShardInner> {
         // Shard count is a power of two chosen at construction.
         &self.shards[(hash >> 48) as usize & (self.shards.len() - 1)]
     }
 
     /// Look up `key`, counting the hit or miss; a hit bumps the entry's
-    /// saturating frequency counter. With `heat_on_miss`, a miss also bumps
-    /// the key's ghost heat under the same lock and reports it (0 for a
-    /// fenced table) — the extent pool's promotion signal.
-    fn get(&self, key: CacheKey, heat_on_miss: bool) -> Result<Arc<Vec<u8>>, u32> {
+    /// saturating frequency counter. A miss hands the shard (still locked)
+    /// and the key's hash to `on_miss`: what else a caller has to ask or
+    /// note there costs no second visit.
+    fn get<R>(
+        &self,
+        key: CacheKey,
+        on_miss: impl FnOnce(&mut ShardInner, u64) -> R,
+    ) -> Result<Arc<Vec<u8>>, R> {
         let hash = key_hash(key);
-        let mut inner = plock(&self.shard_for(hash).inner);
+        let mut inner = plock(self.shard_for(hash));
         let inner = &mut *inner;
         if let Some(entry) = inner.map.get_mut(&key) {
             inner.hits += 1;
@@ -344,144 +352,47 @@ impl Pool {
             return Ok(Arc::clone(&entry.data));
         }
         inner.misses += 1;
-        Err(if heat_on_miss { self.ghost_heat(inner, hash, key.table) } else { 0 })
+        Err(on_miss(inner, hash))
     }
 
     /// Whether `key` is resident, without touching frequency or stats.
     fn peek(&self, key: CacheKey) -> Option<Arc<Vec<u8>>> {
-        let inner = plock(&self.shard_for(key_hash(key)).inner);
+        let inner = plock(self.shard_for(key_hash(key)));
         inner.map.get(&key).map(|e| Arc::clone(&e.data))
     }
 
-    /// Admit `data` under `key`. Returns false if the object alone exceeds
-    /// the shard budget, the table is fenced dead, or the key is already
-    /// resident.
+    /// Admit `data` under `key`, whatever the ghost table says. Returns
+    /// false if the object alone exceeds the shard budget, the table is
+    /// fenced dead, or the key is already resident.
     fn insert(&self, key: CacheKey, data: Arc<Vec<u8>>) -> bool {
         let charge = data.len() as u64 + ENTRY_OVERHEAD;
         if charge > self.shard_capacity {
             return false;
         }
-        let hash = key_hash(key);
-        let mut inner = plock(&self.shard_for(hash).inner);
+        let mut inner = plock(self.shard_for(key_hash(key)));
+        let inner = &mut *inner;
         if inner.dead.contains(key.table) || inner.map.contains_key(&key) {
             return false; // invalidated, or a racing fill already admitted it
         }
-        // Ghost hit => the key was evicted recently while still wanted:
-        // admit straight into the main queue (S3-FIFO's second chance).
-        let admit = if inner.ghost.remove(&hash).is_some() {
-            Admit::Main
-        } else {
-            Admit::Small
-        };
-        let loc = match admit {
-            Admit::Small => {
-                inner.small_bytes += charge;
-                inner.small.push_back(key);
-                Loc::Small
+        // FIFO eviction until the newcomer fits the shard's budget (made
+        // before it joins the queue, so it is never its own victim).
+        while inner.bytes + charge > self.shard_capacity {
+            let Some(old) = inner.fifo.pop_front() else { break };
+            let Some(entry) = inner.map.get_mut(&old) else { continue };
+            if entry.freq > 0 {
+                // Second chance: decay and recirculate.
+                entry.freq -= 1;
+                inner.fifo.push_back(old);
+            } else if let Some(entry) = inner.map.remove(&old) {
+                inner.bytes -= entry.charge;
+                inner.evictions += 1;
             }
-            Admit::Main => {
-                inner.main_bytes += charge;
-                inner.main.push_back(key);
-                Loc::Main
-            }
-        };
-        inner.map.insert(key, Entry { data, charge, freq: 0, loc });
+        }
+        inner.map.insert(key, Entry { data, charge, freq: 0 });
+        inner.bytes += charge;
+        inner.fifo.push_back(key);
         inner.inserts += 1;
-        self.evict_to_fit(&mut inner);
         true
-    }
-
-    /// S3-FIFO eviction until the shard fits its budget.
-    fn evict_to_fit(&self, inner: &mut ShardInner) {
-        while inner.total_bytes() > self.shard_capacity {
-            let from_small = inner.small_bytes > self.small_capacity || inner.main.is_empty();
-            if from_small {
-                let Some(key) = inner.small.pop_front() else {
-                    if inner.main.is_empty() {
-                        break; // nothing left to evict
-                    }
-                    continue;
-                };
-                let Some(entry) = inner.map.get_mut(&key) else {
-                    continue; // invalidated while queued
-                };
-                if entry.loc != Loc::Small {
-                    continue; // stale queue slot from an earlier promotion
-                }
-                if entry.freq > 0 {
-                    // Re-referenced while on probation: promote to main.
-                    entry.freq = 0;
-                    entry.loc = Loc::Main;
-                    let charge = entry.charge;
-                    inner.small_bytes -= charge;
-                    inner.main_bytes += charge;
-                    inner.main.push_back(key);
-                } else {
-                    // PANIC-SAFE: get_mut above just proved the key is mapped.
-                    let entry = inner.map.remove(&key).unwrap();
-                    inner.small_bytes -= entry.charge;
-                    inner.evictions += 1;
-                    self.remember_ghost(inner, key_hash(key));
-                }
-            } else {
-                let Some(key) = inner.main.pop_front() else {
-                    continue;
-                };
-                let Some(entry) = inner.map.get_mut(&key) else {
-                    continue;
-                };
-                if entry.loc != Loc::Main {
-                    continue;
-                }
-                if entry.freq > 0 {
-                    // Second chance: decay and recirculate.
-                    entry.freq -= 1;
-                    inner.main.push_back(key);
-                } else {
-                    // PANIC-SAFE: get_mut above just proved the key is mapped.
-                    let entry = inner.map.remove(&key).unwrap();
-                    inner.main_bytes -= entry.charge;
-                    inner.evictions += 1;
-                }
-            }
-        }
-    }
-
-    /// Record an evicted key's fingerprint in the FIFO-bounded ghost list.
-    fn remember_ghost(&self, inner: &mut ShardInner, hash: u64) {
-        if inner.ghost.insert(hash, 1).is_none() {
-            inner.ghost_fifo.push_back(hash);
-            while inner.ghost_fifo.len() > self.ghost_cap {
-                if let Some(old) = inner.ghost_fifo.pop_front() {
-                    inner.ghost.remove(&old);
-                }
-            }
-        }
-    }
-
-    /// Bump (and report) the ghost heat of `hash` — used for on-demand
-    /// extent promotion, where the "key" never entered the cache proper.
-    /// A fenced table has no heat.
-    fn ghost_heat(&self, inner: &mut ShardInner, hash: u64, table: u64) -> u32 {
-        if inner.dead.contains(table) {
-            return 0;
-        }
-        match inner.ghost.get_mut(&hash) {
-            Some(heat) => {
-                *heat = heat.saturating_add(1);
-                *heat
-            }
-            None => {
-                self.remember_ghost(inner, hash);
-                1
-            }
-        }
-    }
-
-    /// Drop the ghost entry for `hash` (after a successful promotion).
-    fn clear_ghost(&self, hash: u64) {
-        let mut inner = plock(&self.shard_for(hash).inner);
-        inner.ghost.remove(&hash);
     }
 
     /// Fence `table` dead and purge its entries, shard by shard. Mark and
@@ -490,43 +401,36 @@ impl Pool {
     /// none can be admitted.
     fn invalidate_table(&self, table: u64) {
         for shard in &self.shards {
-            let mut inner = plock(&shard.inner);
+            let mut inner = plock(shard);
+            let inner = &mut *inner;
             inner.dead.mark(table);
-            let victims: Vec<CacheKey> =
-                inner.map.keys().filter(|k| k.table == table).copied().collect();
-            if victims.is_empty() {
+            let (before, mut freed) = (inner.map.len(), 0);
+            inner.map.retain(|k, e| k.table != table || { freed += e.charge; false });
+            if inner.map.len() == before {
                 continue;
             }
-            for key in victims {
-                if let Some(entry) = inner.map.remove(&key) {
-                    match entry.loc {
-                        Loc::Small => inner.small_bytes -= entry.charge,
-                        Loc::Main => inner.main_bytes -= entry.charge,
-                    }
-                    inner.invalidations += 1;
-                }
-            }
-            // Compact the queues so invalidation storms cannot grow them
+            inner.bytes -= freed;
+            inner.invalidations += (before - inner.map.len()) as u64;
+            // Compact the queue so invalidation storms cannot grow it
             // without bound on a cache that never reaches capacity.
-            inner.small.retain(|k| k.table != table);
-            inner.main.retain(|k| k.table != table);
+            inner.fifo.retain(|k| k.table != table);
         }
     }
 
     /// Sum `f` over the shards, each read under its lock.
     fn sum(&self, f: impl Fn(&ShardInner) -> u64) -> u64 {
-        self.shards.iter().map(|s| f(&plock(&s.inner))).sum()
+        self.shards.iter().map(|s| f(&plock(s))).sum()
     }
 
     fn resident_bytes(&self) -> u64 {
-        self.sum(ShardInner::total_bytes)
+        self.sum(|s| s.bytes)
     }
 }
 
 /// FIFO-bounded set of dead (invalidated) table ids: the version fence.
 #[derive(Default)]
 struct DeadFence {
-    set: std::collections::HashSet<u64>,
+    set: std::collections::HashSet<u64, std::hash::BuildHasherDefault<Splitmix>>,
     fifo: VecDeque<u64>,
 }
 
@@ -574,16 +478,11 @@ impl ReadCache {
         let extent_capacity =
             cfg.capacity_bytes * u64::from(cfg.extent_percent.min(100)) / 100;
         let block_capacity = cfg.capacity_bytes - extent_capacity;
-        let blocks =
-            Pool::new(block_capacity.max(1), shards, cfg.small_percent, cfg.ghost_entries);
+        let blocks = Pool::new(block_capacity.max(1), shards, cfg.ghost_entries);
         // Extent entries are few and large: fewer shards, bigger per-shard
         // budget, so one shard can hold a whole table image.
-        let extents = Pool::new(
-            extent_capacity.max(1),
-            (shards / 4).max(1),
-            cfg.small_percent.max(25),
-            cfg.ghost_entries / 4,
-        );
+        let extents =
+            Pool::new(extent_capacity.max(1), (shards / 4).max(1), cfg.ghost_entries / 4);
         let cache = ReadCache {
             cfg,
             blocks,
@@ -612,13 +511,41 @@ impl ReadCache {
     /// Look up a data block / record of `table` at `offset`. A hit also
     /// accounts the fabric bytes the caller did not have to read.
     pub fn block_get(&self, table: u64, offset: u64) -> Option<Arc<Vec<u8>>> {
-        let data = self.blocks.get(CacheKey { table, offset }, false).ok()?;
+        let data = self.blocks.get(CacheKey { table, offset }, |_, _| ()).ok()?;
         self.note_saved(data.len() as u64);
         Some(data)
     }
 
-    /// Offer a freshly fetched block for admission. Refused for dead
-    /// tables (the version fence) and for oversized objects.
+    /// [`Self::block_get`] for a lookup about to fetch the `len` bytes it
+    /// misses: the same visit to the shard decides whether they are worth
+    /// keeping, before anything is copied. While the shard has room, they
+    /// are. Once it is full, only the second miss of a key inside the ghost
+    /// table's memory earns admission (the first is remembered there and
+    /// costs nothing else), so traffic that never repeats evicts nothing.
+    pub fn block_probe(&self, table: u64, offset: u64, len: usize) -> BlockProbe {
+        let charge = len as u64 + ENTRY_OVERHEAD;
+        let capacity = self.blocks.shard_capacity;
+        let found = self.blocks.get(CacheKey { table, offset }, |shard, hash| {
+            if shard.bytes + charge <= capacity {
+                return true;
+            }
+            let again = shard.ghost_touch(hash) > 1;
+            if again {
+                shard.ghost_clear(hash);
+            }
+            again
+        });
+        match found {
+            Ok(data) => {
+                self.note_saved(data.len() as u64);
+                BlockProbe::Record(data)
+            }
+            Err(admit) => BlockProbe::Missing { admit },
+        }
+    }
+
+    /// Admit a freshly fetched block, whatever a probe said. Refused for
+    /// dead tables (the version fence) and for oversized objects.
     pub fn block_admit(&self, table: u64, offset: u64, data: &Arc<Vec<u8>>) {
         if data.len() <= MAX_BLOCK_ADMIT {
             self.blocks.insert(CacheKey { table, offset }, Arc::clone(data));
@@ -629,7 +556,7 @@ impl ReadCache {
     /// Callers report the bytes a hit actually saved via [`Self::note_saved`]
     /// (a probe serves one record, not the whole image).
     pub fn extent_get(&self, table: u64) -> Option<Arc<Vec<u8>>> {
-        self.extents.get(CacheKey { table, offset: 0 }, false).ok()
+        self.extents.get(CacheKey { table, offset: 0 }, |_, _| ()).ok()
     }
 
     /// Look up `table`'s image without touching stats or frequency (used by
@@ -659,14 +586,18 @@ impl ReadCache {
         let key = CacheKey { table, offset: 0 };
         let promotable = self.cfg.promote_extent_after != 0
             && image_len + ENTRY_OVERHEAD <= self.extents.shard_capacity;
-        match self.extents.get(key, promotable) {
+        let heat = |shard: &mut ShardInner, hash| {
+            // A fenced table has no heat.
+            if promotable && !shard.dead.contains(table) { shard.ghost_touch(hash) } else { 0 }
+        };
+        match self.extents.get(key, heat) {
             Ok(image) => ExtentProbe::Image(image),
             Err(heat) => ExtentProbe::Missing { promote: self.pays_to_promote(key, heat, image_len) },
         }
     }
 
     fn pays_to_promote(&self, key: CacheKey, heat: u32, image_len: u64) -> bool {
-        if heat == 0 || heat < self.cfg.promote_extent_after {
+        if heat == 0 || heat < self.cfg.promote_extent_after.min(HEAT_MAX) {
             return false;
         }
         // Promotion economics: fetching an image costs a whole-extent
@@ -687,7 +618,8 @@ impl ReadCache {
         if spent + image_len > saved + self.extent_capacity {
             return false;
         }
-        self.extents.clear_ghost(key_hash(key));
+        let hash = key_hash(key);
+        plock(self.extents.shard_for(hash)).ghost_clear(hash);
         // ORDERING: relaxed — statistics counter, no ordering required.
         self.ledger.extent_promotions.fetch_add(1, Ordering::Relaxed);
         // ORDERING: relaxed — throttle accumulator; see the loads above.
@@ -696,7 +628,7 @@ impl ReadCache {
     }
 
     /// Account fabric bytes a cache hit avoided reading (extent-pool hits;
-    /// block-pool hits account themselves in [`Self::block_get`]).
+    /// block-pool hits account themselves).
     pub fn note_saved(&self, bytes: u64) {
         // ORDERING: relaxed — throttle accumulator, no ordering required.
         self.ledger.bytes_saved.fetch_add(bytes, Ordering::Relaxed);
@@ -747,7 +679,6 @@ mod tests {
             capacity_bytes: capacity,
             extent_percent: 50,
             shards: 1,
-            small_percent: 10,
             ghost_entries: 256,
             promote_extent_after: 3,
         })
@@ -801,50 +732,99 @@ mod tests {
         );
     }
 
-    #[test]
-    fn scan_resistance_one_touch_traffic_cannot_evict_hot_main() {
-        let c = cache(64 << 10); // 32 KiB block pool, small queue = 3.2 KiB
-        // Hot set: admit, then re-reference so eviction pressure promotes
-        // them from the probationary queue into main.
-        for i in 0..8u64 {
-            c.block_admit(7, i, &blob(1024));
-        }
-        for _ in 0..3 {
-            for i in 0..8u64 {
-                assert!(c.block_get(7, i).is_some(), "hot warmup");
+    /// What a reader does with a located record: probe, and on a miss fetch
+    /// (here: make up) the bytes and admit them if the probe said so.
+    /// Returns whether the probe hit.
+    fn lookup(c: &ReadCache, table: u64, offset: u64) -> bool {
+        match c.block_probe(table, offset, 1024) {
+            BlockProbe::Record(_) => true,
+            BlockProbe::Missing { admit } => {
+                if admit {
+                    c.block_admit(table, offset, &blob(1024));
+                }
+                false
             }
         }
-        // Scan: a long stream of one-touch fills (forces continuous
-        // eviction). The hot set must survive because one-touch entries die
-        // in the small queue without displacing main.
-        for i in 0..2000u64 {
-            c.block_admit(8, 1_000_000 + i, &blob(1024));
-        }
-        let mut survivors = 0;
-        for i in 0..8u64 {
-            if c.block_get(7, i).is_some() {
-                survivors += 1;
-            }
-        }
-        assert!(survivors >= 6, "scan evicted the hot set: {survivors}/8 left");
     }
 
     #[test]
-    fn ghost_readmission_goes_to_main() {
+    fn a_full_shard_admits_a_key_on_its_second_miss() {
+        let c = cache(64 << 10); // 32 KiB block pool: 29 records of 1 KiB
+        for i in 0..29 {
+            assert!(!lookup(&c, 1, i), "cold");
+            assert!(lookup(&c, 1, i), "admitted while the shard has room");
+        }
+        let full = c.snapshot();
+        assert_eq!((full.inserts, full.evictions), (29, 0));
+        // First miss on the full shard: remembered, not admitted.
+        assert!(!lookup(&c, 2, 0));
+        assert_eq!(c.snapshot().inserts, 29);
+        assert!(c.block_get(2, 0).is_none());
+        // Second miss: admitted, at the price of one cold entry; the ghost
+        // forgets the key, so nothing lingers to re-admit it after eviction.
+        assert!(!lookup(&c, 2, 0));
+        assert!(lookup(&c, 2, 0), "the third lookup hits");
+        let s = c.snapshot();
+        assert_eq!((s.inserts, s.evictions), (30, 1));
+        assert!(c.blocks.resident_bytes() <= 32 << 10);
+        // `block_admit` itself stays unconditional.
+        c.block_admit(3, 0, &blob(1024));
+        assert!(c.block_get(3, 0).is_some());
+    }
+
+    #[test]
+    fn one_touch_sweep_of_ten_times_capacity_leaves_the_hot_set_intact() {
         let c = cache(64 << 10);
-        c.block_admit(1, 1, &blob(1024));
-        // Push it out through the small queue with one-touch traffic.
-        for i in 0..200u64 {
-            c.block_admit(2, i, &blob(1024));
+        for _ in 0..2 {
+            for i in 0..29 {
+                lookup(&c, 7, i);
+            }
         }
-        assert!(c.block_get(1, 1).is_none(), "should have been evicted");
-        // Re-admit: the ghost list remembers it, so it enters main...
-        c.block_admit(1, 1, &blob(1024));
-        // ...and survives another one-touch storm.
-        for i in 1000..1200u64 {
-            c.block_admit(2, i, &blob(1024));
+        let before = c.snapshot();
+        for i in 0..290 {
+            assert!(!lookup(&c, 8, 1_000_000 + i));
         }
-        assert!(c.block_get(1, 1).is_some(), "ghost re-admission must stick in main");
+        let after = c.snapshot();
+        assert_eq!((after.inserts, after.evictions), (before.inserts, before.evictions));
+        assert!((0..29).all(|i| lookup(&c, 7, i)), "the sweep displaced a hot record");
+    }
+
+    #[test]
+    fn a_hot_set_displaces_a_cold_cache_within_three_passes() {
+        let c = cache(64 << 10);
+        for i in 0..29 {
+            lookup(&c, 1, i); // cold: one touch each, shard now full
+        }
+        let pass = |c: &ReadCache| (0..20).filter(|&i| lookup(c, 2, i)).count();
+        assert_eq!(pass(&c), 0, "first pass: remembered");
+        assert_eq!(pass(&c), 0, "second pass: admitted");
+        // ...but for the few keys a colliding one overwrote in the ghost table.
+        let third = pass(&c);
+        assert!(third >= 18, "third pass served {third}: {:?}", c.snapshot());
+        assert_eq!(pass(&c), 20);
+    }
+
+    #[test]
+    fn ghost_words_overwrite_on_collision_saturate_and_clear() {
+        let pool = Pool::new(1 << 20, 1, 64);
+        let mut shard = plock(&pool.shards[0]);
+        assert_eq!(shard.ghost.len(), 64);
+        // One pair (low bits 4 and 5), three fingerprints (bits 24..48).
+        let (a, b, c) = (5 | 1 << 24, 4 | 2 << 24, 5 | 3 << 24);
+        assert_eq!(shard.ghost_touch(a), 1);
+        assert_eq!(shard.ghost_touch(b), 1);
+        assert_eq!(shard.ghost_touch(a), 2, "a pair holds two keys");
+        assert_eq!(shard.ghost_touch(c), 1, "a third overwrites the one touched longer ago");
+        assert_eq!(shard.ghost_touch(a), 3);
+        assert_eq!(shard.ghost_touch(b), 1, "which starts over, in c's place");
+        for _ in 0..300 {
+            shard.ghost_touch(a);
+        }
+        assert_eq!(shard.ghost_touch(a), HEAT_MAX, "heat saturates");
+        shard.ghost_clear(a);
+        assert_eq!(shard.ghost_touch(a), 1, "cleared");
+        // Other pairs never noticed.
+        assert_eq!(shard.ghost.iter().filter(|&&w| w != 0).count(), 2);
     }
 
     #[test]
@@ -876,10 +856,11 @@ mod tests {
         assert!(!probe_promotes(&c, 9, 10_000));
         assert!(!probe_promotes(&c, 9, 10_000));
         assert!(probe_promotes(&c, 9, 10_000), "third miss crosses the threshold");
+        assert!(!probe_promotes(&c, 9, 10_000), "promotion cleared the heat");
         assert!(c.extent_admit(9, blob(10_000)));
         assert!(matches!(c.extent_probe(9, 10_000), ExtentProbe::Image(_)));
         let s = c.snapshot();
-        assert_eq!((s.extent_promotions, s.extent_hits, s.extent_misses), (1, 1, 3));
+        assert_eq!((s.extent_promotions, s.extent_hits, s.extent_misses), (1, 1, 4));
         // Oversized images are never promoted.
         assert!(!probe_promotes(&c, 10, 10 << 20));
         // Disabled promotion never fires.

@@ -14,15 +14,21 @@
 //! skips the fence entirely — purge-only invalidation — and the checker
 //! must catch it serving a stale block after an in-flight fill resurrects
 //! the dead table's entry.
+//!
+//! Since ISSUE 21 a lookup learns whether its record will be admitted from
+//! the probe that missed, before the READ, and inserts after it. The verdict
+//! is about room, not about liveness: `invalidate_table` may run in between,
+//! so the insert still checks the fence. The second straw man trusts the
+//! verdict instead and must be caught the same way.
 
 use std::sync::Arc;
 
 use dlsm_check::shim::{thread, Mutex};
 use dlsm_check::Checker;
 
-/// One cache shard in miniature: a FIFO of `(table, bytes)` entries (the
-/// S3-FIFO queues collapse to one FIFO — eviction order is irrelevant to
-/// the fence) and the shard's copy of the dead-table set, under one lock.
+/// One cache shard in miniature: a FIFO of `(table, bytes)` entries (no
+/// second chances — eviction order is irrelevant to the fence) and the
+/// shard's copy of the dead-table set, under one lock.
 struct MiniShard {
     cap: usize,
     state: Mutex<ShardState>,
@@ -32,6 +38,8 @@ struct MiniShard {
 struct ShardState {
     entries: Vec<(u64, u64)>,
     dead: Vec<u64>,
+    /// Tables seen missing while the shard was full.
+    ghost: Vec<u64>,
 }
 
 /// Two shards, as a table's objects spread over the real cache's pools and
@@ -48,6 +56,28 @@ impl MiniCache {
 
     fn get(&self, shard: usize, table: u64) -> Option<u64> {
         self.shards[shard].state.lock().entries.iter().find(|e| e.0 == table).map(|e| e.1)
+    }
+
+    /// `ReadCache::block_probe`: the entry, or — decided in the same
+    /// critical section — whether the caller should admit what it is about
+    /// to fetch: yes while the shard has room, else only on the second miss
+    /// the ghost sees.
+    fn probe(&self, shard: usize, table: u64) -> Result<u64, bool> {
+        let shard = &self.shards[shard];
+        let mut s = shard.state.lock();
+        if let Some(e) = s.entries.iter().find(|e| e.0 == table) {
+            return Ok(e.1);
+        }
+        if s.entries.len() < shard.cap {
+            return Err(true);
+        }
+        let again = s.ghost.contains(&table);
+        if again {
+            s.ghost.retain(|&t| t != table);
+        } else {
+            s.ghost.push(table);
+        }
+        Err(again)
     }
 
     /// `Pool::insert`: fence check and insert (evicting FIFO order past
@@ -166,6 +196,66 @@ fn unfenced_cache_is_caught_serving_stale_blocks() {
     assert!(
         report.violation.is_some(),
         "checker failed to catch the unfenced resurrection in {} executions",
+        report.executions
+    );
+}
+
+/// A lookup of table 1 — probe, READ with no lock held, admit on the
+/// probe's verdict, look again — racing the invalidation of table 1, on a
+/// shard with room and on one table 2 has filled (where the first probe is
+/// only remembered and the second earns the admission).
+fn explore_probe<const FENCED: bool>() -> dlsm_check::Report {
+    Checker::new(if FENCED { "cache-probe-fence" } else { "cache-probe-strawman" })
+        .preemption_bound(3)
+        .explore(|| {
+            let cache = MiniCache::new(1);
+            cache.admit::<FENCED>(1, 2, 20);
+
+            let c1 = Arc::clone(&cache);
+            let reader = thread::spawn(move || {
+                for shard in [0, 1, 1] {
+                    match c1.probe(shard, 1) {
+                        Ok(v) => assert_eq!(v, 10, "table 1 served foreign bytes {v}"),
+                        Err(true) => c1.admit::<FENCED>(shard, 1, 10),
+                        Err(false) => {}
+                    }
+                }
+            });
+
+            cache.invalidate(1);
+            for shard in 0..2 {
+                assert!(
+                    cache.get(shard, 1).is_none(),
+                    "dead table 1 served from shard {shard} after invalidate returned"
+                );
+            }
+            reader.join().unwrap();
+            for (i, shard) in cache.shards.iter().enumerate() {
+                let s = shard.state.lock();
+                assert!(!s.entries.iter().any(|e| e.0 == 1), "dead table 1 resident in shard {i} at join");
+                assert!(s.entries.len() <= 1, "capacity exceeded: {:?}", s.entries);
+            }
+        })
+}
+
+/// Probe says admit → `invalidate_table` → admit: refused by the fence at
+/// insert, in every interleaving.
+#[test]
+fn a_probe_verdict_does_not_outlive_the_fence() {
+    let report = explore_probe::<true>();
+    assert!(report.violation.is_none(), "fence violation: {:?}", report.violation);
+    assert!(report.complete, "state space truncated at {} executions", report.executions);
+    assert!(report.executions >= 100, "explored only {} interleavings", report.executions);
+}
+
+/// The straw man that takes the probe's "admit" for leave to insert must be
+/// caught resurrecting the dead table.
+#[test]
+fn trusting_the_probe_verdict_is_caught_serving_a_dead_table() {
+    let report = explore_probe::<false>();
+    assert!(
+        report.violation.is_some(),
+        "checker failed to catch the trusted verdict in {} executions",
         report.executions
     );
 }

@@ -23,6 +23,15 @@
 //! — the reader reads through the slot without checking the view out — so
 //! the sweep cannot tell a busy slot from an idle one, releases the view
 //! mid-read, and the checker must catch the use after release.
+//!
+//! **No horizon older than the view** (found under CPU load by
+//! `tests/read_path.rs`, ISSUE 21; its own miniature below). A compaction
+//! drops the versions that the horizon *it* loaded shadows, so a reader may
+//! pair a view only with a horizon at least that new. A parked view that
+//! still validates was published before the horizon was loaded; a reader
+//! that has to refresh takes horizon and view again until no publication
+//! falls between the two. The straw man keeps the horizon it loaded first
+//! and must be caught reading through a view whose compaction began later.
 
 use std::sync::Arc;
 
@@ -288,4 +297,84 @@ fn sweep_blind_to_in_use_is_caught_using_after_release() {
     let report = explore::<true, false>("readview-no-in-use-mark");
     let v = report.violation.expect("checker failed to catch the use after release");
     assert!(v.message.contains("used after release"), "unexpected violation: {}", v.message);
+}
+
+/// The third rule's miniature: a horizon, and a published view that
+/// remembers the newest horizon any compaction in it dropped versions by.
+struct MiniGc {
+    horizon: AtomicU64,
+    /// `(id, dropped_at)`.
+    view: Mutex<(u64, u64)>,
+    view_id: AtomicU64,
+}
+
+impl MiniGc {
+    /// The refresh path of `DbReader::with_view` (no parked view). `RELOAD =
+    /// false` is the straw man: pin whatever is published, keep the horizon.
+    fn read<const RELOAD: bool>(&self) {
+        let mut horizon = self.horizon.load(Ordering::Acquire);
+        let mut id = self.view_id.load(Ordering::Acquire);
+        let view = loop {
+            if RELOAD {
+                horizon = self.horizon.load(Ordering::Acquire);
+            }
+            let view = *self.view.lock();
+            if !RELOAD || view.0 == id {
+                break view;
+            }
+            id = view.0;
+        };
+        assert!(
+            view.1 <= horizon,
+            "horizon {horizon} read through view {} whose compaction dropped what horizon {} shadows",
+            view.0,
+            view.1
+        );
+    }
+}
+
+fn explore_gc<const RELOAD: bool>(name: &str) -> dlsm_check::Report {
+    Checker::new(name).preemption_bound(3).explore(|| {
+        let db = Arc::new(MiniGc {
+            horizon: AtomicU64::new(0),
+            view: Mutex::new((0, 0)),
+            view_id: AtomicU64::new(0),
+        });
+        let d = Arc::clone(&db);
+        let writer = thread::spawn(move || {
+            d.horizon.store(1, Ordering::Release);
+            d.horizon.store(2, Ordering::Release);
+        });
+        let d = Arc::clone(&db);
+        let reader = thread::spawn(move || {
+            d.read::<RELOAD>();
+            d.read::<RELOAD>();
+        });
+        // Two compactions: each loads its horizon, merges, installs.
+        for _ in 0..2 {
+            let dropped_at = db.horizon.load(Ordering::Acquire);
+            let mut view = db.view.lock();
+            *view = (view.0 + 1, dropped_at);
+            db.view_id.store(view.0, Ordering::Release);
+        }
+        writer.join().unwrap();
+        reader.join().unwrap();
+    })
+}
+
+#[test]
+fn a_refreshed_view_is_read_at_a_horizon_no_older_than_its_compactions() {
+    let report = explore_gc::<true>("readview-gc");
+    assert!(report.violation.is_none(), "violation: {:?}", report.violation);
+    assert!(report.complete, "state space truncated at {} executions", report.executions);
+    assert!(report.executions >= 100, "explored only {} interleavings", report.executions);
+}
+
+/// Keeping the first horizon across a refresh *must* be caught reading
+/// through a view a later compaction built.
+#[test]
+fn a_stale_horizon_is_caught_reading_through_a_newer_compaction() {
+    let report = explore_gc::<false>("readview-gc-stale-horizon");
+    let v = report.violation.expect("checker failed to catch the stale horizon");
+    assert!(v.message.contains("dropped what horizon"), "unexpected violation: {}", v.message);
 }

@@ -100,7 +100,7 @@ pub struct DbConfig {
     /// extent-only [`CacheConfig`] of the same budget (the old behavior:
     /// freshly-flushed L0 images pinned in local memory). Prefer `cache`.
     pub local_l0_cache_bytes: u64,
-    /// Compute-side read cache (blocks + hot extents, S3-FIFO admission,
+    /// Compute-side read cache (blocks + hot extents, ghost-gated admission,
     /// version-aware invalidation — DESIGN.md §11). `capacity_bytes == 0`
     /// disables caching and reads behave exactly as before.
     pub cache: CacheConfig,

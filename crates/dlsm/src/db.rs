@@ -1,5 +1,6 @@
 //! The dLSM database: write path, read path, background work, snapshots.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -8,6 +9,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use dlsm_memnode::RpcClient;
 use rdma_sim::QueuePair;
+use dlsm_sstable::bloom::bloom_hash;
 use dlsm_sstable::byte_addr::{TableGet, TableMeta};
 use dlsm_sstable::coding::{get_len_prefixed, get_u32, get_u64, put_len_prefixed, put_u32, put_u64};
 use dlsm_sstable::key::{SeqNo, ValueType};
@@ -20,7 +22,7 @@ use crate::flush::{flush_memtable, FlushTransport};
 use crate::handle::{Extent, GcSink, MetaKind, Origin, TableHandle};
 use crate::memtable::{MemGet, MemTable};
 use crate::remote::{fetch_wave, table_get, table_step, ReadChannel, RecordFetch, Step};
-use crate::scan::DbScan;
+use crate::scan::{DbScan, SAMPLE_EVERY};
 use crate::stats::DbStats;
 use crate::telemetry::{record_op, ReadCounter, ReadStats, ReaderSlot};
 use crate::version::{ReadView, Version, VersionEdit, VersionSet};
@@ -663,7 +665,7 @@ impl Db {
     pub fn try_reader(&self) -> Result<DbReader> {
         let channel = self.shared.read_channel()?;
         let slot = self.shared.stats.readers.register();
-        Ok(DbReader { shared: Arc::clone(&self.shared), channel, slot })
+        Ok(DbReader { shared: Arc::clone(&self.shared), channel, slot, last: LastTimed::default() })
     }
 
     /// Infallible convenience wrapper over [`Db::try_reader`] for benches,
@@ -1019,6 +1021,16 @@ pub struct DbReader {
     shared: Arc<Shared>,
     channel: ReadChannel,
     slot: Arc<ReaderSlot>,
+    last: LastTimed,
+}
+
+/// What a reader's gets between two timed ones repeat (ns): its last timed
+/// miss and hit, and stay in each phase; and how many gets it has begun.
+#[derive(Default)]
+struct LastTimed {
+    gets: Cell<u64>,
+    op: [Cell<u64>; 2],
+    phase: [Cell<u64>; 3],
 }
 
 /// How one key's walk over a pinned view ended.
@@ -1044,53 +1056,84 @@ trait WalkVisitor {
 
 impl WalkVisitor for () {}
 
-/// The [`WalkVisitor`] of a `get`: times the call and its phases into the
+/// The [`WalkVisitor`] of a `get`: feeds the call and its phases into the
 /// reader's histograms and keeps the running phase's trace span open. A
 /// record fetch that follows the walk belongs to the phase that located it.
+/// One get in [`SAMPLE_EVERY`] is timed (all while tracing is on; DESIGN.md
+/// §8); the others record what the last timed one measured, so every
+/// histogram's count is exact at any instant.
 struct PhaseClock<'a> {
     stats: &'a ReadStats,
-    called: Instant,
-    phase_began: Instant,
+    last: &'a LastTimed,
+    /// When a timed get was called.
+    called: Option<Instant>,
+    /// When the running phase began, if it is being timed.
+    phase_began: Option<Instant>,
     phase: usize,
     span: Option<dlsm_trace::Span>,
 }
 
 const PHASES: [&str; 3] = ["get_memtable", "get_l0", "get_deep"];
 
+// LOSSY: ~584 years of nanoseconds fit in u64.
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos() as u64
+}
+
 impl<'a> PhaseClock<'a> {
-    fn start(stats: &'a ReadStats) -> PhaseClock<'a> {
-        let now = Instant::now();
-        let span = Some(dlsm_trace::span(dlsm_trace::Category::Db, PHASES[0]));
-        PhaseClock { stats, called: now, phase_began: now, phase: 0, span }
+    fn start(stats: &'a ReadStats, last: &'a LastTimed) -> PhaseClock<'a> {
+        let n = last.gets.replace(last.gets.get() + 1);
+        let called = (n.is_multiple_of(SAMPLE_EVERY) || dlsm_trace::enabled()).then(Instant::now);
+        let mut clock = PhaseClock { stats, last, called, phase_began: None, phase: 0, span: None };
+        clock.enter(0, called);
+        clock
     }
 
-    fn close_phase(&mut self, now: Instant) {
+    /// Begin `phase` at `now` (read only if need be). A get that is not
+    /// timed still times a phase its reader has no sample of.
+    fn enter(&mut self, phase: usize, now: Option<Instant>) {
+        let timed = self.called.is_some() || self.last.phase[phase].get() == 0;
+        self.phase_began = timed.then(|| now.unwrap_or_else(Instant::now));
+        self.phase = phase;
+        self.span = Some(dlsm_trace::span(dlsm_trace::Category::Db, PHASES[phase]));
+    }
+
+    /// End the running phase; the clock, if this had to read it.
+    fn close_phase(&mut self) -> Option<Instant> {
+        let now = self.phase_began.map(|_| Instant::now());
+        let last = &self.last.phase[self.phase];
+        if let (Some(began), Some(now)) = (self.phase_began, now) {
+            last.set(nanos(now - began));
+        }
         let hists = [&self.stats.get_memtable, &self.stats.get_l0, &self.stats.get_deep];
-        // LOSSY: ~584 years of nanoseconds fit in u64.
-        hists[self.phase].record_exclusive((now - self.phase_began).as_nanos() as u64);
-        self.phase_began = now;
+        hists[self.phase].record_exclusive(last.get());
         self.span = None;
+        now
     }
 
     /// The call succeeded: record its last phase and its latency.
     fn finish(mut self, hit: bool) {
-        let now = Instant::now();
-        self.close_phase(now);
+        let now = self.close_phase();
         let class = if hit {
             self.stats.add(ReadCounter::GetHits, 1);
             dlsm_telemetry::OpClass::GetHit
         } else {
             dlsm_telemetry::OpClass::GetMiss
         };
-        self.stats.record_op(class, now - self.called);
+        let last = &self.last.op[usize::from(hit)];
+        if let (Some(called), Some(now)) = (self.called, now) {
+            last.set(nanos(now - called));
+        }
+        // A reader that has timed no hit (miss) yet began with the other.
+        let took = if last.get() == 0 { self.last.op[usize::from(!hit)].get() } else { last.get() };
+        self.stats.record_ops(class, Duration::from_nanos(took), 1);
     }
 }
 
 impl WalkVisitor for PhaseClock<'_> {
     fn next_phase(&mut self) {
-        self.close_phase(Instant::now());
-        self.phase = (self.phase + 1).min(PHASES.len() - 1);
-        self.span = Some(dlsm_trace::span(dlsm_trace::Category::Db, PHASES[self.phase]));
+        let now = self.close_phase();
+        self.enter((self.phase + 1).min(PHASES.len() - 1), now);
     }
 }
 
@@ -1123,12 +1166,23 @@ impl DbReader {
     /// `Shared::pin`). The horizon is loaded first — see
     /// `Shared::publish_view` for why the order matters.
     fn with_view<T>(&self, f: impl FnOnce(SeqNo, &Arc<ReadView>) -> T) -> T {
-        let seq = self.shared.read_horizon();
+        let mut seq = self.shared.read_horizon();
         let parked = self.slot.view.lock().take();
-        let id = self.shared.view_id.0.load(Ordering::Acquire);
+        let mut id = self.shared.view_id.0.load(Ordering::Acquire);
         let view = match parked {
             Some(view) if view.id == id => view,
-            _ => self.shared.pin(),
+            // Superseded. A view published after the horizon was loaded may
+            // come from a compaction that began after it too, and dropped
+            // versions only that older horizon could see: take horizon and
+            // view again until no publication falls between the two.
+            _ => loop {
+                seq = self.shared.read_horizon();
+                let view = self.shared.pin();
+                if view.id == id {
+                    break view;
+                }
+                id = view.id;
+            },
         };
         let out = f(seq, &view);
         // Back into the slot only while it is still the published view.
@@ -1167,7 +1221,7 @@ impl DbReader {
 
     fn get_in(&self, view: &ReadView, seq: SeqNo, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let _sp = dlsm_trace::span(dlsm_trace::Category::Db, "get");
-        let mut clock = PhaseClock::start(&self.slot.stats);
+        let mut clock = PhaseClock::start(&self.slot.stats, &self.last);
         let found = self.lookup(view, seq, key, &mut clock)?;
         clock.finish(found.is_some());
         Ok(found)
@@ -1219,9 +1273,11 @@ impl DbReader {
             }
         }
         visitor.next_phase();
+        // Every table's filter takes the same hash of the key.
+        let key = (key, bloom_hash(key));
         // L0: overlapping tables, newest first.
         for t in view.version.level(0) {
-            if t.smallest_user() <= key && key <= t.largest_user() {
+            if t.smallest_user() <= key.0 && key.0 <= t.largest_user() {
                 if let Some(end) = self.walk_table(0, t, seq, key, visitor)? {
                     return Ok(end);
                 }
@@ -1230,7 +1286,7 @@ impl DbReader {
         visitor.next_phase();
         // Deeper levels: at most one candidate table per level.
         for level in 1..view.version.level_count() {
-            if let Some(t) = view.version.table_for_key(level, key) {
+            if let Some(t) = view.version.table_for_key(level, key.0) {
                 if let Some(end) = self.walk_table(level, t, seq, key, visitor)? {
                     return Ok(end);
                 }
@@ -1246,12 +1302,13 @@ impl DbReader {
         level: usize,
         t: &'v TableHandle,
         seq: SeqNo,
-        key: &[u8],
+        (key, hash): (&[u8], u32),
         visitor: &mut impl WalkVisitor,
     ) -> Result<Option<Walk<'v>>> {
         let _sp = dlsm_trace::span_arg(dlsm_trace::Category::Db, "table_probe", t.id);
         let stats = &self.slot.stats;
-        let got = match table_step(&self.channel, t, key, seq, self.shared.cache.as_ref(), stats)? {
+        let cache = self.shared.cache.as_ref();
+        let got = match table_step(&self.channel, t, key, hash, seq, cache, stats)? {
             Step::Done(got) => got,
             Step::Fetch(fetch) => {
                 visitor.source(Some(level), t.id, &"remote record");

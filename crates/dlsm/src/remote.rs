@@ -9,14 +9,15 @@
 //!   the requester copies them out — the longer path with the extra memory
 //!   copy the paper blames for Nova-LSM's read performance (Sec. XI-C2).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dlsm_cache::{ExtentProbe, ReadCache};
+use dlsm_cache::{BlockProbe, ExtentProbe, ReadCache};
 use dlsm_memnode::RpcClient;
 use dlsm_sstable::block::{BlockFetcher, BlockTableReader};
+use dlsm_sstable::bloom::bloom_hash;
 use dlsm_sstable::byte_addr::{record_value, ByteAddrIter, Locate, TableGet};
 use dlsm_sstable::iter::ForwardIter;
 use dlsm_sstable::key::SeqNo;
@@ -150,6 +151,8 @@ struct TableFetcher<'a> {
     cache: &'a ReadCache,
     table: u64,
     stats: &'a ReadStats,
+    /// Whether the block pool wants the block the last `fetch` missed.
+    admit: Cell<bool>,
 }
 
 impl BlockFetcher for TableFetcher<'_> {
@@ -159,11 +162,19 @@ impl BlockFetcher for TableFetcher<'_> {
             self.stats.add(ReadCounter::L0CacheHits, 1);
             return Some(Arc::new(block.to_vec()));
         }
-        self.cache.block_get(self.table, offset)
+        match self.cache.block_probe(self.table, offset, len) {
+            BlockProbe::Record(block) => Some(block),
+            BlockProbe::Missing { admit } => {
+                self.admit.set(admit);
+                None
+            }
+        }
     }
 
     fn admit(&self, offset: u64, data: &Arc<Vec<u8>>) {
-        self.cache.block_admit(self.table, offset, data);
+        if self.admit.get() {
+            self.cache.block_admit(self.table, offset, data);
+        }
     }
 }
 
@@ -182,31 +193,33 @@ fn fetch_extent_image(channel: &ReadChannel, handle: &TableHandle) -> Result<Arc
 pub(crate) struct Fetch<'v, T> {
     pub(crate) table: &'v TableHandle,
     pub(crate) offset: u64,
-    /// The READ's target. For a record it then becomes the admitted cache
-    /// entry and the source of the returned value; for a scan, the
-    /// iterator's first chunk.
+    /// The READ's target. For a record it then becomes the returned value
+    /// (or the admitted cache entry); for a scan, the iterator's first chunk.
     pub(crate) buf: Vec<u8>,
     pub(crate) what: T,
 }
 
 /// One located record that no compute-local copy could serve: the fabric
 /// READ a lookup is left with. `what` is the key the index holds for the
-/// record; the bytes that arrive must carry it.
-pub(crate) type RecordFetch<'v> = Fetch<'v, &'v [u8]>;
+/// record — the bytes that arrive must carry it — and the verdict of the
+/// block pool's probe that missed: whether the pool wants a copy.
+pub(crate) type RecordFetch<'v> = Fetch<'v, (&'v [u8], bool)>;
 
 impl RecordFetch<'_> {
-    /// Check the record that arrived, offer it to the cache, return its
-    /// value.
+    /// Check the record that arrived and return its value — the READ buffer
+    /// trimmed in place, unless the cache asked for the record: then the
+    /// buffer becomes the cache's entry and the value is copied out of it.
     pub(crate) fn finish(mut self, cache: Option<&Arc<ReadCache>>) -> Result<Vec<u8>> {
-        let value = record_value(&self.buf, self.what)?;
-        let Some(cache) = cache else {
-            self.buf.truncate(value.end);
-            self.buf.drain(..value.start);
-            return Ok(self.buf);
-        };
-        let record = Arc::new(self.buf);
-        cache.block_admit(self.table.id, self.offset, &record);
-        Ok(record[value].to_vec())
+        let (ikey, admit) = self.what;
+        let value = record_value(&self.buf, ikey)?;
+        if let Some(cache) = cache.filter(|_| admit) {
+            let record = Arc::new(self.buf);
+            cache.block_admit(self.table.id, self.offset, &record);
+            return Ok(record[value].to_vec());
+        }
+        self.buf.truncate(value.end);
+        self.buf.drain(..value.start);
+        Ok(self.buf)
     }
 }
 
@@ -229,18 +242,20 @@ fn local_record(bytes: &[u8], offset: u64, len: usize, ikey: &[u8]) -> Result<St
     Ok(Step::Done(TableGet::Found(record[value].to_vec())))
 }
 
-/// One step of a lookup's walk: what does table `t` hold for `user_key` at
-/// `seq`? Compute-local state is asked in cost order. The bloom filter and
-/// index decide first (`locate`, once): a negative or a tombstone costs
-/// nothing and touches no cache state. Only a located record consults the
-/// [`ReadCache`] — the table's extent image (a table that keeps missing
-/// there earns promotion of its whole extent), then the cached record. What
-/// is left is one fabric READ, returned for the caller to post with the
-/// rest of its wave.
+/// One step of a lookup's walk: what does table `t` hold for `user_key`
+/// (whose [`bloom_hash`] is `hash`) at `seq`? Compute-local state is asked
+/// in cost order. The bloom filter and index decide first (`locate`, once):
+/// a negative or a tombstone costs nothing and touches no cache state. Only
+/// a located record consults the [`ReadCache`] — the table's extent image (a
+/// table that keeps missing there earns promotion of its whole extent), then
+/// the cached record, whose probe also says whether a miss is worth
+/// admitting. What is left is one fabric READ, returned for the caller to
+/// post with the rest of its wave.
 pub(crate) fn table_step<'v>(
     channel: &ReadChannel,
     t: &'v TableHandle,
     user_key: &[u8],
+    hash: u32,
     seq: SeqNo,
     cache: Option<&Arc<ReadCache>>,
     stats: &ReadStats,
@@ -253,12 +268,13 @@ pub(crate) fn table_step<'v>(
         MetaKind::Block(bmc, _) => {
             let reader =
                 BlockTableReader::from_cache(RemoteSource::for_table(channel, t), bmc.clone());
-            let fetcher = cache.map(|cache| TableFetcher { cache, table: t.id, stats });
+            let fetcher = cache
+                .map(|cache| TableFetcher { cache, table: t.id, stats, admit: Cell::new(false) });
             let fetcher = fetcher.as_ref().map(|f| f as &dyn BlockFetcher);
             return Ok(Step::Done(reader.get_with(user_key, seq, fetcher)?));
         }
     };
-    let (index, offset, len) = match meta.locate(user_key, seq) {
+    let (index, offset, len) = match meta.locate_hashed(user_key, hash, seq) {
         Locate::NotFound => {
             stats.add(ReadCounter::BloomSkips, 1);
             return Ok(Step::Done(TableGet::NotFound));
@@ -267,6 +283,7 @@ pub(crate) fn table_step<'v>(
         Locate::Record { index, offset, len } => (index, offset, len),
     };
     let ikey = meta.index.key(index);
+    let mut admit = false;
     if let Some(c) = cache {
         match c.extent_probe(t.id, t.extent.len) {
             ExtentProbe::Image(image) => {
@@ -284,11 +301,15 @@ pub(crate) fn table_step<'v>(
             }
             ExtentProbe::Missing { promote: false } => {}
         }
-        if let Some(record) = c.block_get(t.id, offset).filter(|r| r.len() == len) {
-            return local_record(&record, 0, len, ikey);
+        match c.block_probe(t.id, offset, len) {
+            BlockProbe::Record(record) if record.len() == len => {
+                return local_record(&record, 0, len, ikey)
+            }
+            BlockProbe::Record(_) => {}
+            BlockProbe::Missing { admit: verdict } => admit = verdict,
         }
     }
-    Ok(Step::Fetch(Fetch { table: t, offset, buf: vec![0u8; len], what: ikey }))
+    Ok(Step::Fetch(Fetch { table: t, offset, buf: vec![0u8; len], what: (ikey, admit) }))
 }
 
 /// Fetch a wave: every READ is posted back to back on the reader's queue
@@ -340,7 +361,7 @@ pub fn table_get(
     cache: Option<&Arc<ReadCache>>,
     stats: &ReadStats,
 ) -> Result<TableGet> {
-    match table_step(channel, handle, user_key, seq, cache, stats)? {
+    match table_step(channel, handle, user_key, bloom_hash(user_key), seq, cache, stats)? {
         Step::Done(got) => Ok(got),
         Step::Fetch(mut fetch) => {
             fetch_wave(channel, std::slice::from_mut(&mut fetch))?;

@@ -133,9 +133,9 @@ fn in_range<'v>(run: &'v [Arc<TableHandle>], start: &[u8], end: &[u8]) -> &'v [A
     run.get(from..to).unwrap_or(&[])
 }
 
-/// One yielded entry in this many reads the clock (DESIGN.md §5.11: the
-/// per-entry budget has no room for two clock reads).
-const SAMPLE_EVERY: u64 = 16;
+/// One yielded entry — and one `get` — in this many reads the clock
+/// (DESIGN.md §5.11, §8: the per-op budget has no room for clock reads).
+pub(crate) const SAMPLE_EVERY: u64 = 16;
 
 /// A streaming range scan. Yields `(user_key, value)` pairs in key order,
 /// newest visible version per key, tombstoned keys skipped.

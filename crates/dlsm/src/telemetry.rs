@@ -139,14 +139,8 @@ impl ReadStats {
         self.counters[counter as usize].load(Ordering::Relaxed)
     }
 
-    /// [`record_op`] into this block: same exemplar rule, single-writer
-    /// histogram record.
-    #[inline]
-    pub(crate) fn record_op(&self, class: OpClass, d: std::time::Duration) {
-        self.record_ops(class, d, 1);
-    }
-
-    /// [`ReadStats::record_op`] for `n` ops of which one was timed, at `d`.
+    /// [`record_op`] into this block, for `n` ops of which one was timed, at
+    /// `d`: same exemplar rule, single-writer histogram record.
     #[inline]
     pub(crate) fn record_ops(&self, class: OpClass, d: std::time::Duration, n: u64) {
         // LOSSY: ~584 years of nanoseconds fit in u64.

@@ -88,6 +88,10 @@ fn traced_get_and_cross_node_dispatch() {
             .filter(|e| e.kind == EventKind::Span && e.name == "get")
             .max_by_key(|e| e.ts_us)
             .expect("traced get span");
+        // Timing is sampled (one get in 16) only while tracing is off: every
+        // traced get carries its phase spans.
+        assert_eq!(within(&events, get, "get_memtable").len(), 1, "key {i}");
+        assert_eq!(within(&events, get, "get_l0").len(), 1, "key {i}");
         let probes = within(&events, get, "table_probe");
         let reads = within(&events, get, "rdma_read");
         // The trace agrees exactly with the fabric's READ counter, and a

@@ -8,9 +8,11 @@
 pub const DEFAULT_BITS_PER_KEY: usize = 10;
 
 /// 32-bit FNV-1a-flavoured hash with a seed, matching LevelDB's approach of
-/// deriving all probe positions from one hash via rotation.
+/// deriving all probe positions from one hash via rotation. Every filter
+/// uses it, so a lookup that walks several tables hashes its key once
+/// ([`BloomFilter::may_contain_hash`]).
 #[inline]
-fn bloom_hash(data: &[u8]) -> u32 {
+pub fn bloom_hash(data: &[u8]) -> u32 {
     // Murmur-inspired simple hash (LevelDB's `Hash`).
     const SEED: u32 = 0xBC9F_1D34;
     const M: u32 = 0xC6A4_A793;
@@ -60,11 +62,15 @@ impl BloomFilter {
 
     /// True if `key` may be in the set (never a false negative).
     pub fn may_contain(&self, key: &[u8]) -> bool {
+        self.may_contain_hash(bloom_hash(key))
+    }
+
+    /// [`BloomFilter::may_contain`] for a key whose [`bloom_hash`] is `h`.
+    pub fn may_contain_hash(&self, mut h: u32) -> bool {
         if self.bits.is_empty() {
             return true;
         }
         let nbits = self.bits.len() * 8;
-        let mut h = bloom_hash(key);
         let delta = h.rotate_right(17);
         for _ in 0..self.k {
             let pos = (h as usize) % nbits;

@@ -23,7 +23,7 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use crate::bloom::BloomFilter;
+use crate::bloom::{bloom_hash, BloomFilter};
 use crate::coding::{get_len_prefixed, get_u32, get_u64, get_varint, put_len_prefixed, put_u32, put_u64, put_varint};
 use crate::iter::ForwardIter;
 use crate::key::{self, compare_internal, SeqNo, ValueType};
@@ -153,7 +153,12 @@ impl TableMeta {
     /// the *decision* from the *fetch* lets callers batch many record reads
     /// on one queue pair (multi-get).
     pub fn locate(&self, user_key: &[u8], seq: SeqNo) -> Locate {
-        if !self.bloom.may_contain(user_key) {
+        self.locate_hashed(user_key, bloom_hash(user_key), seq)
+    }
+
+    /// [`TableMeta::locate`] for a key whose [`bloom_hash`] is `hash`.
+    pub fn locate_hashed(&self, user_key: &[u8], hash: u32, seq: SeqNo) -> Locate {
+        if !self.bloom.may_contain_hash(hash) {
             return Locate::NotFound;
         }
         let i = key::with_lookup_key(user_key, seq, |lookup| self.index.seek_ge(lookup));

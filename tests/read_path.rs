@@ -142,6 +142,109 @@ fn present_remote_get_is_one_read_one_lookup_one_admission() {
     r.server.shutdown();
 }
 
+/// One get of a present key, as `(READs, pool lookups, pool hits, inserts,
+/// evictions)`.
+fn get_cost(db: &Db, reader: &mut dlsm_repro::dlsm::DbReader, i: u64) -> [u64; 5] {
+    let (cache0, reads0) = (db.cache_stats().unwrap(), reader.traffic().ops(Verb::Read));
+    assert_eq!(reader.get(&key(i)).unwrap(), Some(value(i, 1)), "key {i}");
+    let cache1 = db.cache_stats().unwrap();
+    [
+        reader.traffic().ops(Verb::Read) - reads0,
+        cache1.block_hits + cache1.block_misses - cache0.block_hits - cache0.block_misses,
+        cache1.block_hits - cache0.block_hits,
+        cache1.inserts - cache0.inserts,
+        cache1.evictions - cache0.evictions,
+    ]
+}
+
+/// [`blocks_only`] with room for about `records` of the test's records, in
+/// `shards` shards.
+fn small_pool(records: u64, shards: usize, ghost_entries: usize) -> CacheConfig {
+    // One record: two length bytes, a 24-byte internal key, a 128-byte
+    // value — plus the pool's 96-byte charge per entry.
+    CacheConfig { capacity_bytes: records * (154 + 96), shards, ghost_entries, ..blocks_only() }
+}
+
+#[test]
+fn a_full_pool_admits_a_record_on_its_second_miss() {
+    let r = rig();
+    let db = r.open(paced(small_pool(200, 1, 1 << 10)));
+    load(&db, 0..2_000, 1);
+    let mut reader = db.reader();
+    // Fill the pool; from then on a key seen for the first time costs its
+    // READ and its one lookup, and leaves the pool as it was.
+    for i in 0..400 {
+        let cost = get_cost(&db, &mut reader, i);
+        assert_eq!(cost[..3], [1, 1, 0], "key {i}: one READ, one lookup, a miss");
+        // Room for about 200 records: admitted while it lasts.
+        assert!(cost[3] == u64::from(i < 150) || (150..250).contains(&i), "key {i}: {cost:?}");
+        assert_eq!(cost[4], 0, "key {i}: nothing admitted, nothing evicted");
+    }
+    for i in [1_000u64, 1_500, 1_999] {
+        assert_eq!(get_cost(&db, &mut reader, i), [1, 1, 0, 0, 0], "key {i}: first miss");
+        // Missed again while the ghost table remembers it: admitted, and
+        // something colder makes room.
+        assert_eq!(get_cost(&db, &mut reader, i), [1, 1, 0, 1, 1], "key {i}: second miss");
+        assert_eq!(get_cost(&db, &mut reader, i), [0, 1, 1, 0, 0], "key {i}: third get is a hit");
+    }
+    db.shutdown();
+    r.server.shutdown();
+}
+
+#[test]
+fn a_uniform_sweep_keeps_its_hits_and_evicts_next_to_nothing() {
+    const KEYS: u64 = 2_100;
+    let r = rig();
+    // A pool of a seventh of the data whose ghost table remembers the last
+    // 64 misses, 3 % of the keys (get-remote: 8 192 of 500 000).
+    let db = r.open(paced(small_pool(KEYS / 7, 1, 64)));
+    load(&db, 0..KEYS, 1);
+    let mut reader = db.reader();
+    let mut x = 1u64;
+    let mut uniform = move || {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (x >> 33) % KEYS
+    };
+    for _ in 0..2 * KEYS {
+        let i = uniform();
+        assert_eq!(reader.get(&key(i)).unwrap(), Some(value(i, 1))); // warm up: fill the pool
+    }
+    let before = db.cache_stats().unwrap();
+    let gets = 7 * KEYS;
+    for _ in 0..gets {
+        let i = uniform();
+        assert_eq!(reader.get(&key(i)).unwrap(), Some(value(i, 1)));
+    }
+    let after = db.cache_stats().unwrap();
+    let evictions = after.evictions - before.evictions;
+    assert!(evictions * 10 <= gets, "{evictions} evictions in {gets} gets");
+    let resident = (after.inserts - after.evictions - after.invalidations) as f64 / KEYS as f64;
+    let hits = (after.block_hits - before.block_hits) as f64 / gets as f64;
+    assert!(resident > 0.12, "the pool holds {resident:.3} of the keys, sized for 1/7");
+    assert!(hits >= 0.8 * resident, "hit fraction {hits:.3} with {resident:.3} of the keys resident");
+    db.shutdown();
+    r.server.shutdown();
+}
+
+#[test]
+fn a_hot_set_takes_over_a_pool_full_of_cold_records() {
+    let r = rig();
+    let db = r.open(paced(small_pool(2_000, 4, CacheConfig::default().ghost_entries)));
+    load(&db, 0..4_000, 1);
+    let mut reader = db.reader();
+    for i in 1_000..4_000 {
+        assert_eq!(reader.get(&key(i)).unwrap(), Some(value(i, 1))); // cold: one touch each
+    }
+    let full = db.cache_stats().unwrap();
+    assert!(full.resident_bytes * 10 >= full.capacity_bytes * 9, "pool not full: {full:?}");
+    let mut pass = || (0..1_000).filter(|&i| get_cost(&db, &mut reader, i)[2] == 1).count();
+    let hits = [pass(), pass(), pass()];
+    assert_eq!(hits[..2], [0, 0], "first pass remembered, second admitted");
+    assert!(hits[2] >= 900, "third pass of the hot set hit {} times in 1 000", hits[2]);
+    db.shutdown();
+    r.server.shutdown();
+}
+
 #[test]
 fn reader_counters_are_exact_while_the_readers_live() {
     let r = rig();
@@ -190,6 +293,48 @@ fn reader_counters_are_exact_while_the_readers_live() {
     );
     db.shutdown();
     r.server.shutdown();
+}
+
+/// A get is timed one time in sixteen and the other fifteen repeat what that
+/// one measured; on a stationary stream the histogram this fills reads as
+/// one filled by timing every get.
+#[test]
+fn sampled_get_latency_agrees_with_timing_every_get() {
+    use dlsm_repro::telemetry::{bucket_index, Histogram};
+    // A fabric whose READ takes ≈ 2 µs: next to it this test's own two
+    // clock reads per get, which the reader's clock does not see, are small.
+    let fabric = Fabric::new(NetworkProfile::edr_100g());
+    let server = MemServer::start(
+        &fabric,
+        MemServerConfig { region_size: 64 << 20, flush_zone: 32 << 20, compaction_workers: 2, dispatchers: 1 },
+    );
+    let db = Db::open(
+        ComputeContext::new(&fabric),
+        MemNodeHandle::from_server(&server),
+        paced(CacheConfig::default()),
+    )
+    .unwrap();
+    load(&db, 0..1_000, 1);
+    let mut reader = db.reader();
+    let before = db.telemetry_snapshot();
+    let every = Histogram::new();
+    const GETS: u64 = 32_000;
+    for n in 0..GETS {
+        let (i, k) = (n * 7 % 1_000, key(n * 7 % 1_000));
+        let t0 = std::time::Instant::now();
+        let got = reader.get(&k).unwrap();
+        every.record(t0.elapsed().as_nanos() as u64);
+        assert_eq!(got, Some(value(i, 1)));
+    }
+    let sampled = db.telemetry_snapshot().delta(&before).op(OpClass::GetHit).clone();
+    assert_eq!(sampled.count(), GETS, "every get is in the histogram");
+    let (sampled, every) = (sampled.p50(), every.snapshot().p50());
+    assert!(
+        bucket_index(sampled).abs_diff(bucket_index(every)) <= 1,
+        "p50 of one get in 16: {sampled} ns, of every get: {every} ns"
+    );
+    db.shutdown();
+    server.shutdown();
 }
 
 /// What the remote side holds at the end of `idle_reader_run`: live extents
