@@ -247,9 +247,14 @@ fn bench_scan_entry_parts(c: &mut Criterion) {
 
 /// Memory-node compaction probe (reported, not gated): `execute_compaction`
 /// over 8 inputs of 19 000 × 420 B records, as 1, 2 and 12 sub-ranges run
-/// one after another on one core, each sub-task given every input whole or
-/// only its clip of it (`TableMeta::user_range_bytes`, what `run_near_data`
-/// sends). Elements are input records: 1000 / (Melem/s) = ns per record.
+/// one after another on one core, each sub-task given its clip of every input
+/// (`TableMeta::user_range`, what `run_near_data` sends). Elements are input
+/// records: 1000 / (Melem/s) = ns per record. Each cell prints the bytes its
+/// replies put on the wire per input record, and `replay_index` is what the
+/// requester then does with them — `TableMeta::replay_merge`, the gather
+/// over the inputs' indexes — beside `meta_decode`, decoding the same
+/// tables' indexes from `TableMeta::encode` bytes as replies carried them
+/// before ISSUE 23.
 fn bench_memnode_compaction(c: &mut Criterion) {
     let (tables, per_table) = (8u64, 19_000u64);
     let n = tables * per_table;
@@ -276,44 +281,60 @@ fn bench_memnode_compaction(c: &mut Criterion) {
             offset += (data.len() as u64).next_multiple_of(8);
         }
         for ranges in [1u64, 2, 12] {
-            for clipped in [false, true] {
-                if clipped && ranges == 1 {
-                    continue;
-                }
-                let bound = |r: u64| if r.is_multiple_of(ranges) { Vec::new() } else { format!("key{:09}", r * n / ranges).into_bytes() };
-                let tasks: Vec<CompactArgs> = (0..ranges)
-                    .map(|r| {
-                        let (range_lo, range_hi) = (bound(r), bound(r + 1));
-                        let clip = |(offset, meta): &(u64, Arc<TableMeta>)| {
-                            let within = if clipped { meta.user_range_bytes(&range_lo, &range_hi) } else { 0..meta.data_len };
-                            InputTable { offset: offset + within.start, len: within.end - within.start }
-                        };
-                        CompactArgs {
-                            format: TableFormat::ByteAddr,
-                            smallest_snapshot: MAX_SEQ,
-                            drop_deletions: true,
-                            max_output_bytes: 8 << 20,
-                            bits_per_key: 10,
-                            inputs: inputs.iter().map(clip).filter(|t| t.len > 0).collect(),
-                            range_lo,
-                            range_hi,
-                        }
-                    })
-                    .collect();
-                let name = format!("{shape}/{ranges}_ranges/{}", if clipped { "clipped" } else { "whole" });
-                group.bench_function(name, |b| {
-                    b.iter(|| {
-                        let zone = RegionAllocator::new(128 << 20, 128 << 20);
-                        let (mut records_in, mut records_out) = (0, 0);
-                        for args in &tasks {
-                            let reply = execute_compaction(&region, &zone, args).unwrap();
-                            records_in += reply.records_in;
-                            records_out += reply.records_out;
-                        }
-                        assert_eq!((records_in, records_out), (n, n));
-                    });
+            let bound = |r: u64| if r.is_multiple_of(ranges) { Vec::new() } else { format!("key{:09}", r * n / ranges).into_bytes() };
+            // Per sub-task: its arguments and the index records they name.
+            type Clips<'a> = Vec<(&'a TableMeta, std::ops::Range<usize>)>;
+            let tasks: Vec<(CompactArgs, Clips)> = (0..ranges)
+                .map(|r| {
+                    let (range_lo, range_hi) = (bound(r), bound(r + 1));
+                    let clips: Vec<(u64, &TableMeta, std::ops::Range<usize>)> = inputs
+                        .iter()
+                        .map(|(offset, meta)| (*offset, &**meta, meta.user_range(&range_lo, &range_hi)))
+                        .filter(|(_, _, records)| !records.is_empty())
+                        .collect();
+                    let input = |(offset, meta, records): &(u64, &TableMeta, std::ops::Range<usize>)| {
+                        let within = meta.byte_range(records);
+                        InputTable { offset: offset + within.start, len: within.end - within.start }
+                    };
+                    let args = CompactArgs {
+                        format: TableFormat::ByteAddr,
+                        smallest_snapshot: MAX_SEQ,
+                        drop_deletions: true,
+                        max_output_bytes: 8 << 20,
+                        bits_per_key: 10,
+                        inputs: clips.iter().map(input).collect(),
+                        range_lo,
+                        range_hi,
+                    };
+                    (args, clips.into_iter().map(|(_, meta, records)| (meta, records)).collect())
+                })
+                .collect();
+            let run = || {
+                let zone = RegionAllocator::new(128 << 20, 128 << 20);
+                tasks.iter().map(|(args, _)| execute_compaction(&region, &zone, args).unwrap()).collect::<Vec<_>>()
+            };
+            group.bench_function(format!("{shape}/{ranges}_ranges"), |b| {
+                b.iter(|| {
+                    let replies = run();
+                    let sum = |f: fn(&dlsm_memnode::CompactReply) -> u64| replies.iter().map(f).sum::<u64>();
+                    assert_eq!((sum(|r| r.records_in), sum(|r| r.records_out)), (n, n));
                 });
-            }
+            });
+            let replies = run();
+            let reply_bytes: usize = replies.iter().map(|r| r.frame_len()).sum();
+            eprintln!("{shape}/{ranges}_ranges: {:.3} reply bytes per input record", reply_bytes as f64 / n as f64);
+            let reported = |r: &dlsm_memnode::CompactReply| {
+                r.outputs.iter().map(|o| (o.records, o.len, BloomFilter::decode(&o.meta).unwrap())).collect::<Vec<_>>()
+            };
+            let replay = || -> Vec<Vec<TableMeta>> {
+                let metas = tasks.iter().zip(&replies).map(|((_, clips), r)| TableMeta::replay_merge(clips, &r.steps, reported(r)));
+                metas.collect::<Result<_, _>>().unwrap()
+            };
+            group.bench_function(format!("{shape}/{ranges}_ranges/replay_index"), |b| b.iter(|| std::hint::black_box(replay())));
+            let encoded: Vec<Vec<u8>> = replay().iter().flatten().map(TableMeta::encode).collect();
+            group.bench_function(format!("{shape}/{ranges}_ranges/meta_decode"), |b| {
+                b.iter(|| encoded.iter().map(|e| TableMeta::decode(e).unwrap().0.num_entries).sum::<u64>());
+            });
         }
     }
     group.finish();

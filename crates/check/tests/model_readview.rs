@@ -32,6 +32,13 @@
 //! that has to refresh takes horizon and view again until no publication
 //! falls between the two. The straw man keeps the horizon it loaded first
 //! and must be caught reading through a view whose compaction began later.
+//!
+//! **A snapshot registers with its horizon** (ISSUE 23; last miniature).
+//! `Db::snapshot` takes its sequence number and enters it in `snapshots`
+//! under the lock `smallest_snapshot` reads both under, so a compaction
+//! either sees the snapshot or loaded a horizon the snapshot's is not below.
+//! The straw man loads, then registers, and must be caught pinning a view
+//! whose compaction began in between.
 
 use std::sync::Arc;
 
@@ -376,5 +383,88 @@ fn a_refreshed_view_is_read_at_a_horizon_no_older_than_its_compactions() {
 fn a_stale_horizon_is_caught_reading_through_a_newer_compaction() {
     let report = explore_gc::<false>("readview-gc-stale-horizon");
     let v = report.violation.expect("checker failed to catch the stale horizon");
+    assert!(v.message.contains("dropped what horizon"), "unexpected violation: {}", v.message);
+}
+
+/// `Db::snapshot` in miniature: a compaction drops what the smallest
+/// registered snapshot — the horizon, when none is registered — shadows, so a
+/// snapshot must not pin a view whose compactions dropped by a newer horizon
+/// than its own.
+struct MiniSnap {
+    horizon: AtomicU64,
+    /// The registered snapshot's sequence number.
+    snapshots: Mutex<Option<u64>>,
+    /// `(id, dropped_at)`.
+    view: Mutex<(u64, u64)>,
+}
+
+impl MiniSnap {
+    /// `LOCKED = false` is the straw man: load the horizon, then register it.
+    fn snapshot<const LOCKED: bool>(&self) {
+        let seq = if LOCKED {
+            let mut snapshots = self.snapshots.lock();
+            let seq = self.horizon.load(Ordering::Acquire);
+            *snapshots = Some(seq);
+            seq
+        } else {
+            let seq = self.horizon.load(Ordering::Acquire);
+            *self.snapshots.lock() = Some(seq);
+            seq
+        };
+        let view = *self.view.lock();
+        assert!(
+            view.1 <= seq,
+            "snapshot {seq} pinned view {} whose compaction dropped what horizon {} shadows",
+            view.0,
+            view.1
+        );
+    }
+
+    /// `Shared::smallest_snapshot`: the horizon is read under the lock.
+    fn smallest_snapshot(&self) -> u64 {
+        let snapshots = self.snapshots.lock();
+        snapshots.unwrap_or_else(|| self.horizon.load(Ordering::Acquire))
+    }
+}
+
+fn explore_snapshot<const LOCKED: bool>(name: &str) -> dlsm_check::Report {
+    Checker::new(name).preemption_bound(3).explore(|| {
+        let db = Arc::new(MiniSnap {
+            horizon: AtomicU64::new(0),
+            snapshots: Mutex::new(None),
+            view: Mutex::new((0, 0)),
+        });
+        let d = Arc::clone(&db);
+        let writer = thread::spawn(move || {
+            d.horizon.store(1, Ordering::Release);
+            d.horizon.store(2, Ordering::Release);
+        });
+        let d = Arc::clone(&db);
+        let snapshotter = thread::spawn(move || d.snapshot::<LOCKED>());
+        // Two compactions: each takes its drop horizon, merges, installs.
+        for _ in 0..2 {
+            let dropped_at = db.smallest_snapshot();
+            let mut view = db.view.lock();
+            *view = (view.0 + 1, view.1.max(dropped_at));
+        }
+        writer.join().unwrap();
+        snapshotter.join().unwrap();
+    })
+}
+
+#[test]
+fn a_snapshot_registered_with_its_horizon_keeps_every_version_it_reads() {
+    let report = explore_snapshot::<true>("readview-snapshot");
+    assert!(report.violation.is_none(), "violation: {:?}", report.violation);
+    assert!(report.complete, "state space truncated at {} executions", report.executions);
+    assert!(report.executions >= 50, "explored only {} interleavings", report.executions);
+}
+
+/// Load-then-register *must* be caught losing a version to a compaction
+/// that started in between.
+#[test]
+fn a_snapshot_registered_late_is_caught_losing_a_version() {
+    let report = explore_snapshot::<false>("readview-snapshot-late");
+    let v = report.violation.expect("checker failed to catch the late registration");
     assert!(v.message.contains("dropped what horizon"), "unexpected violation: {}", v.message);
 }

@@ -21,7 +21,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dlsm_memnode::{ClientNetStats, CompactArgs, InputTable, RpcClient, TableFormat};
+use dlsm_memnode::{ClientNetStats, CompactArgs, CompactReply, InputTable, OutputTable, RpcClient, TableFormat};
+use dlsm_sstable::bloom::BloomFilter;
 use dlsm_sstable::byte_addr::{ByteAddrBuilder, TableMeta};
 use dlsm_sstable::block::BlockTableBuilder;
 use dlsm_sstable::coding::get_len_prefixed;
@@ -131,13 +132,23 @@ pub fn pick_compaction(
     let inputs_lo: Vec<Arc<TableHandle>> = if level == 0 {
         version.level(0).to_vec() // newest first already
     } else {
-        // Round-robin: the first table past the cursor, wrapping.
+        // Round-robin: the first table past the cursor, wrapping — and its
+        // successors for as long as the level stays over its limit without
+        // them: neighbours share the tables they overlap one level down, so
+        // one job for the whole excess rewrites less than a job per table.
         let tables = version.level(level);
         let start = tables
             .iter()
             .position(|t| t.smallest > compact_pointer[level])
             .unwrap_or(0);
-        vec![Arc::clone(&tables[start])]
+        let excess = version.level_bytes(level).saturating_sub(max_bytes_for_level(cfg, level));
+        let mut taken = 0;
+        let wanted = |t: &&Arc<TableHandle>| {
+            let take = taken <= excess;
+            taken += t.extent.len;
+            take
+        };
+        tables[start..].iter().take_while(wanted).cloned().collect()
     };
     if inputs_lo.is_empty() {
         return None;
@@ -177,10 +188,7 @@ pub fn pick_boundaries(job: &CompactionJob, k: usize) -> Vec<Vec<u8>> {
     if k <= 1 {
         return Vec::new();
     }
-    let biggest = job
-        .all_inputs()
-        .max_by_key(|t| t.num_entries)
-        .expect("job has inputs");
+    let Some(biggest) = job.all_inputs().max_by_key(|t| t.num_entries) else { return Vec::new() };
     let mut keys: Vec<Vec<u8>> = Vec::new();
     match &biggest.meta {
         MetaKind::ByteAddr(meta) => {
@@ -256,7 +264,7 @@ pub fn subranges(boundaries: &[Vec<u8>]) -> Vec<(Vec<u8>, Vec<u8>)> {
 pub fn clip_inputs(job: &CompactionJob, lo: &[u8], hi: &[u8]) -> Vec<InputTable> {
     let clip = |t: &Arc<TableHandle>| {
         let within = match &t.meta {
-            MetaKind::ByteAddr(meta) => meta.user_range_bytes(lo, hi),
+            MetaKind::ByteAddr(meta) => meta.byte_range(&meta.user_range(lo, hi)),
             MetaKind::Block(..) => 0..t.extent.len,
         };
         let input = || InputTable { offset: t.extent.offset + within.start, len: within.end - within.start };
@@ -273,6 +281,9 @@ pub struct CompactionOutcome {
     pub records_in: u64,
     /// Records written.
     pub records_out: u64,
+    /// Bytes of the near-data compaction replies, as framed on the wire
+    /// (0 for a compute-side compaction).
+    pub reply_bytes: u64,
 }
 
 /// Execute `job` by near-data compaction: one RPC per sub-range, all in
@@ -290,7 +301,7 @@ pub fn run_near_data(
     cfg: &DbConfig,
     smallest_snapshot: SeqNo,
     gc: &Arc<GcSink>,
-    next_id: &dyn Fn() -> u64,
+    next_id: &(dyn Fn() -> u64 + Sync),
     clients: &mut Vec<RpcClient>,
     net: &Arc<ClientNetStats>,
 ) -> Result<CompactionOutcome> {
@@ -305,11 +316,12 @@ pub fn run_near_data(
     }
 
     // One RPC per sub-range, issued from scoped threads: each requester
-    // sleeps until the memory node's WRITE-with-IMMEDIATE wakes it. The
-    // coordinator's trace context is captured here so each subtask thread
-    // (a fresh recorder with no span stack) records as its child.
+    // sleeps until the memory node's WRITE-with-IMMEDIATE wakes it, then
+    // turns its reply into table handles. The coordinator's trace context is
+    // captured here so each subtask thread (a fresh recorder with no span
+    // stack) records as its child.
     let trace_ctx = dlsm_trace::current_ctx();
-    let replies: Vec<dlsm_memnode::CompactReply> = std::thread::scope(|scope| {
+    let parts: Vec<Result<CompactionOutcome>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(ranges.len());
         for ((lo, hi), client) in ranges.iter().zip(clients.iter_mut()) {
             let args = CompactArgs {
@@ -322,7 +334,7 @@ pub fn run_near_data(
                 range_hi: hi.clone(),
                 inputs: clip_inputs(job, lo, hi),
             };
-            handles.push(scope.spawn(move || -> Result<dlsm_memnode::CompactReply> {
+            handles.push(scope.spawn(move || -> Result<CompactionOutcome> {
                 let _sp = match trace_ctx {
                     Some(c) => dlsm_trace::span_child_of(
                         dlsm_trace::Category::Compact,
@@ -331,22 +343,21 @@ pub fn run_near_data(
                     ),
                     None => dlsm_trace::span(dlsm_trace::Category::Compact, "compact_subtask"),
                 };
-                Ok(client.compact(&args, ctx.waiter(), Duration::from_secs(120))?)
+                let reply = client.compact(&args, ctx.waiter(), Duration::from_secs(120))?;
+                outputs_from_reply(job, lo, hi, ctx, memnode, cfg, gc, next_id, &reply)
             }));
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sub-compaction thread panicked"))
-            .collect::<Result<Vec<_>>>()
-    })?;
+        // Every sub-task is joined before any result is looked at: a failed
+        // one drops the others' handles, which frees their outputs.
+        handles.into_iter().map(|h| h.join().expect("sub-compaction thread panicked")).collect()
+    });
 
-    let mut outcome = CompactionOutcome { outputs: Vec::new(), records_in: 0, records_out: 0 };
-    for reply in replies {
-        outcome.records_in += reply.records_in;
-        outcome.records_out += reply.records_out;
-        for out in reply.outputs {
-            outcome.outputs.push(handle_from_output(ctx, memnode, cfg, gc, next_id(), out)?);
-        }
+    let mut outcome = CompactionOutcome { outputs: Vec::new(), records_in: 0, records_out: 0, reply_bytes: 0 };
+    for part in parts.into_iter().collect::<Result<Vec<_>>>()? {
+        outcome.records_in += part.records_in;
+        outcome.records_out += part.records_out;
+        outcome.reply_bytes += part.reply_bytes;
+        outcome.outputs.extend(part.outputs);
     }
     // Sub-ranges were issued in key order and each reply's outputs are in
     // key order, so the concatenation is already sorted; assert in debug.
@@ -357,62 +368,95 @@ pub fn run_near_data(
     Ok(outcome)
 }
 
-/// Build a compute-side handle from one near-data output table.
-fn handle_from_output(
+/// What the sub-task for user keys `[lo, hi)` makes of its reply: a handle per
+/// output table. The outputs are the caller's to free once the memory node
+/// has answered — by their handles, or here and now if the reply is refused.
+#[allow(clippy::too_many_arguments)]
+pub fn outputs_from_reply(
+    job: &CompactionJob,
+    lo: &[u8],
+    hi: &[u8],
     ctx: &ComputeContext,
     memnode: &MemNodeHandle,
     cfg: &DbConfig,
     gc: &Arc<GcSink>,
-    id: u64,
-    out: dlsm_memnode::OutputTable,
-) -> Result<Arc<TableHandle>> {
-    let extent = Extent { offset: out.offset, len: out.len };
+    next_id: &(dyn Fn() -> u64 + Sync),
+    reply: &CompactReply,
+) -> Result<CompactionOutcome> {
+    let extent = |o: &OutputTable| Extent { offset: o.offset, len: o.len };
+    let described = describe_outputs(job, lo, hi, ctx, memnode, cfg, reply)
+        .inspect_err(|_| reply.outputs.iter().for_each(|o| gc.enqueue(Origin::MemNode, extent(o))))?;
+    let handle = |(o, (meta, smallest, largest, n)): (&OutputTable, Described)| {
+        let gc = Some(Arc::clone(gc));
+        TableHandle::new(next_id(), memnode.remote(), extent(o), Origin::MemNode, meta, smallest, largest, n, gc)
+    };
+    Ok(CompactionOutcome {
+        outputs: reply.outputs.iter().zip(described).map(handle).collect(),
+        records_in: reply.records_in,
+        records_out: reply.records_out,
+        reply_bytes: reply.frame_len() as u64,
+    })
+}
+
+/// `(metadata, smallest key, largest key, records)` of an output table.
+type Described = (MetaKind, Vec<u8>, Vec<u8>, u64);
+
+/// The output tables of the sub-task for `[lo, hi)`, described from its
+/// reply. The reply is untrusted: the result is a description the inputs'
+/// own indexes bear out, or an error.
+fn describe_outputs(
+    job: &CompactionJob,
+    lo: &[u8],
+    hi: &[u8],
+    ctx: &ComputeContext,
+    memnode: &MemNodeHandle,
+    cfg: &DbConfig,
+    reply: &CompactReply,
+) -> Result<Vec<Described>> {
     match cfg.format {
         TableFormat::ByteAddr => {
-            let (meta, _) = TableMeta::decode(&out.meta)?;
-            let smallest = meta.smallest().expect("non-empty output").to_vec();
-            let largest = meta.largest().expect("non-empty output").to_vec();
-            let n = meta.num_entries;
-            Ok(TableHandle::new(
-                id,
-                memnode.remote(),
-                extent,
-                Origin::MemNode,
-                MetaKind::ByteAddr(Arc::new(meta)),
-                smallest,
-                largest,
-                n,
-                Some(Arc::clone(gc)),
-            ))
+            // The memory node copied surviving records as they lay and says
+            // in which order it consumed the inputs: replayed over the index
+            // records `clip_inputs` sent it, that is the outputs' indexes.
+            let corrupt = |what: &str| DbError::Sst(format!("corrupt compaction reply: {what}"));
+            let inputs: Vec<(&TableMeta, std::ops::Range<usize>)> = job
+                .all_inputs()
+                .filter_map(|t| match &t.meta {
+                    MetaKind::ByteAddr(meta) => Some((&**meta, meta.user_range(lo, hi))),
+                    MetaKind::Block(..) => None,
+                })
+                .filter(|(_, records)| !records.is_empty())
+                .collect();
+            let table = |o: &OutputTable| Some((o.records, o.len, BloomFilter::decode(&o.meta)?));
+            let tables: Option<Vec<_>> = reply.outputs.iter().map(table).collect();
+            let metas = TableMeta::replay_merge(&inputs, &reply.steps, tables.ok_or_else(|| corrupt("bloom filter"))?)?;
+            let sent: usize = inputs.iter().map(|(_, records)| records.len()).sum();
+            let kept: u64 = metas.iter().map(|m| m.num_entries).sum();
+            if reply.records_in != sent as u64 || reply.records_out != kept {
+                return Err(corrupt("record counts"));
+            }
+            let describe = |meta: TableMeta| {
+                let smallest = meta.smallest().unwrap_or_default().to_vec();
+                let largest = meta.largest().unwrap_or_default().to_vec();
+                let n = meta.num_entries;
+                (MetaKind::ByteAddr(Arc::new(meta)), smallest, largest, n)
+            };
+            Ok(metas.into_iter().map(describe).collect())
         }
         TableFormat::Block(block_size) => {
-            // Reply carries only the key bounds; fetch the table's index and
+            // Reply carries only the key bounds; fetch each table's index and
             // filter (3 remote reads) to populate the compute-side cache.
-            let (smallest, n1) = get_len_prefixed(&out.meta, 0)
-                .map_err(|e| DbError::Sst(e.to_string()))?;
-            let (largest, _) = get_len_prefixed(&out.meta, n1)
-                .map_err(|e| DbError::Sst(e.to_string()))?;
-            let channel = crate::remote::ReadChannel::one_sided(
-                ctx.fabric().create_qp(ctx.node().id(), memnode.node_id())?,
-            );
-            let source = crate::remote::RemoteSource::new(
-                channel,
-                memnode.remote().addr(out.offset),
-                out.len,
-            );
-            let reader = dlsm_sstable::block::BlockTableReader::open(source)?;
-            let n = reader.num_entries();
-            Ok(TableHandle::new(
-                id,
-                memnode.remote(),
-                extent,
-                Origin::MemNode,
-                MetaKind::Block(reader.meta_cache(), block_size),
-                smallest.to_vec(),
-                largest.to_vec(),
-                n,
-                Some(Arc::clone(gc)),
-            ))
+            let describe = |out: &OutputTable| -> Result<Described> {
+                let (smallest, n1) = get_len_prefixed(&out.meta, 0)?;
+                let (largest, _) = get_len_prefixed(&out.meta, n1)?;
+                let qp = ctx.fabric().create_qp(ctx.node().id(), memnode.node_id())?;
+                let channel = crate::remote::ReadChannel::one_sided(qp);
+                let source = crate::remote::RemoteSource::new(channel, memnode.remote().addr(out.offset), out.len);
+                let reader = dlsm_sstable::block::BlockTableReader::open(source)?;
+                let n = reader.num_entries();
+                Ok((MetaKind::Block(reader.meta_cache(), block_size), smallest.to_vec(), largest.to_vec(), n))
+            };
+            reply.outputs.iter().map(describe).collect()
         }
     }
 }
@@ -539,7 +583,7 @@ pub fn run_local(
                 .with_net_stats(Arc::clone(net)),
         ),
     };
-    let mut outcome = CompactionOutcome { outputs: Vec::new(), records_in: 0, records_out: 0 };
+    let mut outcome = CompactionOutcome { outputs: Vec::new(), records_in: 0, records_out: 0, reply_bytes: 0 };
     let alloc = memnode.flush_alloc();
     let mut write_back = |image: &[u8]| -> Result<Extent> {
         let len = image.len() as u64;

@@ -81,8 +81,9 @@ pub struct DbConfig {
     /// not a price: a scan fetches only the bytes its range covers, and
     /// without a bound ramps up to this from 16 KiB (DESIGN.md §5.11).
     pub scan_prefetch: usize,
-    /// RPC reply/argument buffer size (must hold compaction replies, whose
-    /// dominant part is the per-record index of each output table).
+    /// RPC reply/argument buffer size. It must hold a sub-compaction's reply:
+    /// about 1 byte per input record plus 1.25 per output record (the merge
+    /// trace and the bloom filters; a reply that does not fit fails the job).
     pub rpc_buf_size: usize,
     /// MemTable switch protocol (ablation knob).
     pub switch_protocol: SwitchProtocol,

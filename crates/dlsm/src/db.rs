@@ -679,8 +679,15 @@ impl Db {
     /// Pin a consistent snapshot (Sec. V-B: the pinned metadata pins every
     /// SSTable it references).
     pub fn snapshot(&self) -> Snapshot {
-        let seq = self.current_seq();
-        *self.shared.snapshots.lock().entry(seq).or_insert(0) += 1;
+        // Taken and registered under the lock `smallest_snapshot` takes: a
+        // compaction sees this snapshot or read its own horizon first, which
+        // `seq` is then not below — either way it keeps what `seq` reads.
+        let seq = {
+            let mut snapshots = self.shared.snapshots.lock();
+            let seq = self.current_seq();
+            *snapshots.entry(seq).or_insert(0) += 1;
+            seq
+        };
         Snapshot { seq, view: self.shared.pin(), shared: Arc::clone(&self.shared) }
     }
 
@@ -1655,6 +1662,7 @@ fn compaction_loop(shared: Arc<Shared>) {
                 DbStats::add(&shared.stats.compaction_subtasks, subtasks);
                 DbStats::add(&shared.stats.compaction_records_in, outcome.records_in);
                 DbStats::add(&shared.stats.compaction_records_out, outcome.records_out);
+                DbStats::add(&shared.stats.compaction_reply_bytes, outcome.reply_bytes);
                 DbStats::add(
                     &shared.stats.compaction_bytes_out,
                     outcome.outputs.iter().map(|t| t.extent.len).sum::<u64>(),

@@ -155,7 +155,7 @@ impl std::fmt::Display for StatsReport {
             f,
             "Remote memory: flush zone {:.2}/{:.2} MiB in use ({} fragments); \
              live compute {:.2} MiB, memnode {:.2} MiB, external {:.2} MiB; \
-             GC backlog {} extents",
+             GC backlog {} extents; compaction replies {:.2} B per input record",
             mib(self.flush_zone_used),
             mib(self.flush_zone_capacity),
             self.flush_zone_fragments,
@@ -163,6 +163,7 @@ impl std::fmt::Display for StatsReport {
             mib(self.live_bytes[1]),
             mib(self.live_bytes[2]),
             self.gc_backlog,
+            self.counters.compaction_reply_bytes as f64 / self.counters.compaction_records_in.max(1) as f64,
         )?;
         if let Some(cs) = &self.cache {
             writeln!(

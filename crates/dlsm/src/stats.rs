@@ -36,6 +36,8 @@ pub struct DbStats {
     pub compaction_records_out: AtomicU64,
     /// Bytes written to remote memory by compaction outputs.
     pub compaction_bytes_out: AtomicU64,
+    /// Bytes of near-data compaction replies, as framed on the wire.
+    pub compaction_reply_bytes: AtomicU64,
     /// Write-stall episodes.
     pub stall_events: AtomicU64,
     /// Total nanoseconds writers spent stalled.
@@ -88,6 +90,7 @@ impl DbStats {
             compaction_records_in: Self::get(&self.compaction_records_in),
             compaction_records_out: Self::get(&self.compaction_records_out),
             compaction_bytes_out: Self::get(&self.compaction_bytes_out),
+            compaction_reply_bytes: Self::get(&self.compaction_reply_bytes),
             stall_events: Self::get(&self.stall_events),
             stall_nanos: Self::get(&self.stall_nanos),
             gc_batches: Self::get(&self.gc_batches),
@@ -128,6 +131,8 @@ pub struct DbStatsSnapshot {
     pub compaction_records_out: u64,
     /// Bytes written to remote memory by compaction outputs.
     pub compaction_bytes_out: u64,
+    /// Bytes of near-data compaction replies, as framed on the wire.
+    pub compaction_reply_bytes: u64,
     /// Write-stall episodes.
     pub stall_events: u64,
     /// Total nanoseconds writers spent stalled.
@@ -172,6 +177,7 @@ impl DbStatsSnapshot {
         f(&mut self.compaction_records_in, other.compaction_records_in);
         f(&mut self.compaction_records_out, other.compaction_records_out);
         f(&mut self.compaction_bytes_out, other.compaction_bytes_out);
+        f(&mut self.compaction_reply_bytes, other.compaction_reply_bytes);
         f(&mut self.stall_events, other.stall_events);
         f(&mut self.stall_nanos, other.stall_nanos);
         f(&mut self.gc_batches, other.gc_batches);
@@ -179,7 +185,7 @@ impl DbStatsSnapshot {
     }
 
     /// The counters as `(name, value)` pairs, for telemetry export.
-    pub fn named_counters(&self) -> [(&'static str, u64); 18] {
+    pub fn named_counters(&self) -> [(&'static str, u64); 19] {
         [
             ("puts", self.puts),
             ("deletes", self.deletes),
@@ -195,6 +201,7 @@ impl DbStatsSnapshot {
             ("compaction_records_in", self.compaction_records_in),
             ("compaction_records_out", self.compaction_records_out),
             ("compaction_bytes_out", self.compaction_bytes_out),
+            ("compaction_reply_bytes", self.compaction_reply_bytes),
             ("stall_events", self.stall_events),
             ("stall_nanos", self.stall_nanos),
             ("gc_batches", self.gc_batches),
@@ -277,6 +284,6 @@ mod tests {
         assert_eq!(m.stall_events, 1);
         let named: std::collections::HashMap<_, _> = m.named_counters().into_iter().collect();
         assert_eq!(named["puts"], 7);
-        assert_eq!(named.len(), 18);
+        assert_eq!(named.len(), 19);
     }
 }

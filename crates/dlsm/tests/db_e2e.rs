@@ -137,6 +137,47 @@ fn snapshot_isolation_across_flush() {
     server.shutdown();
 }
 
+/// A snapshot taken while compactions run reads, for as long as it lives,
+/// the newest version acknowledged before it was taken — never an older one
+/// because a compaction that began beside it dropped the version only it
+/// could see (ISSUE 23: the horizon is registered under the `snapshots` lock;
+/// model twin in `crates/check/tests/model_readview.rs`).
+#[test]
+fn snapshots_taken_beside_compactions_keep_their_version() {
+    use std::sync::atomic::AtomicU64;
+    let fabric = Fabric::new(NetworkProfile::instant());
+    let server = small_server(&fabric);
+    let db = open_db(&fabric, &server, DbConfig { memtable_size: 16 << 10, ..DbConfig::small() });
+    let acked = AtomicU64::new(0);
+    let value = |got: Option<Vec<u8>>| u64::from_be_bytes(got.expect("hot key lost")[..8].try_into().unwrap());
+    db.put(b"hot", &0u64.to_be_bytes()).unwrap();
+    std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
+            for i in 1..=20_000u64 {
+                db.put(b"hot", &i.to_be_bytes()).unwrap();
+                // ORDERING: the put returned, so its sequence number is published.
+                acked.store(i, Ordering::Release);
+                db.put(&key(i % 512), &[i as u8; 64]).unwrap();
+            }
+        });
+        let mut reader = db.reader();
+        let mut taken = 0u64;
+        while !writer.is_finished() {
+            let floor = acked.load(Ordering::Acquire);
+            let snap = db.snapshot();
+            let first = value(reader.get_at(&snap, b"hot").unwrap());
+            assert!(first >= floor, "snapshot {} reads {first}, older than acknowledged {floor}", snap.seq());
+            std::thread::yield_now();
+            assert_eq!(value(reader.get_at(&snap, b"hot").unwrap()), first, "snapshot {} moved", snap.seq());
+            taken += 1;
+        }
+        assert!(taken > 10, "only {taken} snapshots taken");
+    });
+    assert!(db.stats().snapshot().compactions >= 3);
+    db.shutdown();
+    server.shutdown();
+}
+
 #[test]
 fn scan_returns_sorted_visible_versions() {
     let fabric = Fabric::new(NetworkProfile::instant());

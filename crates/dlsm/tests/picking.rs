@@ -91,11 +91,34 @@ fn size_trigger_picks_deeper_level() {
     });
     let job = pick_compaction(&v, &cfg(), &mut Vec::new()).expect("L1 over budget");
     assert_eq!(job.level, 1);
-    assert_eq!(job.inputs_lo.len(), 1, "deeper levels compact one table at a time");
+    assert_eq!(job.inputs_lo.len(), 1, "one table brings the level back under its limit");
     assert!(
         !job.drop_deletions,
         "an overlapping table exists below the output level"
     );
+}
+
+/// A level far over its limit is brought back under it by one job over
+/// consecutive tables — which share the tables they overlap one level down —
+/// not by a job per table; the cursor moves past all of them.
+#[test]
+fn size_trigger_takes_the_whole_excess_in_one_job() {
+    let v = version_with(|e| {
+        for (i, keys) in [["a", "c"], ["d", "f"], ["g", "i"], ["j", "l"], ["m", "o"]].iter().enumerate() {
+            e.add(1, handle(i as u64 + 1, keys, 500)); // 2500 against 1000
+        }
+        e.add(2, handle(10, &["a", "e"], 100));
+        e.add(2, handle(11, &["e2", "k"], 100));
+        e.add(2, handle(12, &["n", "z"], 100)); // beyond the tables taken
+    });
+    let mut ptr = Vec::new();
+    let job = pick_compaction(&v, &cfg(), &mut ptr).expect("L1 over budget");
+    // 2000, 1500, 1000 bytes would still be over or at the limit: four go.
+    assert_eq!(job.inputs_lo.iter().map(|t| t.id).collect::<Vec<_>>(), [1, 2, 3, 4]);
+    assert_eq!(job.inputs_hi.iter().map(|t| t.id).collect::<Vec<_>>(), [10, 11]);
+    // The next job starts after them, and stops at the end of the level.
+    let next = pick_compaction(&v, &cfg(), &mut ptr).unwrap();
+    assert_eq!(next.inputs_lo.iter().map(|t| t.id).collect::<Vec<_>>(), [5]);
 }
 
 #[test]

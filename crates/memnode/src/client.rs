@@ -650,17 +650,17 @@ mod tests {
         // writes, exactly as a flush would.
         let region = server.region();
         let mut qp = fabric.create_qp(compute.id(), server.node_id()).unwrap();
-        let mut stage = |off: u64, entries: &[(&str, u64, ValueType, &str)]| -> InputTable {
+        let mut stage = |off: u64, entries: &[(&str, u64, ValueType, &str)]| -> (InputTable, TableMeta) {
             let mut b = ByteAddrBuilder::new(Vec::new(), 10);
             for (k, s, t, v) in entries {
                 b.add(InternalKey::new(k.as_bytes(), *s, *t).as_bytes(), v.as_bytes()).unwrap();
             }
-            let (data, _) = b.finish();
+            let (data, meta) = b.finish();
             qp.write_sync(&data, region.addr(off)).unwrap();
-            InputTable { offset: off, len: data.len() as u64 }
+            (InputTable { offset: off, len: data.len() as u64 }, meta)
         };
-        let t1 = stage(0, &[("alpha", 20, ValueType::Value, "new"), ("beta", 21, ValueType::Deletion, "")]);
-        let t2 = stage(
+        let (t1, m1) = stage(0, &[("alpha", 20, ValueType::Value, "new"), ("beta", 21, ValueType::Deletion, "")]);
+        let (t2, m2) = stage(
             4096,
             &[("alpha", 5, ValueType::Value, "old"), ("beta", 6, ValueType::Value, "dead"), ("gamma", 7, ValueType::Value, "keep")],
         );
@@ -680,10 +680,13 @@ mod tests {
         assert_eq!(reply.records_out, 2);
         assert_eq!(reply.outputs.len(), 1);
 
-        // The output must live in the compaction zone and decode correctly.
+        // The output must live in the compaction zone, and the reply says
+        // enough for the requester to derive its index from the inputs'.
         let out = &reply.outputs[0];
         assert!(out.offset >= server.flush_zone());
-        let (meta, _) = TableMeta::decode(&out.meta).unwrap();
+        let bloom = dlsm_sstable::BloomFilter::decode(&out.meta).unwrap();
+        let inputs = [(&m1, 0..2), (&m2, 0..3)];
+        let meta = TableMeta::replay_merge(&inputs, &reply.steps, [(out.records, out.len, bloom)]).unwrap().remove(0);
         let reader = ByteAddrReader::new(
             Arc::new(meta),
             RegionSource::new(Arc::clone(region), out.offset, out.len),

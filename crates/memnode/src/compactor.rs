@@ -16,9 +16,11 @@
 use std::sync::Arc;
 
 use dlsm_sstable::block::{BlockTableBuilder, BlockTableReader};
-use dlsm_sstable::byte_addr::{ByteAddrBuilder, RawTableIter};
+use dlsm_sstable::bloom::{bloom_hash, BloomFilter};
+use dlsm_sstable::byte_addr::{push_merge_step, RawTableIter, TableSink, MAX_MERGE_INPUTS};
 use dlsm_sstable::iter::{ClampIter, ForwardIter, MergingIter};
-use dlsm_sstable::merge::{CompactionIter, MergeConfig};
+use dlsm_sstable::key::user_key;
+use dlsm_sstable::merge::{CompactionIter, DropPolicy, MergeConfig};
 use dlsm_sstable::source::RegionSource;
 use rdma_sim::MemoryRegion;
 
@@ -49,24 +51,7 @@ pub fn execute_compaction(
     args: &CompactArgs,
 ) -> Result<CompactReply> {
     match args.format {
-        TableFormat::ByteAddr => {
-            let iters = args
-                .inputs
-                .iter()
-                .map(|t| {
-                    let len = usize::try_from(t.len).unwrap_or(usize::MAX);
-                    // Inputs are records of published tables, and outputs
-                    // go to extents allocated here.
-                    // SAFETY: nothing writes these bytes while the slice
-                    // lives — table extents are write-once and pinned by the
-                    // requesting version until it installs the outputs.
-                    let data = unsafe { region.local_slice(t.offset, len) }?;
-                    Ok(RawTableIter::new(data))
-                })
-                .collect::<Result<Vec<_>>>()?;
-            let clamped = ClampIter::new(MergingIter::new(iters), args.range_lo.clone(), args.range_hi.clone());
-            compact_byte_addr(clamped, region, allocator, args)
-        }
+        TableFormat::ByteAddr => compact_byte_addr(region, allocator, args),
         TableFormat::Block(block_size) => {
             let readers: Vec<BlockTableReader<RegionSource>> = args
                 .inputs
@@ -123,48 +108,95 @@ fn reclaim_partial(allocator: &RegionAllocator, outputs: &mut Vec<OutputTable>, 
     }
 }
 
-fn compact_byte_addr<I: ForwardIter>(
-    input: I,
+/// A byte-addressable output being written: its extent, and the
+/// [`bloom_hash`] of every record's user key so far.
+struct OpenOutput {
+    sink: RegionSink,
+    cap: u64,
+    hashes: Vec<u32>,
+}
+
+/// Merge byte-addressable inputs. A surviving record is copied as it lies in
+/// its input, so the requester — it holds every input's index and clipped the
+/// inputs itself — needs only the order the inputs were consumed in and which
+/// records were kept: the reply carries that trace, not the outputs' index.
+fn compact_byte_addr(
     region: &Arc<MemoryRegion>,
     allocator: &RegionAllocator,
     args: &CompactArgs,
 ) -> Result<CompactReply> {
-    let mut it = CompactionIter::new(input, merge_config(args));
-    let mut outputs = Vec::new();
-    let mut records_out = 0u64;
-    if let Err(e) = it.seek_to_first() {
-        return Err(e.into());
+    let inputs = args.inputs.len();
+    if inputs > MAX_MERGE_INPUTS {
+        return Err(MemNodeError::BadMessage(format!("{inputs} inputs in one compaction")));
     }
-    while it.valid() {
-        let (off, cap) = reserve(allocator, args)
-            .inspect_err(|_| reclaim_partial(allocator, &mut outputs, None))?;
-        let built: Result<(u64, Vec<u8>)> = (|| {
-            let sink = RegionSink::new(Arc::clone(region), off, cap);
-            let mut builder = ByteAddrBuilder::new(sink, args.bits_per_key as usize);
-            while it.valid() && builder.data_len() < args.max_output_bytes {
-                let record = 20 + it.key().len() as u64 + it.value().len() as u64;
-                if builder.data_len() + record + CUT_MARGIN > cap {
-                    break; // extent nearly full: cut this output early
-                }
-                builder.add(it.key(), it.value())?;
-                records_out += 1;
-                it.next()?;
-            }
-            let (sink, meta) = builder.finish();
-            Ok((sink.written(), meta.encode()))
-        })();
-        match built {
-            Ok((used, meta)) => {
-                trim(allocator, off, cap, used);
-                outputs.push(OutputTable { offset: off, len: used, meta });
-            }
-            Err(e) => {
-                reclaim_partial(allocator, &mut outputs, Some((off, cap)));
-                return Err(e);
-            }
+    let iters = args
+        .inputs
+        .iter()
+        .map(|t| {
+            let len = usize::try_from(t.len).unwrap_or(usize::MAX);
+            // Inputs are records of published tables, and outputs go to
+            // extents allocated here.
+            // SAFETY: nothing writes these bytes while the slice lives —
+            // table extents are write-once and pinned by the requesting
+            // version until it installs the outputs.
+            Ok(RawTableIter::new(unsafe { region.local_slice(t.offset, len) }?))
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let mut merge = MergingIter::new(iters);
+    let mut policy = DropPolicy::new(merge_config(args));
+    let mut reply = CompactReply { outputs: Vec::new(), records_in: 0, records_out: 0, steps: Vec::new() };
+    let mut open: Option<OpenOutput> = None;
+    let close = |o: OpenOutput, outputs: &mut Vec<OutputTable>| {
+        trim(allocator, o.sink.base(), o.cap, o.sink.written());
+        let bloom = BloomFilter::build_hashed(o.hashes.iter().copied(), args.bits_per_key as usize);
+        let records = o.hashes.len() as u64;
+        outputs.push(OutputTable { offset: o.sink.base(), len: o.sink.written(), records, meta: bloom.encode() });
+    };
+    let merged: Result<()> = (|| {
+        merge.seek_to_first()?;
+        // The requester clipped every input to `[range_lo, range_hi)`: a
+        // record outside means the two sides disagree about the job. The
+        // merge is sorted: its first and last records speak for the rest.
+        if merge.valid() && user_key(merge.key()) < args.range_lo.as_slice() {
+            return Err(MemNodeError::BadMessage("an input record below the sub-range".into()));
         }
+        while let Some((ordinal, child)) = merge.leader() {
+            let kept = !policy.drops(child.key());
+            reply.records_in += 1;
+            push_merge_step(&mut reply.steps, inputs, ordinal, kept);
+            if kept {
+                let record = 20 + child.key().len() as u64 + child.value().len() as u64;
+                let full = |o: &OpenOutput| {
+                    o.sink.written() >= args.max_output_bytes || o.sink.written() + record + CUT_MARGIN > o.cap
+                };
+                if let Some(o) = open.take_if(|o| full(o)) {
+                    close(o, &mut reply.outputs);
+                }
+                if open.is_none() {
+                    let (off, cap) = reserve(allocator, args)?;
+                    let sink = RegionSink::new(Arc::clone(region), off, cap);
+                    open = Some(OpenOutput { sink, cap, hashes: Vec::new() });
+                }
+                let o = open.as_mut().filter(|o| !full(o)).ok_or(MemNodeError::OutOfMemory { requested: record })?;
+                o.sink.append(child.record())?;
+                o.hashes.push(bloom_hash(user_key(child.key())));
+                reply.records_out += 1;
+            }
+            merge.next()?;
+        }
+        if !args.range_hi.is_empty() && policy.user_key() >= args.range_hi.as_slice() {
+            return Err(MemNodeError::BadMessage("an input record above the sub-range".into()));
+        }
+        Ok(())
+    })();
+    if let Err(e) = merged {
+        reclaim_partial(allocator, &mut reply.outputs, open.map(|o| (o.sink.base(), o.cap)));
+        return Err(e);
     }
-    Ok(CompactReply { outputs, records_in: it.records_seen(), records_out })
+    if let Some(o) = open {
+        close(o, &mut reply.outputs);
+    }
+    Ok(reply)
 }
 
 fn compact_block<I: ForwardIter>(
@@ -216,7 +248,7 @@ fn compact_block<I: ForwardIter>(
         match built {
             Ok((total_len, meta)) => {
                 trim(allocator, off, cap, total_len);
-                outputs.push(OutputTable { offset: off, len: total_len, meta });
+                outputs.push(OutputTable { offset: off, len: total_len, records: 0, meta });
             }
             Err(e) => {
                 reclaim_partial(allocator, &mut outputs, Some((off, cap)));
@@ -224,14 +256,14 @@ fn compact_block<I: ForwardIter>(
             }
         }
     }
-    Ok(CompactReply { outputs, records_in: it.records_seen(), records_out })
+    Ok(CompactReply { outputs, records_in: it.records_seen(), records_out, steps: Vec::new() })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire::InputTable;
-    use dlsm_sstable::byte_addr::{ByteAddrReader, TableGet, TableMeta};
+    use dlsm_sstable::byte_addr::{ByteAddrBuilder, ByteAddrReader, TableGet, TableMeta};
     use dlsm_sstable::key::{InternalKey, ValueType, MAX_SEQ};
     use rdma_sim::{Fabric, NetworkProfile};
 
@@ -244,19 +276,41 @@ mod tests {
         (region, alloc)
     }
 
-    /// Build a byte-addressable table image at `off` with the given entries.
+    /// Build a byte-addressable table image at `off` with the given entries;
+    /// its metadata stays with the caller, as it does with the compute node.
     fn stage_table(
         region: &Arc<MemoryRegion>,
         off: u64,
         entries: &[(&str, u64, ValueType, &str)],
-    ) -> InputTable {
+    ) -> (InputTable, TableMeta) {
         let mut b = ByteAddrBuilder::new(Vec::new(), 10);
         for (k, s, t, v) in entries {
             b.add(InternalKey::new(k.as_bytes(), *s, *t).as_bytes(), v.as_bytes()).unwrap();
         }
-        let (data, _meta) = b.finish();
+        let (data, meta) = b.finish();
         region.local_write(off, &data).unwrap();
-        InputTable { offset: off, len: data.len() as u64 }
+        (InputTable { offset: off, len: data.len() as u64 }, meta)
+    }
+
+    /// What the requester does with a reply: replay the trace over the
+    /// indexes of the whole tables it sent. Each result must be what a
+    /// builder makes of the output's bytes.
+    fn replay(region: &Arc<MemoryRegion>, inputs: &[&TableMeta], reply: &CompactReply) -> Vec<TableMeta> {
+        let inputs: Vec<_> = inputs.iter().map(|m| (*m, 0..m.index.len())).collect();
+        let tables = reply.outputs.iter().map(|o| (o.records, o.len, BloomFilter::decode(&o.meta).unwrap()));
+        let metas = TableMeta::replay_merge(&inputs, &reply.steps, tables).unwrap();
+        for (meta, out) in metas.iter().zip(&reply.outputs) {
+            // SAFETY: the compaction is over; nothing writes its outputs.
+            let mut it = RawTableIter::new(unsafe { region.local_slice(out.offset, out.len as usize) }.unwrap());
+            let mut b = ByteAddrBuilder::new(Vec::new(), 10);
+            it.seek_to_first().unwrap();
+            while it.valid() {
+                b.add(it.key(), it.value()).unwrap();
+                it.next().unwrap();
+            }
+            assert_eq!(meta, &b.finish().1, "replayed metadata differs from a rebuild");
+        }
+        metas
     }
 
     fn args(inputs: Vec<InputTable>) -> CompactArgs {
@@ -275,12 +329,12 @@ mod tests {
     #[test]
     fn merges_and_dedups() {
         let (region, alloc) = setup(8 << 20);
-        let t1 = stage_table(
+        let (t1, m1) = stage_table(
             &region,
             0,
             &[("a", 10, ValueType::Value, "a-new"), ("b", 11, ValueType::Deletion, "")],
         );
-        let t2 = stage_table(
+        let (t2, m2) = stage_table(
             &region,
             64 << 10,
             &[("a", 3, ValueType::Value, "a-old"), ("b", 4, ValueType::Value, "b-old"), ("c", 5, ValueType::Value, "c")],
@@ -290,8 +344,11 @@ mod tests {
         // b fully vanishes (tombstone + bottom level); a keeps newest; c kept.
         assert_eq!(reply.records_out, 2);
         assert_eq!(reply.outputs.len(), 1);
+        // One step per input record, in merge order: a(t1) kept, a(t2)
+        // dropped, b(t1) and b(t2) dropped, c(t2) kept.
+        assert_eq!(reply.steps, [1, 2, 0, 2, 3]);
         let out = &reply.outputs[0];
-        let (meta, _) = TableMeta::decode(&out.meta).unwrap();
+        let meta = replay(&region, &[&m1, &m2], &reply).remove(0);
         let reader = ByteAddrReader::new(
             Arc::new(meta),
             RegionSource::new(Arc::clone(&region), out.offset, out.len),
@@ -309,25 +366,22 @@ mod tests {
             .collect();
         let refs: Vec<(&str, u64, ValueType, &str)> =
             entries.iter().map(|(k, v)| (k.as_str(), 7u64, ValueType::Value, v.as_str())).collect();
-        let t = stage_table(&region, 0, &refs);
+        let (t, m) = stage_table(&region, 0, &refs);
         let mut a = args(vec![t]);
         a.max_output_bytes = 32 << 10; // force several outputs
         let reply = execute_compaction(&region, &alloc, &a).unwrap();
         assert!(reply.outputs.len() > 2, "expected multiple outputs, got {}", reply.outputs.len());
         assert_eq!(reply.records_out, 2000);
-        // Outputs are disjoint, ordered, and decode cleanly.
-        let mut total = 0;
-        for out in &reply.outputs {
-            let (meta, _) = TableMeta::decode(&out.meta).unwrap();
-            total += meta.num_entries;
-        }
-        assert_eq!(total, 2000);
+        // Outputs are disjoint, ordered, and replay cleanly.
+        let metas = replay(&region, &[&m], &reply);
+        assert_eq!(metas.iter().map(|m| m.num_entries).sum::<u64>(), 2000);
+        assert!(metas.windows(2).all(|w| w[0].largest() < w[1].smallest()));
     }
 
     #[test]
     fn unused_extent_tail_is_returned() {
         let (region, alloc) = setup(8 << 20);
-        let t = stage_table(&region, 0, &[("only", 1, ValueType::Value, "v")]);
+        let (t, _) = stage_table(&region, 0, &[("only", 1, ValueType::Value, "v")]);
         let before = alloc.in_use();
         let reply = execute_compaction(&region, &alloc, &args(vec![t])).unwrap();
         let out_len = reply.outputs[0].len.next_multiple_of(8);
@@ -340,7 +394,7 @@ mod tests {
         let node = fabric.add_node();
         let region = node.register_region(1 << 20);
         let alloc = RegionAllocator::new(0, 64); // absurdly small zone
-        let t = stage_table(&region, 1 << 18, &[("k", 1, ValueType::Value, "v")]);
+        let (t, _) = stage_table(&region, 1 << 18, &[("k", 1, ValueType::Value, "v")]);
         let err = execute_compaction(&region, &alloc, &args(vec![t])).unwrap_err();
         assert!(matches!(err, MemNodeError::OutOfMemory { .. }));
     }
@@ -359,12 +413,61 @@ mod tests {
             .collect();
         let refs: Vec<(&str, u64, ValueType, &str)> =
             entries.iter().map(|(k, v)| (k.as_str(), 7u64, ValueType::Value, v.as_str())).collect();
-        let t = stage_table(&region, 0, &refs);
+        let (t, _) = stage_table(&region, 0, &refs);
         let mut a = args(vec![t]);
         a.max_output_bytes = 32 << 10;
         let err = execute_compaction(&region, &alloc, &a).unwrap_err();
         assert!(matches!(err, MemNodeError::OutOfMemory { .. }));
         assert_eq!(alloc.in_use(), 0, "aborted compaction must not leak extents");
+    }
+
+    /// More than 128 inputs: ordinals no longer fit seven bits, so a step is
+    /// two bytes — and says the same thing.
+    #[test]
+    fn wide_steps_beyond_128_inputs() {
+        let (region, alloc) = setup(8 << 20);
+        let keys: Vec<String> = (0..130u64).map(|i| format!("key{:03}", (i * 37) % 130)).collect();
+        let staged: Vec<(InputTable, TableMeta)> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, k)| {
+                let newer = (k.as_str(), 500 - i as u64, ValueType::Value, "new");
+                // Every input also holds an older version of the next one's key.
+                let other = keys[(i + 1) % 130].as_str();
+                let mut entries = vec![newer, (other, 100 - i as u64 % 100, ValueType::Value, "old")];
+                entries.sort_by(|a, b| a.0.cmp(b.0));
+                stage_table(&region, i as u64 * 256, &entries)
+            })
+            .collect();
+        let reply = execute_compaction(&region, &alloc, &args(staged.iter().map(|s| s.0).collect())).unwrap();
+        assert_eq!((reply.records_in, reply.records_out), (260, 130));
+        assert_eq!(reply.steps.len(), 2 * 260);
+        let metas = replay(&region, &staged.iter().map(|s| &s.1).collect::<Vec<_>>(), &reply);
+        assert_eq!(metas[0].num_entries, 130);
+        // The same job with 128 inputs takes one byte a step.
+        let reply = execute_compaction(&region, &alloc, &args(staged[..128].iter().map(|s| s.0).collect())).unwrap();
+        assert_eq!(reply.steps.len() as u64, reply.records_in);
+        replay(&region, &staged[..128].iter().map(|s| &s.1).collect::<Vec<_>>(), &reply);
+    }
+
+    /// The requester clips every input to the sub-range; an input that
+    /// reaches outside it is a disagreement, not something to skip quietly.
+    #[test]
+    fn records_outside_the_sub_range_fail_the_job() {
+        let (region, alloc) = setup(8 << 20);
+        let entries: Vec<(&str, u64, ValueType, &str)> =
+            ["a", "b", "c", "d"].iter().map(|k| (*k, 7u64, ValueType::Value, "v")).collect();
+        let (t, _) = stage_table(&region, 0, &entries);
+        for (lo, hi) in [("b", ""), ("", "d"), ("b", "c")] {
+            let mut a = args(vec![t]);
+            (a.range_lo, a.range_hi) = (lo.as_bytes().to_vec(), hi.as_bytes().to_vec());
+            let err = execute_compaction(&region, &alloc, &a).unwrap_err();
+            assert!(matches!(err, MemNodeError::BadMessage(_)), "[{lo}, {hi}): {err}");
+            assert_eq!(alloc.in_use(), 0, "[{lo}, {hi}): a refused job keeps no extent");
+        }
+        let mut a = args(vec![t]);
+        (a.range_lo, a.range_hi) = (b"a".to_vec(), b"e".to_vec());
+        assert_eq!(execute_compaction(&region, &alloc, &a).unwrap().records_out, 4);
     }
 
     #[test]

@@ -617,9 +617,16 @@ fn reply_general(
     Ok(())
 }
 
+/// The longest body a reply buffer takes, between frame header and flag word.
+fn reply_room(reply: &BufDesc) -> usize {
+    (reply.len as usize).saturating_sub(ReplyFrame::HEADER + 8)
+}
+
 /// Deliver a compaction-style reply: frame one-sided into the requester's
 /// reply buffer, then WRITE-with-IMMEDIATE carrying `unique_id` to wake
-/// the sleeping requester. `body` is `[status u8][payload]`.
+/// the sleeping requester. `body` is `[status u8][payload]`. The requester
+/// sleeps until it is answered, so it always is: a body its buffer cannot
+/// take goes as an error status, cut to what the buffer does take.
 #[allow(clippy::too_many_arguments)]
 fn deliver_compact_reply(
     fabric: &Arc<Fabric>,
@@ -635,9 +642,9 @@ fn deliver_compact_reply(
     let requester = fabric.node(src)?;
     let target = requester.region(rdma_sim::MrId(reply.mr))?;
     let base = rdma_sim::RemoteAddr { rkey: reply.rkey, ..target.addr(reply.offset) };
-    if body.len() + ReplyFrame::HEADER + 8 > reply.len as usize {
-        return Err(MemNodeError::BadMessage("compaction reply too large".into()));
-    }
+    const REFUSAL: &[u8] = b"\x01compaction reply exceeds the reply buffer";
+    let room = reply_room(reply);
+    let body = if body.len() > room { &REFUSAL[..REFUSAL.len().min(room)] } else { body };
     let framed = ReplyFrame::encode(req_id, body);
     qp.post_write(&framed, base, 1)?;
     qp.poll_one_blocking(REPLY_POLL)?;
@@ -851,8 +858,16 @@ fn worker_loop(ctx: WorkerCtx) {
             ctx.stats.compactions.fetch_add(1, Ordering::Relaxed);
             ctx.stats.records_in.fetch_add(reply.records_in, Ordering::Relaxed);
             ctx.stats.records_out.fetch_add(reply.records_out, Ordering::Relaxed);
-            let extents = reply.outputs.iter().map(|o| (o.offset, o.len)).collect();
-            Ok((reply.encode(), extents))
+            let extents: Vec<(u64, u64)> = reply.outputs.iter().map(|o| (o.offset, o.len)).collect();
+            let encoded = reply.encode();
+            if 1 + encoded.len() > reply_room(&job.reply) {
+                // A job its requester cannot be told about has failed, and
+                // nobody will learn of its outputs.
+                extents.iter().for_each(|&(off, len)| ctx.allocator.free(off, len));
+                let (need, have) = (1 + encoded.len(), job.reply.len);
+                return Err(MemNodeError::BadMessage(format!("compaction reply of {need} bytes exceeds the {have}-byte reply buffer")));
+            }
+            Ok((encoded, extents))
         })();
         // Body delivered to the requester: [status u8][payload].
         let body = match outcome {

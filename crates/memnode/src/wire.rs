@@ -266,9 +266,12 @@ pub struct OutputTable {
     pub offset: u64,
     /// Data-image length (byte-addressable) or full table length (block).
     pub len: u64,
-    /// Encoded [`dlsm_sstable::byte_addr::TableMeta`] for byte-addressable
-    /// outputs; empty for block outputs (the compute node opens those by
-    /// reading footer/index/filter remotely).
+    /// Records in the table.
+    pub records: u64,
+    /// Byte-addressable: the encoded bloom filter (the requester derives the
+    /// index from [`CompactReply::steps`]). Block: the key bounds, smallest
+    /// then largest, length-prefixed (the compute node opens those by reading
+    /// footer/index/filter remotely).
     pub meta: Vec<u8>,
 }
 
@@ -281,18 +284,30 @@ pub struct CompactReply {
     pub records_in: u64,
     /// Records surviving into outputs.
     pub records_out: u64,
+    /// Byte-addressable: how the merge went, one step per input record
+    /// ([`dlsm_sstable::byte_addr::push_merge_step`]). Block: empty.
+    pub steps: Vec<u8>,
 }
 
 impl CompactReply {
+    /// Bytes the reply puts on the wire: frame header, status byte, body.
+    pub fn frame_len(&self) -> usize {
+        let tables: usize = self.outputs.iter().map(|t| 28 + t.meta.len()).sum();
+        ReplyFrame::HEADER + 1 + 24 + self.steps.len() + tables
+    }
+
     /// Serialize into the requester's reply buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.frame_len());
         put_u64(&mut out, self.records_in);
         put_u64(&mut out, self.records_out);
+        put_len32(&mut out, self.steps.len());
+        out.extend_from_slice(&self.steps);
         put_len32(&mut out, self.outputs.len());
         for t in &self.outputs {
             put_u64(&mut out, t.offset);
             put_u64(&mut out, t.len);
+            put_u64(&mut out, t.records);
             put_len32(&mut out, t.meta.len());
             out.extend_from_slice(&t.meta);
         }
@@ -301,25 +316,27 @@ impl CompactReply {
 
     /// Parse a reply buffer.
     pub fn decode(buf: &[u8]) -> Result<CompactReply> {
+        let truncated = || MemNodeError::BadMessage("truncated compaction reply".into());
         let records_in = get_u64(buf, 0).map_err(bad)?;
         let records_out = get_u64(buf, 8).map_err(bad)?;
-        let count = get_u32(buf, 16).map_err(bad)? as usize;
+        let steps_len = get_u32(buf, 16).map_err(bad)? as usize;
+        let steps = buf.get(20..20 + steps_len).ok_or_else(truncated)?.to_vec();
+        let mut off = 20 + steps_len;
+        let count = get_u32(buf, off).map_err(bad)? as usize;
+        off += 4;
         // Never trust a wire count for pre-allocation.
         let mut outputs = Vec::with_capacity(count.min(1024));
-        let mut off = 20;
         for _ in 0..count {
             let offset = get_u64(buf, off).map_err(bad)?;
             let len = get_u64(buf, off + 8).map_err(bad)?;
-            let meta_len = get_u32(buf, off + 16).map_err(bad)? as usize;
-            off += 20;
-            let meta = buf
-                .get(off..off + meta_len)
-                .ok_or_else(|| MemNodeError::BadMessage("truncated reply meta".into()))?
-                .to_vec();
+            let records = get_u64(buf, off + 16).map_err(bad)?;
+            let meta_len = get_u32(buf, off + 24).map_err(bad)? as usize;
+            off += 28;
+            let meta = buf.get(off..off + meta_len).ok_or_else(truncated)?.to_vec();
             off += meta_len;
-            outputs.push(OutputTable { offset, len, meta });
+            outputs.push(OutputTable { offset, len, records, meta });
         }
-        Ok(CompactReply { outputs, records_in, records_out })
+        Ok(CompactReply { outputs, records_in, records_out, steps })
     }
 }
 
@@ -623,12 +640,21 @@ mod tests {
     fn compact_reply_roundtrip() {
         let reply = CompactReply {
             outputs: vec![
-                OutputTable { offset: 1024, len: 888, meta: vec![9; 33] },
-                OutputTable { offset: 4096, len: 111, meta: vec![] },
+                OutputTable { offset: 1024, len: 888, records: 600, meta: vec![9; 33] },
+                OutputTable { offset: 4096, len: 111, records: 300, meta: vec![] },
             ],
             records_in: 1000,
             records_out: 900,
+            steps: (0..1000u32).map(|i| (i % 7) as u8).collect(),
         };
-        assert_eq!(CompactReply::decode(&reply.encode()).unwrap(), reply);
+        let enc = reply.encode();
+        assert_eq!(CompactReply::decode(&enc).unwrap(), reply);
+        assert_eq!(reply.frame_len(), ReplyFrame::HEADER + 1 + enc.len());
+        // A block-format reply has no steps; every truncation is an error.
+        let bare = CompactReply { steps: vec![], ..reply };
+        assert_eq!(CompactReply::decode(&bare.encode()).unwrap(), bare);
+        for cut in 0..enc.len() {
+            assert!(CompactReply::decode(&enc[..cut]).is_err(), "cut at {cut}");
+        }
     }
 }

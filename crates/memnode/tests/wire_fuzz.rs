@@ -168,21 +168,28 @@ proptest! {
     #[test]
     fn compact_reply_roundtrip(
         outputs in prop::collection::vec(
-            (any::<u64>(), any::<u64>(), prop::collection::vec(any::<u8>(), 0..64)),
+            (any::<u64>(), any::<u64>(), any::<u64>(), prop::collection::vec(any::<u8>(), 0..64)),
             0..16,
         ),
         records_in in any::<u64>(),
         records_out in any::<u64>(),
+        steps in prop::collection::vec(any::<u8>(), 0..300),
+        cut in any::<prop::sample::Index>(),
     ) {
         let reply = CompactReply {
             outputs: outputs
                 .into_iter()
-                .map(|(offset, len, meta)| OutputTable { offset, len, meta })
+                .map(|(offset, len, records, meta)| OutputTable { offset, len, records, meta })
                 .collect(),
             records_in,
             records_out,
+            steps,
         };
-        prop_assert_eq!(CompactReply::decode(&reply.encode()).unwrap(), reply);
+        let enc = reply.encode();
+        prop_assert_eq!(reply.frame_len(), dlsm_memnode::ReplyFrame::HEADER + 1 + enc.len());
+        // Any proper prefix is an error, never a shorter reply or a panic.
+        prop_assert!(CompactReply::decode(&enc[..cut.index(enc.len())]).is_err());
+        prop_assert_eq!(CompactReply::decode(&enc).unwrap(), reply);
     }
 
     /// The allocator never hands out overlapping extents and coalesces back

@@ -19,8 +19,7 @@ pub fn bloom_hash(data: &[u8]) -> u32 {
     let mut h = SEED ^ (data.len() as u32).wrapping_mul(M);
     let mut chunks = data.chunks_exact(4);
     for c in &mut chunks {
-        // PANIC-SAFE: chunks_exact(4) yields exactly 4-byte slices.
-        let w = u32::from_le_bytes(c.try_into().expect("4 bytes"));
+        let w = u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
         h = h.wrapping_add(w).wrapping_mul(M);
         h ^= h >> 16;
     }
@@ -41,15 +40,19 @@ pub struct BloomFilter {
 impl BloomFilter {
     /// Build a filter for `keys` with `bits_per_key` bits of budget per key.
     pub fn build<'a>(keys: impl ExactSizeIterator<Item = &'a [u8]>, bits_per_key: usize) -> BloomFilter {
-        let n = keys.len().max(1);
+        BloomFilter::build_hashed(keys.map(bloom_hash), bits_per_key)
+    }
+
+    /// [`BloomFilter::build`] for keys already hashed with [`bloom_hash`].
+    pub fn build_hashed(hashes: impl ExactSizeIterator<Item = u32>, bits_per_key: usize) -> BloomFilter {
+        let n = hashes.len().max(1);
         // k = bits_per_key * ln(2), clamped like LevelDB.
         let k = ((bits_per_key as f64 * 0.69) as usize).clamp(1, 30) as u8;
         let nbits = (n * bits_per_key).max(64);
         let nbytes = nbits.div_ceil(8);
         let nbits = nbytes * 8;
         let mut bits = vec![0u8; nbytes];
-        for key in keys {
-            let mut h = bloom_hash(key);
+        for mut h in hashes {
             let delta = h.rotate_right(17);
             for _ in 0..k {
                 let pos = (h as usize) % nbits;

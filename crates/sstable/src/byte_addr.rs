@@ -135,16 +135,20 @@ impl TableMeta {
         self.index.slots.get(i).map_or(self.data_len, |s| u64::from(s.2))
     }
 
-    /// The bytes of the data image that hold every record of the user keys
-    /// in `[lo, hi)` (empty bound = open) — whole records, found in the
-    /// index alone. Internal keys sort user-ascending, seq-descending, so a
-    /// user key's first record is the one at or after `(user, MAX_SEQ)`.
-    pub fn user_range_bytes(&self, lo: &[u8], hi: &[u8]) -> std::ops::Range<u64> {
-        let first_of = |user: &[u8]| {
-            self.offset_of(key::with_lookup_key(user, key::MAX_SEQ, |k| self.index.seek_ge(k)))
-        };
+    /// The index positions of every record of the user keys in `[lo, hi)`
+    /// (empty bound = open). Internal keys sort user-ascending,
+    /// seq-descending, so a user key's first record is the one at or after
+    /// `(user, MAX_SEQ)`.
+    pub fn user_range(&self, lo: &[u8], hi: &[u8]) -> std::ops::Range<usize> {
+        let first_of = |user: &[u8]| key::with_lookup_key(user, key::MAX_SEQ, |k| self.index.seek_ge(k));
         let start = if lo.is_empty() { 0 } else { first_of(lo) };
-        start..if hi.is_empty() { self.data_len } else { first_of(hi) }
+        start..if hi.is_empty() { self.index.len() } else { first_of(hi) }
+    }
+
+    /// The bytes of the data image that hold `records` — whole records,
+    /// found in the index alone.
+    pub fn byte_range(&self, records: &std::ops::Range<usize>) -> std::ops::Range<u64> {
+        self.offset_of(records.start)..self.offset_of(records.end)
     }
 
     /// Resolve a point lookup against the compute-resident metadata alone:
@@ -235,6 +239,91 @@ impl TableMeta {
     }
 }
 
+/// The most inputs a traced merge takes: a step has 15 bits for the ordinal.
+pub const MAX_MERGE_INPUTS: usize = 1 << 15;
+
+/// Bytes per step in the trace of a merge of `inputs` tables: one while
+/// every `ordinal << 1 | kept` fits a byte, else two (little-endian).
+fn step_width(inputs: usize) -> usize {
+    if inputs <= 128 { 1 } else { 2 }
+}
+
+/// Append one step to the trace of a merge of `inputs` tables: input
+/// `ordinal`'s next record was consumed and the output has it (`kept`) or not.
+pub fn push_merge_step(steps: &mut Vec<u8>, inputs: usize, ordinal: usize, kept: bool) {
+    let step = (ordinal << 1 | usize::from(kept)) as u16;
+    steps.extend_from_slice(&step.to_le_bytes()[..step_width(inputs)]);
+}
+
+impl TableMeta {
+    /// The metadata of the tables a merge wrote, rebuilt from how the merge
+    /// went: `inputs` are the index records it was given of each input table,
+    /// `steps` its trace ([`push_merge_step`]) and `tables` the `(records,
+    /// data bytes, bloom filter)` it reports of each output, in order. A kept
+    /// record is in the output byte for byte, so its key and length are its
+    /// input's and its offset is where the record before it in its table
+    /// ends. Trace and reports are untrusted: the trace must consume every
+    /// input record exactly once, the kept keys must ascend across the whole
+    /// merge, and every table must hold its count and its length exactly.
+    pub fn replay_merge(
+        inputs: &[(&TableMeta, std::ops::Range<usize>)],
+        steps: &[u8],
+        tables: impl IntoIterator<Item = (u64, u64, BloomFilter)>,
+    ) -> Result<Vec<TableMeta>> {
+        let corrupt = |what: &str| SstError::Corrupt(format!("merge trace {what}"));
+        let width = step_width(inputs.len());
+        let sent: usize = inputs.iter().map(|(_, records)| records.len()).sum();
+        if steps.len() != sent * width {
+            return Err(corrupt("is not a step per input record"));
+        }
+        let mut cursors: Vec<usize> = inputs.iter().map(|(_, records)| records.start).collect();
+        let (mut tables, mut out) = (tables.into_iter(), Vec::new());
+        let mut open: Option<TableMeta> = None;
+        let mut prev: Option<&[u8]> = None;
+        for step in steps.chunks_exact(width) {
+            let step = usize::from(step[0]) | step.get(1).map_or(0, |&b| usize::from(b) << 8);
+            let (meta, records) = inputs.get(step >> 1).ok_or_else(|| corrupt("names no input"))?;
+            let at = cursors[step >> 1];
+            if at >= records.end {
+                return Err(corrupt("consumes an input past its end"));
+            }
+            cursors[step >> 1] += 1;
+            if step & 1 == 0 {
+                continue;
+            }
+            let (ikey, (_, _, _, len)) = (meta.index.key(at), meta.index.slots[at]);
+            if prev.is_some_and(|p| compare_internal(p, ikey) != Ordering::Less) {
+                return Err(corrupt("keeps keys out of order"));
+            }
+            prev = Some(ikey);
+            let table = match &mut open {
+                Some(table) => table,
+                None => {
+                    let (num_entries, data_len, bloom) =
+                        tables.next().ok_or_else(|| corrupt("keeps more records than the tables hold"))?;
+                    let room = usize::try_from(num_entries).unwrap_or(usize::MAX).min(sent);
+                    let index = RecordIndex { keys: Vec::with_capacity(room * ikey.len()), slots: Vec::with_capacity(room) };
+                    open.insert(TableMeta { index, bloom, data_len, num_entries })
+                }
+            };
+            let offset = table.index.slots.last().map_or(Some(0), |s| s.2.checked_add(s.3));
+            let offset = offset.ok_or_else(|| corrupt("fills a table past 4 GiB"))?;
+            table.index.push(ikey, offset, len);
+            if table.index.len() as u64 == table.num_entries {
+                if u64::from(offset) + u64::from(len) != table.data_len {
+                    return Err(corrupt("disagrees with a table's reported length"));
+                }
+                out.extend(open.take());
+            }
+        }
+        // A step per record and no input overrun: every input is consumed.
+        if open.is_some() || tables.next().is_some() {
+            return Err(corrupt("ends before its tables are full"));
+        }
+        Ok(out)
+    }
+}
+
 /// Streaming builder for the byte-addressable format.
 ///
 /// Keys must be added in internal-key order. Records are serialized directly
@@ -290,10 +379,8 @@ impl<S: TableSink> ByteAddrBuilder<S> {
     /// metadata.
     pub fn finish(self) -> (S, TableMeta) {
         let n = self.index.len();
-        let bloom = BloomFilter::build(
-            UserKeyIter { index: &self.index, i: 0, n },
-            self.bits_per_key,
-        );
+        let hashes = (0..n).map(|i| bloom_hash(key::user_key(self.index.key(i))));
+        let bloom = BloomFilter::build_hashed(hashes, self.bits_per_key);
         let meta = TableMeta {
             num_entries: n as u64,
             data_len: self.offset,
@@ -301,31 +388,6 @@ impl<S: TableSink> ByteAddrBuilder<S> {
             bloom,
         };
         (self.sink, meta)
-    }
-}
-
-struct UserKeyIter<'a> {
-    index: &'a RecordIndex,
-    i: usize,
-    n: usize,
-}
-
-impl<'a> Iterator for UserKeyIter<'a> {
-    type Item = &'a [u8];
-
-    fn next(&mut self) -> Option<&'a [u8]> {
-        if self.i >= self.n {
-            return None;
-        }
-        let k = key::user_key(self.index.key(self.i));
-        self.i += 1;
-        Some(k)
-    }
-}
-
-impl<'a> ExactSizeIterator for UserKeyIter<'a> {
-    fn len(&self) -> usize {
-        self.n - self.i
     }
 }
 
@@ -610,7 +672,8 @@ impl<S: DataSource> ForwardIter for ByteAddrIter<S> {
 /// clips each input to its sub-range by the index, so the walk is short.
 pub struct RawTableIter<'a> {
     data: &'a [u8],
-    /// Offset of the byte after the current record.
+    /// Offset of the current record, and of the byte after it.
+    off: usize,
     next_off: usize,
     key: &'a [u8],
     value: &'a [u8],
@@ -620,7 +683,12 @@ pub struct RawTableIter<'a> {
 impl<'a> RawTableIter<'a> {
     /// Iterate the records that fill `data`.
     pub fn new(data: &'a [u8]) -> RawTableIter<'a> {
-        RawTableIter { data, next_off: 0, key: &[], value: &[], valid: false }
+        RawTableIter { data, off: 0, next_off: 0, key: &[], value: &[], valid: false }
+    }
+
+    /// The current record as it lies in the data, lengths included.
+    pub fn record(&self) -> &'a [u8] {
+        &self.data[self.off..self.next_off]
     }
 
     /// Make the record at `off` current; no record is, at the end of the
@@ -629,7 +697,7 @@ impl<'a> RawTableIter<'a> {
         self.valid = false;
         if off < self.data.len() {
             let (key, value, len) = parse_record(&self.data[off..])?;
-            (self.key, self.value, self.next_off, self.valid) = (key, value, off + len, true);
+            (self.key, self.value, self.off, self.next_off, self.valid) = (key, value, off, off + len, true);
         }
         Ok(())
     }
@@ -809,6 +877,58 @@ mod tests {
         let mut enc = meta.encode();
         enc.truncate(enc.len() - 3);
         assert!(TableMeta::decode(&enc).is_err());
+    }
+
+    /// Two tables merged by hand — a(t0) kept, a(t1) dropped, b(t1) kept,
+    /// c(t0) kept — and cut after two records: the replay is what a builder
+    /// makes of each output, and every way of lying about it is an error.
+    #[test]
+    fn replay_merge_rebuilds_the_outputs_metadata() {
+        let table = |entries: &[(&str, u64, &str)]| {
+            let mut b = ByteAddrBuilder::new(Vec::new(), 10);
+            for (k, seq, v) in entries {
+                b.add(InternalKey::new(k.as_bytes(), *seq, ValueType::Value).as_bytes(), v.as_bytes()).unwrap();
+            }
+            b.finish().1
+        };
+        let (t0, t1) = (table(&[("a", 9, "new"), ("c", 9, "ocean")]), table(&[("a", 3, "older!"), ("b", 3, "be")]));
+        let (o0, o1) = (table(&[("a", 9, "new"), ("b", 3, "be")]), table(&[("c", 9, "ocean")]));
+        let inputs = [(&t0, 0..2), (&t1, 0..2)];
+        let mut steps = Vec::new();
+        for (ordinal, kept) in [(0, true), (1, false), (1, true), (0, true)] {
+            push_merge_step(&mut steps, inputs.len(), ordinal, kept);
+        }
+        assert_eq!(steps, [1, 2, 3, 1]);
+        let report = |m: &TableMeta| (m.num_entries, m.data_len, m.bloom.clone());
+        let replay = |steps: &[u8], tables: &[(u64, u64, BloomFilter)]| TableMeta::replay_merge(&inputs, steps, tables.to_vec());
+        let good = [report(&o0), report(&o1)];
+        assert_eq!(replay(&steps, &good).unwrap(), [o0.clone(), o1.clone()]);
+        // A clip of an input starts its cursor inside the index.
+        let clipped = [(&t0, 1..2), (&t1, 1..2)];
+        let both = table(&[("b", 3, "be"), ("c", 9, "ocean")]);
+        assert_eq!(TableMeta::replay_merge(&clipped, &[3, 1], [report(&both)]).unwrap(), [both]);
+        let err = |steps: &[u8], tables: &[(u64, u64, BloomFilter)]| match replay(steps, tables) {
+            Err(SstError::Corrupt(m)) => m,
+            other => panic!("accepted: {other:?}"),
+        };
+        assert!(err(&[1, 2, 3, 5], &good).contains("names no input"));
+        assert!(err(&[1, 2, 3, 3], &good).contains("past its end"));
+        assert!(err(&[1, 2, 3, 0], &good).contains("before its tables are full"));
+        assert!(err(&[1, 2, 3], &good).contains("not a step per input record"));
+        assert!(err(&[1, 2, 3, 1, 0], &good).contains("not a step per input record"));
+        assert!(err(&[1, 3, 3, 1], &good).contains("reported length"), "a dropped record kept");
+        assert!(err(&[1, 1, 3, 3], &[(4, 0, o0.bloom.clone())]).contains("out of order"));
+        assert!(err(&steps, &good[..1]).contains("more records than the tables hold"));
+        assert!(err(&steps, &[good[0].clone(), good[1].clone(), good[1].clone()]).contains("before its tables are full"));
+        assert!(err(&steps, &[(2, o0.data_len + 1, o0.bloom.clone()), good[1].clone()]).contains("reported length"));
+        assert!(err(&steps, &[(0, 0, o0.bloom.clone()), good[0].clone(), good[1].clone()]).contains("before its tables are full"));
+        // More than 128 inputs: two bytes a step.
+        let many: Vec<(&TableMeta, std::ops::Range<usize>)> = (0..200).map(|i| (if i == 150 { &o1 } else { &t0 }, 0..usize::from(i == 150))).collect();
+        let mut wide = Vec::new();
+        push_merge_step(&mut wide, many.len(), 150, true);
+        assert_eq!(wide, [0x2D, 0x01]);
+        assert_eq!(TableMeta::replay_merge(&many, &wide, [report(&o1)]).unwrap(), std::slice::from_ref(&o1));
+        assert!(TableMeta::replay_merge(&many, &wide[..1], [report(&o1)]).is_err(), "half a step");
     }
 
     #[test]

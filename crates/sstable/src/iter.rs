@@ -119,6 +119,12 @@ impl<I: ForwardIter> MergingIter<I> {
         self.children.len()
     }
 
+    /// The leading child — the one `key()` and `value()` read — and its
+    /// position among the children; `None` while the merge is invalid.
+    pub fn leader(&self) -> Option<(usize, &I)> {
+        self.current.map(|c| (c, &self.children[c]))
+    }
+
     /// Whether valid child `a` comes before valid child `b` in the merge.
     #[inline]
     fn leads(&self, a: usize, b: usize) -> bool {

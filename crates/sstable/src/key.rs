@@ -122,13 +122,8 @@ pub fn user_key(ikey: &[u8]) -> &[u8] {
 /// Split an encoded internal key into `(user_key, seq, type)`.
 #[inline]
 pub fn split(ikey: &[u8]) -> Option<(&[u8], SeqNo, ValueType)> {
-    if ikey.len() < TRAILER_LEN {
-        return None;
-    }
-    let (user, trailer) = ikey.split_at(ikey.len() - TRAILER_LEN);
-    // PANIC-SAFE: split_at with the length check above yields exactly
-    // TRAILER_LEN (8) trailer bytes.
-    let t = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
+    let (user, trailer) = ikey.split_last_chunk::<TRAILER_LEN>()?;
+    let t = u64::from_le_bytes(*trailer);
     let vt = ValueType::from_u8((t & 0xFF) as u8)?;
     Some((user, t >> 8, vt))
 }
@@ -138,18 +133,14 @@ pub fn split(ikey: &[u8]) -> Option<(&[u8], SeqNo, ValueType)> {
 #[inline]
 pub fn compare_internal(a: &[u8], b: &[u8]) -> Ordering {
     debug_assert!(a.len() >= TRAILER_LEN && b.len() >= TRAILER_LEN);
-    let (ua, ta) = a.split_at(a.len() - TRAILER_LEN);
-    let (ub, tb) = b.split_at(b.len() - TRAILER_LEN);
-    match ua.cmp(ub) {
-        Ordering::Equal => {
-            // PANIC-SAFE: both trailers are TRAILER_LEN (8) bytes — internal
-            // keys shorter than the trailer never reach comparison.
-            let na = u64::from_le_bytes(ta.try_into().expect("trailer"));
-            let nb = u64::from_le_bytes(tb.try_into().expect("trailer"));
-            nb.cmp(&na) // descending: newest (largest seq) first
-        }
-        other => other,
-    }
+    // Keys shorter than the trailer never reach comparison; ordering them
+    // bytewise keeps the function total on bytes it did not write.
+    let (Some((ua, ta)), Some((ub, tb))) = (a.split_last_chunk::<TRAILER_LEN>(), b.split_last_chunk::<TRAILER_LEN>())
+    else {
+        return a.cmp(b);
+    };
+    // Trailers descending: newest (largest seq) first.
+    ua.cmp(ub).then_with(|| u64::from_le_bytes(*tb).cmp(&u64::from_le_bytes(*ta)))
 }
 
 /// [`Comparator`] over encoded internal keys.

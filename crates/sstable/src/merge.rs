@@ -39,13 +39,54 @@ impl Default for MergeConfig {
     }
 }
 
-/// Streaming filter over a merged input applying [`MergeConfig`].
-pub struct CompactionIter<I: ForwardIter> {
-    input: I,
+/// The drop decision of [`MergeConfig`], asked once per record of a merged
+/// stream, in stream order.
+pub struct DropPolicy {
     cfg: MergeConfig,
     current_user_key: Vec<u8>,
     has_current_user_key: bool,
     last_sequence_for_key: SeqNo,
+}
+
+impl DropPolicy {
+    /// A policy that has seen no record yet.
+    pub fn new(cfg: MergeConfig) -> DropPolicy {
+        DropPolicy { cfg, current_user_key: Vec::new(), has_current_user_key: false, last_sequence_for_key: NO_PREVIOUS }
+    }
+
+    /// The user key of the last record asked about (empty before the first).
+    pub fn user_key(&self) -> &[u8] {
+        &self.current_user_key
+    }
+
+    /// Whether the output leaves out the stream's next record, `ikey`.
+    pub fn drops(&mut self, ikey: &[u8]) -> bool {
+        // Un-parseable keys are kept verbatim (defensive; cannot happen for
+        // tables built by this crate).
+        let Some((ukey, seq, vt)) = key::split(ikey) else { return false };
+        let first_occurrence = !self.has_current_user_key || ukey != self.current_user_key.as_slice();
+        if first_occurrence {
+            self.current_user_key.clear();
+            self.current_user_key.extend_from_slice(ukey);
+            self.has_current_user_key = true;
+            self.last_sequence_for_key = NO_PREVIOUS;
+        }
+        let drop = if self.last_sequence_for_key <= self.cfg.smallest_snapshot {
+            // A newer version of this user key is already visible to the
+            // oldest snapshot: this one can never be observed.
+            true
+        } else {
+            vt == ValueType::Deletion && seq <= self.cfg.smallest_snapshot && self.cfg.drop_deletions
+        };
+        self.last_sequence_for_key = seq;
+        drop
+    }
+}
+
+/// Streaming filter over a merged input applying [`MergeConfig`].
+pub struct CompactionIter<I: ForwardIter> {
+    input: I,
+    policy: DropPolicy,
     valid: bool,
     records_seen: u64,
 }
@@ -54,15 +95,7 @@ impl<I: ForwardIter> CompactionIter<I> {
     /// Wrap `input` (positioned anywhere; call [`ForwardIter::seek_to_first`]
     /// via this wrapper).
     pub fn new(input: I, cfg: MergeConfig) -> CompactionIter<I> {
-        CompactionIter {
-            input,
-            cfg,
-            current_user_key: Vec::new(),
-            has_current_user_key: false,
-            last_sequence_for_key: NO_PREVIOUS,
-            valid: false,
-            records_seen: 0,
-        }
+        CompactionIter { input, policy: DropPolicy::new(cfg), valid: false, records_seen: 0 }
     }
 
     /// Input records examined so far (survivors and dropped alike).
@@ -74,31 +107,7 @@ impl<I: ForwardIter> CompactionIter<I> {
     fn skip_dropped(&mut self) -> Result<()> {
         while self.input.valid() {
             self.records_seen += 1;
-            let ikey = self.input.key();
-            let Some((ukey, seq, vt)) = key::split(ikey) else {
-                // Un-parseable keys are kept verbatim (defensive; cannot
-                // happen for tables built by this crate).
-                self.valid = true;
-                return Ok(());
-            };
-            let first_occurrence = !self.has_current_user_key || ukey != self.current_user_key.as_slice();
-            if first_occurrence {
-                self.current_user_key.clear();
-                self.current_user_key.extend_from_slice(ukey);
-                self.has_current_user_key = true;
-                self.last_sequence_for_key = NO_PREVIOUS;
-            }
-            let drop = if self.last_sequence_for_key <= self.cfg.smallest_snapshot {
-                // A newer version of this user key is already visible to the
-                // oldest snapshot: this one can never be observed.
-                true
-            } else {
-                vt == ValueType::Deletion
-                    && seq <= self.cfg.smallest_snapshot
-                    && self.cfg.drop_deletions
-            };
-            self.last_sequence_for_key = seq;
-            if !drop {
+            if !self.policy.drops(self.input.key()) {
                 self.valid = true;
                 return Ok(());
             }
@@ -111,8 +120,7 @@ impl<I: ForwardIter> CompactionIter<I> {
     /// Start the pass.
     pub fn seek_to_first(&mut self) -> Result<()> {
         self.input.seek_to_first()?;
-        self.has_current_user_key = false;
-        self.last_sequence_for_key = NO_PREVIOUS;
+        self.policy = DropPolicy::new(self.policy.cfg);
         self.skip_dropped()
     }
 

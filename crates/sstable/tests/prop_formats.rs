@@ -7,10 +7,10 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use dlsm_sstable::block::{BlockTableBuilder, BlockTableReader};
-use dlsm_sstable::byte_addr::{ByteAddrBuilder, ByteAddrIter, ByteAddrReader, TableGet, TableMeta};
+use dlsm_sstable::byte_addr::{push_merge_step, ByteAddrBuilder, ByteAddrIter, ByteAddrReader, TableGet, TableMeta};
 use dlsm_sstable::iter::{collect_all, ForwardIter, MergingIter, VecIter};
 use dlsm_sstable::key::{self, InternalKey, ValueType, MAX_SEQ};
-use dlsm_sstable::merge::{CompactionIter, MergeConfig};
+use dlsm_sstable::merge::{CompactionIter, DropPolicy, MergeConfig};
 use dlsm_sstable::source::{DataSource, SliceSource};
 use proptest::prelude::*;
 
@@ -83,25 +83,9 @@ proptest! {
             1..200,
         )
     ) {
-        // Assign increasing seqs to ops; build per-"table" runs of 40 ops.
-        let mut model: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
-        let mut tables: Vec<Vec<(Vec<u8>, Vec<u8>)>> = Vec::new();
-        let mut current: BTreeMap<Vec<u8>, (u64, ValueType, Vec<u8>)> = BTreeMap::new();
-        for (i, (k, is_put, v)) in ops.iter().enumerate() {
-            let seq = i as u64 + 1;
-            let vt = if *is_put { ValueType::Value } else { ValueType::Deletion };
-            model.insert(k.clone(), is_put.then(|| v.clone()));
-            current.insert(k.clone(), (seq, vt, v.clone()));
-            if current.len() == 40 {
-                tables.push(run_from(&current));
-                current.clear();
-            }
-        }
-        if !current.is_empty() {
-            tables.push(run_from(&current));
-        }
-        // Newest tables must merge first: reverse (later runs are newer).
-        tables.reverse();
+        let model: BTreeMap<Vec<u8>, Option<Vec<u8>>> =
+            ops.iter().map(|(k, is_put, v)| (k.clone(), is_put.then(|| v.clone()))).collect();
+        let tables = tables_from_ops(&ops);
         let children: Vec<VecIter> = tables.into_iter().map(VecIter::new).collect();
         let mut it = CompactionIter::new(
             MergingIter::new(children),
@@ -118,6 +102,85 @@ proptest! {
         let want: BTreeMap<Vec<u8>, Vec<u8>> =
             model.into_iter().filter_map(|(k, v)| v.map(|v| (k, v))).collect();
         prop_assert_eq!(got, want);
+    }
+
+    /// A merge traced a step per input record and replayed over the inputs'
+    /// indexes (what a near-data compaction's requester does with its reply)
+    /// yields the metadata a builder makes of the merged records — wherever
+    /// the outputs are cut, whatever the horizon, and with the inputs given
+    /// whole or clipped to a sub-range by their own indexes.
+    #[test]
+    fn merge_trace_replays_to_the_builders_metadata(
+        ops in prop::collection::vec(
+            (prop::collection::vec(0u8..6, 1..4), any::<bool>(), prop::collection::vec(any::<u8>(), 0..200)),
+            1..300,
+        ),
+        cut in 1usize..60,
+        drop_deletions in any::<bool>(),
+        smallest_snapshot in (any::<bool>(), 0u64..320).prop_map(|(none, seq)| if none { MAX_SEQ } else { seq }),
+        (lo, hi) in (prop::collection::vec(0u8..6, 0..3), prop::collection::vec(0u8..6, 0..3)),
+    ) {
+        let inputs: Vec<(Vec<u8>, TableMeta)> = tables_from_ops(&ops)
+            .iter()
+            .map(|run| {
+                let mut b = ByteAddrBuilder::new(Vec::new(), 10);
+                run.iter().for_each(|(k, v)| b.add(k, v).unwrap());
+                b.finish()
+            })
+            .collect();
+        // Each input's records in `[lo, hi)`, as bytes for the merge and as
+        // index positions for the replay; inputs with none are left out.
+        let clips: Vec<(&TableMeta, std::ops::Range<usize>)> = inputs
+            .iter()
+            .map(|(_, meta)| (meta, meta.user_range(&lo, &hi)))
+            .filter(|(_, records)| !records.is_empty())
+            .collect();
+        let datas: Vec<&[u8]> = inputs
+            .iter()
+            .filter(|(_, meta)| !meta.user_range(&lo, &hi).is_empty())
+            .map(|(data, meta)| {
+                let bytes = meta.byte_range(&meta.user_range(&lo, &hi));
+                &data[bytes.start as usize..bytes.end as usize]
+            })
+            .collect();
+        let mut merge = MergingIter::new(datas.iter().map(|d| dlsm_sstable::byte_addr::RawTableIter::new(d)).collect());
+        let mut policy = DropPolicy::new(MergeConfig { smallest_snapshot, drop_deletions });
+        let (mut steps, mut built, mut open) = (Vec::new(), Vec::new(), ByteAddrBuilder::new(Vec::new(), 10));
+        merge.seek_to_first().unwrap();
+        while let Some((ordinal, child)) = merge.leader() {
+            let kept = !policy.drops(child.key());
+            push_merge_step(&mut steps, clips.len(), ordinal, kept);
+            if kept {
+                if open.num_entries() == cut {
+                    built.push(std::mem::replace(&mut open, ByteAddrBuilder::new(Vec::new(), 10)).finish());
+                }
+                open.add(child.key(), child.value()).unwrap();
+                prop_assert_eq!(child.record().len() as u64, record_len(key::user_key(child.key()), child.value()));
+            }
+            merge.next().unwrap();
+        }
+        if open.num_entries() > 0 {
+            built.push(open.finish());
+        }
+        let reported = || built.iter().map(|(_, m)| (m.num_entries, m.data_len, m.bloom.clone()));
+        let replayed = TableMeta::replay_merge(&clips, &steps, reported()).unwrap();
+        prop_assert_eq!(replayed.len(), built.len());
+        for (got, (_, want)) in replayed.iter().zip(&built) {
+            prop_assert_eq!(got, want);
+        }
+        // Any one step changed, dropped or added is noticed.
+        if !steps.is_empty() {
+            let at = cut % steps.len();
+            let mut flipped = steps.clone();
+            flipped[at] ^= 1;
+            prop_assert!(TableMeta::replay_merge(&clips, &flipped, reported()).is_err(), "kept bit {} flipped", at);
+            let mut short = steps.clone();
+            short.remove(at);
+            prop_assert!(TableMeta::replay_merge(&clips, &short, reported()).is_err(), "step {} removed", at);
+            let mut long = steps.clone();
+            long.insert(at, steps[at]);
+            prop_assert!(TableMeta::replay_merge(&clips, &long, reported()).is_err(), "step {} doubled", at);
+        }
     }
 }
 
@@ -320,6 +383,27 @@ proptest! {
             }
         }
     }
+}
+
+/// Assign increasing seqs to `ops` (user key, put or delete, value) and cut
+/// them into sorted runs of 40 distinct keys, newest run first: the merge
+/// order of overlapping tables.
+fn tables_from_ops(ops: &[(Vec<u8>, bool, Vec<u8>)]) -> Vec<Vec<(Vec<u8>, Vec<u8>)>> {
+    let mut tables: Vec<Vec<(Vec<u8>, Vec<u8>)>> = Vec::new();
+    let mut current: BTreeMap<Vec<u8>, (u64, ValueType, Vec<u8>)> = BTreeMap::new();
+    for (i, (k, is_put, v)) in ops.iter().enumerate() {
+        let vt = if *is_put { ValueType::Value } else { ValueType::Deletion };
+        current.insert(k.clone(), (i as u64 + 1, vt, v.clone()));
+        if current.len() == 40 {
+            tables.push(run_from(&current));
+            current.clear();
+        }
+    }
+    if !current.is_empty() {
+        tables.push(run_from(&current));
+    }
+    tables.reverse();
+    tables
 }
 
 fn run_from(current: &BTreeMap<Vec<u8>, (u64, ValueType, Vec<u8>)>) -> Vec<(Vec<u8>, Vec<u8>)> {

@@ -2,19 +2,25 @@
 //! table iterator → `MergingIter` → scan / compaction. The merge is checked
 //! against a sort, the index-clipped sub-compactions against the unsplit
 //! one, and the sampled `ScanNext` histogram against the entries yielded
-//! (DESIGN.md §5.11, §5 "Sub-compaction", §8).
+//! (DESIGN.md §5.11, §5 "Sub-compaction", §8). ISSUE 23 adds the near-data
+//! reply: the merge trace replayed against a rebuild of the output bytes,
+//! its size as an exact count, and what a corrupt or oversized one does
+//! (DESIGN.md §5.7 "The reply is the merge", §7a).
 
 use std::cmp::Ordering;
 use std::sync::Arc;
 
 use dlsm_repro::dlsm::compaction::{
-    clip_inputs, pick_boundaries, run_local, run_near_data, subranges, CompactionJob, CompactionOutcome,
+    clip_inputs, outputs_from_reply, pick_boundaries, run_local, run_near_data, subranges, CompactionJob,
+    CompactionOutcome,
 };
 use dlsm_repro::dlsm::handle::{Extent, GcSink, MetaKind, Origin, TableHandle};
-use dlsm_repro::dlsm::{ComputeContext, Db, DbConfig, MemNodeHandle};
-use dlsm_repro::memnode::{ClientNetStats, InputTable, MemServer, MemServerConfig};
+use dlsm_repro::dlsm::{ComputeContext, Db, DbConfig, DbError, MemNodeHandle};
+use dlsm_repro::memnode::{
+    ClientNetStats, CompactArgs, CompactReply, InputTable, MemServer, MemServerConfig, RpcClient, TableFormat,
+};
 use dlsm_repro::rdma_sim::{Fabric, NetworkProfile, Verb};
-use dlsm_repro::sstable::byte_addr::ByteAddrBuilder;
+use dlsm_repro::sstable::byte_addr::{ByteAddrBuilder, RawTableIter};
 use dlsm_repro::sstable::iter::{ForwardIter, MergingIter, VecIter};
 use dlsm_repro::sstable::key::compare_internal;
 use dlsm_repro::sstable::{InternalKey, SstError, ValueType, MAX_SEQ};
@@ -184,10 +190,15 @@ struct Rig {
 }
 
 fn rig() -> Rig {
+    rig_sized(96 << 20)
+}
+
+/// A rig whose region is half flush zone, half compaction zone.
+fn rig_sized(region_size: usize) -> Rig {
     let fabric = Fabric::new(NetworkProfile::instant());
     let server = MemServer::start(
         &fabric,
-        MemServerConfig { region_size: 96 << 20, flush_zone: 48 << 20, compaction_workers: 2, dispatchers: 1 },
+        MemServerConfig { region_size, flush_zone: region_size as u64 / 2, compaction_workers: 2, dispatchers: 1 },
     );
     let ctx = ComputeContext::new(&fabric);
     let mem = MemNodeHandle::from_server(&server);
@@ -197,10 +208,21 @@ fn rig() -> Rig {
 impl Rig {
     /// Write a byte-addressable table into the flush zone.
     fn stage(&self, id: u64, entries: &[(u64, u64, ValueType)]) -> Arc<TableHandle> {
+        let value = |user: u64, seq: u64| vec![(user + seq) as u8; 90 + (user % 5) as usize * 8];
+        self.stage_records(id, entries, &value)
+    }
+
+    /// [`Rig::stage`] with the caller's values.
+    fn stage_records(
+        &self,
+        id: u64,
+        entries: &[(u64, u64, ValueType)],
+        value: &dyn Fn(u64, u64) -> Vec<u8>,
+    ) -> Arc<TableHandle> {
         let mut b = ByteAddrBuilder::new(Vec::new(), 10);
         for &(user, seq, vt) in entries {
             let key = InternalKey::new(format!("key{user:08}").as_bytes(), seq, vt);
-            let value = if vt == ValueType::Value { vec![(user + seq) as u8; 90 + (user % 5) as usize * 8] } else { Vec::new() };
+            let value = if vt == ValueType::Value { value(user, seq) } else { Vec::new() };
             b.add(key.as_bytes(), &value).unwrap();
         }
         let (image, meta) = b.finish();
@@ -258,15 +280,50 @@ impl Rig {
     }
 
     fn run(&self, job: &CompactionJob, cfg: &DbConfig) -> CompactionOutcome {
-        let gc = GcSink::new(Arc::clone(self.mem.flush_alloc()));
+        self.run_at(job, cfg, MAX_SEQ, &GcSink::new(Arc::clone(self.mem.flush_alloc()))).unwrap()
+    }
+
+    /// Run `job` with `smallest_snapshot` as the oldest live snapshot; dead
+    /// extents go to `gc`.
+    fn run_at(
+        &self,
+        job: &CompactionJob,
+        cfg: &DbConfig,
+        smallest_snapshot: u64,
+        gc: &Arc<GcSink>,
+    ) -> Result<CompactionOutcome, DbError> {
         let ids = std::sync::atomic::AtomicU64::new(100);
         let next_id = || ids.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let net = Arc::new(ClientNetStats::default());
         if cfg.near_data_compaction {
-            run_near_data(job, &self.ctx, &self.mem, cfg, MAX_SEQ, &gc, &next_id, &mut Vec::new(), &net).unwrap()
+            run_near_data(job, &self.ctx, &self.mem, cfg, smallest_snapshot, gc, &next_id, &mut Vec::new(), &net)
         } else {
-            run_local(job, &self.ctx, &self.mem, cfg, MAX_SEQ, &gc, &next_id, &net).unwrap()
+            run_local(job, &self.ctx, &self.mem, cfg, smallest_snapshot, gc, &next_id, &net)
         }
+    }
+
+    /// Send the memory node every extent queued in `gc`; what its
+    /// compaction zone then holds.
+    fn collect_garbage(&self, gc: &GcSink) -> u64 {
+        if let Some(batch) = gc.take_remote_batch(0) {
+            let mut client = RpcClient::new(&self.fabric, self.ctx.node(), self.mem.node_id(), 64 << 10).unwrap();
+            client.free_batch(&batch, std::time::Duration::from_secs(10)).unwrap();
+        }
+        self.server.compaction_zone_in_use()
+    }
+
+    /// The metadata a builder makes of the records `table` holds in the
+    /// region: what its handle must carry, however it came by it.
+    fn rebuilt_meta(&self, table: &Arc<TableHandle>) -> dlsm_repro::sstable::byte_addr::TableMeta {
+        let image = self.image(std::slice::from_ref(table));
+        let mut it = RawTableIter::new(&image);
+        let mut b = ByteAddrBuilder::new(Vec::new(), 10);
+        it.seek_to_first().unwrap();
+        while it.valid() {
+            b.add(it.key(), it.value()).unwrap();
+            it.next().unwrap();
+        }
+        b.finish().1
     }
 
     /// The record bytes of `tables`, back to back: a full scan of them.
@@ -344,6 +401,269 @@ fn every_sub_task_count_compacts_to_the_same_bytes() {
             }
         }
     }
+}
+
+// ---- (c') the near-data reply: how the merge went, not what it made ----
+
+impl Rig {
+    /// A random job. Even `round`s are L0 → L1 (up to five overlapping
+    /// tables, newest first, over disjoint L1 tables), odd ones L1 → L2 (one
+    /// table over the L2 tables it overlaps). User keys recur across inputs,
+    /// tombstones are frequent, and the bottom tables hold two versions of
+    /// some keys, so what survives depends on the snapshot horizon.
+    fn random_job(&self, rng: &mut SmallRng, round: u64) -> CompactionJob {
+        let users = 1_200u64;
+        let level = (round % 2) as usize;
+        let tops = if level == 0 { rng.gen_range(2..6u64) } else { 1 };
+        let parts = rng.gen_range(1..5u64);
+        let drop_deletions = rng.gen_bool(0.5);
+        let mut run = |id: u64, base: u64, density: f64, range: std::ops::Range<u64>| {
+            let mut entries = Vec::new();
+            for user in range {
+                if !rng.gen_bool(density) {
+                    continue;
+                }
+                if rng.gen_bool(0.1) {
+                    entries.push((user, base + 450, ValueType::Value));
+                }
+                let vt = if rng.gen_bool(0.2) { ValueType::Deletion } else { ValueType::Value };
+                entries.push((user, base + user % 400, vt));
+            }
+            entries.push((users + id, base, ValueType::Value)); // never empty
+            self.stage(id, &entries)
+        };
+        let inputs_lo = (0..tops).map(|t| run(round * 100 + t, 1_000 * (tops - t + 1), 0.4, 0..users)).collect();
+        let inputs_hi =
+            (0..parts).map(|t| run(round * 100 + 50 + t, 500, 0.7, t * users / parts..(t + 1) * users / parts)).collect();
+        CompactionJob { level, inputs_lo, inputs_hi, drop_deletions }
+    }
+}
+
+/// Whatever the job, the horizon and the split: the memory node's outputs
+/// are byte for byte what a compute-side compaction re-encodes (the parent
+/// commit's images), and the metadata the requester replays from the reply is
+/// what a builder makes of those bytes — index, bloom filter, counts.
+#[test]
+fn replayed_metadata_equals_a_rebuild_of_the_output_bytes() {
+    let r = rig();
+    let mut rng = SmallRng::seed_from_u64(230);
+    let gc = GcSink::new(Arc::clone(r.mem.flush_alloc()));
+    for round in 0..6u64 {
+        let job = r.random_job(&mut rng, round);
+        // A live snapshot in the middle of the newest table's sequence
+        // numbers, one below everything, and none.
+        for snapshot in [MAX_SEQ, 1_000 * job.inputs_lo.len() as u64 + 1_200, 3] {
+            let local = r.run_at(&job, &r.cfg(1, false), snapshot, &gc).unwrap();
+            let reference = (r.image(&local.outputs), local.records_in, local.records_out);
+            for subtasks in [1, 2, 12] {
+                let what = format!("round {round}, snapshot {snapshot}, {subtasks} sub-tasks");
+                let out = r.run_at(&job, &r.cfg(subtasks, true), snapshot, &gc).unwrap();
+                assert!(r.image(&out.outputs) == reference.0, "{what}: output bytes differ");
+                assert_eq!((out.records_in, out.records_out), (reference.1, reference.2), "{what}");
+                assert_eq!(out.records_in, job.all_inputs().map(|t| t.num_entries).sum::<u64>(), "{what}");
+                for t in &out.outputs {
+                    let MetaKind::ByteAddr(meta) = &t.meta else { unreachable!() };
+                    assert!(**meta == r.rebuilt_meta(t), "{what}: table {} replayed differently", t.id);
+                    assert_eq!((t.smallest.as_slice(), t.largest.as_slice()), (meta.smallest().unwrap(), meta.largest().unwrap()));
+                    assert_eq!((t.num_entries, t.extent.len), (meta.num_entries, meta.data_len), "{what}");
+                }
+                drop(out);
+                r.collect_garbage(&gc);
+            }
+        }
+    }
+}
+
+/// The reply costs a byte per input record and a bloom filter per output
+/// table, as a count: nothing in it grows with the index.
+#[test]
+fn a_reply_is_a_byte_per_input_record_plus_the_bloom_filters() {
+    let r = rig();
+    let job = r.job();
+    let gc = GcSink::new(Arc::clone(r.mem.flush_alloc()));
+    for subtasks in [1, 2, 12] {
+        let before = r.fabric.stats().snapshot();
+        let out = r.run_at(&job, &r.cfg(subtasks, true), MAX_SEQ, &gc).unwrap();
+        let d = r.fabric.stats().snapshot().delta(&before);
+        // Exactly: per reply a 37-byte frame and a step per input record;
+        // per table its extent, its count and ceil(1.25 B × records) + 1.
+        let blooms: u64 = out.outputs.iter().map(|t| (t.num_entries * 10).max(64).div_ceil(8) + 1).sum();
+        let replies = subranges(&pick_boundaries(&job, subtasks)).len() as u64;
+        assert_eq!(out.reply_bytes, 37 * replies + out.records_in + 28 * out.outputs.len() as u64 + blooms);
+        assert!(out.reply_bytes <= 2 * out.records_in + 2 * out.records_out + 64 * out.outputs.len() as u64);
+        // The replies are the only bytes the job WRITEs anywhere.
+        assert_eq!(d.bytes(Verb::Write), out.reply_bytes, "{subtasks} sub-tasks");
+    }
+
+    // A fill-shaped run: every WRITE byte on the fabric is a flushed table,
+    // a compaction reply, or the 13-byte answer to a GC batch.
+    let before = r.fabric.stats().snapshot();
+    let cfg = DbConfig { flush_threads: 1, memtable_size: 32 << 10, sstable_size: 32 << 10, ..r.cfg(2, true) };
+    let db = Db::open(Arc::clone(&r.ctx), Arc::clone(&r.mem), cfg).unwrap();
+    let mut rng = SmallRng::seed_from_u64(231);
+    for i in 0..8_000u64 {
+        db.put(format!("key{:08}", rng.gen_range(0..3_000u64)).as_bytes(), &[i as u8; 150]).unwrap();
+    }
+    db.force_flush().unwrap();
+    db.wait_until_quiescent();
+    db.shutdown();
+    let stats = db.stats().snapshot();
+    let d = r.fabric.stats().snapshot().delta(&before);
+    assert!(stats.compactions >= 3 && stats.compaction_reply_bytes > 0);
+    assert!(stats.compaction_reply_bytes <= 3 * stats.compaction_records_in, "{stats}");
+    assert_eq!(d.bytes(Verb::Write), stats.flush_bytes + stats.compaction_reply_bytes + 13 * stats.gc_batches);
+    r.server.shutdown();
+}
+
+/// 36 flushed tables of 16 000 records merged by one sub-task: as an index
+/// (45 B a record) the reply overflowed the default 24 MiB buffer and parked
+/// the requester; as a trace it is under 2 MiB.
+#[test]
+fn a_36_table_backlog_compacts_under_the_default_reply_buffer() {
+    let r = rig_sized(160 << 20);
+    let per_table = 16_000u64;
+    let inputs_lo: Vec<_> = (0..36u64)
+        .map(|t| {
+            let entries: Vec<_> = (0..per_table).map(|i| (i * 36 + t, 100 - t, ValueType::Value)).collect();
+            r.stage_records(t, &entries, &|user, _| user.to_le_bytes().to_vec())
+        })
+        .collect();
+    let job = CompactionJob { level: 0, inputs_lo, inputs_hi: Vec::new(), drop_deletions: true };
+    let cfg = DbConfig { rpc_buf_size: DbConfig::default().rpc_buf_size, sstable_size: 8 << 20, ..r.cfg(1, true) };
+    let out = r.run(&job, &cfg);
+    assert_eq!((out.records_in, out.records_out), (36 * per_table, 36 * per_table));
+    assert!(out.records_out * 45 > cfg.rpc_buf_size as u64, "the index would not have fitted");
+    assert!(out.reply_bytes < 2 << 20, "{} reply bytes", out.reply_bytes);
+    let MetaKind::ByteAddr(meta) = &out.outputs[0].meta else { unreachable!() };
+    assert!(**meta == r.rebuilt_meta(&out.outputs[0]));
+    r.server.shutdown();
+}
+
+/// A reply that does not fit the requester's buffer fails the job at once —
+/// the memory node answers with an error status instead of not at all — and
+/// nothing is left behind: the next job, with room, runs as usual.
+#[test]
+fn an_oversized_reply_fails_the_job_at_once_and_leaks_nothing() {
+    let r = rig();
+    let job = r.job();
+    let gc = GcSink::new(Arc::clone(r.mem.flush_alloc()));
+    let started = std::time::Instant::now();
+    let tiny = DbConfig { rpc_buf_size: 1 << 10, ..r.cfg(1, true) };
+    let err = r.run_at(&job, &tiny, MAX_SEQ, &gc).err().expect("a 1 KiB buffer cannot hold the reply");
+    assert!(matches!(&err, DbError::MemNode(m) if m.contains("exceeds the 1024-byte reply buffer")), "{err}");
+    // Far inside the first attempt's 120 s: no retry was spent on it.
+    assert!(started.elapsed() < std::time::Duration::from_secs(20), "{:?}", started.elapsed());
+    assert_eq!(gc.remote_pending_len(), 0, "the requester was told of no output");
+    assert_eq!(r.server.compaction_zone_in_use(), 0, "the memory node kept the outputs of a failed job");
+    let out = r.run_at(&job, &r.cfg(1, true), MAX_SEQ, &gc).unwrap();
+    assert!(out.records_out > 0);
+    drop(out);
+    assert_eq!(r.collect_garbage(&gc), 0);
+
+    // The same through a database: its compactions fail, its flushes do
+    // not, and every byte in either zone belongs to a live table.
+    let failed_before = r.server.stats().failures.load(std::sync::atomic::Ordering::Relaxed);
+    // 1 KiB holds the arguments of a job over every table this run can
+    // flush, and the reply of none: four tables are over 1 500 records.
+    let cfg = DbConfig { rpc_buf_size: 1 << 10, l0_stop_writes_trigger: None, ..r.cfg(1, true) };
+    let db = Db::open(Arc::clone(&r.ctx), Arc::clone(&r.mem), cfg).unwrap();
+    for i in 0..8_000u64 {
+        db.put(format!("key{:08}", i % 3_000).as_bytes(), &[i as u8; 16]).unwrap();
+    }
+    db.force_flush().unwrap();
+    // The compactor has its four tables: wait for its first attempt.
+    let failures = || r.server.stats().failures.load(std::sync::atomic::Ordering::Relaxed) - failed_before;
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while failures() == 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    db.shutdown();
+    let stats = db.stats().snapshot();
+    let failed = failures();
+    assert!(stats.flushes >= 4 && stats.compactions == 0 && failed >= 1, "{stats}, {failed} failed");
+    let staged: u64 = job.all_inputs().map(|t| t.extent.len.next_multiple_of(8)).sum();
+    let live = |origin| db.live_extents().iter().filter(|e| e.0 == origin).map(|e| e.2).sum::<u64>();
+    assert_eq!(live(Origin::Compute) + staged, r.mem.flush_alloc().in_use());
+    assert_eq!((live(Origin::MemNode), r.server.compaction_zone_in_use()), (0, 0));
+    r.server.shutdown();
+}
+
+/// One sub-task over the whole of `job`, by hand: its arguments and a
+/// client to send them with.
+fn whole_job_args(r: &Rig, job: &CompactionJob, cfg: &DbConfig) -> (CompactArgs, RpcClient) {
+    let args = CompactArgs {
+        format: TableFormat::ByteAddr,
+        smallest_snapshot: MAX_SEQ,
+        drop_deletions: job.drop_deletions,
+        max_output_bytes: cfg.sstable_size,
+        bits_per_key: cfg.bits_per_key as u32,
+        range_lo: Vec::new(),
+        range_hi: Vec::new(),
+        inputs: clip_inputs(job, b"", b""),
+    };
+    (args, RpcClient::new(&r.fabric, r.ctx.node(), r.mem.node_id(), cfg.rpc_buf_size).unwrap())
+}
+
+/// The reply is untrusted input. Whatever is wrong with it, the requester
+/// ends with an error — no panic, no table whose index disagrees with its
+/// bytes — and has queued every extent the reply named for the memory node
+/// to free; `run_near_data` returns that error, so nothing is installed.
+#[test]
+fn corrupt_replies_are_refused_and_their_outputs_reclaimed() {
+    type Corruption = (&'static str, Box<dyn Fn(&mut CompactReply)>);
+    let r = rig();
+    let job = r.job();
+    let cfg = r.cfg(1, true);
+    let (args, mut client) = whole_job_args(&r, &job, &cfg);
+    let ids = std::sync::atomic::AtomicU64::new(100);
+    let next_id = || ids.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let inputs = args.inputs.len() as u8;
+    // Two neighbouring kept steps of different inputs; a dropped step.
+    let probe = client.compact(&args, r.ctx.waiter(), std::time::Duration::from_secs(10)).unwrap();
+    let pair = probe.steps.windows(2).position(|w| w[0] & 1 == 1 && w[1] & 1 == 1 && w[0] != w[1]).unwrap();
+    let dropped = probe.steps.iter().position(|s| s & 1 == 0).unwrap();
+    assert!(probe.outputs.len() >= 2 && probe.steps.len() as u64 == probe.records_in);
+    let corruptions: Vec<Corruption> = vec![
+        ("an ordinal naming no input", Box::new(move |p| p.steps[pair] = inputs << 1 | 1)),
+        ("an ordinal naming another input", Box::new(move |p| p.steps[pair] = p.steps[pair + 1])),
+        ("a kept bit cleared", Box::new(move |p| p.steps[pair] &= !1)),
+        ("a kept bit set", Box::new(move |p| p.steps[dropped] |= 1)),
+        ("a step short", Box::new(|p| p.steps.truncate(p.steps.len() - 1))),
+        ("a step too many", Box::new(|p| p.steps.push(0))),
+        ("no steps", Box::new(|p| p.steps.clear())),
+        ("two steps swapped", Box::new(move |p| p.steps.swap(pair, pair + 1))),
+        ("a table's count too high", Box::new(|p| p.outputs[0].records += 1)),
+        ("a table's count too low", Box::new(|p| p.outputs[0].records -= 1)),
+        ("a table's count zero", Box::new(|p| p.outputs[0].records = 0)),
+        ("a table's length off", Box::new(|p| p.outputs[0].len -= 8)),
+        ("a table missing", Box::new(|p| p.outputs.truncate(p.outputs.len() - 1))),
+        ("records_in off", Box::new(|p| p.records_in += 1)),
+        ("records_out off", Box::new(|p| p.records_out -= 1)),
+        ("a bloom filter without probes", Box::new(|p| *p.outputs[0].meta.last_mut().unwrap() = 0)),
+    ];
+    let mut reply = probe;
+    for (what, corrupt) in &corruptions {
+        let gc = GcSink::new(Arc::clone(r.mem.flush_alloc()));
+        let honest: Vec<(u64, u64)> = reply.outputs.iter().map(|o| (o.offset, o.len)).collect();
+        corrupt(&mut reply);
+        let err = outputs_from_reply(&job, b"", b"", &r.ctx, &r.mem, &cfg, &gc, &next_id, &reply)
+            .err()
+            .unwrap_or_else(|| panic!("{what}: accepted"));
+        assert!(matches!(err, DbError::Sst(_)), "{what}: {err}");
+        let named: Vec<(u64, u64)> = reply.outputs.iter().map(|o| (o.offset, o.len)).collect();
+        assert_eq!(gc.take_remote_batch(0).unwrap_or_default(), named, "{what}: queued for freeing");
+        // Free what the memory node really allocated, and go again.
+        client.free_batch(&honest, std::time::Duration::from_secs(10)).unwrap();
+        assert_eq!(r.server.compaction_zone_in_use(), 0, "{what}");
+        reply = client.compact(&args, r.ctx.waiter(), std::time::Duration::from_secs(10)).unwrap();
+    }
+    // Untouched, the reply is what `run_near_data` makes of the job.
+    let gc = GcSink::new(Arc::clone(r.mem.flush_alloc()));
+    let out = outputs_from_reply(&job, b"", b"", &r.ctx, &r.mem, &cfg, &gc, &next_id, &reply).unwrap();
+    let again = r.run(&job, &cfg);
+    assert!(r.image(&out.outputs) == r.image(&again.outputs));
+    assert_eq!((out.records_in, out.records_out, out.reply_bytes), (again.records_in, again.records_out, again.reply_bytes));
+    r.server.shutdown();
 }
 
 /// The same seeded history under 1, 2 and 12 sub-tasks: whatever each
