@@ -187,7 +187,6 @@ pub fn build_rocksdb_rdma(deps: &EngineDeps, base: DbConfig, block_size: u32) ->
         serialized_writes: true,
         // Baselines run without the dLSM compute-side read cache.
         cache: dlsm::CacheConfig::default(),
-        local_l0_cache_bytes: 0,
         ..base
     };
     let name = format!("RocksDB-RDMA ({} KB)", block_size >> 10);
@@ -205,7 +204,6 @@ pub fn build_memory_rocksdb(deps: &EngineDeps, base: DbConfig) -> Result<DlsmEng
         serialized_writes: true,
         // Baselines run without the dLSM compute-side read cache.
         cache: dlsm::CacheConfig::default(),
-        local_l0_cache_bytes: 0,
         ..base
     };
     open(deps, cfg, 1, "Memory-RocksDB-RDMA")
@@ -222,7 +220,6 @@ pub fn build_nova_lsm(deps: &EngineDeps, base: DbConfig, subranges: usize) -> Re
         serialized_writes: false,
         // Baselines run without the dLSM compute-side read cache.
         cache: dlsm::CacheConfig::default(),
-        local_l0_cache_bytes: 0,
         l0_stop_writes_trigger: base
             .l0_stop_writes_trigger
             .map(|t| shard_trigger(t, subranges)),

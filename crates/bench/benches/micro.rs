@@ -254,7 +254,9 @@ fn bench_scan_entry_parts(c: &mut Criterion) {
 /// requester then does with them — `TableMeta::replay_merge`, the gather
 /// over the inputs' indexes — beside `meta_decode`, decoding the same
 /// tables' indexes from `TableMeta::encode` bytes as replies carried them
-/// before ISSUE 23.
+/// before ISSUE 23 — and `replay_carry`, the same replay also gathering the
+/// outputs' images from the inputs' (ISSUE 24): the difference to
+/// `replay_index` is what carrying a record costs the requester.
 fn bench_memnode_compaction(c: &mut Criterion) {
     let (tables, per_table) = (8u64, 19_000u64);
     let n = tables * per_table;
@@ -272,27 +274,28 @@ fn bench_memnode_compaction(c: &mut Criterion) {
                 _ => t >= overlapping && i * deep / n == t - overlapping,
             })
         };
-        let mut inputs: Vec<(u64, Arc<TableMeta>)> = Vec::new();
+        let mut inputs: Vec<(u64, Arc<TableMeta>, Vec<u8>)> = Vec::new();
         let mut offset = 0u64;
         for t in 0..tables {
             let (data, meta) = table_of(table_keys(t));
             region.local_write(offset, &data).unwrap();
-            inputs.push((offset, meta));
-            offset += (data.len() as u64).next_multiple_of(8);
+            let len = data.len() as u64;
+            inputs.push((offset, meta, data));
+            offset += len.next_multiple_of(8);
         }
         for ranges in [1u64, 2, 12] {
             let bound = |r: u64| if r.is_multiple_of(ranges) { Vec::new() } else { format!("key{:09}", r * n / ranges).into_bytes() };
             // Per sub-task: its arguments and the index records they name.
             type Clips<'a> = Vec<(&'a TableMeta, std::ops::Range<usize>)>;
-            let tasks: Vec<(CompactArgs, Clips)> = (0..ranges)
+            let tasks: Vec<(CompactArgs, Clips, Vec<&[u8]>)> = (0..ranges)
                 .map(|r| {
                     let (range_lo, range_hi) = (bound(r), bound(r + 1));
-                    let clips: Vec<(u64, &TableMeta, std::ops::Range<usize>)> = inputs
+                    let clips: Vec<(u64, &TableMeta, std::ops::Range<usize>, &[u8])> = inputs
                         .iter()
-                        .map(|(offset, meta)| (*offset, &**meta, meta.user_range(&range_lo, &range_hi)))
-                        .filter(|(_, _, records)| !records.is_empty())
+                        .map(|(offset, meta, image)| (*offset, &**meta, meta.user_range(&range_lo, &range_hi), &image[..]))
+                        .filter(|(_, _, records, _)| !records.is_empty())
                         .collect();
-                    let input = |(offset, meta, records): &(u64, &TableMeta, std::ops::Range<usize>)| {
+                    let input = |(offset, meta, records, _): &(u64, &TableMeta, std::ops::Range<usize>, &[u8])| {
                         let within = meta.byte_range(records);
                         InputTable { offset: offset + within.start, len: within.end - within.start }
                     };
@@ -306,12 +309,13 @@ fn bench_memnode_compaction(c: &mut Criterion) {
                         range_lo,
                         range_hi,
                     };
-                    (args, clips.into_iter().map(|(_, meta, records)| (meta, records)).collect())
+                    let images = clips.iter().map(|c| c.3).collect();
+                    (args, clips.into_iter().map(|(_, meta, records, _)| (meta, records)).collect(), images)
                 })
                 .collect();
             let run = || {
                 let zone = RegionAllocator::new(128 << 20, 128 << 20);
-                tasks.iter().map(|(args, _)| execute_compaction(&region, &zone, args).unwrap()).collect::<Vec<_>>()
+                tasks.iter().map(|(args, ..)| execute_compaction(&region, &zone, args).unwrap()).collect::<Vec<_>>()
             };
             group.bench_function(format!("{shape}/{ranges}_ranges"), |b| {
                 b.iter(|| {
@@ -327,10 +331,27 @@ fn bench_memnode_compaction(c: &mut Criterion) {
                 r.outputs.iter().map(|o| (o.records, o.len, BloomFilter::decode(&o.meta).unwrap())).collect::<Vec<_>>()
             };
             let replay = || -> Vec<Vec<TableMeta>> {
-                let metas = tasks.iter().zip(&replies).map(|((_, clips), r)| TableMeta::replay_merge(clips, &r.steps, reported(r)));
+                let metas = tasks.iter().zip(&replies).map(|((_, clips, _), r)| TableMeta::replay_merge(clips, &r.steps, reported(r), |_, _, _| ()));
                 metas.collect::<Result<_, _>>().unwrap()
             };
             group.bench_function(format!("{shape}/{ranges}_ranges/replay_index"), |b| b.iter(|| std::hint::black_box(replay())));
+            // The same replay also gathering the outputs' images from the
+            // inputs', record by record (ISSUE 24; `dlsm::compaction` copies
+            // adjacent records of one input at once): the price of a carry.
+            let carry = || -> u64 {
+                let mut bytes = 0;
+                for ((_, clips, images), r) in tasks.iter().zip(&replies) {
+                    let mut outputs: Vec<Vec<u8>> = r.outputs.iter().map(|o| Vec::with_capacity(o.len as usize)).collect();
+                    let gather = |input: usize, record: usize, output: usize| {
+                        let (offset, len) = clips[input].0.index.record(record);
+                        outputs[output].extend_from_slice(&images[input][offset as usize..offset as usize + len]);
+                    };
+                    TableMeta::replay_merge(clips, &r.steps, reported(r), gather).unwrap();
+                    bytes += outputs.iter().zip(&r.outputs).map(|(image, o)| u64::from(image.len() as u64 == o.len) * o.len).sum::<u64>();
+                }
+                bytes
+            };
+            group.bench_function(format!("{shape}/{ranges}_ranges/replay_carry"), |b| b.iter(|| assert!(carry() > 400 * n)));
             let encoded: Vec<Vec<u8>> = replay().iter().flatten().map(TableMeta::encode).collect();
             group.bench_function(format!("{shape}/{ranges}_ranges/meta_decode"), |b| {
                 b.iter(|| encoded.iter().map(|e| TableMeta::decode(e).unwrap().0.num_entries).sum::<u64>());

@@ -345,7 +345,6 @@ fn main() {
     let sc = build_scenario_sized(kind, &spec, profile, cores, headroom, |mut c| {
         if cache_off {
             c.cache = dlsm::CacheConfig::default(); // capacity 0 = disabled
-            c.local_l0_cache_bytes = 0;
         } else if let Some(b) = cache_bytes {
             c.cache.capacity_bytes = b;
         }

@@ -8,10 +8,10 @@
 //! * **Block pool** — SSTable data blocks (or single byte-addressable
 //!   records) keyed by `(table id, offset)`. A hit turns a one-RTT read
 //!   into a zero-RTT read.
-//! * **Hot-extent pool** — whole byte-addressable table images keyed by
-//!   table id, generalizing the old `local_l0_cache_bytes` flush-time
-//!   mirror: images are admitted at flush time *and* promoted on demand
-//!   once a remote table proves hot (ghost-frequency admission).
+//! * **Hot-extent pool** — whole table images keyed by table id: admitted
+//!   when the compute node holds a table's bytes at its birth (a flush, a
+//!   compaction whose inputs' images are resident and read) *and* promoted
+//!   on demand once a remote table proves hot (ghost-frequency admission).
 //! * **Ghost-gated admission, FIFO eviction with second chance** — per
 //!   shard: one FIFO, 2-bit frequency counters, and a ghost table of key
 //!   fingerprints seen missing. A lookup that misses admits its record
@@ -355,10 +355,12 @@ impl Pool {
         Err(on_miss(inner, hash))
     }
 
-    /// Whether `key` is resident, without touching frequency or stats.
-    fn peek(&self, key: CacheKey) -> Option<Arc<Vec<u8>>> {
+    /// `key`'s entry if resident, and whether a lookup has hit it since it
+    /// was admitted (or last given a second chance), without touching
+    /// frequency or stats.
+    fn peek(&self, key: CacheKey) -> Option<(Arc<Vec<u8>>, bool)> {
         let inner = plock(self.shard_for(key_hash(key)));
-        inner.map.get(&key).map(|e| Arc::clone(&e.data))
+        inner.map.get(&key).map(|e| (Arc::clone(&e.data), e.freq > 0))
     }
 
     /// Admit `data` under `key`, whatever the ghost table says. Returns
@@ -559,14 +561,16 @@ impl ReadCache {
         self.extents.get(CacheKey { table, offset: 0 }, |_, _| ()).ok()
     }
 
-    /// Look up `table`'s image without touching stats or frequency (used by
-    /// paths that only need to know whether a local image exists).
-    pub fn extent_peek(&self, table: u64) -> Option<Arc<Vec<u8>>> {
+    /// Look up `table`'s image without touching stats or frequency, and
+    /// whether a reader has hit it since its admission (scans use a resident
+    /// image for free; a compaction carries its inputs' images over to its
+    /// outputs only if somebody reads them).
+    pub fn extent_peek(&self, table: u64) -> Option<(Arc<Vec<u8>>, bool)> {
         self.extents.peek(CacheKey { table, offset: 0 })
     }
 
-    /// Admit a whole table image (flush-time mirror or on-demand
-    /// promotion). Returns whether it was admitted.
+    /// Admit a whole table image (mirrored at the table's birth, or
+    /// promoted on demand). Returns whether it was admitted.
     pub fn extent_admit(&self, table: u64, image: Arc<Vec<u8>>) -> bool {
         self.extents.insert(CacheKey { table, offset: 0 }, image)
     }
@@ -905,9 +909,13 @@ mod tests {
         let c = cache(1 << 20);
         assert!(c.extent_peek(1).is_none());
         c.extent_admit(1, blob(100));
-        assert!(c.extent_peek(1).is_some());
+        assert!(matches!(c.extent_peek(1), Some((_, false))), "admitted, never read");
         let s = c.snapshot();
         assert_eq!(s.extent_hits + s.extent_misses, 0);
+        // A reader's hit is what the peek reports; peeking changes nothing.
+        assert!(c.extent_get(1).is_some());
+        assert!(matches!(c.extent_peek(1), Some((_, true))));
+        assert_eq!(c.snapshot().extent_hits, 1);
     }
 
     #[test]

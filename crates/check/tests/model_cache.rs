@@ -20,10 +20,17 @@
 //! is about room, not about liveness: `invalidate_table` may run in between,
 //! so the insert still checks the fence. The second straw man trusts the
 //! verdict instead and must be caught the same way.
+//!
+//! Since ISSUE 24 a compaction's outputs are born cached: the install admits
+//! their images, *then* publishes the version, then invalidates the inputs.
+//! A reader of the new version therefore finds every carried output resident
+//! — unless a later compaction has already fenced it, which only a published
+//! table can be. The third straw man publishes first and admits after, where
+//! the fence may already stand: the checker must catch its reader missing.
 
 use std::sync::Arc;
 
-use dlsm_check::shim::{thread, Mutex};
+use dlsm_check::shim::{thread, AtomicU64, Mutex, Ordering};
 use dlsm_check::Checker;
 
 /// One cache shard in miniature: a FIFO of `(table, bytes)` entries (no
@@ -256,6 +263,85 @@ fn trusting_the_probe_verdict_is_caught_serving_a_dead_table() {
     assert!(
         report.violation.is_some(),
         "checker failed to catch the trusted verdict in {} executions",
+        report.executions
+    );
+}
+
+/// Two compaction installs in a row against a reader. The published version
+/// is the set of live tables (a bit each). Install A turns input 1 into output
+/// 3: admit 3's image, publish, invalidate 1 (`ADMIT_FIRST`, `db.rs`'s order;
+/// the straw man publishes before it admits). Install B, the racing later
+/// compaction, can only pick what it sees published: if that is 3, it turns 3
+/// into 5 the same way. Oracles: a reader that sees a version finds its table
+/// resident or fenced, never merely absent (an absent one would be promoted
+/// over the fabric); an invalidated id never hits again and is not resident at
+/// the end, whichever install's admission raced it.
+fn explore_install<const ADMIT_FIRST: bool>() -> dlsm_check::Report {
+    const IMAGES: usize = 1; // images live in shard 1, as in `explore`
+    Checker::new(if ADMIT_FIRST { "cache-install" } else { "cache-install-strawman" })
+        .preemption_bound(3)
+        .explore(|| {
+            let cache = MiniCache::new(3); // room for all: eviction is `explore`'s subject
+            let version = Arc::new(AtomicU64::new(1 << 1));
+            cache.admit::<true>(IMAGES, 1, 10);
+            let install = |cache: &MiniCache, version: &AtomicU64, input: u64, output: u64| {
+                if ADMIT_FIRST {
+                    cache.admit::<true>(IMAGES, output, output * 10);
+                }
+                version.store(1 << output, Ordering::Release);
+                if !ADMIT_FIRST {
+                    cache.admit::<true>(IMAGES, output, output * 10);
+                }
+                cache.invalidate(input);
+                assert!(cache.get(IMAGES, input).is_none(), "dead table {input} served after invalidate returned");
+            };
+
+            let (c1, v1) = (Arc::clone(&cache), Arc::clone(&version));
+            let first = thread::spawn(move || install(&c1, &v1, 1, 3));
+            let (c2, v2) = (Arc::clone(&cache), Arc::clone(&version));
+            let later = thread::spawn(move || {
+                if v2.load(Ordering::Acquire) == 1 << 3 {
+                    install(&c2, &v2, 3, 5);
+                }
+            });
+
+            let table = u64::from(version.load(Ordering::Acquire).trailing_zeros());
+            match cache.get(IMAGES, table) {
+                Some(v) => assert_eq!(v, table * 10, "table {table} served foreign bytes {v}"),
+                None => assert!(
+                    cache.shards[IMAGES].state.lock().dead.contains(&table),
+                    "table {table} is published, was carried, and is not cached"
+                ),
+            }
+
+            first.join().unwrap();
+            later.join().unwrap();
+            let s = cache.shards[IMAGES].state.lock();
+            for t in &s.dead {
+                assert!(!s.entries.iter().any(|e| e.0 == *t), "dead table {t} still resident at join");
+            }
+        })
+}
+
+/// Admit, publish, invalidate: no reader of a version misses a carried table
+/// that is still live, and a fenced id stays dead, in every interleaving.
+#[test]
+fn outputs_admitted_before_the_publish_are_never_found_missing() {
+    let report = explore_install::<true>();
+    assert!(report.violation.is_none(), "install violation: {:?}", report.violation);
+    assert!(report.complete, "state space truncated at {} executions", report.executions);
+    assert!(report.executions >= 100, "explored only {} interleavings", report.executions);
+}
+
+/// The straw man that publishes the version and admits its outputs afterwards
+/// — possibly after a later compaction's fence — must be caught leaving a
+/// reader of the new version without the image.
+#[test]
+fn admitting_after_the_publish_is_caught_missing_a_live_table() {
+    let report = explore_install::<false>();
+    assert!(
+        report.violation.is_some(),
+        "checker failed to catch the late admission in {} executions",
         report.executions
     );
 }

@@ -18,9 +18,11 @@
 //! splitting costs no remote I/O, and the same index clips every input to
 //! each sub-range ([`clip_inputs`]), so a sub-task is handed only its bytes.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
+use dlsm_cache::ReadCache;
 use dlsm_memnode::{ClientNetStats, CompactArgs, CompactReply, InputTable, OutputTable, RpcClient, TableFormat};
 use dlsm_sstable::bloom::BloomFilter;
 use dlsm_sstable::byte_addr::{ByteAddrBuilder, TableMeta};
@@ -273,10 +275,18 @@ pub fn clip_inputs(job: &CompactionJob, lo: &[u8], hi: &[u8]) -> Vec<InputTable>
     job.all_inputs().filter_map(clip).collect()
 }
 
+/// A table's whole data image, as the read cache's extent pool holds it.
+pub type Image = Arc<Vec<u8>>;
+
 /// Outcome of one executed compaction.
+#[derive(Default)]
 pub struct CompactionOutcome {
     /// New tables for the output level, in key order.
     pub outputs: Vec<Arc<TableHandle>>,
+    /// Per output, its data image if the compute node held the bytes at the
+    /// table's birth — gathered from its inputs' cached images ([`Gather`]) or
+    /// staged by a compute-side merge — for the install to admit to the cache.
+    pub images: Vec<Option<Image>>,
     /// Records read.
     pub records_in: u64,
     /// Records written.
@@ -304,6 +314,7 @@ pub fn run_near_data(
     next_id: &(dyn Fn() -> u64 + Sync),
     clients: &mut Vec<RpcClient>,
     net: &Arc<ClientNetStats>,
+    cache: Option<&Arc<ReadCache>>,
 ) -> Result<CompactionOutcome> {
     let boundaries = pick_boundaries(job, cfg.compaction_subtasks.max(1));
     let ranges = subranges(&boundaries);
@@ -344,7 +355,7 @@ pub fn run_near_data(
                     None => dlsm_trace::span(dlsm_trace::Category::Compact, "compact_subtask"),
                 };
                 let reply = client.compact(&args, ctx.waiter(), Duration::from_secs(120))?;
-                outputs_from_reply(job, lo, hi, ctx, memnode, cfg, gc, next_id, &reply)
+                outputs_from_reply(job, lo, hi, ctx, memnode, cfg, gc, next_id, &reply, cache)
             }));
         }
         // Every sub-task is joined before any result is looked at: a failed
@@ -352,12 +363,13 @@ pub fn run_near_data(
         handles.into_iter().map(|h| h.join().expect("sub-compaction thread panicked")).collect()
     });
 
-    let mut outcome = CompactionOutcome { outputs: Vec::new(), records_in: 0, records_out: 0, reply_bytes: 0 };
+    let mut outcome = CompactionOutcome::default();
     for part in parts.into_iter().collect::<Result<Vec<_>>>()? {
         outcome.records_in += part.records_in;
         outcome.records_out += part.records_out;
         outcome.reply_bytes += part.reply_bytes;
         outcome.outputs.extend(part.outputs);
+        outcome.images.extend(part.images);
     }
     // Sub-ranges were issued in key order and each reply's outputs are in
     // key order, so the concatenation is already sorted; assert in debug.
@@ -369,7 +381,8 @@ pub fn run_near_data(
 }
 
 /// What the sub-task for user keys `[lo, hi)` makes of its reply: a handle per
-/// output table. The outputs are the caller's to free once the memory node
+/// output table, and its image where `cache` holds the inputs' and somebody
+/// reads them. The outputs are the caller's to free once the memory node
 /// has answered — by their handles, or here and now if the reply is refused.
 #[allow(clippy::too_many_arguments)]
 pub fn outputs_from_reply(
@@ -382,9 +395,10 @@ pub fn outputs_from_reply(
     gc: &Arc<GcSink>,
     next_id: &(dyn Fn() -> u64 + Sync),
     reply: &CompactReply,
+    cache: Option<&Arc<ReadCache>>,
 ) -> Result<CompactionOutcome> {
     let extent = |o: &OutputTable| Extent { offset: o.offset, len: o.len };
-    let described = describe_outputs(job, lo, hi, ctx, memnode, cfg, reply)
+    let (described, images) = describe_outputs(job, lo, hi, ctx, memnode, cfg, reply, cache)
         .inspect_err(|_| reply.outputs.iter().for_each(|o| gc.enqueue(Origin::MemNode, extent(o))))?;
     let handle = |(o, (meta, smallest, largest, n)): (&OutputTable, Described)| {
         let gc = Some(Arc::clone(gc));
@@ -392,6 +406,7 @@ pub fn outputs_from_reply(
     };
     Ok(CompactionOutcome {
         outputs: reply.outputs.iter().zip(described).map(handle).collect(),
+        images,
         records_in: reply.records_in,
         records_out: reply.records_out,
         reply_bytes: reply.frame_len() as u64,
@@ -401,9 +416,47 @@ pub fn outputs_from_reply(
 /// `(metadata, smallest key, largest key, records)` of an output table.
 type Described = (MetaKind, Vec<u8>, Vec<u8>, u64);
 
+/// The images of a merge's output tables, gathered from its inputs' cached
+/// images while the reply is replayed: the memory node copied kept records as
+/// they lay, so wherever record `r` of input `i` went, the compute node's copy
+/// of it goes too — a local copy, nothing crosses the fabric. All or nothing
+/// per table: one record whose input has no image (or whose bytes the image
+/// does not hold) and the table gets none, and is read as any uncached table.
+struct Gather<'a> {
+    /// Each input's resident image, as the trace numbers the inputs.
+    inputs: Vec<Option<&'a Image>>,
+    /// Each output's image so far; `None`: not gathered, or given up.
+    outputs: Vec<Option<Vec<u8>>>,
+    /// `(input, output, bytes)`: adjacent kept records of one input bound for
+    /// one output, not copied yet — one copy per run, not per record.
+    run: (usize, usize, Range<usize>),
+}
+
+impl Gather<'_> {
+    /// The `len` bytes at `offset` of `input` are the next record of `output`.
+    fn keep(&mut self, input: usize, output: usize, (offset, len): (u64, usize)) {
+        if (self.run.0, self.run.1, self.run.2.end) != (input, output, offset as usize) {
+            self.copy_run();
+            self.run = (input, output, offset as usize..offset as usize);
+        }
+        self.run.2.end += len;
+    }
+
+    fn copy_run(&mut self) {
+        let (input, output, bytes) = self.run.clone();
+        let Some(Some(image)) = self.outputs.get_mut(output).filter(|_| !bytes.is_empty()) else { return };
+        match self.inputs[input].and_then(|from| from.get(bytes)) {
+            Some(records) => image.extend_from_slice(records),
+            None => self.outputs[output] = None,
+        }
+    }
+}
+
 /// The output tables of the sub-task for `[lo, hi)`, described from its
-/// reply. The reply is untrusted: the result is a description the inputs'
-/// own indexes bear out, or an error.
+/// reply, and their images ([`CompactionOutcome::images`]). The reply is
+/// untrusted: the result is a description the inputs' own indexes bear out,
+/// or an error.
+#[allow(clippy::too_many_arguments)]
 fn describe_outputs(
     job: &CompactionJob,
     lo: &[u8],
@@ -412,24 +465,42 @@ fn describe_outputs(
     memnode: &MemNodeHandle,
     cfg: &DbConfig,
     reply: &CompactReply,
-) -> Result<Vec<Described>> {
+    cache: Option<&Arc<ReadCache>>,
+) -> Result<(Vec<Described>, Vec<Option<Image>>)> {
     match cfg.format {
         TableFormat::ByteAddr => {
             // The memory node copied surviving records as they lay and says
             // in which order it consumed the inputs: replayed over the index
             // records `clip_inputs` sent it, that is the outputs' indexes.
             let corrupt = |what: &str| DbError::Sst(format!("corrupt compaction reply: {what}"));
-            let inputs: Vec<(&TableMeta, std::ops::Range<usize>)> = job
+            // The gate: gathering costs compute-node CPU per record, so it
+            // runs only if a reader has hit one of the job's input images
+            // since it was admitted — a load nobody reads copies nothing.
+            let resident: Vec<_> = job.all_inputs().map(|t| cache.and_then(|c| c.extent_peek(t.id))).collect();
+            let read = resident.iter().flatten().any(|(_, read)| *read);
+            let (inputs, images): (Vec<(&TableMeta, Range<usize>)>, Vec<_>) = job
                 .all_inputs()
-                .filter_map(|t| match &t.meta {
-                    MetaKind::ByteAddr(meta) => Some((&**meta, meta.user_range(lo, hi))),
+                .zip(&resident)
+                .filter_map(|(t, image)| match &t.meta {
+                    MetaKind::ByteAddr(meta) => Some(((&**meta, meta.user_range(lo, hi)), image.as_ref().map(|(image, _)| image))),
                     MetaKind::Block(..) => None,
                 })
-                .filter(|(_, records)| !records.is_empty())
-                .collect();
+                .filter(|((_, records), _)| !records.is_empty())
+                .unzip();
+            // Room for each table the pool could hold, as long as the reply says
+            // it is but never more than was sent: only the replay checks that.
+            let mut room: u64 = inputs.iter().map(|(meta, records)| meta.byte_range(records)).map(|b| b.end - b.start).sum();
+            let image = |o: &OutputTable| {
+                let len = o.len.min(room);
+                room -= len;
+                cache.filter(|c| read && c.wants_flush_image(o.len)).map(|_| Vec::with_capacity(len as usize))
+            };
+            let mut gather = Gather { inputs: images, outputs: reply.outputs.iter().map(image).collect(), run: (0, 0, 0..0) };
+            let kept = |input: usize, record: usize, output: usize| if read { gather.keep(input, output, inputs[input].0.index.record(record)) };
             let table = |o: &OutputTable| Some((o.records, o.len, BloomFilter::decode(&o.meta)?));
             let tables: Option<Vec<_>> = reply.outputs.iter().map(table).collect();
-            let metas = TableMeta::replay_merge(&inputs, &reply.steps, tables.ok_or_else(|| corrupt("bloom filter"))?)?;
+            let metas = TableMeta::replay_merge(&inputs, &reply.steps, tables.ok_or_else(|| corrupt("bloom filter"))?, kept)?;
+            gather.copy_run();
             let sent: usize = inputs.iter().map(|(_, records)| records.len()).sum();
             let kept: u64 = metas.iter().map(|m| m.num_entries).sum();
             if reply.records_in != sent as u64 || reply.records_out != kept {
@@ -441,7 +512,8 @@ fn describe_outputs(
                 let n = meta.num_entries;
                 (MetaKind::ByteAddr(Arc::new(meta)), smallest, largest, n)
             };
-            Ok(metas.into_iter().map(describe).collect())
+            let whole = |(image, o): (Option<Vec<u8>>, &OutputTable)| image.filter(|i| i.len() as u64 == o.len).map(Arc::new);
+            Ok((metas.into_iter().map(describe).collect(), gather.outputs.into_iter().zip(&reply.outputs).map(whole).collect()))
         }
         TableFormat::Block(block_size) => {
             // Reply carries only the key bounds; fetch each table's index and
@@ -456,7 +528,8 @@ fn describe_outputs(
                 let n = reader.num_entries();
                 Ok((MetaKind::Block(reader.meta_cache(), block_size), smallest.to_vec(), largest.to_vec(), n))
             };
-            reply.outputs.iter().map(describe).collect()
+            let described: Result<Vec<Described>> = reply.outputs.iter().map(describe).collect();
+            Ok((described?, vec![None; reply.outputs.len()]))
         }
     }
 }
@@ -583,7 +656,7 @@ pub fn run_local(
                 .with_net_stats(Arc::clone(net)),
         ),
     };
-    let mut outcome = CompactionOutcome { outputs: Vec::new(), records_in: 0, records_out: 0, reply_bytes: 0 };
+    let mut outcome = CompactionOutcome::default();
     let alloc = memnode.flush_alloc();
     let mut write_back = |image: &[u8]| -> Result<Extent> {
         let len = image.len() as u64;
@@ -622,6 +695,7 @@ pub fn run_local(
                 n,
                 Some(Arc::clone(gc)),
             ));
+            outcome.images.push(Some(Arc::new(image)));
         }
         for (image, s, l, n) in sr.block_staged {
             let extent = write_back(&image)?;
@@ -644,6 +718,7 @@ pub fn run_local(
                 n,
                 Some(Arc::clone(gc)),
             ));
+            outcome.images.push(Some(Arc::new(image)));
         }
     }
     Ok(outcome)

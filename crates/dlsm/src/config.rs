@@ -96,11 +96,6 @@ pub struct DbConfig {
     /// overhead dLSM removes (used by the RocksDB-RDMA baselines and the
     /// Fig. 7(b) comparison).
     pub serialized_writes: bool,
-    /// Deprecated alias for the compute-side read cache: when `cache` is
-    /// left disabled and this is nonzero, `normalized` maps it onto an
-    /// extent-only [`CacheConfig`] of the same budget (the old behavior:
-    /// freshly-flushed L0 images pinned in local memory). Prefer `cache`.
-    pub local_l0_cache_bytes: u64,
     /// Compute-side read cache (blocks + hot extents, ghost-gated admission,
     /// version-aware invalidation — DESIGN.md §11). `capacity_bytes == 0`
     /// disables caching and reads behave exactly as before.
@@ -142,7 +137,6 @@ impl Default for DbConfig {
             gc_batch: 32,
             data_path: DataPath::OneSided,
             serialized_writes: false,
-            local_l0_cache_bytes: 0,
             cache: CacheConfig::default(),
             rpc_retry: RetryPolicy::default(),
             flush_poll_timeout: Duration::from_secs(10),
@@ -175,17 +169,6 @@ impl DbConfig {
             // wide mean the switch lock is touched once per table.
             let per_entry = expected_entry_bytes.max(16);
             self.seq_range_width = (self.memtable_size / per_entry).max(64) as u64;
-        }
-        if !self.cache.enabled() && self.local_l0_cache_bytes > 0 {
-            // Legacy knob: the old hot-L0 mirror becomes an extent-only
-            // cache of the same budget (no block pool, no promotion —
-            // flush-time admission keeps the original semantics).
-            self.cache = CacheConfig {
-                capacity_bytes: self.local_l0_cache_bytes,
-                extent_percent: 100,
-                promote_extent_after: 0,
-                ..CacheConfig::default()
-            };
         }
         assert!(self.max_levels >= 2, "need at least L0 and L1");
         assert!(self.flush_buf_size >= 4 << 10, "flush buffers must hold a record");
@@ -224,23 +207,6 @@ mod tests {
         // Explicit width survives normalization.
         let c2 = DbConfig { seq_range_width: 1234, ..DbConfig::default() }.normalized(428);
         assert_eq!(c2.seq_range_width, 1234);
-    }
-
-    #[test]
-    fn legacy_l0_cache_knob_maps_to_extent_cache() {
-        let c = DbConfig { local_l0_cache_bytes: 1 << 20, ..DbConfig::small() }.normalized(64);
-        assert_eq!(c.cache.capacity_bytes, 1 << 20);
-        assert_eq!(c.cache.extent_percent, 100);
-        assert_eq!(c.cache.promote_extent_after, 0, "legacy mode: flush-time admission only");
-        // An explicit cache config wins over the legacy alias.
-        let explicit = DbConfig {
-            local_l0_cache_bytes: 1 << 20,
-            cache: CacheConfig::with_capacity(4 << 20),
-            ..DbConfig::small()
-        }
-        .normalized(64);
-        assert_eq!(explicit.cache.capacity_bytes, 4 << 20);
-        assert_ne!(explicit.cache.extent_percent, 100);
     }
 
     #[test]

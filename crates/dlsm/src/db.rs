@@ -722,6 +722,11 @@ impl Db {
         self.shared.cache.as_ref().map(|c| c.snapshot())
     }
 
+    /// The read cache's image of table `id`, if resident (a peek: no lookup counted).
+    pub fn cached_image(&self, id: u64) -> Option<crate::compaction::Image> {
+        Some(self.shared.cache.as_ref()?.extent_peek(id)?.0)
+    }
+
     /// The current table layout, pinned.
     pub fn version(&self) -> Arc<Version> {
         self.shared.versions.current()
@@ -1613,6 +1618,7 @@ fn compaction_loop(shared: Arc<Shared>) {
                 &next_id,
                 &mut rpc_pool,
                 &shared.telemetry.net,
+                shared.cache.as_ref(),
             )
         } else {
             run_local(
@@ -1638,8 +1644,17 @@ fn compaction_loop(shared: Arc<Shared>) {
                 edit.delete(job.level, job.inputs_lo.iter().map(|t| t.id).collect());
                 edit.delete(job.level + 1, job.inputs_hi.iter().map(|t| t.id).collect());
                 let subtasks = shared.cfg.compaction_subtasks.max(1) as u64;
-                for t in &outcome.outputs {
+                for (t, image) in outcome.outputs.iter().zip(outcome.images) {
                     edit.add(job.level + 1, Arc::clone(t));
+                    // Born cached, like a flushed table: admitted before the
+                    // version is published, so no reader of it finds the
+                    // table missing (and promotes it over the fabric).
+                    if let (Some(c), Some(image)) = (&shared.cache, image) {
+                        if c.extent_admit(t.id, image) {
+                            DbStats::bump(&shared.stats.cache_carried_tables);
+                            DbStats::add(&shared.stats.cache_carried_bytes, t.extent.len);
+                        }
+                    }
                 }
                 shared.publish_view(|view| (view.mems.clone(), shared.versions.install(&edit)));
                 shared.release_idle_views();

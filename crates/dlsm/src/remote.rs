@@ -407,7 +407,7 @@ pub(crate) fn table_scan(
     cache: Option<&Arc<ReadCache>>,
 ) -> TableScan {
     let image = cache.and_then(|c| c.extent_peek(handle.id));
-    let image = image.map(|image| SliceSource(ArcBytes(image)));
+    let image = image.map(|(image, _)| SliceSource(ArcBytes(image)));
     let remote = RemoteSource::for_table(channel, handle);
     match (&handle.meta, image) {
         (MetaKind::ByteAddr(meta), None) => TableScan::Wave(

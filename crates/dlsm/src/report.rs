@@ -170,7 +170,8 @@ impl std::fmt::Display for StatsReport {
                 f,
                 "Read cache: {:.2}/{:.2} MiB resident, hit ratio {:.1}% \
                  (block {}/{}, extent {}/{}); {:.2} MiB fabric reads saved; \
-                 {} evictions, {} invalidations, {} promotions",
+                 {} evictions, {} invalidations, {} promotions; \
+                 {} compaction outputs born cached ({:.2} of {:.2} MiB)",
                 mib(cs.resident_bytes),
                 mib(cs.capacity_bytes),
                 cs.hit_ratio() * 100.0,
@@ -182,6 +183,9 @@ impl std::fmt::Display for StatsReport {
                 cs.evictions,
                 cs.invalidations,
                 cs.extent_promotions,
+                self.counters.cache_carried_tables,
+                mib(self.counters.cache_carried_bytes),
+                mib(self.counters.compaction_bytes_out),
             )?;
         }
         writeln!(f, "Counters: {}", self.counters)

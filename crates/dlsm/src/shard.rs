@@ -40,8 +40,7 @@ pub fn shard_of(key: &[u8], n: usize) -> usize {
 
 /// Divide the read-cache budget across λ shards: `cfg.cache.capacity_bytes`
 /// is the *node-wide* budget, and each per-shard `Db` owns its own cache, so
-/// the total stays what the caller configured. (The deprecated
-/// `local_l0_cache_bytes` alias keeps its historical per-shard meaning.)
+/// the total stays what the caller configured.
 fn split_cache_budget(mut cfg: DbConfig, lambda: usize) -> DbConfig {
     if cfg.cache.enabled() && lambda > 1 {
         cfg.cache.capacity_bytes = (cfg.cache.capacity_bytes / lambda as u64).max(1 << 20);

@@ -38,6 +38,10 @@ pub struct DbStats {
     pub compaction_bytes_out: AtomicU64,
     /// Bytes of near-data compaction replies, as framed on the wire.
     pub compaction_reply_bytes: AtomicU64,
+    /// Compaction output tables admitted to the read cache at install.
+    pub cache_carried_tables: AtomicU64,
+    /// Extent bytes of those tables.
+    pub cache_carried_bytes: AtomicU64,
     /// Write-stall episodes.
     pub stall_events: AtomicU64,
     /// Total nanoseconds writers spent stalled.
@@ -91,6 +95,8 @@ impl DbStats {
             compaction_records_out: Self::get(&self.compaction_records_out),
             compaction_bytes_out: Self::get(&self.compaction_bytes_out),
             compaction_reply_bytes: Self::get(&self.compaction_reply_bytes),
+            cache_carried_tables: Self::get(&self.cache_carried_tables),
+            cache_carried_bytes: Self::get(&self.cache_carried_bytes),
             stall_events: Self::get(&self.stall_events),
             stall_nanos: Self::get(&self.stall_nanos),
             gc_batches: Self::get(&self.gc_batches),
@@ -133,6 +139,10 @@ pub struct DbStatsSnapshot {
     pub compaction_bytes_out: u64,
     /// Bytes of near-data compaction replies, as framed on the wire.
     pub compaction_reply_bytes: u64,
+    /// Compaction output tables admitted to the read cache at install.
+    pub cache_carried_tables: u64,
+    /// Extent bytes of those tables.
+    pub cache_carried_bytes: u64,
     /// Write-stall episodes.
     pub stall_events: u64,
     /// Total nanoseconds writers spent stalled.
@@ -178,6 +188,8 @@ impl DbStatsSnapshot {
         f(&mut self.compaction_records_out, other.compaction_records_out);
         f(&mut self.compaction_bytes_out, other.compaction_bytes_out);
         f(&mut self.compaction_reply_bytes, other.compaction_reply_bytes);
+        f(&mut self.cache_carried_tables, other.cache_carried_tables);
+        f(&mut self.cache_carried_bytes, other.cache_carried_bytes);
         f(&mut self.stall_events, other.stall_events);
         f(&mut self.stall_nanos, other.stall_nanos);
         f(&mut self.gc_batches, other.gc_batches);
@@ -185,7 +197,7 @@ impl DbStatsSnapshot {
     }
 
     /// The counters as `(name, value)` pairs, for telemetry export.
-    pub fn named_counters(&self) -> [(&'static str, u64); 19] {
+    pub fn named_counters(&self) -> [(&'static str, u64); 21] {
         [
             ("puts", self.puts),
             ("deletes", self.deletes),
@@ -202,6 +214,8 @@ impl DbStatsSnapshot {
             ("compaction_records_out", self.compaction_records_out),
             ("compaction_bytes_out", self.compaction_bytes_out),
             ("compaction_reply_bytes", self.compaction_reply_bytes),
+            ("cache_carried_tables", self.cache_carried_tables),
+            ("cache_carried_bytes", self.cache_carried_bytes),
             ("stall_events", self.stall_events),
             ("stall_nanos", self.stall_nanos),
             ("gc_batches", self.gc_batches),
@@ -284,6 +298,6 @@ mod tests {
         assert_eq!(m.stall_events, 1);
         let named: std::collections::HashMap<_, _> = m.named_counters().into_iter().collect();
         assert_eq!(named["puts"], 7);
-        assert_eq!(named.len(), 19);
+        assert_eq!(named.len(), 21);
     }
 }

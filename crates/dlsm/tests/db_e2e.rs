@@ -3,7 +3,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use dlsm::{Cluster, ClusterConfig, ComputeContext, Db, DbConfig, MemNodeHandle, ShardedDb};
+use dlsm::{CacheConfig, Cluster, ClusterConfig, ComputeContext, Db, DbConfig, MemNodeHandle, ShardedDb};
 use dlsm_memnode::{MemServer, MemServerConfig, TableFormat};
 use rdma_sim::{Fabric, NetworkProfile, Verb};
 
@@ -632,7 +632,7 @@ fn local_l0_cache_serves_reads_without_network() {
         // stay put: raise the trigger beyond what this test creates.
         l0_compaction_trigger: 1_000,
         l0_stop_writes_trigger: None,
-        local_l0_cache_bytes: 32 << 20,
+        cache: CacheConfig { capacity_bytes: 32 << 20, extent_percent: 100, promote_extent_after: 0, ..CacheConfig::default() },
         ..DbConfig::small()
     };
     let db = open_db(&fabric, &server, cfg);
@@ -664,7 +664,6 @@ fn local_l0_cache_serves_reads_without_network() {
 /// block pool serves every lookup of a block after its first.
 #[test]
 fn block_tables_read_through_the_cache() {
-    use dlsm::CacheConfig;
     let keep_l0 = |cache: CacheConfig| DbConfig {
         format: TableFormat::Block(1024),
         l0_compaction_trigger: 1_000,
@@ -706,7 +705,8 @@ fn local_l0_cache_budget_is_respected_and_recycled() {
     let fabric = Fabric::new(NetworkProfile::instant());
     let server = small_server(&fabric);
     let cfg = DbConfig {
-        local_l0_cache_bytes: 96 << 10, // roughly one small MemTable
+        // Extent pool only, roughly one small MemTable.
+        cache: CacheConfig { capacity_bytes: 96 << 10, extent_percent: 100, promote_extent_after: 0, ..CacheConfig::default() },
         ..DbConfig::small()
     };
     let db = open_db(&fabric, &server, cfg);

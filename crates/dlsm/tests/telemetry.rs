@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use dlsm::{ComputeContext, Db, DbConfig, MemNodeHandle};
+use dlsm::{CacheConfig, ComputeContext, Db, DbConfig, MemNodeHandle};
 use dlsm_memnode::{MemServer, MemServerConfig};
 use dlsm_telemetry::OpClass;
 use rdma_sim::{Fabric, NetworkProfile, Verb};
@@ -39,8 +39,8 @@ fn key(i: u64) -> Vec<u8> {
 fn point_get_attributes_exactly_one_rdma_read() {
     let fabric = Fabric::new(NetworkProfile::instant());
     let server = small_server(&fabric);
-    // No local L0 cache: every table probe must go to remote memory.
-    let cfg = DbConfig { local_l0_cache_bytes: 0, ..DbConfig::small() };
+    // No read cache (the default): every table probe must go to remote memory.
+    let cfg = DbConfig::small();
     let db = open_db(&fabric, &server, cfg);
     let n = 500u64;
     for i in 0..n {
@@ -139,7 +139,8 @@ fn snapshot_delta_isolates_a_phase() {
 fn local_l0_cache_hits_are_counted_and_cost_no_reads() {
     let fabric = Fabric::new(NetworkProfile::instant());
     let server = small_server(&fabric);
-    let cfg = DbConfig { local_l0_cache_bytes: 32 << 20, ..DbConfig::small() };
+    let cache = CacheConfig { capacity_bytes: 32 << 20, extent_percent: 100, promote_extent_after: 0, ..CacheConfig::default() };
+    let cfg = DbConfig { cache, ..DbConfig::small() };
     let db = open_db(&fabric, &server, cfg);
     for i in 0..300u64 {
         db.put(&key(i), b"cached").unwrap();

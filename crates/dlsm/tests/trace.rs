@@ -43,15 +43,14 @@ fn traced_get_and_cross_node_dispatch() {
     );
     let ctx = ComputeContext::new(&fabric);
     let mem = MemNodeHandle::from_server(&server);
-    // Tiny tables so the tree reaches L2 quickly; no local L0 cache so
-    // every deep probe that fetches goes over the fabric.
+    // Tiny tables so the tree reaches L2 quickly; no read cache (the
+    // default) so every deep probe that fetches goes over the fabric.
     let cfg = DbConfig {
         memtable_size: 16 << 10,
         sstable_size: 16 << 10,
         l1_max_bytes: 48 << 10,
         level_multiplier: 4,
         max_levels: 6,
-        local_l0_cache_bytes: 0,
         ..DbConfig::small()
     };
     let db = Db::open(ctx, mem, cfg).unwrap();

@@ -686,7 +686,7 @@ mod tests {
         assert!(out.offset >= server.flush_zone());
         let bloom = dlsm_sstable::BloomFilter::decode(&out.meta).unwrap();
         let inputs = [(&m1, 0..2), (&m2, 0..3)];
-        let meta = TableMeta::replay_merge(&inputs, &reply.steps, [(out.records, out.len, bloom)]).unwrap().remove(0);
+        let meta = TableMeta::replay_merge(&inputs, &reply.steps, [(out.records, out.len, bloom)], |_, _, _| ()).unwrap().remove(0);
         let reader = ByteAddrReader::new(
             Arc::new(meta),
             RegionSource::new(Arc::clone(region), out.offset, out.len),

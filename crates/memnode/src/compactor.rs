@@ -298,7 +298,7 @@ mod tests {
     fn replay(region: &Arc<MemoryRegion>, inputs: &[&TableMeta], reply: &CompactReply) -> Vec<TableMeta> {
         let inputs: Vec<_> = inputs.iter().map(|m| (*m, 0..m.index.len())).collect();
         let tables = reply.outputs.iter().map(|o| (o.records, o.len, BloomFilter::decode(&o.meta).unwrap()));
-        let metas = TableMeta::replay_merge(&inputs, &reply.steps, tables).unwrap();
+        let metas = TableMeta::replay_merge(&inputs, &reply.steps, tables, |_, _, _| ()).unwrap();
         for (meta, out) in metas.iter().zip(&reply.outputs) {
             // SAFETY: the compaction is over; nothing writes its outputs.
             let mut it = RawTableIter::new(unsafe { region.local_slice(out.offset, out.len as usize) }.unwrap());

@@ -265,10 +265,15 @@ impl TableMeta {
     /// ends. Trace and reports are untrusted: the trace must consume every
     /// input record exactly once, the kept keys must ascend across the whole
     /// merge, and every table must hold its count and its length exactly.
+    /// `kept(input, record, output)` hears of every kept record as the walk
+    /// places it — index record `record` of `inputs[input]` is the next record
+    /// of output table `output` — so a caller holding the inputs' bytes can
+    /// assemble the outputs' in the same pass, if the replay then succeeds.
     pub fn replay_merge(
         inputs: &[(&TableMeta, std::ops::Range<usize>)],
         steps: &[u8],
         tables: impl IntoIterator<Item = (u64, u64, BloomFilter)>,
+        mut kept: impl FnMut(usize, usize, usize),
     ) -> Result<Vec<TableMeta>> {
         let corrupt = |what: &str| SstError::Corrupt(format!("merge trace {what}"));
         let width = step_width(inputs.len());
@@ -309,6 +314,7 @@ impl TableMeta {
             let offset = table.index.slots.last().map_or(Some(0), |s| s.2.checked_add(s.3));
             let offset = offset.ok_or_else(|| corrupt("fills a table past 4 GiB"))?;
             table.index.push(ikey, offset, len);
+            kept(step >> 1, at, out.len());
             if table.index.len() as u64 == table.num_entries {
                 if u64::from(offset) + u64::from(len) != table.data_len {
                     return Err(corrupt("disagrees with a table's reported length"));
@@ -900,13 +906,17 @@ mod tests {
         }
         assert_eq!(steps, [1, 2, 3, 1]);
         let report = |m: &TableMeta| (m.num_entries, m.data_len, m.bloom.clone());
-        let replay = |steps: &[u8], tables: &[(u64, u64, BloomFilter)]| TableMeta::replay_merge(&inputs, steps, tables.to_vec());
+        let replay = |steps: &[u8], tables: &[(u64, u64, BloomFilter)]| TableMeta::replay_merge(&inputs, steps, tables.to_vec(), |_, _, _| ());
         let good = [report(&o0), report(&o1)];
         assert_eq!(replay(&steps, &good).unwrap(), [o0.clone(), o1.clone()]);
+        // Every kept record is reported as (input, record, output table).
+        let mut heard = Vec::new();
+        TableMeta::replay_merge(&inputs, &steps, good.to_vec(), |i, at, o| heard.push((i, at, o))).unwrap();
+        assert_eq!(heard, [(0, 0, 0), (1, 1, 0), (0, 1, 1)]);
         // A clip of an input starts its cursor inside the index.
         let clipped = [(&t0, 1..2), (&t1, 1..2)];
         let both = table(&[("b", 3, "be"), ("c", 9, "ocean")]);
-        assert_eq!(TableMeta::replay_merge(&clipped, &[3, 1], [report(&both)]).unwrap(), [both]);
+        assert_eq!(TableMeta::replay_merge(&clipped, &[3, 1], [report(&both)], |_, _, _| ()).unwrap(), [both]);
         let err = |steps: &[u8], tables: &[(u64, u64, BloomFilter)]| match replay(steps, tables) {
             Err(SstError::Corrupt(m)) => m,
             other => panic!("accepted: {other:?}"),
@@ -927,8 +937,8 @@ mod tests {
         let mut wide = Vec::new();
         push_merge_step(&mut wide, many.len(), 150, true);
         assert_eq!(wide, [0x2D, 0x01]);
-        assert_eq!(TableMeta::replay_merge(&many, &wide, [report(&o1)]).unwrap(), std::slice::from_ref(&o1));
-        assert!(TableMeta::replay_merge(&many, &wide[..1], [report(&o1)]).is_err(), "half a step");
+        assert_eq!(TableMeta::replay_merge(&many, &wide, [report(&o1)], |_, _, _| ()).unwrap(), std::slice::from_ref(&o1));
+        assert!(TableMeta::replay_merge(&many, &wide[..1], [report(&o1)], |_, _, _| ()).is_err(), "half a step");
     }
 
     #[test]

@@ -85,7 +85,7 @@ proptest! {
     ) {
         let model: BTreeMap<Vec<u8>, Option<Vec<u8>>> =
             ops.iter().map(|(k, is_put, v)| (k.clone(), is_put.then(|| v.clone()))).collect();
-        let tables = tables_from_ops(&ops);
+        let tables = tables_from_ops(&ops, 40);
         let children: Vec<VecIter> = tables.into_iter().map(VecIter::new).collect();
         let mut it = CompactionIter::new(
             MergingIter::new(children),
@@ -108,7 +108,9 @@ proptest! {
     /// indexes (what a near-data compaction's requester does with its reply)
     /// yields the metadata a builder makes of the merged records — wherever
     /// the outputs are cut, whatever the horizon, and with the inputs given
-    /// whole or clipped to a sub-range by their own indexes.
+    /// whole or clipped to a sub-range by their own indexes. The replay's
+    /// report of the kept records, applied to the inputs' images, gathers the
+    /// outputs' bytes. Runs of one key make more than 128 inputs: 2-byte steps.
     #[test]
     fn merge_trace_replays_to_the_builders_metadata(
         ops in prop::collection::vec(
@@ -119,8 +121,9 @@ proptest! {
         drop_deletions in any::<bool>(),
         smallest_snapshot in (any::<bool>(), 0u64..320).prop_map(|(none, seq)| if none { MAX_SEQ } else { seq }),
         (lo, hi) in (prop::collection::vec(0u8..6, 0..3), prop::collection::vec(0u8..6, 0..3)),
+        run_len in prop::sample::select(vec![1usize, 40]),
     ) {
-        let inputs: Vec<(Vec<u8>, TableMeta)> = tables_from_ops(&ops)
+        let inputs: Vec<(Vec<u8>, TableMeta)> = tables_from_ops(&ops, run_len)
             .iter()
             .map(|run| {
                 let mut b = ByteAddrBuilder::new(Vec::new(), 10);
@@ -163,23 +166,30 @@ proptest! {
             built.push(open.finish());
         }
         let reported = || built.iter().map(|(_, m)| (m.num_entries, m.data_len, m.bloom.clone()));
-        let replayed = TableMeta::replay_merge(&clips, &steps, reported()).unwrap();
+        let images: Vec<&Vec<u8>> = inputs.iter().filter(|(_, meta)| !meta.user_range(&lo, &hi).is_empty()).map(|(data, _)| data).collect();
+        let mut gathered = vec![Vec::new(); built.len()];
+        let gather = |input: usize, at: usize, output: usize| {
+            let (offset, len) = clips[input].0.index.record(at);
+            gathered[output].extend_from_slice(&images[input][offset as usize..offset as usize + len]);
+        };
+        let replayed = TableMeta::replay_merge(&clips, &steps, reported(), gather).unwrap();
         prop_assert_eq!(replayed.len(), built.len());
-        for (got, (_, want)) in replayed.iter().zip(&built) {
+        for ((got, bytes), (data, want)) in replayed.iter().zip(&gathered).zip(&built) {
             prop_assert_eq!(got, want);
+            prop_assert_eq!(bytes, data);
         }
         // Any one step changed, dropped or added is noticed.
         if !steps.is_empty() {
             let at = cut % steps.len();
             let mut flipped = steps.clone();
             flipped[at] ^= 1;
-            prop_assert!(TableMeta::replay_merge(&clips, &flipped, reported()).is_err(), "kept bit {} flipped", at);
+            prop_assert!(TableMeta::replay_merge(&clips, &flipped, reported(), |_, _, _| ()).is_err(), "kept bit {} flipped", at);
             let mut short = steps.clone();
             short.remove(at);
-            prop_assert!(TableMeta::replay_merge(&clips, &short, reported()).is_err(), "step {} removed", at);
+            prop_assert!(TableMeta::replay_merge(&clips, &short, reported(), |_, _, _| ()).is_err(), "step {} removed", at);
             let mut long = steps.clone();
             long.insert(at, steps[at]);
-            prop_assert!(TableMeta::replay_merge(&clips, &long, reported()).is_err(), "step {} doubled", at);
+            prop_assert!(TableMeta::replay_merge(&clips, &long, reported(), |_, _, _| ()).is_err(), "step {} doubled", at);
         }
     }
 }
@@ -386,15 +396,15 @@ proptest! {
 }
 
 /// Assign increasing seqs to `ops` (user key, put or delete, value) and cut
-/// them into sorted runs of 40 distinct keys, newest run first: the merge
-/// order of overlapping tables.
-fn tables_from_ops(ops: &[(Vec<u8>, bool, Vec<u8>)]) -> Vec<Vec<(Vec<u8>, Vec<u8>)>> {
+/// them into sorted runs of `run_len` distinct keys, newest run first: the
+/// merge order of overlapping tables.
+fn tables_from_ops(ops: &[(Vec<u8>, bool, Vec<u8>)], run_len: usize) -> Vec<Vec<(Vec<u8>, Vec<u8>)>> {
     let mut tables: Vec<Vec<(Vec<u8>, Vec<u8>)>> = Vec::new();
     let mut current: BTreeMap<Vec<u8>, (u64, ValueType, Vec<u8>)> = BTreeMap::new();
     for (i, (k, is_put, v)) in ops.iter().enumerate() {
         let vt = if *is_put { ValueType::Value } else { ValueType::Deletion };
         current.insert(k.clone(), (i as u64 + 1, vt, v.clone()));
-        if current.len() == 40 {
+        if current.len() == run_len {
             tables.push(run_from(&current));
             current.clear();
         }
