@@ -96,14 +96,27 @@ pub fn max_bytes_for_level(cfg: &DbConfig, level: usize) -> u64 {
     max
 }
 
+/// The L0 table count at which L0 compacts. While writes are arriving L0
+/// waits for twice `l0_compaction_trigger`, or for halfway to
+/// `l0_stop_writes_trigger` if that comes first: a compactor that keeps up
+/// spends its spare time on bigger L0 batches — more L0 bytes retired per
+/// rewrite of L1 — rather than on more rewrites. With no writes arriving it
+/// is `l0_compaction_trigger`, so a quiescent L0 is below that.
+pub fn l0_trigger(cfg: &DbConfig, writes_arriving: bool) -> usize {
+    let t = cfg.l0_compaction_trigger;
+    let halfway = cfg.l0_stop_writes_trigger.map_or(usize::MAX, |stop| t + stop.saturating_sub(t) / 2);
+    if writes_arriving { (2 * t).min(halfway) } else { t }
+}
+
 /// Compaction pressure at `level`: ≥ 1.0 means the level is over its
-/// trigger. L0 scores by file count, deeper levels by byte volume against
-/// [`max_bytes_for_level`]. The last level never compacts further and
-/// scores 0. This is the same figure [`pick_compaction`] ranks on; the
-/// gauge sampler and stats report export it per level.
-pub fn level_score(version: &Version, cfg: &DbConfig, level: usize) -> f64 {
+/// trigger. L0 scores by file count against `l0_trigger` ([`l0_trigger`]),
+/// deeper levels by byte volume against [`max_bytes_for_level`]. The last
+/// level never compacts further and scores 0. This is the same figure
+/// [`pick_compaction`] ranks on; the gauge sampler and stats report export
+/// it per level.
+pub fn level_score(version: &Version, cfg: &DbConfig, l0_trigger: usize, level: usize) -> f64 {
     if level == 0 {
-        version.level(0).len() as f64 / cfg.l0_compaction_trigger as f64
+        version.level(0).len() as f64 / l0_trigger as f64
     } else if level + 1 < version.level_count() {
         version.level_bytes(level) as f64 / max_bytes_for_level(cfg, level) as f64
     } else {
@@ -118,13 +131,14 @@ pub fn level_score(version: &Version, cfg: &DbConfig, level: usize) -> f64 {
 pub fn pick_compaction(
     version: &Version,
     cfg: &DbConfig,
+    l0_trigger: usize,
     compact_pointer: &mut Vec<Vec<u8>>,
 ) -> Option<CompactionJob> {
     compact_pointer.resize(version.level_count(), Vec::new());
     // Score every level; L0 by file count, others by byte volume.
     let mut best: Option<(f64, usize)> = None;
     for level in 0..version.level_count() - 1 {
-        let score = level_score(version, cfg, level);
+        let score = level_score(version, cfg, l0_trigger, level);
         if score >= 1.0 && best.is_none_or(|(s, _)| score > s) {
             best = Some((score, level));
         }
@@ -587,6 +601,9 @@ pub fn run_local(
                     MergeConfig { smallest_snapshot, drop_deletions: job.drop_deletions },
                 );
                 it.seek_to_first()?;
+                // An output is cut only where a user key starts: two tables of
+                // one level never share a key (the memory node's rule too).
+                let room = |len: u64, it: &CompactionIter<_>| len < cfg.sstable_size || !it.first_of_key();
                 let mut r = SubResult {
                     staged: Vec::new(),
                     block_staged: Vec::new(),
@@ -597,7 +614,7 @@ pub fn run_local(
                     TableFormat::ByteAddr => {
                         while it.valid() {
                             let mut b = ByteAddrBuilder::new(Vec::new(), cfg.bits_per_key);
-                            while it.valid() && b.data_len() < cfg.sstable_size {
+                            while it.valid() && room(b.data_len(), &it) {
                                 b.add(it.key(), it.value())?;
                                 r.records_out += 1;
                                 it.next()?;
@@ -614,7 +631,7 @@ pub fn run_local(
                                 BlockTableBuilder::new(Vec::new(), bs as usize, cfg.bits_per_key);
                             let mut s = Vec::new();
                             let mut l = Vec::new();
-                            while it.valid() && b.data_len() < cfg.sstable_size {
+                            while it.valid() && room(b.data_len(), &it) {
                                 if s.is_empty() {
                                     s = it.key().to_vec();
                                 }

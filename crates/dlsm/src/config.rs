@@ -51,7 +51,9 @@ pub struct DbConfig {
     pub flush_threads: usize,
     /// Compaction sub-task fan-out (paper: 12 subcompaction workers).
     pub compaction_subtasks: usize,
-    /// Number of L0 tables that triggers a compaction (RocksDB default: 4).
+    /// Number of L0 tables that triggers a compaction (RocksDB default: 4);
+    /// up to twice this while writes are arriving
+    /// ([`crate::compaction::l0_trigger`]).
     pub l0_compaction_trigger: usize,
     /// Number of L0 tables at which writers stall; `None` = bulkload mode
     /// (paper Fig. 7(b): `level0_stop_writes_trigger` = infinity).
@@ -87,8 +89,6 @@ pub struct DbConfig {
     pub rpc_buf_size: usize,
     /// MemTable switch protocol (ablation knob).
     pub switch_protocol: SwitchProtocol,
-    /// Queue remote frees until this many extents are pending (Sec. V-B).
-    pub gc_batch: usize,
     /// How table bytes cross the network.
     pub data_path: DataPath,
     /// Serialize the whole write path behind one mutex, emulating the
@@ -134,7 +134,6 @@ impl Default for DbConfig {
             scan_prefetch: 2 << 20,
             rpc_buf_size: 24 << 20,
             switch_protocol: SwitchProtocol::SeqRange,
-            gc_batch: 32,
             data_path: DataPath::OneSided,
             serialized_writes: false,
             cache: CacheConfig::default(),

@@ -152,14 +152,11 @@ impl GcSink {
         }
     }
 
-    /// Take the pending remote frees if at least `min` have accumulated
-    /// (pass 0 to drain unconditionally, e.g. at shutdown).
-    pub fn take_remote_batch(&self, min: usize) -> Option<Vec<(u64, u64)>> {
+    /// Take every pending remote free, if there is one: the compaction loop
+    /// ships them as one batch each cycle, shutdown the rest.
+    pub fn take_remote_batch(&self) -> Option<Vec<(u64, u64)>> {
         let mut pending = self.remote_pending.lock();
-        if pending.is_empty() || pending.len() < min {
-            return None;
-        }
-        Some(std::mem::take(&mut *pending))
+        (!pending.is_empty()).then(|| std::mem::take(&mut *pending))
     }
 
     /// Number of remote frees waiting to be batched.
@@ -231,9 +228,9 @@ mod tests {
         );
         drop(h);
         assert_eq!(gc.remote_pending_len(), 1);
-        assert!(gc.take_remote_batch(2).is_none(), "below batch threshold");
-        assert_eq!(gc.take_remote_batch(1).unwrap(), vec![(4096, 512)]);
+        assert_eq!(gc.take_remote_batch().unwrap(), vec![(4096, 512)]);
         assert_eq!(gc.remote_pending_len(), 0);
+        assert!(gc.take_remote_batch().is_none(), "nothing pending, no batch");
     }
 
     #[test]

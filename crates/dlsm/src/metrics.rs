@@ -109,13 +109,14 @@ fn collect_shard(shared: &Shared, labels: &[(&'static str, &str)], out: &mut Sam
     // below stays allocated until `version` drops, so compute-origin live
     // bytes ≤ flush-zone in_use holds for this sample.
     let version = shared.versions.current();
+    let l0_trigger = shared.l0_trigger();
     for level in 0..version.level_count() {
         let lvl = level.to_string();
         let mut l = labels.to_vec();
         l.push(("level", lvl.as_str()));
         out.gauge_with("dlsm_level_files", &l, version.level(level).len() as f64);
         out.gauge_with("dlsm_level_bytes", &l, version.level_bytes(level) as f64);
-        out.gauge_with("dlsm_level_score", &l, level_score(&version, &shared.cfg, level));
+        out.gauge_with("dlsm_level_score", &l, level_score(&version, &shared.cfg, l0_trigger, level));
     }
 
     let mut live_bytes = [0u64; 3];

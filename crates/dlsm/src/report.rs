@@ -151,6 +151,16 @@ impl std::fmt::Display for StatsReport {
             self.stall_imm_micros,
             self.stall_l0_micros,
         )?;
+        let c = &self.counters;
+        writeln!(
+            f,
+            "Compaction: {} jobs, {} of them L0 → L1 retiring {:.2} L0 tables each; {} → {} records",
+            c.compactions,
+            c.compaction_l0_jobs,
+            c.compaction_l0_input_tables as f64 / c.compaction_l0_jobs.max(1) as f64,
+            c.compaction_records_in,
+            c.compaction_records_out,
+        )?;
         writeln!(
             f,
             "Remote memory: flush zone {:.2}/{:.2} MiB in use ({} fragments); \
@@ -218,7 +228,7 @@ impl Db {
                 level,
                 files: tables.len(),
                 bytes,
-                score: level_score(&version, &shared.cfg, level),
+                score: level_score(&version, &shared.cfg, shared.l0_trigger(), level),
             });
         }
         let read_amp = levels[0].files as u64

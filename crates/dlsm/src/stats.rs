@@ -28,6 +28,10 @@ pub struct DbStats {
     pub flush_tombstones: AtomicU64,
     /// Completed compactions.
     pub compactions: AtomicU64,
+    /// Completed L0 → L1 compactions.
+    pub compaction_l0_jobs: AtomicU64,
+    /// L0 tables those compactions retired.
+    pub compaction_l0_input_tables: AtomicU64,
     /// Sub-compaction tasks issued.
     pub compaction_subtasks: AtomicU64,
     /// Records read by compactions.
@@ -90,6 +94,8 @@ impl DbStats {
             flush_bytes: Self::get(&self.flush_bytes),
             flush_tombstones: Self::get(&self.flush_tombstones),
             compactions: Self::get(&self.compactions),
+            compaction_l0_jobs: Self::get(&self.compaction_l0_jobs),
+            compaction_l0_input_tables: Self::get(&self.compaction_l0_input_tables),
             compaction_subtasks: Self::get(&self.compaction_subtasks),
             compaction_records_in: Self::get(&self.compaction_records_in),
             compaction_records_out: Self::get(&self.compaction_records_out),
@@ -129,6 +135,10 @@ pub struct DbStatsSnapshot {
     pub flush_tombstones: u64,
     /// Completed compactions.
     pub compactions: u64,
+    /// Completed L0 → L1 compactions.
+    pub compaction_l0_jobs: u64,
+    /// L0 tables those compactions retired.
+    pub compaction_l0_input_tables: u64,
     /// Sub-compaction tasks issued.
     pub compaction_subtasks: u64,
     /// Records read by compactions.
@@ -183,6 +193,8 @@ impl DbStatsSnapshot {
         f(&mut self.flush_bytes, other.flush_bytes);
         f(&mut self.flush_tombstones, other.flush_tombstones);
         f(&mut self.compactions, other.compactions);
+        f(&mut self.compaction_l0_jobs, other.compaction_l0_jobs);
+        f(&mut self.compaction_l0_input_tables, other.compaction_l0_input_tables);
         f(&mut self.compaction_subtasks, other.compaction_subtasks);
         f(&mut self.compaction_records_in, other.compaction_records_in);
         f(&mut self.compaction_records_out, other.compaction_records_out);
@@ -197,7 +209,7 @@ impl DbStatsSnapshot {
     }
 
     /// The counters as `(name, value)` pairs, for telemetry export.
-    pub fn named_counters(&self) -> [(&'static str, u64); 21] {
+    pub fn named_counters(&self) -> [(&'static str, u64); 23] {
         [
             ("puts", self.puts),
             ("deletes", self.deletes),
@@ -209,6 +221,8 @@ impl DbStatsSnapshot {
             ("flush_bytes", self.flush_bytes),
             ("flush_tombstones", self.flush_tombstones),
             ("compactions", self.compactions),
+            ("compaction_l0_jobs", self.compaction_l0_jobs),
+            ("compaction_l0_input_tables", self.compaction_l0_input_tables),
             ("compaction_subtasks", self.compaction_subtasks),
             ("compaction_records_in", self.compaction_records_in),
             ("compaction_records_out", self.compaction_records_out),
@@ -298,6 +312,6 @@ mod tests {
         assert_eq!(m.stall_events, 1);
         let named: std::collections::HashMap<_, _> = m.named_counters().into_iter().collect();
         assert_eq!(named["puts"], 7);
-        assert_eq!(named.len(), 21);
+        assert_eq!(named.len(), 23);
     }
 }

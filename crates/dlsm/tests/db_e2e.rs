@@ -360,8 +360,7 @@ fn block_format_db_works_end_to_end() {
 fn gc_reclaims_remote_memory() {
     let fabric = Fabric::new(NetworkProfile::instant());
     let server = small_server(&fabric);
-    let cfg = DbConfig { gc_batch: 2, ..DbConfig::small() };
-    let db = open_db(&fabric, &server, cfg);
+    let db = open_db(&fabric, &server, DbConfig::small());
     for i in 0..6_000u64 {
         db.put(&key(i), &[3u8; 100]).unwrap();
     }

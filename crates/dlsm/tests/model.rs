@@ -175,7 +175,7 @@ fn snapshots_stay_frozen_under_churn() {
 /// stays bounded while the same keys are overwritten again and again.
 #[test]
 fn remote_usage_stays_bounded_under_overwrites() {
-    let r = rig(DbConfig { gc_batch: 4, ..DbConfig::small() });
+    let r = rig(DbConfig::small());
     let mut peak = 0u64;
     for round in 0..8u64 {
         for k in 0..1_500u64 {

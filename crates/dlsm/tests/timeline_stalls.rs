@@ -31,7 +31,8 @@ fn stall_episodes_reconcile_with_engine_counters() {
     let ctx = ComputeContext::new(&fabric);
     let mem = MemNodeHandle::from_server(&server);
     // Tiny tables, a one-deep immutable queue and a low L0 ceiling: a burst
-    // of puts must outrun the single flush worker and stall for real.
+    // of puts must outrun the single flush worker and stall for real. (While
+    // the puts arrive, L0 compacts at 3 tables, one below the stop.)
     let cfg = DbConfig {
         max_immutables: 1,
         flush_threads: 1,

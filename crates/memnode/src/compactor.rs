@@ -30,8 +30,9 @@ use crate::wire::{CompactArgs, CompactReply, OutputTable, TableFormat};
 use crate::{MemNodeError, Result};
 
 /// Slack added on top of `max_output_bytes` when reserving an output extent
-/// (covers the final record straddling the cut point plus, for the block
-/// format, the filter/index/footer). The unused tail is freed afterwards.
+/// (covers the versions of the user key straddling the cut point plus, for
+/// the block format, the filter/index/footer). The unused tail is freed
+/// afterwards.
 const OUTPUT_SLACK: u64 = 4 << 20;
 
 /// Chunk size for scanning block-format input tables from local DRAM.
@@ -166,10 +167,12 @@ fn compact_byte_addr(
             push_merge_step(&mut reply.steps, inputs, ordinal, kept);
             if kept {
                 let record = 20 + child.key().len() as u64 + child.value().len() as u64;
-                let full = |o: &OpenOutput| {
-                    o.sink.written() >= args.max_output_bytes || o.sink.written() + record + CUT_MARGIN > o.cap
-                };
-                if let Some(o) = open.take_if(|o| full(o)) {
+                // The size cut waits for the next user key: two tables of one
+                // level never share a key. A key whose versions overrun even
+                // the extent's slack fails the job rather than being split.
+                let same_key = !policy.first_of_key();
+                let full = |o: &OpenOutput| o.sink.written() + record + CUT_MARGIN > o.cap;
+                if let Some(o) = open.take_if(|o| !same_key && (o.sink.written() >= args.max_output_bytes || full(o))) {
                     close(o, &mut reply.outputs);
                 }
                 if open.is_none() {
@@ -221,9 +224,13 @@ fn compact_block<I: ForwardIter>(
                 BlockTableBuilder::new(sink, block_size as usize, args.bits_per_key as usize);
             let mut smallest: Option<Vec<u8>> = None;
             let mut largest: Vec<u8> = Vec::new();
-            while it.valid() && builder.data_len() < args.max_output_bytes {
+            // Cut only where a user key starts, as `compact_byte_addr` does.
+            while it.valid() && (builder.data_len() < args.max_output_bytes || !it.first_of_key()) {
                 let record = 20 + it.key().len() as u64 + it.value().len() as u64;
                 if builder.estimated_finished_len() + record + CUT_MARGIN > cap {
+                    if !it.first_of_key() {
+                        return Err(MemNodeError::OutOfMemory { requested: record });
+                    }
                     break; // extent nearly full: cut this output early
                 }
                 builder.add(it.key(), it.value())?;
@@ -376,6 +383,41 @@ mod tests {
         let metas = replay(&region, &[&m], &reply);
         assert_eq!(metas.iter().map(|m| m.num_entries).sum::<u64>(), 2000);
         assert!(metas.windows(2).all(|w| w[0].largest() < w[1].smallest()));
+    }
+
+    /// The versions of one user key that straddle `max_output_bytes` stay in
+    /// one output: the cut waits for the next key, so no two tables of a level
+    /// share one. A key whose versions overrun the whole extent fails the job.
+    #[test]
+    fn one_user_keys_versions_are_never_cut_apart() {
+        let value = "x".repeat(100);
+        let mut entries: Vec<(String, u64)> = (0..300).map(|i| (format!("key{i:06}"), 7)).collect();
+        // 600 more versions of one key, ≈ 80 KB: over the budget on their own.
+        entries.extend((0..600).map(|s| ("key000150".to_string(), 1_000 - s)));
+        entries.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+        let refs: Vec<(&str, u64, ValueType, &str)> =
+            entries.iter().map(|(k, s)| (k.as_str(), *s, ValueType::Value, value.as_str())).collect();
+        let (region, alloc) = setup(64 << 20);
+        let (t, m) = stage_table(&region, 0, &refs);
+        let mut a = args(vec![t]);
+        a.max_output_bytes = 32 << 10;
+        a.smallest_snapshot = 0; // every version is some snapshot's
+        let reply = execute_compaction(&region, &alloc, &a).unwrap();
+        assert_eq!(reply.records_out, 900);
+        let metas = replay(&region, &[&m], &reply);
+        // The budget is reached inside the run; the cut comes after its last
+        // version, so the first output holds all 601 and the second the rest.
+        let bounds: Vec<(&[u8], &[u8])> =
+            metas.iter().map(|m| (user_key(m.smallest().unwrap()), user_key(m.largest().unwrap()))).collect();
+        assert_eq!(bounds, [(&b"key000000"[..], &b"key000150"[..]), (b"key000151", b"key000299")]);
+        assert_eq!((metas[0].num_entries, metas[1].num_entries), (751, 149));
+        assert!(metas[0].data_len > 2 * a.max_output_bytes);
+
+        // With 64 KiB extents only (a fragmented zone), the key cannot fit.
+        let small = RegionAllocator::new(32 << 20, 80 << 10);
+        let err = execute_compaction(&region, &small, &a).unwrap_err();
+        assert!(matches!(err, MemNodeError::OutOfMemory { .. }), "{err}");
+        assert_eq!(small.in_use(), 0, "a failed job keeps no extent");
     }
 
     #[test]

@@ -46,17 +46,26 @@ pub struct DropPolicy {
     current_user_key: Vec<u8>,
     has_current_user_key: bool,
     last_sequence_for_key: SeqNo,
+    first_of_key: bool,
 }
 
 impl DropPolicy {
     /// A policy that has seen no record yet.
     pub fn new(cfg: MergeConfig) -> DropPolicy {
-        DropPolicy { cfg, current_user_key: Vec::new(), has_current_user_key: false, last_sequence_for_key: NO_PREVIOUS }
+        DropPolicy { cfg, current_user_key: Vec::new(), has_current_user_key: false, last_sequence_for_key: NO_PREVIOUS, first_of_key: true }
     }
 
     /// The user key of the last record asked about (empty before the first).
     pub fn user_key(&self) -> &[u8] {
         &self.current_user_key
+    }
+
+    /// Whether the last record asked about was the first of its user key.
+    /// A key's first record is dropped only if all its records are, so a kept
+    /// record that is not its key's first has the previous kept record's user
+    /// key: an output cut before it would part one key's versions.
+    pub fn first_of_key(&self) -> bool {
+        self.first_of_key
     }
 
     /// Whether the output leaves out the stream's next record, `ikey`.
@@ -65,6 +74,7 @@ impl DropPolicy {
         // tables built by this crate).
         let Some((ukey, seq, vt)) = key::split(ikey) else { return false };
         let first_occurrence = !self.has_current_user_key || ukey != self.current_user_key.as_slice();
+        self.first_of_key = first_occurrence;
         if first_occurrence {
             self.current_user_key.clear();
             self.current_user_key.extend_from_slice(ukey);
@@ -139,6 +149,12 @@ impl<I: ForwardIter> CompactionIter<I> {
     pub fn value(&self) -> &[u8] {
         debug_assert!(self.valid);
         self.input.value()
+    }
+
+    /// Whether the current record is the first of its user key
+    /// ([`DropPolicy::first_of_key`]): where an output may be cut.
+    pub fn first_of_key(&self) -> bool {
+        self.policy.first_of_key()
     }
 
     /// Advance past the current record to the next survivor.
@@ -290,6 +306,26 @@ mod tests {
         );
         let keys: Vec<&str> = out.iter().map(|(k, _, _, _)| k.as_str()).collect();
         assert_eq!(keys, vec!["a", "b", "c"]);
+    }
+
+    #[test]
+    fn first_of_key_marks_where_a_user_key_starts() {
+        let children = vec![VecIter::new(vec![
+            entry("a", 9, ValueType::Value, "a9"),
+            entry("a", 3, ValueType::Value, "a3"),
+            entry("b", 8, ValueType::Deletion, ""),
+            entry("b", 2, ValueType::Value, "b2"),
+            entry("c", 7, ValueType::Value, "c7"),
+        ])];
+        // Snapshot 5 keeps a@3 and b@2 behind their newer versions.
+        let mut it = CompactionIter::new(MergingIter::new(children), MergeConfig { smallest_snapshot: 5, drop_deletions: true });
+        it.seek_to_first().unwrap();
+        let mut firsts = Vec::new();
+        while it.valid() {
+            firsts.push(it.first_of_key());
+            it.next().unwrap();
+        }
+        assert_eq!(firsts, [true, false, true, false, true]);
     }
 
     #[test]

@@ -189,9 +189,9 @@ fn a_load_nobody_reads_carries_nothing() {
 
 /// (d) A snapshot pinned across the installs keeps reading its version: the
 /// inputs' images are purged as each install retires them, so it reads them
-/// from the fabric — beside a current version that reads every key written.
-/// (The second load writes new keys: overwriting under a pinned snapshot keeps
-/// two versions of a key, which an output cut can part — ROADMAP finding.)
+/// from the fabric — beside a current version that reads every overwrite.
+/// (Both versions of every key survive the merges, and no output cut parts
+/// them: DESIGN.md §5.7.)
 #[test]
 fn a_pinned_snapshot_reads_purged_inputs_from_the_fabric() {
     const N: u64 = 2_000;
@@ -203,25 +203,17 @@ fn a_pinned_snapshot_reads_purged_inputs_from_the_fabric() {
     sweep(&mut reader, N, 1, |_| 1);
     let snap = db.snapshot();
     let pinned = live_tables(&db);
-    for i in N..2 * N {
-        db.put(&user_key(i), &value(i, 1)).unwrap();
-        if i % 256 == 255 {
-            settle(&db);
-            sweep(&mut reader, i, 7, |_| 1);
-        }
-    }
-    settle(&db);
+    load(&db, N, 2, |written| sweep(&mut reader, N, 7, |i| 1 + u64::from(i < written)));
     assert!(db.stats().snapshot().cache_carried_tables > 0);
     let live: BTreeSet<u64> = live_tables(&db).iter().map(|t| t.id).collect();
     let purged: Vec<_> = pinned.iter().filter(|t| !live.contains(&t.id)).collect();
     assert!(purged.len() >= 4 && purged.iter().all(|t| db.cached_image(t.id).is_none()));
     let before = reads(&reader);
-    for i in (0..2 * N).step_by(3) {
-        let want = (i < N).then(|| value(i, 1));
-        assert_eq!(reader.get_at(&snap, &user_key(i)).unwrap(), want, "key {i} at the snapshot");
+    for i in (0..N).step_by(3) {
+        assert_eq!(reader.get_at(&snap, &user_key(i)).unwrap(), Some(value(i, 1)), "key {i} at the snapshot");
     }
     assert!(reads(&reader) - before >= N / 6, "purged tables can only be read remotely");
-    sweep(&mut reader, 2 * N, 1, |_| 1);
+    sweep(&mut reader, N, 1, |_| 2);
     drop((snap, reader));
     db.shutdown();
     r.server.shutdown();

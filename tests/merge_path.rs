@@ -5,7 +5,8 @@
 //! (DESIGN.md §5.11, §5 "Sub-compaction", §8). ISSUE 23 adds the near-data
 //! reply: the merge trace replayed against a rebuild of the output bytes,
 //! its size as an exact count, and what a corrupt or oversized one does
-//! (DESIGN.md §5.7 "The reply is the merge", §7a).
+//! (DESIGN.md §5.7 "The reply is the merge", §7a). Last, the cut rule: no
+//! user key is parted between two tables of one level (§5.7).
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -305,7 +306,7 @@ impl Rig {
     /// Send the memory node every extent queued in `gc`; what its
     /// compaction zone then holds.
     fn collect_garbage(&self, gc: &GcSink) -> u64 {
-        if let Some(batch) = gc.take_remote_batch(0) {
+        if let Some(batch) = gc.take_remote_batch() {
             let mut client = RpcClient::new(&self.fabric, self.ctx.node(), self.mem.node_id(), 64 << 10).unwrap();
             client.free_batch(&batch, std::time::Duration::from_secs(10)).unwrap();
         }
@@ -651,7 +652,7 @@ fn corrupt_replies_are_refused_and_their_outputs_reclaimed() {
             .unwrap_or_else(|| panic!("{what}: accepted"));
         assert!(matches!(err, DbError::Sst(_)), "{what}: {err}");
         let named: Vec<(u64, u64)> = reply.outputs.iter().map(|o| (o.offset, o.len)).collect();
-        assert_eq!(gc.take_remote_batch(0).unwrap_or_default(), named, "{what}: queued for freeing");
+        assert_eq!(gc.take_remote_batch().unwrap_or_default(), named, "{what}: queued for freeing");
         // Free what the memory node really allocated, and go again.
         client.free_batch(&honest, std::time::Duration::from_secs(10)).unwrap();
         assert_eq!(r.server.compaction_zone_in_use(), 0, "{what}");
@@ -736,4 +737,50 @@ fn scan_next_counts_every_entry_yielded() {
     drop(reader);
     db.shutdown();
     r.server.shutdown();
+}
+
+// ---- (e) no user key in two tables of one level ----
+
+/// Overwrites under a pinned snapshot keep two versions of every key. An
+/// output cut between them put the two in neighbouring tables of one level,
+/// and a later job that took only the newer one's table moved it below the
+/// older: `get` read the old value. Outputs are now cut only where a user key
+/// starts, near the data and on the compute node alike.
+#[test]
+fn overwrites_under_a_pinned_snapshot_read_their_own_version() {
+    const N: u64 = 2_000;
+    let key = |i: u64| format!("{:016x}-{i:07}", i.wrapping_mul(0x9E3779B97F4A7C15)).into_bytes();
+    let value = |i: u64, version: u8| [vec![version; 8], vec![i as u8; 120]].concat();
+    for near_data in [true, false] {
+        let r = rig();
+        let cfg = DbConfig { near_data_compaction: near_data, flush_threads: 1, compaction_subtasks: 1, ..DbConfig::small() };
+        let db = Db::open(Arc::clone(&r.ctx), Arc::clone(&r.mem), cfg).unwrap();
+        // A MemTable's worth at a time, each flushed and compacted to quiescence.
+        let load = |version: u8| {
+            for i in 0..N {
+                db.put(&key(i), &value(i, version)).unwrap();
+                if i % 256 == 255 || i == N - 1 {
+                    db.force_flush().unwrap();
+                    db.wait_until_quiescent();
+                }
+            }
+        };
+        load(1);
+        let snap = db.snapshot();
+        load(2);
+        let version = db.version();
+        assert!(version.level(2).len() > 1, "near_data {near_data}: want jobs below L1: {:?}", version.shape());
+        for level in 1..version.level_count() {
+            let tables = version.level(level);
+            assert!(tables.windows(2).all(|w| w[0].largest_user() < w[1].smallest_user()), "near_data {near_data}: L{level} shares a key");
+        }
+        let mut reader = db.reader();
+        for i in 0..N {
+            assert_eq!(reader.get(&key(i)).unwrap(), Some(value(i, 2)), "near_data {near_data}: key {i}");
+            assert_eq!(reader.get_at(&snap, &key(i)).unwrap(), Some(value(i, 1)), "near_data {near_data}: key {i} at the snapshot");
+        }
+        drop((snap, reader));
+        db.shutdown();
+        r.server.shutdown();
+    }
 }
