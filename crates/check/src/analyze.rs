@@ -86,7 +86,7 @@ pub struct Finding {
     /// What was found at the site (primitive, callee, or panic macro).
     pub what: String,
     /// Entry-point path reaching the function, e.g.
-    /// `Db::put → Shared::write → Publication::wait_visible` (empty for
+    /// `Db::put → Shared::write_batch → Publication::wait_visible` (empty for
     /// LOCKFABRIC sites outside the reachable set).
     pub path: Vec<String>,
     /// Site carries the rule's waiver tag.

@@ -124,7 +124,7 @@ impl MiniDb {
         })
     }
 
-    /// `Shared::write`: insert under the read lock, then publish the seq.
+    /// `Shared::write_batch`: insert under the read lock, then publish the seq.
     fn write(&self, seq: u64) {
         self.current.read().rows.fetch_or(1 << seq, Ordering::AcqRel);
         self.horizon.store(seq, Ordering::Release);

@@ -11,7 +11,10 @@
 //! whole block belongs to one table; if the block straddles a range
 //! boundary or the arena fills mid-batch, the batch re-fetches a fresh
 //! block and re-applies — the partial prefix of a failed attempt is
-//! harmlessly shadowed by the retry's higher sequence numbers).
+//! harmlessly shadowed by the retry's higher sequence numbers). `Db::put`
+//! and `Db::delete` take the same path as a block of one. A batch wider
+//! than a MemTable's sequence range, or larger than its arena, is refused
+//! with `DbError::InvalidArgument` before it draws a sequence number.
 
 use dlsm_sstable::key::{SeqNo, ValueType};
 

@@ -37,13 +37,9 @@ pub enum DataPath {
 /// 100 M keys becomes configurable, with the same *ratios* preserved.
 #[derive(Debug, Clone)]
 pub struct DbConfig {
-    /// MemTable size limit in bytes (paper: 64 MB).
+    /// MemTable size limit in bytes (paper: 64 MB). Also sets how many
+    /// sequence numbers each MemTable's range holds: one per 470 bytes.
     pub memtable_size: usize,
-    /// Sequence-number range width pre-assigned to each MemTable. The skip
-    /// list arena is sized for `memtable_size`, so this should be roughly
-    /// `memtable_size / expected_entry_bytes`; a size-triggered switch also
-    /// rotates the table early if entries run large.
-    pub seq_range_width: u64,
     /// Maximum immutable MemTables awaiting flush before writers stall
     /// (paper: 16).
     pub max_immutables: usize,
@@ -116,7 +112,6 @@ impl Default for DbConfig {
     fn default() -> Self {
         DbConfig {
             memtable_size: 8 << 20,
-            seq_range_width: 0, // derived in `normalized`
             max_immutables: 16,
             flush_threads: 4,
             compaction_subtasks: 12,
@@ -160,27 +155,32 @@ impl DbConfig {
         }
     }
 
-    /// Fill in derived fields (currently `seq_range_width`) and sanity-check.
-    pub fn normalized(mut self, expected_entry_bytes: usize) -> DbConfig {
-        if self.seq_range_width == 0 {
-            // A range roughly matching the MemTable capacity; the size
-            // trigger rotates early when entries run large, and ranges this
-            // wide mean the switch lock is touched once per table.
-            let per_entry = expected_entry_bytes.max(16);
-            self.seq_range_width = (self.memtable_size / per_entry).max(64) as u64;
-        }
+    /// Sanity-check the configuration.
+    pub fn normalized(self) -> DbConfig {
         assert!(self.max_levels >= 2, "need at least L0 and L1");
         assert!(self.flush_buf_size >= 4 << 10, "flush buffers must hold a record");
         self
+    }
+
+    /// Sequence numbers pre-assigned to each MemTable (Sec. IV): about as
+    /// many as the table holds entries of the paper's size, so the switch
+    /// lock is touched once per table; the size trigger rotates early when
+    /// entries run large.
+    pub(crate) fn seq_range_width(&self) -> u64 {
+        (self.memtable_size / DEFAULT_ENTRY_BYTES).max(64) as u64
     }
 
     /// Bytes to reserve in the skip-list arena for one MemTable: the size
     /// limit plus slack for node/link overhead so a size-triggered switch
     /// fires before the arena does.
     pub fn arena_capacity(&self) -> usize {
-        self.memtable_size * 2 + (self.seq_range_width as usize) * 48 + (64 << 10)
+        self.memtable_size * 2 + (self.seq_range_width() as usize) * 48 + (64 << 10)
     }
 }
+
+/// Expected bytes per entry the sequence-range width is derived from (paper
+/// workload: 20 B key + 400 B value + trailer).
+const DEFAULT_ENTRY_BYTES: usize = 470;
 
 #[cfg(test)]
 mod tests {
@@ -199,18 +199,18 @@ mod tests {
     }
 
     #[test]
-    fn normalized_derives_range_width() {
-        let c = DbConfig::default().normalized(428);
-        assert!(c.seq_range_width > 0);
-        assert_eq!(c.seq_range_width, (c.memtable_size / 428) as u64);
-        // Explicit width survives normalization.
-        let c2 = DbConfig { seq_range_width: 1234, ..DbConfig::default() }.normalized(428);
-        assert_eq!(c2.seq_range_width, 1234);
+    fn range_width_is_derived_from_memtable_size() {
+        let c = DbConfig::default();
+        assert_eq!(c.seq_range_width(), (c.memtable_size / DEFAULT_ENTRY_BYTES) as u64);
+        assert_eq!(DbConfig::small().seq_range_width(), 139);
+        // Tiny tables still get a range wide enough for a batch.
+        assert_eq!(DbConfig { memtable_size: 4 << 10, ..DbConfig::small() }.seq_range_width(), 64);
     }
 
     #[test]
     fn arena_capacity_exceeds_memtable_size() {
-        let c = DbConfig::small().normalized(64);
+        let c = DbConfig::small().normalized();
         assert!(c.arena_capacity() > c.memtable_size);
+        assert_eq!(c.arena_capacity(), (128 << 10) + 139 * 48 + (64 << 10));
     }
 }

@@ -20,17 +20,13 @@ use crate::config::{DataPath, DbConfig, SwitchProtocol};
 use crate::context::{ComputeContext, MemNodeHandle};
 use crate::flush::{flush_memtable, FlushTransport};
 use crate::handle::{Extent, GcSink, MetaKind, Origin, TableHandle};
-use crate::memtable::{MemGet, MemTable};
+use crate::memtable::{MemGet, MemTable, ENTRY_OVERHEAD};
 use crate::remote::{fetch_wave, table_get, table_step, ReadChannel, RecordFetch, Step};
 use crate::scan::{DbScan, SAMPLE_EVERY};
 use crate::stats::DbStats;
 use crate::telemetry::{record_op, ReadCounter, ReadStats, ReaderSlot};
 use crate::version::{ReadView, Version, VersionEdit, VersionSet};
 use crate::{DbError, Result};
-
-/// Expected bytes per entry used to derive the sequence-range width when the
-/// config leaves it at 0 (paper workload: 20 B key + 400 B value + trailer).
-const DEFAULT_ENTRY_BYTES: usize = 470;
 
 pub(crate) struct Shared {
     pub(crate) ctx: Arc<ComputeContext>,
@@ -130,19 +126,6 @@ impl Shared {
     pub(crate) fn l0_trigger(&self) -> usize {
         // ORDERING: relaxed — gauge read of a value the compactor alone writes.
         self.l0_trigger.load(Ordering::Relaxed)
-    }
-
-    fn new_memtable(&self, start: SeqNo) -> Arc<MemTable> {
-        // ORDERING: relaxed — id generation needs uniqueness only, which the atomic RMW provides at any ordering.
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        // The naive protocol has no range discipline: any sequence number
-        // may land in whatever table is current, so the table must cover
-        // the whole sequence space.
-        let range = match self.cfg.switch_protocol {
-            SwitchProtocol::SeqRange => start..start + self.cfg.seq_range_width,
-            SwitchProtocol::NaiveDoubleChecked => 0..dlsm_sstable::key::MAX_SEQ,
-        };
-        Arc::new(MemTable::new(id, range, self.cfg.memtable_size, self.cfg.arena_capacity()))
     }
 
     /// Oldest sequence number any live snapshot may still read.
@@ -275,11 +258,14 @@ impl Shared {
 
     /// Must hold `switch_lock`. Installs a new table whose range starts at
     /// `start` (= old range end, keeping ranges consecutive and disjoint)
-    /// and bumps the sequence counter past it so stale writers re-fetch
-    /// instead of targeting the retired table.
+    /// and bumps the sequence counter to it so stale writers re-fetch
+    /// instead of targeting the retired table. A whole-space table (the
+    /// naive protocol) starts at 0, so the counter stays where it is.
     fn do_switch(&self, start: SeqNo) {
         let _sp = dlsm_trace::span(dlsm_trace::Category::Db, "memtable_switch");
-        let new = self.new_memtable(start);
+        // ORDERING: relaxed — id generation needs uniqueness only, which the atomic RMW provides at any ordering.
+        let new = memtable(&self.cfg, self.next_id.fetch_add(1, Ordering::Relaxed), start);
+        let start = new.range.start;
         let (old, keep_old) = {
             // Under the write lock no insert is in flight, so "empty" is
             // final, and the view that holds `new` is published before the
@@ -299,16 +285,11 @@ impl Shared {
             (std::mem::replace(&mut *cur, new), keep_old)
         };
         self.release_idle_views();
-        // Jump the counter so no future fetch lands in the old range (only
-        // meaningful for the range-disciplined protocol — naive tables all
-        // cover the full sequence space).
-        if self.cfg.switch_protocol == SwitchProtocol::SeqRange {
-            let prev = self.seq.fetch_max(start, Ordering::AcqRel);
-            if prev < start {
-                // The skipped range [prev, start) was never handed to any
-                // writer; publish it so the horizon can advance past it.
-                self.publication.publish(prev, start - prev);
-            }
+        let prev = self.seq.fetch_max(start, Ordering::AcqRel);
+        if prev < start {
+            // The skipped range [prev, start) was never handed to any
+            // writer; publish it so the horizon can advance past it.
+            self.publication.publish(prev, start - prev);
         }
         DbStats::bump(&self.stats.switches);
         dlsm_timeline::post(dlsm_timeline::EngineEvent::MemtableSwitch { mem_id: old.id });
@@ -388,23 +369,32 @@ impl Shared {
         Ok(())
     }
 
-    /// Apply a batch under one consecutive sequence block. All entries land
-    /// in the same MemTable; if the block would straddle a range boundary
-    /// (or the arena fills mid-batch) the whole batch re-fetches a fresh
-    /// block — the abandoned prefix is shadowed by the retry's higher
-    /// sequence numbers, so readers converge on the full batch.
-    fn write_batch(&self, batch: &crate::batch::WriteBatch) -> Result<crate::batch::BatchCommit> {
-        let n = batch.entries.len() as u64;
+    /// The one write path (Sec. II-C, IV; DESIGN.md §5.4): `entries` — a
+    /// batch, or a put or delete as a batch of one — draw one block of
+    /// consecutive sequence numbers, and the pre-assigned range of the
+    /// current MemTable decides whether the whole block belongs to it.
+    /// In-range writers never lock. Under the naive protocol every table
+    /// spans the whole sequence space, so only the size and arena triggers
+    /// switch.
+    fn write_batch<K: AsRef<[u8]>, V: AsRef<[u8]>>(
+        &self,
+        entries: &[(ValueType, K, V)],
+    ) -> Result<crate::batch::BatchCommit> {
+        let n = entries.len() as u64;
         if n == 0 {
             return Ok(crate::batch::BatchCommit { first_seq: 0, count: 0 });
         }
-        if n >= self.cfg.seq_range_width.max(2) {
+        // A block that no empty MemTable holds would switch tables forever.
+        let (width, arena) = (self.cfg.seq_range_width(), self.cfg.arena_capacity());
+        let bytes: usize =
+            entries.iter().map(|(_, k, v)| k.as_ref().len() + v.as_ref().len() + ENTRY_OVERHEAD).sum();
+        if n >= width || bytes > arena {
             return Err(DbError::InvalidArgument(format!(
-                "batch of {n} entries exceeds the MemTable sequence-range width {}",
-                self.cfg.seq_range_width
+                "batch of {n} entries and up to {bytes} bytes does not fit a MemTable \
+                 (sequence-range width {width}, arena {arena} bytes)"
             )));
         }
-        let _sp = dlsm_trace::span_arg(dlsm_trace::Category::Db, "write_batch", n);
+        let _sp = dlsm_trace::span_arg(dlsm_trace::Category::Db, "put", n);
         let t0 = Instant::now();
         self.wait_for_write_room()?;
         let _serializer = self.cfg.serialized_writes.then(|| self.write_serializer.lock());
@@ -413,6 +403,8 @@ impl Shared {
             loop {
                 let guard = self.current.read();
                 if base < guard.range.start {
+                    // The table for this block was already retired: abandon
+                    // it (nothing was inserted under it). Gaps are harmless.
                     drop(guard);
                     DbStats::bump(&self.stats.reseqs);
                     self.publication.publish(base, n);
@@ -430,16 +422,14 @@ impl Shared {
                     self.publication.publish(base, n);
                     continue 'refetch; // block straddles: take a fresh one
                 }
-                let mut failed = false;
-                for (i, (vt, key, value)) in batch.entries.iter().enumerate() {
-                    if guard.add(base + i as u64, *vt, key, value).is_err() {
-                        failed = true;
-                        break;
-                    }
-                }
-                if failed {
-                    // Arena full mid-batch: rotate and re-apply the whole
-                    // batch (the inserted prefix is shadowed by the retry).
+                // Insert under the read guard so a switch (write lock)
+                // cannot complete mid-block.
+                let added = (base..)
+                    .zip(entries)
+                    .all(|(seq, (vt, k, v))| guard.add(seq, *vt, k.as_ref(), v.as_ref()).is_ok());
+                if !added {
+                    // Arena full mid-block: rotate and re-apply the whole
+                    // block (the inserted prefix is shadowed by the retry).
                     let id = guard.id;
                     drop(guard);
                     DbStats::bump(&self.stats.reseqs);
@@ -453,113 +443,31 @@ impl Shared {
                 if let Some(id) = rotate {
                     self.switch_full(id);
                 }
+                // Read-your-writes: return once the block is visible.
                 self.publication.wait_visible(base + n - 1);
-                for (vt, _, _) in &batch.entries {
+                for (vt, _, _) in entries {
                     match vt {
                         ValueType::Value => DbStats::bump(&self.stats.puts),
                         ValueType::Deletion => DbStats::bump(&self.stats.deletes),
                     }
                 }
-                // One Put sample per committed batch (not per entry).
+                // One Put sample per call (not per entry).
                 record_op(&self.telemetry.ops, dlsm_telemetry::OpClass::Put, t0.elapsed());
                 return Ok(crate::batch::BatchCommit { first_seq: base, count: n });
             }
         }
     }
+}
 
-    fn write(&self, user_key: &[u8], value: &[u8], vt: ValueType) -> Result<SeqNo> {
-        let _sp = dlsm_trace::span(dlsm_trace::Category::Db, "put");
-        let t0 = Instant::now();
-        self.wait_for_write_room()?;
-        let _serializer = self.cfg.serialized_writes.then(|| self.write_serializer.lock());
-        let result = match self.cfg.switch_protocol {
-            SwitchProtocol::SeqRange => self.write_seq_range(user_key, value, vt),
-            SwitchProtocol::NaiveDoubleChecked => self.write_naive(user_key, value, vt),
-        };
-        if result.is_ok() {
-            record_op(&self.telemetry.ops, dlsm_telemetry::OpClass::Put, t0.elapsed());
-        }
-        result
-    }
-
-    /// The dLSM write path (Sec. IV): the pre-assigned range decides which
-    /// table a sequence number belongs to. In-range writers never lock;
-    /// out-of-range writers race through double-checked locking to switch.
-    fn write_seq_range(&self, user_key: &[u8], value: &[u8], vt: ValueType) -> Result<SeqNo> {
-        'refetch: loop {
-            let seq = self.seq.fetch_add(1, Ordering::AcqRel);
-            loop {
-                let guard = self.current.read();
-                if seq < guard.range.start {
-                    // The table for this seq was already retired: abandon the
-                    // number (nothing was inserted under it) and take a new
-                    // one. Gaps in the sequence space are harmless.
-                    drop(guard);
-                    DbStats::bump(&self.stats.reseqs);
-                    self.publication.publish(seq, 1);
-                    continue 'refetch;
-                }
-                if seq >= guard.range.end {
-                    let end = guard.range.end;
-                    drop(guard);
-                    self.switch_at(end);
-                    continue; // retry the same seq against the new table
-                }
-                // In range: insert while holding the read guard so a switch
-                // (write lock) cannot complete mid-insert.
-                match guard.add(seq, vt, user_key, value) {
-                    Ok(()) => {
-                        let rotate = guard.is_full().then(|| guard.id);
-                        drop(guard);
-                        self.publication.publish(seq, 1);
-                        if let Some(id) = rotate {
-                            self.switch_full(id);
-                        }
-                        // Read-your-writes: return once the write is visible.
-                        self.publication.wait_visible(seq);
-                        return Ok(seq);
-                    }
-                    Err(_full) => {
-                        let id = guard.id;
-                        drop(guard);
-                        DbStats::bump(&self.stats.reseqs);
-                        self.publication.publish(seq, 1);
-                        self.switch_full(id);
-                        continue 'refetch;
-                    }
-                }
-            }
-        }
-    }
-
-    /// The straw-man switch protocol the paper argues against (size check +
-    /// double-checked locking). Retained for the ablation benchmark; it can
-    /// place a newer version in an older table under concurrency.
-    fn write_naive(&self, user_key: &[u8], value: &[u8], vt: ValueType) -> Result<SeqNo> {
-        loop {
-            let seq = self.seq.fetch_add(1, Ordering::AcqRel);
-            let guard = self.current.read();
-            // No range discipline: insert into whatever is current.
-            match guard.add(seq, vt, user_key, value) {
-                Ok(()) => {
-                    let rotate = guard.is_full().then(|| guard.id);
-                    drop(guard);
-                    self.publication.publish(seq, 1);
-                    if let Some(id) = rotate {
-                        self.switch_full(id);
-                    }
-                    self.publication.wait_visible(seq);
-                    return Ok(seq);
-                }
-                Err(_full) => {
-                    let id = guard.id;
-                    drop(guard);
-                    self.publication.publish(seq, 1);
-                    self.switch_full(id);
-                }
-            }
-        }
-    }
+/// A MemTable whose pre-assigned range starts at `start` (Sec. IV). The
+/// naive protocol has no range discipline, so its tables span the whole
+/// sequence space and the write loop's range checks never fire.
+fn memtable(cfg: &DbConfig, id: u64, start: SeqNo) -> Arc<MemTable> {
+    let range = match cfg.switch_protocol {
+        SwitchProtocol::SeqRange => start..start + cfg.seq_range_width(),
+        SwitchProtocol::NaiveDoubleChecked => 0..dlsm_sstable::key::MAX_SEQ,
+    };
+    Arc::new(MemTable::new(id, range, cfg.memtable_size, cfg.arena_capacity()))
 }
 
 /// A dLSM database instance — one shard: one LSM-tree whose MemTables live
@@ -578,18 +486,10 @@ impl Db {
         memnode: Arc<MemNodeHandle>,
         cfg: DbConfig,
     ) -> Result<Db> {
-        let cfg = cfg.normalized(DEFAULT_ENTRY_BYTES);
+        let cfg = cfg.normalized();
         let (flush_tx, flush_rx) = unbounded();
         let gc = GcSink::new(Arc::clone(memnode.flush_alloc()));
-        let first = Arc::new(MemTable::new(
-            0,
-            match cfg.switch_protocol {
-                SwitchProtocol::SeqRange => 1..1 + cfg.seq_range_width,
-                SwitchProtocol::NaiveDoubleChecked => 0..dlsm_sstable::key::MAX_SEQ,
-            },
-            cfg.memtable_size,
-            cfg.arena_capacity(),
-        ));
+        let first = memtable(&cfg, 0, 1);
         let versions = VersionSet::new(cfg.max_levels);
         let shared = Arc::new(Shared {
             ctx,
@@ -645,22 +545,18 @@ impl Db {
 
     /// Insert or overwrite `key`.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<SeqNo> {
-        let seq = self.shared.write(key, value, ValueType::Value)?;
-        DbStats::bump(&self.shared.stats.puts);
-        Ok(seq)
+        Ok(self.shared.write_batch(&[(ValueType::Value, key, value)])?.first_seq)
     }
 
     /// Apply `batch` atomically-in-order under one consecutive sequence
     /// block (paper Sec. II-C).
     pub fn write(&self, batch: &crate::batch::WriteBatch) -> Result<crate::batch::BatchCommit> {
-        self.shared.write_batch(batch)
+        self.shared.write_batch(&batch.entries)
     }
 
     /// Delete `key` (writes a tombstone).
     pub fn delete(&self, key: &[u8]) -> Result<SeqNo> {
-        let seq = self.shared.write(key, b"", ValueType::Deletion)?;
-        DbStats::bump(&self.shared.stats.deletes);
-        Ok(seq)
+        Ok(self.shared.write_batch(&[(ValueType::Deletion, key, b"")])?.first_seq)
     }
 
     /// The current sequence horizon (reads at this snapshot see every

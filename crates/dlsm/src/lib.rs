@@ -118,7 +118,7 @@ pub enum DbError {
     /// The database is shutting down.
     ShuttingDown,
     /// The caller passed an argument the engine cannot serve (e.g. a write
-    /// batch wider than the MemTable sequence-range width).
+    /// wider than a MemTable's sequence range or larger than its arena).
     InvalidArgument(String),
 }
 

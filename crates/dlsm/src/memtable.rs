@@ -3,9 +3,15 @@
 use std::ops::Range;
 use std::sync::Arc;
 
+use dlsm_skiplist::list::MAX_HEIGHT;
 use dlsm_skiplist::{ArcSkipIter, ArenaFull, SkipList};
 use dlsm_sstable::iter::ForwardIter;
 use dlsm_sstable::key::{self, InternalKey, InternalKeyComparator, SeqNo, ValueType};
+
+/// The most arena bytes one entry takes besides its user key and value: the
+/// internal key's trailer, the tallest skip-list node (five `u32` header
+/// words and a link per level) and its alignment padding.
+pub(crate) const ENTRY_OVERHEAD: usize = key::TRAILER_LEN + 4 * (5 + MAX_HEIGHT) + 3;
 
 /// Result of a MemTable point lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,23 +1,35 @@
-//! The write path's picking policy, by counts (none of these is timed): while
-//! writes are arriving, L0 waits for twice its trigger before a job rewrites
-//! L1, and once they stop the engine settles below the base trigger
-//! (DESIGN.md §5.7 "L0 waits while writes flow"). `DbStats` says how many L0
-//! tables each L0 → L1 job retired, and every flushed table is accounted for.
+//! The write path, by counts (none of these is timed). A put, a delete and a
+//! batch take one pipeline (DESIGN.md §5.4): every call draws one block of
+//! consecutive sequence numbers, the counters add up exactly, and a write no
+//! empty MemTable holds is refused up front. The picking policy: while writes
+//! are arriving, L0 waits for twice its trigger before a job rewrites L1, and
+//! once they stop the engine settles below the base trigger (DESIGN.md §5.7
+//! "L0 waits while writes flow"). `DbStats` says how many L0 tables each
+//! L0 → L1 job retired, and every flushed table is accounted for.
 
 use std::collections::BTreeMap;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
-use dlsm_repro::dlsm::{ComputeContext, Db, DbConfig, DbStatsSnapshot, MemNodeHandle};
+use dlsm_repro::dlsm::{
+    ComputeContext, Db, DbConfig, DbError, DbStatsSnapshot, MemNodeHandle, SwitchProtocol, WriteBatch,
+};
 use dlsm_repro::memnode::{MemServer, MemServerConfig};
 use dlsm_repro::rdma_sim::{Fabric, NetworkProfile};
+use dlsm_repro::telemetry::OpClass;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 fn open() -> (MemServer, Db) {
+    open_with(DbConfig::small())
+}
+
+fn open_with(db_cfg: DbConfig) -> (MemServer, Db) {
     let fabric = Fabric::new(NetworkProfile::instant());
     let cfg = MemServerConfig { region_size: 96 << 20, flush_zone: 48 << 20, compaction_workers: 2, dispatchers: 1 };
     let server = MemServer::start(&fabric, cfg);
     let ctx = ComputeContext::new(&fabric);
-    let db = Db::open(ctx, MemNodeHandle::from_server(&server), DbConfig::small()).unwrap();
+    let db = Db::open(ctx, MemNodeHandle::from_server(&server), db_cfg).unwrap();
     (server, db)
 }
 
@@ -83,6 +95,154 @@ fn a_paced_load_is_below_the_trigger_after_every_quiesce() {
     let stats = db.stats().snapshot();
     assert!(stats.flushes == 64 && stats.compaction_l0_jobs >= 16, "{stats}");
     assert_l0_tables_accounted_for(&stats, &db);
+    db.shutdown();
+    server.shutdown();
+}
+
+/// A write that no empty MemTable's arena holds used to rotate tables
+/// forever: arena full → switch the (empty) table → draw again. It is
+/// refused before it draws a sequence number, whether one value is too large
+/// or a batch's entries add up past the arena. Run on a helper thread so a
+/// livelock fails the test instead of hanging it.
+#[test]
+fn a_write_larger_than_a_memtable_is_refused_before_it_draws_a_sequence_number() {
+    let (server, db) = open();
+    let db = Arc::new(db);
+    db.put(b"small", b"before").unwrap();
+    let before = db.stats().snapshot();
+    let horizon = db.current_seq();
+    let (tx, rx) = mpsc::channel();
+    let writer = Arc::clone(&db);
+    let helper = std::thread::spawn(move || {
+        let put = writer.put(b"big", &[7; 1 << 20]);
+        // Each entry fits an arena (≈ 199 KiB); the four together do not.
+        let mut batch = WriteBatch::new();
+        for i in 0..4u8 {
+            batch.put(&[b'b', i], &[i; 64 << 10]);
+        }
+        let _ = tx.send((put, writer.write(&batch)));
+    });
+    let (put, batch) = rx.recv_timeout(Duration::from_secs(10)).expect("an oversized write made no progress");
+    helper.join().unwrap();
+    assert!(matches!(put, Err(DbError::InvalidArgument(_))), "{put:?}");
+    assert!(matches!(batch, Err(DbError::InvalidArgument(_))), "{batch:?}");
+    let after = db.stats().snapshot();
+    assert_eq!((after.switches, after.reseqs, after.puts), (before.switches, before.reseqs, before.puts), "{after}");
+    assert_eq!(db.current_seq(), horizon);
+
+    db.put(b"after", b"ok").unwrap();
+    let mut reader = db.reader();
+    assert_eq!(reader.get(b"small").unwrap(), Some(b"before".to_vec()));
+    assert_eq!(reader.get(b"after").unwrap(), Some(b"ok".to_vec()));
+    assert_eq!(reader.get(b"big").unwrap(), None);
+    drop(reader);
+    db.shutdown();
+    server.shutdown();
+}
+
+/// Calls per writer of the mixed load: a third each puts, deletes and batches.
+const CALLS: u64 = 1_000;
+
+/// One writer's share of the mixed load, over keys no other writer touches,
+/// so the final state is known whatever the interleaving.
+#[derive(Default)]
+struct Load {
+    model: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
+    /// `(first_seq, count)` of every call.
+    blocks: Vec<(u64, u64)>,
+    entries: u64,
+}
+
+fn mixed_load(db: &Db, writer: u64) -> Load {
+    let mut rng = SmallRng::seed_from_u64(writer);
+    let mut load = Load::default();
+    let next_key = |rng: &mut SmallRng| key(writer * 1_000 + rng.gen_range(0..300));
+    for call in 0..CALLS {
+        let k = next_key(&mut rng);
+        let v = value(writer, call);
+        let block = match call % 3 {
+            0 => {
+                load.model.insert(k.clone(), Some(v.clone()));
+                (db.put(&k, &v).unwrap(), 1)
+            }
+            1 => {
+                load.model.insert(k.clone(), None);
+                (db.delete(&k).unwrap(), 1)
+            }
+            _ => {
+                let mut batch = WriteBatch::new();
+                batch.put(&k, &v);
+                load.model.insert(k, Some(v));
+                for _ in 1..rng.gen_range(2..9u32) {
+                    let k = next_key(&mut rng);
+                    if rng.gen_range(0..4u32) == 0 {
+                        batch.delete(&k);
+                        load.model.insert(k, None);
+                    } else {
+                        let v = value(writer, call + rng.gen_range(0..1_000));
+                        batch.put(&k, &v);
+                        load.model.insert(k, Some(v));
+                    }
+                }
+                let commit = db.write(&batch).unwrap();
+                assert_eq!(commit.count, batch.len() as u64);
+                (commit.first_seq, commit.count)
+            }
+        };
+        load.entries += block.1;
+        load.blocks.push(block);
+    }
+    load
+}
+
+/// The counts of a finished mixed load, then every key's value once the
+/// engine is quiescent.
+fn check_mixed(db: &Db, loads: &[Load]) -> BTreeMap<Vec<u8>, Option<Vec<u8>>> {
+    let stats = db.stats().snapshot();
+    let entries: u64 = loads.iter().map(|l| l.entries).sum();
+    assert_eq!(stats.puts + stats.deletes, entries, "{stats}");
+    let calls = CALLS * loads.len() as u64;
+    assert_eq!(db.telemetry_snapshot().op(OpClass::Put).count(), calls);
+    let mut blocks: Vec<(u64, u64)> = loads.iter().flat_map(|l| l.blocks.iter().copied()).collect();
+    blocks.sort_unstable();
+    for pair in blocks.windows(2) {
+        assert!(pair[0].0 + pair[0].1 <= pair[1].0, "blocks {:?} and {:?} share a sequence number", pair[0], pair[1]);
+    }
+    let (last, count) = blocks[blocks.len() - 1];
+    assert!(last + count - 1 <= db.current_seq());
+
+    db.force_flush().unwrap();
+    db.wait_until_quiescent();
+    let mut reader = db.reader();
+    let mut state = BTreeMap::new();
+    for (k, v) in loads.iter().flat_map(|l| &l.model) {
+        assert_eq!(&reader.get(k).unwrap(), v, "key {}", String::from_utf8_lossy(k));
+        state.insert(k.clone(), v.clone());
+    }
+    state
+}
+
+#[test]
+fn puts_deletes_and_batches_share_one_pipeline_with_exact_counts() {
+    let (server, db) = open();
+    let loads: Vec<Load> = std::thread::scope(|s| {
+        let db = &db;
+        let writers: Vec<_> = (0..4).map(|w| s.spawn(move || mixed_load(db, w))).collect();
+        writers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    let switches = db.stats().snapshot().switches;
+    assert!(switches >= 50, "{switches} MemTable switches");
+    let state = check_mixed(&db, &loads);
+    db.shutdown();
+    server.shutdown();
+
+    // The naive protocol is the same loop over whole-space tables: only the
+    // size trigger switches, and one writer ends in the same state.
+    let (server, db) =
+        open_with(DbConfig { switch_protocol: SwitchProtocol::NaiveDoubleChecked, ..DbConfig::small() });
+    let loads: Vec<Load> = (0..4).map(|w| mixed_load(&db, w)).collect();
+    assert!(db.stats().snapshot().switches > 0);
+    assert_eq!(check_mixed(&db, &loads), state);
     db.shutdown();
     server.shutdown();
 }
