@@ -95,11 +95,10 @@ pub fn scaled_db_config(spec: &WorkloadSpec) -> DbConfig {
         // Compute-side read cache: ON by default for dLSM engines, sized so
         // the extent pool can hold the *live* remote data (logical data
         // plus transient write amplification) within a laptop-plausible
-        // local-DRAM budget — a pool smaller than the working set spends
-        // its promotion budget re-fetching evicted images instead of
-        // serving hits. The RocksDB/Nova baseline builders zero this — the
-        // cache is part of the dLSM design under test, not of the
-        // comparison systems.
+        // local-DRAM budget — a pool smaller than the working set serves
+        // only the share of the reads its images hold. The RocksDB/Nova
+        // baseline builders zero this — the cache is part of the dLSM
+        // design under test, not of the comparison systems.
         cache: dlsm::CacheConfig {
             capacity_bytes: (spec.data_bytes() * 2).clamp(32 << 20, 1 << 30),
             extent_percent: 75,

@@ -8,10 +8,13 @@
 //! * **Block pool** — SSTable data blocks (or single byte-addressable
 //!   records) keyed by `(table id, offset)`. A hit turns a one-RTT read
 //!   into a zero-RTT read.
-//! * **Hot-extent pool** — whole table images keyed by table id: admitted
-//!   when the compute node holds a table's bytes at its birth (a flush, a
-//!   compaction whose inputs' images are resident and read) *and* promoted
-//!   on demand once a remote table proves hot (ghost-frequency admission).
+//! * **Hot-extent pool** — whole table images keyed by table id, in one
+//!   shard: admitted when the compute node holds a table's bytes at its
+//!   birth (a flush, a compaction whose inputs' images are resident and
+//!   read) *and* promoted on demand once a remote table proves hot
+//!   (ghost-frequency admission) — into a full pool only in place of images
+//!   readers stopped hitting, decided by [`ReadCache::extent_probe`] before
+//!   the fetch.
 //! * **Ghost-gated admission, FIFO eviction with second chance** — per
 //!   shard: one FIFO, 2-bit frequency counters, and a ghost table of key
 //!   fingerprints seen missing. A lookup that misses admits its record
@@ -32,7 +35,6 @@
 //! checker and on the hottest path without pulling anything in.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Poison-tolerant lock: a thread that panicked while holding a shard lock
@@ -111,21 +113,6 @@ impl CacheConfig {
     }
 }
 
-/// The counters the promotion throttle reads (and so cannot live in a
-/// shard): bytes hits saved against bytes promotions spent. Hit, miss,
-/// insert, eviction and invalidation counts are kept in the shards, under
-/// the lock the operation already holds. Every access is relaxed (each
-/// carries its own ORDERING tag at the use site).
-#[derive(Default)]
-struct PromotionLedger {
-    /// Fabric bytes that cache hits avoided reading.
-    bytes_saved: AtomicU64,
-    /// Whole-extent images admitted by on-demand promotion.
-    extent_promotions: AtomicU64,
-    /// Fabric bytes spent fetching images for on-demand promotion.
-    promoted_bytes: AtomicU64,
-}
-
 /// A point-in-time copy of the cache counters plus occupancy gauges.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStatsSnapshot {
@@ -183,7 +170,8 @@ pub enum ExtentProbe {
     Image(Arc<Vec<u8>>),
     /// No image; `promote` asks the caller to fetch and admit one.
     Missing {
-        /// The table has proven hot and the promotion budget allows it.
+        /// The table has proven hot, and the pool has room for its image or
+        /// holds enough bytes of images readers stopped hitting.
         promote: bool,
     },
 }
@@ -270,14 +258,56 @@ struct ShardInner {
     /// and checked by admission under the one shard lock, so there is no
     /// window between the check and the insert.
     dead: DeadFence,
+    /// Bytes of located records this pool missed since its hand last
+    /// turned (extent pool: [`ShardInner::age`]).
+    unserved: u64,
     hits: u64,
     misses: u64,
+    /// Fabric bytes that hits avoided reading.
+    saved: u64,
     inserts: u64,
     evictions: u64,
     invalidations: u64,
+    /// On-demand promotions granted, and the image bytes they fetch.
+    promotions: u64,
+    promoted: u64,
 }
 
 impl ShardInner {
+    /// One turn of the FIFO's hand over its head: an entry hit since its
+    /// last turn spends one of its second chances and goes round again; a
+    /// cold one is evicted if `evict`, else goes round too. False when the
+    /// queue is empty.
+    fn turn(&mut self, evict: bool) -> bool {
+        let Some(key) = self.fifo.pop_front() else { return false };
+        let Some(entry) = self.map.get_mut(&key) else { return true };
+        if entry.freq > 0 || !evict {
+            entry.freq = entry.freq.saturating_sub(1);
+            self.fifo.push_back(key);
+        } else if let Some(entry) = self.map.remove(&key) {
+            self.bytes -= entry.charge;
+            self.evictions += 1;
+        }
+        true
+    }
+
+    /// The aging hand of a full pool: one turn, evicting nothing, per
+    /// `image_len` bytes of located records the pool failed to serve. An
+    /// image readers keep hitting is re-hit long before the hand is back;
+    /// one nobody reads is cold after [`FREQ_MAX`] sweeps.
+    fn age(&mut self, missed: u64, image_len: u64) {
+        self.unserved += missed;
+        if self.unserved >= image_len {
+            self.unserved = 0;
+            self.turn(false);
+        }
+    }
+
+    /// Bytes held by entries no reader has hit since their last turn.
+    fn cold_bytes(&self) -> u64 {
+        self.map.values().filter(|e| e.freq == 0).map(|e| e.charge).sum()
+    }
+
     /// The ghost pair of the key hashing to `hash`, the key's own word
     /// first — at heat 0, in place of the word touched longer ago, if the
     /// table did not hold the key.
@@ -335,12 +365,14 @@ impl Pool {
     }
 
     /// Look up `key`, counting the hit or miss; a hit bumps the entry's
-    /// saturating frequency counter. A miss hands the shard (still locked)
-    /// and the key's hash to `on_miss`: what else a caller has to ask or
-    /// note there costs no second visit.
+    /// saturating frequency counter and counts the `serves` bytes (at most
+    /// the entry's) it spared the fabric. A miss hands the shard (still
+    /// locked) and the key's hash to `on_miss`: what else a caller has to
+    /// ask or note there costs no second visit.
     fn get<R>(
         &self,
         key: CacheKey,
+        serves: u64,
         on_miss: impl FnOnce(&mut ShardInner, u64) -> R,
     ) -> Result<Arc<Vec<u8>>, R> {
         let hash = key_hash(key);
@@ -348,6 +380,7 @@ impl Pool {
         let inner = &mut *inner;
         if let Some(entry) = inner.map.get_mut(&key) {
             inner.hits += 1;
+            inner.saved += serves.min(entry.data.len() as u64);
             entry.freq = (entry.freq + 1).min(FREQ_MAX);
             return Ok(Arc::clone(&entry.data));
         }
@@ -378,18 +411,7 @@ impl Pool {
         }
         // FIFO eviction until the newcomer fits the shard's budget (made
         // before it joins the queue, so it is never its own victim).
-        while inner.bytes + charge > self.shard_capacity {
-            let Some(old) = inner.fifo.pop_front() else { break };
-            let Some(entry) = inner.map.get_mut(&old) else { continue };
-            if entry.freq > 0 {
-                // Second chance: decay and recirculate.
-                entry.freq -= 1;
-                inner.fifo.push_back(old);
-            } else if let Some(entry) = inner.map.remove(&old) {
-                inner.bytes -= entry.charge;
-                inner.evictions += 1;
-            }
-        }
+        while inner.bytes + charge > self.shard_capacity && inner.turn(true) {}
         inner.map.insert(key, Entry { data, charge, freq: 0 });
         inner.bytes += charge;
         inner.fifo.push_back(key);
@@ -460,9 +482,6 @@ pub struct ReadCache {
     cfg: CacheConfig,
     blocks: Pool,
     extents: Pool,
-    ledger: PromotionLedger,
-    /// Extent-pool total capacity (for promotion sizing checks).
-    extent_capacity: u64,
 }
 
 impl ReadCache {
@@ -481,18 +500,10 @@ impl ReadCache {
             cfg.capacity_bytes * u64::from(cfg.extent_percent.min(100)) / 100;
         let block_capacity = cfg.capacity_bytes - extent_capacity;
         let blocks = Pool::new(block_capacity.max(1), shards, cfg.ghost_entries);
-        // Extent entries are few and large: fewer shards, bigger per-shard
-        // budget, so one shard can hold a whole table image.
-        let extents =
-            Pool::new(extent_capacity.max(1), (shards / 4).max(1), cfg.ghost_entries / 4);
-        let cache = ReadCache {
-            cfg,
-            blocks,
-            extents,
-            ledger: PromotionLedger::default(),
-            extent_capacity: extent_capacity.max(1),
-        };
-        Some(Arc::new(cache))
+        // Extent entries are a handful of whole table images: one shard, so
+        // the whole budget can hold an image whatever the host's core count.
+        let extents = Pool::new(extent_capacity.max(1), 1, cfg.ghost_entries / 4);
+        Some(Arc::new(ReadCache { cfg, blocks, extents }))
     }
 
     /// The configuration this cache was built with.
@@ -513,9 +524,7 @@ impl ReadCache {
     /// Look up a data block / record of `table` at `offset`. A hit also
     /// accounts the fabric bytes the caller did not have to read.
     pub fn block_get(&self, table: u64, offset: u64) -> Option<Arc<Vec<u8>>> {
-        let data = self.blocks.get(CacheKey { table, offset }, |_, _| ()).ok()?;
-        self.note_saved(data.len() as u64);
-        Some(data)
+        self.blocks.get(CacheKey { table, offset }, u64::MAX, |_, _| ()).ok()
     }
 
     /// [`Self::block_get`] for a lookup about to fetch the `len` bytes it
@@ -527,7 +536,7 @@ impl ReadCache {
     pub fn block_probe(&self, table: u64, offset: u64, len: usize) -> BlockProbe {
         let charge = len as u64 + ENTRY_OVERHEAD;
         let capacity = self.blocks.shard_capacity;
-        let found = self.blocks.get(CacheKey { table, offset }, |shard, hash| {
+        let found = self.blocks.get(CacheKey { table, offset }, u64::MAX, |shard, hash| {
             if shard.bytes + charge <= capacity {
                 return true;
             }
@@ -538,10 +547,7 @@ impl ReadCache {
             again
         });
         match found {
-            Ok(data) => {
-                self.note_saved(data.len() as u64);
-                BlockProbe::Record(data)
-            }
+            Ok(data) => BlockProbe::Record(data),
             Err(admit) => BlockProbe::Missing { admit },
         }
     }
@@ -554,11 +560,11 @@ impl ReadCache {
         }
     }
 
-    /// Look up `table`'s whole local image, counting hit/miss stats.
-    /// Callers report the bytes a hit actually saved via [`Self::note_saved`]
-    /// (a probe serves one record, not the whole image).
+    /// Look up `table`'s whole local image, counting hit/miss stats but no
+    /// saved bytes: what a hit spares is whatever the caller cuts from the
+    /// image ([`Self::extent_probe`] counts its record).
     pub fn extent_get(&self, table: u64) -> Option<Arc<Vec<u8>>> {
-        self.extents.get(CacheKey { table, offset: 0 }, |_, _| ()).ok()
+        self.extents.get(CacheKey { table, offset: 0 }, 0, |_, _| ()).ok()
     }
 
     /// Look up `table`'s image without touching stats or frequency, and
@@ -581,61 +587,43 @@ impl ReadCache {
         len + ENTRY_OVERHEAD <= self.extents.shard_capacity
     }
 
-    /// [`Self::extent_get`] for a table probe that located a record: a miss
-    /// also records the probe's heat for `table` (image of `image_len`
-    /// bytes) in the same visit to the shard, and says whether the table
-    /// has now proven hot enough that the caller should fetch and
-    /// [`Self::extent_admit`] its whole image.
-    pub fn extent_probe(&self, table: u64, image_len: u64) -> ExtentProbe {
-        let key = CacheKey { table, offset: 0 };
-        let promotable = self.cfg.promote_extent_after != 0
-            && image_len + ENTRY_OVERHEAD <= self.extents.shard_capacity;
-        let heat = |shard: &mut ShardInner, hash| {
-            // A fenced table has no heat.
-            if promotable && !shard.dead.contains(table) { shard.ghost_touch(hash) } else { 0 }
+    /// [`Self::extent_get`] for a table probe that located a `record_len`-
+    /// byte record: a hit counts the record as saved; a miss records the
+    /// probe's heat for `table` (image of `image_len` bytes) in the same
+    /// visit to the shard and decides, before anything is fetched, whether
+    /// the caller should fetch and [`Self::extent_admit`] the whole image.
+    /// A table that has proven hot is promoted while the pool has room;
+    /// once it is full, only if images no reader has hit since the hand
+    /// last passed them hold the bytes it needs — the ones its admission
+    /// will evict. A refused table keeps its heat.
+    pub fn extent_probe(&self, table: u64, image_len: u64, record_len: u64) -> ExtentProbe {
+        let charge = image_len + ENTRY_OVERHEAD;
+        let capacity = self.extents.shard_capacity;
+        let after = self.cfg.promote_extent_after.min(HEAT_MAX);
+        let verdict = |shard: &mut ShardInner, hash| {
+            // A fenced table has no heat; an image the pool cannot hold is
+            // never promoted.
+            if after == 0 || charge > capacity || shard.dead.contains(table) {
+                return false;
+            }
+            let heat = shard.ghost_touch(hash);
+            // What resident images would have to give up for this one.
+            let need = (shard.bytes + charge).saturating_sub(capacity);
+            if need > 0 {
+                shard.age(record_len, image_len);
+            }
+            if heat < after || need > 0 && shard.cold_bytes() < need {
+                return false;
+            }
+            shard.ghost_clear(hash);
+            shard.promotions += 1;
+            shard.promoted += image_len;
+            true
         };
-        match self.extents.get(key, heat) {
+        match self.extents.get(CacheKey { table, offset: 0 }, record_len, verdict) {
             Ok(image) => ExtentProbe::Image(image),
-            Err(heat) => ExtentProbe::Missing { promote: self.pays_to_promote(key, heat, image_len) },
+            Err(promote) => ExtentProbe::Missing { promote },
         }
-    }
-
-    fn pays_to_promote(&self, key: CacheKey, heat: u32, image_len: u64) -> bool {
-        if heat == 0 || heat < self.cfg.promote_extent_after.min(HEAT_MAX) {
-            return false;
-        }
-        // Promotion economics: fetching an image costs a whole-extent
-        // fabric READ, so cumulative promotion traffic is capped at the
-        // bytes hits have actually saved plus one free fill of the extent
-        // pool (the cold-start allowance). A working set larger than the
-        // pool would otherwise thrash — evict, re-heat via the ghost,
-        // re-fetch megabytes per point miss — and read far more from the
-        // fabric than the cache ever saves. Under the cap a refused
-        // promotion keeps its ghost heat, so it proceeds as soon as
-        // savings catch up.
-        // ORDERING: relaxed — both loads are advisory throttle inputs; two
-        // racing promoters may both pass, overshooting by at most one
-        // image per thread, which the budget comparison tolerates.
-        let spent = self.ledger.promoted_bytes.load(Ordering::Relaxed);
-        // ORDERING: relaxed — see above; advisory throttle input.
-        let saved = self.ledger.bytes_saved.load(Ordering::Relaxed);
-        if spent + image_len > saved + self.extent_capacity {
-            return false;
-        }
-        let hash = key_hash(key);
-        plock(self.extents.shard_for(hash)).ghost_clear(hash);
-        // ORDERING: relaxed — statistics counter, no ordering required.
-        self.ledger.extent_promotions.fetch_add(1, Ordering::Relaxed);
-        // ORDERING: relaxed — throttle accumulator; see the loads above.
-        self.ledger.promoted_bytes.fetch_add(image_len, Ordering::Relaxed);
-        true
-    }
-
-    /// Account fabric bytes a cache hit avoided reading (extent-pool hits;
-    /// block-pool hits account themselves).
-    pub fn note_saved(&self, bytes: u64) {
-        // ORDERING: relaxed — throttle accumulator, no ordering required.
-        self.ledger.bytes_saved.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Version-aware invalidation: purge every cached object of `table`
@@ -649,8 +637,6 @@ impl ReadCache {
 
     /// Point-in-time counters + occupancy.
     pub fn snapshot(&self) -> CacheStatsSnapshot {
-        // ORDERING: relaxed — statistics reads for reporting only.
-        let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let both = |f: fn(&ShardInner) -> u64| self.blocks.sum(f) + self.extents.sum(f);
         CacheStatsSnapshot {
             block_hits: self.blocks.sum(|s| s.hits),
@@ -660,9 +646,9 @@ impl ReadCache {
             inserts: both(|s| s.inserts),
             evictions: both(|s| s.evictions),
             invalidations: both(|s| s.invalidations),
-            bytes_saved: ld(&self.ledger.bytes_saved),
-            extent_promotions: ld(&self.ledger.extent_promotions),
-            promoted_bytes: ld(&self.ledger.promoted_bytes),
+            bytes_saved: both(|s| s.saved),
+            extent_promotions: self.extents.sum(|s| s.promotions),
+            promoted_bytes: self.extents.sum(|s| s.promoted),
             resident_bytes: self.resident_bytes(),
             capacity_bytes: self.cfg.capacity_bytes,
         }
@@ -670,7 +656,7 @@ impl ReadCache {
 
     /// Extent-pool capacity (promotion sizing).
     pub fn extent_capacity(&self) -> u64 {
-        self.extent_capacity
+        self.extents.shard_capacity
     }
 }
 
@@ -693,9 +679,12 @@ mod tests {
         Arc::new(vec![0xAB; n])
     }
 
+    /// The record a table probe located.
+    const RECORD: u64 = 1000;
+
     /// One missing probe of `table`: does it ask for promotion?
     fn probe_promotes(c: &ReadCache, table: u64, image_len: u64) -> bool {
-        matches!(c.extent_probe(table, image_len), ExtentProbe::Missing { promote: true })
+        matches!(c.extent_probe(table, image_len, RECORD), ExtentProbe::Missing { promote: true })
     }
 
     #[test]
@@ -862,9 +851,10 @@ mod tests {
         assert!(probe_promotes(&c, 9, 10_000), "third miss crosses the threshold");
         assert!(!probe_promotes(&c, 9, 10_000), "promotion cleared the heat");
         assert!(c.extent_admit(9, blob(10_000)));
-        assert!(matches!(c.extent_probe(9, 10_000), ExtentProbe::Image(_)));
+        assert!(matches!(c.extent_probe(9, 10_000, RECORD), ExtentProbe::Image(_)));
         let s = c.snapshot();
         assert_eq!((s.extent_promotions, s.extent_hits, s.extent_misses), (1, 1, 4));
+        assert_eq!((s.promoted_bytes, s.bytes_saved), (10_000, RECORD), "a hit saves its record");
         // Oversized images are never promoted.
         assert!(!probe_promotes(&c, 10, 10 << 20));
         // Disabled promotion never fires.
@@ -879,29 +869,53 @@ mod tests {
     }
 
     #[test]
-    fn promotion_spend_is_capped_by_savings() {
-        let c = cache(1 << 20); // extent budget 512 KiB, promote after 3
-        let img = 200 << 10; // each promotion would fetch 200 KiB
-        let mut promoted = 0;
-        for t in 0..50u64 {
-            for _ in 0..3 {
-                if probe_promotes(&c, t, img) {
-                    promoted += 1;
-                }
-            }
+    fn a_full_pool_promotes_only_in_place_of_an_image_readers_stopped_hitting() {
+        let c = cache(1 << 20); // extent pool 512 KiB, promote after 3
+        let img = 200 << 10; // room for two images
+        for t in [1, 2] {
+            assert!(!probe_promotes(&c, t, img) && !probe_promotes(&c, t, img));
+            assert!(probe_promotes(&c, t, img), "the pool has room");
+            assert!(c.extent_admit(t, blob(img as usize)));
         }
-        // Cold start: one pool fill (512 KiB → two 200 KiB images) is free;
-        // with zero savings the throttle then pins further fetches even
-        // though every table's ghost heat is past the threshold.
-        assert_eq!(promoted, 2, "cold-start allowance admitted {promoted}");
+        let hit = |t| matches!(c.extent_probe(t, img, RECORD), ExtentProbe::Image(_));
+        // Full, and readers hit both images between any two misses of table
+        // 3: however hot it is, every verdict is a refusal.
+        for _ in 0..5_000 {
+            assert!(hit(1) && hit(2));
+            assert!(!probe_promotes(&c, 3, img));
+        }
         let s = c.snapshot();
-        assert_eq!(s.promoted_bytes, 2 * img);
-        assert!(s.promoted_bytes <= s.bytes_saved + c.extent_capacity());
-        // Savings unlock promotion again — the heat was never forgotten,
-        // so one more miss suffices.
-        c.note_saved(1 << 20);
-        assert!(probe_promotes(&c, 7, img), "promotion must resume once savings cover it");
-        assert_eq!(c.snapshot().promoted_bytes, 3 * img);
+        assert_eq!((s.extent_promotions, s.promoted_bytes, s.inserts, s.evictions), (2, 2 * img, 2, 0));
+        // Readers stop hitting table 1. The hand turns once per image's worth
+        // of missed records and passes table 1 every second turn: after
+        // FREQ_MAX passes it is cold, and table 3 — its heat kept — is
+        // promoted at that very miss.
+        let per_turn = img / RECORD + 1;
+        let mut misses = 0;
+        while !probe_promotes(&c, 3, img) {
+            assert!(hit(2));
+            misses += 1;
+        }
+        assert!((2 * per_turn..=2 * u64::from(FREQ_MAX) * per_turn).contains(&misses), "{misses} misses");
+        assert!(c.extent_admit(3, blob(img as usize)));
+        assert!(c.extent_peek(1).is_none(), "the cold image is the victim");
+        assert!(c.extent_peek(2).is_some() && c.extent_peek(3).is_some());
+        let s = c.snapshot();
+        assert_eq!((s.extent_promotions, s.promoted_bytes, s.evictions), (3, 3 * img, 1));
+        assert!(c.resident_bytes() <= c.extent_capacity() + c.blocks.shard_capacity);
+    }
+
+    #[test]
+    fn an_eight_mib_image_fits_a_32_mib_cache_whatever_the_shard_count() {
+        let image = 8 << 20;
+        for shards in [4, 16, 64] {
+            let c = ReadCache::new(CacheConfig { shards, ..CacheConfig::with_capacity(32 << 20) }).unwrap();
+            assert!(c.wants_flush_image(image), "{shards} shards");
+            // promote_extent_after = 4 by default.
+            let verdicts: Vec<bool> = (0..4).map(|_| probe_promotes(&c, 1, image)).collect();
+            assert_eq!(verdicts, [false, false, false, true], "{shards} shards");
+            assert!(c.extent_admit(1, blob(image as usize)), "{shards} shards");
+        }
     }
 
     #[test]

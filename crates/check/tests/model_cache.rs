@@ -27,6 +27,15 @@
 //! — unless a later compaction has already fenced it, which only a published
 //! table can be. The third straw man publishes first and admits after, where
 //! the fence may already stand: the checker must catch its reader missing.
+//!
+//! An extent promotion is granted in the probe, before the
+//! image is fetched, against the bytes of images readers stopped hitting —
+//! its victims. The grant is about room at probe time only: the candidate or
+//! a victim may be invalidated, and another image admitted, before the
+//! fetched image arrives, so the admission still checks the fence and makes
+//! its own room. The fourth straw man admits on the stale verdict (evicts
+//! the victims it counted on, inserts) and must be caught resurrecting a
+//! dead table or overrunning the pool's capacity.
 
 use std::sync::Arc;
 
@@ -342,6 +351,151 @@ fn admitting_after_the_publish_is_caught_missing_a_live_table() {
     assert!(
         report.violation.is_some(),
         "checker failed to catch the late admission in {} executions",
+        report.executions
+    );
+}
+
+/// The extent pool in miniature, in bytes: images `(table, bytes, freq)` in
+/// FIFO order and the dead set, under one lock, as in `Pool`.
+struct MiniPool {
+    cap: u64,
+    state: Mutex<PoolState>,
+}
+
+struct PoolState {
+    images: Vec<(u64, u64, u8)>,
+    dead: Vec<u64>,
+}
+
+impl PoolState {
+    fn bytes(&self) -> u64 {
+        self.images.iter().map(|i| i.1).sum()
+    }
+
+    fn resident(&self, table: u64) -> bool {
+        self.images.iter().any(|i| i.0 == table)
+    }
+}
+
+impl MiniPool {
+    fn new(cap: u64, images: &[(u64, u64, u8)]) -> Arc<MiniPool> {
+        let state = PoolState { images: images.to_vec(), dead: Vec::new() };
+        Arc::new(MiniPool { cap, state: Mutex::new(state) })
+    }
+
+    /// `ReadCache::extent_probe`'s verdict on a miss of a table whose heat is
+    /// past the threshold: granted while the pool has room for `bytes`, or
+    /// if cold images (freq 0) hold what it lacks — the victims the grant
+    /// counts on, returned for the straw man.
+    fn verdict(&self, table: u64, bytes: u64) -> Option<Vec<u64>> {
+        let s = self.state.lock();
+        if s.dead.contains(&table) {
+            return None;
+        }
+        let need = (s.bytes() + bytes).saturating_sub(self.cap);
+        let (mut victims, mut freed) = (Vec::new(), 0);
+        for &(t, b, _) in s.images.iter().filter(|i| i.2 == 0) {
+            if freed >= need {
+                break;
+            }
+            victims.push(t);
+            freed += b;
+        }
+        (freed >= need).then_some(victims)
+    }
+
+    /// `Pool::insert`: the fence check, then FIFO second-chance eviction
+    /// until the image fits, under the one lock.
+    fn admit(&self, table: u64, bytes: u64) {
+        let mut s = self.state.lock();
+        if s.dead.contains(&table) || s.resident(table) {
+            return;
+        }
+        while s.bytes() + bytes > self.cap && !s.images.is_empty() {
+            let mut head = s.images.remove(0);
+            if head.2 > 0 {
+                head.2 -= 1;
+                s.images.push(head);
+            }
+        }
+        s.images.push((table, bytes, 0));
+        assert!(s.bytes() <= self.cap, "resident {} B over capacity {}", s.bytes(), self.cap);
+    }
+
+    /// The straw man: admit on the probe's verdict — evict the victims it
+    /// counted on, if still there, and insert; no fence, no room made.
+    fn admit_on_verdict(&self, table: u64, bytes: u64, victims: &[u64]) {
+        let mut s = self.state.lock();
+        s.images.retain(|i| !victims.contains(&i.0));
+        s.images.push((table, bytes, 0));
+        assert!(s.bytes() <= self.cap, "resident {} B over capacity {}", s.bytes(), self.cap);
+    }
+
+    fn invalidate(&self, table: u64) {
+        let mut s = self.state.lock();
+        s.dead.push(table);
+        s.images.retain(|i| i.0 != table);
+    }
+}
+
+/// A promotion of table 3 granted against whatever is cold when it is probed
+/// (image 1 at the start; image 2 is hot), then fetched with no lock held
+/// and admitted — racing a flush that mirrors image 4 into the same full
+/// pool, and the invalidation of the candidate and then of the victim. Oracles: the pool never holds more than its
+/// capacity, an invalidated table is never resident once `invalidate`
+/// returns, nor at the end.
+fn explore_promotion<const TRUST_VERDICT: bool>() -> dlsm_check::Report {
+    Checker::new(if TRUST_VERDICT { "cache-promotion-strawman" } else { "cache-promotion" })
+        .preemption_bound(3)
+        .explore(|| {
+            let pool = MiniPool::new(2, &[(1, 1, 0), (2, 1, 1)]);
+
+            let p = Arc::clone(&pool);
+            let promoter = thread::spawn(move || {
+                if let Some(victims) = p.verdict(3, 1) {
+                    if TRUST_VERDICT {
+                        p.admit_on_verdict(3, 1, &victims);
+                    } else {
+                        p.admit(3, 1);
+                    }
+                }
+            });
+            let f = Arc::clone(&pool);
+            let flush = thread::spawn(move || f.admit(4, 1));
+
+            for table in [3, 1] {
+                pool.invalidate(table);
+                let s = pool.state.lock();
+                assert!(!s.resident(table), "dead table {table} resident after invalidate returned");
+                assert!(s.bytes() <= pool.cap, "resident {} B over capacity", s.bytes());
+            }
+
+            promoter.join().unwrap();
+            flush.join().unwrap();
+            let s = pool.state.lock();
+            assert!(!s.resident(3) && !s.resident(1), "dead table resident at join: {:?}", s.images);
+            assert!(s.bytes() <= pool.cap, "resident {} B over capacity", s.bytes());
+        })
+}
+
+/// A granted promotion racing the invalidation of its candidate is refused
+/// by the fence at admission; racing the invalidation of its victim and
+/// another admission, it still fits the pool — in every interleaving.
+#[test]
+fn a_granted_promotion_is_fenced_and_fits_the_pool() {
+    let report = explore_promotion::<false>();
+    assert!(report.violation.is_none(), "promotion violation: {:?}", report.violation);
+    assert!(report.complete, "state space truncated at {} executions", report.executions);
+    assert!(report.executions >= 100, "explored only {} interleavings", report.executions);
+}
+
+/// The straw man that admits on the stale verdict must be caught.
+#[test]
+fn admitting_on_the_stale_verdict_is_caught() {
+    let report = explore_promotion::<true>();
+    assert!(
+        report.violation.is_some(),
+        "checker failed to catch the stale verdict in {} executions",
         report.executions
     );
 }

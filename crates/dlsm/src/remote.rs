@@ -247,7 +247,8 @@ fn local_record(bytes: &[u8], offset: u64, len: usize, ikey: &[u8]) -> Result<St
 /// in cost order. The bloom filter and index decide first (`locate`, once):
 /// a negative or a tombstone costs nothing and touches no cache state. Only
 /// a located record consults the [`ReadCache`] — the table's extent image (a
-/// table that keeps missing there earns promotion of its whole extent), then
+/// table that keeps missing there earns promotion of its whole extent, into
+/// a full pool only in place of images readers stopped hitting), then
 /// the cached record, whose probe also says whether a miss is worth
 /// admitting. What is left is one fabric READ, returned for the caller to
 /// post with the rest of its wave.
@@ -285,9 +286,8 @@ pub(crate) fn table_step<'v>(
     let ikey = meta.index.key(index);
     let mut admit = false;
     if let Some(c) = cache {
-        match c.extent_probe(t.id, t.extent.len) {
+        match c.extent_probe(t.id, t.extent.len, len as u64) {
             ExtentProbe::Image(image) => {
-                c.note_saved(len as u64);
                 stats.add(ReadCounter::L0CacheHits, 1);
                 return local_record(&image, offset, len, ikey);
             }

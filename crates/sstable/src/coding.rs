@@ -18,28 +18,27 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// The `N` bytes at `off`. The offset may come from untrusted bytes, so no
+/// sum is formed from it: any value, `usize::MAX` included, is an error,
+/// never an overflow.
+#[inline]
+fn fixed<const N: usize>(buf: &[u8], off: usize) -> Result<[u8; N]> {
+    buf.get(off..)
+        .and_then(<[u8]>::first_chunk)
+        .copied()
+        .ok_or_else(|| SstError::Corrupt(format!("{N}-byte integer at {off} out of range")))
+}
+
 /// Read a fixed 32-bit LE integer at `off`.
 #[inline]
 pub fn get_u32(buf: &[u8], off: usize) -> Result<u32> {
-    let b: [u8; 4] = buf
-        .get(off..off + 4)
-        .ok_or_else(|| SstError::Corrupt(format!("u32 at {off} out of range")))?
-        // PANIC-SAFE: the checked get() above proves the slice is 4 bytes.
-        .try_into()
-        .expect("4-byte slice");
-    Ok(u32::from_le_bytes(b))
+    fixed(buf, off).map(u32::from_le_bytes)
 }
 
 /// Read a fixed 64-bit LE integer at `off`.
 #[inline]
 pub fn get_u64(buf: &[u8], off: usize) -> Result<u64> {
-    let b: [u8; 8] = buf
-        .get(off..off + 8)
-        .ok_or_else(|| SstError::Corrupt(format!("u64 at {off} out of range")))?
-        // PANIC-SAFE: the checked get() above proves the slice is 8 bytes.
-        .try_into()
-        .expect("8-byte slice");
-    Ok(u64::from_le_bytes(b))
+    fixed(buf, off).map(u64::from_le_bytes)
 }
 
 /// Append a LEB128 varint (u64).
@@ -100,6 +99,17 @@ mod tests {
         assert_eq!(get_u32(&b, 0).unwrap(), 0xDEAD_BEEF);
         assert_eq!(get_u64(&b, 4).unwrap(), u64::MAX - 3);
         assert!(get_u64(&b, 8).is_err());
+    }
+
+    #[test]
+    fn offsets_near_usize_max_are_corrupt_not_an_overflow() {
+        let b = [0u8; 16];
+        for off in [usize::MAX - 2, usize::MAX - 7, usize::MAX] {
+            assert!(matches!(get_u32(&b, off), Err(SstError::Corrupt(_))), "{off}");
+            assert!(matches!(get_u64(&b, off), Err(SstError::Corrupt(_))), "{off}");
+            assert!(get_len_prefixed(&b, off).is_err());
+        }
+        assert!(get_u32(&b, 13).is_err() && get_u32(&b, 12).is_ok());
     }
 
     #[test]

@@ -3,6 +3,11 @@
 //! images — gathered locally while the reply is replayed — when somebody reads
 //! those inputs, are admitted before the new version is published, and are
 //! byte for byte what the memory node wrote.
+//!
+//! Promotions that pay ((g)–(j)): a table enters a full extent pool
+//! only in place of images readers stopped hitting, so uniform traffic
+//! promotes nothing, a moved or skewed hot set still moves the pool, and a
+//! working set just larger than the pool cannot thrash it.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -371,5 +376,189 @@ fn every_sub_task_count_carries_the_same_bytes() {
     }
     assert!(carried[0] == carried[1] && carried[0] == carried[2]);
     assert_eq!(carried[0].len() as u64, job.input_bytes(), "nothing was dropped, so everything was gathered");
+    r.server.shutdown();
+}
+
+// ---- promotions that pay: (g)–(j) ----
+
+/// An extent pool with room for three and a half full tables of
+/// `DbConfig::small()` (`sstable_size` 64 KiB).
+const POOL: u64 = 224 << 10;
+
+/// A table at least this long counts as full: four of them overrun [`POOL`].
+const FULL: u64 = 56 << 10;
+
+/// Keys loaded by (g)–(j): 24 flushes of 256 keys.
+const KEYS: u64 = 6_144;
+
+/// A database of [`KEYS`] keys written once each behind a [`POOL`]-sized
+/// extent pool, and the bytes of its records (keys and values all have one
+/// length, so every record has too).
+fn loaded() -> (Rig, Db, u64) {
+    let r = rig();
+    let db = r.open(paced(images_only(POOL)));
+    load(&db, KEYS, 1, |_| ());
+    let tables = live_tables(&db);
+    let MetaKind::ByteAddr(meta) = &tables[0].meta else { unreachable!() };
+    let record = meta.data_len / meta.num_entries;
+    assert!(tables.iter().all(|t| t.extent.len == t.num_entries * record), "records of one length");
+    (r, db, record)
+}
+
+/// The live tables of at least [`FULL`] bytes, each with the indices of the
+/// keys it holds: every key is written once, so its table alone answers it.
+fn full_tables(db: &Db) -> Vec<(Arc<TableHandle>, Vec<u64>)> {
+    let index = |user: &[u8]| std::str::from_utf8(&user[9..]).unwrap().parse::<u64>().unwrap();
+    live_tables(db)
+        .into_iter()
+        .filter(|t| t.extent.len >= FULL)
+        .map(|t| {
+            let MetaKind::ByteAddr(meta) = &t.meta else { unreachable!() };
+            let keys = (0..meta.index.len()).map(|i| index(key::split(meta.index.key(i)).unwrap().0)).collect();
+            (t, keys)
+        })
+        .collect()
+}
+
+fn get(reader: &mut DbReader, i: u64) {
+    assert_eq!(reader.get(&user_key(i)).unwrap(), Some(value(i, 1)), "key {i}");
+}
+
+/// A deterministic stream of indices below `n`.
+fn uniform(seed: u64) -> impl FnMut(u64) -> u64 {
+    let mut x = seed;
+    move |n| {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (x >> 33) % n
+    }
+}
+
+fn resident(db: &Db, tables: &[(Arc<TableHandle>, Vec<u64>)]) -> usize {
+    tables.iter().filter(|(t, _)| db.cached_image(t.id).is_some()).count()
+}
+
+/// Read `tables` round robin — a key of each in turn, each table's keys in
+/// order — until `done(gets so far)`; the gets it took.
+fn read_until(reader: &mut DbReader, tables: &[(Arc<TableHandle>, Vec<u64>)], mut done: impl FnMut(u64) -> bool) -> u64 {
+    let mut gets = 0;
+    while !done(gets) {
+        let (_, keys) = &tables[gets as usize % tables.len()];
+        get(reader, keys[(gets as usize / tables.len()) % keys.len()]);
+        gets += 1;
+        assert!(gets <= 1_000_000, "never done");
+    }
+    gets
+}
+
+/// Read `tables` until their images are resident, then `more` times.
+fn hammer(db: &Db, reader: &mut DbReader, tables: &[(Arc<TableHandle>, Vec<u64>)], more: u64) {
+    read_until(reader, tables, |_| resident(db, tables) == tables.len());
+    read_until(reader, tables, |gets| gets == more);
+}
+
+/// (g) Uniform gets over a pool of a quarter of the data: once it is full
+/// every table is as hot as every image, so nothing is promoted — over the
+/// next 20 000 gets every READ is exactly one record.
+#[test]
+fn uniform_gets_over_a_full_pool_promote_nothing() {
+    let (r, db, record) = loaded();
+    let mut reader = db.reader();
+    let mut next = uniform(1);
+    for _ in 0..4 * KEYS {
+        get(&mut reader, next(KEYS));
+    }
+    let full = db.cache_stats().unwrap();
+    assert!(full.extent_promotions > 0 && full.resident_bytes + FULL > POOL, "not full: {full:?}");
+    let before = reader.traffic();
+    for _ in 0..20_000 {
+        get(&mut reader, next(KEYS));
+    }
+    let cache = db.cache_stats().unwrap();
+    let fabric = reader.traffic().delta(&before);
+    assert_eq!(cache.extent_promotions, full.extent_promotions, "{cache:?}");
+    assert_eq!((cache.inserts, cache.evictions), (full.inserts, full.evictions));
+    assert_eq!(fabric.bytes(Verb::Read), fabric.ops(Verb::Read) * record, "a READ that is not one record");
+    assert!(fabric.ops(Verb::Read) >= 10_000, "{} READs", fabric.ops(Verb::Read));
+    drop(reader);
+    db.shutdown();
+    r.server.shutdown();
+}
+
+/// (h) A moved hot set moves the pool with nothing but reads: hammer three
+/// full tables A until their images are resident, then read only three
+/// others, B. The hand turns once per image's worth of missed records and
+/// an image hit three times or more is cold after three passes, so A holds
+/// for six turns at least and B is resident within nine: A gives way.
+#[test]
+fn a_moved_hot_set_moves_the_pool() {
+    let (r, db, record) = loaded();
+    let tables = full_tables(&db);
+    assert!(tables.len() >= 6, "{} full tables of {:?}", tables.len(), db.level_shape());
+    let (a, b) = (&tables[..3], &tables[3..6]);
+    let mut reader = db.reader();
+    hammer(&db, &mut reader, a, 3_000);
+    let before = db.cache_stats().unwrap();
+    let moved = read_until(&mut reader, b, |_| resident(&db, b) == b.len());
+    let cache = db.cache_stats().unwrap();
+    let per_turn = b.iter().map(|(t, _)| t.extent.len / record + 1).max().unwrap();
+    assert!((6 * per_turn..=9 * per_turn).contains(&moved), "{moved} gets, {per_turn} per turn");
+    assert_eq!(resident(&db, a), 0, "A is what gives way");
+    assert_eq!(cache.extent_promotions - before.extent_promotions, 3, "one promotion per table of B");
+    drop(reader);
+    db.shutdown();
+    r.server.shutdown();
+}
+
+/// (i) Skew: of three resident images one is read once per 16 384 gets,
+/// while a table that is not resident gets a third of them. The rarely read
+/// image gives way to the heavily read table, and it alone, once the hand
+/// has passed it three times: within nine turns of the table's misses.
+#[test]
+fn a_rarely_read_image_gives_way_to_a_heavily_read_table() {
+    let (r, db, record) = loaded();
+    let tables = full_tables(&db);
+    assert!(tables.len() >= 4, "{} full tables of {:?}", tables.len(), db.level_shape());
+    let mut reader = db.reader();
+    hammer(&db, &mut reader, &tables[..3], 3_000);
+    assert_eq!(resident(&db, &tables), 3, "only the three read are resident");
+    let (rare, hot) = (&tables[0], [&tables[3], &tables[1], &tables[2]]);
+    let mut gets = 0usize;
+    while db.cached_image(tables[3].0.id).is_none() {
+        let (_, keys) = if gets.is_multiple_of(16_384) { rare } else { hot[gets % 3] };
+        get(&mut reader, keys[(gets / 3) % keys.len()]);
+        gets += 1;
+        assert!(gets <= 1_000_000, "never promoted: {:?}", db.cache_stats());
+    }
+    let per_turn = tables[3].0.extent.len / record + 1;
+    assert!(gets as u64 <= 3 * 9 * per_turn, "{gets} gets, {per_turn} misses per turn");
+    assert!(db.cached_image(rare.0.id).is_none(), "the rarely read image is the victim");
+    assert!(db.cached_image(tables[1].0.id).is_some() && db.cached_image(tables[2].0.id).is_some());
+    drop(reader);
+    db.shutdown();
+    r.server.shutdown();
+}
+
+/// (j) Thrash: uniform gets over four full tables, a working set just
+/// larger than the pool — where whole-table promotions used to evict, re-heat
+/// and re-fetch megabytes per point miss (DESIGN.md §11). Without a
+/// spend-versus-saved throttle promotion still never spends more than hits
+/// saved plus one fill of the pool.
+#[test]
+fn a_working_set_just_larger_than_the_pool_does_not_thrash() {
+    let (r, db, _) = loaded();
+    let tables = full_tables(&db);
+    let working: Vec<u64> = tables[..4].iter().flat_map(|(_, keys)| keys.iter().copied()).collect();
+    let bytes: u64 = tables[..4].iter().map(|(t, _)| t.extent.len).sum();
+    assert!(bytes > POOL && bytes < 3 * POOL / 2, "{bytes} B of tables");
+    let mut reader = db.reader();
+    let mut next = uniform(7);
+    for _ in 0..30_000 {
+        get(&mut reader, working[next(working.len() as u64) as usize]);
+    }
+    let cache = db.cache_stats().unwrap();
+    assert!(cache.promoted_bytes <= cache.bytes_saved + POOL, "{cache:?}");
+    assert!(cache.extent_promotions <= 4, "{cache:?}");
+    drop(reader);
+    db.shutdown();
     r.server.shutdown();
 }
