@@ -1,8 +1,8 @@
-//! A minimal hand-rolled JSON reader shared by the CLI checkers
-//! (`trace_check`, `bench_diff`) — the workspace is dependency-free by
-//! design. It supports the subset our own writers emit
-//! ([`dlsm_telemetry::JsonWriter`], `dlsm_trace::chrome_trace`) plus
-//! arbitrary nesting and whitespace.
+//! A minimal hand-rolled JSON reader behind the `artifact_check` validator
+//! — the workspace is dependency-free by design. It supports the subset
+//! our own writers emit ([`dlsm_telemetry::JsonWriter`],
+//! `dlsm_trace::chrome_trace`) plus any whitespace and nesting up to
+//! [`MAX_DEPTH`] levels.
 
 /// A tiny JSON value tree; numbers stay `f64` (every figure we read —
 /// trace timestamps, latency nanoseconds, throughput — fits).
@@ -48,15 +48,6 @@ impl Json {
         }
     }
 
-    /// The numeric payload truncated to `u64`, if this is a non-negative
-    /// number (counter fields: ops, violations, kind counts).
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
     /// The items, if this is an array.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
@@ -66,9 +57,14 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts; our writers emit fewer
+/// than 10 levels, and a cap turns hostile input into an error instead of a
+/// stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document (trailing garbage is an error).
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -80,6 +76,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -113,14 +110,24 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek().ok_or_else(|| self.err("unexpected end"))? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => Ok(Json::Str(self.string()?)),
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
             b'n' => self.literal("null", Json::Null),
             _ => self.number(),
         }
+    }
+
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
@@ -257,8 +264,6 @@ mod tests {
         let v = parse(doc).unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[2].as_num(), Some(-300.0));
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0].as_u64(), Some(1));
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[2].as_u64(), None, "negative");
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
         assert_eq!(v.get("b").unwrap().get("d"), Some(&Json::Bool(true)));
         assert_eq!(v.get("b").unwrap().get("e"), Some(&Json::Null));
@@ -271,6 +276,17 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse(r#"{"a" 1}"#).is_err());
+    }
+
+    #[test]
+    fn caps_nesting_depth() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let e = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.starts_with("nesting too deep at byte"), "{e}");
+        // Deep enough to overflow any stack without the cap.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

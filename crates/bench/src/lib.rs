@@ -17,8 +17,8 @@
 //!   ablations beyond the paper (MemTable switch protocol, async flush).
 //! * [`report`] — aligned-table stdout reporting + CSV output under
 //!   `results/`.
-//! * [`json`] / [`diff`] — dependency-free JSON reader and the
-//!   `BENCH_*.json` comparator behind the `bench_diff` perf gate.
+//! * [`json`] — the dependency-free JSON reader behind the
+//!   `artifact_check` validator of trace, profile and timeline dumps.
 //!
 //! Run everything with the `figures` binary:
 //!
@@ -27,7 +27,6 @@
 //! cargo run --release -p dlsm-bench --bin figures -- fig7a --kv 200000 --threads 1,2,4,8,16
 //! ```
 
-pub mod diff;
 pub mod figures;
 pub mod generator;
 pub mod harness;

@@ -4,7 +4,7 @@
 //! DESIGN.md §15) and reports HOTPATH / LOCKFABRIC / PANICPATH findings
 //! with the entry-point path that reaches each one.
 //!
-//! Modes (mirrors the bench_diff lenient/strict split):
+//! Modes (lenient by default, `--strict` to also fail a broken graph):
 //!
 //! * default — print the report; exit nonzero only on *unwaived* findings.
 //! * `--strict` — same, but also fail when the analyzer resolved no entry

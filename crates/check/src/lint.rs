@@ -1,5 +1,5 @@
 //! Hand-rolled source lint for the workspace (no syn, no regex — in the
-//! spirit of `trace_check`'s hand-rolled JSON parser).
+//! spirit of `dlsm-bench`'s hand-rolled JSON parser).
 //!
 //! Three rules, all driven by comment tags (conventions in DESIGN.md §9):
 //!

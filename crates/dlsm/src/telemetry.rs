@@ -264,7 +264,7 @@ impl DbTelemetry {
         total.fetch_add(micros, Ordering::Relaxed);
         // The journaled episode carries the exact micros added to the
         // counter above, so summed episode durations reconcile with the
-        // stall_*_micros deltas (timeline_check's invariant).
+        // stall_*_micros deltas (`artifact_check timeline`'s invariant).
         dlsm_timeline::post(dlsm_timeline::EngineEvent::StallEnd {
             reason: reason.trace_arg(),
             micros,

@@ -2,7 +2,7 @@
 //! engine's stall telemetry: drive a Db into real write stalls and check
 //! that the folded stall episodes account for exactly the microseconds the
 //! engine added to its `stall_*_micros` counters (the invariant
-//! `timeline_check` enforces on benchmark artifacts, DESIGN.md §14).
+//! `artifact_check timeline` enforces on benchmark artifacts, DESIGN.md §14).
 //!
 //! Lives in its own integration-test file because the journal is a global
 //! ring: this process must not share it with unrelated tests.

@@ -138,7 +138,7 @@ pub fn phase_episode_summary(
 
 /// Serialize the full timeline — window series, episode table, phase
 /// spans and journal health — as the `TIMELINE_<sys>.json` document that
-/// `timeline_check` validates.
+/// `artifact_check timeline` validates.
 pub fn write_timeline_json(
     frames: &[WindowFrame],
     frames_dropped: u64,

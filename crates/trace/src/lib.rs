@@ -833,8 +833,8 @@ fn json_escape(s: &str) -> String {
 /// `chrome://tracing`. Spans become matched `B`/`E` pairs, instants `i`;
 /// each logical node is a Perfetto "process" (named via `M` metadata),
 /// each thread a track. Timestamps are clamped so children sit strictly
-/// inside their parents and every per-thread stream is monotone — what the
-/// `trace_check` CI binary asserts.
+/// inside their parents and every per-thread stream is monotone — what
+/// `artifact_check trace` asserts in CI.
 pub fn chrome_trace(events: &[Event]) -> String {
     let mut out = String::with_capacity(events.len() * 128 + 64);
     out.push_str("{\"traceEvents\":[\n");
