@@ -3,9 +3,9 @@
 //! file-read/exit-code path:
 //!
 //! ```text
-//! artifact_check trace    <TRACE.json>
-//! artifact_check profile  <BENCH.json> <PROFILE.folded> <TRACE_slowest.json>
-//! artifact_check timeline <TIMELINE.json>
+//! artifact_check trace     <TRACE.json>
+//! artifact_check exemplars <BENCH.json> <TRACE_slowest.json>
+//! artifact_check timeline  <TIMELINE.json>
 //! ```
 //!
 //! Exit status: 0 valid, 1 invalid (the first violation on stderr), 2 usage
@@ -21,21 +21,12 @@
 //! enabled late, or cleared before the dump) legitimately writes zero
 //! bytes, and "no trace" is not a malformed trace.
 //!
-//! **profile** (`db_bench --profile`):
-//! 1. the folded flamegraph file parses — every line is
-//!    `semicolon;separated;path <count>`, counts are positive, paths are
-//!    unique;
-//! 2. sample counts are monotone — the whole-run folded total covers every
-//!    per-phase delta in the BENCH file, and the sum of all of them (phases
-//!    are disjoint slices of one run);
-//! 3. every phase attributes at least [`MIN_ATTRIBUTION`] of its thread
-//!    wall-time to leaf span paths, stall buckets included;
-//! 4. every p999 exemplar resolves: its trace id opens a **root** span
-//!    (`"parent_id":"0x0"`) in the slowest-traces cut, so the whole trace
-//!    is inspectable, not just a dangling id.
-//!
-//! A BENCH file with **no** profile blocks fails: the caller asked for
-//! profile validation, so silently absent profiles are a bug, not a pass.
+//! **exemplars** (`db_bench --trace`): every p999 exemplar resolves — its
+//! trace id opens a **root** span (`"parent_id":"0x0"`) in the
+//! slowest-traces cut, so the whole trace is inspectable, not just a
+//! dangling id. A BENCH file with **no** `exemplars` block fails: the
+//! caller asked for exemplar validation, so silently absent exemplars are a
+//! bug, not a pass.
 //!
 //! **timeline** (`db_bench --timeline`):
 //! 1. the window series is well-formed — indices strictly increase, every
@@ -58,9 +49,6 @@ use std::collections::{HashMap, HashSet};
 
 use dlsm_bench::json::{self, Json};
 
-/// Least share of a phase's thread wall-time its profile must attribute to
-/// leaf span paths.
-const MIN_ATTRIBUTION: f64 = 0.95;
 /// Largest relative gap allowed between summed stall episodes and the
 /// engine's stall counters (absorbs bounded journal loss).
 const STALL_TOLERANCE: f64 = 0.05;
@@ -68,7 +56,7 @@ const STALL_TOLERANCE: f64 = 0.05;
 const MAX_DROPS: u64 = 0;
 
 const USAGE: &str = "usage: artifact_check trace <TRACE.json>\n       \
-    artifact_check profile <BENCH.json> <PROFILE.folded> <TRACE_slowest.json>\n       \
+    artifact_check exemplars <BENCH.json> <TRACE_slowest.json>\n       \
     artifact_check timeline <TIMELINE.json>";
 
 fn main() {
@@ -84,7 +72,7 @@ fn run(args: &[String]) -> i32 {
             let (pairs, instants, metadata) = (s.begins, s.instants, s.metadata);
             Ok(format!("{pairs} span pairs, {instants} instants, {metadata} metadata records"))
         },
-        [cmd, _, _, _] if cmd == "profile" => |t| validate_profile(&t[0], &t[1], &t[2]),
+        [cmd, _, _] if cmd == "exemplars" => |t| validate_exemplars(&t[0], &t[1]),
         [cmd, _] if cmd == "timeline" => |t| validate_timeline(&t[0]),
         _ => {
             eprintln!("{USAGE}");
@@ -204,52 +192,15 @@ fn validate_trace(text: &str) -> Result<TraceStats, String> {
     Ok(stats)
 }
 
-/// Parsed folded file: path -> sample count.
-fn parse_folded(text: &str) -> Result<HashMap<String, u64>, String> {
-    let mut out = HashMap::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim_end();
-        if line.is_empty() {
-            continue;
-        }
-        let (path, count) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("folded line {}: no 'path count' split: {line:?}", i + 1))?;
-        if path.is_empty() {
-            return Err(format!("folded line {}: empty path", i + 1));
-        }
-        let count: u64 = count
-            .parse()
-            .map_err(|e| format!("folded line {}: bad count {count:?}: {e}", i + 1))?;
-        if count == 0 {
-            return Err(format!("folded line {}: zero-sample path {path:?}", i + 1));
-        }
-        if out.insert(path.to_string(), count).is_some() {
-            return Err(format!("folded line {}: duplicate path {path:?}", i + 1));
-        }
-    }
-    Ok(out)
-}
-
-/// One phase's profile delta as published in BENCH json.
-struct PhaseProfile {
-    phase: String,
-    samples: u64,
-    torn: u64,
-    attribution: f64,
-}
-
-/// Per-phase profile blocks and exemplars `(phase, value_ns, trace_id_hex)`
-/// of a BENCH file.
-type BenchProfile = (Vec<PhaseProfile>, Vec<(String, u64, String)>);
-
-fn parse_bench(text: &str) -> Result<BenchProfile, String> {
+/// Exemplars `(phase, value_ns, trace_id_hex)` of a BENCH file; an error
+/// when no phase carries an `exemplars` block at all.
+fn parse_exemplars(text: &str) -> Result<Vec<(String, u64, String)>, String> {
     let root = json::parse(text)?;
     let phases = root
         .get("phases")
         .and_then(Json::as_arr)
         .ok_or("BENCH json: missing phases array")?;
-    let mut profiles = Vec::new();
+    let mut blocks = 0;
     let mut exemplars = Vec::new();
     for ph in phases {
         let name = ph
@@ -257,18 +208,11 @@ fn parse_bench(text: &str) -> Result<BenchProfile, String> {
             .and_then(Json::as_str)
             .ok_or("BENCH json: phase without a name")?
             .to_string();
-        if let Some(prof) = ph.get("profile") {
-            let ctx = format!("phase {name:?} profile");
-            // LOSSY: sample counts are far below 2^53, exact in f64.
-            let samples = read_num(prof, "samples", &ctx)? as u64;
-            let torn = read_num(prof, "torn", &ctx)? as u64;
-            let attribution = read_num(prof, "attribution", &ctx)?;
-            if read_num(prof, "ticks", &ctx)? <= 0.0 {
-                return Err(format!("{ctx}: zero sampling ticks"));
-            }
-            profiles.push(PhaseProfile { phase: name.clone(), samples, torn, attribution });
-        }
-        let exs = ph.get("exemplars").and_then(Json::as_arr).unwrap_or_default();
+        let Some(exs) = ph.get("exemplars") else { continue };
+        blocks += 1;
+        let exs = exs
+            .as_arr()
+            .ok_or_else(|| format!("phase {name:?}: exemplars is not an array"))?;
         for (i, ex) in exs.iter().enumerate() {
             let ctx = format!("phase {name:?} exemplar {i}");
             // LOSSY: value_ns below 2^53 (~104 days), exact in f64.
@@ -287,7 +231,10 @@ fn parse_bench(text: &str) -> Result<BenchProfile, String> {
             exemplars.push((name.clone(), value_ns, hex.to_string()));
         }
     }
-    Ok((profiles, exemplars))
+    if blocks == 0 {
+        return Err("BENCH json has no exemplars block (run with --trace?)".into());
+    }
+    Ok(exemplars)
 }
 
 /// Trace ids (hex, `0x…`) that open a **root** span in a chrome trace:
@@ -313,70 +260,17 @@ fn root_trace_ids(text: &str) -> Result<HashSet<String>, String> {
     Ok(ids)
 }
 
-fn validate_profile(bench: &str, folded: &str, slowest: &str) -> Result<String, String> {
-    let paths = parse_folded(folded)?;
-    let folded_total: u64 = paths.values().sum();
-    if paths.is_empty() {
-        return Err("folded file has no sample paths".into());
-    }
-
-    let (profiles, exemplars) = parse_bench(bench)?;
-    if profiles.is_empty() {
-        return Err("BENCH json has no per-phase profile blocks (run with --profile?)".into());
-    }
-
-    // Monotonicity: the folded file holds the whole run minus torn reads;
-    // each phase block is a disjoint delta of the same counters, so the
-    // whole-run total must cover every phase and their sum.
-    let mut phase_sum = 0u64;
-    for p in &profiles {
-        if p.torn > p.samples {
-            return Err(format!(
-                "phase {:?}: torn {} exceeds samples {}",
-                p.phase, p.torn, p.samples
-            ));
-        }
-        let visible = p.samples - p.torn;
-        if visible > folded_total {
-            return Err(format!(
-                "phase {:?}: {} attributable samples exceed whole-run folded total {}",
-                p.phase, visible, folded_total
-            ));
-        }
-        phase_sum += visible;
-        if !(0.0..=1.0).contains(&p.attribution) {
-            return Err(format!("phase {:?}: attribution {} outside [0,1]", p.phase, p.attribution));
-        }
-        if p.attribution < MIN_ATTRIBUTION {
-            return Err(format!(
-                "phase {:?}: attribution {:.3} below required {MIN_ATTRIBUTION:.3}",
-                p.phase, p.attribution
-            ));
-        }
-    }
-    if phase_sum > folded_total {
-        return Err(format!(
-            "phase sample deltas sum to {phase_sum}, exceeding whole-run folded total {folded_total}"
-        ));
-    }
-
-    // Exemplar resolution: every published p999 exemplar must point at a
-    // complete trace in the slowest cut.
+/// Every published p999 exemplar must point at a complete trace in the
+/// slowest cut.
+fn validate_exemplars(bench: &str, slowest: &str) -> Result<String, String> {
+    let exemplars = parse_exemplars(bench)?;
     let roots = root_trace_ids(slowest)?;
     if let Some((phase, value_ns, hex)) = exemplars.iter().find(|(.., hex)| !roots.contains(hex)) {
         return Err(format!(
             "phase {phase:?}: exemplar {hex} ({value_ns} ns) has no root span in slowest cut"
         ));
     }
-
-    Ok(format!(
-        "{} phases ({} samples over {} paths), {} exemplars all resolve, min attribution {:.1}%",
-        profiles.len(),
-        folded_total,
-        paths.len(),
-        exemplars.len(),
-        profiles.iter().map(|p| p.attribution).fold(f64::INFINITY, f64::min) * 100.0
-    ))
+    Ok(format!("{} exemplars all resolve", exemplars.len()))
 }
 
 fn validate_timeline(text: &str) -> Result<String, String> {
@@ -580,26 +474,20 @@ mod tests {
         assert_eq!(run(&args(&["trace"])), 2);
         assert_eq!(run(&args(&["lint", "x.json"])), 2);
         assert_eq!(run(&args(&["timeline", "t.json", "--max-drops", "3"])), 2);
-        assert_eq!(run(&args(&["profile", "b", "f", "s", "--min-attribution", "0.5"])), 2);
+        assert_eq!(run(&args(&["exemplars", "b", "s", "--min-exemplars", "1"])), 2);
         assert_eq!(run(&args(&["trace", "/nonexistent/artifact_check/trace.json"])), 2);
     }
 
-    // ---- profile -------------------------------------------------------
+    // ---- exemplars -----------------------------------------------------
 
     const BENCH: &str = r#"{
       "phases": [
         {"phase": "fillrandom", "threads": 2,
-         "profile": {"samples": 100, "ticks": 50, "torn": 2, "attribution": 0.99,
-                     "stall_share": 0.1, "fabric_share": 0.0, "top": [], "stall_fraction": 0.0},
          "exemplars": [{"value_ns": 900, "bucket_floor_ns": 512,
                         "trace_id": 161, "trace_id_hex": "0xa1"}]},
-        {"phase": "readrandom", "threads": 2,
-         "profile": {"samples": 60, "ticks": 30, "torn": 0, "attribution": 0.97,
-                     "stall_share": 0.0, "fabric_share": 0.2, "top": [], "stall_fraction": 0.0}}
+        {"phase": "readrandom", "threads": 2}
       ]
     }"#;
-
-    const FOLDED: &str = "compute;phase:fill;put 120\ncompute;(stall:write) 40\n";
 
     const SLOWEST: &str = r#"{"traceEvents":[
       {"ph":"B","pid":0,"tid":1,"ts":1,"name":"op",
@@ -609,19 +497,8 @@ mod tests {
 
     #[test]
     fn accepts_consistent_artifacts() {
-        let s = validate_profile(BENCH, FOLDED, SLOWEST).expect("must validate");
-        assert!(s.contains("2 phases"), "{s}");
+        let s = validate_exemplars(BENCH, SLOWEST).expect("must validate");
         assert!(s.contains("1 exemplars"), "{s}");
-    }
-
-    #[test]
-    fn rejects_low_attribution() {
-        let low = BENCH.replace(r#""attribution": 0.97"#, r#""attribution": 0.94"#);
-        let e = validate_profile(&low, FOLDED, SLOWEST).unwrap_err();
-        assert!(e.contains("attribution"), "{e}");
-        // The bar itself passes.
-        let edge = BENCH.replace(r#""attribution": 0.97"#, r#""attribution": 0.95"#);
-        assert!(validate_profile(&edge, FOLDED, SLOWEST).is_ok());
     }
 
     #[test]
@@ -633,42 +510,17 @@ mod tests {
            "args":{"trace_id":"0xa1","span_id":"0xa2","parent_id":"0xa1","arg":0}},
           {"ph":"E","pid":0,"tid":1,"ts":9,"name":"op"}
         ]}"#;
-        let e = validate_profile(BENCH, FOLDED, child_only).unwrap_err();
+        let e = validate_exemplars(BENCH, child_only).unwrap_err();
         assert!(e.contains("no root span"), "{e}");
-        let e = validate_profile(BENCH, FOLDED, r#"{"traceEvents":[]}"#).unwrap_err();
+        let e = validate_exemplars(BENCH, r#"{"traceEvents":[]}"#).unwrap_err();
         assert!(e.contains("no root span"), "{e}");
     }
 
     #[test]
-    fn rejects_non_monotone_sample_counts() {
-        // One phase alone exceeds the whole-run folded total.
-        let big = BENCH.replace(r#""samples": 100"#, r#""samples": 500"#);
-        let e = validate_profile(&big, FOLDED, SLOWEST).unwrap_err();
-        assert!(e.contains("exceed"), "{e}");
-        // Phases individually fit but their sum does not.
-        let sum = BENCH
-            .replace(r#""samples": 100"#, r#""samples": 150"#)
-            .replace(r#""samples": 60"#, r#""samples": 150"#);
-        let e = validate_profile(&sum, FOLDED, SLOWEST).unwrap_err();
-        assert!(e.contains("sum"), "{e}");
-    }
-
-    #[test]
-    fn rejects_malformed_folded_files() {
-        assert!(parse_folded("path;a 3\npath;b 4\n").is_ok());
-        assert!(parse_folded("noseparator\n").is_err());
-        assert!(parse_folded("path;a 0\n").is_err());
-        assert!(parse_folded("path;a x\n").is_err());
-        assert!(parse_folded("path;a 3\npath;a 4\n").is_err());
-        let e = validate_profile(BENCH, "", SLOWEST).unwrap_err();
-        assert!(e.contains("no sample paths"), "{e}");
-    }
-
-    #[test]
-    fn rejects_bench_without_profile_blocks() {
+    fn rejects_bench_without_exemplars_blocks() {
         let bare = r#"{"phases": [{"phase": "fillrandom", "threads": 1}]}"#;
-        let e = validate_profile(bare, FOLDED, SLOWEST).unwrap_err();
-        assert!(e.contains("no per-phase profile blocks"), "{e}");
+        let e = validate_exemplars(bare, SLOWEST).unwrap_err();
+        assert!(e.contains("no exemplars block"), "{e}");
     }
 
     // ---- timeline ------------------------------------------------------

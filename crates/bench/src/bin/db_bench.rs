@@ -44,13 +44,9 @@
 //!                 (default BENCH_<system>.json)
 //!   --trace       enable the flight recorder; on exit dump the full
 //!                 Chrome/Perfetto trace, the 5 slowest traces, and the
-//!                 stall-attribution "doctor" report under results/
-//!   --profile     run the continuous span-stack sampling profiler for the
-//!                 whole run (implies --trace, so p99.9 exemplars resolve
-//!                 to traces): per-phase "where did the wall time go"
-//!                 attribution in the output and JSON, plus a flamegraph
-//!                 folded file results/PROFILE_<system>.folded
-//!   --profile-hz  profiler sampling frequency                (default 997)
+//!                 stall-attribution "doctor" report under results/; each
+//!                 phase's p99.9 exemplars resolve to a root span in the
+//!                 slowest-traces dump
 //!   --timeline    time-resolved telemetry: a windowed sampler snapshots
 //!                 telemetry deltas every tick, the engine journals
 //!                 lifecycle events (flush/compaction/stall/switch), and a
@@ -82,18 +78,9 @@ use dlsm_telemetry::{write_hist_json, JsonWriter};
 use rdma_sim::{NetworkProfile, StatsSnapshot, Verb};
 use std::collections::HashSet;
 
-/// One phase's profiler cut: the folded-sample delta over the phase plus
-/// the engine's own stalled-writer share of front-end thread wall-time.
-struct PhaseProfile {
-    snap: dlsm_profile::ProfileSnapshot,
-    stall_fraction: f64,
-}
-
 /// Everything one phase contributes to the report: harness result, fabric
-/// traffic it caused, workload extras, read-cache counter growth, and the
-/// profiler cut (present only under `--profile`).
-type PhaseRow =
-    (PhaseResult, StatsSnapshot, Option<WorkloadInfo>, Option<CacheCounters>, Option<PhaseProfile>);
+/// traffic it caused, workload extras and read-cache counter growth.
+type PhaseRow = (PhaseResult, StatsSnapshot, Option<WorkloadInfo>, Option<CacheCounters>);
 
 /// Total microseconds writers spent stalled, from the engine's telemetry
 /// counters (0 for engines without stall accounting).
@@ -193,10 +180,6 @@ fn main() {
     let mut cores = 12usize;
     let mut json_path: Option<String> = None;
     let mut trace = false;
-    let mut profiling = false;
-    // An off-round default frequency so the sampler never phase-locks with
-    // millisecond-periodic engine work.
-    let mut profile_hz = 997u64;
     let mut timeline = false;
     let mut timeline_tick_ms = dlsm_timeline::DEFAULT_TICK_MS;
     let mut metrics_addr: Option<String> = None;
@@ -221,11 +204,6 @@ fn main() {
         }
         if args[i] == "--verify" {
             verify = true;
-            i += 1;
-            continue;
-        }
-        if args[i] == "--profile" {
-            profiling = true;
             i += 1;
             continue;
         }
@@ -262,7 +240,6 @@ fn main() {
             "--scale" => scale = value.parse().expect("--scale"),
             "--cores" => cores = value.parse().expect("--cores"),
             "--json" => json_path = Some(value),
-            "--profile-hz" => profile_hz = value.parse().expect("--profile-hz"),
             "--timeline-tick-ms" => {
                 timeline_tick_ms = value.parse().expect("--timeline-tick-ms")
             }
@@ -314,12 +291,6 @@ fn main() {
     println!(
         "db_bench: system={system} num={num} threads={threads} kv={key_size}+{value_size}B scale={scale}"
     );
-    if profiling && !trace {
-        // Exemplar capture pins tail latencies to trace ids, and the
-        // slowest-traces dump is where those ids resolve — profiling
-        // without tracing would produce dangling exemplars.
-        trace = true;
-    }
     if trace {
         dlsm_trace::set_enabled(true);
         println!("tracing: enabled (flight-recorder rings, dumps under results/)");
@@ -332,12 +303,6 @@ fn main() {
              episode report + results/TIMELINE_*.json)"
         );
     }
-    let mut profiler = profiling.then(|| {
-        assert!(profile_hz > 0, "--profile-hz must be positive");
-        let period = std::time::Duration::from_secs_f64(1.0 / profile_hz as f64);
-        println!("profiling: span-stack sampling at {profile_hz} Hz");
-        dlsm_profile::Profiler::start(period)
-    });
     // Churny workload phases (delete/insert-heavy mixes) pin more dead data
     // remotely between compactions; size the memory node for it up front.
     let preset_cfgs: Vec<_> = benchmarks.iter().filter_map(|b| preset(b)).collect();
@@ -399,9 +364,6 @@ fn main() {
         for s in &sc.servers {
             s.register_metrics(&reg);
         }
-        if let Some(p) = &profiler {
-            p.register_metrics(&reg);
-        }
         if let Some(ts) = &sampler {
             ts.register_metrics(&reg);
             dlsm_timeline::register_journal_metrics(&reg);
@@ -423,12 +385,6 @@ fn main() {
     let mut filled = false;
     let mut cache_prev = CacheCounters::sample(sc.engine.as_ref());
     for bench in &benchmarks {
-        // Attribute the main thread's orchestration time (implicit fills,
-        // quiescence waits, worker joins) to the phase it serves.
-        let _task =
-            dlsm_trace::profile_span(Box::leak(format!("phase:{bench}").into_boxed_str()));
-        let prof_before = profiler.as_ref().map(|p| p.snapshot());
-        let stall_before = engine_stall_micros(sc.engine.as_ref());
         let phase_before = sc.fabric.stats().snapshot();
         let (mut result, info) = match bench.as_str() {
             "randomfill" => {
@@ -526,24 +482,6 @@ fn main() {
             fmt_mops(result.mops()),
         );
         let phase_traffic = sc.fabric.stats().snapshot().delta(&phase_before);
-        let phase_profile = profiler.as_ref().map(|p| {
-            let snap = p.snapshot().delta(prof_before.as_ref().expect("profile before"));
-            let stalled_us = engine_stall_micros(sc.engine.as_ref()) - stall_before;
-            let thread_us = result.elapsed.as_micros() as f64 * result.threads as f64;
-            let stall_fraction = if thread_us > 0.0 { stalled_us as f64 / thread_us } else { 0.0 };
-            PhaseProfile { snap, stall_fraction }
-        });
-        if let Some(pp) = &phase_profile {
-            println!(
-                "  {:<22} profile: {} samples, attribution {:.1}%, stall {:.1}%, fabric {:.1}%, write-stall {:.2}% of thread-time",
-                result.phase,
-                pp.snap.samples,
-                100.0 * pp.snap.attribution(),
-                100.0 * pp.snap.stall_share(),
-                100.0 * pp.snap.fabric_share(),
-                100.0 * pp.stall_fraction,
-            );
-        }
         if trace && !result.exemplars.is_empty() {
             // Grab the exemplar traces' events now: by run end the rings
             // may have wrapped past this phase. Exemplars whose root span
@@ -602,14 +540,14 @@ fn main() {
                 );
             }
         }
-        results.push((result, phase_traffic, info, cache_delta, phase_profile));
+        results.push((result, phase_traffic, info, cache_delta));
     }
 
     let mut lat = Table::new(
         format!("{} latency (us)", sc.engine.name()),
         &["phase", "ops", "Mops/s", "p50", "p90", "p99", "p99.9", "max"],
     );
-    for (r, _, _, _, _) in &results {
+    for (r, ..) in &results {
         lat.row(vec![
             r.phase.clone(),
             r.ops.to_string(),
@@ -636,22 +574,6 @@ fn main() {
 
     if let Some(report) = sc.engine.stats_report() {
         print!("{report}");
-    }
-
-    // Whole-run profile: the doctor-style wall-time attribution plus the
-    // flamegraph-ready folded file. Stop sampling first so the final
-    // snapshot is stable.
-    if let Some(p) = &mut profiler {
-        p.stop();
-        let snap = p.snapshot();
-        print!("{}", snap.report(&format!("{system}, whole run")));
-        let folded_path = format!("results/PROFILE_{}.folded", sanitize(&system));
-        let write = std::fs::create_dir_all("results")
-            .and_then(|()| std::fs::write(&folded_path, snap.folded()));
-        match write {
-            Ok(()) => println!("wrote {folded_path} ({} paths)", snap.paths.len()),
-            Err(e) => eprintln!("failed to write {folded_path}: {e}"),
-        }
     }
 
     // Close the timeline: stop the tick thread (capturing the final
@@ -740,7 +662,7 @@ fn main() {
     }
     sc.shutdown();
     let violations: u64 =
-        results.iter().filter_map(|(_, _, w, _, _)| w.as_ref()).map(|w| w.violations).sum();
+        results.iter().filter_map(|(_, _, w, _)| w.as_ref()).map(|w| w.violations).sum();
     if violations > 0 {
         eprintln!("db_bench: {violations} verification violation(s) — failing the run");
         std::process::exit(1);
@@ -820,7 +742,7 @@ fn run_json(
     w.field_f64("scale", scale);
     w.key("phases");
     w.begin_array();
-    for (r, phase_traffic, info, cache, prof) in results {
+    for (r, phase_traffic, info, cache) in results {
         w.begin_object();
         w.field_str("phase", &r.phase);
         w.field_u64("threads", r.threads as u64);
@@ -838,13 +760,6 @@ fn run_json(
         if !r.exemplars.is_empty() {
             w.key("exemplars");
             dlsm_telemetry::write_exemplars_json(&mut w, &r.exemplars);
-        }
-        if let Some(pp) = prof {
-            w.key("profile");
-            w.begin_object();
-            pp.snap.write_json_fields(&mut w);
-            w.field_f64("stall_fraction", pp.stall_fraction);
-            w.end_object();
         }
         w.key("rdma");
         write_verb_traffic(&mut w, phase_traffic);

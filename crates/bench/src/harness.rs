@@ -106,12 +106,6 @@ fn merge_locals(locals: Vec<LocalHist>) -> HistSnapshot {
     all.snapshot()
 }
 
-/// A `phase:<name>` task label for [`dlsm_trace::profile_span`]. Leaked
-/// once per phase start — a handful of short strings per bench run.
-fn phase_label(name: &str) -> &'static str {
-    Box::leak(format!("phase:{name}").into_boxed_str())
-}
-
 /// Offer one finished op as a tail-exemplar candidate. With tracing on,
 /// the op's root span just closed on this thread, so
 /// [`dlsm_trace::last_trace_id`] identifies exactly this op's trace; the
@@ -138,7 +132,6 @@ fn exemplar_cut(store: &ExemplarStore, lat: &HistSnapshot) -> Vec<Exemplar> {
 /// `randomfill`: every key written exactly once, in spread-random order,
 /// from `threads` writers.
 pub fn run_fill(engine: &dyn Engine, spec: &WorkloadSpec, threads: usize) -> PhaseResult {
-    let label = phase_label(&Phase::RandomFill.name());
     let exemplars = ExemplarStore::default();
     let (start_unix_ms, start_us) = clock_now();
     let t0 = Instant::now();
@@ -147,7 +140,6 @@ pub fn run_fill(engine: &dyn Engine, spec: &WorkloadSpec, threads: usize) -> Pha
             .map(|t| {
                 let exemplars = &exemplars;
                 s.spawn(move || {
-                    let _task = dlsm_trace::profile_span(label);
                     let mut lat = LocalHist::new();
                     for i in fill_indices(spec, t as u64, threads as u64) {
                         let key = spec.key(i);
@@ -187,7 +179,6 @@ pub fn run_random_read(
 ) -> PhaseResult {
     let done = AtomicU64::new(0);
     let misses = AtomicU64::new(0);
-    let label = phase_label(&Phase::RandomRead.name());
     let exemplars = ExemplarStore::default();
     let (start_unix_ms, start_us) = clock_now();
     let t0 = Instant::now();
@@ -198,7 +189,6 @@ pub fn run_random_read(
                 let misses = &misses;
                 let exemplars = &exemplars;
                 s.spawn(move || {
-                    let _task = dlsm_trace::profile_span(label);
                     let mut lat = LocalHist::new();
                     let mut rng = WorkloadRng::new(0xBEE5 + t as u64);
                     let mut reader = engine.reader();
@@ -251,7 +241,6 @@ pub fn run_random_read(
 /// histogram holds one sample — the whole scan (per-entry `scan_next` time
 /// lives in the engine's own telemetry).
 pub fn run_scan(engine: &dyn Engine, expected: u64) -> PhaseResult {
-    let _task = dlsm_trace::profile_span(phase_label(&Phase::ReadSeq.name()));
     let (start_unix_ms, start_us) = clock_now();
     let t0 = Instant::now();
     let mut reader = engine.reader();
@@ -286,7 +275,6 @@ pub fn run_mixed(
     ops: u64,
     read_pct: u8,
 ) -> PhaseResult {
-    let label = phase_label(&Phase::Mixed { read_pct }.name());
     let exemplars = ExemplarStore::default();
     let (start_unix_ms, start_us) = clock_now();
     let t0 = Instant::now();
@@ -295,7 +283,6 @@ pub fn run_mixed(
             .map(|t| {
                 let exemplars = &exemplars;
                 s.spawn(move || {
-                    let _task = dlsm_trace::profile_span(label);
                     let mut lat = LocalHist::new();
                     let mut rng = WorkloadRng::new(0x5EED + t as u64);
                     let mut reader = engine.reader();
@@ -417,7 +404,6 @@ pub fn run_workload(
     // clock starts only when every thread is ready to issue traffic.
     let start_barrier = Barrier::new(threads);
     let t0_cell = parking_lot::Mutex::new(None::<(Instant, u64, u64)>);
-    let label = phase_label(&cfg.name);
     let exemplars = ExemplarStore::default();
     let per = if duration.is_some() && ops == u64::MAX {
         u64::MAX
@@ -431,7 +417,6 @@ pub fn run_workload(
                 let t0_cell = &t0_cell;
                 let exemplars = &exemplars;
                 s.spawn(move || {
-                    let _task = dlsm_trace::profile_span(label);
                     let mut part = ThreadPartition::new(
                         spec,
                         t as u64,

@@ -18,7 +18,7 @@
 //! * [`report`] — aligned-table stdout reporting + CSV output under
 //!   `results/`.
 //! * [`json`] — the dependency-free JSON reader behind the
-//!   `artifact_check` validator of trace, profile and timeline dumps.
+//!   `artifact_check` validator of trace, exemplar and timeline dumps.
 //!
 //! Run everything with the `figures` binary:
 //!

@@ -173,8 +173,8 @@ thread_local! {
 }
 
 /// Fast check used by the shim passthrough: is this OS thread part of a
-/// running model execution? `try_with`: thread-local destructors (e.g. a
-/// trace recorder marking its live stack dead) still run shim ops after
+/// running model execution? `try_with`: thread-local destructors of an
+/// instrumented crate may still run shim ops after
 /// `CURRENT` itself was destroyed — they must take the passthrough, not
 /// panic mid-teardown (a panicking TLS destructor aborts the process).
 pub fn in_model() -> bool {

@@ -1312,9 +1312,6 @@ impl Drop for DbReader {
 }
 
 fn flush_loop(shared: Arc<Shared>, rx: Receiver<Arc<MemTable>>) {
-    // Profiler task root: samples of this thread — including idle recv
-    // waits between flushes — attribute to the flush worker.
-    let _task = dlsm_trace::profile_span("flush_worker");
     // Owned connection, built exactly once: no Option, no expect() in the
     // flush loop (dlsm_analyze PANICPATH hygiene).
     enum FlushConn {
@@ -1456,8 +1453,6 @@ fn flush_loop(shared: Arc<Shared>, rx: Receiver<Arc<MemTable>>) {
 }
 
 fn compaction_loop(shared: Arc<Shared>) {
-    // Profiler task root (see flush_loop).
-    let _task = dlsm_trace::profile_span("compaction_worker");
     let mut compact_pointer: Vec<Vec<u8>> = Vec::new();
     let mut gc_client: Option<RpcClient> = None;
     let mut consecutive_failures = 0u32;

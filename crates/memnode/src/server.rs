@@ -657,8 +657,6 @@ fn deliver_compact_reply(
 
 fn dispatcher_loop(ctx: DispatchCtx) {
     dlsm_trace::set_thread_node(u64::from(ctx.node.id().0) + 1, "memnode");
-    // Profiler task root: idle recv waits attribute to the dispatcher.
-    let _task = dlsm_trace::profile_span("memnode_dispatcher");
     let mut qps: HashMap<NodeId, QueuePair> = HashMap::new();
     while !ctx.stop.load(Ordering::Acquire) {
         let msg = match ctx.node.recv(Duration::from_millis(20)) {
@@ -816,8 +814,6 @@ struct WorkerCtx {
 
 fn worker_loop(ctx: WorkerCtx) {
     dlsm_trace::set_thread_node(u64::from(ctx.node_id.0) + 1, "memnode");
-    // Profiler task root: near-data compaction workers.
-    let _task = dlsm_trace::profile_span("memnode_compactor");
     let mut qps: HashMap<NodeId, QueuePair> = HashMap::new();
     // Workers exit when the channel closes (all dispatchers stopped).
     while let Ok(job) = ctx.rx.recv() {

@@ -1,5 +1,5 @@
 //! Histogram exemplars: every high-latency bucket remembers *which trace*
-//! last landed in it (DESIGN.md §12).
+//! last landed in it (DESIGN.md §8a).
 //!
 //! A percentile alone says *how slow*; an exemplar pins the number to a
 //! concrete op so `p999` in the bench JSON resolves to a complete trace in

@@ -1,7 +1,7 @@
 //! # dlsm-timeline — time-resolved telemetry
 //!
 //! Every other observability layer in this repo is cumulative: histograms,
-//! counters, traces and the profiler answer "how much, over the whole run".
+//! counters and traces answer "how much, over the whole run".
 //! This crate answers "**when**, and for how long" (DESIGN.md §14):
 //!
 //! * [`TimelineSampler`] — a tick thread (default 250 ms) that folds

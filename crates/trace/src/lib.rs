@@ -27,10 +27,6 @@
 
 mod sync;
 
-pub mod stack;
-
-pub use stack::{sample_stacks, StackFrame, StacksSample, ThreadStack, STACK_CAP};
-
 use crate::sync::{fence, AtomicU64, Ordering};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -54,56 +50,23 @@ pub const STALL_L0_LIMIT: u64 = 2;
 // Global switch + clock
 // ---------------------------------------------------------------------------
 
-/// Bit 0: tracing (ring records); bit 1: profiling (live span stacks).
-/// One word so the disabled fast path is still a single relaxed load.
-static FLAGS: AtomicU64 = AtomicU64::new(0);
-
-const FLAG_TRACE: u64 = 1;
-const FLAG_PROFILE: u64 = 2;
-
-fn set_flag(bit: u64, on: bool) {
-    // ORDERING: relaxed — the flags gate best-effort probes; rings and
-    // stacks are published via their registry mutexes, not this word.
-    if on {
-        FLAGS.fetch_or(bit, Ordering::Relaxed);
-    } else {
-        // ORDERING: relaxed — same best-effort gate as above.
-        FLAGS.fetch_and(!bit, Ordering::Relaxed);
-    }
-}
+/// Nonzero while tracing is on: the disabled fast path is a single relaxed
+/// load.
+static ENABLED: AtomicU64 = AtomicU64::new(0);
 
 /// Turn tracing on or off process-wide. Off is the default; the only cost
 /// left behind is a relaxed load per probe.
 pub fn set_enabled(on: bool) {
-    set_flag(FLAG_TRACE, on);
+    // ORDERING: relaxed — the word gates best-effort probes; rings are
+    // published via their registry mutex, not this word.
+    ENABLED.store(u64::from(on), Ordering::Relaxed);
 }
 
 /// Is tracing currently enabled?
 #[inline]
 pub fn enabled() -> bool {
-    // ORDERING: relaxed — see set_flag.
-    FLAGS.load(Ordering::Relaxed) & FLAG_TRACE != 0
-}
-
-/// Turn span-stack profiling on or off process-wide (the continuous
-/// profiler in `dlsm-profile` flips this). Independent of tracing: spans
-/// maintain the live stacks but write no ring records when only this is on.
-pub fn set_profiling(on: bool) {
-    set_flag(FLAG_PROFILE, on);
-}
-
-/// Is span-stack profiling currently enabled?
-#[inline]
-pub fn profiling() -> bool {
-    // ORDERING: relaxed — see set_flag.
-    FLAGS.load(Ordering::Relaxed) & FLAG_PROFILE != 0
-}
-
-/// Both flag bits in one load (the per-probe fast path).
-#[inline]
-fn flags() -> u64 {
-    // ORDERING: relaxed — see set_flag.
-    FLAGS.load(Ordering::Relaxed)
+    // ORDERING: relaxed — see set_enabled.
+    ENABLED.load(Ordering::Relaxed) != 0
 }
 
 fn epoch() -> Instant {
@@ -139,9 +102,6 @@ pub enum Category {
     Server = 5,
     /// Write stalls.
     Stall = 6,
-    /// Long-lived task root frames ([`profile_span`]): worker loops and
-    /// bench phases. Profile-only; never recorded in the trace rings.
-    Task = 7,
 }
 
 impl Category {
@@ -155,7 +115,6 @@ impl Category {
             Category::Rdma => "rdma",
             Category::Server => "server",
             Category::Stall => "stall",
-            Category::Task => "task",
         }
     }
 
@@ -167,7 +126,6 @@ impl Category {
             4 => Category::Rdma,
             5 => Category::Server,
             6 => Category::Stall,
-            7 => Category::Task,
             _ => Category::Db,
         }
     }
@@ -401,38 +359,6 @@ pub mod model {
             self.0.read(slot).map(|e| (e.ts_us, e.dur_us, e.arg))
         }
     }
-
-    /// A real [`LiveStackShared`](crate::stack) detached from the registry,
-    /// so the model tests can drive the profiler's seqlock push/pop/sample
-    /// protocol directly under exhaustive interleavings.
-    pub struct ModelStack(crate::stack::LiveStackShared);
-
-    impl ModelStack {
-        #[allow(clippy::new_without_default)]
-        pub fn new() -> ModelStack {
-            ModelStack(crate::stack::LiveStackShared::new(1, 0, "model"))
-        }
-
-        /// Owner-side seqlock push of one frame carrying `arg`.
-        pub fn push(&self, arg: u64) {
-            self.0.push("model", Category::Db, arg)
-        }
-
-        /// Owner-side seqlock pop of the innermost frame.
-        pub fn pop(&self) {
-            self.0.pop()
-        }
-
-        /// One sampler-side read attempt: `None` when mid-write or the
-        /// version recheck failed (torn — rejected, never returned);
-        /// otherwise the sampled frames' args, outermost first.
-        pub fn try_sample(&self) -> Option<Vec<u64>> {
-            self.0
-                .sample_once()
-                .ok()
-                .map(|(frames, _)| frames.into_iter().map(|f| f.arg).collect())
-        }
-    }
 }
 
 fn registry() -> &'static Mutex<Vec<Arc<RingShared>>> {
@@ -448,8 +374,6 @@ static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
 struct RecState {
     ring: Option<Arc<RingShared>>,
-    /// This thread's live span stack, published to the profiler's sampler.
-    live: Option<Arc<stack::LiveStackShared>>,
     node_id: u64,
     node_label: &'static str,
     /// Open span ids, innermost last.
@@ -466,7 +390,6 @@ impl RecState {
     const fn new() -> RecState {
         RecState {
             ring: None,
-            live: None,
             node_id: 0,
             node_label: "compute",
             stack: Vec::new(),
@@ -493,21 +416,6 @@ impl RecState {
         self.ring.as_ref().expect("just created")
     }
 
-    fn live(&mut self) -> &Arc<stack::LiveStackShared> {
-        if self.live.is_none() {
-            if self.tid == 0 {
-                // ORDERING: relaxed — tid generation; uniqueness only.
-                self.tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-            }
-            let live =
-                Arc::new(stack::LiveStackShared::new(self.tid, self.node_id, self.node_label));
-            stack::stack_registry().lock().unwrap_or_else(|e| e.into_inner()).push(live.clone());
-            self.live = Some(live);
-        }
-        // PANIC-SAFE: the branch above just stored Some.
-        self.live.as_ref().expect("just created")
-    }
-
     fn fresh_span_id(&mut self) -> u64 {
         if self.tid == 0 {
             // ORDERING: relaxed — tid generation; uniqueness only.
@@ -515,17 +423,6 @@ impl RecState {
         }
         self.next_serial += 1;
         self.tid << 32 | self.next_serial
-    }
-}
-
-impl Drop for RecState {
-    fn drop(&mut self) {
-        // Thread exit: stop the sampler from attributing wall-time to a
-        // stack that will never change again (scoped bench workers die
-        // every phase). The ring stays collectable — events persist.
-        if let Some(live) = &self.live {
-            live.mark_dead();
-        }
     }
 }
 
@@ -554,9 +451,6 @@ pub fn set_thread_node(node_id: u64, node_label: &'static str) {
             ring.node_label_ptr.store(node_label.as_ptr() as u64, Ordering::Release);
             ring.node_label_len.store(node_label.len() as u64, Ordering::Release);
         }
-        if let Some(live) = &rec.live {
-            live.set_node(node_id, node_label);
-        }
     });
 }
 
@@ -575,10 +469,6 @@ struct SpanInner {
     /// `Some(previous)` when this span hijacked the thread's trace id
     /// ([`span_child_of`]); restored on drop.
     restore_trace: Option<u64>,
-    /// Tracing was on at open: write a ring record on drop.
-    traced: bool,
-    /// Profiling was on at open: a live-stack frame was pushed, pop it.
-    pushed_live: bool,
 }
 
 /// An RAII span guard: records one ring entry when dropped. `!Send` — a
@@ -607,38 +497,25 @@ impl Drop for Span {
             if let Some(prev) = inner.restore_trace {
                 rec.trace_id = prev;
             }
-            if inner.pushed_live {
-                if let Some(live) = &rec.live {
-                    live.pop();
-                }
+            if inner.parent_id == 0 {
+                rec.last_root_trace = inner.trace_id;
             }
-            if inner.traced {
-                if inner.parent_id == 0 {
-                    rec.last_root_trace = inner.trace_id;
-                }
-                rec.ring().write(
-                    EventKind::Span,
-                    inner.cat,
-                    inner.name,
-                    inner.start_us,
-                    end.saturating_sub(inner.start_us),
-                    inner.trace_id,
-                    inner.span_id,
-                    inner.parent_id,
-                    inner.arg,
-                );
-            }
+            rec.ring().write(
+                EventKind::Span,
+                inner.cat,
+                inner.name,
+                inner.start_us,
+                end.saturating_sub(inner.start_us),
+                inner.trace_id,
+                inner.span_id,
+                inner.parent_id,
+                inner.arg,
+            );
         });
     }
 }
 
-fn open_span(
-    cat: Category,
-    name: &'static str,
-    arg: u64,
-    child_of: Option<TraceCtx>,
-    flags: u64,
-) -> Span {
+fn open_span(cat: Category, name: &'static str, arg: u64, child_of: Option<TraceCtx>) -> Span {
     let start_us = now_us();
     REC.with(|rec| {
         let mut rec = rec.borrow_mut();
@@ -659,10 +536,6 @@ fn open_span(
             },
         };
         rec.stack.push(span_id);
-        let pushed_live = flags & FLAG_PROFILE != 0;
-        if pushed_live {
-            rec.live().push(name, cat, arg);
-        }
         Span {
             inner: Some(SpanInner {
                 cat,
@@ -673,8 +546,6 @@ fn open_span(
                 parent_id,
                 arg,
                 restore_trace,
-                traced: flags & FLAG_TRACE != 0,
-                pushed_live,
             }),
             _not_send: PhantomData,
         }
@@ -684,21 +555,19 @@ fn open_span(
 /// Open a span; ends (and records) when the guard drops.
 #[inline]
 pub fn span(cat: Category, name: &'static str) -> Span {
-    let flags = flags();
-    if flags == 0 {
+    if !enabled() {
         return Span::DISABLED;
     }
-    open_span(cat, name, 0, None, flags)
+    open_span(cat, name, 0, None)
 }
 
 /// [`span`] with a `u64` payload (bytes, reason code, op code, ...).
 #[inline]
 pub fn span_arg(cat: Category, name: &'static str, arg: u64) -> Span {
-    let flags = flags();
-    if flags == 0 {
+    if !enabled() {
         return Span::DISABLED;
     }
-    open_span(cat, name, arg, None, flags)
+    open_span(cat, name, arg, None)
 }
 
 /// Open a span as the child of a remote/foreign context (captured by
@@ -707,43 +576,10 @@ pub fn span_arg(cat: Category, name: &'static str, arg: u64) -> Span {
 /// join the parent's trace.
 #[inline]
 pub fn span_child_of(cat: Category, name: &'static str, ctx: TraceCtx) -> Span {
-    let flags = flags();
-    if flags == 0 {
+    if !enabled() {
         return Span::DISABLED;
     }
-    open_span(cat, name, 0, Some(ctx), flags)
-}
-
-/// A profile-only root frame: pushed on the live span stack for the
-/// sampler but never recorded in the trace rings, and outside trace
-/// causality — per-op spans opened under it still start their own traces.
-/// `!Send` like [`Span`].
-pub struct ProfileSpan {
-    pushed: bool,
-    _not_send: PhantomData<*const ()>,
-}
-
-/// Name the calling thread's current long-lived task (a worker loop, a
-/// bench phase) so sampled wall-time — including idle/blocked time between
-/// spans — is attributed to it in profiles. Unlike per-op spans this pushes
-/// unconditionally (it is called once per thread or phase, not per op), so
-/// loops started before the profiler are still attributed.
-pub fn profile_span(name: &'static str) -> ProfileSpan {
-    REC.with(|rec| rec.borrow_mut().live().push(name, Category::Task, 0));
-    ProfileSpan { pushed: true, _not_send: PhantomData }
-}
-
-impl Drop for ProfileSpan {
-    fn drop(&mut self) {
-        if !self.pushed {
-            return;
-        }
-        REC.with(|rec| {
-            if let Some(live) = &rec.borrow().live {
-                live.pop();
-            }
-        });
-    }
+    open_span(cat, name, 0, Some(ctx))
 }
 
 /// Trace id of the most recently completed root span on this thread
@@ -1258,111 +1094,24 @@ mod tests {
     }
 
     #[test]
-    fn live_stack_tracks_span_nesting() {
+    fn tracing_off_thread_registers_nothing() {
         let _g = test_lock();
         set_enabled(false);
-        set_profiling(true);
-        let _task = profile_span("t_live_task");
-        {
-            let _a = span(Category::Db, "t_live_outer");
-            let _b = span_arg(Category::Stall, "t_live_stall", STALL_L0_LIMIT);
-            let sample = sample_stacks();
-            let mine = sample
-                .stacks
-                .iter()
-                .find(|s| s.frames.iter().any(|f| f.name == "t_live_task"))
-                .expect("own stack sampled");
-            let names: Vec<&str> = mine.frames.iter().map(|f| f.name).collect();
-            assert_eq!(names, ["t_live_task", "t_live_outer", "t_live_stall"]);
-            assert_eq!(mine.frames[2].cat, Category::Stall);
-            assert_eq!(mine.frames[2].arg, STALL_L0_LIMIT);
-            assert!(!mine.truncated);
-        }
-        drop(_task);
-        let after = sample_stacks();
-        assert!(
-            !after
-                .stacks
-                .iter()
-                .any(|s| s.frames.iter().any(|f| f.name.starts_with("t_live"))),
-            "all frames popped"
-        );
-        set_profiling(false);
-        // Profile-only spans wrote nothing to the rings.
-        assert!(!collect_events().iter().any(|e| e.name.starts_with("t_live")));
-    }
-
-    #[test]
-    fn profile_span_pushes_even_when_profiling_off() {
-        let _g = test_lock();
-        set_enabled(false);
-        set_profiling(false);
-        let _task = profile_span("t_preregistered_loop");
-        set_profiling(true);
-        let sample = sample_stacks();
-        assert!(
-            sample
-                .stacks
-                .iter()
-                .any(|s| s.frames.iter().any(|f| f.name == "t_preregistered_loop")),
-            "loop registered before profiling started is still attributed"
-        );
-        set_profiling(false);
-    }
-
-    #[test]
-    fn dead_thread_stack_is_skipped() {
-        let _g = test_lock();
-        set_profiling(true);
+        let rings = registry().lock().unwrap().len();
+        // A fresh thread has no ring yet: with tracing off, no probe may
+        // give it one.
         std::thread::spawn(|| {
-            let _task = profile_span("t_dead_thread");
-            // Leak the frame: the thread dies with the stack non-empty.
-            std::mem::forget(_task);
+            let _outer = span(Category::Db, "t_off_outer");
+            {
+                let _inner = span_arg(Category::Rdma, "t_off_inner", 7);
+                instant(Category::Rpc, "t_off_marker", 9);
+                assert!(current_ctx().is_none());
+            }
         })
         .join()
         .unwrap();
-        let sample = sample_stacks();
-        assert!(
-            !sample
-                .stacks
-                .iter()
-                .any(|s| s.frames.iter().any(|f| f.name == "t_dead_thread")),
-            "dead thread's stack must not be sampled"
-        );
-        set_profiling(false);
-    }
-
-    #[test]
-    fn deep_nesting_truncates_but_stays_balanced() {
-        let _g = test_lock();
-        set_profiling(true);
-        let _task = profile_span("t_deep_root");
-        fn recurse(depth: usize) {
-            if depth == 0 {
-                let sample = sample_stacks();
-                let mine = sample
-                    .stacks
-                    .iter()
-                    .find(|s| s.frames.first().map(|f| f.name) == Some("t_deep_root"))
-                    .expect("own stack sampled");
-                assert!(mine.truncated);
-                assert_eq!(mine.frames.len(), STACK_CAP);
-                return;
-            }
-            let _s = span(Category::Db, "t_deep_frame");
-            recurse(depth - 1);
-        }
-        recurse(STACK_CAP + 4);
-        drop(_task);
-        let after = sample_stacks();
-        assert!(
-            !after
-                .stacks
-                .iter()
-                .any(|s| s.frames.iter().any(|f| f.name.starts_with("t_deep"))),
-            "pops past the cap rebalanced the stack"
-        );
-        set_profiling(false);
+        assert_eq!(registry().lock().unwrap().len(), rings, "a tracing-off thread registered a ring");
+        assert!(!collect_events().iter().any(|e| e.name.starts_with("t_off")));
     }
 
     #[test]
