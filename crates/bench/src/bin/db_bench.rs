@@ -355,8 +355,8 @@ fn main() {
         )
     });
     // The exporter covers both sides of the fabric: the engine's per-shard
-    // live gauges and every memory node's allocator/server series. A 250 ms
-    // gauge sampler keeps scrapes O(copy) no matter how hot the run is.
+    // live gauges and every memory node's allocator/server series; every
+    // scrape gathers them live.
     let metrics_server = metrics_addr.map(|addr| {
         let reg = dlsm_metrics::MetricsRegistry::new();
         dlsm_metrics::register_process_metrics(&reg);
@@ -368,11 +368,10 @@ fn main() {
             ts.register_metrics(&reg);
             dlsm_timeline::register_journal_metrics(&reg);
         }
-        let srv = dlsm_metrics::serve(reg, addr.as_str(), Some(std::time::Duration::from_millis(250)))
-            .unwrap_or_else(|e| {
-                eprintln!("cannot bind --metrics-addr {addr}: {e}");
-                std::process::exit(2);
-            });
+        let srv = dlsm_metrics::serve(reg, addr.as_str()).unwrap_or_else(|e| {
+            eprintln!("cannot bind --metrics-addr {addr}: {e}");
+            std::process::exit(2);
+        });
         println!("metrics: serving http://{}/metrics", srv.local_addr());
         srv
     });

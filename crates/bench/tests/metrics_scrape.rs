@@ -45,7 +45,7 @@ fn db_bench_style_scrape_exposes_the_whole_system() {
     for s in &sc.servers {
         s.register_metrics(&reg);
     }
-    let srv = dlsm_metrics::serve(reg, "127.0.0.1:0", None).expect("ephemeral bind");
+    let srv = dlsm_metrics::serve(reg, "127.0.0.1:0").expect("ephemeral bind");
     let addr = srv.local_addr();
 
     let (head, body) = http_get(addr, "/metrics");

@@ -18,7 +18,6 @@
 //! and GC. `dlsm/tests/metrics.rs` hammers this.
 
 use std::sync::{Arc, Weak};
-use std::time::Duration;
 
 use dlsm_metrics::{MetricsRegistry, MetricsServer, Sample};
 
@@ -38,16 +37,11 @@ impl Db {
     }
 
     /// Serve `GET /metrics` for this database on `addr` (`"127.0.0.1:0"`
-    /// binds an ephemeral port). `sample_period = Some(p)` serves a cached
-    /// sample refreshed every `p`; `None` gathers live per scrape.
-    pub fn serve_metrics(
-        &self,
-        addr: &str,
-        sample_period: Option<Duration>,
-    ) -> std::io::Result<MetricsServer> {
+    /// binds an ephemeral port); every scrape gathers live.
+    pub fn serve_metrics(&self, addr: &str) -> std::io::Result<MetricsServer> {
         let reg = MetricsRegistry::new();
         self.register_metrics(&reg);
-        dlsm_metrics::serve(reg, addr, sample_period)
+        dlsm_metrics::serve(reg, addr)
     }
 }
 
@@ -62,14 +56,10 @@ impl ShardedDb {
 
     /// Serve `GET /metrics` for all shards on one listener. See
     /// [`Db::serve_metrics`].
-    pub fn serve_metrics(
-        &self,
-        addr: &str,
-        sample_period: Option<Duration>,
-    ) -> std::io::Result<MetricsServer> {
+    pub fn serve_metrics(&self, addr: &str) -> std::io::Result<MetricsServer> {
         let reg = MetricsRegistry::new();
         self.register_metrics(&reg);
-        dlsm_metrics::serve(reg, addr, sample_period)
+        dlsm_metrics::serve(reg, addr)
     }
 }
 

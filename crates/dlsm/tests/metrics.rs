@@ -1,5 +1,5 @@
 //! Live-introspection tests (DESIGN.md §8b): the gauge collectors, the
-//! sampler's consistency invariant under concurrent writers, and the
+//! collector's consistency invariant under concurrent writers, and the
 //! stats-report ↔ `live_extents` reconciliation the ISSUE demands.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use dlsm::{ComputeContext, Db, DbConfig, MemNodeHandle, ShardedDb};
 use dlsm_memnode::{MemServer, MemServerConfig};
-use dlsm_metrics::{GaugeSampler, MetricsRegistry};
+use dlsm_metrics::MetricsRegistry;
 use rdma_sim::{Fabric, NetworkProfile};
 
 fn server(fabric: &Arc<Fabric>) -> MemServer {
@@ -86,7 +86,7 @@ fn dropping_the_db_turns_collectors_into_noops() {
 /// The ISSUE's consistency criterion: because the collector pins the
 /// version before reading the allocator, a sampled compute-origin live
 /// byte count can never exceed the sampled flush-zone `in_use` — no matter
-/// how writers, flushes and GC interleave with the sampler.
+/// how writers, flushes and GC interleave with a gather.
 #[test]
 fn sampled_live_bytes_never_exceed_allocator_in_use() {
     let fabric = Fabric::new(NetworkProfile::instant());
@@ -95,7 +95,6 @@ fn sampled_live_bytes_never_exceed_allocator_in_use() {
 
     let reg = MetricsRegistry::new();
     db.register_metrics(&reg);
-    let sampler = GaugeSampler::start(Arc::clone(&reg), Duration::from_millis(1));
 
     let stop = Arc::new(AtomicBool::new(false));
     let writers: Vec<_> = (0..3u64)
@@ -115,7 +114,7 @@ fn sampled_live_bytes_never_exceed_allocator_in_use() {
     let deadline = std::time::Instant::now() + Duration::from_millis(600);
     let mut checked = 0u32;
     while std::time::Instant::now() < deadline {
-        let sample = sampler.latest();
+        let sample = reg.gather();
         let live = sample
             .gauge_value("dlsm_live_extent_bytes", &[("origin", "compute")])
             .unwrap();
@@ -132,7 +131,6 @@ fn sampled_live_bytes_never_exceed_allocator_in_use() {
         w.join().unwrap();
     }
     assert!(checked > 50, "only {checked} samples inspected");
-    assert!(sampler.rounds() > 10, "sampler barely ran");
 
     db.shutdown();
     srv.shutdown();

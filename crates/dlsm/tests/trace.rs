@@ -6,6 +6,7 @@
 //! and an RPC carries its trace context across the wire so the server's
 //! dispatch span is a child of the compute-side call span.
 
+use std::collections::HashMap;
 use std::time::Duration;
 
 use dlsm::{ComputeContext, Db, DbConfig, MemNodeHandle};
@@ -13,19 +14,23 @@ use dlsm_memnode::{MemServer, MemServerConfig, RpcClient};
 use dlsm_trace::{Category, Event, EventKind};
 use rdma_sim::{Fabric, NetworkProfile, Verb};
 
-/// Spans on `tid` whose lifetime lies inside `outer` (same thread ⇒
-/// timestamp containment is span nesting).
+/// Spans named `name` that descend from `outer` by `parent_id` — causal
+/// nesting. Timestamp containment is not: sub-µs sibling spans all share
+/// one microsecond and would each "contain" the others.
 fn within<'a>(events: &'a [Event], outer: &Event, name: &str) -> Vec<&'a Event> {
+    let parent: HashMap<u64, u64> = events.iter().map(|e| (e.span_id, e.parent_id)).collect();
+    let descends = |mut id: u64| {
+        while let Some(&p) = parent.get(&id) {
+            if p == outer.span_id {
+                return true;
+            }
+            id = p;
+        }
+        false
+    };
     events
         .iter()
-        .filter(|e| {
-            e.kind == EventKind::Span
-                && e.tid == outer.tid
-                && e.name == name
-                && e.span_id != outer.span_id
-                && outer.ts_us <= e.ts_us
-                && e.end_us() <= outer.end_us()
-        })
+        .filter(|e| e.kind == EventKind::Span && e.name == name && descends(e.span_id))
         .collect()
 }
 
@@ -106,7 +111,7 @@ fn traced_get_and_cross_node_dispatch() {
             let owners = ["get_memtable", "get_l0", "get_deep"]
                 .iter()
                 .flat_map(|phase| within(&events, get, phase))
-                .filter(|p| p.ts_us <= r.ts_us && r.end_us() <= p.end_us())
+                .filter(|p| within(&events, p, "rdma_read").iter().any(|x| x.span_id == r.span_id))
                 .count();
             assert_eq!(owners, 1, "rdma_read outside a phase span");
         }

@@ -482,14 +482,10 @@ impl MemServer {
     /// Serve a Prometheus scrape of this server's metrics on `addr` (pass
     /// port 0 for an ephemeral port; read it back from the returned
     /// server's `local_addr()`).
-    pub fn serve_metrics(
-        &self,
-        addr: &str,
-        sample_period: Option<Duration>,
-    ) -> std::io::Result<dlsm_metrics::MetricsServer> {
+    pub fn serve_metrics(&self, addr: &str) -> std::io::Result<dlsm_metrics::MetricsServer> {
         let reg = dlsm_metrics::MetricsRegistry::new();
         self.register_metrics(&reg);
-        dlsm_metrics::serve(reg, addr, sample_period)
+        dlsm_metrics::serve(reg, addr)
     }
 
     /// Bytes in use in the compaction zone.

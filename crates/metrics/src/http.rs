@@ -13,35 +13,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::{expo, GaugeSampler, MetricsRegistry};
+use crate::MetricsRegistry;
 
-/// Where a scrape's sample comes from.
-enum Source {
-    /// Gather the registry on every request (cheap registries, tests).
-    Live(Arc<MetricsRegistry>),
-    /// Serve the sampler's cached sample (hot-path friendly).
-    Cached(GaugeSampler),
-}
-
-impl Source {
-    fn render(&self) -> String {
-        match self {
-            Source::Live(reg) => reg.render(),
-            Source::Cached(sampler) => {
-                // Stamp sampler health onto every cached scrape: a wedged
-                // sampler otherwise serves an ever-staler sample that looks
-                // perfectly healthy to the scraper.
-                let mut s = sampler.latest();
-                s.gauge("dlsm_sampler_staleness_seconds", sampler.staleness().as_secs_f64());
-                s.gauge("dlsm_sampler_rounds", sampler.rounds() as f64);
-                expo::render(&s)
-            }
-        }
-    }
-}
-
-/// A running metrics endpoint. Dropping it stops the listener (and the
-/// background sampler, if one was started).
+/// A running metrics endpoint. Dropping it stops the listener.
 pub struct MetricsServer {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -50,29 +24,20 @@ pub struct MetricsServer {
 
 /// Serve `GET /metrics` for `registry` on `addr` (e.g. `"127.0.0.1:0"`;
 /// port 0 binds an ephemeral port — read it back from
-/// [`MetricsServer::local_addr`]).
-///
-/// With `sample_period = Some(p)` a [`GaugeSampler`] collects every `p`
-/// and scrapes serve the cached sample; with `None` every scrape gathers
-/// live.
+/// [`MetricsServer::local_addr`]). Every scrape gathers the registry live.
 pub fn serve<A: ToSocketAddrs>(
     registry: Arc<MetricsRegistry>,
     addr: A,
-    sample_period: Option<Duration>,
 ) -> std::io::Result<MetricsServer> {
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let local_addr = listener.local_addr()?;
-    let source = match sample_period {
-        Some(p) => Source::Cached(GaugeSampler::start(registry, p)),
-        None => Source::Live(registry),
-    };
     let stop = Arc::new(AtomicBool::new(false));
     let handle = {
         let stop = stop.clone();
         std::thread::Builder::new()
             .name("metrics-http".into())
-            .spawn(move || accept_loop(listener, source, stop))
+            .spawn(move || accept_loop(listener, registry, stop))
             .expect("spawn metrics-http")
     };
     Ok(MetricsServer { local_addr, stop, handle: Some(handle) })
@@ -99,13 +64,13 @@ impl Drop for MetricsServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, source: Source, stop: Arc<AtomicBool>) {
+fn accept_loop(listener: TcpListener, registry: Arc<MetricsRegistry>, stop: Arc<AtomicBool>) {
     while !stop.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _)) => {
                 // Serve inline: scrapes are rare and tiny, a thread per
                 // connection would be overkill.
-                let _ = handle_conn(stream, &source);
+                let _ = handle_conn(stream, &registry);
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
@@ -115,7 +80,7 @@ fn accept_loop(listener: TcpListener, source: Source, stop: Arc<AtomicBool>) {
     }
 }
 
-fn handle_conn(mut stream: TcpStream, source: &Source) -> std::io::Result<()> {
+fn handle_conn(mut stream: TcpStream, registry: &MetricsRegistry) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     stream.set_write_timeout(Some(Duration::from_millis(500)))?;
     stream.set_nonblocking(false)?;
@@ -146,7 +111,7 @@ fn handle_conn(mut stream: TcpStream, source: &Source) -> std::io::Result<()> {
     let (status, body) = if method != "GET" {
         ("405 Method Not Allowed", "method not allowed\n".to_string())
     } else if path == "/metrics" || path.starts_with("/metrics?") || path == "/" {
-        ("200 OK", source.render())
+        ("200 OK", registry.render())
     } else {
         ("404 Not Found", "not found; try /metrics\n".to_string())
     };
@@ -185,7 +150,7 @@ mod tests {
             out.gauge_with("up", &[("node", "cn0")], 1.0);
             out.counter_with("reqs", &[], 3);
         });
-        let server = serve(reg, "127.0.0.1:0", None).expect("bind");
+        let server = serve(reg, "127.0.0.1:0").expect("bind");
         let resp = http_get(server.local_addr(), "/metrics");
         assert!(resp.starts_with("HTTP/1.1 200 OK"), "got: {resp}");
         assert!(resp.contains("text/plain; version=0.0.4"));
@@ -196,7 +161,7 @@ mod tests {
     #[test]
     fn unknown_path_is_404_and_post_is_405() {
         let reg = MetricsRegistry::new();
-        let server = serve(reg, "127.0.0.1:0", None).expect("bind");
+        let server = serve(reg, "127.0.0.1:0").expect("bind");
         let resp = http_get(server.local_addr(), "/nope");
         assert!(resp.starts_with("HTTP/1.1 404"), "got: {resp}");
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
@@ -207,21 +172,25 @@ mod tests {
     }
 
     #[test]
-    fn cached_mode_serves_sampler_snapshot() {
+    fn every_scrape_gathers_live() {
+        let n = Arc::new(std::sync::atomic::AtomicU64::new(7));
         let reg = MetricsRegistry::new();
-        reg.register(|out: &mut Sample| out.gauge("g", 7.0));
-        let server =
-            serve(reg, "127.0.0.1:0", Some(Duration::from_millis(10))).expect("bind");
+        let src = n.clone();
+        // ORDERING: relaxed — each scrape is ordered after the store by
+        // the socket round trip that triggers it.
+        reg.register(move |out: &mut Sample| out.gauge("g", src.load(Ordering::Relaxed) as f64));
+        let server = serve(reg, "127.0.0.1:0").expect("bind");
+        assert!(http_get(server.local_addr(), "/metrics").contains("g 7"));
+        // ORDERING: relaxed — see the collector above.
+        n.store(8, Ordering::Relaxed);
         let resp = http_get(server.local_addr(), "/metrics");
-        assert!(resp.contains("g 7"), "got: {resp}");
-        assert!(resp.contains("dlsm_sampler_staleness_seconds"), "got: {resp}");
-        assert!(resp.contains("dlsm_sampler_rounds"), "got: {resp}");
+        assert!(resp.contains("g 8"), "second scrape missed the change: {resp}");
     }
 
     #[test]
     fn stop_terminates_listener() {
         let reg = MetricsRegistry::new();
-        let mut server = serve(reg, "127.0.0.1:0", None).expect("bind");
+        let mut server = serve(reg, "127.0.0.1:0").expect("bind");
         let addr = server.local_addr();
         server.stop();
         // Port is released: either connect fails or a rebind succeeds.

@@ -11,14 +11,11 @@
 //! * [`MetricsRegistry`] — pull-model collection: each layer (a `Db`
 //!   shard, a `MemServer`, a chaos plan) registers a [`Collector`]
 //!   closure; `gather()` runs them all into one `Sample`.
-//! * [`GaugeSampler`] — a background thread snapshotting the registry on
-//!   a fixed cadence, so scrapes read a coherent cached sample instead of
-//!   racing the hot path on every request.
 //! * [`expo`] — Prometheus text-exposition rendering (gauges, counters,
 //!   `_bucket`/`_sum`/`_count` histograms, quantile gauges).
 //! * [`MetricsServer`] — a tiny hand-rolled HTTP listener serving
-//!   `GET /metrics`; bind to port 0 and read the real port back from
-//!   [`MetricsServer::local_addr`].
+//!   `GET /metrics`, gathering the registry live on every scrape; bind to
+//!   port 0 and read the real port back from [`MetricsServer::local_addr`].
 //!
 //! Like `dlsm-telemetry`, this crate depends on nothing but `std` (plus
 //! `dlsm-telemetry` itself), so every layer of the workspace can use it.
@@ -26,11 +23,9 @@
 pub mod expo;
 mod http;
 mod process;
-mod sampler;
 
 pub use http::{serve, MetricsServer};
 pub use process::register_process_metrics;
-pub use sampler::GaugeSampler;
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -68,8 +63,7 @@ pub struct HistMetric {
     pub snap: HistSnapshot,
 }
 
-/// Everything one collection round produced. Cloneable so the sampler can
-/// hand out cached copies.
+/// Everything one collection round produced.
 #[derive(Debug, Clone, Default)]
 pub struct Sample {
     pub gauges: Vec<Gauge>,
@@ -180,7 +174,7 @@ impl<F: Fn(&mut Sample) + Send + Sync> Collector for F {
 
 /// A set of registered collectors; `gather()` runs them all in
 /// registration order into one [`Sample`]. Shared as `Arc` between the
-/// owning layer, the sampler thread, and the HTTP listener.
+/// owning layer and the HTTP listener.
 pub struct MetricsRegistry {
     sources: Mutex<Vec<Box<dyn Collector>>>,
 }

@@ -19,7 +19,7 @@
 //!   delta; this is what crosses thread/process boundaries and lands in
 //!   JSON.
 
-use crate::sync::{AtomicU64, Ordering};
+use dlsm_trace::sync::{AtomicU64, Ordering};
 
 /// log2 of the number of linear sub-buckets per octave.
 const SUB_BITS: u32 = 3;

@@ -11,13 +11,13 @@
 //!   histograms, named breakdown histograms, named counters and per-verb
 //!   RDMA traffic, serialized by [`JsonWriter`] (no external deps).
 //!
-//! This crate depends on nothing but `std`, so every layer — `rdma-sim`
+//! This crate depends on nothing but `std` and the std-only `dlsm-trace`
+//! (its [`dlsm_trace::SeqSlot`] and sync shim), so every layer — `rdma-sim`
 //! consumers, `dlsm`, `memnode`, `bench`, `chaos` — can use it freely.
 
 mod exemplar;
 mod hist;
 mod json;
-mod sync;
 
 pub use exemplar::{Exemplar, ExemplarStore};
 pub use hist::{bucket_floor, bucket_index, bucket_max, HistSnapshot, Histogram, LocalHist, BUCKETS};

@@ -11,10 +11,9 @@
 //! * [`Journal`] — a fixed-capacity, lock-free ring of structured engine
 //!   lifecycle events (memtable switch, flush and compaction start/end,
 //!   stall begin/end, cache invalidation, memnode reconnect), each stamped
-//!   with the trace monotonic clock and the poster's active trace id. The
-//!   ring uses the same per-slot seqlock discipline as the trace rings and
-//!   routes its atomics through the `shim` sync layer so crates/check can
-//!   model-check it.
+//!   with the trace monotonic clock and the poster's active trace id. Each
+//!   slot is a [`dlsm_trace::SeqSlot`], the trace rings' seqlock, so
+//!   crates/check model-checks the protocol once for both.
 //! * [`fold_episodes`] / [`episode_report`] — the stall-episode analyzer:
 //!   begin/end pairs become episodes with duration, cause, overlapping
 //!   background work, and the throughput of the windows they span, ranked
@@ -22,13 +21,12 @@
 //!
 //! The engine posts through the process-global [`post`], which is a few
 //! nanoseconds when disabled (one relaxed load) and one `fetch_add` plus
-//! seven relaxed stores when enabled — cheap enough to leave compiled in
-//! at every call site.
+//! one [`dlsm_trace::SeqSlot::publish`] when enabled — cheap enough to
+//! leave compiled in at every call site.
 
 mod episode;
 mod journal;
 mod sampler;
-mod sync;
 
 pub use episode::{
     annotate_throughput, episode_report, fold_episodes, reason_name, total_stalled_micros,
@@ -223,110 +221,6 @@ pub fn write_timeline_json(
     w.end_array();
     w.end_object();
     w.finish()
-}
-
-/// Bare-handle twins of the journal for the model checker (crates/check).
-/// Only compiled under the `shim` feature so the checker can intercept the
-/// atomics; pass-through outside a model execution.
-#[cfg(feature = "shim")]
-pub mod model {
-    use crate::journal::{EngineEvent, Journal, JournalRecord};
-    use crate::sync::{AtomicU64, Ordering};
-
-    /// The real journal behind a model-friendly handle: `&'static` borrows
-    /// via leak, tiny capacities, no globals.
-    pub struct ModelJournal {
-        inner: &'static Journal,
-    }
-
-    impl ModelJournal {
-        /// Leak a `cap`-slot journal for the duration of the model run.
-        #[allow(clippy::new_without_default)]
-        pub fn new(cap: usize) -> ModelJournal {
-            ModelJournal { inner: Box::leak(Box::new(Journal::with_capacity(cap))) }
-        }
-
-        /// Static handle for sharing across model threads.
-        pub fn handle(&self) -> &'static Journal {
-            self.inner
-        }
-
-        /// Post with caller-supplied stamps (no clock in model runs).
-        pub fn post(&self, ts_us: u64, tid: u64, event: EngineEvent) -> bool {
-            self.inner.post_at(ts_us, 0, tid, event)
-        }
-
-        /// Seqlock read of one slot.
-        pub fn read(&self, idx: usize) -> Option<JournalRecord> {
-            self.inner.read(idx)
-        }
-
-        /// Total attempts / drops, for exactness assertions.
-        pub fn attempts(&self) -> u64 {
-            self.inner.attempts()
-        }
-
-        /// Dropped posts.
-        pub fn drops(&self) -> u64 {
-            self.inner.drops()
-        }
-    }
-
-    /// Straw-man twin with a deliberately broken publish protocol: it
-    /// stores the *even* (published) version first, then the payload, with
-    /// no fences — so a concurrent reader following the real seqlock read
-    /// protocol can observe `version == 2` over a half-written payload.
-    /// The model suite requires the checker to catch this; if it ever
-    /// stops failing, the harness has lost its teeth.
-    pub struct StrawSlot {
-        version: AtomicU64,
-        a: AtomicU64,
-        b: AtomicU64,
-    }
-
-    impl Default for StrawSlot {
-        fn default() -> StrawSlot {
-            StrawSlot::new()
-        }
-    }
-
-    impl StrawSlot {
-        pub fn new() -> StrawSlot {
-            StrawSlot {
-                version: AtomicU64::new(0),
-                a: AtomicU64::new(0),
-                b: AtomicU64::new(0),
-            }
-        }
-
-        /// Broken writer: publishes before writing. Invariant promised to
-        /// readers: `b == a + 1`.
-        pub fn write_broken(&self, x: u64) {
-            // ORDERING: relaxed — deliberately wrong: the published
-            // version lands before the payload with nothing ordering them.
-            self.version.store(2, Ordering::Relaxed);
-            self.a.store(x, Ordering::Relaxed);
-            // ORDERING: relaxed — second half of the deliberately broken payload.
-            self.b.store(x + 1, Ordering::Relaxed);
-        }
-
-        /// The *real* seqlock read protocol, same as [`Journal::read`].
-        pub fn read(&self) -> Option<(u64, u64)> {
-            let v1 = self.version.load(Ordering::Acquire);
-            if v1 != 2 {
-                return None;
-            }
-            // ORDERING: relaxed copies — same protocol as the real ring.
-            let a = self.a.load(Ordering::Relaxed);
-            let b = self.b.load(Ordering::Relaxed);
-            crate::sync::fence(Ordering::Acquire);
-            // ORDERING: relaxed — ordered after the copies by the fence.
-            if self.version.load(Ordering::Relaxed) != v1 {
-                return None;
-            }
-            Some((a, b))
-        }
-    }
 }
 
 #[cfg(test)]

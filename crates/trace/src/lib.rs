@@ -9,8 +9,8 @@
 //! Design (DESIGN.md §8a):
 //!
 //! * **Per-thread ring buffers.** Each traced thread owns a fixed ring of
-//!   [`RING_CAP`] slots; a finished span (or instant) is one seqlock-guarded
-//!   write of ten `AtomicU64` words. Memory is bounded, the oldest events
+//!   [`RING_CAP`] slots; a finished span (or instant) is one [`SeqSlot`]
+//!   publish of nine payload words. Memory is bounded, the oldest events
 //!   are overwritten, and nothing is allocated on the hot path. With
 //!   tracing disabled every probe is one `Relaxed` load and a branch.
 //! * **Causality.** Spans on one thread nest by a thread-local stack;
@@ -25,13 +25,16 @@
 //! The crate depends on nothing but `std` and is always compiled in;
 //! "tracing off" is a runtime state, not a cargo feature.
 
-mod sync;
+mod seqlock;
+pub mod sync;
 
-use crate::sync::{fence, AtomicU64, Ordering};
+pub use seqlock::SeqSlot;
+
+use crate::sync::{AtomicU64, Ordering};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Slots per thread ring. At 10 words each this is 320 KiB per traced
@@ -190,20 +193,9 @@ impl Event {
 // Ring storage (seqlock slots) + registry
 // ---------------------------------------------------------------------------
 
-const SLOT_WORDS: usize = 10;
-
-/// One record: `[version, ts, dur, name_ptr, name_len, meta, trace, span,
-/// parent, arg]`. The version word is the per-slot seqlock (odd = write in
-/// progress); `meta` packs `kind << 8 | category`.
-struct Slot {
-    words: [AtomicU64; SLOT_WORDS],
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot { words: std::array::from_fn(|_| AtomicU64::new(0)) }
-    }
-}
+/// One record: `[ts, dur, name_ptr, name_len, meta, trace, span, parent,
+/// arg]` behind the slot's version word; `meta` packs `kind << 8 | category`.
+type Slot = SeqSlot<9>;
 
 struct RingShared {
     tid: u64,
@@ -227,7 +219,7 @@ impl RingShared {
         }
     }
 
-    /// Single-writer (the owning thread) seqlock publish of one record.
+    /// Publish one record from the owning (single-writer) thread.
     #[allow(clippy::too_many_arguments)]
     fn write(
         &self,
@@ -242,56 +234,30 @@ impl RingShared {
         arg: u64,
     ) {
         // ORDERING: relaxed — single writer (the owning thread) claims
-        // slots; the seqlock version word below orders the payload.
+        // slots; the slot's seqlock orders the payload.
         let idx = (self.head.fetch_add(1, Ordering::Relaxed) as usize) % RING_CAP;
-        let w = &self.slots[idx].words;
-        // ORDERING: relaxed — own slot, single writer; the Release fence
-        // below orders the odd-version store before the payload stores.
-        let v = w[0].load(Ordering::Relaxed);
-        w[0].store(v + 1, Ordering::Relaxed); // odd: write in progress
-        fence(Ordering::Release);
-        // ORDERING: relaxed payload stores — ordered after the odd version
-        // by the Release fence above and published by the Release store of
-        // the even version below; readers recheck the version word.
-        w[1].store(ts_us, Ordering::Relaxed);
-        // ORDERING: relaxed — seqlock payload, as above.
-        w[2].store(dur_us, Ordering::Relaxed);
-        w[3].store(name.as_ptr() as u64, Ordering::Relaxed);
-        w[4].store(name.len() as u64, Ordering::Relaxed);
-        let kind_bits = match kind {
-            EventKind::Span => 0u64,
-            EventKind::Instant => 1u64,
-        };
-        // ORDERING: relaxed — same seqlock payload protocol as above.
-        w[5].store(kind_bits << 8 | cat as u64, Ordering::Relaxed);
-        w[6].store(trace_id, Ordering::Relaxed);
-        w[7].store(span_id, Ordering::Relaxed);
-        // ORDERING: relaxed — same seqlock payload protocol as above.
-        w[8].store(parent_id, Ordering::Relaxed);
-        w[9].store(arg, Ordering::Relaxed);
-        w[0].store(v + 2, Ordering::Release); // even: published
+        let meta = u64::from(kind == EventKind::Instant) << 8 | cat as u64;
+        self.slots[idx].publish([
+            ts_us,
+            dur_us,
+            name.as_ptr() as u64,
+            name.len() as u64,
+            meta,
+            trace_id,
+            span_id,
+            parent_id,
+            arg,
+        ]);
     }
 
-    /// Seqlock read of one slot; `None` if empty, torn, or mid-write.
+    /// Decode slot `idx`; `None` if empty, torn, or mid-write.
     fn read(&self, idx: usize) -> Option<Event> {
-        let w = &self.slots[idx].words;
-        let v1 = w[0].load(Ordering::Acquire);
-        if v1 == 0 || v1 % 2 == 1 {
-            return None;
-        }
-        // ORDERING: relaxed copies — the Acquire fence below plus the
-        // version recheck discard any torn combination, so the loads
-        // themselves need no ordering.
-        let copy: [u64; SLOT_WORDS] = std::array::from_fn(|i| w[i].load(Ordering::Relaxed));
-        fence(Ordering::Acquire);
-        // ORDERING: relaxed — ordered after the copies by the fence above.
-        if w[0].load(Ordering::Relaxed) != v1 {
-            return None;
-        }
-        // SAFETY: validated even version ⇒ name ptr/len are a pair some
-        // writer stored together, and writers only ever store
-        // `&'static str`s; same for the node label below.
-        let name = unsafe { static_str(copy[3], copy[4]) };
+        let [ts_us, dur_us, name_ptr, name_len, meta, trace_id, span_id, parent_id, arg] =
+            self.slots[idx].read()?;
+        // SAFETY: a validated record's name ptr/len are a pair some writer
+        // published together, and writers only ever store `&'static str`s;
+        // same for the node label below.
+        let name = unsafe { static_str(name_ptr, name_len) };
         let node_label = unsafe {
             static_str(
                 self.node_label_ptr.load(Ordering::Acquire),
@@ -304,15 +270,15 @@ impl RingShared {
             node_id: self.node_id.load(Ordering::Relaxed),
             node_label,
             tid: self.tid,
-            kind: if copy[5] >> 8 == 1 { EventKind::Instant } else { EventKind::Span },
-            cat: Category::from_u8((copy[5] & 0xff) as u8),
+            kind: if meta >> 8 == 1 { EventKind::Instant } else { EventKind::Span },
+            cat: Category::from_u8((meta & 0xff) as u8),
             name,
-            ts_us: copy[1],
-            dur_us: copy[2],
-            trace_id: copy[6],
-            span_id: copy[7],
-            parent_id: copy[8],
-            arg: copy[9],
+            ts_us,
+            dur_us,
+            trace_id,
+            span_id,
+            parent_id,
+            arg,
         })
     }
 }
@@ -329,41 +295,12 @@ pub(crate) unsafe fn static_str(ptr: u64, len: u64) -> &'static str {
     std::str::from_utf8_unchecked(std::slice::from_raw_parts(ptr as usize as *const u8, len as usize))
 }
 
-/// Model-checker hooks (only with the `shim` feature): a bare handle on the
-/// real seqlock ring so the model tests in crates/check can drive
-/// `RingShared::write`/`read` directly, without the thread-local recorder,
-/// the global registry, or wall clocks (all of which would make schedule
-/// replay nondeterministic).
-#[cfg(feature = "shim")]
-pub mod model {
-    use super::{Category, EventKind, RingShared};
-
-    /// A real [`RingShared`] detached from the registry.
-    pub struct ModelRing(RingShared);
-
-    impl ModelRing {
-        #[allow(clippy::new_without_default)]
-        pub fn new() -> ModelRing {
-            ModelRing(RingShared::new(1, 0, "model"))
-        }
-
-        /// One seqlock record publish (the owning-writer path): stores
-        /// `ts`/`dur`/`arg` through the real `RingShared::write`.
-        pub fn write(&self, ts: u64, dur: u64, arg: u64) {
-            self.0.write(EventKind::Instant, Category::Db, "model", ts, dur, ts, ts, 0, arg)
-        }
-
-        /// One seqlock read of `slot`; `None` when empty, mid-write, or the
-        /// version recheck failed. Returns `(ts, dur, arg)`.
-        pub fn read(&self, slot: usize) -> Option<(u64, u64, u64)> {
-            self.0.read(slot).map(|e| (e.ts_us, e.dur_us, e.arg))
-        }
-    }
-}
-
-fn registry() -> &'static Mutex<Vec<Arc<RingShared>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<RingShared>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+/// The ring registry, locked poison-tolerantly: its one update is a `push`,
+/// which leaves the list valid at every step, so a thread that panicked
+/// while holding the lock must not take every later collection down too.
+fn registry() -> MutexGuard<'static, Vec<Arc<RingShared>>> {
+    static REGISTRY: Mutex<Vec<Arc<RingShared>>> = Mutex::new(Vec::new());
+    REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
@@ -401,19 +338,16 @@ impl RecState {
     }
 
     fn ring(&mut self) -> &Arc<RingShared> {
-        if self.ring.is_none() {
-            if self.tid == 0 {
+        let RecState { ring, tid, node_id, node_label, .. } = self;
+        ring.get_or_insert_with(|| {
+            if *tid == 0 {
                 // ORDERING: relaxed — tid generation; uniqueness only.
-                self.tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+                *tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
             }
-            let ring = Arc::new(RingShared::new(self.tid, self.node_id, self.node_label));
-            // PANIC-SAFE: registry mutex is only ever locked for push/iterate;
-            // poisoning means a panic is already unwinding this process.
-            registry().lock().unwrap().push(ring.clone());
-            self.ring = Some(ring);
-        }
-        // PANIC-SAFE: the branch above just stored Some.
-        self.ring.as_ref().expect("just created")
+            let ring = Arc::new(RingShared::new(*tid, *node_id, node_label));
+            registry().push(ring.clone());
+            ring
+        })
     }
 
     fn fresh_span_id(&mut self) -> u64 {
@@ -626,7 +560,7 @@ pub fn current_ctx() -> Option<TraceCtx> {
 /// may keep recording concurrently; slots mid-write are skipped (bounded
 /// loss, never a torn read).
 pub fn collect_events() -> Vec<Event> {
-    let rings: Vec<Arc<RingShared>> = registry().lock().unwrap().clone();
+    let rings = registry().clone();
     let mut out = Vec::new();
     for ring in rings {
         for idx in 0..RING_CAP {
@@ -643,10 +577,10 @@ pub fn collect_events() -> Vec<Event> {
 /// running). Meant for tests that need isolation from earlier activity in
 /// the same process; concurrent writers may immediately refill slots.
 pub fn clear() {
-    let rings: Vec<Arc<RingShared>> = registry().lock().unwrap().clone();
+    let rings = registry().clone();
     for ring in rings {
         for slot in ring.slots.iter() {
-            slot.words[0].store(0, Ordering::Release);
+            slot.clear();
         }
     }
 }
@@ -1097,7 +1031,7 @@ mod tests {
     fn tracing_off_thread_registers_nothing() {
         let _g = test_lock();
         set_enabled(false);
-        let rings = registry().lock().unwrap().len();
+        let rings = registry().len();
         // A fresh thread has no ring yet: with tracing off, no probe may
         // give it one.
         std::thread::spawn(|| {
@@ -1110,7 +1044,7 @@ mod tests {
         })
         .join()
         .unwrap();
-        assert_eq!(registry().lock().unwrap().len(), rings, "a tracing-off thread registered a ring");
+        assert_eq!(registry().len(), rings, "a tracing-off thread registered a ring");
         assert!(!collect_events().iter().any(|e| e.name.starts_with("t_off")));
     }
 

@@ -1,10 +1,12 @@
-//! Sync-primitive indirection: std atomics by default, dlsm-check's
-//! instrumented shim under the `shim` feature, so the model tests in
-//! crates/check can explore interleavings of the real seqlock ring code.
-//! The shim passes through to std outside a model execution.
+//! Sync-primitive indirection for the observability crates (`dlsm-trace`,
+//! `dlsm-telemetry`, `dlsm-timeline`): std atomics by default,
+//! dlsm-check's instrumented shim under the `shim` feature, so the model
+//! tests in crates/check can explore interleavings of the real
+//! [`SeqSlot`](crate::SeqSlot), histogram and journal code. The shim passes
+//! through to std outside a model execution.
 
 #[cfg(feature = "shim")]
-pub(crate) use dlsm_check::shim::{fence, AtomicU64, Ordering};
+pub use dlsm_check::shim::{fence, AtomicU64, Ordering};
 
 #[cfg(not(feature = "shim"))]
-pub(crate) use std::sync::atomic::{fence, AtomicU64, Ordering};
+pub use std::sync::atomic::{fence, AtomicU64, Ordering};
