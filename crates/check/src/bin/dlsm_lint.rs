@@ -1,8 +1,8 @@
 //! Workspace lint gate: `cargo run --bin dlsm_lint [-- --root <path>]`.
 //!
 //! Scans every `crates/*/src` tree plus the root package `src/` for the
-//! rules in `dlsm_check::lint` (undocumented `unsafe`, untagged
-//! `Ordering::Relaxed`, lossy casts in the wire codec) and exits nonzero if
+//! rules in `dlsm_check::lint` (untagged `Ordering::Relaxed`, and untagged
+//! panic sites and blocking calls in the engine crates) and exits nonzero if
 //! anything is found. Wired into CI as a blocking job.
 
 use std::path::PathBuf;

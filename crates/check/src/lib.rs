@@ -11,13 +11,13 @@
 //!   through [`shim`] when built with their `shim` feature, so the model
 //!   tests in `crates/check/tests` drive the *real* data-structure code.
 //! * **Source lint** ([`lint`] + the `dlsm_lint` binary): a hand-rolled
-//!   scanner (no syn, no proc macros) that fails CI on undocumented
-//!   `unsafe` blocks, untagged `Ordering::Relaxed`, and lossy `as` casts in
-//!   the wire codec. Tag conventions are described in DESIGN.md §9.
+//!   scanner (no syn, no proc macros) that fails CI on an untagged
+//!   `Ordering::Relaxed`, and on a panic site or blocking call in an engine
+//!   crate without its `PANIC-SAFE:` / `HOTPATH:` tag. Tag conventions are
+//!   described in DESIGN.md §9; undocumented `unsafe` is clippy's.
 //!
 //! See DESIGN.md §9 "Correctness tooling" for how to write a model test.
 
-pub mod analyze;
 mod exec;
 mod explore;
 pub mod lint;

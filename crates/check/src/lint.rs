@@ -1,39 +1,73 @@
 //! Hand-rolled source lint for the workspace (no syn, no regex — in the
 //! spirit of `dlsm-bench`'s hand-rolled JSON parser).
 //!
-//! Three rules, all driven by comment tags (conventions in DESIGN.md §9):
+//! Three rules, all driven by comment tags (conventions in DESIGN.md §9).
+//! Each tag must sit on the flagged line or one of the 3 lines above it:
 //!
-//! * **unsafe-no-safety** — every `unsafe` block / `unsafe impl` needs a
-//!   `// SAFETY:` comment on the same line or within the 4 preceding lines;
-//!   an `unsafe fn` may instead carry a `# Safety` doc section within the
-//!   15 preceding lines.
 //! * **relaxed-no-ordering** — every `Ordering::Relaxed` use needs an
-//!   `// ORDERING:` comment on the same line or within the 3 preceding
-//!   lines explaining why relaxed is enough.
-//! * **lossy-cast-in-codec** — in wire-codec files (path contains `wire`),
-//!   a narrowing `as u8`/`as u16`/`as u32` cast needs a `// LOSSY:` comment
-//!   (same window as ORDERING) or a checked conversion instead.
+//!   `// ORDERING:` comment explaining why relaxed is enough.
+//! * **panic-no-invariant** — in the engine crates (`ENGINE_CRATES`),
+//!   every `.unwrap()`, `.expect(`, `.unwrap_err()`, `panic!`, `assert!`,
+//!   `assert_eq!`, `assert_ne!`, `unreachable!` or `todo!` needs a
+//!   `// PANIC-SAFE: <invariant>` comment.
+//! * **blocking-no-reason** — in the engine crates, every call named like a
+//!   blocking primitive (`BLOCKING`) needs a `// HOTPATH: <why>` comment.
+//!   Calls are matched by name, never resolved: a workspace method called
+//!   `wait` is tagged like a condvar's.
+//!
+//! Undocumented `unsafe` and lossy casts in the wire codec are clippy's
+//! (`undocumented_unsafe_blocks` in the root `Cargo.toml`,
+//! `cast_possible_truncation` in `memnode/src/wire.rs`).
 //!
 //! The scanner strips comments and string literals before matching (so a
-//! string containing "unsafe" never trips the lint) and skips
+//! string containing "unwrap()" never trips the lint) and skips
 //! `#[cfg(test)] mod` bodies — test code documents itself by its asserts.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+/// The crates whose non-test code the panic and blocking rules cover
+/// (directory names under `crates/`).
+const ENGINE_CRATES: [&str; 6] =
+    ["dlsm", "memnode", "sstable", "cache", "skiplist", "rdma-sim"];
+
+/// Panic-site method names (called as `.name(`).
+const PANIC_METHODS: [&str; 3] = ["unwrap", "expect", "unwrap_err"];
+
+/// Panic-site macro names. `debug_assert*` is not one: its `_` keeps the
+/// word boundary from matching, and it is compiled out of release builds.
+const PANIC_MACROS: [&str; 6] =
+    ["panic", "assert", "assert_eq", "assert_ne", "unreachable", "todo"];
+
+/// Blocking primitives: thread sleeps and yields, spin hints, parking,
+/// blocking channel receives and condvar waits.
+const BLOCKING: [&str; 11] = [
+    "spin_loop",
+    "yield_now",
+    "sleep",
+    "park",
+    "park_timeout",
+    "recv",
+    "recv_timeout",
+    "wait",
+    "wait_for",
+    "wait_timeout",
+    "wait_while",
+];
+
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Rule {
-    UnsafeNoSafety,
     RelaxedNoOrdering,
-    LossyCastInCodec,
+    PanicNoInvariant,
+    BlockingNoReason,
 }
 
 impl Rule {
     pub fn slug(self) -> &'static str {
         match self {
-            Rule::UnsafeNoSafety => "unsafe-no-safety",
             Rule::RelaxedNoOrdering => "relaxed-no-ordering",
-            Rule::LossyCastInCodec => "lossy-cast-in-codec",
+            Rule::PanicNoInvariant => "panic-no-invariant",
+            Rule::BlockingNoReason => "blocking-no-reason",
         }
     }
 }
@@ -54,19 +88,17 @@ impl fmt::Display for Finding {
 }
 
 /// Per-line split of a source file: executable code with comments/strings
-/// blanked out, and the comment text found on that line. Shared with the
-/// call-graph analyzer (`crate::analyze`), which reuses the same masking so
-/// a string containing `lock(` or `unwrap(` never produces a fact.
-pub(crate) struct MaskedSource {
-    pub(crate) code: Vec<String>,
-    pub(crate) comments: Vec<String>,
+/// blanked out, and the comment text found on that line.
+struct MaskedSource {
+    code: Vec<String>,
+    comments: Vec<String>,
 }
 
 /// Strip comments and string/char literals, preserving line structure.
 /// Handles nested block comments, raw strings, and the char-vs-lifetime
 /// ambiguity (heuristically: `'x'` / `'\x'` is a char literal, anything else
 /// after `'` is a lifetime).
-pub(crate) fn mask(src: &str) -> MaskedSource {
+fn mask(src: &str) -> MaskedSource {
     let b: Vec<char> = src.chars().collect();
     let mut code = vec![String::new()];
     let mut comments = vec![String::new()];
@@ -153,6 +185,10 @@ pub(crate) fn mask(src: &str) -> MaskedSource {
             i += 1;
             while i < b.len() {
                 if b[i] == '\\' {
+                    // A `\` line continuation still ends a line.
+                    if at(i + 1) == '\n' {
+                        newline(&mut code, &mut comments);
+                    }
                     i += 2;
                 } else if b[i] == '"' {
                     i += 1;
@@ -198,33 +234,78 @@ pub(crate) fn mask(src: &str) -> MaskedSource {
     MaskedSource { code, comments }
 }
 
-pub(crate) fn is_ident_char(c: char) -> bool {
+fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Does `line` contain `word` bounded by non-identifier characters?
-pub(crate) fn has_word(line: &str, word: &str) -> bool {
-    let chars: Vec<char> = line.chars().collect();
+/// Char offsets at which `word` occurs in `chars` bounded by
+/// non-identifier characters.
+fn word_positions(chars: &[char], word: &str) -> Vec<usize> {
     let w: Vec<char> = word.chars().collect();
     if w.is_empty() || chars.len() < w.len() {
-        return false;
+        return Vec::new();
     }
-    for start in 0..=(chars.len() - w.len()) {
-        if chars[start..start + w.len()] != w[..] {
-            continue;
-        }
-        let before_ok = start == 0 || !is_ident_char(chars[start - 1]);
-        let after = start + w.len();
-        let after_ok = after >= chars.len() || !is_ident_char(chars[after]);
-        if before_ok && after_ok {
-            return true;
+    (0..=(chars.len() - w.len()))
+        .filter(|&start| {
+            let after = start + w.len();
+            chars[start..after] == w[..]
+                && (start == 0 || !is_ident_char(chars[start - 1]))
+                && (after >= chars.len() || !is_ident_char(chars[after]))
+        })
+        .collect()
+}
+
+/// Does `line` contain `word` bounded by non-identifier characters?
+fn has_word(line: &str, word: &str) -> bool {
+    let chars: Vec<char> = line.chars().collect();
+    !word_positions(&chars, word).is_empty()
+}
+
+/// The first non-blank char at or after `i`.
+fn next_solid(chars: &[char], i: usize) -> Option<char> {
+    chars.get(i..)?.iter().copied().find(|c| !c.is_whitespace())
+}
+
+/// The first panic site on a masked code line: `.name(` for a
+/// `PANIC_METHODS` name, `name!(` / `name![` / `name!{` for a
+/// `PANIC_MACROS` one.
+fn panic_site(line: &str) -> Option<String> {
+    let chars: Vec<char> = line.chars().collect();
+    for name in PANIC_METHODS {
+        for p in word_positions(&chars, name) {
+            let dotted = chars[..p].iter().rev().find(|c| !c.is_whitespace()) == Some(&'.');
+            if dotted && next_solid(&chars, p + name.len()) == Some('(') {
+                return Some(format!(".{name}()"));
+            }
         }
     }
-    false
+    for name in PANIC_MACROS {
+        for p in word_positions(&chars, name) {
+            let bang = p + name.len();
+            if chars.get(bang) == Some(&'!')
+                && matches!(next_solid(&chars, bang + 1), Some('(' | '[' | '{'))
+            {
+                return Some(format!("{name}!"));
+            }
+        }
+    }
+    None
+}
+
+/// The first call on a masked code line to a `BLOCKING` name (`name(`,
+/// however it is qualified), excluding a definition `fn name(`.
+fn blocking_call(line: &str) -> Option<&'static str> {
+    let chars: Vec<char> = line.chars().collect();
+    BLOCKING.into_iter().find(|name| {
+        word_positions(&chars, name).into_iter().any(|p| {
+            let before: String = chars[..p].iter().collect();
+            next_solid(&chars, p + name.len()) == Some('(') && !before.trim_end().ends_with("fn")
+        })
+    })
 }
 
 /// Lines (0-based) covered by `#[cfg(test)] mod ... { ... }` regions.
-pub(crate) fn test_region_mask(code: &[String]) -> Vec<bool> {
+fn test_region_mask(code: &[String]) -> Vec<bool> {
     let mut masked = vec![false; code.len()];
     let mut li = 0;
     while li < code.len() {
@@ -267,84 +348,65 @@ pub(crate) fn test_region_mask(code: &[String]) -> Vec<bool> {
     masked
 }
 
-pub(crate) fn tag_in_window(comments: &[String], line: usize, tag: &str, window: usize) -> bool {
+fn tag_in_window(comments: &[String], line: usize, tag: &str, window: usize) -> bool {
     let lo = line.saturating_sub(window);
     comments[lo..=line].iter().any(|c| c.contains(tag))
 }
 
-/// Scan one file's source text. `path` is used only for labeling and for the
-/// wire-codec rule (applied when the file name contains "wire").
+/// Is `path` (workspace-relative) under one of the `ENGINE_CRATES`' `src/`?
+fn is_engine_source(path: &Path) -> bool {
+    ENGINE_CRATES.iter().any(|c| path.starts_with(Path::new("crates").join(c).join("src")))
+}
+
+/// Scan one file's source text. `path` is workspace-relative: it labels the
+/// findings and decides whether the engine-crate rules apply.
 pub fn scan_source(path: &Path, src: &str) -> Vec<Finding> {
     let m = mask(src);
     let in_test = test_region_mask(&m.code);
-    let is_codec = path
-        .file_name()
-        .and_then(|f| f.to_str())
-        .map(|f| f.contains("wire"))
-        .unwrap_or(false);
+    let engine = is_engine_source(path);
     let mut out = Vec::new();
+    let mut flag = |i: usize, rule: Rule, message: String| {
+        out.push(Finding { file: path.to_path_buf(), line: i + 1, rule, message })
+    };
     for (i, line) in m.code.iter().enumerate() {
         if in_test[i] {
             continue;
-        }
-        let lineno = i + 1;
-        if has_word(line, "unsafe") && !line.trim_start().starts_with("#![") {
-            let has_safety = tag_in_window(&m.comments, i, "SAFETY:", 4);
-            let is_fn_decl = has_word(line, "fn");
-            let has_safety_doc = is_fn_decl && tag_in_window(&m.comments, i, "# Safety", 15);
-            if !has_safety && !has_safety_doc {
-                out.push(Finding {
-                    file: path.to_path_buf(),
-                    line: lineno,
-                    rule: Rule::UnsafeNoSafety,
-                    message: "`unsafe` without a `// SAFETY:` comment (or `# Safety` doc \
-                              section for an unsafe fn)"
-                        .to_string(),
-                });
-            }
         }
         if has_word(line, "Relaxed")
             && !line.trim_start().starts_with("use ")
             && !tag_in_window(&m.comments, i, "ORDERING:", 3)
         {
-            out.push(Finding {
-                file: path.to_path_buf(),
-                line: lineno,
-                rule: Rule::RelaxedNoOrdering,
-                message: "`Ordering::Relaxed` without an `// ORDERING:` comment justifying \
-                          the relaxed access"
+            flag(
+                i,
+                Rule::RelaxedNoOrdering,
+                "`Ordering::Relaxed` without an `// ORDERING:` comment justifying the relaxed \
+                 access"
                     .to_string(),
-            });
+            );
         }
-        if is_codec {
-            for narrow in ["u8", "u16", "u32"] {
-                let pat = format!("as {narrow}");
-                if line_has_cast(line, &pat) && !tag_in_window(&m.comments, i, "LOSSY:", 3) {
-                    out.push(Finding {
-                        file: path.to_path_buf(),
-                        line: lineno,
-                        rule: Rule::LossyCastInCodec,
-                        message: format!(
-                            "lossy `{pat}` cast in wire codec — use a checked conversion \
-                             (try_from) or tag with `// LOSSY:`"
-                        ),
-                    });
-                    break;
-                }
+        if !engine {
+            continue;
+        }
+        if let Some(site) = panic_site(line) {
+            if !tag_in_window(&m.comments, i, "PANIC-SAFE:", 3) {
+                flag(
+                    i,
+                    Rule::PanicNoInvariant,
+                    format!("`{site}` without a `// PANIC-SAFE: <invariant>` comment"),
+                );
+            }
+        }
+        if let Some(call) = blocking_call(line) {
+            if !tag_in_window(&m.comments, i, "HOTPATH:", 3) {
+                flag(
+                    i,
+                    Rule::BlockingNoReason,
+                    format!("blocking `{call}()` without a `// HOTPATH: <why>` comment"),
+                );
             }
         }
     }
     out
-}
-
-/// `<expr> as uN` where both `as` and the type are word-bounded.
-fn line_has_cast(line: &str, pat: &str) -> bool {
-    // `has_word` on the two halves, plus adjacency of the full pattern.
-    if !line.contains(pat) {
-        return false;
-    }
-    let (a, ty) = pat.split_once(' ').unwrap();
-    has_word(line, a) && has_word(line, ty)
 }
 
 /// Source roots scanned by the workspace lint: every `crates/*/src` plus the
@@ -405,35 +467,14 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
 mod tests {
     use super::*;
 
+    const ENGINE: &str = "crates/dlsm/src/a.rs";
+
     fn scan(name: &str, src: &str) -> Vec<Finding> {
         scan_source(Path::new(name), src)
     }
 
-    #[test]
-    fn untagged_unsafe_is_caught() {
-        let src = "fn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n";
-        let f = scan("a.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::UnsafeNoSafety);
-        assert_eq!(f[0].line, 2);
-    }
-
-    #[test]
-    fn tagged_unsafe_passes() {
-        let src = "fn f(p: *const u8) -> u8 {\n    // SAFETY: caller guarantees p is valid\n    unsafe { *p }\n}\n";
-        assert!(scan("a.rs", src).is_empty());
-    }
-
-    #[test]
-    fn unsafe_fn_with_safety_doc_passes() {
-        let src = "/// Reads a byte.\n///\n/// # Safety\n/// `p` must be valid.\npub unsafe fn f(p: *const u8) -> u8 {\n    // SAFETY: caller upholds the contract\n    unsafe { *p }\n}\n";
-        assert!(scan("a.rs", src).is_empty());
-    }
-
-    #[test]
-    fn unsafe_in_string_or_comment_ignored() {
-        let src = "fn f() {\n    let _ = \"unsafe { }\";\n    // this mentions unsafe code\n}\n";
-        assert!(scan("a.rs", src).is_empty());
+    fn rules(name: &str, src: &str) -> Vec<(usize, Rule)> {
+        scan(name, src).iter().map(|f| (f.line, f.rule)).collect()
     }
 
     #[test]
@@ -454,27 +495,94 @@ mod tests {
     }
 
     #[test]
-    fn lossy_cast_only_flagged_in_wire_files() {
-        let src = "fn f(len: usize) -> u32 {\n    len as u32\n}\n";
-        assert!(scan("other.rs", src).is_empty());
-        let f = scan("wire.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::LossyCastInCodec);
-        let tagged = "fn f(len: usize) -> u32 {\n    // LOSSY: frame payloads are capped at 16 MiB\n    len as u32\n}\n";
-        assert!(scan("wire.rs", tagged).is_empty());
+    fn every_panic_site_kind_is_caught_and_its_tagged_twin_passes() {
+        let sites = [
+            "x.unwrap();",
+            "x.expect(\"set\");",
+            "x.unwrap_err();",
+            "x\n        .unwrap();",
+            "panic!(\"no\");",
+            "assert!(ok);",
+            "assert_eq!(a, b);",
+            "assert_ne!(a, b);",
+            "unreachable!();",
+            "todo!();",
+        ];
+        for site in sites {
+            let src = format!("fn f() {{\n    {site}\n}}\n");
+            let line = 2 + site.matches('\n').count();
+            assert_eq!(rules(ENGINE, &src), [(line, Rule::PanicNoInvariant)], "{site}");
+            let tagged = format!("fn f() {{\n    // PANIC-SAFE: checked above\n    {site}\n}}\n");
+            assert!(scan(ENGINE, &tagged).is_empty(), "{site}");
+        }
     }
 
     #[test]
-    fn cfg_test_mod_is_skipped() {
-        let src = "fn prod() {}\n#[cfg(test)]\nmod tests {\n    fn t(p: *const u8) -> u8 {\n        unsafe { *p }\n    }\n}\n";
-        assert!(scan("a.rs", src).is_empty());
+    fn every_blocking_name_is_caught_and_its_tagged_twin_passes() {
+        for name in BLOCKING {
+            let src = format!("fn f() {{\n    x.{name}(d);\n    std::thread::{name}();\n}}\n");
+            assert_eq!(
+                rules(ENGINE, &src),
+                [(2, Rule::BlockingNoReason), (3, Rule::BlockingNoReason)],
+                "{name}"
+            );
+            let tagged = format!(
+                "fn f() {{\n    // HOTPATH: background thread\n    x.{name}(d);\n    std::thread::{name}();\n}}\n"
+            );
+            assert!(scan(ENGINE, &tagged).is_empty(), "{name}");
+        }
+    }
+
+    #[test]
+    fn engine_rules_cover_only_engine_crate_sources() {
+        let src = "fn f() {\n    x.unwrap();\n    std::thread::sleep(d);\n}\n";
+        for c in ENGINE_CRATES {
+            assert_eq!(scan(&format!("crates/{c}/src/x/y.rs"), src).len(), 2, "{c}");
+        }
+        for path in ["crates/bench/src/a.rs", "crates/baselines/src/a.rs", "src/lib.rs", "a.rs"] {
+            assert!(scan(path, src).is_empty(), "{path}");
+        }
+    }
+
+    #[test]
+    fn sites_in_test_modules_strings_and_comments_are_ignored() {
+        let src = "fn prod() {}\n#[cfg(test)]\nmod tests {\n    fn t() {\n        x.unwrap();\n        std::thread::sleep(d);\n    }\n}\n";
+        assert!(scan(ENGINE, src).is_empty());
+        let src = "fn f() {\n    let _ = \"x.unwrap() panic!() rx.recv()\";\n    // x.unwrap() and sleep(d)\n}\n";
+        assert!(scan(ENGINE, src).is_empty());
+    }
+
+    #[test]
+    fn look_alikes_are_not_sites() {
+        let src = "fn wait(&self) {}\n\
+                   pub fn recv(&self) -> u8 {\n\
+                   \x20   debug_assert!(ok);\n\
+                   \x20   debug_assert_eq!(a, b);\n\
+                   \x20   x.unwrap_or_else(|| 0);\n\
+                   \x20   x.unwrap_or(0);\n\
+                   \x20   x.unwrap_or_default();\n\
+                   \x20   rx.try_recv();\n\
+                   \x20   let sleep = 1;\n\
+                   \x20   if panic != 0 {}\n\
+                   \x20   expect(1);\n\
+                   \x20   0\n\
+                   }\n";
+        assert_eq!(rules(ENGINE, src), []);
+    }
+
+    #[test]
+    fn the_tag_must_be_within_three_lines() {
+        let near =
+            "fn f() {\n    // PANIC-SAFE: set in new()\n    //\n    //\n    x.unwrap();\n}\n";
+        assert!(scan(ENGINE, near).is_empty());
+        let far = "fn f() {\n    // PANIC-SAFE: set in new()\n    //\n    //\n    //\n    x.unwrap();\n}\n";
+        assert_eq!(rules(ENGINE, far), [(6, Rule::PanicNoInvariant)]);
     }
 
     #[test]
     fn masking_preserves_line_numbers() {
-        let src = "/* block\ncomment */\nfn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n";
-        let f = scan("a.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].line, 4);
+        let src =
+            "/* block\ncomment */\nfn f() {\n    let s = \"a\nb \\\n c\";\n    x.unwrap();\n}\n";
+        assert_eq!(rules(ENGINE, src), [(7, Rule::PanicNoInvariant)]);
     }
 }

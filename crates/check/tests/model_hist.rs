@@ -55,7 +55,7 @@ fn concurrent_record_and_merge_counts_everything() {
 /// `snapshot()` runs, minus 495 loads of slots nobody writes. Each of those
 /// is a schedule point: a racing `snapshot()` is not exhaustive within
 /// 30 000 interleavings even at preemption bound 2, while this one is at
-/// bound 4, the other seqlock suites' bound (78 474 interleavings).
+/// bound 4, the other seqlock suites' bound (26 982 interleavings).
 #[test]
 fn racing_exemplar_recorders_never_tear_a_pair() {
     let top = bucket_floor(BUCKETS - 1);

@@ -51,6 +51,8 @@ impl Cluster {
     /// Start `memory_nodes` servers and `compute_nodes` sharded databases on
     /// `fabric`, with round-robin shard placement.
     pub fn start(fabric: &Arc<Fabric>, cfg: ClusterConfig) -> Result<Cluster> {
+        // PANIC-SAFE: start-up argument check, before any server or thread
+        // exists; a cluster without nodes is a caller bug.
         assert!(cfg.compute_nodes >= 1 && cfg.memory_nodes >= 1);
         let servers: Vec<MemServer> = (0..cfg.memory_nodes)
             .map(|_| MemServer::start(fabric, cfg.mem_cfg.clone()))

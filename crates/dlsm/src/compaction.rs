@@ -374,6 +374,8 @@ pub fn run_near_data(
         }
         // Every sub-task is joined before any result is looked at: a failed
         // one drops the others' handles, which frees their outputs.
+        // PANIC-SAFE: a sub-task reports failure as `Err`; only a panic inside
+        // it lands here, and re-raising it is what `thread::scope` does anyway.
         handles.into_iter().map(|h| h.join().expect("sub-compaction thread panicked")).collect()
     });
 
@@ -620,6 +622,8 @@ pub fn run_local(
                                 it.next()?;
                             }
                             let (image, meta) = b.finish();
+                            // PANIC-SAFE: the loop above adds ≥ 1 record — `it` is valid on entry
+                            // and an empty builder has room while `sstable_size > 0`.
                             let s = meta.smallest().expect("non-empty").to_vec();
                             let l = meta.largest().expect("non-empty").to_vec();
                             r.staged.push((image, meta, s, l));
@@ -653,6 +657,8 @@ pub fn run_local(
         }
         handles
             .into_iter()
+            // PANIC-SAFE: as for the remote sub-tasks: errors come back as `Err`,
+            // and a sub-task's panic is re-raised here.
             .map(|h| h.join().expect("local sub-compaction thread panicked"))
             .collect::<Result<Vec<_>>>()
     })?;
@@ -689,6 +695,8 @@ pub fn run_local(
                 (None, Some(rpc)) => rpc
                     .write_file(dst, slice, std::time::Duration::from_secs(10))
                     .map_err(crate::DbError::from)?,
+                // PANIC-SAFE: `qp` is set for `OneSided` and `rpc` for `TwoSidedRpc`,
+                // both from the one `cfg.data_path` above.
                 (None, None) => unreachable!(),
             }
             pos += chunk;
@@ -716,6 +724,8 @@ pub fn run_local(
         }
         for (image, s, l, n) in sr.block_staged {
             let extent = write_back(&image)?;
+            // PANIC-SAFE: `block_staged` is filled only in the `TableFormat::Block`
+            // arm of the same `cfg.format`.
             let TableFormat::Block(bs) = cfg.format else { unreachable!() };
             let channel = read_channel_for(ctx, memnode, cfg, net)?;
             let source = crate::remote::RemoteSource::new(

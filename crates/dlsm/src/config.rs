@@ -157,6 +157,8 @@ impl DbConfig {
 
     /// Sanity-check the configuration.
     pub fn normalized(self) -> DbConfig {
+        // PANIC-SAFE: documented check of the caller's config at open time,
+        // before any thread or remote state exists.
         assert!(self.max_levels >= 2, "need at least L0 and L1");
         assert!(self.flush_buf_size >= 4 << 10, "flush buffers must hold a record");
         self

@@ -97,6 +97,8 @@ impl MemNodeHandle {
     /// A handle whose flush allocations come from `[window_lo, window_hi)`
     /// of the flush zone (multi-compute-node deployments partition the zone).
     pub fn with_window(remote: RemoteRegion, window_lo: u64, window_hi: u64) -> Arc<MemNodeHandle> {
+        // PANIC-SAFE: set-up argument check; every deployment carves its
+        // windows out of `server.flush_zone()`.
         assert!(window_lo <= window_hi && window_hi <= remote.len);
         Arc::new(MemNodeHandle {
             remote,

@@ -308,6 +308,8 @@ impl Shared {
         let _sp = dlsm_trace::span_arg(dlsm_trace::Category::Flush, "install", order);
         let mut turn = self.install_turn.lock();
         while *turn != order {
+            // HOTPATH: a flush thread waits for its install turn; the 50 ms
+            // timeout rechecks `stopping`. Foreground ops never install.
             self.install_cv.wait_for(&mut turn, Duration::from_millis(50));
             if self.stopping.load(Ordering::Acquire) && *turn != order {
                 // Give up ordering during shutdown rather than deadlocking
@@ -681,6 +683,7 @@ impl Db {
             if self.shared.stopping.load(Ordering::Acquire) {
                 return Err(DbError::ShuttingDown);
             }
+            // HOTPATH: `force_flush` blocks by contract; puts and gets never call it.
             std::thread::sleep(Duration::from_millis(1));
         }
         Ok(())
@@ -702,6 +705,7 @@ impl Db {
                 return;
             }
             self.shared.notify_work();
+            // HOTPATH: `wait_until_quiescent` blocks by contract (benchmark set-up).
             std::thread::sleep(Duration::from_millis(2));
         }
     }
@@ -1312,8 +1316,8 @@ impl Drop for DbReader {
 }
 
 fn flush_loop(shared: Arc<Shared>, rx: Receiver<Arc<MemTable>>) {
-    // Owned connection, built exactly once: no Option, no expect() in the
-    // flush loop (dlsm_analyze PANICPATH hygiene).
+    // Owned connection, built exactly once: no Option, so the flush loop
+    // has no expect() whose invariant needs arguing.
     enum FlushConn {
         TwoSided(Box<RpcClient>),
         OneSided(QueuePair),
@@ -1339,6 +1343,8 @@ fn flush_loop(shared: Arc<Shared>, rx: Receiver<Arc<MemTable>>) {
         }
     };
     loop {
+        // HOTPATH: the flush thread idles on its queue; the timeout rechecks
+        // `stopping`.
         let mem = match rx.recv_timeout(Duration::from_millis(20)) {
             Ok(m) => m,
             Err(_) => {
@@ -1386,6 +1392,7 @@ fn flush_loop(shared: Arc<Shared>, rx: Receiver<Arc<MemTable>>) {
                         break None;
                     }
                     shared.notify_work(); // nudge compaction/GC
+                    // HOTPATH: flush-thread backoff while GC and compaction free space.
                     std::thread::sleep(Duration::from_millis(2));
                 }
                 Err(e) => {
@@ -1401,6 +1408,7 @@ fn flush_loop(shared: Arc<Shared>, rx: Receiver<Arc<MemTable>>) {
                     // Losing a MemTable is never acceptable while running;
                     // transient fabric/RPC trouble clears, so keep trying
                     // with backoff.
+                    // HOTPATH: flush-thread backoff on transient fabric/RPC trouble.
                     std::thread::sleep(Duration::from_millis((10 * attempts as u64).min(500)));
                 }
             }
@@ -1504,6 +1512,7 @@ fn compaction_loop(shared: Arc<Shared>) {
         let Some(job) = job else {
             shared.compaction_idle.store(true, Ordering::Release);
             let mut g = shared.work_lock.lock();
+            // HOTPATH: the compaction thread idles until `notify_work` or 10 ms.
             shared.work_cv.wait_for(&mut g, Duration::from_millis(10));
             continue;
         };
@@ -1626,6 +1635,7 @@ fn compaction_loop(shared: Arc<Shared>) {
                 }
                 // Back off: out-of-memory only clears once GC frees space.
                 let backoff = (20 * consecutive_failures as u64).min(1_000);
+                // HOTPATH: compaction-thread backoff after a failed job.
                 std::thread::sleep(Duration::from_millis(backoff));
             }
         }

@@ -329,6 +329,8 @@ pub fn flush_memtable(
         let extent = Extent { offset, len: used };
         match built {
             Built::ByteAddr(meta) => {
+                // PANIC-SAFE: only non-empty MemTables are queued (`Shared::do_switch`
+                // checks `is_empty()`), and a flush keeps every entry.
                 let smallest = meta.smallest().expect("non-empty table").to_vec();
                 let largest = meta.largest().expect("non-empty table").to_vec();
                 let num_entries = meta.num_entries;

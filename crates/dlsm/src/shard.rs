@@ -59,6 +59,7 @@ impl ShardedDb {
         cfg: DbConfig,
         lambda: usize,
     ) -> Result<ShardedDb> {
+        // PANIC-SAFE: open-time argument check, before any shard exists.
         assert!(!memnodes.is_empty(), "need at least one memory node");
         let cfg = split_cache_budget(cfg, lambda.max(1));
         let mut shards = Vec::with_capacity(lambda.max(1));
@@ -76,6 +77,7 @@ impl ShardedDb {
         handles: Vec<Arc<MemNodeHandle>>,
         cfg: DbConfig,
     ) -> Result<ShardedDb> {
+        // PANIC-SAFE: open-time argument check, before any shard exists.
         assert!(!handles.is_empty(), "need at least one shard handle");
         let cfg = split_cache_budget(cfg, handles.len());
         let mut shards = Vec::with_capacity(handles.len());

@@ -477,6 +477,8 @@ impl RpcClient {
         let deadline = Instant::now() + timeout;
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
+            // HOTPATH: the compaction RPC waits for its reply; only compaction
+            // threads call `compact`, never a foreground op.
             if remaining.is_zero() || !cell.wait(remaining) {
                 return Err(MemNodeError::Timeout);
             }
@@ -510,6 +512,7 @@ impl WaitCell {
         if *done {
             return true;
         }
+        // HOTPATH: the same compaction reply wait, signalled by `ImmWaiter`.
         self.cv.wait_for(&mut done, timeout);
         *done
     }

@@ -328,6 +328,7 @@ impl MemServer {
     /// Create a node on `fabric`, register its region, and start dispatcher
     /// and worker threads.
     pub fn start(fabric: &Arc<Fabric>, cfg: MemServerConfig) -> MemServer {
+        // PANIC-SAFE: start-up argument check, before any thread exists.
         assert!(cfg.flush_zone <= cfg.region_size as u64, "flush zone exceeds region");
         let node = fabric.add_node();
         let region = node.register_region(cfg.region_size);
@@ -531,6 +532,7 @@ impl MemServer {
         if !self.crashed {
             return;
         }
+        // HOTPATH: a zero timeout drains the inboxes without waiting.
         while self.node.recv(Duration::ZERO).is_ok() {}
         while self.node.recv_imm(Duration::ZERO).is_ok() {}
         self.stop = Arc::new(AtomicBool::new(false));
@@ -655,6 +657,8 @@ fn dispatcher_loop(ctx: DispatchCtx) {
     dlsm_trace::set_thread_node(u64::from(ctx.node.id().0) + 1, "memnode");
     let mut qps: HashMap<NodeId, QueuePair> = HashMap::new();
     while !ctx.stop.load(Ordering::Acquire) {
+        // HOTPATH: a memory-node dispatcher thread waits for requests; the
+        // timeout rechecks `stop`.
         let msg = match ctx.node.recv(Duration::from_millis(20)) {
             Ok(m) => m,
             Err(_) => continue,
@@ -755,6 +759,7 @@ fn dispatcher_loop(ctx: DispatchCtx) {
                 ctx.stats.canceled.fetch_add(1, Ordering::Relaxed);
                 Ok(vec![0u8])
             }
+            // PANIC-SAFE: `Compact` went to the worker pool and `continue`d above.
             Request::Compact { .. } => unreachable!("handled above"),
         })();
         let result: Result<()> = match executed {
@@ -795,6 +800,7 @@ fn qp_for<'a>(
     if let std::collections::hash_map::Entry::Vacant(e) = qps.entry(remote) {
         e.insert(fabric.create_qp(local, remote)?);
     }
+    // PANIC-SAFE: a vacant entry was filled just above.
     Ok(qps.get_mut(&remote).expect("just inserted"))
 }
 
@@ -812,6 +818,7 @@ fn worker_loop(ctx: WorkerCtx) {
     dlsm_trace::set_thread_node(u64::from(ctx.node_id.0) + 1, "memnode");
     let mut qps: HashMap<NodeId, QueuePair> = HashMap::new();
     // Workers exit when the channel closes (all dispatchers stopped).
+    // HOTPATH: a memory-node compaction worker waits for jobs.
     while let Ok(job) = ctx.rx.recv() {
         // The whole job — argument pull, merge, reply delivery — hangs off
         // the compute-node span that requested the compaction.

@@ -16,6 +16,8 @@
 //! the id in their frame ([`ReplyFrame`]) so a poller can tell a late,
 //! stale reply from the one it is waiting for.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use dlsm_sstable::coding::{get_u32, get_u64, put_u32, put_u64};
 use dlsm_sstable::key::SeqNo;
 use dlsm_trace::TraceCtx;

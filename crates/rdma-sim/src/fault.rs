@@ -208,6 +208,8 @@ impl ChaosPlan {
 
     /// Drop completions of `verb` with probability `prob` (0.0–1.0).
     pub fn drop(mut self, verb: Verb, prob: f64) -> ChaosPlan {
+        // PANIC-SAFE: builder argument check while the plan is written, before
+        // any run.
         assert!((0.0..=1.0).contains(&prob), "probability out of range");
         self.drop_ppm[verb_index(verb)] = (prob * 1_000_000.0) as u32;
         self

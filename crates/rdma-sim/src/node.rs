@@ -88,6 +88,8 @@ impl Node {
     /// Safe to call from multiple dispatcher threads concurrently; each
     /// message is delivered to exactly one receiver.
     pub fn recv(&self, timeout: Duration) -> Result<Message, RdmaError> {
+        // HOTPATH: a two-sided receive blocks by design. Its callers are the
+        // memory node's dispatcher threads; the compute node reads one-sided.
         let msg = self.inbox_rx.recv_timeout(timeout).map_err(|_| RdmaError::RecvTimeout)?;
         crate::qp::spin_until(msg.ready_at);
         Ok(msg)
@@ -116,6 +118,7 @@ impl Node {
     /// Block until an immediate event (from WRITE-with-IMMEDIATE) arrives.
     /// As with [`Node::recv`], a popped event is never dropped.
     pub fn recv_imm(&self, timeout: Duration) -> Result<ImmEvent, RdmaError> {
+        // HOTPATH: as `recv`; the caller is `ImmWaiter`'s notifier thread.
         let ev = self.imm_rx.recv_timeout(timeout).map_err(|_| RdmaError::RecvTimeout)?;
         crate::qp::spin_until(ev.ready_at);
         Ok(ev)

@@ -62,10 +62,13 @@ unsafe impl Sync for Slab {}
 
 impl Slab {
     fn new(len: usize) -> Slab {
+        // PANIC-SAFE: `register_region` takes a non-empty length that fits a
+        // `Layout` (≤ isize::MAX).
         assert!(len > 0, "cannot register an empty region");
         let layout = Layout::from_size_align(len, 8).expect("slab layout");
         // SAFETY: layout has non-zero size.
         let ptr = unsafe { alloc_zeroed(layout) };
+        // PANIC-SAFE: out of memory; std's collections give up there too.
         assert!(!ptr.is_null(), "slab allocation of {len} bytes failed");
         Slab { ptr, len }
     }
@@ -73,6 +76,7 @@ impl Slab {
 
 impl Drop for Slab {
     fn drop(&mut self) {
+        // PANIC-SAFE: the same layout was built in `new`.
         let layout = Layout::from_size_align(self.len, 8).expect("slab layout");
         // SAFETY: allocated with the identical layout in `new`.
         unsafe { dealloc(self.ptr, layout) };
@@ -200,6 +204,8 @@ impl MemoryRegion {
         // SAFETY: in-bounds, 8-aligned (slab base is 8-aligned), and
         // AtomicU64 may alias plain memory that is only accessed atomically.
         let ptr = unsafe { self.slab.ptr.add(offset as usize) } as *const AtomicU64;
+        // SAFETY: `ptr` is in-bounds and aligned (above), and the slab lives
+        // as long as `&self`.
         Ok(unsafe { &*ptr })
     }
 
@@ -297,6 +303,7 @@ mod tests {
         // SAFETY: no concurrent writers in this test.
         let s = unsafe { r.local_slice(2, 3).unwrap() };
         assert_eq!(s, b"cde");
+        // SAFETY: out of bounds: the call fails before it touches memory.
         assert!(unsafe { r.local_slice(30, 4) }.is_err());
     }
 }

@@ -39,6 +39,8 @@ pub struct Arena {
 // allocation happens on the thread that allocated it before the containing
 // node is published (release/acquire on the skip-list links orders it).
 unsafe impl Send for Arena {}
+// SAFETY: as for `Send`: shared use only bumps `pos` atomically and reads
+// allocations whose publication the skip-list links order.
 unsafe impl Sync for Arena {}
 
 impl Arena {
@@ -137,6 +139,7 @@ impl Arena {
 
 impl Drop for Arena {
     fn drop(&mut self) {
+        // PANIC-SAFE: the same layout was built in `with_capacity`.
         let layout = Layout::from_size_align(self.cap, 8).expect("arena layout");
         // SAFETY: allocated with the identical layout.
         unsafe { dealloc(self.ptr, layout) };
@@ -176,6 +179,7 @@ mod tests {
     fn bytes_roundtrip() {
         let a = Arena::with_capacity(1024);
         let off = a.alloc_bytes(b"memtable").unwrap();
+        // SAFETY: `off` holds the 8 bytes just written, and nothing writes them.
         assert_eq!(unsafe { a.slice(off, 8) }, b"memtable");
     }
 
@@ -214,6 +218,7 @@ mod tests {
             assert!(w[1] - w[0] >= 4, "allocations overlap");
         }
         for (off, data) in &all {
+            // SAFETY: every writer thread has been joined; `off` holds its 4 bytes.
             assert_eq!(unsafe { a.slice(*off, 4) }, data);
         }
     }

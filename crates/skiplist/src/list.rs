@@ -369,18 +369,22 @@ impl<'a, C: Comparator> SkipListIter<'a, C> {
 
     /// Key at the current position. Panics if `!valid()`.
     pub fn key(&self) -> &'a [u8] {
+        // PANIC-SAFE: the `ForwardIter` contract — callers check `valid()`
+        // first; `MergingIter` touches valid children only.
         assert!(self.valid());
         self.list.node_key(self.node)
     }
 
     /// Value at the current position. Panics if `!valid()`.
     pub fn value(&self) -> &'a [u8] {
+        // PANIC-SAFE: as in `key`.
         assert!(self.valid());
         self.list.node_value(self.node)
     }
 
     /// Move to the next entry.
     pub fn advance(&mut self) {
+        // PANIC-SAFE: as in `key`.
         assert!(self.valid());
         self.node = self.list.next(self.node, 0);
     }
@@ -418,18 +422,21 @@ impl<C: Comparator> ArcSkipIter<C> {
 
     /// Key at the current position. Panics if `!valid()`.
     pub fn key(&self) -> &[u8] {
+        // PANIC-SAFE: as in `SkipListIter::key`.
         assert!(self.valid());
         self.list.node_key(self.node)
     }
 
     /// Value at the current position. Panics if `!valid()`.
     pub fn value(&self) -> &[u8] {
+        // PANIC-SAFE: as in `SkipListIter::key`.
         assert!(self.valid());
         self.list.node_value(self.node)
     }
 
     /// Move to the next entry.
     pub fn advance(&mut self) {
+        // PANIC-SAFE: as in `SkipListIter::key`.
         assert!(self.valid());
         self.node = self.list.next(self.node, 0);
     }

@@ -255,9 +255,10 @@ impl RingShared {
         let [ts_us, dur_us, name_ptr, name_len, meta, trace_id, span_id, parent_id, arg] =
             self.slots[idx].read()?;
         // SAFETY: a validated record's name ptr/len are a pair some writer
-        // published together, and writers only ever store `&'static str`s;
-        // same for the node label below.
+        // published together, and writers only ever store `&'static str`s.
         let name = unsafe { static_str(name_ptr, name_len) };
+        // SAFETY: the node label's ptr/len are one `&'static str`, stored by
+        // `set_thread_node` at thread start-up before any collector runs.
         let node_label = unsafe {
             static_str(
                 self.node_label_ptr.load(Ordering::Acquire),
