@@ -236,6 +236,9 @@ struct Entry {
     data: Arc<Vec<u8>>,
     charge: u64,
     freq: u8,
+    /// Whether the hand has passed the entry since its admission: until it
+    /// has, `freq == 0` means "not read yet", not "no longer read".
+    passed: bool,
 }
 
 /// One shard. Everything lives under one mutex: a hit is a hash lookup plus
@@ -283,6 +286,7 @@ impl ShardInner {
         let Some(entry) = self.map.get_mut(&key) else { return true };
         if entry.freq > 0 || !evict {
             entry.freq = entry.freq.saturating_sub(1);
+            entry.passed = true;
             self.fifo.push_back(key);
         } else if let Some(entry) = self.map.remove(&key) {
             self.bytes -= entry.charge;
@@ -303,9 +307,12 @@ impl ShardInner {
         }
     }
 
-    /// Bytes held by entries no reader has hit since their last turn.
+    /// Bytes held by entries no reader has hit since the hand last passed
+    /// them. A fresh admission is not cold before its first pass: readers
+    /// have had no time to hit it, and granting promotions against it lets
+    /// each newcomer evict the previous one before its first read.
     fn cold_bytes(&self) -> u64 {
-        self.map.values().filter(|e| e.freq == 0).map(|e| e.charge).sum()
+        self.map.values().filter(|e| e.freq == 0 && e.passed).map(|e| e.charge).sum()
     }
 
     /// The ghost pair of the key hashing to `hash`, the key's own word
@@ -412,7 +419,7 @@ impl Pool {
         // FIFO eviction until the newcomer fits the shard's budget (made
         // before it joins the queue, so it is never its own victim).
         while inner.bytes + charge > self.shard_capacity && inner.turn(true) {}
-        inner.map.insert(key, Entry { data, charge, freq: 0 });
+        inner.map.insert(key, Entry { data, charge, freq: 0, passed: false });
         inner.bytes += charge;
         inner.fifo.push_back(key);
         inner.inserts += 1;
@@ -903,6 +910,37 @@ mod tests {
         let s = c.snapshot();
         assert_eq!((s.extent_promotions, s.promoted_bytes, s.evictions), (3, 3 * img, 1));
         assert!(c.resident_bytes() <= c.extent_capacity() + c.blocks.shard_capacity);
+    }
+
+    #[test]
+    fn a_fresh_image_is_no_victim_before_the_hand_has_passed_it() {
+        let c = cache(1 << 20); // extent pool 512 KiB, promote after 3
+        let img = 200 << 10; // room for two images
+        for t in [1, 2] {
+            assert!(c.extent_admit(t, blob(img as usize)), "mirrored at a flush");
+        }
+        for _ in 0..FREQ_MAX {
+            assert!(matches!(c.extent_probe(2, img, RECORD), ExtentProbe::Image(_)));
+        }
+        // Table 3 is past its threshold from its third miss on, but image 1
+        // has had no time to be read: it is cold only once the hand has
+        // passed it, at the first turn.
+        let per_turn = img / RECORD + 1;
+        let mut misses = 1;
+        while !probe_promotes(&c, 3, img) {
+            misses += 1;
+        }
+        assert_eq!(misses, per_turn);
+        assert!(c.extent_admit(3, blob(img as usize)));
+        assert!(c.extent_peek(1).is_none() && c.extent_peek(2).is_some());
+        // The newcomer is no victim for the next hot table either: image 3
+        // goes cold only when the hand reaches it, after passing image 2.
+        let mut misses = 1;
+        while !probe_promotes(&c, 4, img) {
+            misses += 1;
+        }
+        assert_eq!(misses, 2 * per_turn);
+        assert_eq!(c.snapshot().extent_promotions, 2);
     }
 
     #[test]
