@@ -91,3 +91,42 @@ fn reader_sees_prefix_of_writer() {
     );
     assert!(report.complete, "state space truncated at {} executions", report.executions);
 }
+
+/// Two writers race the packed front/back reservation on an arena with
+/// room for one entry whatever either tower's height: exactly one insert
+/// gets `ArenaFull`, the other's key and value read back whole, and the
+/// arena counts one entry.
+#[test]
+fn one_of_two_racing_reservations_fits() {
+    use dlsm_skiplist::list::MAX_NODE_OVERHEAD;
+    const VALUE: usize = 100;
+    let report = Checker::new("skiplist-reserve-reserve")
+        .preemption_bound(2)
+        .explore(|| {
+            // 184 bytes free after the head node: one node of any height
+            // with its value fits (≤ 169 B), two never do (≥ 244 B).
+            let list = Arc::new(SkipList::with_capacity(BytewiseComparator, 0));
+            let empty = list.memory_usage();
+            let racers: Vec<_> = [(b"ka", 0xA1u8), (b"kb", 0xB2)]
+                .into_iter()
+                .map(|(key, fill)| {
+                    let l = Arc::clone(&list);
+                    thread::spawn(move || l.insert(key, &[fill; VALUE]).is_ok())
+                })
+                .collect();
+            let won: Vec<bool> = racers.into_iter().map(|t| t.join().unwrap()).collect();
+            assert_eq!(won.iter().filter(|&&w| w).count(), 1, "outcomes {won:?}");
+            let (key, fill) = if won[0] { (b"ka", 0xA1) } else { (b"kb", 0xB2) };
+            assert_eq!(list.get(key), Some(&[fill; VALUE][..]), "the winner's value is torn");
+            assert_eq!(list.iter().count(), 1);
+            assert_eq!(list.len(), 1);
+            let used = list.memory_usage() - empty;
+            assert!(used > key.len() + VALUE && used <= key.len() + VALUE + MAX_NODE_OVERHEAD, "{used} B");
+        });
+    assert!(
+        report.violation.is_none(),
+        "skiplist reserve/reserve violation: {:?}",
+        report.violation
+    );
+    assert!(report.complete, "state space truncated at {} executions", report.executions);
+}

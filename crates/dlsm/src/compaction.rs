@@ -622,8 +622,8 @@ pub fn run_local(
                                 it.next()?;
                             }
                             let (image, meta) = b.finish();
-                            // PANIC-SAFE: the loop above adds ≥ 1 record — `it` is valid on entry
-                            // and an empty builder has room while `sstable_size > 0`.
+                            // PANIC-SAFE: the loop above adds ≥ 1 record — `it` is valid on entry and
+                            // an empty builder has room (`DbConfig::normalized` refuses sstable_size 0).
                             let s = meta.smallest().expect("non-empty").to_vec();
                             let l = meta.largest().expect("non-empty").to_vec();
                             r.staged.push((image, meta, s, l));

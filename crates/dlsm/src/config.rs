@@ -161,6 +161,8 @@ impl DbConfig {
         // before any thread or remote state exists.
         assert!(self.max_levels >= 2, "need at least L0 and L1");
         assert!(self.flush_buf_size >= 4 << 10, "flush buffers must hold a record");
+        // PANIC-SAFE: as above; compaction cuts its outputs by sstable_size.
+        assert!(self.sstable_size > 0, "sstable_size must be positive");
         self
     }
 
@@ -207,6 +209,12 @@ mod tests {
         assert_eq!(DbConfig::small().seq_range_width(), 139);
         // Tiny tables still get a range wide enough for a batch.
         assert_eq!(DbConfig { memtable_size: 4 << 10, ..DbConfig::small() }.seq_range_width(), 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "sstable_size must be positive")]
+    fn zero_sstable_size_is_refused_at_open() {
+        let _ = DbConfig { sstable_size: 0, ..DbConfig::small() }.normalized();
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::memtable::{MemGet, MemTable, ENTRY_OVERHEAD};
 use crate::remote::{fetch_wave, table_get, table_step, ReadChannel, RecordFetch, Step};
 use crate::scan::{DbScan, SAMPLE_EVERY};
 use crate::stats::DbStats;
-use crate::telemetry::{record_op, ReadCounter, ReadStats, ReaderSlot};
+use crate::telemetry::{nanos, record_op, PutClock, PutPhase, ReadCounter, ReadStats, ReaderSlot};
 use crate::version::{ReadView, Version, VersionEdit, VersionSet};
 use crate::{DbError, Result};
 
@@ -342,7 +342,8 @@ impl Shared {
         }
     }
 
-    fn wait_for_write_room(&self) -> Result<()> {
+    /// The stall gate; a put that stalls is timed from the stall on.
+    fn wait_for_write_room(&self, clock: &mut PutClock) -> Result<()> {
         if self.write_stall_check() {
             return Ok(());
         }
@@ -353,6 +354,7 @@ impl Shared {
         // The matching StallEnd is posted by `note_stall` below, from this
         // same thread, so episode folding pairs them by poster tid.
         dlsm_timeline::post(dlsm_timeline::EngineEvent::StallBegin { reason: reason.trace_arg() });
+        clock.time_rest();
         let t0 = Instant::now();
         let mut guard = self.stall_lock.lock();
         while !self.write_stall_check() {
@@ -397,8 +399,9 @@ impl Shared {
             )));
         }
         let _sp = dlsm_trace::span_arg(dlsm_trace::Category::Db, "put", n);
-        let t0 = Instant::now();
-        self.wait_for_write_room()?;
+        let mut clock = PutClock::start();
+        self.wait_for_write_room(&mut clock)?;
+        clock.mark(PutPhase::Stall);
         let _serializer = self.cfg.serialized_writes.then(|| self.write_serializer.lock());
         'refetch: loop {
             let base = self.seq.fetch_add(n, Ordering::AcqRel);
@@ -416,6 +419,7 @@ impl Shared {
                     // The block must fit entirely inside one table.
                     let end = guard.range.end;
                     drop(guard);
+                    clock.time_rest();
                     self.switch_at(end);
                     if base >= end {
                         continue; // retry the same block against the new table
@@ -426,9 +430,11 @@ impl Shared {
                 }
                 // Insert under the read guard so a switch (write lock)
                 // cannot complete mid-block.
+                clock.mark(PutPhase::Reserve);
                 let added = (base..)
                     .zip(entries)
                     .all(|(seq, (vt, k, v))| guard.add(seq, *vt, k.as_ref(), v.as_ref()).is_ok());
+                clock.mark(PutPhase::Insert);
                 if !added {
                     // Arena full mid-block: rotate and re-apply the whole
                     // block (the inserted prefix is shadowed by the retry).
@@ -436,6 +442,7 @@ impl Shared {
                     drop(guard);
                     DbStats::bump(&self.stats.reseqs);
                     self.publication.publish(base, n);
+                    clock.time_rest();
                     self.switch_full(id);
                     continue 'refetch;
                 }
@@ -443,10 +450,13 @@ impl Shared {
                 drop(guard);
                 self.publication.publish(base, n);
                 if let Some(id) = rotate {
+                    clock.time_rest();
                     self.switch_full(id);
+                    clock.mark(PutPhase::Reserve);
                 }
                 // Read-your-writes: return once the block is visible.
                 self.publication.wait_visible(base + n - 1);
+                clock.mark(PutPhase::Publish);
                 for (vt, _, _) in entries {
                     match vt {
                         ValueType::Value => DbStats::bump(&self.stats.puts),
@@ -454,7 +464,7 @@ impl Shared {
                     }
                 }
                 // One Put sample per call (not per entry).
-                record_op(&self.telemetry.ops, dlsm_telemetry::OpClass::Put, t0.elapsed());
+                clock.finish(&self.telemetry);
                 return Ok(crate::batch::BatchCommit { first_seq: base, count: n });
             }
         }
@@ -997,11 +1007,6 @@ struct PhaseClock<'a> {
 }
 
 const PHASES: [&str; 3] = ["get_memtable", "get_l0", "get_deep"];
-
-// LOSSY: ~584 years of nanoseconds fit in u64.
-fn nanos(d: Duration) -> u64 {
-    d.as_nanos() as u64
-}
 
 impl<'a> PhaseClock<'a> {
     fn start(stats: &'a ReadStats, last: &'a LastTimed) -> PhaseClock<'a> {

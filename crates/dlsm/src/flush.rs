@@ -214,30 +214,34 @@ impl<'c> TableSink for TwoSidedSink<'c> {
     }
 }
 
-/// A sink that also mirrors everything into a local buffer — used to keep a
+/// A sink that can mirror everything into a local buffer — used to keep a
 /// compute-local copy of hot L0 tables (the Sec. VI note) while streaming
-/// the canonical image to remote memory.
+/// the canonical image to remote memory. With no mirror it only passes
+/// bytes through.
 pub struct TeeSink<S: TableSink> {
     inner: S,
-    copy: Vec<u8>,
+    mirror: Option<Vec<u8>>,
 }
 
 impl<S: TableSink> TeeSink<S> {
-    /// Mirror `inner` into a local buffer of `reserve` capacity.
-    pub fn new(inner: S, reserve: usize) -> TeeSink<S> {
-        TeeSink { inner, copy: Vec::with_capacity(reserve) }
+    /// Pass through to `inner`, mirroring into a local buffer of `reserve`
+    /// capacity when one is given.
+    pub fn new(inner: S, reserve: Option<usize>) -> TeeSink<S> {
+        TeeSink { inner, mirror: reserve.map(Vec::with_capacity) }
     }
 
-    /// Finish, returning the inner sink and the mirrored image.
-    pub fn into_parts(self) -> (S, Vec<u8>) {
-        (self.inner, self.copy)
+    /// Finish, returning the inner sink and the mirrored image, if any.
+    pub fn into_parts(self) -> (S, Option<Vec<u8>>) {
+        (self.inner, self.mirror)
     }
 }
 
 impl<S: TableSink> TableSink for TeeSink<S> {
     fn append(&mut self, data: &[u8]) -> dlsm_sstable::Result<()> {
         self.inner.append(data)?;
-        self.copy.extend_from_slice(data);
+        if let Some(mirror) = &mut self.mirror {
+            mirror.extend_from_slice(data);
+        }
         Ok(())
     }
 }
@@ -302,7 +306,7 @@ pub fn flush_memtable(
     // four arms share the same builder loops via small helpers.
     let sp_write = dlsm_trace::span_arg(dlsm_trace::Category::Flush, "flush_rdma_write", cap);
     let result: Result<FlushOutput> = (|| {
-        let reserve = if keep_local_copy { mem.memory_usage() } else { 0 };
+        let reserve = keep_local_copy.then(|| mem.memory_usage());
         let (used, built, local_image) = match transport {
             FlushTransport::OneSided(qp) => {
                 let sink = TeeSink::new(
@@ -314,7 +318,7 @@ pub fn flush_memtable(
                     TableFormat::Block(bs) => build_block(&mut it, sink, bs, bits_per_key)?,
                 };
                 let (inner, copy) = sink.into_parts();
-                (inner.finish()?, built, keep_local_copy.then_some(copy))
+                (inner.finish()?, built, copy)
             }
             FlushTransport::TwoSided(client) => {
                 let sink = TeeSink::new(TwoSidedSink::new(client, offset, cap, buf_size), reserve);
@@ -323,7 +327,7 @@ pub fn flush_memtable(
                     TableFormat::Block(bs) => build_block(&mut it, sink, bs, bits_per_key)?,
                 };
                 let (inner, copy) = sink.into_parts();
-                (inner.finish()?, built, keep_local_copy.then_some(copy))
+                (inner.finish()?, built, copy)
             }
         };
         let extent = Extent { offset, len: used };
@@ -480,7 +484,36 @@ mod tests {
         assert_eq!(reader.get(b"key00123", 1000).unwrap(), TableGet::Found(expect.into_bytes()));
         // Many WRITE work requests were posted (async pipeline, not one blob).
         assert!(fabric.stats().ops(Verb::Write) > 4);
+        assert!(out.local_image.is_none(), "an image nobody asked for");
+        // Asked for, the image is the remote table byte for byte.
+        let out = flush_memtable(
+            &mem,
+            &memnode,
+            &mut FlushTransport::OneSided(&mut qp),
+            TableFormat::ByteAddr,
+            10,
+            4 << 10,
+            4,
+            true,
+            Duration::from_secs(10),
+        )
+        .unwrap();
+        let mut remote = vec![0u8; out.extent.len as usize];
+        server.region().local_read(out.extent.offset, &mut remote).unwrap();
+        assert_eq!(out.local_image, Some(remote));
         server.shutdown();
+    }
+
+    #[test]
+    fn tee_sink_mirrors_only_when_asked() {
+        for reserve in [None, Some(4)] {
+            let mut tee = TeeSink::new(Vec::new(), reserve);
+            tee.append(b"flushed ").unwrap();
+            tee.append(b"bytes").unwrap();
+            let (inner, mirror) = tee.into_parts();
+            assert_eq!(inner, b"flushed bytes");
+            assert_eq!(mirror.as_deref(), reserve.map(|_| &b"flushed bytes"[..]));
+        }
     }
 
     #[test]

@@ -3,15 +3,14 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use dlsm_skiplist::list::MAX_HEIGHT;
+use dlsm_skiplist::list::MAX_NODE_OVERHEAD;
 use dlsm_skiplist::{ArcSkipIter, ArenaFull, SkipList};
 use dlsm_sstable::iter::ForwardIter;
-use dlsm_sstable::key::{self, InternalKey, InternalKeyComparator, SeqNo, ValueType};
+use dlsm_sstable::key::{self, InternalKeyComparator, SeqNo, ValueType};
 
 /// The most arena bytes one entry takes besides its user key and value: the
-/// internal key's trailer, the tallest skip-list node (five `u32` header
-/// words and a link per level) and its alignment padding.
-pub(crate) const ENTRY_OVERHEAD: usize = key::TRAILER_LEN + 4 * (5 + MAX_HEIGHT) + 3;
+/// internal key's trailer and the skip list's bound on one node.
+pub const ENTRY_OVERHEAD: usize = key::TRAILER_LEN + MAX_NODE_OVERHEAD;
 
 /// Result of a MemTable point lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,8 +72,7 @@ impl MemTable {
         value: &[u8],
     ) -> Result<(), ArenaFull> {
         debug_assert!(self.covers(seq), "seq {seq} outside range {:?}", self.range);
-        let ikey = InternalKey::new(user_key, seq, vt);
-        let out = self.list.insert(ikey.as_bytes(), value);
+        let out = key::with_internal_key(user_key, seq, vt, |ikey| self.list.insert(ikey, value));
         if out.is_ok() && vt == ValueType::Deletion {
             // ORDERING: relaxed — monotonic stats counter; only read after
             // the table is immutable (flush accounting tolerates staleness).

@@ -9,13 +9,16 @@
 //! [`TelemetrySnapshot`], which merges across shards and diffs against an
 //! earlier snapshot for phase measurement.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use dlsm_memnode::ClientNetStats;
 use dlsm_telemetry::{Histogram, OpClass, OpHistograms, TelemetrySnapshot, VerbTraffic};
 use parking_lot::Mutex;
 
+use crate::scan::SAMPLE_EVERY;
 use crate::version::ReadView;
 
 /// Lock-free write-side telemetry shared by one database instance and every
@@ -36,6 +39,71 @@ pub struct DbTelemetry {
     pub stall_l0_events: AtomicU64,
     /// Microseconds writers spent stalled on the L0 stop-writes limit.
     pub stall_l0_micros: AtomicU64,
+    /// A timed put's phases, in [`PUT_PHASES`] order.
+    pub put_phases: [Histogram; 4],
+}
+
+/// A put's phases: the stall gate, sequence reservation plus the table
+/// guard (and any switch), the skip-list insert, the publication wait.
+pub const PUT_PHASES: [&str; 4] = ["put_stall", "put_reserve", "put_insert", "put_publish"];
+
+/// The phase [`PutClock::mark`] closes, in [`PUT_PHASES`] order.
+pub(crate) enum PutPhase { Stall, Reserve, Insert, Publish }
+
+thread_local! {
+    /// This thread's puts so far, and what its last timed put took (ns).
+    static PUTS: (Cell<u64>, Cell<u64>) = const { (Cell::new(0), Cell::new(0)) };
+}
+
+/// The clock of one put (DESIGN.md §8): a writer thread times one put in
+/// [`SAMPLE_EVERY`], every put while tracing is on, and a put that stalls
+/// or switches a table from then on. An untimed put records its thread's
+/// last timed latency, so `Put`'s count is exact; only timed puts feed
+/// [`PUT_PHASES`].
+pub(crate) struct PutClock {
+    called: Option<Instant>,
+    last: Option<Instant>,
+    phases: [u64; 4],
+}
+
+impl PutClock {
+    pub(crate) fn start() -> PutClock {
+        let n = PUTS.with(|(puts, _)| puts.replace(puts.get() + 1));
+        let now = (n.is_multiple_of(SAMPLE_EVERY) || dlsm_trace::enabled()).then(Instant::now);
+        PutClock { called: now, last: now, phases: [0; 4] }
+    }
+
+    /// Time the rest of this put, if it is not timed already.
+    pub(crate) fn time_rest(&mut self) {
+        if self.called.is_none() {
+            let now = Some(Instant::now());
+            (self.called, self.last) = (now, now);
+        }
+    }
+
+    /// Add the time since the last mark to `phase`, if this put is timed.
+    pub(crate) fn mark(&mut self, phase: PutPhase) {
+        if let Some(last) = self.last {
+            let now = Instant::now();
+            self.phases[phase as usize] += nanos(now - last);
+            self.last = Some(now);
+        }
+    }
+
+    /// Record the put's one `Put` sample and, if it was timed, its phases.
+    pub(crate) fn finish(self, t: &DbTelemetry) {
+        if let (Some(called), Some(now)) = (self.called, self.last) {
+            PUTS.with(|(_, last)| last.set(nanos(now - called)));
+            t.put_phases.iter().zip(self.phases).for_each(|(hist, ns)| hist.record(ns));
+        }
+        let took = PUTS.with(|(_, last)| last.get());
+        record_op(&t.ops, OpClass::Put, Duration::from_nanos(took));
+    }
+}
+
+// LOSSY: ~584 years of nanoseconds fit in u64.
+pub(crate) fn nanos(d: Duration) -> u64 {
+    d.as_nanos() as u64
 }
 
 /// Why a writer stalled in `wait_for_write_room` (the condition that was
@@ -65,12 +133,10 @@ impl StallReason {
 /// op span is still open; with tracing off this is exactly
 /// `ops.record_elapsed`.
 #[inline]
-pub(crate) fn record_op(ops: &OpHistograms, class: OpClass, d: std::time::Duration) {
-    // LOSSY: ~584 years of nanoseconds fit in u64.
-    let nanos = d.as_nanos() as u64;
+pub(crate) fn record_op(ops: &OpHistograms, class: OpClass, d: Duration) {
     match dlsm_trace::current_ctx() {
-        Some(ctx) => ops.record_traced(class, nanos, ctx.trace_id),
-        None => ops.record(class, nanos),
+        Some(ctx) => ops.record_traced(class, nanos(d), ctx.trace_id),
+        None => ops.record(class, nanos(d)),
     }
 }
 
@@ -142,12 +208,10 @@ impl ReadStats {
     /// [`record_op`] into this block, for `n` ops of which one was timed, at
     /// `d`: same exemplar rule, single-writer histogram record.
     #[inline]
-    pub(crate) fn record_ops(&self, class: OpClass, d: std::time::Duration, n: u64) {
-        // LOSSY: ~584 years of nanoseconds fit in u64.
-        let nanos = d.as_nanos() as u64;
-        self.ops.hist(class).record_exclusive_n(nanos, n);
+    pub(crate) fn record_ops(&self, class: OpClass, d: Duration, n: u64) {
+        self.ops.hist(class).record_exclusive_n(nanos(d), n);
         if let Some(ctx) = dlsm_trace::current_ctx() {
-            self.ops.exemplars(class).record(nanos, ctx.trace_id);
+            self.ops.exemplars(class).record(nanos(d), ctx.trace_id);
         }
     }
 
@@ -287,6 +351,9 @@ impl DbTelemetry {
         s.set_counter("stall_l0_events", self.stall_l0_events.load(Ordering::Relaxed));
         // ORDERING: relaxed — stats-report reads of monotonic counters.
         s.set_counter("stall_l0_micros", self.stall_l0_micros.load(Ordering::Relaxed));
+        for (hist, name) in self.put_phases.iter().zip(PUT_PHASES) {
+            s.set_breakdown(name, hist.snapshot());
+        }
         s
     }
 

@@ -1,14 +1,18 @@
-//! Concurrent bump arena.
+//! Concurrent two-ended bump arena.
 //!
-//! A fixed-capacity, 8-byte-aligned memory block with an atomic bump
-//! pointer. Allocations never fail spuriously and are never freed
-//! individually; the whole arena is released when dropped. Offsets (not
-//! pointers) are handed out so the skip list can store 4-byte links.
+//! A fixed-capacity, zeroed, 8-byte-aligned memory block. One reservation
+//! takes a 4-aligned range from the front and a range from the back in a
+//! single CAS on a packed `front | back << 32` word, so a skip-list node
+//! (header, tower, key) and its value come from one atomic step and the
+//! nodes a search walks pack densely, away from the values it skips.
+//! Nothing is freed individually; the whole arena is released when dropped.
+//! Offsets (not pointers) are handed out so the skip list can store 4-byte
+//! links.
 
-use crate::sync::{AtomicUsize, Ordering};
+use crate::sync::{AtomicU64, Ordering};
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 
-/// Error returned when the arena has no room for an allocation.
+/// Error returned when the arena has no room for a reservation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArenaFull {
     /// Bytes requested.
@@ -25,29 +29,37 @@ impl std::fmt::Display for ArenaFull {
 
 impl std::error::Error for ArenaFull {}
 
-/// Fixed-capacity concurrent bump allocator.
+/// Alignment of every front reservation (node headers and links are `u32`s).
+const FRONT_ALIGN: u64 = 4;
+
+/// Fixed-capacity concurrent two-ended bump allocator.
 ///
 /// Offset 0 is reserved (used as the null link by the skip list); the first
-/// real allocation starts at offset 8.
+/// front reservation starts at offset 8. The back grows down from the end.
 pub struct Arena {
     ptr: *mut u8,
     cap: usize,
-    pos: AtomicUsize,
+    bump: Bump,
 }
 
-// SAFETY: the arena hands out disjoint offsets; all mutation of a given
-// allocation happens on the thread that allocated it before the containing
-// node is published (release/acquire on the skip-list links orders it).
+/// `front | back << 32`: the bytes taken from each end. On a line of its
+/// own: every insert writes it, and every seek loads the arena pointer.
+#[repr(align(64))]
+struct Bump(AtomicU64);
+
+// SAFETY: the arena hands out disjoint ranges; all mutation of a given
+// range happens on the thread that reserved it before the containing node
+// is published (release/acquire on the skip-list links orders it).
 unsafe impl Send for Arena {}
-// SAFETY: as for `Send`: shared use only bumps `pos` atomically and reads
-// allocations whose publication the skip-list links order.
+// SAFETY: as for `Send`: shared use only bumps the packed word atomically
+// and reads ranges whose publication the skip-list links order.
 unsafe impl Sync for Arena {}
 
 impl Arena {
     /// Create an arena with `cap` bytes of capacity (rounded up to 8).
     ///
     /// # Panics
-    /// Panics if `cap` is zero or exceeds `u32::MAX` (offsets are 32-bit).
+    /// Panics if `cap` exceeds `u32::MAX` (offsets are 32-bit).
     pub fn with_capacity(cap: usize) -> Arena {
         let cap = cap.max(16).next_multiple_of(8);
         // PANIC-SAFE: documented constructor contract (see # Panics); arena
@@ -60,7 +72,7 @@ impl Arena {
         let ptr = unsafe { alloc_zeroed(layout) };
         // PANIC-SAFE: aborting on OOM matches std collection behaviour.
         assert!(!ptr.is_null(), "arena allocation of {cap} bytes failed");
-        Arena { ptr, cap, pos: AtomicUsize::new(8) }
+        Arena { ptr, cap, bump: Bump(AtomicU64::new(8)) }
     }
 
     /// Total capacity in bytes.
@@ -68,69 +80,67 @@ impl Arena {
         self.cap
     }
 
-    /// Bytes allocated so far (including alignment padding).
+    /// Bytes reserved so far from both ends (including alignment padding).
     pub fn allocated(&self) -> usize {
         // ORDERING: relaxed — usage gauge for the is-full check; staleness
         // only delays a rotation by one write.
-        self.pos.load(Ordering::Relaxed).min(self.cap)
+        let word = self.bump.0.load(Ordering::Relaxed);
+        ((word & u64::from(u32::MAX)) + (word >> 32)) as usize
     }
 
-    /// Allocate `size` bytes aligned to `align` (a power of two ≤ 8).
-    /// Returns the offset of the allocation.
-    pub fn alloc(&self, size: usize, align: usize) -> Result<u32, ArenaFull> {
-        debug_assert!(align.is_power_of_two() && align <= 8);
-        // The bump pointer only *reserves* a range; it publishes no data.
-        // The memory was zeroed before the arena was shared, and node
-        // contents written into a reservation are published by the skip
-        // ORDERING: relaxed — list's Release CAS, not by this counter.
-        let mut cur = self.pos.load(Ordering::Relaxed);
+    /// Reserve `front` bytes, 4-aligned, at the low end and `back` bytes at
+    /// the high end, in one step. Returns both offsets; a zero-length back
+    /// range sits at the back edge (offset `capacity()` while nothing has
+    /// been taken from the back).
+    pub fn reserve(&self, front: usize, back: usize) -> Result<(u32, u32), ArenaFull> {
+        let (cap, requested) = (self.cap as u64, front.saturating_add(back));
+        // Each end only *reserves* a range; it publishes no data. The memory
+        // was zeroed before the arena was shared, and what a reservation
+        // holds is published by the skip list's Release CAS.
+        // ORDERING: relaxed — reservation only; see above.
+        let mut word = self.bump.0.load(Ordering::Relaxed);
         loop {
-            let start = cur.next_multiple_of(align);
-            let end = match start.checked_add(size) {
-                Some(e) => e,
-                None => {
-                    return Err(ArenaFull { requested: size, remaining: 0 });
-                }
-            };
-            if end > self.cap {
-                return Err(ArenaFull {
-                    requested: size,
-                    remaining: self.cap.saturating_sub(cur),
-                });
+            let (lo, hi) = (word & u64::from(u32::MAX), word >> 32);
+            let start = lo.next_multiple_of(FRONT_ALIGN);
+            // Both lengths are at most `cap` < 2^32 here, so nothing overflows.
+            if front as u64 > cap || back as u64 > cap || start + front as u64 + hi + back as u64 > cap {
+                return Err(ArenaFull { requested, remaining: (cap - lo - hi) as usize });
             }
+            let (end, top) = (start + front as u64, hi + back as u64);
             // ORDERING: relaxed — reservation only; see above.
-            match self.pos.compare_exchange_weak(cur, end, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return Ok(start as u32),
-                Err(actual) => cur = actual,
+            match self.bump.0.compare_exchange_weak(word, end | top << 32, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => return Ok((start as u32, (cap - top) as u32)),
+                Err(actual) => word = actual,
             }
         }
     }
 
-    /// Allocate and fill with `data`; returns the offset.
-    pub fn alloc_bytes(&self, data: &[u8]) -> Result<u32, ArenaFull> {
-        let off = self.alloc(data.len(), 1)?;
-        // SAFETY: freshly-allocated disjoint range.
-        unsafe {
-            std::ptr::copy_nonoverlapping(data.as_ptr(), self.ptr.add(off as usize), data.len());
-        }
-        Ok(off)
+    /// Copy `data` into a reserved range at `offset`.
+    ///
+    /// # Safety
+    /// `offset..offset + data.len()` must lie in a range this thread
+    /// reserved and has not yet published.
+    pub unsafe fn write(&self, offset: u32, data: &[u8]) {
+        debug_assert!(offset as usize + data.len() <= self.cap);
+        std::ptr::copy_nonoverlapping(data.as_ptr(), self.ptr.add(offset as usize), data.len());
     }
 
     /// Raw pointer to `offset`.
     ///
     /// # Safety
-    /// `offset` must come from [`Arena::alloc`] on this arena and accesses
-    /// must stay within the allocation.
+    /// `offset` must come from a front reservation on this arena and
+    /// accesses must stay within it.
     pub unsafe fn ptr_at(&self, offset: u32) -> *mut u8 {
         debug_assert!((offset as usize) < self.cap);
         self.ptr.add(offset as usize)
     }
 
-    /// Borrow `len` bytes at `offset`.
+    /// Borrow `len` bytes at `offset` (a zero-length range may sit at the
+    /// back edge).
     ///
     /// # Safety
-    /// The range must be a fully-initialized allocation that is no longer
-    /// being written (skip-list publication guarantees this for node data).
+    /// The range must be fully initialized and no longer being written
+    /// (skip-list publication guarantees this for node data).
     pub unsafe fn slice(&self, offset: u32, len: usize) -> &[u8] {
         debug_assert!(offset as usize + len <= self.cap);
         std::slice::from_raw_parts(self.ptr.add(offset as usize), len)
@@ -163,36 +173,86 @@ mod tests {
     #[test]
     fn offset_zero_is_reserved() {
         let a = Arena::with_capacity(1024);
-        let off = a.alloc(4, 1).unwrap();
-        assert!(off >= 8);
+        let (front, _) = a.reserve(4, 0).unwrap();
+        assert!(front >= 8);
     }
 
     #[test]
-    fn alignment_respected() {
+    fn front_is_four_aligned() {
         let a = Arena::with_capacity(1024);
-        a.alloc(3, 1).unwrap();
-        let off = a.alloc(8, 8).unwrap();
-        assert_eq!(off % 8, 0);
+        a.reserve(3, 0).unwrap();
+        let (front, _) = a.reserve(8, 0).unwrap();
+        assert_eq!(front % 4, 0);
+        assert_eq!(a.allocated(), 8 + 4 + 8);
     }
 
     #[test]
     fn bytes_roundtrip() {
         let a = Arena::with_capacity(1024);
-        let off = a.alloc_bytes(b"memtable").unwrap();
-        // SAFETY: `off` holds the 8 bytes just written, and nothing writes them.
-        assert_eq!(unsafe { a.slice(off, 8) }, b"memtable");
+        let (front, back) = a.reserve(4, 8).unwrap();
+        // SAFETY: both ranges were just reserved here and nothing else writes them.
+        let (f, b) = unsafe {
+            a.write(front, b"node");
+            a.write(back, b"memtable");
+            (a.slice(front, 4), a.slice(back, 8))
+        };
+        assert_eq!((f, b), (&b"node"[..], &b"memtable"[..]));
+        assert_eq!(back as usize, a.capacity() - 8);
     }
 
     #[test]
     fn full_arena_reports_error() {
         let a = Arena::with_capacity(64);
-        let err = a.alloc(1024, 1).unwrap_err();
-        assert_eq!(err.requested, 1024);
-        assert!(a.alloc(16, 1).is_ok());
+        let err = a.reserve(1024, 0).unwrap_err();
+        assert_eq!((err.requested, err.remaining), (1024, 56));
+        assert!(a.reserve(0, 1024).is_err());
+        assert!(a.reserve(16, 16).is_ok());
+    }
+
+    /// Front and back never cross: the arena fills to the last byte, every
+    /// front range ends at or below every back range, and the reservation
+    /// that would cross them fails without moving either end.
+    #[test]
+    fn front_and_back_never_cross() {
+        let a = Arena::with_capacity(64);
+        let (front, back) = a.reserve(28, 28).unwrap();
+        assert_eq!((front, back), (8, 36));
+        assert_eq!(a.allocated(), 64);
+        assert!(a.reserve(0, 1).is_err());
+        assert!(a.reserve(1, 0).is_err());
+        assert_eq!(a.allocated(), 64);
+
+        let a = Arena::with_capacity(1024);
+        let mut ranges = Vec::new();
+        while let Ok((front, back)) = a.reserve(21, 13) {
+            ranges.push((front, back));
+        }
+        let highest_front_end = ranges.iter().map(|&(f, _)| f + 21).max().unwrap();
+        let lowest_back = ranges.iter().map(|&(_, b)| b).min().unwrap();
+        assert!(highest_front_end <= lowest_back, "{highest_front_end} > {lowest_back}");
+        assert!(a.allocated() + 3 + 21 + 13 > a.capacity());
+        assert_eq!(a.allocated(), 8 + 24 * (ranges.len() - 1) + 21 + 13 * ranges.len());
+    }
+
+    /// A zero-length back range (a tombstone's value) sits at the back
+    /// edge, which is the arena's end until anything is taken from the back.
+    #[test]
+    fn zero_length_back_sits_at_the_back_edge() {
+        let a = Arena::with_capacity(256);
+        let (_, edge) = a.reserve(8, 0).unwrap();
+        assert_eq!(edge as usize, a.capacity());
+        // SAFETY: an empty range; nothing is read.
+        assert!(unsafe { a.slice(edge, 0) }.is_empty());
+        let (_, value) = a.reserve(8, 5).unwrap();
+        assert_eq!(value as usize, a.capacity() - 5);
+        let (_, edge) = a.reserve(8, 0).unwrap();
+        assert_eq!(edge, value);
+        // SAFETY: an empty range; nothing is read.
+        assert!(unsafe { a.slice(edge, 0) }.is_empty());
     }
 
     #[test]
-    fn concurrent_allocations_are_disjoint() {
+    fn concurrent_reservations_are_disjoint() {
         let a = Arc::new(Arena::with_capacity(1 << 20));
         let mut handles = Vec::new();
         for t in 0..8u8 {
@@ -201,25 +261,33 @@ mod tests {
                 let mut offs = Vec::new();
                 for i in 0..1000u32 {
                     let data = [t, (i % 251) as u8, 3, 4];
-                    let off = a.alloc_bytes(&data).unwrap();
-                    offs.push((off, data));
+                    let (front, back) = a.reserve(4, 4).unwrap();
+                    // SAFETY: both ranges are this thread's own reservation.
+                    unsafe {
+                        a.write(front, &data);
+                        a.write(back, &data);
+                    }
+                    offs.push((front, back, data));
                 }
                 offs
             }));
         }
-        let mut all: Vec<(u32, [u8; 4])> = Vec::new();
+        let mut all: Vec<(u32, u32, [u8; 4])> = Vec::new();
         for h in handles {
             all.extend(h.join().unwrap());
         }
-        // No two allocations overlap and every allocation kept its bytes.
-        let mut ranges: Vec<u32> = all.iter().map(|(o, _)| *o).collect();
-        ranges.sort_unstable();
-        for w in ranges.windows(2) {
-            assert!(w[1] - w[0] >= 4, "allocations overlap");
+        // No two ranges overlap and every range kept its bytes.
+        let mut starts: Vec<u32> = all.iter().flat_map(|&(f, b, _)| [f, b]).collect();
+        starts.sort_unstable();
+        for w in starts.windows(2) {
+            assert!(w[1] - w[0] >= 4, "reservations overlap");
         }
-        for (off, data) in &all {
-            // SAFETY: every writer thread has been joined; `off` holds its 4 bytes.
-            assert_eq!(unsafe { a.slice(*off, 4) }, data);
+        for (front, back, data) in &all {
+            // SAFETY: every writer thread has been joined; each range holds its 4 bytes.
+            unsafe {
+                assert_eq!(a.slice(*front, 4), data);
+                assert_eq!(a.slice(*back, 4), data);
+            }
         }
     }
 }

@@ -5,10 +5,13 @@
 //! **wait-free reads**, following the `InlineSkipList` design of
 //! LevelDB/RocksDB:
 //!
-//! * All nodes, keys and values live in one pre-sized bump [`Arena`];
-//!   allocation is an atomic fetch-add, and nothing is ever freed
-//!   individually — the whole table is dropped at once after it has been
-//!   flushed (LSM MemTables are bounded, so the arena can be pre-sized).
+//! * All nodes, keys and values live in one pre-sized two-ended bump
+//!   [`Arena`]: an insert reserves its node (header, tower, key) at the
+//!   front and its value at the back with one CAS on a packed
+//!   `front | back << 32` word, so searches walk densely packed nodes and
+//!   never step over a value. Nothing is ever freed individually — the
+//!   whole table is dropped at once after it has been flushed (LSM
+//!   MemTables are bounded, so the arena can be pre-sized).
 //! * Forward pointers are `AtomicU32` arena offsets; insertion links a node
 //!   level-by-level with CAS, re-searching the splice on contention.
 //! * Entries are never deleted or overwritten (deletes are tombstone values,
@@ -26,4 +29,4 @@ mod sync;
 
 pub use arena::{Arena, ArenaFull};
 pub use comparator::{BytewiseComparator, Comparator};
-pub use list::{ArcSkipIter, SkipList, SkipListIter};
+pub use list::{ArcSkipIter, Cursor, SkipList, SkipListIter};

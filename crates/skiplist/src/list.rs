@@ -11,11 +11,12 @@ use crate::comparator::Comparator;
 pub const MAX_HEIGHT: usize = 12;
 const BRANCHING: u64 = 4;
 
-/// Node header layout inside the arena (`#[repr(C)]`, followed by
-/// `height` atomic `u32` forward links).
+/// Node layout at the arena's front (`#[repr(C)]`): this header, then
+/// `height` atomic `u32` forward links, then the key bytes. The value sits
+/// at the arena's back, taken by the same reservation, so a search that
+/// steps over a node touches its header, link and key and never its value.
 #[repr(C)]
 struct NodeHeader {
-    key_off: u32,
     key_len: u32,
     val_off: u32,
     val_len: u32,
@@ -23,6 +24,14 @@ struct NodeHeader {
 }
 
 const HEADER_SIZE: usize = std::mem::size_of::<NodeHeader>();
+
+/// The most arena bytes one entry takes besides its key and value: the node
+/// header, the tallest tower and the front's alignment padding.
+pub const MAX_NODE_OVERHEAD: usize = HEADER_SIZE + 4 * MAX_HEIGHT + 3;
+
+/// `len` on a line of its own: every insert bumps it, and no seek reads it.
+#[repr(align(64))]
+struct Len(AtomicUsize);
 
 /// A concurrent skip list ordered by a [`Comparator`].
 ///
@@ -45,7 +54,7 @@ pub struct SkipList<C: Comparator> {
     cmp: C,
     head: u32,
     max_height: AtomicUsize,
-    len: AtomicUsize,
+    len: Len,
 }
 
 impl<C: Comparator> SkipList<C> {
@@ -54,17 +63,17 @@ impl<C: Comparator> SkipList<C> {
     pub fn with_capacity(cmp: C, capacity: usize) -> SkipList<C> {
         let arena = Arena::with_capacity(capacity + 256);
         // PANIC-SAFE: the +256 slack above guarantees the head node (fixed,
-        // ~100 bytes) always fits in a fresh arena.
-        let head = Self::alloc_node_in(&arena, MAX_HEIGHT, 0, 0, 0, 0)
+        // 64 bytes) always fits in a fresh arena.
+        let head = Self::alloc_node_in(&arena, MAX_HEIGHT, b"", b"")
             .expect("arena sized for at least the head node");
-        SkipList { arena, cmp, head, max_height: AtomicUsize::new(1), len: AtomicUsize::new(0) }
+        SkipList { arena, cmp, head, max_height: AtomicUsize::new(1), len: Len(AtomicUsize::new(0)) }
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
         // ORDERING: relaxed — monotonic gauge; callers wanting
         // read-your-writes go through get(), not len().
-        self.len.load(AtOrd::Relaxed)
+        self.len.0.load(AtOrd::Relaxed)
     }
 
     /// True when no entries have been inserted.
@@ -72,8 +81,8 @@ impl<C: Comparator> SkipList<C> {
         self.len() == 0
     }
 
-    /// Bytes consumed in the arena (nodes + keys + values + padding) — the
-    /// MemTable's "is it full?" metric.
+    /// Bytes consumed in the arena (nodes + keys from the front, values
+    /// from the back, padding) — the MemTable's "is it full?" metric.
     pub fn memory_usage(&self) -> usize {
         self.arena.allocated()
     }
@@ -83,27 +92,26 @@ impl<C: Comparator> SkipList<C> {
         self.arena.capacity()
     }
 
-    fn alloc_node_in(
-        arena: &Arena,
-        height: usize,
-        key_off: u32,
-        key_len: u32,
-        val_off: u32,
-        val_len: u32,
-    ) -> Result<u32, ArenaFull> {
-        let size = HEADER_SIZE + height * 4;
-        let off = arena.alloc(size, 4)?;
-        // SAFETY: freshly allocated, in bounds, 4-aligned; links were zeroed
-        // by the arena (null = 0).
+    /// Reserve a node of `height` with its key at the front and its value
+    /// at the back in one step, and fill in everything but the links.
+    fn alloc_node_in(arena: &Arena, height: usize, key: &[u8], value: &[u8]) -> Result<u32, ArenaFull> {
+        let tower = HEADER_SIZE + height * 4;
+        let (node, val_off) = arena.reserve(tower + key.len(), value.len())?;
+        // SAFETY: both ranges are this thread's until the node is published;
+        // the node is in bounds and 4-aligned, and its links were zeroed by
+        // the arena (null = 0). Lengths fit in u32: the reservation did.
         unsafe {
-            let hdr = arena.ptr_at(off) as *mut NodeHeader;
-            hdr.write(NodeHeader { key_off, key_len, val_off, val_len, height: height as u32 });
+            let hdr = arena.ptr_at(node) as *mut NodeHeader;
+            let (key_len, val_len) = (key.len() as u32, value.len() as u32);
+            hdr.write(NodeHeader { key_len, val_off, val_len, height: height as u32 });
+            arena.write(node + tower as u32, key);
+            arena.write(val_off, value);
         }
-        Ok(off)
+        Ok(node)
     }
 
     /// # Safety
-    /// `node` must be an offset returned by `alloc_node` on this list's
+    /// `node` must be an offset returned by `alloc_node_in` on this list's
     /// arena (header fully initialized, in bounds, 4-aligned).
     #[inline]
     unsafe fn header(&self, node: u32) -> &NodeHeader {
@@ -130,7 +138,7 @@ impl<C: Comparator> SkipList<C> {
         // SAFETY: key bytes were fully written before the node was published.
         unsafe {
             let h = self.header(node);
-            self.arena.slice(h.key_off, h.key_len as usize)
+            self.arena.slice(node + (HEADER_SIZE + h.height as usize * 4) as u32, h.key_len as usize)
         }
     }
 
@@ -213,16 +221,7 @@ impl<C: Comparator> SkipList<C> {
     /// in the list (guaranteed by unique sequence numbers in LSM usage).
     pub fn insert(&self, key: &[u8], value: &[u8]) -> Result<(), ArenaFull> {
         let height = Self::random_height();
-        let key_off = self.arena.alloc_bytes(key)?;
-        let val_off = self.arena.alloc_bytes(value)?;
-        let node = Self::alloc_node_in(
-            &self.arena,
-            height,
-            key_off,
-            key.len() as u32,
-            val_off,
-            value.len() as u32,
-        )?;
+        let node = Self::alloc_node_in(&self.arena, height, key, value)?;
 
         // Raise the list height if needed. A racing reader that still sees
         // the old height just misses the taller levels (correctness is
@@ -284,7 +283,7 @@ impl<C: Comparator> SkipList<C> {
             }
         }
         // ORDERING: relaxed — len is a gauge (see len()).
-        self.len.fetch_add(1, AtOrd::Relaxed);
+        self.len.0.fetch_add(1, AtOrd::Relaxed);
         Ok(())
     }
 
@@ -331,7 +330,7 @@ impl<C: Comparator> SkipList<C> {
 
     /// Streaming iterator positioned before the first entry.
     pub fn iter(&self) -> SkipListIter<'_, C> {
-        SkipListIter { list: self, node: self.next(self.head, 0) }
+        Cursor::new(self)
     }
 }
 
@@ -344,14 +343,30 @@ impl<C: Comparator> std::fmt::Debug for SkipList<C> {
     }
 }
 
-/// Forward iterator over a [`SkipList`]. Also usable positionally
-/// (`seek`/`valid`/`key`/`value`/`advance`) like LevelDB iterators.
-pub struct SkipListIter<'a, C: Comparator> {
-    list: &'a SkipList<C>,
+/// Forward cursor over a [`SkipList`] reached through `L` — a borrow
+/// ([`SkipListIter`]) or an `Arc` ([`ArcSkipIter`]). Usable positionally
+/// (`seek`/`valid`/`key`/`value`/`advance`) like LevelDB iterators; the
+/// borrowing one is also an [`Iterator`].
+pub struct Cursor<L> {
+    list: L,
     node: u32,
 }
 
-impl<'a, C: Comparator> SkipListIter<'a, C> {
+/// A [`Cursor`] borrowing its list.
+pub type SkipListIter<'a, C> = Cursor<&'a SkipList<C>>;
+
+/// A [`Cursor`] that *owns* an `Arc` of its list, so it can be stored in
+/// long-lived scan objects (e.g. a database iterator pinning a MemTable)
+/// without borrowing issues. Key/value slices borrow from the arena, which
+/// the `Arc` keeps alive.
+pub type ArcSkipIter<C> = Cursor<std::sync::Arc<SkipList<C>>>;
+
+impl<C: Comparator, L: std::ops::Deref<Target = SkipList<C>>> Cursor<L> {
+    /// Create a cursor positioned at the first entry.
+    pub fn new(list: L) -> Cursor<L> {
+        Cursor { node: list.next(list.head, 0), list }
+    }
+
     /// Position at the first entry with key ≥ `key`.
     pub fn seek(&mut self, key: &[u8]) {
         self.node = self.list.seek_node(key);
@@ -362,13 +377,13 @@ impl<'a, C: Comparator> SkipListIter<'a, C> {
         self.node = self.list.next(self.list.head, 0);
     }
 
-    /// Whether the iterator points at an entry.
+    /// Whether the cursor points at an entry.
     pub fn valid(&self) -> bool {
         self.node != 0
     }
 
     /// Key at the current position. Panics if `!valid()`.
-    pub fn key(&self) -> &'a [u8] {
+    pub fn key(&self) -> &[u8] {
         // PANIC-SAFE: the `ForwardIter` contract — callers check `valid()`
         // first; `MergingIter` touches valid children only.
         assert!(self.valid());
@@ -376,67 +391,15 @@ impl<'a, C: Comparator> SkipListIter<'a, C> {
     }
 
     /// Value at the current position. Panics if `!valid()`.
-    pub fn value(&self) -> &'a [u8] {
-        // PANIC-SAFE: as in `key`.
-        assert!(self.valid());
-        self.list.node_value(self.node)
-    }
-
-    /// Move to the next entry.
-    pub fn advance(&mut self) {
-        // PANIC-SAFE: as in `key`.
-        assert!(self.valid());
-        self.node = self.list.next(self.node, 0);
-    }
-}
-
-/// A forward iterator that *owns* an `Arc` of its list, so it can be stored
-/// in long-lived scan objects (e.g. a database iterator pinning a MemTable)
-/// without borrowing issues. Key/value slices borrow from the arena, which
-/// the `Arc` keeps alive.
-pub struct ArcSkipIter<C: Comparator> {
-    list: std::sync::Arc<SkipList<C>>,
-    node: u32,
-}
-
-impl<C: Comparator> ArcSkipIter<C> {
-    /// Create an iterator positioned before the first entry.
-    pub fn new(list: std::sync::Arc<SkipList<C>>) -> ArcSkipIter<C> {
-        ArcSkipIter { node: list.next(list.head, 0), list }
-    }
-
-    /// Position at the first entry with key ≥ `key`.
-    pub fn seek(&mut self, key: &[u8]) {
-        self.node = self.list.seek_node(key);
-    }
-
-    /// Position at the first entry.
-    pub fn seek_to_first(&mut self) {
-        self.node = self.list.next(self.list.head, 0);
-    }
-
-    /// Whether the iterator points at an entry.
-    pub fn valid(&self) -> bool {
-        self.node != 0
-    }
-
-    /// Key at the current position. Panics if `!valid()`.
-    pub fn key(&self) -> &[u8] {
-        // PANIC-SAFE: as in `SkipListIter::key`.
-        assert!(self.valid());
-        self.list.node_key(self.node)
-    }
-
-    /// Value at the current position. Panics if `!valid()`.
     pub fn value(&self) -> &[u8] {
-        // PANIC-SAFE: as in `SkipListIter::key`.
+        // PANIC-SAFE: as in `key`.
         assert!(self.valid());
         self.list.node_value(self.node)
     }
 
     /// Move to the next entry.
     pub fn advance(&mut self) {
-        // PANIC-SAFE: as in `SkipListIter::key`.
+        // PANIC-SAFE: as in `key`.
         assert!(self.valid());
         self.node = self.list.next(self.node, 0);
     }
@@ -449,8 +412,9 @@ impl<'a, C: Comparator> Iterator for SkipListIter<'a, C> {
         if self.node == 0 {
             return None;
         }
-        let item = (self.list.node_key(self.node), self.list.node_value(self.node));
-        self.node = self.list.next(self.node, 0);
+        let list: &'a SkipList<C> = self.list;
+        let item = (list.node_key(self.node), list.node_value(self.node));
+        self.node = list.next(self.node, 0);
         Some(item)
     }
 }

@@ -5,7 +5,7 @@
 //! configurations have identical layout and (non-model) behavior.
 
 #[cfg(feature = "shim")]
-pub(crate) use dlsm_check::shim::{AtomicU32, AtomicUsize, Ordering};
+pub(crate) use dlsm_check::shim::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 #[cfg(not(feature = "shim"))]
-pub(crate) use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+pub(crate) use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};

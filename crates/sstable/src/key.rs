@@ -102,13 +102,20 @@ impl InternalKey {
 /// 56 bytes so that a point read allocates nothing in order to search.
 #[inline]
 pub fn with_lookup_key<T>(user_key: &[u8], seq: SeqNo, f: impl FnOnce(&[u8]) -> T) -> T {
+    with_internal_key(user_key, seq, ValueType::Value, f)
+}
+
+/// Run `f` on the bytes of [`InternalKey::new`]`(user_key, seq, vt)`, built
+/// on the stack likewise (a put's key).
+#[inline]
+pub fn with_internal_key<T>(user_key: &[u8], seq: SeqNo, vt: ValueType, f: impl FnOnce(&[u8]) -> T) -> T {
     let mut stack = [0u8; 64];
     let Some(buf) = stack.get_mut(..user_key.len() + TRAILER_LEN) else {
-        return f(InternalKey::for_lookup(user_key, seq).as_bytes());
+        return f(InternalKey::new(user_key, seq, vt).as_bytes());
     };
     let (user, trailer) = buf.split_at_mut(user_key.len());
     user.copy_from_slice(user_key);
-    trailer.copy_from_slice(&pack_trailer(seq, ValueType::Value).to_le_bytes());
+    trailer.copy_from_slice(&pack_trailer(seq, vt).to_le_bytes());
     f(buf)
 }
 

@@ -11,6 +11,8 @@ use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
+use dlsm_repro::dlsm::memtable::ENTRY_OVERHEAD;
+use dlsm_repro::dlsm::telemetry::PUT_PHASES;
 use dlsm_repro::dlsm::{
     ComputeContext, Db, DbConfig, DbError, DbStatsSnapshot, MemNodeHandle, SwitchProtocol, WriteBatch,
 };
@@ -136,6 +138,85 @@ fn a_write_larger_than_a_memtable_is_refused_before_it_draws_a_sequence_number()
     assert_eq!(reader.get(b"after").unwrap(), Some(b"ok".to_vec()));
     assert_eq!(reader.get(b"big").unwrap(), None);
     drop(reader);
+    db.shutdown();
+    server.shutdown();
+}
+
+/// The refusal is exact: the largest key + value an empty MemTable's arena
+/// holds is written and read back, and one byte more is refused.
+#[test]
+fn the_largest_write_an_empty_memtable_holds_is_accepted_and_one_byte_more_is_refused() {
+    let (server, db) = open();
+    let largest = DbConfig::small().arena_capacity() - ENTRY_OVERHEAD;
+    let value = vec![0x5A; largest - b"largest".len()];
+    db.put(b"largest", &value).unwrap();
+    let before = db.stats().snapshot();
+    let put = db.put(b"largest+", &value);
+    assert!(matches!(put, Err(DbError::InvalidArgument(_))), "{put:?}");
+    assert_eq!(db.stats().snapshot().puts, before.puts);
+    let mut reader = db.reader();
+    assert_eq!(reader.get(b"largest").unwrap().as_deref(), Some(&value[..]));
+    db.wait_until_quiescent();
+    assert_eq!(db.stats().snapshot().flushes, 1);
+    assert_eq!(reader.get(b"largest").unwrap().as_deref(), Some(&value[..]));
+    drop(reader);
+    db.shutdown();
+    server.shutdown();
+}
+
+/// The phase histograms of the puts `db` timed, in `PUT_PHASES` order.
+fn put_phases(db: &Db) -> Vec<(u64, u64)> {
+    let s = db.telemetry_snapshot();
+    PUT_PHASES.iter().map(|p| s.breakdown_hist(p)).map(|h| (h.count(), h.sum())).collect()
+}
+
+/// `n` puts from a writer thread of its own (its one-in-16 count starts at 0).
+fn put_from_a_new_thread(db: &Db, n: u64, value_len: usize) {
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for k in 0..n {
+                db.put(&key(k), &vec![k as u8; value_len]).unwrap();
+            }
+        });
+    });
+}
+
+/// The put's ledger (DESIGN.md §8): every put is one `Put` sample; a writer
+/// thread times one put in 16, and every put that switches a table, stalls
+/// or runs under tracing; only timed puts feed the four phase histograms,
+/// whose sum is at most the calls' latency.
+#[test]
+fn one_put_in_sixteen_is_timed_and_its_phases_fit_inside_the_call() {
+    // No switch: puts 0, 16, …, 96 are timed.
+    let (server, db) = open();
+    put_from_a_new_thread(&db, 100, 128);
+    assert_eq!(db.stats().snapshot().switches, 0);
+    assert_eq!(db.telemetry_snapshot().op(OpClass::Put).count(), 100);
+    assert!(put_phases(&db).iter().all(|&(count, _)| count == 7), "{:?}", put_phases(&db));
+    db.shutdown();
+    server.shutdown();
+
+    // Every put fills its table and switches it (some stall too): all timed.
+    let (server, db) = open_with(DbConfig { memtable_size: 4 << 10, ..DbConfig::small() });
+    put_from_a_new_thread(&db, 40, 5 << 10);
+    let stats = db.stats().snapshot();
+    assert_eq!(stats.switches, 40, "{stats}");
+    assert_eq!(db.telemetry_snapshot().op(OpClass::Put).count(), 40);
+    assert!(put_phases(&db).iter().all(|&(count, _)| count == 40), "{:?}", put_phases(&db));
+    db.shutdown();
+    server.shutdown();
+
+    // Under tracing every put is timed, and its phases sum to at most its call.
+    let (server, db) = open();
+    dlsm_trace::set_enabled(true);
+    put_from_a_new_thread(&db, 50, 128);
+    dlsm_trace::set_enabled(false);
+    let put = db.telemetry_snapshot().op(OpClass::Put);
+    let phases = put_phases(&db);
+    assert!(phases.iter().all(|&(count, _)| count == 50), "{phases:?}");
+    let phase_sum: u64 = phases.iter().map(|&(_, sum)| sum).sum();
+    assert!(phase_sum <= put.sum(), "phases {phase_sum} ns > calls {} ns", put.sum());
+    assert!(phase_sum > 0);
     db.shutdown();
     server.shutdown();
 }
