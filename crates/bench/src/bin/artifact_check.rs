@@ -37,9 +37,9 @@
 //!    `stall_imm_micros + stall_l0_micros` counter total) within
 //!    [`STALL_TOLERANCE`]; with the engine reporting zero stall time, any
 //!    folded episode is a fabrication and fails;
-//! 3. the journal stayed within [`MAX_DROPS`], and the accounting identity
-//!    `drops == max(0, attempts - capacity)` holds exactly (the write-once
-//!    ring's invariant, see `dlsm-timeline`).
+//! 3. the trace rings' lifecycle records lost to wrap
+//!    (`lifecycle_overwritten`, see `dlsm_trace::lifecycle_overwritten`)
+//!    stayed within [`MAX_DROPS`].
 //!
 //! An empty window series fails: a sampler that never ticked is a bug.
 //!
@@ -50,9 +50,10 @@ use std::collections::{HashMap, HashSet};
 use dlsm_bench::json::{self, Json};
 
 /// Largest relative gap allowed between summed stall episodes and the
-/// engine's stall counters (absorbs bounded journal loss).
+/// engine's stall counters (absorbs a stall that ends between the fold and
+/// the counter read).
 const STALL_TOLERANCE: f64 = 0.05;
-/// Journal events a timeline may have dropped.
+/// Lifecycle records a timeline may have lost to ring wrap.
 const MAX_DROPS: u64 = 0;
 
 const USAGE: &str = "usage: artifact_check trace <TRACE.json>\n       \
@@ -311,10 +312,9 @@ fn validate_timeline(text: &str) -> Result<String, String> {
         prev = Some((index, end));
     }
 
-    // 2. Episode/counter reconciliation. Episodes are folded from journal
-    //    events that carry the exact micros added to the engine's stall
-    //    counters, so the sums agree exactly when nothing was dropped; the
-    //    tolerance absorbs bounded journal loss.
+    // 2. Episode/counter reconciliation. Episodes are folded from stall
+    //    spans whose length is the exact micros added to the engine's stall
+    //    counters, so the sums agree exactly when nothing was lost.
     let engine_micros = read_num(&root, "engine_stall_micros", "root")? as u64;
     let episodes = root
         .get("episodes")
@@ -347,25 +347,17 @@ fn validate_timeline(text: &str) -> Result<String, String> {
         }
     }
 
-    // 3. Journal accounting: bounded, exactly-counted loss.
-    let journal = root.get("journal").ok_or("missing journal object")?;
-    let attempts = read_num(journal, "attempts", "journal")? as u64;
-    let capacity = read_num(journal, "capacity", "journal")? as u64;
-    let drops = read_num(journal, "drops", "journal")? as u64;
-    if drops != attempts.saturating_sub(capacity) {
+    // 3. Lifecycle records lost to ring wrap: counted, within budget.
+    let overwritten = read_num(&root, "lifecycle_overwritten", "root")? as u64;
+    if overwritten > MAX_DROPS {
         return Err(format!(
-            "journal drop accounting broken: {attempts} attempts into {capacity} slots \
-             must drop exactly {}, recorded {drops}",
-            attempts.saturating_sub(capacity)
+            "{overwritten} lifecycle records overwritten in the trace rings, budget {MAX_DROPS}"
         ));
-    }
-    if drops > MAX_DROPS {
-        return Err(format!("journal dropped {drops} events, budget {MAX_DROPS}"));
     }
 
     Ok(format!(
         "{} contiguous windows, {} episodes ({episode_micros} us vs engine {engine_micros} us), \
-         journal {attempts}/{capacity} posts, {drops} drops",
+         {overwritten} lifecycle records overwritten",
         windows.len(),
         episodes.len(),
     ))
@@ -379,13 +371,13 @@ mod tests {
 
     #[test]
     fn accepts_a_real_chrome_trace() {
-        dlsm_trace::set_enabled(true);
+        dlsm_trace::set_level(dlsm_trace::Level::All);
         {
             let _a = dlsm_trace::span(dlsm_trace::Category::Db, "outer");
             let _b = dlsm_trace::span(dlsm_trace::Category::Rdma, "inner");
             dlsm_trace::instant(dlsm_trace::Category::Rpc, "tick", 1);
         }
-        dlsm_trace::set_enabled(false);
+        dlsm_trace::set_level(dlsm_trace::Level::Off);
         let events = dlsm_trace::collect_events();
         let json = dlsm_trace::chrome_trace(&events);
         dlsm_trace::clear();
@@ -528,7 +520,7 @@ mod tests {
     const GOOD: &str = r#"{
       "tick_ms": 250,
       "engine_stall_micros": 1000,
-      "journal": {"attempts": 10, "posted": 10, "drops": 0, "capacity": 65536},
+      "lifecycle_overwritten": 0,
       "frames_dropped": 0,
       "windows": [
         {"index": 0, "start_us": 0, "end_us": 250000, "ops_per_sec": 10.0},
@@ -590,17 +582,13 @@ mod tests {
     }
 
     #[test]
-    fn rejects_journal_violations() {
-        // A single drop exceeds the budget, even with consistent accounting.
-        let lossy = GOOD.replace(
-            r#""journal": {"attempts": 10, "posted": 10, "drops": 0, "capacity": 65536}"#,
-            r#""journal": {"attempts": 65537, "posted": 65536, "drops": 1, "capacity": 65536}"#,
-        );
+    fn rejects_an_overwritten_lifecycle_record() {
+        // A single lost stall, flush or compaction span exceeds the budget.
+        let lossy = GOOD.replace(r#""lifecycle_overwritten": 0"#, r#""lifecycle_overwritten": 1"#);
         let e = validate_timeline(&lossy).unwrap_err();
         assert!(e.contains("budget"), "{e}");
-        // Broken accounting identity: drops claimed without overflow.
-        let bogus = GOOD.replace(r#""drops": 0"#, r#""drops": 5"#);
-        let e = validate_timeline(&bogus).unwrap_err();
-        assert!(e.contains("accounting"), "{e}");
+        // The count is required, not assumed zero.
+        let absent = GOOD.replace(r#""lifecycle_overwritten": 0,"#, "");
+        assert!(validate_timeline(&absent).is_err());
     }
 }

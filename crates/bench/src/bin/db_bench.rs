@@ -48,8 +48,9 @@
 //!                 phase's p99.9 exemplars resolve to a root span in the
 //!                 slowest-traces dump
 //!   --timeline    time-resolved telemetry: a windowed sampler snapshots
-//!                 telemetry deltas every tick, the engine journals
-//!                 lifecycle events (flush/compaction/stall/switch), and a
+//!                 telemetry deltas every tick, the trace rings record the
+//!                 engine's flush/compaction/stall spans (only those, unless
+//!                 --trace records everything), and a
 //!                 stall-episode analyzer reports the worst episodes. Adds
 //!                 a per-phase `timeline` block to the JSON and writes the
 //!                 full window series + episode table to
@@ -98,7 +99,7 @@ fn event_key(e: &dlsm_trace::Event) -> (u64, u64, u64, u64) {
 }
 
 /// The run's closed timeline (`--timeline`): the sampler's window series
-/// and the journal's folded stall episodes, throughput-annotated.
+/// and the stall episodes folded from the trace rings, throughput-annotated.
 struct RunTimeline {
     frames: Vec<dlsm_timeline::WindowFrame>,
     frames_dropped: u64,
@@ -291,15 +292,17 @@ fn main() {
     println!(
         "db_bench: system={system} num={num} threads={threads} kv={key_size}+{value_size}B scale={scale}"
     );
+    // Set the level before the engine exists so even startup events land;
+    // `--timeline` alone records only the lifecycle spans it folds.
     if trace {
-        dlsm_trace::set_enabled(true);
+        dlsm_trace::set_level(dlsm_trace::Level::All);
         println!("tracing: enabled (flight-recorder rings, dumps under results/)");
+    } else if timeline {
+        dlsm_trace::set_level(dlsm_trace::Level::Lifecycle);
     }
     if timeline {
-        // Enable before the engine exists so even startup events land.
-        dlsm_timeline::set_enabled(true);
         println!(
-            "timeline: enabled ({timeline_tick_ms} ms windows, engine event journal, \
+            "timeline: enabled ({timeline_tick_ms} ms windows, lifecycle trace spans, \
              episode report + results/TIMELINE_*.json)"
         );
     }
@@ -366,7 +369,6 @@ fn main() {
         }
         if let Some(ts) = &sampler {
             ts.register_metrics(&reg);
-            dlsm_timeline::register_journal_metrics(&reg);
         }
         let srv = dlsm_metrics::serve(reg, addr.as_str()).unwrap_or_else(|e| {
             eprintln!("cannot bind --metrics-addr {addr}: {e}");
@@ -505,11 +507,9 @@ fn main() {
             }
         }
         if timeline {
-            // The journal never wraps, so a phase-boundary collect sees
-            // every event posted so far; fold just for the progress line
-            // (the end-of-run fold is the authoritative one).
-            let recs = dlsm_timeline::journal().collect();
-            let eps = dlsm_timeline::fold_episodes(&recs);
+            // Fold the rings just for the progress line (the end-of-run
+            // fold is the authoritative one).
+            let eps = dlsm_timeline::fold_episodes(&dlsm_trace::collect_events());
             let (count, stalled, worst) =
                 dlsm_timeline::phase_episode_summary(&eps, result.start_us, result.end_us());
             if count > 0 {
@@ -576,7 +576,7 @@ fn main() {
     }
 
     // Close the timeline: stop the tick thread (capturing the final
-    // partial window), fold the journal into episodes, annotate them with
+    // partial window), fold the stall spans into episodes, annotate them with
     // window throughput, and render the doctor-style episode report. The
     // stopped sampler stays alive (not taken) so its Weak-backed
     // `dlsm_timeline_*` gauges keep serving through the --metrics-hold
@@ -585,8 +585,7 @@ fn main() {
         s.stop();
         let frames = s.frames();
         let frames_dropped = s.frames_dropped();
-        let records = dlsm_timeline::journal().collect();
-        let mut episodes = dlsm_timeline::fold_episodes(&records);
+        let mut episodes = dlsm_timeline::fold_episodes(&dlsm_trace::collect_events());
         dlsm_timeline::annotate_throughput(&mut episodes, &frames);
         RunTimeline { frames, frames_dropped, episodes, tick_ms: timeline_tick_ms }
     });
@@ -625,6 +624,7 @@ fn main() {
             &phases,
             tl.tick_ms,
             engine_stall_micros(sc.engine.as_ref()),
+            dlsm_trace::lifecycle_overwritten(),
         );
         let tl_path = format!("results/TIMELINE_{}.json", sanitize(&system));
         let write = std::fs::create_dir_all("results")
@@ -678,7 +678,7 @@ fn dump_traces(
     exemplar_events: &[dlsm_trace::Event],
     timeline_report: Option<&str>,
 ) {
-    dlsm_trace::set_enabled(false);
+    dlsm_trace::set_level(dlsm_trace::Level::Off);
     let events = dlsm_trace::collect_events();
     let sys = sanitize(system);
 

@@ -845,11 +845,11 @@ mod tests {
         };
         let engine = build_dlsm(&deps, DbConfig::small(), 1).unwrap();
         let spec = WorkloadSpec { num_kv: 3_000, key_size: 20, value_size: 50 };
-        dlsm_trace::set_enabled(true);
+        dlsm_trace::set_level(dlsm_trace::Level::All);
         let fill = run_fill(&engine, &spec, 2);
         engine.wait_until_quiescent();
         let rr = run_random_read(&engine, &spec, 2, 1_500);
-        dlsm_trace::set_enabled(false);
+        dlsm_trace::set_level(dlsm_trace::Level::Off);
         for r in [&fill, &rr] {
             assert!(!r.exemplars.is_empty(), "{}: no exemplars with tracing on", r.phase);
             let p99 = r.lat.quantile(0.99);

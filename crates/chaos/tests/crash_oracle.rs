@@ -98,7 +98,7 @@ fn run_chaos(seed: u64) {
     // Flight recorder: trace the whole chaos run; if any oracle below
     // panics, the rings are dumped as a Perfetto-loadable trace so the red
     // run ships the evidence (cross-node spans included).
-    dlsm_trace::set_enabled(true);
+    dlsm_trace::set_level(dlsm_trace::Level::All);
     let _trace_dump = dlsm_trace::PanicDump::new(format!("results/chaos_trace_{seed:x}.json"));
 
     // And the LSM shape / stall / remote-memory snapshot goes to stderr on

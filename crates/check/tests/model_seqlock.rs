@@ -1,10 +1,10 @@
 //! Model-check the one seqlock of the observability crates: the *real*
 //! `dlsm_trace::SeqSlot` (built with the `shim` feature) that the trace
-//! rings, the engine journal and the exemplar store all encode their
-//! records into. Relaxed payload loads may legally return stale values, and
-//! the version recheck must reject every torn combination. A straw-man slot
-//! that publishes its version before its payload proves the checker can
-//! catch the bug class.
+//! rings (op and lifecycle, one writer each) and the exemplar store (racing
+//! `try_publish` writers) encode their records into. Relaxed payload loads
+//! may legally return stale values, and the version recheck must reject
+//! every torn combination. A straw-man slot that publishes its version
+//! before its payload proves the checker can catch the bug class.
 
 use dlsm_check::shim::{fence, thread, AtomicU64, Ordering};
 use dlsm_check::Checker;

@@ -292,7 +292,6 @@ impl Shared {
             self.publication.publish(prev, start - prev);
         }
         DbStats::bump(&self.stats.switches);
-        dlsm_timeline::post(dlsm_timeline::EngineEvent::MemtableSwitch { mem_id: old.id });
         if keep_old {
             let queued = self.flush_queue_len.fetch_add(1, Ordering::Release) + 1;
             dlsm_trace::instant(dlsm_trace::Category::Flush, "flush_enqueue", queued as u64);
@@ -349,11 +348,6 @@ impl Shared {
         }
         DbStats::bump(&self.stats.stall_events);
         let reason = self.stall_reason();
-        let _sp =
-            dlsm_trace::span_arg(dlsm_trace::Category::Stall, "write_stall", reason.trace_arg());
-        // The matching StallEnd is posted by `note_stall` below, from this
-        // same thread, so episode folding pairs them by poster tid.
-        dlsm_timeline::post(dlsm_timeline::EngineEvent::StallBegin { reason: reason.trace_arg() });
         clock.time_rest();
         let t0 = Instant::now();
         let mut guard = self.stall_lock.lock();
@@ -1369,7 +1363,6 @@ fn flush_loop(shared: Arc<Shared>, rx: Receiver<Arc<MemTable>>) {
         // compaction may free space, and a starved dispatcher recovers.
         let mut attempts = 0u32;
         let _sp = dlsm_trace::span_arg(dlsm_trace::Category::Flush, "flush", mem.id);
-        dlsm_timeline::post(dlsm_timeline::EngineEvent::FlushStart { mem_id: mem.id });
         let out = loop {
             attempts += 1;
             let t_flush = Instant::now();
@@ -1422,10 +1415,6 @@ fn flush_loop(shared: Arc<Shared>, rx: Receiver<Arc<MemTable>>) {
             DbStats::add(&shared.stats.flush_bytes, out.extent.len);
             DbStats::add(&shared.stats.flush_tombstones, mem.tombstones());
         }
-        dlsm_timeline::post(dlsm_timeline::EngineEvent::FlushEnd {
-            mem_id: mem.id,
-            bytes: out.as_ref().map(|o| o.extent.len).unwrap_or(0),
-        });
         // Serialization ran in parallel; installation happens strictly in
         // MemTable retirement order (see `install_in_order`).
         let order = mem.flush_order.load(Ordering::Acquire);
@@ -1529,9 +1518,6 @@ fn compaction_loop(shared: Arc<Shared>) {
         let t_compact = Instant::now();
         let _sp =
             dlsm_trace::span_arg(dlsm_trace::Category::Compact, "compaction", job.level as u64);
-        dlsm_timeline::post(dlsm_timeline::EngineEvent::CompactionStart {
-            level: job.level as u64,
-        });
         let result = if shared.cfg.near_data_compaction {
             run_near_data(
                 &job,
@@ -1593,9 +1579,6 @@ fn compaction_loop(shared: Arc<Shared>) {
                     // reused.
                     for t in job.inputs_lo.iter().chain(job.inputs_hi.iter()) {
                         c.invalidate_table(t.id);
-                        dlsm_timeline::post(dlsm_timeline::EngineEvent::CacheInvalidate {
-                            table_id: t.id,
-                        });
                     }
                 }
                 DbStats::bump(&shared.stats.compactions);
@@ -1611,19 +1594,9 @@ fn compaction_loop(shared: Arc<Shared>) {
                     &shared.stats.compaction_bytes_out,
                     outcome.outputs.iter().map(|t| t.extent.len).sum::<u64>(),
                 );
-                dlsm_timeline::post(dlsm_timeline::EngineEvent::CompactionEnd {
-                    level: job.level as u64,
-                    bytes: outcome.outputs.iter().map(|t| t.extent.len).sum::<u64>(),
-                });
                 shared.notify_stall();
             }
             Err(e) => {
-                // Close the interval even on failure so episode overlap
-                // counting doesn't see a compaction running forever.
-                dlsm_timeline::post(dlsm_timeline::EngineEvent::CompactionEnd {
-                    level: job.level as u64,
-                    bytes: 0,
-                });
                 consecutive_failures += 1;
                 if consecutive_failures <= 3 || consecutive_failures.is_power_of_two() {
                     let alloc = shared.memnode.flush_alloc();

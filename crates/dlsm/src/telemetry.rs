@@ -51,26 +51,30 @@ pub const PUT_PHASES: [&str; 4] = ["put_stall", "put_reserve", "put_insert", "pu
 pub(crate) enum PutPhase { Stall, Reserve, Insert, Publish }
 
 thread_local! {
-    /// This thread's puts so far, and what its last timed put took (ns).
+    /// This thread's puts so far, and what its last scheduled put took (ns).
     static PUTS: (Cell<u64>, Cell<u64>) = const { (Cell::new(0), Cell::new(0)) };
 }
 
-/// The clock of one put (DESIGN.md §8): a writer thread times one put in
-/// [`SAMPLE_EVERY`], every put while tracing is on, and a put that stalls
-/// or switches a table from then on. An untimed put records its thread's
-/// last timed latency, so `Put`'s count is exact; only timed puts feed
-/// [`PUT_PHASES`].
+/// The clock of one put (DESIGN.md §8): a writer thread schedules one put
+/// in [`SAMPLE_EVERY`], and every put while tracing is on; a put that
+/// stalls or switches a table is also timed, from then on. An untimed put
+/// records its thread's last scheduled latency, so `Put`'s count is exact;
+/// a put timed only because it stalled or switched records its own latency
+/// and is never repeated, so it counts once (as `LastTimed` does for gets).
+/// Only timed puts feed [`PUT_PHASES`].
 pub(crate) struct PutClock {
     called: Option<Instant>,
     last: Option<Instant>,
+    scheduled: bool,
     phases: [u64; 4],
 }
 
 impl PutClock {
     pub(crate) fn start() -> PutClock {
         let n = PUTS.with(|(puts, _)| puts.replace(puts.get() + 1));
-        let now = (n.is_multiple_of(SAMPLE_EVERY) || dlsm_trace::enabled()).then(Instant::now);
-        PutClock { called: now, last: now, phases: [0; 4] }
+        let scheduled = n.is_multiple_of(SAMPLE_EVERY) || dlsm_trace::enabled();
+        let now = scheduled.then(Instant::now);
+        PutClock { called: now, last: now, scheduled, phases: [0; 4] }
     }
 
     /// Time the rest of this put, if it is not timed already.
@@ -92,11 +96,17 @@ impl PutClock {
 
     /// Record the put's one `Put` sample and, if it was timed, its phases.
     pub(crate) fn finish(self, t: &DbTelemetry) {
-        if let (Some(called), Some(now)) = (self.called, self.last) {
-            PUTS.with(|(_, last)| last.set(nanos(now - called)));
-            t.put_phases.iter().zip(self.phases).for_each(|(hist, ns)| hist.record(ns));
-        }
-        let took = PUTS.with(|(_, last)| last.get());
+        let took = match (self.called, self.last) {
+            (Some(called), Some(now)) => {
+                let took = nanos(now - called);
+                if self.scheduled {
+                    PUTS.with(|(_, last)| last.set(took));
+                }
+                t.put_phases.iter().zip(self.phases).for_each(|(hist, ns)| hist.record(ns));
+                took
+            }
+            _ => PUTS.with(|(_, last)| last.get()),
+        };
         record_op(&t.ops, OpClass::Put, Duration::from_nanos(took));
     }
 }
@@ -317,7 +327,8 @@ impl std::fmt::Debug for Readers {
 
 impl DbTelemetry {
 
-    /// Account one finished stall episode to its cause.
+    /// Account one finished stall episode to its cause, and record it as a
+    /// `write_stall` span of exactly that length.
     pub(crate) fn note_stall(&self, reason: StallReason, micros: u64) {
         let (events, total) = match reason {
             StallReason::ImmQueueFull => (&self.stall_imm_events, &self.stall_imm_micros),
@@ -326,13 +337,11 @@ impl DbTelemetry {
         // ORDERING: relaxed — event/total pair is read independently for averages; approximate by design.
         events.fetch_add(1, Ordering::Relaxed);
         total.fetch_add(micros, Ordering::Relaxed);
-        // The journaled episode carries the exact micros added to the
-        // counter above, so summed episode durations reconcile with the
-        // stall_*_micros deltas (`artifact_check timeline`'s invariant).
-        dlsm_timeline::post(dlsm_timeline::EngineEvent::StallEnd {
-            reason: reason.trace_arg(),
-            micros,
-        });
+        // The span lasts exactly the micros added to the counter above, so
+        // summed episode durations reconcile with the stall_*_micros deltas
+        // (`artifact_check timeline`'s invariant).
+        let arg = reason.trace_arg();
+        dlsm_trace::span_ended(dlsm_trace::Category::Stall, "write_stall", arg, micros);
     }
 
     /// Freeze the write-side op histograms and counters; the read side is

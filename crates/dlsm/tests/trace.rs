@@ -75,17 +75,17 @@ fn traced_get_and_cross_node_dispatch() {
     // ---- Traced point gets: probes, then one rdma_read for the record. ----
     let mut reader = db.reader();
     dlsm_trace::clear();
-    dlsm_trace::set_enabled(true);
+    dlsm_trace::set_level(dlsm_trace::Level::All);
     let mut deep_read_seen = false;
     for i in (0..3_000u64).step_by(61) {
         let before = reader.traffic().ops(Verb::Read);
         assert_eq!(reader.get(&key(i)).unwrap(), Some(4u64.to_le_bytes().to_vec()));
         let fabric_reads = reader.traffic().ops(Verb::Read) - before;
 
-        dlsm_trace::set_enabled(false);
+        dlsm_trace::set_level(dlsm_trace::Level::Off);
         let events = dlsm_trace::collect_events();
         dlsm_trace::clear();
-        dlsm_trace::set_enabled(true);
+        dlsm_trace::set_level(dlsm_trace::Level::All);
 
         let get = events
             .iter()
@@ -136,7 +136,7 @@ fn traced_get_and_cross_node_dispatch() {
     drop(root);
     // The dispatcher records on the server's own thread; give it a beat.
     std::thread::sleep(Duration::from_millis(50));
-    dlsm_trace::set_enabled(false);
+    dlsm_trace::set_level(dlsm_trace::Level::Off);
     let events = dlsm_trace::collect_events();
 
     let dispatch = events

@@ -216,9 +216,7 @@ impl RpcClient {
         let old = std::mem::replace(&mut self.qp, fresh);
         self.traffic_carried.merge(&old.traffic());
         self.reconnects += 1;
-        dlsm_timeline::post(dlsm_timeline::EngineEvent::MemnodeReconnect {
-            node_id: self.remote.0 as u64,
-        });
+        dlsm_trace::instant(dlsm_trace::Category::Rpc, "rpc_reconnect", self.remote.0 as u64);
         if let Some(net) = &self.net {
             // ORDERING: relaxed — reconnect counter; reporting only.
             net.reconnects.fetch_add(1, Ordering::Relaxed);

@@ -63,7 +63,7 @@ proptest! {
     ) {
         let _g = test_lock().lock().unwrap_or_else(|e| e.into_inner());
         dlsm_trace::clear();
-        dlsm_trace::set_enabled(true);
+        dlsm_trace::set_level(dlsm_trace::Level::All);
 
         // Writers record concurrently; the last thread plays "memnode":
         // it receives the first writer's root context through the wire
@@ -93,7 +93,7 @@ proptest! {
                 let _sp = dlsm_trace::span_child_of(Category::Server, "prop_dispatch", ctx);
             });
         });
-        dlsm_trace::set_enabled(false);
+        dlsm_trace::set_level(dlsm_trace::Level::Off);
         let events = dlsm_trace::collect_events();
 
         let spans: Vec<&Event> =

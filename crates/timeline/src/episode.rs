@@ -1,31 +1,31 @@
-//! Stall-episode analyzer: folds `StallBegin`/`StallEnd` journal records
-//! into episodes with a start, an end, a cause, the flush/compaction
-//! activity they overlapped, and the throughput of the windows they span —
-//! plus a doctor-style report ranking the worst episodes.
+//! Stall-episode analyzer: each `write_stall` trace span is one episode,
+//! with a start, an end, a cause, the flushes and compactions it overlapped
+//! (their spans), and the throughput of the windows it spans — plus a
+//! doctor-style report ranking the worst episodes.
 
-use crate::journal::{EngineEvent, JournalRecord};
 use crate::sampler::WindowFrame;
+use dlsm_trace::{Category, Event, EventKind};
 
 /// One folded stall episode.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StallEpisode {
-    /// Episode start, trace monotonic micros. Synthesized as
-    /// `end_us - micros` when the matching `StallBegin` was dropped.
+    /// Episode start, trace monotonic micros.
     pub start_us: u64,
-    /// Episode end (the `StallEnd` timestamp).
+    /// Episode end: when the writer resumed.
     pub end_us: u64,
     /// Stalled duration — the exact value the engine added to its
     /// `stall_*_micros` counter, so episode sums reconcile with deltas.
     pub micros: u64,
     /// Stall reason (trace arg code: imm-queue or L0-limit).
     pub reason: u64,
-    /// Trace id active on the stalled writer, 0 when none.
+    /// Trace id of the stall span: the stalled put's trace when ops are
+    /// traced, the span's own otherwise.
     pub trace_id: u64,
-    /// Journal-local id of the stalled thread.
+    /// Trace-local id of the stalled thread.
     pub tid: u64,
-    /// Flushes whose [start, end] interval overlapped the episode.
+    /// Flush spans that overlapped the episode.
     pub concurrent_flushes: u64,
-    /// Compactions whose [start, end] interval overlapped the episode.
+    /// Compaction spans that overlapped the episode.
     pub concurrent_compactions: u64,
     /// Foreground throughput averaged over the windows the episode spans
     /// (0.0 when no window data was available).
@@ -48,103 +48,41 @@ pub fn reason_name(reason: u64) -> &'static str {
     }
 }
 
-/// A background-work interval (flush or compaction) recovered from
-/// start/end journal records, used for overlap counting.
-#[derive(Debug, Clone, Copy)]
-struct WorkInterval {
-    start_us: u64,
-    end_us: u64,
-}
-
-fn overlaps(i: &WorkInterval, start_us: u64, end_us: u64) -> bool {
-    i.start_us < end_us && start_us < i.end_us
-}
-
-/// Pair start/end records keyed by `key` into closed intervals; an
-/// unmatched start is treated as still open at `horizon_us`.
-fn pair_intervals(
-    records: &[JournalRecord],
-    horizon_us: u64,
-    classify: impl Fn(&EngineEvent) -> Option<(bool, u64)>,
-) -> Vec<WorkInterval> {
-    let mut open: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-    let mut out = Vec::new();
-    for r in records {
-        match classify(&r.event) {
-            Some((true, key)) => {
-                open.insert(key, r.ts_us);
+/// Fold trace events into stall episodes, oldest first: one per
+/// `write_stall` span, whose arg is the reason and whose length is the
+/// stalled micros. Overlap counts come from the `flush` and `compaction`
+/// spans (not their sub-spans); a flush or compaction still running when
+/// the rings were read has no span yet and is not counted.
+pub fn fold_episodes(events: &[Event]) -> Vec<StallEpisode> {
+    let spans = |cat: Category, name: &'static str| {
+        events.iter().filter(move |e| e.kind == EventKind::Span && e.cat == cat && e.name == name)
+    };
+    let intervals = |cat, name| -> Vec<(u64, u64)> {
+        spans(cat, name).map(|e| (e.ts_us, e.end_us())).collect()
+    };
+    let flushes = intervals(Category::Flush, "flush");
+    let compactions = intervals(Category::Compact, "compaction");
+    let overlapping = |work: &[(u64, u64)], start_us: u64, end_us: u64| {
+        work.iter().filter(|&&(s, e)| s < end_us && start_us < e).count() as u64
+    };
+    let mut episodes: Vec<StallEpisode> = spans(Category::Stall, "write_stall")
+        .map(|e| {
+            let (start_us, end_us) = (e.ts_us, e.end_us());
+            let until = end_us.max(start_us + 1);
+            StallEpisode {
+                start_us,
+                end_us,
+                micros: e.dur_us,
+                reason: e.arg,
+                trace_id: e.trace_id,
+                tid: e.tid,
+                concurrent_flushes: overlapping(&flushes, start_us, until),
+                concurrent_compactions: overlapping(&compactions, start_us, until),
+                ops_per_sec: 0.0,
             }
-            Some((false, key)) => {
-                // An end without a begin (begin dropped) still yields a
-                // zero-length interval at the end timestamp.
-                let start = open.remove(&key).unwrap_or(r.ts_us);
-                out.push(WorkInterval { start_us: start, end_us: r.ts_us });
-            }
-            None => {}
-        }
-    }
-    for (_, start) in open {
-        out.push(WorkInterval { start_us: start, end_us: horizon_us });
-    }
-    out
-}
-
-/// Fold journal records into stall episodes. Records may arrive in post
-/// order (which is claim order, not timestamp order under concurrency);
-/// they are re-sorted by timestamp then sequence first. Begin/end pairs
-/// are matched per poster thread; a `StallEnd` whose begin was dropped
-/// synthesizes its start from the carried duration.
-pub fn fold_episodes(records: &[JournalRecord]) -> Vec<StallEpisode> {
-    let mut recs: Vec<&JournalRecord> = records.iter().collect();
-    recs.sort_by_key(|r| (r.ts_us, r.seq));
-    let horizon = recs.last().map(|r| r.ts_us).unwrap_or(0);
-
-    let flushes = pair_intervals(records, horizon, |e| match e {
-        EngineEvent::FlushStart { mem_id } => Some((true, *mem_id)),
-        EngineEvent::FlushEnd { mem_id, .. } => Some((false, *mem_id)),
-        _ => None,
-    });
-    let compactions = pair_intervals(records, horizon, |e| match e {
-        EngineEvent::CompactionStart { level } => Some((true, *level)),
-        EngineEvent::CompactionEnd { level, .. } => Some((false, *level)),
-        _ => None,
-    });
-
-    // Open StallBegin per (tid, reason): one thread stalls for one reason
-    // at a time, but keying by reason too keeps a dropped End harmless.
-    let mut open: std::collections::HashMap<(u64, u64), u64> = std::collections::HashMap::new();
-    let mut episodes = Vec::new();
-    for r in &recs {
-        match r.event {
-            EngineEvent::StallBegin { reason } => {
-                open.insert((r.tid, reason), r.ts_us);
-            }
-            EngineEvent::StallEnd { reason, micros } => {
-                let start = open
-                    .remove(&(r.tid, reason))
-                    .unwrap_or_else(|| r.ts_us.saturating_sub(micros));
-                let (start_us, end_us) = (start, r.ts_us);
-                episodes.push(StallEpisode {
-                    start_us,
-                    end_us,
-                    micros,
-                    reason,
-                    trace_id: r.trace_id,
-                    tid: r.tid,
-                    concurrent_flushes: flushes
-                        .iter()
-                        .filter(|i| overlaps(i, start_us, end_us.max(start_us + 1)))
-                        .count() as u64,
-                    concurrent_compactions: compactions
-                        .iter()
-                        .filter(|i| overlaps(i, start_us, end_us.max(start_us + 1)))
-                        .count() as u64,
-                    ops_per_sec: 0.0,
-                });
-            }
-            _ => {}
-        }
-    }
+        })
+        .collect();
+    episodes.sort_by_key(|ep| (ep.start_us, ep.tid));
     episodes
 }
 
@@ -228,29 +166,38 @@ pub fn episode_report(
 mod tests {
     use super::*;
 
-    fn rec(seq: u64, ts_us: u64, tid: u64, trace_id: u64, event: EngineEvent) -> JournalRecord {
-        JournalRecord { seq, ts_us, trace_id, tid, event }
+    fn span(cat: Category, name: &'static str, ts_us: u64, dur_us: u64, tid: u64, arg: u64)
+        -> Event {
+        Event {
+            node_id: 0,
+            node_label: "compute",
+            tid,
+            kind: EventKind::Span,
+            cat,
+            name,
+            ts_us,
+            dur_us,
+            trace_id: tid << 32 | ts_us,
+            span_id: tid << 32 | ts_us,
+            parent_id: 0,
+            arg,
+        }
+    }
+
+    fn stall(ts_us: u64, micros: u64, tid: u64, reason: u64) -> Event {
+        span(Category::Stall, "write_stall", ts_us, micros, tid, reason)
     }
 
     #[test]
-    fn folds_paired_begin_end_per_thread() {
-        let recs = vec![
-            rec(0, 100, 1, 0xabc, EngineEvent::StallBegin { reason: dlsm_trace::STALL_IMM_QUEUE }),
-            rec(1, 150, 2, 0, EngineEvent::StallBegin { reason: dlsm_trace::STALL_L0_LIMIT }),
-            rec(2, 400, 1, 0xabc, EngineEvent::StallEnd {
-                reason: dlsm_trace::STALL_IMM_QUEUE,
-                micros: 300,
-            }),
-            rec(3, 500, 2, 0, EngineEvent::StallEnd {
-                reason: dlsm_trace::STALL_L0_LIMIT,
-                micros: 350,
-            }),
-        ];
-        let eps = fold_episodes(&recs);
+    fn every_stall_span_is_one_episode_with_its_exact_length() {
+        let mut put = span(Category::Db, "put", 90, 400, 1, 1);
+        put.trace_id = 0xabc;
+        let mut in_put = stall(100, 300, 1, dlsm_trace::STALL_IMM_QUEUE);
+        in_put.trace_id = 0xabc;
+        let events = vec![stall(150, 350, 2, dlsm_trace::STALL_L0_LIMIT), put, in_put];
+        let eps = fold_episodes(&events);
         assert_eq!(eps.len(), 2);
-        assert_eq!(eps[0].start_us, 100);
-        assert_eq!(eps[0].end_us, 400);
-        assert_eq!(eps[0].micros, 300);
+        assert_eq!((eps[0].start_us, eps[0].end_us, eps[0].micros), (100, 400, 300));
         assert_eq!(eps[0].reason_name(), "imm_queue_full");
         assert_eq!(eps[0].trace_id, 0xabc);
         assert_eq!(eps[1].tid, 2);
@@ -259,33 +206,18 @@ mod tests {
     }
 
     #[test]
-    fn synthesizes_start_when_begin_dropped() {
-        let recs = vec![rec(0, 1_000, 3, 0, EngineEvent::StallEnd {
-            reason: dlsm_trace::STALL_IMM_QUEUE,
-            micros: 250,
-        })];
-        let eps = fold_episodes(&recs);
-        assert_eq!(eps.len(), 1);
-        assert_eq!(eps[0].start_us, 750);
-        assert_eq!(eps[0].end_us, 1_000);
-    }
-
-    #[test]
-    fn counts_overlapping_flush_and_compaction() {
-        let recs = vec![
-            rec(0, 50, 9, 0, EngineEvent::FlushStart { mem_id: 1 }),
-            rec(1, 100, 1, 0, EngineEvent::StallBegin { reason: dlsm_trace::STALL_IMM_QUEUE }),
-            rec(2, 120, 8, 0, EngineEvent::CompactionStart { level: 0 }),
-            rec(3, 200, 9, 0, EngineEvent::FlushEnd { mem_id: 1, bytes: 4096 }),
-            rec(4, 300, 1, 0, EngineEvent::StallEnd {
-                reason: dlsm_trace::STALL_IMM_QUEUE,
-                micros: 200,
-            }),
-            // compaction left open: treated as running through the horizon
-            rec(5, 900, 7, 0, EngineEvent::FlushStart { mem_id: 2 }),
-            rec(6, 950, 7, 0, EngineEvent::FlushEnd { mem_id: 2, bytes: 1 }),
+    fn counts_overlapping_flush_and_compaction_spans_by_name() {
+        let events = vec![
+            span(Category::Flush, "flush", 50, 150, 9, 1),
+            stall(100, 200, 1, dlsm_trace::STALL_IMM_QUEUE),
+            span(Category::Compact, "compaction", 120, 800, 8, 0),
+            // Sub-spans of the same work are not extra flushes/compactions.
+            span(Category::Flush, "flush_rdma_write", 60, 100, 9, 0),
+            span(Category::Compact, "compact_subtask", 130, 50, 7, 0),
+            // After the episode.
+            span(Category::Flush, "flush", 900, 50, 7, 2),
         ];
-        let eps = fold_episodes(&recs);
+        let eps = fold_episodes(&events);
         assert_eq!(eps.len(), 1);
         assert_eq!(eps[0].concurrent_flushes, 1, "second flush is after the episode");
         assert_eq!(eps[0].concurrent_compactions, 1);

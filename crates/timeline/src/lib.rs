@@ -8,98 +8,30 @@
 //!   consecutive cumulative [`dlsm_telemetry::TelemetrySnapshot`]s into
 //!   per-window delta frames: ops/s by op class, per-window p50/p99, stall
 //!   micros by reason, fabric traffic and cache hit-rate.
-//! * [`Journal`] — a fixed-capacity, lock-free ring of structured engine
-//!   lifecycle events (memtable switch, flush and compaction start/end,
-//!   stall begin/end, cache invalidation, memnode reconnect), each stamped
-//!   with the trace monotonic clock and the poster's active trace id. Each
-//!   slot is a [`dlsm_trace::SeqSlot`], the trace rings' seqlock, so
-//!   crates/check model-checks the protocol once for both.
 //! * [`fold_episodes`] / [`episode_report`] — the stall-episode analyzer:
-//!   begin/end pairs become episodes with duration, cause, overlapping
-//!   background work, and the throughput of the windows they span, ranked
-//!   into a doctor-style report correlated with p999 exemplar traces.
+//!   the engine's `write_stall` trace spans become episodes with duration,
+//!   cause, overlapping flushes and compactions (their spans), and the
+//!   throughput of the windows they span, ranked into a doctor-style report
+//!   correlated with p999 exemplar traces.
 //!
-//! The engine posts through the process-global [`post`], which is a few
-//! nanoseconds when disabled (one relaxed load) and one `fetch_add` plus
-//! one [`dlsm_trace::SeqSlot::publish`] when enabled — cheap enough to
-//! leave compiled in at every call site.
+//! The events themselves are `dlsm_trace`'s: the engine records each
+//! flush, compaction and write stall as a span, and
+//! [`dlsm_trace::Level::Lifecycle`] records just those without tracing
+//! every op.
 
 mod episode;
-mod journal;
 mod sampler;
 
 pub use episode::{
     annotate_throughput, episode_report, fold_episodes, reason_name, total_stalled_micros,
     StallEpisode,
 };
-pub use journal::{EngineEvent, Journal, JournalRecord, JOURNAL_CAP};
 pub use sampler::{TimelineConfig, TimelineSampler, WindowFrame};
 
-use dlsm_metrics::MetricsRegistry;
 use dlsm_telemetry::JsonWriter;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// Default sampler window length, milliseconds.
 pub const DEFAULT_TICK_MS: u64 = 250;
-
-/// Master switch for the global journal. Off by default: [`post`] is one
-/// relaxed load when disabled.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Enable or disable journal posting process-wide.
-pub fn set_enabled(on: bool) {
-    // ORDERING: Relaxed — a hint flag; posts carry their own timestamps
-    // and the journal's own protocol publishes the payload.
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether journal posting is enabled.
-pub fn enabled() -> bool {
-    // ORDERING: Relaxed — see `set_enabled`.
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// The process-global journal ([`JOURNAL_CAP`] slots), created on first use.
-pub fn journal() -> &'static Journal {
-    static JOURNAL: OnceLock<Journal> = OnceLock::new();
-    JOURNAL.get_or_init(|| Journal::with_capacity(JOURNAL_CAP))
-}
-
-/// Journal-local poster thread ids: small, dense, stable per OS thread.
-/// Trace has no cross-thread id we can borrow, and episode folding needs
-/// to pair begin/end on the *same* thread.
-fn poster_tid() -> u64 {
-    static NEXT_TID: AtomicU64 = AtomicU64::new(1);
-    thread_local! {
-        static TID: u64 =
-            // ORDERING: Relaxed — unique-id handout, no ordering needed.
-            NEXT_TID.fetch_add(1, Ordering::Relaxed);
-    }
-    TID.with(|t| *t)
-}
-
-/// Post an event to the global journal, stamped with the trace monotonic
-/// clock, the caller's active trace id (0 when none) and its poster tid.
-/// Returns `false` when disabled or when the journal is full (the drop is
-/// counted). Cheap enough to call unconditionally from engine code.
-pub fn post(event: EngineEvent) -> bool {
-    if !enabled() {
-        return false;
-    }
-    let ts_us = dlsm_trace::now_us();
-    let trace_id = dlsm_trace::current_ctx().map(|c| c.trace_id).unwrap_or(0);
-    journal().post_at(ts_us, trace_id, poster_tid(), event)
-}
-
-/// Export `dlsm_timeline_journal_*` gauges for the global journal.
-pub fn register_journal_metrics(registry: &MetricsRegistry) {
-    registry.register(|out: &mut dlsm_metrics::Sample| {
-        let j = journal();
-        out.gauge("dlsm_timeline_journal_posted", j.posted() as f64);
-        out.gauge("dlsm_timeline_journal_drops", j.drops() as f64);
-    });
-}
 
 /// A named phase span on the trace monotonic clock, for aligning windows
 /// and episodes to bench phases offline.
@@ -135,8 +67,9 @@ pub fn phase_episode_summary(
 }
 
 /// Serialize the full timeline — window series, episode table, phase
-/// spans and journal health — as the `TIMELINE_<sys>.json` document that
-/// `artifact_check timeline` validates.
+/// spans, and the lifecycle records lost to ring wrap
+/// ([`dlsm_trace::lifecycle_overwritten`]) — as the `TIMELINE_<sys>.json`
+/// document that `artifact_check timeline` validates.
 pub fn write_timeline_json(
     frames: &[WindowFrame],
     frames_dropped: u64,
@@ -144,19 +77,13 @@ pub fn write_timeline_json(
     phases: &[PhaseSpan],
     tick_ms: u64,
     engine_stall_micros: u64,
+    lifecycle_overwritten: u64,
 ) -> String {
-    let j = journal();
     let mut w = JsonWriter::new();
     w.begin_object();
     w.field_u64("tick_ms", tick_ms);
     w.field_u64("engine_stall_micros", engine_stall_micros);
-    w.key("journal");
-    w.begin_object();
-    w.field_u64("attempts", j.attempts());
-    w.field_u64("posted", j.posted());
-    w.field_u64("drops", j.drops());
-    w.field_u64("capacity", j.capacity() as u64);
-    w.end_object();
+    w.field_u64("lifecycle_overwritten", lifecycle_overwritten);
     w.field_u64("frames_dropped", frames_dropped);
     w.key("windows");
     w.begin_array();
@@ -228,21 +155,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_post_is_a_noop() {
-        set_enabled(false);
-        assert!(!post(EngineEvent::MemtableSwitch { mem_id: 1 }));
-    }
-
-    #[test]
-    fn poster_tids_are_stable_per_thread_and_distinct() {
-        let a = poster_tid();
-        let b = poster_tid();
-        assert_eq!(a, b);
-        let other = std::thread::spawn(poster_tid).join().unwrap();
-        assert_ne!(a, other);
-    }
-
-    #[test]
     fn phase_summary_attributes_by_episode_end() {
         let ep = |end_us: u64, micros: u64| StallEpisode {
             start_us: end_us.saturating_sub(micros),
@@ -279,8 +191,9 @@ mod tests {
             ops_per_sec: 123.0,
         }];
         let phases = vec![PhaseSpan { name: "fill".into(), start_us: 0, end_us: 250_000 }];
-        let s = write_timeline_json(&[f], 0, &eps, &phases, 250, 50_000);
+        let s = write_timeline_json(&[f], 0, &eps, &phases, 250, 50_000, 0);
         assert!(s.contains("\"tick_ms\":250"));
+        assert!(s.contains("\"lifecycle_overwritten\":0"));
         assert!(s.contains("\"engine_stall_micros\":50000"));
         assert!(s.contains("\"reason\":\"l0_limit\""));
         assert!(s.contains("\"stall_episodes\":1"));

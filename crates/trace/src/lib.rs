@@ -8,11 +8,18 @@
 //!
 //! Design (DESIGN.md §8a):
 //!
-//! * **Per-thread ring buffers.** Each traced thread owns a fixed ring of
-//!   [`RING_CAP`] slots; a finished span (or instant) is one [`SeqSlot`]
-//!   publish of nine payload words. Memory is bounded, the oldest events
-//!   are overwritten, and nothing is allocated on the hot path. With
-//!   tracing disabled every probe is one `Relaxed` load and a branch.
+//! * **Per-thread ring buffers.** Each traced thread owns up to two fixed
+//!   rings of [`RING_CAP`] slots: one for foreground ops (put/get/scan, RPC,
+//!   RDMA, server work) and one for the engine's lifecycle events (flush,
+//!   compaction, write stall), so a flood of op spans never overwrites a
+//!   stall. A finished span (or instant) is one [`SeqSlot`] publish of nine
+//!   payload words. Memory is bounded, the oldest events are overwritten
+//!   (lifecycle losses are counted: [`lifecycle_overwritten`]), and nothing
+//!   is allocated on the hot path.
+//! * **One level.** [`set_level`] picks [`Level::Off`], [`Level::Lifecycle`]
+//!   (only the `Flush`, `Compact` and `Stall` categories: `--timeline`) or
+//!   [`Level::All`] (`--trace`). Off, every probe is one `Relaxed` load and
+//!   a branch.
 //! * **Causality.** Spans on one thread nest by a thread-local stack;
 //!   cross-thread/cross-node children are opened with [`span_child_of`]
 //!   against a [`TraceCtx`] captured by [`current_ctx`] on the parent side.
@@ -37,9 +44,9 @@ use std::marker::PhantomData;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-/// Slots per thread ring. At 10 words each this is 320 KiB per traced
-/// thread — allocated lazily, only once a thread records its first event
-/// while tracing is enabled.
+/// Slots per ring. At 10 words each this is 320 KiB per ring, and a thread
+/// has at most two (ops, lifecycle) — each allocated lazily, only once the
+/// thread records its first event of that kind at a level that records it.
 pub const RING_CAP: usize = 4096;
 
 /// Stall reason carried as the `arg` of a `write_stall` span: the
@@ -50,26 +57,49 @@ pub const STALL_IMM_QUEUE: u64 = 1;
 pub const STALL_L0_LIMIT: u64 = 2;
 
 // ---------------------------------------------------------------------------
-// Global switch + clock
+// Global level + clock
 // ---------------------------------------------------------------------------
 
-/// Nonzero while tracing is on: the disabled fast path is a single relaxed
-/// load.
-static ENABLED: AtomicU64 = AtomicU64::new(0);
-
-/// Turn tracing on or off process-wide. Off is the default; the only cost
-/// left behind is a relaxed load per probe.
-pub fn set_enabled(on: bool) {
-    // ORDERING: relaxed — the word gates best-effort probes; rings are
-    // published via their registry mutex, not this word.
-    ENABLED.store(u64::from(on), Ordering::Relaxed);
+/// What the rings record, process-wide.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u64)]
+pub enum Level {
+    /// Nothing; every probe is one relaxed load. The default.
+    Off = 0,
+    /// The engine's lifecycle categories only ([`Category::is_lifecycle`]):
+    /// flushes, compactions and write stalls, without a span per op.
+    Lifecycle = 1,
+    /// Every category, foreground ops included.
+    All = 2,
 }
 
-/// Is tracing currently enabled?
+/// The current [`Level`] as its discriminant: the off fast path is a single
+/// relaxed load.
+static LEVEL: AtomicU64 = AtomicU64::new(Level::Off as u64);
+
+/// Set what the rings record from now on, process-wide.
+pub fn set_level(level: Level) {
+    // ORDERING: relaxed — the word gates best-effort probes; rings are
+    // published via their registry mutex, not this word.
+    LEVEL.store(level as u64, Ordering::Relaxed);
+}
+
+/// Are ops traced ([`Level::All`])? Op-level sampling clocks read this.
 #[inline]
 pub fn enabled() -> bool {
-    // ORDERING: relaxed — see set_enabled.
-    ENABLED.load(Ordering::Relaxed) != 0
+    // ORDERING: relaxed — see set_level.
+    LEVEL.load(Ordering::Relaxed) == Level::All as u64
+}
+
+/// Does the current level record events of `cat`?
+#[inline]
+fn records(cat: Category) -> bool {
+    // ORDERING: relaxed — see set_level.
+    match LEVEL.load(Ordering::Relaxed) {
+        l if l == Level::All as u64 => true,
+        l if l == Level::Lifecycle as u64 => cat.is_lifecycle(),
+        _ => false,
+    }
 }
 
 fn epoch() -> Instant {
@@ -119,6 +149,12 @@ impl Category {
             Category::Server => "server",
             Category::Stall => "stall",
         }
+    }
+
+    /// Flush, compaction and write-stall events: what [`Level::Lifecycle`]
+    /// records, kept in a thread's lifecycle ring apart from its op ring.
+    pub fn is_lifecycle(self) -> bool {
+        matches!(self, Category::Flush | Category::Compact | Category::Stall)
     }
 
     fn from_u8(v: u8) -> Category {
@@ -199,6 +235,8 @@ type Slot = SeqSlot<9>;
 
 struct RingShared {
     tid: u64,
+    /// Holds the thread's lifecycle events, not its op events.
+    lifecycle: bool,
     /// Total records ever written; slot index = head % RING_CAP.
     head: AtomicU64,
     node_id: AtomicU64,
@@ -208,9 +246,10 @@ struct RingShared {
 }
 
 impl RingShared {
-    fn new(tid: u64, node_id: u64, node_label: &'static str) -> RingShared {
+    fn new(tid: u64, lifecycle: bool, node_id: u64, node_label: &'static str) -> RingShared {
         RingShared {
             tid,
+            lifecycle,
             head: AtomicU64::new(0),
             node_id: AtomicU64::new(node_id),
             node_label_ptr: AtomicU64::new(node_label.as_ptr() as u64),
@@ -311,7 +350,8 @@ static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 // ---------------------------------------------------------------------------
 
 struct RecState {
-    ring: Option<Arc<RingShared>>,
+    /// The op ring and the lifecycle ring, each created on first use.
+    rings: [Option<Arc<RingShared>>; 2],
     node_id: u64,
     node_label: &'static str,
     /// Open span ids, innermost last.
@@ -327,7 +367,7 @@ struct RecState {
 impl RecState {
     const fn new() -> RecState {
         RecState {
-            ring: None,
+            rings: [None, None],
             node_id: 0,
             node_label: "compute",
             stack: Vec::new(),
@@ -338,14 +378,16 @@ impl RecState {
         }
     }
 
-    fn ring(&mut self) -> &Arc<RingShared> {
-        let RecState { ring, tid, node_id, node_label, .. } = self;
-        ring.get_or_insert_with(|| {
+    /// The ring events of `cat` go to.
+    fn ring(&mut self, cat: Category) -> &Arc<RingShared> {
+        let RecState { rings, tid, node_id, node_label, .. } = self;
+        let lifecycle = cat.is_lifecycle();
+        rings[usize::from(lifecycle)].get_or_insert_with(|| {
             if *tid == 0 {
                 // ORDERING: relaxed — tid generation; uniqueness only.
                 *tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
             }
-            let ring = Arc::new(RingShared::new(*tid, *node_id, node_label));
+            let ring = Arc::new(RingShared::new(*tid, lifecycle, *node_id, node_label));
             registry().push(ring.clone());
             ring
         })
@@ -374,7 +416,7 @@ pub fn set_thread_node(node_id: u64, node_label: &'static str) {
         let mut rec = rec.borrow_mut();
         rec.node_id = node_id;
         rec.node_label = node_label;
-        if let Some(ring) = &rec.ring {
+        for ring in rec.rings.iter().flatten() {
             // Release (upgraded from relaxed): these words publish a
             // pointer the collector dereferences, so the string bytes must
             // be visible before the ptr/len are. The ptr/len words are only
@@ -435,7 +477,7 @@ impl Drop for Span {
             if inner.parent_id == 0 {
                 rec.last_root_trace = inner.trace_id;
             }
-            rec.ring().write(
+            rec.ring(inner.cat).write(
                 EventKind::Span,
                 inner.cat,
                 inner.name,
@@ -490,7 +532,7 @@ fn open_span(cat: Category, name: &'static str, arg: u64, child_of: Option<Trace
 /// Open a span; ends (and records) when the guard drops.
 #[inline]
 pub fn span(cat: Category, name: &'static str) -> Span {
-    if !enabled() {
+    if !records(cat) {
         return Span::DISABLED;
     }
     open_span(cat, name, 0, None)
@@ -499,7 +541,7 @@ pub fn span(cat: Category, name: &'static str) -> Span {
 /// [`span`] with a `u64` payload (bytes, reason code, op code, ...).
 #[inline]
 pub fn span_arg(cat: Category, name: &'static str, arg: u64) -> Span {
-    if !enabled() {
+    if !records(cat) {
         return Span::DISABLED;
     }
     open_span(cat, name, arg, None)
@@ -511,7 +553,7 @@ pub fn span_arg(cat: Category, name: &'static str, arg: u64) -> Span {
 /// join the parent's trace.
 #[inline]
 pub fn span_child_of(cat: Category, name: &'static str, ctx: TraceCtx) -> Span {
-    if !enabled() {
+    if !records(cat) {
         return Span::DISABLED;
     }
     open_span(cat, name, 0, Some(ctx))
@@ -527,16 +569,30 @@ pub fn last_trace_id() -> u64 {
 /// Record a point-in-time marker under the current span (if any).
 #[inline]
 pub fn instant(cat: Category, name: &'static str, arg: u64) {
-    if !enabled() {
-        return;
+    if records(cat) {
+        record_closed(EventKind::Instant, cat, name, 0, arg);
     }
-    let ts = now_us();
+}
+
+/// Record a span that ends now and lasted `dur_us`, under the current span
+/// (if any): for a wait the caller timed itself, so the span's length is
+/// exactly the figure the caller also counted elsewhere.
+#[inline]
+pub fn span_ended(cat: Category, name: &'static str, arg: u64, dur_us: u64) {
+    if records(cat) {
+        record_closed(EventKind::Span, cat, name, dur_us, arg);
+    }
+}
+
+/// Write one event that ends now, as a child of the innermost open span.
+fn record_closed(kind: EventKind, cat: Category, name: &'static str, dur_us: u64, arg: u64) {
+    let ts = now_us().saturating_sub(dur_us);
     REC.with(|rec| {
         let mut rec = rec.borrow_mut();
         let span_id = rec.fresh_span_id();
         let parent_id = rec.stack.last().copied().unwrap_or(0);
         let trace_id = if parent_id == 0 { span_id } else { rec.trace_id };
-        rec.ring().write(EventKind::Instant, cat, name, ts, 0, trace_id, span_id, parent_id, arg);
+        rec.ring(cat).write(kind, cat, name, ts, dur_us, trace_id, span_id, parent_id, arg);
     });
 }
 
@@ -572,6 +628,20 @@ pub fn collect_events() -> Vec<Event> {
     }
     out.sort_by_key(|e| (e.ts_us, e.span_id));
     out
+}
+
+/// Lifecycle events lost to ring wrap, summed over every thread's
+/// lifecycle ring: a ring that took `h` records into [`RING_CAP`] slots has
+/// overwritten `h - RING_CAP`. Op rings overwrite by design and are not
+/// counted.
+pub fn lifecycle_overwritten() -> u64 {
+    let rings = registry().clone();
+    rings
+        .iter()
+        .filter(|r| r.lifecycle)
+        // ORDERING: relaxed — reporting read of each ring's monotone head.
+        .map(|r| r.head.load(Ordering::Relaxed).saturating_sub(RING_CAP as u64))
+        .sum()
 }
 
 /// Zero every ring (drops all recorded events; head counters keep
@@ -752,7 +822,7 @@ pub fn doctor(events: &[Event]) -> String {
     let mut stall_imm = (0u64, 0u64); // (count, µs)
     let mut stall_l0 = (0u64, 0u64);
     let mut stall_other = (0u64, 0u64);
-    let mut retries = 0u64;
+    let (mut retries, mut reconnects) = (0u64, 0u64);
     let mut cat_us: HashMap<&'static str, (u64, u64)> = HashMap::new();
     for e in events {
         match e.kind {
@@ -770,11 +840,11 @@ pub fn doctor(events: &[Event]) -> String {
                     bucket.1 += e.dur_us;
                 }
             }
-            EventKind::Instant => {
-                if e.name == "rpc_retry" {
-                    retries += 1;
-                }
-            }
+            EventKind::Instant => match e.name {
+                "rpc_retry" => retries += 1,
+                "rpc_reconnect" => reconnects += 1,
+                _ => {}
+            },
         }
     }
     let stall_total = stall_imm.1 + stall_l0.1 + stall_other.1;
@@ -810,7 +880,7 @@ pub fn doctor(events: &[Event]) -> String {
         ));
     }
     out.push_str(&format!("  total                : {:>10} us\n", stall_total));
-    out.push_str(&format!("\nrpc retries: {retries}\n"));
+    out.push_str(&format!("\nrpc retries: {retries}, reconnects: {reconnects}\n"));
     out.push_str("\ntime by category (spans, wall-µs, incl. nesting):\n");
     let mut cats: Vec<(&'static str, (u64, u64))> = cat_us.into_iter().collect();
     cats.sort_by_key(|&(_, (_, us))| std::cmp::Reverse(us));
@@ -861,7 +931,7 @@ impl Drop for PanicDump {
 mod tests {
     use super::*;
 
-    /// The ENABLED switch and the ring registry are process-global;
+    /// The level word and the ring registry are process-global;
     /// tests that flip them serialize on this.
     pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
@@ -871,7 +941,7 @@ mod tests {
     #[test]
     fn disabled_records_nothing() {
         let _g = test_lock();
-        set_enabled(false);
+        set_level(Level::Off);
         clear();
         {
             let _s = span(Category::Db, "ghost");
@@ -884,7 +954,7 @@ mod tests {
     #[test]
     fn nesting_and_trace_identity() {
         let _g = test_lock();
-        set_enabled(true);
+        set_level(Level::All);
         clear();
         {
             let _root = span(Category::Db, "t_root");
@@ -897,7 +967,7 @@ mod tests {
                 assert_ne!(inner.span_id, ctx.span_id);
             }
         }
-        set_enabled(false);
+        set_level(Level::Off);
         let events = collect_events();
         let root = events.iter().find(|e| e.name == "t_root").expect("root recorded");
         let child = events.iter().find(|e| e.name == "t_child").expect("child recorded");
@@ -917,7 +987,7 @@ mod tests {
     #[test]
     fn child_of_joins_foreign_trace_and_restores() {
         let _g = test_lock();
-        set_enabled(true);
+        set_level(Level::All);
         clear();
         let foreign = TraceCtx { trace_id: 0xABCD, span_id: 0x1234 };
         {
@@ -931,7 +1001,7 @@ mod tests {
             // Trace id restored after the foreign child closed.
             assert_eq!(current_ctx().unwrap().trace_id, local_ctx.trace_id);
         }
-        set_enabled(false);
+        set_level(Level::Off);
         let events = collect_events();
         let remote = events.iter().find(|e| e.name == "t_remote_child").unwrap();
         assert_eq!(remote.trace_id, 0xABCD);
@@ -941,12 +1011,12 @@ mod tests {
     #[test]
     fn ring_overwrites_oldest_and_stays_bounded() {
         let _g = test_lock();
-        set_enabled(true);
+        set_level(Level::All);
         clear();
         for i in 0..(RING_CAP as u64 + 100) {
             instant(Category::Db, "t_flood", i);
         }
-        set_enabled(false);
+        set_level(Level::Off);
         let mine: Vec<u64> = collect_events()
             .into_iter()
             .filter(|e| e.name == "t_flood")
@@ -961,13 +1031,13 @@ mod tests {
     #[test]
     fn chrome_trace_emits_matched_pairs_and_metadata() {
         let _g = test_lock();
-        set_enabled(true);
+        set_level(Level::All);
         clear();
         {
             let _a = span(Category::Db, "t_export_root");
             let _b = span(Category::Rdma, "t_export_leaf");
         }
-        set_enabled(false);
+        set_level(Level::Off);
         let events: Vec<Event> = collect_events()
             .into_iter()
             .filter(|e| e.name.starts_with("t_export"))
@@ -986,7 +1056,7 @@ mod tests {
     #[test]
     fn doctor_attributes_stalls() {
         let _g = test_lock();
-        set_enabled(true);
+        set_level(Level::All);
         clear();
         {
             let _s = span_arg(Category::Stall, "write_stall", STALL_IMM_QUEUE);
@@ -996,11 +1066,12 @@ mod tests {
             let _s = span_arg(Category::Stall, "write_stall", STALL_L0_LIMIT);
         }
         instant(Category::Rpc, "rpc_retry", 0);
-        set_enabled(false);
+        instant(Category::Rpc, "rpc_reconnect", 1);
+        set_level(Level::Off);
         let report = doctor(&collect_events());
         assert!(report.contains("immutable queue full"), "{report}");
         assert!(report.contains("L0 stop-writes limit"), "{report}");
-        assert!(report.contains("rpc retries: 1") || report.contains("rpc retries:"), "{report}");
+        assert!(report.contains("rpc retries: 1, reconnects: 1"), "{report}");
         let imm_line = report.lines().find(|l| l.contains("immutable queue full")).unwrap();
         assert!(imm_line.contains("1 stalls"), "{imm_line}");
     }
@@ -1031,7 +1102,7 @@ mod tests {
     #[test]
     fn tracing_off_thread_registers_nothing() {
         let _g = test_lock();
-        set_enabled(false);
+        set_level(Level::Off);
         let rings = registry().len();
         // A fresh thread has no ring yet: with tracing off, no probe may
         // give it one.
@@ -1042,6 +1113,9 @@ mod tests {
                 instant(Category::Rpc, "t_off_marker", 9);
                 assert!(current_ctx().is_none());
             }
+            let _flush = span(Category::Flush, "t_off_flush");
+            instant(Category::Compact, "t_off_compact", 1);
+            span_ended(Category::Stall, "t_off_stall", STALL_IMM_QUEUE, 10);
         })
         .join()
         .unwrap();
@@ -1050,9 +1124,96 @@ mod tests {
     }
 
     #[test]
+    fn lifecycle_level_records_only_lifecycle_categories() {
+        let _g = test_lock();
+        set_level(Level::Lifecycle);
+        clear();
+        let names = std::thread::spawn(|| {
+            let _put = span(Category::Db, "t_lc_put");
+            let _flush = span_arg(Category::Flush, "t_lc_flush", 3);
+            let _compact = span(Category::Compact, "t_lc_compact");
+            span_ended(Category::Stall, "t_lc_stall", STALL_L0_LIMIT, 5);
+            instant(Category::Rpc, "t_lc_rpc", 0);
+            instant(Category::Rdma, "t_lc_rdma", 0);
+            let _server = span(Category::Server, "t_lc_server");
+            assert!(current_ctx().is_none(), "ops are not traced at Lifecycle");
+            assert!(!enabled());
+        });
+        names.join().unwrap();
+        set_level(Level::Off);
+        let mut got: Vec<&str> =
+            collect_events().iter().map(|e| e.name).filter(|n| n.starts_with("t_lc")).collect();
+        got.sort_unstable();
+        assert_eq!(got, ["t_lc_compact", "t_lc_flush", "t_lc_stall"]);
+    }
+
+    #[test]
+    fn an_op_flood_leaves_the_lifecycle_ring_intact() {
+        let _g = test_lock();
+        set_level(Level::All);
+        clear();
+        std::thread::spawn(|| {
+            span_ended(Category::Stall, "t_flood_stall", STALL_IMM_QUEUE, 7);
+            instant(Category::Flush, "t_flood_enqueue", 1);
+            for i in 0..2 * RING_CAP as u64 {
+                instant(Category::Db, "t_flood_op", i);
+            }
+        })
+        .join()
+        .unwrap();
+        set_level(Level::Off);
+        let events = collect_events();
+        let ops = events.iter().filter(|e| e.name == "t_flood_op").count();
+        assert_eq!(ops, RING_CAP, "the op ring keeps its newest RING_CAP records");
+        let stall = events.iter().find(|e| e.name == "t_flood_stall").expect("stall survived");
+        assert_eq!((stall.dur_us, stall.arg), (7, STALL_IMM_QUEUE));
+        assert!(events.iter().any(|e| e.name == "t_flood_enqueue"));
+    }
+
+    #[test]
+    fn lifecycle_ring_wrap_is_counted_exactly() {
+        let _g = test_lock();
+        set_level(Level::Lifecycle);
+        let before = lifecycle_overwritten();
+        std::thread::spawn(|| {
+            for i in 0..RING_CAP as u64 + 37 {
+                instant(Category::Flush, "t_wrap", i);
+            }
+        })
+        .join()
+        .unwrap();
+        set_level(Level::Off);
+        assert_eq!(lifecycle_overwritten() - before, 37);
+    }
+
+    #[test]
+    fn an_ended_span_nests_under_the_open_span_with_its_given_length() {
+        let _g = test_lock();
+        set_level(Level::All);
+        clear();
+        let put_ctx;
+        {
+            let _put = span(Category::Db, "t_ended_put");
+            put_ctx = current_ctx().unwrap();
+            std::thread::sleep(std::time::Duration::from_millis(3));
+            span_ended(Category::Stall, "t_ended_stall", STALL_L0_LIMIT, 2_000);
+        }
+        set_level(Level::Off);
+        let events = collect_events();
+        let put = events.iter().find(|e| e.name == "t_ended_put").unwrap();
+        let stall = events.iter().find(|e| e.name == "t_ended_stall").unwrap();
+        assert_eq!(stall.kind, EventKind::Span);
+        assert_eq!(stall.dur_us, 2_000);
+        assert_eq!(stall.arg, STALL_L0_LIMIT);
+        assert_eq!(stall.parent_id, put_ctx.span_id);
+        assert_eq!(stall.trace_id, put_ctx.trace_id);
+        assert!(put.ts_us <= stall.ts_us && stall.end_us() <= put.end_us(), "{put:?} {stall:?}");
+    }
+
+    #[test]
     fn last_trace_id_points_at_completed_root() {
         let _g = test_lock();
-        set_enabled(true);
+        set_level(Level::All);
         clear();
         let expected;
         {
@@ -1061,14 +1222,14 @@ mod tests {
             let _child = span(Category::Rdma, "t_exemplar_leaf");
         }
         assert_eq!(last_trace_id(), expected);
-        set_enabled(false);
+        set_level(Level::Off);
     }
 
     #[test]
     fn panic_dump_writes_trace_on_unwind() {
         let _g = test_lock();
         clear();
-        set_enabled(true);
+        set_level(Level::All);
         let path = std::env::temp_dir()
             .join(format!("dlsm_trace_panic_{}.json", std::process::id()));
         let path_str = path.to_str().unwrap().to_string();
@@ -1081,7 +1242,7 @@ mod tests {
             }
         });
         assert!(result.is_err());
-        set_enabled(false);
+        set_level(Level::Off);
         let text = std::fs::read_to_string(&path).expect("dump written on unwind");
         assert!(text.contains("\"traceEvents\""));
         assert!(text.contains("doomed_op"), "open span recorded during unwind");

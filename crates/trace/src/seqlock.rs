@@ -1,6 +1,6 @@
 //! The one seqlock of the observability crates (DESIGN.md §8a): a version
-//! word plus `N` payload words. The trace rings, the engine journal
-//! (`dlsm-timeline`) and the exemplar store (`dlsm-telemetry`) encode their
+//! word plus `N` payload words. The trace rings (each thread's op ring and
+//! lifecycle ring) and the exemplar store (`dlsm-telemetry`) encode their
 //! records into a [`SeqSlot`] and decode them back out; the protocol, its
 //! fences and its model-checked proof (`crates/check/tests/model_seqlock.rs`)
 //! live here once.
@@ -37,7 +37,7 @@ impl<const N: usize> SeqSlot<N> {
     }
 
     /// Publish `payload`. The caller must be the slot's only writer: the
-    /// thread that owns a trace ring, or the holder of a journal ticket.
+    /// thread that owns a trace ring.
     pub fn publish(&self, payload: [u64; N]) {
         // ORDERING: relaxed — the Release fence below orders this odd
         // version before the payload stores.

@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use dlsm_trace::{clear, collect_events, instant, set_enabled, Category, EventKind, RING_CAP};
+use dlsm_trace::{clear, collect_events, instant, set_level, Category, EventKind, Level, RING_CAP};
 use proptest::prelude::*;
 
 /// The trace registry and enable flag are process-global; serialize every
@@ -51,7 +51,7 @@ proptest! {
         racing_drains in 1usize..5,
     ) {
         let _g = global_lock();
-        set_enabled(true);
+        set_level(Level::All);
         clear();
 
         let stop = AtomicBool::new(false);
@@ -116,7 +116,7 @@ proptest! {
             );
         }
 
-        set_enabled(false);
+        set_level(Level::Off);
         clear();
     }
 }

@@ -407,11 +407,11 @@ fn a_bounded_scan_opens_in_one_wave() {
         .find_map(|(want, start, end)| (want.boundaries == 0).then_some((start, end, want)))
         .expect("a range inside one table of every level");
     assert!(want.runs >= 3, "{} runs", want.runs);
-    dlsm_trace::set_enabled(true);
+    dlsm_trace::set_level(dlsm_trace::Level::All);
     let here = dlsm_trace::span(dlsm_trace::Category::Db, "a_bounded_scan_opens_in_one_wave");
     let (scan, ops, bytes) = cost(&mut reader, |r| r.scan_range(&start, &end).unwrap());
     drop(here);
-    dlsm_trace::set_enabled(false);
+    dlsm_trace::set_level(dlsm_trace::Level::Off);
     // Opening fetched every run's whole share: one READ per remote child.
     assert_eq!((ops, bytes), (want.runs, want.bytes));
     let events = dlsm_trace::collect_events();

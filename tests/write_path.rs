@@ -208,9 +208,9 @@ fn one_put_in_sixteen_is_timed_and_its_phases_fit_inside_the_call() {
 
     // Under tracing every put is timed, and its phases sum to at most its call.
     let (server, db) = open();
-    dlsm_trace::set_enabled(true);
+    dlsm_trace::set_level(dlsm_trace::Level::All);
     put_from_a_new_thread(&db, 50, 128);
-    dlsm_trace::set_enabled(false);
+    dlsm_trace::set_level(dlsm_trace::Level::Off);
     let put = db.telemetry_snapshot().op(OpClass::Put);
     let phases = put_phases(&db);
     assert!(phases.iter().all(|&(count, _)| count == 50), "{phases:?}");
@@ -219,6 +219,59 @@ fn one_put_in_sixteen_is_timed_and_its_phases_fit_inside_the_call() {
     assert!(phase_sum > 0);
     db.shutdown();
     server.shutdown();
+}
+
+/// A put timed only because it stalled (or switched) records its own
+/// latency once: the untimed puts after it repeat the thread's last
+/// *scheduled* latency, not the stall. Every fabric op here costs 30 ms, so
+/// with one immutable slot the first put after the first switch waits about
+/// that long for the flush; no other put comes near 10 ms.
+#[test]
+fn a_stalled_put_is_one_slow_sample_not_a_repeated_one() {
+    const SLOW_NS: u64 = 10_000_000;
+    const SAMPLE_EVERY: u64 = 16;
+    let slow_fabric = NetworkProfile { base_latency: Duration::from_millis(30), ..NetworkProfile::instant() };
+    let fabric = Fabric::new(slow_fabric);
+    let cfg = MemServerConfig { region_size: 96 << 20, flush_zone: 48 << 20, compaction_workers: 2, dispatchers: 1 };
+    let server = MemServer::start(&fabric, cfg);
+    let db_cfg = DbConfig { max_immutables: 1, flush_threads: 1, ..DbConfig::small() };
+    let ctx = ComputeContext::new(&fabric);
+    let db = Db::open(ctx, MemNodeHandle::from_server(&server), db_cfg).unwrap();
+    // The writer's own count starts at 0: puts 0, 16, 32, … are scheduled.
+    let (stalled, stall_ns, total) = std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut k = 0;
+            while db.stats().snapshot().switches == 0 {
+                db.put(&key(k), &value(k, 0)).unwrap();
+                k += 1;
+            }
+            let stalled = k;
+            let t = std::time::Instant::now();
+            db.put(&key(k), &value(k, 0)).unwrap();
+            let stall_ns = t.elapsed().as_nanos() as u64;
+            for k in k + 1..k + 40 {
+                db.put(&key(k), &value(k, 0)).unwrap();
+            }
+            (stalled, stall_ns, k + 40)
+        })
+        .join()
+        .unwrap()
+    });
+    let put = db.telemetry_snapshot().op(OpClass::Put);
+    let stats = db.stats().snapshot();
+    db.shutdown();
+    server.shutdown();
+    assert!(stall_ns >= 2 * SLOW_NS, "put {stalled} took {stall_ns} ns: it did not stall");
+    assert_eq!(stats.stall_events, 1, "{stats}");
+    let within_schedule = stalled % SAMPLE_EVERY;
+    assert!(
+        (1..SAMPLE_EVERY - 1).contains(&within_schedule),
+        "put {stalled} must be followed by unscheduled puts"
+    );
+    assert_eq!(put.count(), total, "one Put sample per put");
+    let slow: u64 =
+        put.nonzero_buckets().filter(|&(floor, _)| floor >= SLOW_NS).map(|(_, n)| n).sum();
+    assert_eq!(slow, 1, "the stalled put must be the one slow sample");
 }
 
 /// Calls per writer of the mixed load: a third each puts, deletes and batches.
