@@ -130,9 +130,9 @@ struct CacheCounters {
 impl CacheCounters {
     fn sample(engine: &dyn dlsm_baselines::Engine) -> Option<CacheCounters> {
         let snap = engine.telemetry()?;
-        // The cache exports its capacity even when idle; its absence means
+        // The cache exports its counters even when idle; their absence means
         // the engine runs uncached (or is a baseline without telemetry).
-        snap.counters.iter().find(|(n, _)| n == "cache_capacity_bytes")?;
+        snap.counters.iter().find(|(n, _)| n == "cache_inserts")?;
         Some(CacheCounters {
             hits: snap.counter("cache_block_hits") + snap.counter("cache_extent_hits"),
             misses: snap.counter("cache_block_misses") + snap.counter("cache_extent_misses"),
@@ -334,19 +334,10 @@ fn main() {
         let provider = Box::new(move || {
             let mut s =
                 engine.telemetry().unwrap_or_else(dlsm_telemetry::TelemetrySnapshot::new);
-            let raw = fabric.stats().snapshot();
             // Replace (not merge) the fabric rows: the fabric totals
             // already include every channel, so merging any engine-side
             // rows would double-count the traffic.
-            s.rdma = Verb::ALL
-                .iter()
-                .filter(|v| raw.ops(**v) > 0)
-                .map(|v| dlsm_telemetry::VerbTraffic {
-                    verb: v.name().to_string(),
-                    ops: raw.ops(*v),
-                    bytes: raw.bytes(*v),
-                })
-                .collect();
+            s.rdma = dlsm::telemetry::verb_traffic(&fabric.stats().snapshot());
             s
         });
         dlsm_timeline::TimelineSampler::start(

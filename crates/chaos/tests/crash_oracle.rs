@@ -249,7 +249,8 @@ fn run_chaos(seed: u64) {
     //    of) a request some client retransmitted, so replays + dup-drops
     //    are bounded by the clients' aggregate retry count — and a crash
     //    window this disruptive must have caused at least one retry.
-    let (retries, reconnects) = db.telemetry().net.totals();
+    let tel = db.telemetry_snapshot();
+    let (retries, reconnects) = (tel.counter("rpc_retries"), tel.counter("rpc_reconnects"));
     let replayed = server.stats().replays.load(Ordering::Relaxed)
         + server.stats().dup_dropped.load(Ordering::Relaxed);
     assert!(

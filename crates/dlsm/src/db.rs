@@ -33,9 +33,9 @@ pub(crate) struct Shared {
     pub(crate) memnode: Arc<MemNodeHandle>,
     pub(crate) cfg: DbConfig,
     /// Next sequence number to assign.
-    seq: AtomicU64,
+    pub(crate) seq: AtomicU64,
     /// The MemTable writers insert into; readers never take this lock.
-    current: RwLock<Arc<MemTable>>,
+    pub(crate) current: RwLock<Arc<MemTable>>,
     /// The published [`ReadView`]; the lock serializes the three
     /// publishers (switch, flush install, compaction install) and is taken
     /// by a reader only to refresh.
@@ -43,8 +43,8 @@ pub(crate) struct Shared {
     /// Id of the published view — the one word a read loads to validate
     /// the view it cached.
     view_id: ViewId,
-    imm_count: AtomicUsize,
-    flush_queue_len: AtomicUsize,
+    pub(crate) imm_count: AtomicUsize,
+    pub(crate) flush_queue_len: AtomicUsize,
     switch_lock: Mutex<()>,
     /// Table/MemTable id generator (L0 ordering relies on flush ids).
     next_id: AtomicU64,
@@ -76,8 +76,8 @@ pub(crate) struct Shared {
     /// even though serialization runs in parallel.
     install_turn: Mutex<u64>,
     install_cv: Condvar,
-    /// When this shard was opened (uptime gauge).
-    opened_at: Instant,
+    /// When this shard was opened (the stats report's uptime).
+    pub(crate) opened_at: Instant,
 }
 
 /// On a line of its own: every read loads it, and it must not share a line
@@ -85,42 +85,7 @@ pub(crate) struct Shared {
 #[repr(align(64))]
 struct ViewId(AtomicU64);
 
-/// Point-in-time write-path state, read by the gauge sampler
-/// (`crate::metrics`) and stats report without reaching into `Shared`'s
-/// private fields from sibling modules.
-pub(crate) struct LiveState {
-    /// Bytes used in the current MemTable's arena.
-    pub(crate) mem_bytes: u64,
-    /// Configured MemTable rotation threshold.
-    pub(crate) mem_limit: u64,
-    /// Entries in the current MemTable.
-    pub(crate) mem_entries: u64,
-    /// Sequence numbers left before the current table's range is exhausted.
-    pub(crate) seq_headroom: u64,
-    /// Immutable MemTables awaiting flush.
-    pub(crate) imm_count: usize,
-    /// MemTables enqueued to flush workers.
-    pub(crate) flush_queue_len: usize,
-    /// Time since `Db::open`.
-    pub(crate) uptime: Duration,
-}
-
 impl Shared {
-    pub(crate) fn live_state(&self) -> LiveState {
-        // ORDERING: relaxed — gauge snapshot; a slightly stale seq only skews the headroom gauge.
-        let next_seq = self.seq.load(Ordering::Relaxed);
-        let cur = self.current.read();
-        LiveState {
-            mem_bytes: cur.memory_usage() as u64,
-            mem_limit: self.cfg.memtable_size as u64,
-            mem_entries: cur.len() as u64,
-            seq_headroom: cur.range.end.saturating_sub(next_seq.max(cur.range.start)),
-            imm_count: self.imm_count.load(Ordering::Acquire),
-            flush_queue_len: self.flush_queue_len.load(Ordering::Acquire),
-            uptime: self.opened_at.elapsed(),
-        }
-    }
-
     /// The L0 trigger the compactor last picked with: what exported level
     /// scores divide by, so a score ≥ 1 is a level the picker takes.
     pub(crate) fn l0_trigger(&self) -> usize {
@@ -172,6 +137,11 @@ impl Shared {
         for (name, v) in self.stats.snapshot().named_counters() {
             s.set_counter(name, v);
         }
+        let [(imm_events, imm_micros), (l0_events, l0_micros)] = self.stats.stalls();
+        s.set_counter("stall_imm_events", imm_events);
+        s.set_counter("stall_imm_micros", imm_micros);
+        s.set_counter("stall_l0_events", l0_events);
+        s.set_counter("stall_l0_micros", l0_micros);
         if let Some(cache) = &self.cache {
             for (name, v) in crate::named_cache_counters(&cache.snapshot()) {
                 s.set_counter(name, v);
@@ -346,7 +316,6 @@ impl Shared {
         if self.write_stall_check() {
             return Ok(());
         }
-        DbStats::bump(&self.stats.stall_events);
         let reason = self.stall_reason();
         clock.time_rest();
         let t0 = Instant::now();
@@ -361,9 +330,7 @@ impl Shared {
             self.stall_cv.wait_for(&mut guard, Duration::from_millis(2));
         }
         drop(guard);
-        let waited = t0.elapsed();
-        DbStats::add(&self.stats.stall_nanos, waited.as_nanos() as u64);
-        self.telemetry.note_stall(reason, waited.as_micros() as u64);
+        self.stats.note_stall(reason, t0.elapsed().as_micros() as u64);
         Ok(())
     }
 
@@ -612,11 +579,6 @@ impl Db {
     /// `crate::report`) that register collectors or build stats reports.
     pub(crate) fn shared(&self) -> &Arc<Shared> {
         &self.shared
-    }
-
-    /// Live telemetry (latency histograms, breakdown spans, RPC counters).
-    pub fn telemetry(&self) -> &Arc<crate::telemetry::DbTelemetry> {
-        &self.shared.telemetry
     }
 
     /// A frozen telemetry snapshot: op/breakdown histograms — the shared

@@ -79,11 +79,11 @@ pub use shard::ShardedDb;
 pub use stats::{DbStats, DbStatsSnapshot};
 pub use telemetry::{DbTelemetry, StallReason};
 
-/// The read cache's counters as `(name, value)` telemetry rows, with the
-/// `cache_` prefix every consumer (stats report, Prometheus exporter,
-/// bench JSON, telemetry oracles) keys on. Counters merge additively
-/// across shards; `cache_resident_bytes` / `cache_capacity_bytes` sum to
-/// fleet totals.
+/// The read cache's event counters as `(name, value)` telemetry rows, with
+/// the `cache_` prefix every consumer (Prometheus exporter, bench JSON,
+/// telemetry oracles) keys on; they merge additively across shards. The
+/// cache's occupancy (`resident_bytes`, `capacity_bytes`) can fall, so it
+/// is not a counter: the stats report and its gauges carry it.
 pub fn named_cache_counters(cs: &dlsm_cache::CacheStatsSnapshot) -> Vec<(&'static str, u64)> {
     vec![
         ("cache_block_hits", cs.block_hits),
@@ -96,8 +96,6 @@ pub fn named_cache_counters(cs: &dlsm_cache::CacheStatsSnapshot) -> Vec<(&'stati
         ("cache_bytes_saved", cs.bytes_saved),
         ("cache_extent_promotions", cs.extent_promotions),
         ("cache_promoted_bytes", cs.promoted_bytes),
-        ("cache_resident_bytes", cs.resident_bytes),
-        ("cache_capacity_bytes", cs.capacity_bytes),
     ]
 }
 

@@ -1,31 +1,23 @@
 //! Live gauge collectors for [`Db`] and [`ShardedDb`] (DESIGN.md §8b).
 //!
 //! Each shard registers one closure with a
-//! [`dlsm_metrics::MetricsRegistry`]; every `gather()` reads the shard's
-//! live state — MemTable occupancy and sequence-range headroom, flush-ring
-//! depth, per-level shape and compaction scores, write-stall fractions,
-//! live remote extents split by GC origin, flush-zone allocator
-//! utilization, and GC backlog — alongside every [`crate::DbStats`]
-//! counter and telemetry histogram.
-//!
-//! ## Sampling-consistency invariant
-//!
-//! The collector pins the current version (`Arc<Version>`) *before*
-//! reading the flush allocator's `in_use()`. Pinned tables cannot be
-//! freed while the `Arc` is held, and tables installed after the pin only
-//! grow `in_use` — so the sampled compute-origin live bytes never exceed
-//! the sampled allocator figure, even under concurrent writers, flushes
-//! and GC. `dlsm/tests/metrics.rs` hammers this.
+//! [`dlsm_metrics::MetricsRegistry`]; every `gather()` renders one fresh
+//! [`crate::StatsReport`] — MemTable occupancy and sequence-range
+//! headroom, flush-ring depth, per-level shape and compaction scores,
+//! write-stall fractions, live remote extents split by GC origin,
+//! flush-zone allocator utilization, GC backlog and cache occupancy — as
+//! gauges, alongside every [`crate::DbStats`] counter and telemetry
+//! histogram. The collector reads no live state of its own, so the
+//! report's sampling-consistency invariant (`crate::report`) holds for
+//! every scrape.
 
 use std::sync::{Arc, Weak};
 
 use dlsm_metrics::{MetricsRegistry, MetricsServer, Sample};
 
-use crate::compaction::level_score;
 use crate::db::{Db, Shared};
-use crate::handle::Origin;
+use crate::report::ORIGIN_NAMES;
 use crate::shard::ShardedDb;
-use crate::telemetry::StallReason;
 
 impl Db {
     /// Register this database's live-state collector with `reg` (no
@@ -75,85 +67,48 @@ fn register_shard(shared: Weak<Shared>, shard: Option<usize>, reg: &MetricsRegis
     });
 }
 
-fn origin_slot(origin: Origin) -> usize {
-    match origin {
-        Origin::Compute => 0,
-        Origin::MemNode => 1,
-        Origin::External => 2,
-    }
-}
-
-const ORIGIN_NAMES: [&str; 3] = ["compute", "memnode", "external"];
-
 fn collect_shard(shared: &Shared, labels: &[(&'static str, &str)], out: &mut Sample) {
-    let live = shared.live_state();
-    out.gauge_with("dlsm_memtable_bytes", labels, live.mem_bytes as f64);
-    out.gauge_with("dlsm_memtable_limit_bytes", labels, live.mem_limit as f64);
-    out.gauge_with("dlsm_memtable_entries", labels, live.mem_entries as f64);
-    out.gauge_with("dlsm_seq_headroom", labels, live.seq_headroom as f64);
-    out.gauge_with("dlsm_imm_queue_depth", labels, live.imm_count as f64);
-    out.gauge_with("dlsm_flush_queue_depth", labels, live.flush_queue_len as f64);
-    out.gauge_with("dlsm_uptime_seconds", labels, live.uptime.as_secs_f64());
+    let r = shared.stats_report();
+    out.gauge_with("dlsm_memtable_bytes", labels, r.memtable_bytes as f64);
+    out.gauge_with("dlsm_memtable_limit_bytes", labels, r.memtable_limit as f64);
+    out.gauge_with("dlsm_memtable_entries", labels, r.memtable_entries as f64);
+    out.gauge_with("dlsm_seq_headroom", labels, r.seq_headroom as f64);
+    out.gauge_with("dlsm_imm_queue_depth", labels, r.imm_count as f64);
+    out.gauge_with("dlsm_flush_queue_depth", labels, r.flush_queue_len as f64);
+    out.gauge_with("dlsm_uptime_seconds", labels, r.uptime.as_secs_f64());
 
-    // Pin the version BEFORE reading the allocator: every table counted
-    // below stays allocated until `version` drops, so compute-origin live
-    // bytes ≤ flush-zone in_use holds for this sample.
-    let version = shared.versions.current();
-    let l0_trigger = shared.l0_trigger();
-    for level in 0..version.level_count() {
-        let lvl = level.to_string();
-        let mut l = labels.to_vec();
-        l.push(("level", lvl.as_str()));
-        out.gauge_with("dlsm_level_files", &l, version.level(level).len() as f64);
-        out.gauge_with("dlsm_level_bytes", &l, version.level_bytes(level) as f64);
-        out.gauge_with("dlsm_level_score", &l, level_score(&version, &shared.cfg, l0_trigger, level));
-    }
-
-    let mut live_bytes = [0u64; 3];
-    let mut live_counts = [0u64; 3];
-    for level in 0..version.level_count() {
-        for table in version.level(level) {
-            let slot = origin_slot(table.origin);
-            // Same 8-byte-granule rounding as `Db::live_extents`, so the
-            // figures reconcile with allocator accounting exactly.
-            live_bytes[slot] += table.extent.len.div_ceil(8) * 8;
-            live_counts[slot] += 1;
-        }
+    for l in &r.levels {
+        let lvl = l.level.to_string();
+        let mut ls = labels.to_vec();
+        ls.push(("level", lvl.as_str()));
+        out.gauge_with("dlsm_level_files", &ls, l.files as f64);
+        out.gauge_with("dlsm_level_bytes", &ls, l.bytes as f64);
+        out.gauge_with("dlsm_level_score", &ls, l.score);
     }
     for (i, name) in ORIGIN_NAMES.iter().enumerate() {
-        let mut l = labels.to_vec();
-        l.push(("origin", name));
-        out.gauge_with("dlsm_live_extent_bytes", &l, live_bytes[i] as f64);
-        out.gauge_with("dlsm_live_extents", &l, live_counts[i] as f64);
+        let mut ls = labels.to_vec();
+        ls.push(("origin", name));
+        out.gauge_with("dlsm_live_extent_bytes", &ls, r.live_bytes[i] as f64);
+        out.gauge_with("dlsm_live_extents", &ls, r.live_extents[i] as f64);
     }
+    out.gauge_with("dlsm_flush_zone_used_bytes", labels, r.flush_zone_used as f64);
+    out.gauge_with("dlsm_flush_zone_capacity_bytes", labels, r.flush_zone_capacity as f64);
+    out.gauge_with("dlsm_flush_zone_fragments", labels, r.flush_zone_fragments as f64);
+    out.gauge_with("dlsm_gc_backlog_extents", labels, r.gc_backlog as f64);
 
-    let alloc = shared.memnode.flush_alloc();
-    out.gauge_with("dlsm_flush_zone_used_bytes", labels, alloc.in_use() as f64);
-    out.gauge_with("dlsm_flush_zone_capacity_bytes", labels, alloc.capacity() as f64);
-    out.gauge_with("dlsm_flush_zone_fragments", labels, alloc.fragments() as f64);
-    drop(version); // held until after the in_use read — see module docs
-
-    out.gauge_with("dlsm_gc_backlog_extents", labels, shared.gc.remote_pending_len() as f64);
-
-    let uptime_micros = (live.uptime.as_micros().max(1)) as f64;
-    for (reason, name) in
-        [(StallReason::ImmQueueFull, "imm_queue"), (StallReason::L0Limit, "l0_limit")]
-    {
-        let (_events, micros) = shared.telemetry.stall_micros(reason);
-        let mut l = labels.to_vec();
-        l.push(("reason", name));
+    let uptime_micros = (r.uptime.as_micros().max(1)) as f64;
+    for (micros, name) in [(r.stall_imm_micros, "imm_queue"), (r.stall_l0_micros, "l0_limit")] {
+        let mut ls = labels.to_vec();
+        ls.push(("reason", name));
         // Can exceed 1.0 when several writers stall concurrently.
-        out.gauge_with("dlsm_stall_fraction", &l, micros as f64 / uptime_micros);
+        out.gauge_with("dlsm_stall_fraction", &ls, micros as f64 / uptime_micros);
     }
 
-    let cache_snap = shared.cache.as_ref().map(|c| c.snapshot());
-    if let Some(cs) = &cache_snap {
+    // Occupancy only: the cache's event counts are telemetry counters.
+    if let Some(cs) = &r.cache {
         out.gauge_with("dlsm_cache_hit_ratio", labels, cs.hit_ratio());
         out.gauge_with("dlsm_cache_resident_bytes", labels, cs.resident_bytes as f64);
         out.gauge_with("dlsm_cache_capacity_bytes", labels, cs.capacity_bytes as f64);
-        out.gauge_with("dlsm_cache_bytes_saved", labels, cs.bytes_saved as f64);
-        out.gauge_with("dlsm_cache_evictions", labels, cs.evictions as f64);
-        out.gauge_with("dlsm_cache_invalidations", labels, cs.invalidations as f64);
     }
 
     out.push_telemetry("dlsm_", labels, &shared.telemetry_snapshot());

@@ -7,18 +7,33 @@
 //! renders the familiar `** Compaction Stats **`-style table; `db_bench`
 //! dumps it at the end of a run and the chaos oracle dumps it on failure.
 //!
-//! The whole report is built from ONE pinned version, with extent lengths
-//! rounded to the allocator's 8-byte granule — so `total_bytes()`
-//! reconciles exactly with [`Db::live_extents`] accounting.
+//! The report is the one walk of a shard's live state: the `/metrics`
+//! collector (`crate::metrics`) renders its gauges from it. It is built
+//! from ONE pinned version, with extent lengths rounded to the allocator's
+//! 8-byte granule — so `total_bytes()` reconciles exactly with
+//! [`Db::live_extents`] accounting.
+//!
+//! ## Sampling-consistency invariant
+//!
+//! The version is pinned *before* the flush allocator's `in_use()` is
+//! read. Pinned tables cannot be freed while the `Arc` is held, and tables
+//! installed after the pin only grow `in_use` — so the reported
+//! compute-origin live bytes never exceed the reported flush-zone figure,
+//! even under concurrent writers, flushes and GC. `dlsm/tests/metrics.rs`
+//! hammers this.
 
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use crate::compaction::level_score;
-use crate::db::Db;
+use crate::db::{Db, Shared};
 use crate::handle::Origin;
 use crate::shard::ShardedDb;
 use crate::stats::DbStatsSnapshot;
-use crate::telemetry::StallReason;
+
+/// The GC origins, in the order of [`StatsReport::live_bytes`] and
+/// [`StatsReport::live_extents`].
+pub(crate) const ORIGIN_NAMES: [&str; 3] = ["compute", "memnode", "external"];
 
 /// One level's row in the report.
 #[derive(Debug, Clone)]
@@ -60,7 +75,7 @@ pub struct StatsReport {
     /// one probe per non-empty deeper level.
     pub read_amp: u64,
     /// Fraction of uptime writers spent stalled (can exceed 1.0 with
-    /// several concurrent writers).
+    /// several concurrent writers): the two figures below over uptime.
     pub stall_fraction: f64,
     /// Microseconds stalled on a full immutable queue.
     pub stall_imm_micros: u64,
@@ -69,6 +84,8 @@ pub struct StatsReport {
     /// Live bytes by GC origin: `[compute, memnode, external]`, 8-byte
     /// granules.
     pub live_bytes: [u64; 3],
+    /// Live tables (one extent each) by GC origin, in the same order.
+    pub live_extents: [u64; 3],
     /// Flush-zone (CN-controlled window) bytes in use.
     pub flush_zone_used: u64,
     /// Flush-zone window capacity.
@@ -205,12 +222,26 @@ impl std::fmt::Display for StatsReport {
 impl Db {
     /// Build a [`StatsReport`] from one pinned version of this shard.
     pub fn stats_report(&self) -> StatsReport {
-        let shared = self.shared();
-        let live = shared.live_state();
-        let version = shared.versions.current();
+        self.shared().stats_report()
+    }
+}
 
+impl Shared {
+    pub(crate) fn stats_report(&self) -> StatsReport {
+        // ORDERING: relaxed — report read; a slightly stale seq only skews the headroom figure.
+        let next_seq = self.seq.load(Ordering::Relaxed);
+        let (memtable_bytes, memtable_entries, seq_headroom) = {
+            let cur = self.current.read();
+            let headroom = cur.range.end.saturating_sub(next_seq.max(cur.range.start));
+            (cur.memory_usage() as u64, cur.len() as u64, headroom)
+        };
+        let uptime = self.opened_at.elapsed();
+
+        // Pinned BEFORE the allocator is read (module docs).
+        let version = self.versions.current();
         let mut levels = Vec::with_capacity(version.level_count());
         let mut live_bytes = [0u64; 3];
+        let mut live_extents = [0u64; 3];
         for level in 0..version.level_count() {
             let tables = version.level(level);
             let mut bytes = 0u64;
@@ -223,55 +254,54 @@ impl Db {
                     Origin::External => 2,
                 };
                 live_bytes[slot] += rounded;
+                live_extents[slot] += 1;
             }
             levels.push(LevelStats {
                 level,
                 files: tables.len(),
                 bytes,
-                score: level_score(&version, &shared.cfg, shared.l0_trigger(), level),
+                score: level_score(&version, &self.cfg, self.l0_trigger(), level),
             });
         }
         let read_amp = levels[0].files as u64
             + levels.iter().skip(1).filter(|l| l.files > 0).count() as u64;
 
-        let counters = shared.stats.snapshot();
+        let counters = self.stats.snapshot();
         let write_amp = if counters.flush_bytes == 0 {
             0.0
         } else {
             (counters.flush_bytes + counters.compaction_bytes_out) as f64
                 / counters.flush_bytes as f64
         };
+        let [(_, stall_imm_micros), (_, stall_l0_micros)] = self.stats.stalls();
         let stall_fraction =
-            counters.stall_nanos as f64 / (live.uptime.as_nanos().max(1)) as f64;
-        let (_, stall_imm_micros) = shared.telemetry.stall_micros(StallReason::ImmQueueFull);
-        let (_, stall_l0_micros) = shared.telemetry.stall_micros(StallReason::L0Limit);
+            (stall_imm_micros + stall_l0_micros) as f64 / (uptime.as_micros().max(1)) as f64;
 
-        let alloc = shared.memnode.flush_alloc();
+        let alloc = self.memnode.flush_alloc();
         let report = StatsReport {
             levels,
-            memtable_bytes: live.mem_bytes,
-            memtable_limit: live.mem_limit,
-            memtable_entries: live.mem_entries,
-            seq_headroom: live.seq_headroom,
-            imm_count: live.imm_count,
-            flush_queue_len: live.flush_queue_len,
-            uptime: live.uptime,
+            memtable_bytes,
+            memtable_limit: self.cfg.memtable_size as u64,
+            memtable_entries,
+            seq_headroom,
+            imm_count: self.imm_count.load(Ordering::Acquire),
+            flush_queue_len: self.flush_queue_len.load(Ordering::Acquire),
+            uptime,
             write_amp,
             read_amp,
             stall_fraction,
             stall_imm_micros,
             stall_l0_micros,
             live_bytes,
-            // Allocator read while `version` is still pinned, as in
-            // `crate::metrics`: compute-origin live bytes ≤ in_use holds.
+            live_extents,
             flush_zone_used: alloc.in_use(),
             flush_zone_capacity: alloc.capacity(),
             flush_zone_fragments: alloc.fragments(),
-            gc_backlog: shared.gc.remote_pending_len(),
-            cache: self.cache_stats(),
+            gc_backlog: self.gc.remote_pending_len(),
+            cache: self.cache.as_ref().map(|c| c.snapshot()),
             counters,
         };
-        drop(version);
+        drop(version); // held until after the in_use read
         report
     }
 }

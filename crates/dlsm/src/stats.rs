@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use crate::telemetry::{ReadCounter, Readers};
+use crate::telemetry::{ReadCounter, Readers, StallReason};
 
 /// Counters exported by one [`crate::Db`]: shared atomics for the write
 /// side and background work, per-reader blocks (summed on read) for gets.
@@ -46,10 +46,9 @@ pub struct DbStats {
     pub cache_carried_tables: AtomicU64,
     /// Extent bytes of those tables.
     pub cache_carried_bytes: AtomicU64,
-    /// Write-stall episodes.
-    pub stall_events: AtomicU64,
-    /// Total nanoseconds writers spent stalled.
-    pub stall_nanos: AtomicU64,
+    /// Write-stall episodes and the microseconds they lasted, per
+    /// [`StallReason`]; [`DbStats::note_stall`] alone writes them.
+    stalls: [(AtomicU64, AtomicU64); 2],
     /// Batched remote-free RPCs issued.
     pub gc_batches: AtomicU64,
     /// Extents freed remotely.
@@ -73,16 +72,30 @@ impl DbStats {
         counter.load(Ordering::Relaxed)
     }
 
-    /// Total time writers spent stalled.
-    pub fn stall_time(&self) -> Duration {
-        // ORDERING: relaxed — stats read; tolerates staleness.
-        Duration::from_nanos(self.stall_nanos.load(Ordering::Relaxed))
+    /// Account one finished stall episode to its cause, and record it as a
+    /// `write_stall` span of exactly that length: the one place stalls are
+    /// counted.
+    pub(crate) fn note_stall(&self, reason: StallReason, micros: u64) {
+        let (events, total) = &self.stalls[reason as usize];
+        Self::bump(events);
+        Self::add(total, micros);
+        // The span lasts exactly the micros added to the counter above, so
+        // summed episode durations reconcile with the stall_*_micros deltas
+        // (`artifact_check timeline`'s invariant).
+        let arg = reason.trace_arg();
+        dlsm_trace::span_ended(dlsm_trace::Category::Stall, "write_stall", arg, micros);
+    }
+
+    /// `(episodes, microseconds)` stalled: `[imm queue, L0 limit]`.
+    pub(crate) fn stalls(&self) -> [(u64, u64); 2] {
+        self.stalls.each_ref().map(|(events, micros)| (Self::get(events), Self::get(micros)))
     }
 
     /// A plain point-in-time copy of every counter. Call sites should use
     /// this instead of reaching into the atomics one `Relaxed` load at a
     /// time — the snapshot is `Copy`, diffable, and printable.
     pub fn snapshot(&self) -> DbStatsSnapshot {
+        let stalls = self.stalls();
         DbStatsSnapshot {
             puts: Self::get(&self.puts),
             deletes: Self::get(&self.deletes),
@@ -103,8 +116,8 @@ impl DbStats {
             compaction_reply_bytes: Self::get(&self.compaction_reply_bytes),
             cache_carried_tables: Self::get(&self.cache_carried_tables),
             cache_carried_bytes: Self::get(&self.cache_carried_bytes),
-            stall_events: Self::get(&self.stall_events),
-            stall_nanos: Self::get(&self.stall_nanos),
+            stall_events: stalls.iter().map(|&(events, _)| events).sum(),
+            stall_nanos: 1_000 * stalls.iter().map(|&(_, micros)| micros).sum::<u64>(),
             gc_batches: Self::get(&self.gc_batches),
             gc_extents: Self::get(&self.gc_extents),
         }
@@ -155,7 +168,8 @@ pub struct DbStatsSnapshot {
     pub cache_carried_bytes: u64,
     /// Write-stall episodes.
     pub stall_events: u64,
-    /// Total nanoseconds writers spent stalled.
+    /// Total nanoseconds writers spent stalled (counted in whole
+    /// microseconds, so a multiple of 1000).
     pub stall_nanos: u64,
     /// Batched remote-free RPCs issued.
     pub gc_batches: u64,
@@ -208,8 +222,9 @@ impl DbStatsSnapshot {
         f(&mut self.gc_extents, other.gc_extents);
     }
 
-    /// The counters as `(name, value)` pairs, for telemetry export.
-    pub fn named_counters(&self) -> [(&'static str, u64); 23] {
+    /// The counters as `(name, value)` pairs, for telemetry export. The
+    /// stall totals are left out: telemetry carries them per reason.
+    pub fn named_counters(&self) -> [(&'static str, u64); 21] {
         [
             ("puts", self.puts),
             ("deletes", self.deletes),
@@ -230,8 +245,6 @@ impl DbStatsSnapshot {
             ("compaction_reply_bytes", self.compaction_reply_bytes),
             ("cache_carried_tables", self.cache_carried_tables),
             ("cache_carried_bytes", self.cache_carried_bytes),
-            ("stall_events", self.stall_events),
-            ("stall_nanos", self.stall_nanos),
             ("gc_batches", self.gc_batches),
             ("gc_extents", self.gc_extents),
         ]
@@ -305,13 +318,27 @@ mod tests {
         let b = DbStats::default();
         DbStats::add(&a.puts, 3);
         DbStats::add(&b.puts, 4);
-        DbStats::bump(&b.stall_events);
+        b.note_stall(StallReason::L0Limit, 40);
         let mut m = a.snapshot();
         m.merge(&b.snapshot());
         assert_eq!(m.puts, 7);
         assert_eq!(m.stall_events, 1);
         let named: std::collections::HashMap<_, _> = m.named_counters().into_iter().collect();
         assert_eq!(named["puts"], 7);
-        assert_eq!(named.len(), 23);
+        assert_eq!(named.len(), 21);
+    }
+
+    #[test]
+    fn stalls_are_counted_once_per_reason_and_summed_by_the_snapshot() {
+        let s = DbStats::default();
+        s.note_stall(StallReason::ImmQueueFull, 1_500);
+        s.note_stall(StallReason::ImmQueueFull, 500);
+        s.note_stall(StallReason::L0Limit, 40);
+        assert_eq!(s.stalls(), [(2, 2_000), (1, 40)]);
+        let snap = s.snapshot();
+        assert_eq!(snap.stall_events, 3);
+        assert_eq!(snap.stall_nanos, 2_040_000);
+        assert_eq!(StallReason::ImmQueueFull.trace_arg(), dlsm_trace::STALL_IMM_QUEUE);
+        assert_eq!(StallReason::L0Limit.trace_arg(), dlsm_trace::STALL_L0_LIMIT);
     }
 }

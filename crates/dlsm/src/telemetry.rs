@@ -31,14 +31,6 @@ pub struct DbTelemetry {
     /// RPC retry/reconnect totals aggregated over every client this
     /// database opens (flush, GC, compaction pool, two-sided readers).
     pub net: Arc<ClientNetStats>,
-    /// Write stalls whose blocking condition was the immutable queue.
-    pub stall_imm_events: AtomicU64,
-    /// Microseconds writers spent stalled on a full immutable queue.
-    pub stall_imm_micros: AtomicU64,
-    /// Write stalls whose blocking condition was the L0 stop-writes limit.
-    pub stall_l0_events: AtomicU64,
-    /// Microseconds writers spent stalled on the L0 stop-writes limit.
-    pub stall_l0_micros: AtomicU64,
     /// A timed put's phases, in [`PUT_PHASES`] order.
     pub put_phases: [Histogram; 4],
 }
@@ -122,10 +114,10 @@ pub(crate) fn nanos(d: Duration) -> u64 {
 pub enum StallReason {
     /// The immutable-MemTable queue is at `max_immutables` (flushes are
     /// behind).
-    ImmQueueFull,
+    ImmQueueFull = 0,
     /// The L0 table count reached `l0_stop_writes_trigger` (compaction is
     /// behind).
-    L0Limit,
+    L0Limit = 1,
 }
 
 impl StallReason {
@@ -326,24 +318,6 @@ impl std::fmt::Debug for Readers {
 }
 
 impl DbTelemetry {
-
-    /// Account one finished stall episode to its cause, and record it as a
-    /// `write_stall` span of exactly that length.
-    pub(crate) fn note_stall(&self, reason: StallReason, micros: u64) {
-        let (events, total) = match reason {
-            StallReason::ImmQueueFull => (&self.stall_imm_events, &self.stall_imm_micros),
-            StallReason::L0Limit => (&self.stall_l0_events, &self.stall_l0_micros),
-        };
-        // ORDERING: relaxed — event/total pair is read independently for averages; approximate by design.
-        events.fetch_add(1, Ordering::Relaxed);
-        total.fetch_add(micros, Ordering::Relaxed);
-        // The span lasts exactly the micros added to the counter above, so
-        // summed episode durations reconcile with the stall_*_micros deltas
-        // (`artifact_check timeline`'s invariant).
-        let arg = reason.trace_arg();
-        dlsm_trace::span_ended(dlsm_trace::Category::Stall, "write_stall", arg, micros);
-    }
-
     /// Freeze the write-side op histograms and counters; the read side is
     /// merged in by [`crate::Db::telemetry_snapshot`]. RDMA verb traffic is
     /// attached by callers that own a channel or fabric (see
@@ -354,32 +328,10 @@ impl DbTelemetry {
         let (retries, reconnects) = self.net.totals();
         s.set_counter("rpc_retries", retries);
         s.set_counter("rpc_reconnects", reconnects);
-        // ORDERING: relaxed — stats-report reads of monotonic counters.
-        s.set_counter("stall_imm_events", self.stall_imm_events.load(Ordering::Relaxed));
-        s.set_counter("stall_imm_micros", self.stall_imm_micros.load(Ordering::Relaxed));
-        s.set_counter("stall_l0_events", self.stall_l0_events.load(Ordering::Relaxed));
-        // ORDERING: relaxed — stats-report reads of monotonic counters.
-        s.set_counter("stall_l0_micros", self.stall_l0_micros.load(Ordering::Relaxed));
         for (hist, name) in self.put_phases.iter().zip(PUT_PHASES) {
             s.set_breakdown(name, hist.snapshot());
         }
         s
-    }
-
-    /// `(events, micros)` stalled for one reason, from the live counters.
-    pub fn stall_micros(&self, reason: StallReason) -> (u64, u64) {
-        match reason {
-            StallReason::ImmQueueFull => (
-                // ORDERING: relaxed — stall gauge reads; tolerate staleness.
-                self.stall_imm_events.load(Ordering::Relaxed),
-                self.stall_imm_micros.load(Ordering::Relaxed),
-            ),
-            StallReason::L0Limit => (
-                // ORDERING: relaxed — stall gauge reads; tolerate staleness.
-                self.stall_l0_events.load(Ordering::Relaxed),
-                self.stall_l0_micros.load(Ordering::Relaxed),
-            ),
-        }
     }
 }
 
@@ -429,23 +381,6 @@ mod tests {
         readers.for_each_live(|_| live += 1);
         assert_eq!(live, 0);
         assert_eq!(DbTelemetry::default().snapshot().counter("rpc_retries"), 0);
-    }
-
-    #[test]
-    fn stall_attribution_by_reason() {
-        let t = DbTelemetry::default();
-        t.note_stall(StallReason::ImmQueueFull, 1_500);
-        t.note_stall(StallReason::ImmQueueFull, 500);
-        t.note_stall(StallReason::L0Limit, 40);
-        assert_eq!(t.stall_micros(StallReason::ImmQueueFull), (2, 2_000));
-        assert_eq!(t.stall_micros(StallReason::L0Limit), (1, 40));
-        let s = t.snapshot();
-        assert_eq!(s.counter("stall_imm_events"), 2);
-        assert_eq!(s.counter("stall_imm_micros"), 2_000);
-        assert_eq!(s.counter("stall_l0_events"), 1);
-        assert_eq!(s.counter("stall_l0_micros"), 40);
-        assert_eq!(StallReason::ImmQueueFull.trace_arg(), dlsm_trace::STALL_IMM_QUEUE);
-        assert_eq!(StallReason::L0Limit.trace_arg(), dlsm_trace::STALL_L0_LIMIT);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use dlsm::{ComputeContext, Db, DbConfig, MemNodeHandle, ShardedDb};
+use dlsm::{CacheConfig, ComputeContext, Db, DbConfig, MemNodeHandle, ShardedDb};
 use dlsm_memnode::{MemServer, MemServerConfig};
 use dlsm_metrics::MetricsRegistry;
 use rdma_sim::{Fabric, NetworkProfile};
@@ -39,7 +39,10 @@ fn key(i: u64) -> Vec<u8> {
 fn gauges_cover_live_state_and_every_level() {
     let fabric = Fabric::new(NetworkProfile::instant());
     let srv = server(&fabric);
-    let db = open_db(&fabric, &srv);
+    let ctx = ComputeContext::new(&fabric);
+    let mem = MemNodeHandle::from_server(&srv);
+    let cfg = DbConfig { cache: CacheConfig::with_capacity(4 << 20), ..DbConfig::small() };
+    let db = Db::open(ctx, mem, cfg).unwrap();
     for i in 0..5_000u64 {
         db.put(&key(i), format!("v{i}").as_bytes()).unwrap();
     }
@@ -62,6 +65,25 @@ fn gauges_cover_live_state_and_every_level() {
     let text = reg.render();
     assert!(text.contains("dlsm_puts_total"), "{text}");
     assert!(text.contains("dlsm_op_latency_ns_bucket"), "{text}");
+
+    // Every number is served once: no name is both a gauge `X` and a
+    // counter `X_total` (the cache's occupancy is a gauge, its event counts
+    // are counters).
+    assert!(sample.gauge_value("dlsm_cache_resident_bytes", &[]).is_some(), "{text}");
+    let families = |kind: &str| -> std::collections::HashSet<String> {
+        text.lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .filter_map(|l| l.strip_suffix(kind))
+            .map(|name| name.trim().to_string())
+            .collect()
+    };
+    let gauges = families(" gauge");
+    for counter in families(" counter") {
+        let name = counter.strip_suffix("_total").unwrap_or(&counter);
+        assert!(!gauges.contains(name), "{name} is served as a gauge and as {counter}");
+    }
+    // At quiescence the level gauges add up to the stats report's tables.
+    assert_eq!(sample.gauge_sum("dlsm_level_files") as usize, db.stats_report().total_files());
 
     db.shutdown();
     srv.shutdown();

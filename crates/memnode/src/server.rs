@@ -111,6 +111,33 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
+    /// Every counter and both latency histograms, each once, under a
+    /// `server_` prefix so the snapshot can be merged with compute-side
+    /// ones without collisions. It carries no op-class histograms: a
+    /// memory node serves RPCs, it does not run the op classes.
+    pub fn snapshot(&self) -> dlsm_telemetry::TelemetrySnapshot {
+        let mut s = dlsm_telemetry::TelemetrySnapshot::default();
+        s.set_breakdown("server_dispatch", self.dispatch.snapshot());
+        s.set_breakdown("server_compact_merge", self.merge.snapshot());
+        for (name, counter) in [
+            ("server_busy_nanos", &self.busy_nanos),
+            ("server_compactions", &self.compactions),
+            ("server_records_in", &self.records_in),
+            ("server_records_out", &self.records_out),
+            ("server_freed_extents", &self.freed_extents),
+            ("server_rpcs", &self.rpcs),
+            ("server_failures", &self.failures),
+            ("server_replays", &self.replays),
+            ("server_dup_dropped", &self.dup_dropped),
+            ("server_canceled", &self.canceled),
+            ("server_restarts", &self.restarts),
+        ] {
+            // ORDERING: relaxed — stats-report read of a monotonic counter.
+            s.set_counter(name, counter.load(Ordering::Relaxed));
+        }
+        s
+    }
+
     /// Average remote CPU utilization over `wall` given `workers` cores,
     /// measured from a `busy_nanos` delta.
     pub fn utilization(busy_delta_nanos: u64, workers: usize, wall: Duration) -> f64 {
@@ -380,31 +407,9 @@ impl MemServer {
         &self.stats
     }
 
-    /// A point-in-time telemetry snapshot: dispatch/merge latency
-    /// histograms plus every counter, all under a `server_` prefix so the
-    /// snapshot can be merged with compute-side ones without collisions.
+    /// A point-in-time telemetry snapshot: [`ServerStats::snapshot`].
     pub fn telemetry_snapshot(&self) -> dlsm_telemetry::TelemetrySnapshot {
-        let st = &self.stats;
-        let mut s = dlsm_telemetry::TelemetrySnapshot::new();
-        s.set_breakdown("server_dispatch", st.dispatch.snapshot());
-        s.set_breakdown("server_compact_merge", st.merge.snapshot());
-        for (name, counter) in [
-            ("server_busy_nanos", &st.busy_nanos),
-            ("server_compactions", &st.compactions),
-            ("server_records_in", &st.records_in),
-            ("server_records_out", &st.records_out),
-            ("server_freed_extents", &st.freed_extents),
-            ("server_rpcs", &st.rpcs),
-            ("server_failures", &st.failures),
-            ("server_replays", &st.replays),
-            ("server_dup_dropped", &st.dup_dropped),
-            ("server_canceled", &st.canceled),
-            ("server_restarts", &st.restarts),
-        ] {
-            // ORDERING: relaxed — stats-report read of a monotonic counter.
-            s.set_counter(name, counter.load(Ordering::Relaxed));
-        }
-        s
+        self.stats.snapshot()
     }
 
     /// The at-most-once request window.
@@ -450,33 +455,7 @@ impl MemServer {
                 allocator.fragments() as f64,
             );
             out.gauge_with("memnode_dedup_entries", labels, dedup.len() as f64);
-
-            for (name, counter) in [
-                ("memnode_server_busy_nanos", &stats.busy_nanos),
-                ("memnode_server_compactions", &stats.compactions),
-                ("memnode_server_records_in", &stats.records_in),
-                ("memnode_server_records_out", &stats.records_out),
-                ("memnode_server_freed_extents", &stats.freed_extents),
-                ("memnode_server_rpcs", &stats.rpcs),
-                ("memnode_server_failures", &stats.failures),
-                ("memnode_server_replays", &stats.replays),
-                ("memnode_server_dup_dropped", &stats.dup_dropped),
-                ("memnode_server_canceled", &stats.canceled),
-                ("memnode_server_restarts", &stats.restarts),
-            ] {
-                // ORDERING: relaxed — Prometheus-export read of a monotonic counter.
-                out.counter_with(name, labels, counter.load(Ordering::Relaxed));
-            }
-            for (stage, h) in [
-                ("server_dispatch", stats.dispatch.snapshot()),
-                ("server_compact_merge", stats.merge.snapshot()),
-            ] {
-                out.hist_with(
-                    "memnode_breakdown_latency_ns",
-                    &[("node", node.as_str()), ("stage", stage)],
-                    h,
-                );
-            }
+            out.push_telemetry("memnode_", labels, &stats.snapshot());
         });
     }
 

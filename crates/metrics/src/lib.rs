@@ -109,8 +109,9 @@ impl Sample {
     }
 
     /// Fold a [`TelemetrySnapshot`] in: counters become `{prefix}{name}`
-    /// counters, op-class histograms one `{prefix}op_latency_ns` family
-    /// keyed by a `class` label, named breakdowns one
+    /// counters, the op-class histograms the snapshot carries one
+    /// `{prefix}op_latency_ns` family keyed by a `class` label (none for a
+    /// snapshot without `ops`), named breakdowns one
     /// `{prefix}breakdown_latency_ns` family keyed by a `stage` label.
     pub fn push_telemetry(
         &mut self,
@@ -121,10 +122,10 @@ impl Sample {
         for (name, v) in &snap.counters {
             self.counter_with(&format!("{prefix}{name}"), labels, *v);
         }
-        for class in OpClass::ALL {
+        for (class, h) in OpClass::ALL.into_iter().zip(&snap.ops) {
             let mut l = labels.to_vec();
             l.push(("class", class.name()));
-            self.hist_with(&format!("{prefix}op_latency_ns"), &l, snap.op(class));
+            self.hist_with(&format!("{prefix}op_latency_ns"), &l, h.clone());
         }
         for (stage, h) in &snap.breakdown {
             let mut l = labels.to_vec();
@@ -265,6 +266,14 @@ mod tests {
             .expect("breakdown family");
         assert_eq!(bd.snap.count(), 1);
         assert!(bd.labels.contains(&("shard", "3".to_string())));
+
+        // A snapshot that carries no op histograms (a memory node's) renders none.
+        let mut server = TelemetrySnapshot::default();
+        server.set_breakdown("server_dispatch", h.snapshot());
+        let mut s = Sample::new();
+        s.push_telemetry("memnode_", &[], &server);
+        assert_eq!(s.hists.len(), 1);
+        assert_eq!(s.hists[0].name, "memnode_breakdown_latency_ns");
     }
 
     #[test]

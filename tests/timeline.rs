@@ -57,6 +57,7 @@ fn stall_episodes_reconcile_at(level: Level) -> Vec<dlsm_trace::Event> {
     let snap = db.telemetry_snapshot();
     let engine_micros = snap.counter("stall_imm_micros") + snap.counter("stall_l0_micros");
     let engine_events = snap.counter("stall_imm_events") + snap.counter("stall_l0_events");
+    let stats = db.stats().snapshot();
     db.shutdown();
     server.shutdown();
     dlsm_trace::set_level(Level::Off);
@@ -65,6 +66,9 @@ fn stall_episodes_reconcile_at(level: Level) -> Vec<dlsm_trace::Event> {
         engine_events > 0,
         "config failed to induce a single write stall — tighten the triggers"
     );
+    // The stats snapshot's totals are the same per-reason counters, summed.
+    assert_eq!(stats.stall_events, engine_events, "{stats}");
+    assert_eq!(stats.stall_nanos, 1_000 * engine_micros, "{stats}");
     assert_eq!(dlsm_trace::lifecycle_overwritten(), 0, "a lifecycle ring wrapped");
     let events = dlsm_trace::collect_events();
     let episodes = dlsm_timeline::fold_episodes(&events);
