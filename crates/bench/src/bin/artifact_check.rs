@@ -29,19 +29,14 @@
 //! bug, not a pass.
 //!
 //! **timeline** (`db_bench --timeline`):
-//! 1. the window series is well-formed — indices strictly increase, every
-//!    window spans forward in time (`end_us > start_us`), and consecutive
-//!    windows are contiguous (`next.start_us == prev.end_us`);
-//! 2. stall episodes reconcile with the engine — the sum of episode
+//! 1. stall episodes reconcile with the engine — the sum of episode
 //!    `micros` matches the run's `engine_stall_micros` (the
 //!    `stall_imm_micros + stall_l0_micros` counter total) within
 //!    [`STALL_TOLERANCE`]; with the engine reporting zero stall time, any
 //!    folded episode is a fabrication and fails;
-//! 3. the trace rings' lifecycle records lost to wrap
+//! 2. the trace rings' lifecycle records lost to wrap
 //!    (`lifecycle_overwritten`, see `dlsm_trace::lifecycle_overwritten`)
 //!    stayed within [`MAX_DROPS`].
-//!
-//! An empty window series fails: a sampler that never ticked is a bug.
 //!
 //! JSON parsing lives in [`dlsm_bench::json`].
 
@@ -277,42 +272,7 @@ fn validate_exemplars(bench: &str, slowest: &str) -> Result<String, String> {
 fn validate_timeline(text: &str) -> Result<String, String> {
     let root = json::parse(text)?;
 
-    // 1. Window series: strictly increasing indices, forward spans,
-    //    contiguous edges — the sampler stamps each window's start from the
-    //    previous window's end, so any gap means frames were reordered or
-    //    fabricated.
-    let windows = root
-        .get("windows")
-        .and_then(Json::as_arr)
-        .ok_or("missing windows array")?;
-    if windows.is_empty() {
-        return Err("window series is empty (sampler never ticked?)".into());
-    }
-    let mut prev: Option<(u64, u64)> = None; // (index, end_us)
-    for (i, w) in windows.iter().enumerate() {
-        let ctx = format!("window {i}");
-        // LOSSY: monotonic micros and window indices are far below 2^53,
-        // exact in f64.
-        let index = read_num(w, "index", &ctx)? as u64;
-        let start = read_num(w, "start_us", &ctx)? as u64;
-        let end = read_num(w, "end_us", &ctx)? as u64;
-        if end <= start {
-            return Err(format!("{ctx}: empty or backwards span [{start}, {end}]"));
-        }
-        if let Some((pi, pe)) = prev {
-            if index <= pi {
-                return Err(format!("{ctx}: index {index} not after {pi}"));
-            }
-            if start != pe {
-                return Err(format!(
-                    "{ctx}: starts at {start} but previous window ended at {pe} (gap or overlap)"
-                ));
-            }
-        }
-        prev = Some((index, end));
-    }
-
-    // 2. Episode/counter reconciliation. Episodes are folded from stall
+    // 1. Episode/counter reconciliation. Episodes are folded from stall
     //    spans whose length is the exact micros added to the engine's stall
     //    counters, so the sums agree exactly when nothing was lost.
     let engine_micros = read_num(&root, "engine_stall_micros", "root")? as u64;
@@ -347,7 +307,7 @@ fn validate_timeline(text: &str) -> Result<String, String> {
         }
     }
 
-    // 3. Lifecycle records lost to ring wrap: counted, within budget.
+    // 2. Lifecycle records lost to ring wrap: counted, within budget.
     let overwritten = read_num(&root, "lifecycle_overwritten", "root")? as u64;
     if overwritten > MAX_DROPS {
         return Err(format!(
@@ -356,9 +316,8 @@ fn validate_timeline(text: &str) -> Result<String, String> {
     }
 
     Ok(format!(
-        "{} contiguous windows, {} episodes ({episode_micros} us vs engine {engine_micros} us), \
+        "{} episodes ({episode_micros} us vs engine {engine_micros} us), \
          {overwritten} lifecycle records overwritten",
-        windows.len(),
         episodes.len(),
     ))
 }
@@ -518,14 +477,8 @@ mod tests {
     // ---- timeline ------------------------------------------------------
 
     const GOOD: &str = r#"{
-      "tick_ms": 250,
       "engine_stall_micros": 1000,
       "lifecycle_overwritten": 0,
-      "frames_dropped": 0,
-      "windows": [
-        {"index": 0, "start_us": 0, "end_us": 250000, "ops_per_sec": 10.0},
-        {"index": 1, "start_us": 250000, "end_us": 500000, "ops_per_sec": 12.0}
-      ],
       "episodes": [
         {"start_us": 100, "end_us": 700, "micros": 600, "reason": "imm_queue_full"},
         {"start_us": 9000, "end_us": 9420, "micros": 420, "reason": "l0_limit"}
@@ -535,31 +488,7 @@ mod tests {
     #[test]
     fn accepts_consistent_artifact() {
         let s = validate_timeline(GOOD).expect("must validate");
-        assert!(s.contains("2 contiguous windows"), "{s}");
         assert!(s.contains("2 episodes"), "{s}");
-    }
-
-    #[test]
-    fn rejects_window_gaps_and_disorder() {
-        // Gap: window 1 starts after window 0 ends.
-        let gap = GOOD.replace(r#""start_us": 250000"#, r#""start_us": 260000"#);
-        let e = validate_timeline(&gap).unwrap_err();
-        assert!(e.contains("gap or overlap"), "{e}");
-        // Stale index on the second window.
-        let idx = GOOD.replace(r#""index": 1"#, r#""index": 0"#);
-        let e = validate_timeline(&idx).unwrap_err();
-        assert!(e.contains("not after"), "{e}");
-        // Backwards span.
-        let back = GOOD.replace(r#""end_us": 250000"#, r#""end_us": 0"#);
-        assert!(validate_timeline(&back).is_err());
-        // Empty series.
-        let empty = GOOD.replace(
-            r#"{"index": 0, "start_us": 0, "end_us": 250000, "ops_per_sec": 10.0},
-        {"index": 1, "start_us": 250000, "end_us": 500000, "ops_per_sec": 12.0}"#,
-            "",
-        );
-        let e = validate_timeline(&empty).unwrap_err();
-        assert!(e.contains("empty"), "{e}");
     }
 
     #[test]

@@ -44,18 +44,16 @@
 //!                 (default BENCH_<system>.json)
 //!   --trace       enable the flight recorder; on exit dump the full
 //!                 Chrome/Perfetto trace, the 5 slowest traces, and the
-//!                 stall-attribution "doctor" report under results/; each
+//!                 "doctor" stall report under results/; each
 //!                 phase's p99.9 exemplars resolve to a root span in the
 //!                 slowest-traces dump
-//!   --timeline    time-resolved telemetry: a windowed sampler snapshots
-//!                 telemetry deltas every tick, the trace rings record the
-//!                 engine's flush/compaction/stall spans (only those, unless
-//!                 --trace records everything), and a
-//!                 stall-episode analyzer reports the worst episodes. Adds
-//!                 a per-phase `timeline` block to the JSON and writes the
-//!                 full window series + episode table to
+//!   --timeline    stall episodes: the trace rings record the engine's
+//!                 flush/compaction/stall spans (only those, unless --trace
+//!                 records everything), each write stall becomes an
+//!                 episode, and the doctor stall report is printed. Adds a
+//!                 per-phase `timeline` block to the JSON and writes the
+//!                 episodes and per-phase rollup to
 //!                 results/TIMELINE_<system>.json
-//!   --timeline-tick-ms  sampler window length in millis       (default 250)
 //!   --metrics-addr      serve Prometheus text exposition on this address
 //!                       for the duration of the run (port 0 = ephemeral;
 //!                       the bound address is printed). Exposes the
@@ -96,15 +94,6 @@ fn engine_stall_micros(engine: &dyn dlsm_baselines::Engine) -> u64 {
 /// several phase boundaries.
 fn event_key(e: &dlsm_trace::Event) -> (u64, u64, u64, u64) {
     (e.trace_id, e.tid, e.span_id, e.ts_us)
-}
-
-/// The run's closed timeline (`--timeline`): the sampler's window series
-/// and the stall episodes folded from the trace rings, throughput-annotated.
-struct RunTimeline {
-    frames: Vec<dlsm_timeline::WindowFrame>,
-    frames_dropped: u64,
-    episodes: Vec<dlsm_timeline::StallEpisode>,
-    tick_ms: u64,
 }
 
 /// Extra per-phase JSON facts a workload phase carries beyond the common
@@ -182,7 +171,6 @@ fn main() {
     let mut json_path: Option<String> = None;
     let mut trace = false;
     let mut timeline = false;
-    let mut timeline_tick_ms = dlsm_timeline::DEFAULT_TICK_MS;
     let mut metrics_addr: Option<String> = None;
     let mut metrics_hold_secs = 0u64;
     let mut mix_override: Option<OpMix> = None;
@@ -241,9 +229,6 @@ fn main() {
             "--scale" => scale = value.parse().expect("--scale"),
             "--cores" => cores = value.parse().expect("--cores"),
             "--json" => json_path = Some(value),
-            "--timeline-tick-ms" => {
-                timeline_tick_ms = value.parse().expect("--timeline-tick-ms")
-            }
             "--metrics-addr" => metrics_addr = Some(value),
             "--metrics-hold-secs" => metrics_hold_secs = value.parse().expect("--metrics-hold-secs"),
             other => {
@@ -302,8 +287,7 @@ fn main() {
     }
     if timeline {
         println!(
-            "timeline: enabled ({timeline_tick_ms} ms windows, lifecycle trace spans, \
-             episode report + results/TIMELINE_*.json)"
+            "timeline: enabled (lifecycle trace spans, stall report + results/TIMELINE_*.json)"
         );
     }
     // Churny workload phases (delete/insert-heavy mixes) pin more dead data
@@ -325,29 +309,6 @@ fn main() {
             cache_bytes.unwrap_or(dlsm_bench::setup::scaled_db_config(&spec).cache.capacity_bytes);
         println!("cache: {:.0} MiB budget (dLSM engines)", budget as f64 / (1 << 20) as f64);
     }
-    // The timeline sampler snapshots the engine's cumulative telemetry
-    // (with fabric traffic merged in) every tick and keeps per-window
-    // deltas; started before the first phase so window 0 covers it.
-    let mut sampler = timeline.then(|| {
-        let engine = std::sync::Arc::clone(&sc.engine);
-        let fabric = std::sync::Arc::clone(&sc.fabric);
-        let provider = Box::new(move || {
-            let mut s =
-                engine.telemetry().unwrap_or_else(dlsm_telemetry::TelemetrySnapshot::new);
-            // Replace (not merge) the fabric rows: the fabric totals
-            // already include every channel, so merging any engine-side
-            // rows would double-count the traffic.
-            s.rdma = dlsm::telemetry::verb_traffic(&fabric.stats().snapshot());
-            s
-        });
-        dlsm_timeline::TimelineSampler::start(
-            dlsm_timeline::TimelineConfig {
-                tick: std::time::Duration::from_millis(timeline_tick_ms.max(1)),
-                ..Default::default()
-            },
-            provider,
-        )
-    });
     // The exporter covers both sides of the fabric: the engine's per-shard
     // live gauges and every memory node's allocator/server series; every
     // scrape gathers them live.
@@ -357,9 +318,6 @@ fn main() {
         sc.engine.register_metrics(&reg);
         for s in &sc.servers {
             s.register_metrics(&reg);
-        }
-        if let Some(ts) = &sampler {
-            ts.register_metrics(&reg);
         }
         let srv = dlsm_metrics::serve(reg, addr.as_str()).unwrap_or_else(|e| {
             eprintln!("cannot bind --metrics-addr {addr}: {e}");
@@ -500,9 +458,9 @@ fn main() {
         if timeline {
             // Fold the rings just for the progress line (the end-of-run
             // fold is the authoritative one).
-            let eps = dlsm_timeline::fold_episodes(&dlsm_trace::collect_events());
+            let eps = dlsm_trace::fold_episodes(&dlsm_trace::collect_events());
             let (count, stalled, worst) =
-                dlsm_timeline::phase_episode_summary(&eps, result.start_us, result.end_us());
+                phase_episode_summary(&eps, result.start_us, result.end_us());
             if count > 0 {
                 println!(
                     "  {:<22} timeline: {count} stall episode(s), {:.1} ms stalled, worst {:.1} ms",
@@ -566,54 +524,36 @@ fn main() {
         print!("{report}");
     }
 
-    // Close the timeline: stop the tick thread (capturing the final
-    // partial window), fold the stall spans into episodes, annotate them with
-    // window throughput, and render the doctor-style episode report. The
-    // stopped sampler stays alive (not taken) so its Weak-backed
-    // `dlsm_timeline_*` gauges keep serving through the --metrics-hold
-    // scrape window.
-    let run_timeline = sampler.as_mut().map(|s| {
-        s.stop();
-        let frames = s.frames();
-        let frames_dropped = s.frames_dropped();
-        let mut episodes = dlsm_timeline::fold_episodes(&dlsm_trace::collect_events());
-        dlsm_timeline::annotate_throughput(&mut episodes, &frames);
-        RunTimeline { frames, frames_dropped, episodes, tick_ms: timeline_tick_ms }
+    // Close the event stream (`--trace`, `--timeline`): stop recording and
+    // read the rings once. The TIMELINE artifact, the per-phase JSON blocks
+    // and the doctor report all fold these same events.
+    let events = (trace || timeline).then(|| {
+        dlsm_trace::set_level(dlsm_trace::Level::Off);
+        dlsm_trace::collect_events()
     });
-    let timeline_report = run_timeline.as_ref().map(|tl| {
-        // Exemplar (trace id, nanos) pairs from every phase, so episode
-        // rows can be flagged when they hit a published p999 exemplar.
-        let exemplars: Vec<(u64, u64)> = results
+    let episodes = events.as_deref().filter(|_| timeline).map(dlsm_trace::fold_episodes);
+    let doctor = events.as_deref().map(|events| {
+        // Published p999 exemplars from every phase, so episode rows can be
+        // flagged when they hit one.
+        let exemplars: Vec<u64> = results
             .iter()
-            .flat_map(|(r, ..)| r.exemplars.iter().map(|e| (e.trace_id, e.value_ns)))
+            .flat_map(|(r, ..)| r.exemplars.iter().map(|e| e.trace_id))
             .collect();
-        let origin = results
-            .first()
-            .map(|(r, ..)| r.start_us)
-            .or_else(|| tl.frames.first().map(|f| f.start_us))
-            .unwrap_or(0);
-        dlsm_timeline::episode_report(&tl.episodes, &exemplars, origin, 5)
+        let origin = results.first().map_or(0, |(r, ..)| r.start_us);
+        dlsm_trace::doctor(events, &exemplars, origin)
     });
-    if let (Some(tl), Some(report)) = (&run_timeline, &timeline_report) {
-        if !trace {
-            // With tracing on the report rides inside the doctor dump
-            // below; don't print it twice.
-            print!("{report}");
-        }
-        let phases: Vec<dlsm_timeline::PhaseSpan> = results
+    if let Some(episodes) = &episodes {
+        let phases: Vec<PhaseSpan> = results
             .iter()
-            .map(|(r, ..)| dlsm_timeline::PhaseSpan {
+            .map(|(r, ..)| PhaseSpan {
                 name: r.phase.clone(),
                 start_us: r.start_us,
                 end_us: r.end_us(),
             })
             .collect();
-        let json = dlsm_timeline::write_timeline_json(
-            &tl.frames,
-            tl.frames_dropped,
-            &tl.episodes,
+        let json = write_timeline_json(
+            episodes,
             &phases,
-            tl.tick_ms,
             engine_stall_micros(sc.engine.as_ref()),
             dlsm_trace::lifecycle_overwritten(),
         );
@@ -621,24 +561,23 @@ fn main() {
         let write = std::fs::create_dir_all("results")
             .and_then(|()| std::fs::write(&tl_path, json + "\n"));
         match write {
-            Ok(()) => println!(
-                "wrote {tl_path} ({} windows, {} episodes)",
-                tl.frames.len(),
-                tl.episodes.len()
-            ),
+            Ok(()) => println!("wrote {tl_path} ({} episodes)", episodes.len()),
             Err(e) => eprintln!("failed to write {tl_path}: {e}"),
         }
     }
 
     let path = json_path.unwrap_or_else(|| format!("BENCH_{}.json", sanitize(&system)));
     let json =
-        run_json(&system, &spec, threads, scale, &sc, &results, &traffic, run_timeline.as_ref());
+        run_json(&system, &spec, threads, scale, &sc, &results, &traffic, episodes.as_deref());
     match std::fs::write(&path, json) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("failed to write {path}: {e}"),
     }
-    if trace {
-        dump_traces(&system, &exemplar_events, timeline_report.as_deref());
+    if let (Some(events), Some(doctor)) = (&events, &doctor) {
+        if trace {
+            dump_traces(&system, events, &exemplar_events, doctor);
+        }
+        print!("{doctor}");
     }
     if let Some(mut srv) = metrics_server {
         if metrics_hold_secs > 0 {
@@ -663,23 +602,25 @@ fn main() {
 /// rings are still registered): the full Perfetto-loadable trace, a
 /// slowest-traces cut — widened with every exemplar trace captured at
 /// phase boundaries, so each JSON exemplar resolves to a complete trace —
-/// and the plain-text stall-attribution report.
+/// and the doctor stall report.
 fn dump_traces(
     system: &str,
+    events: &[dlsm_trace::Event],
     exemplar_events: &[dlsm_trace::Event],
-    timeline_report: Option<&str>,
+    doctor: &str,
 ) {
-    dlsm_trace::set_level(dlsm_trace::Level::Off);
-    let events = dlsm_trace::collect_events();
     let sys = sanitize(system);
+    if let Err(e) = std::fs::create_dir_all("results") {
+        eprintln!("failed to create results/: {e}");
+    }
 
     let full = format!("results/TRACE_{sys}.json");
-    match dlsm_trace::dump_to_file(&full) {
+    match std::fs::write(&full, dlsm_trace::chrome_trace(events)) {
         Ok(()) => println!("wrote {full} ({} events)", events.len()),
         Err(e) => eprintln!("failed to write {full}: {e}"),
     }
 
-    let mut slowest = dlsm_trace::slowest_traces(&events, 5);
+    let mut slowest = dlsm_trace::slowest_traces(events, 5);
     if !exemplar_events.is_empty() {
         let have: HashSet<(u64, u64, u64, u64)> = slowest.iter().map(event_key).collect();
         slowest.extend(
@@ -693,18 +634,10 @@ fn dump_traces(
         Err(e) => eprintln!("failed to write {slow_path}: {e}"),
     }
 
-    let mut report = dlsm_trace::doctor(&events);
-    if let Some(tl) = timeline_report {
-        // Cumulative stall attribution above, time-resolved episodes below
-        // — one doctor file answers both "how much" and "when".
-        report.push('\n');
-        report.push_str(tl);
-    }
     let doc_path = format!("results/TRACE_{sys}_doctor.txt");
-    if let Err(e) = std::fs::write(&doc_path, &report) {
+    if let Err(e) = std::fs::write(&doc_path, doctor) {
         eprintln!("failed to write {doc_path}: {e}");
     }
-    print!("{report}");
 }
 
 /// The machine-readable run summary: configuration, per-phase throughput +
@@ -719,7 +652,7 @@ fn run_json(
     sc: &dlsm_bench::setup::Scenario,
     results: &[PhaseRow],
     traffic: &StatsSnapshot,
-    timeline: Option<&RunTimeline>,
+    episodes: Option<&[dlsm_trace::StallEpisode]>,
 ) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
@@ -764,17 +697,10 @@ fn run_json(
             w.field_u64("invalidations", c.invalidations);
             w.end_object();
         }
-        if let Some(tl) = timeline {
-            let (count, stalled, worst) =
-                dlsm_timeline::phase_episode_summary(&tl.episodes, r.start_us, r.end_us());
-            let windows = tl
-                .frames
-                .iter()
-                .filter(|f| f.start_us < r.end_us() && r.start_us < f.end_us)
-                .count() as u64;
+        if let Some(episodes) = episodes {
+            let (count, stalled, worst) = phase_episode_summary(episodes, r.start_us, r.end_us());
             w.key("timeline");
             w.begin_object();
-            w.field_u64("windows", windows);
             w.field_u64("stall_episodes", count);
             w.field_f64("stalled_ms", stalled as f64 / 1e3);
             w.field_f64("worst_stall_ms", worst as f64 / 1e3);
@@ -839,6 +765,85 @@ fn write_verb_traffic(w: &mut JsonWriter, s: &StatsSnapshot) {
     w.end_object();
 }
 
+/// A named phase span on the trace monotonic clock, for aligning episodes
+/// to bench phases offline.
+struct PhaseSpan {
+    /// Phase name as it appears in the bench JSON (`fill`, `read`, ...).
+    name: String,
+    /// Phase start, trace monotonic micros.
+    start_us: u64,
+    /// Phase end, trace monotonic micros.
+    end_us: u64,
+}
+
+/// Per-phase episode summary: `(episodes, stalled_micros, worst_micros)`
+/// for episodes whose *end* lands inside `[start_us, end_us)` — each
+/// episode is attributed to exactly one phase.
+fn phase_episode_summary(
+    episodes: &[dlsm_trace::StallEpisode],
+    start_us: u64,
+    end_us: u64,
+) -> (u64, u64, u64) {
+    let mut count = 0u64;
+    let mut stalled = 0u64;
+    let mut worst = 0u64;
+    for ep in episodes {
+        if ep.end_us >= start_us && ep.end_us < end_us {
+            count += 1;
+            stalled += ep.micros;
+            worst = worst.max(ep.micros);
+        }
+    }
+    (count, stalled, worst)
+}
+
+/// Serialize the episode table, the phase spans with their episode rollup,
+/// and the lifecycle records lost to ring wrap
+/// ([`dlsm_trace::lifecycle_overwritten`]) as the `TIMELINE_<sys>.json`
+/// document that `artifact_check timeline` validates.
+fn write_timeline_json(
+    episodes: &[dlsm_trace::StallEpisode],
+    phases: &[PhaseSpan],
+    engine_stall_micros: u64,
+    lifecycle_overwritten: u64,
+) -> String {
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.field_u64("engine_stall_micros", engine_stall_micros);
+    w.field_u64("lifecycle_overwritten", lifecycle_overwritten);
+    w.key("episodes");
+    w.begin_array();
+    for ep in episodes {
+        w.begin_object();
+        w.field_u64("start_us", ep.start_us);
+        w.field_u64("end_us", ep.end_us);
+        w.field_u64("micros", ep.micros);
+        w.field_str("reason", ep.reason_name());
+        w.field_u64("trace_id", ep.trace_id);
+        w.field_u64("tid", ep.tid);
+        w.field_u64("concurrent_flushes", ep.concurrent_flushes);
+        w.field_u64("concurrent_compactions", ep.concurrent_compactions);
+        w.end_object();
+    }
+    w.end_array();
+    w.key("phases");
+    w.begin_array();
+    for p in phases {
+        w.begin_object();
+        w.field_str("name", &p.name);
+        w.field_u64("start_us", p.start_us);
+        w.field_u64("end_us", p.end_us);
+        let (count, stalled, worst) = phase_episode_summary(episodes, p.start_us, p.end_us);
+        w.field_u64("stall_episodes", count);
+        w.field_u64("stalled_micros", stalled);
+        w.field_u64("worst_stall_micros", worst);
+        w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+    w.finish()
+}
+
 fn sanitize(s: &str) -> String {
     s.chars()
         .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
@@ -855,5 +860,47 @@ fn ensure_filled(
         println!("(loading {} pairs first)", spec.num_kv);
         run_fill(sc.engine.as_ref(), spec, threads);
         *filled = true;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dlsm_trace::StallEpisode;
+
+    fn episode(end_us: u64, micros: u64, reason: u64) -> StallEpisode {
+        StallEpisode {
+            start_us: end_us.saturating_sub(micros),
+            end_us,
+            micros,
+            reason,
+            trace_id: 0,
+            tid: 1,
+            concurrent_flushes: 0,
+            concurrent_compactions: 0,
+        }
+    }
+
+    #[test]
+    fn phase_summary_attributes_by_episode_end() {
+        let ep = |end_us, micros| episode(end_us, micros, dlsm_trace::STALL_IMM_QUEUE);
+        let eps = vec![ep(100, 50), ep(250, 30), ep(900, 700)];
+        assert_eq!(phase_episode_summary(&eps, 0, 300), (2, 80, 50));
+        assert_eq!(phase_episode_summary(&eps, 300, 1000), (1, 700, 700));
+        assert_eq!(phase_episode_summary(&eps, 1000, 2000), (0, 0, 0));
+    }
+
+    #[test]
+    fn timeline_json_is_valid_and_carries_phase_summaries() {
+        let eps = vec![episode(60_000, 50_000, dlsm_trace::STALL_L0_LIMIT)];
+        let phases = vec![PhaseSpan { name: "fill".into(), start_us: 0, end_us: 250_000 }];
+        let s = write_timeline_json(&eps, &phases, 50_000, 0);
+        let root = dlsm_bench::json::parse(&s).expect("valid JSON");
+        assert_eq!(root.get("lifecycle_overwritten").and_then(|v| v.as_num()), Some(0.0));
+        assert!(s.contains("\"engine_stall_micros\":50000"));
+        assert!(s.contains("\"reason\":\"l0_limit\""));
+        assert!(s.contains("\"stall_episodes\":1"));
+        assert!(s.contains("\"stalled_micros\":50000"));
+        assert!(!s.contains("windows") && !s.contains("tick_ms"), "{s}");
     }
 }

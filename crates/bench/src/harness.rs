@@ -34,7 +34,7 @@ pub struct PhaseResult {
     /// aligns phases across processes/runs offline.
     pub start_unix_ms: u64,
     /// Measured-window start on the trace monotonic clock (micros) —
-    /// joins this phase against timeline windows and stall episodes.
+    /// joins this phase against trace spans and stall episodes.
     pub start_us: u64,
     /// Per-op latency distribution (nanoseconds), merged across threads.
     pub lat: HistSnapshot,

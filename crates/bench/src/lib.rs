@@ -18,7 +18,8 @@
 //! * [`report`] — aligned-table stdout reporting + CSV output under
 //!   `results/`.
 //! * [`json`] — the dependency-free JSON reader behind the
-//!   `artifact_check` validator of trace, exemplar and timeline dumps.
+//!   `artifact_check` validator of trace, exemplar and stall-episode
+//!   (`TIMELINE_<sys>.json`) dumps.
 //!
 //! Run everything with the `figures` binary:
 //!

@@ -58,10 +58,8 @@ pub struct Scenario {
     pub fabric: Arc<Fabric>,
     /// Memory-node servers.
     pub servers: Vec<MemServer>,
-    /// The engine under test. Shared (`Arc`) so long-lived observers —
-    /// the timeline sampler's snapshot provider, metrics collectors — can
-    /// hold the engine across phases while drivers keep borrowing it.
-    pub engine: Arc<dyn Engine>,
+    /// The engine under test.
+    pub engine: Box<dyn Engine>,
 }
 
 impl Scenario {
@@ -204,7 +202,7 @@ pub fn build_scenario_sized(
             Box::new(dlsm_baselines::DlsmEngine::new("dLSM (compute compaction)", db))
         }
     };
-    Scenario { fabric, servers: vec![server], engine: Arc::from(engine) }
+    Scenario { fabric, servers: vec![server], engine }
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ use crate::context::{ComputeContext, MemNodeHandle};
 use crate::flush::{flush_memtable, FlushTransport};
 use crate::handle::{Extent, GcSink, MetaKind, Origin, TableHandle};
 use crate::memtable::{MemGet, MemTable, ENTRY_OVERHEAD};
-use crate::remote::{fetch_wave, table_get, table_step, ReadChannel, RecordFetch, Step};
+use crate::remote::{fetch_wave, table_step, ReadChannel, RecordFetch, Step};
 use crate::scan::{DbScan, SAMPLE_EVERY};
 use crate::stats::DbStats;
 use crate::telemetry::{nanos, record_op, PutClock, PutPhase, ReadCounter, ReadStats, ReaderSlot};
@@ -797,46 +797,6 @@ impl Db {
             shared.do_switch(start);
         }
         Ok(db)
-    }
-
-    /// Diagnostic: report, per pinned source, what it holds for `key` at the
-    /// current horizon. For debugging visibility issues; not a public API.
-    #[doc(hidden)]
-    pub fn debug_lookup(&self, key: &[u8]) -> String {
-        use std::fmt::Write as _;
-        let seq = self.shared.read_horizon();
-        let view = self.shared.pin();
-        let reader = self.reader();
-        let mut out = String::new();
-        let _ = writeln!(out, "horizon={seq}");
-        for m in &view.mems {
-            let _ = writeln!(
-                out,
-                "  mem id={} range={:?} order={} len={} -> {:?}",
-                m.id,
-                m.range,
-                m.flush_order.load(Ordering::Acquire),
-                m.len(),
-                m.get(key, seq)
-            );
-        }
-        for level in 0..view.version.level_count() {
-            for t in view.version.level(level) {
-                if t.smallest_user() <= key && key <= t.largest_user() {
-                    let cache = self.shared.cache.as_ref();
-                    let got = table_get(&reader.channel, t, key, seq, cache, &reader.slot.stats);
-                    let _ = writeln!(
-                        out,
-                        "  L{level} table id={} [{:?}..{:?}] -> {:?}",
-                        t.id,
-                        String::from_utf8_lossy(&t.smallest[..t.smallest.len().min(12)]),
-                        String::from_utf8_lossy(&t.largest[..t.largest.len().min(12)]),
-                        got
-                    );
-                }
-            }
-        }
-        out
     }
 
     /// Stop background work, flush queued MemTables, drain remote GC, and

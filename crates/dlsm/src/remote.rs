@@ -17,7 +17,6 @@ use std::time::Duration;
 use dlsm_cache::{BlockProbe, ExtentProbe, ReadCache};
 use dlsm_memnode::RpcClient;
 use dlsm_sstable::block::{BlockFetcher, BlockTableReader};
-use dlsm_sstable::bloom::bloom_hash;
 use dlsm_sstable::byte_addr::{record_value, ByteAddrIter, Locate, TableGet};
 use dlsm_sstable::iter::ForwardIter;
 use dlsm_sstable::key::SeqNo;
@@ -243,9 +242,10 @@ fn local_record(bytes: &[u8], offset: u64, len: usize, ikey: &[u8]) -> Result<St
 }
 
 /// One step of a lookup's walk: what does table `t` hold for `user_key`
-/// (whose [`bloom_hash`] is `hash`) at `seq`? Compute-local state is asked
-/// in cost order. The bloom filter and index decide first (`locate`, once):
-/// a negative or a tombstone costs nothing and touches no cache state. Only
+/// (whose [`bloom_hash`](dlsm_sstable::bloom::bloom_hash) is `hash`) at
+/// `seq`? Compute-local state is asked in cost order. The bloom filter and
+/// index decide first (`locate`, once): a negative or a tombstone costs
+/// nothing and touches no cache state. Only
 /// a located record consults the [`ReadCache`] — the table's extent image (a
 /// table that keeps missing there earns promotion of its whole extent, into
 /// a full pool only in place of images readers stopped hitting), then
@@ -347,29 +347,6 @@ pub(crate) fn fetch_wave<T>(channel: &ReadChannel, wave: &mut [Fetch<'_, T>]) ->
     Ok(())
 }
 
-/// Point lookup against one table handle, start to finish: one
-/// [`table_step`] and, if it asks for one, the record READ — one bloom
-/// probe + one read of a single record for byte-addressable tables, a
-/// whole-block read for block tables, nothing over the fabric when the
-/// [`ReadCache`] holds the bytes. For diagnostics and tests; `get` and
-/// `multi_get` drive the steps themselves.
-pub fn table_get(
-    channel: &ReadChannel,
-    handle: &TableHandle,
-    user_key: &[u8],
-    seq: SeqNo,
-    cache: Option<&Arc<ReadCache>>,
-    stats: &ReadStats,
-) -> Result<TableGet> {
-    match table_step(channel, handle, user_key, bloom_hash(user_key), seq, cache, stats)? {
-        Step::Done(got) => Ok(got),
-        Step::Fetch(mut fetch) => {
-            fetch_wave(channel, std::slice::from_mut(&mut fetch))?;
-            Ok(TableGet::Found(fetch.finish(cache)?))
-        }
-    }
-}
-
 /// How a scan reads one table.
 pub(crate) enum TableScan {
     /// With nothing a wave could carry: the cache holds the table's extent
@@ -449,6 +426,25 @@ mod tests {
         assert_eq!(fabric.stats().ops(Verb::Read), 1);
     }
 
+    /// Point lookup against one table handle, start to finish: one
+    /// [`table_step`] and, if it asks for one, the record READ.
+    fn table_get(
+        channel: &ReadChannel,
+        handle: &TableHandle,
+        user_key: &[u8],
+        seq: SeqNo,
+        stats: &ReadStats,
+    ) -> Result<TableGet> {
+        let hash = dlsm_sstable::bloom::bloom_hash(user_key);
+        match table_step(channel, handle, user_key, hash, seq, None, stats)? {
+            Step::Done(got) => Ok(got),
+            Step::Fetch(mut fetch) => {
+                fetch_wave(channel, std::slice::from_mut(&mut fetch))?;
+                Ok(TableGet::Found(fetch.finish(None)?))
+            }
+        }
+    }
+
     #[test]
     fn point_get_issues_single_record_read() {
         let fabric = Fabric::new(NetworkProfile::instant());
@@ -482,7 +478,7 @@ mod tests {
             ReadChannel::one_sided(fabric.create_qp(compute.id(), memory.id()).unwrap());
         let before = fabric.stats().snapshot();
         let stats = ReadStats::default();
-        let got = table_get(&channel, &handle, b"key0042", 100, None, &stats).unwrap();
+        let got = table_get(&channel, &handle, b"key0042", 100, &stats).unwrap();
         assert_eq!(got, TableGet::Found(b"val42".to_vec()));
         let d = fabric.stats().snapshot().delta(&before);
         // Exactly one RDMA read, sized as one record (not a block).
@@ -490,7 +486,7 @@ mod tests {
         assert!(d.bytes(Verb::Read) < 64, "read {} bytes", d.bytes(Verb::Read));
         // A bloom miss costs zero network reads.
         let before = fabric.stats().snapshot();
-        let got = table_get(&channel, &handle, b"nope", 100, None, &stats).unwrap();
+        let got = table_get(&channel, &handle, b"nope", 100, &stats).unwrap();
         assert_eq!(got, TableGet::NotFound);
         assert_eq!(fabric.stats().snapshot().delta(&before).ops(Verb::Read), 0);
     }

@@ -251,10 +251,10 @@ fn concurrent_reader_writer_model() {
                                     .get(&kb(k))
                                     .unwrap()
                                     .map(|v| u64::from_le_bytes(v.try_into().expect("8B")));
+                                let (_, now) = reader.get_traced(&kb(k)).unwrap();
                                 panic!(
-                                    "version regressed on key {k}: prev={prev} got={version} reread={reread:?} horizon={horizon} latest_put=(v{wv}, seq {ws}) shape={:?}\nfailing read trace:\n{trace}\nsources now:\n{}",
+                                    "version regressed on key {k}: prev={prev} got={version} reread={reread:?} horizon={horizon} latest_put=(v{wv}, seq {ws}) shape={:?}\nfailing read trace:\n{trace}\nread trace now:\n{now}",
                                     db.level_shape(),
-                                    db.debug_lookup(&kb(k)),
                                 );
                             }
                         }

@@ -25,16 +25,20 @@
 //!   against a [`TraceCtx`] captured by [`current_ctx`] on the parent side.
 //! * **Export.** [`collect_events`] drains every ring into [`Event`]s;
 //!   [`chrome_trace`] renders Chrome trace-event JSON (load in Perfetto or
-//!   `chrome://tracing`); [`doctor`] renders a plain-text stall-attribution
-//!   report; [`PanicDump`] dumps the rings when a test panics, so every red
-//!   chaos run ships its own trace.
+//!   `chrome://tracing`); [`fold_episodes`] turns each `write_stall` span
+//!   into a [`StallEpisode`], and [`doctor`] renders them as the one
+//!   plain-text stall report (per-reason attribution, worst episodes);
+//!   [`PanicDump`] dumps the rings when a test panics, so every red chaos
+//!   run ships its own trace.
 //!
 //! The crate depends on nothing but `std` and is always compiled in;
 //! "tracing off" is a runtime state, not a cargo feature.
 
+mod doctor;
 mod seqlock;
 pub mod sync;
 
+pub use doctor::{doctor, fold_episodes, reason_name, total_stalled_micros, StallEpisode};
 pub use seqlock::SeqSlot;
 
 use crate::sync::{AtomicU64, Ordering};
@@ -815,81 +819,6 @@ pub fn slowest_traces(events: &[Event], n: usize) -> Vec<Event> {
     events.iter().filter(|e| keep.contains(&e.trace_id)).cloned().collect()
 }
 
-/// Plain-text "doctor" report: where did the time go, and in particular,
-/// what caused the write stalls (immutable-queue backpressure vs. the L0
-/// stop-writes limit vs. RPC retries).
-pub fn doctor(events: &[Event]) -> String {
-    let mut stall_imm = (0u64, 0u64); // (count, µs)
-    let mut stall_l0 = (0u64, 0u64);
-    let mut stall_other = (0u64, 0u64);
-    let (mut retries, mut reconnects) = (0u64, 0u64);
-    let mut cat_us: HashMap<&'static str, (u64, u64)> = HashMap::new();
-    for e in events {
-        match e.kind {
-            EventKind::Span => {
-                let slot = cat_us.entry(e.cat.name()).or_insert((0, 0));
-                slot.0 += 1;
-                slot.1 += e.dur_us;
-                if e.cat == Category::Stall {
-                    let bucket = match e.arg {
-                        STALL_IMM_QUEUE => &mut stall_imm,
-                        STALL_L0_LIMIT => &mut stall_l0,
-                        _ => &mut stall_other,
-                    };
-                    bucket.0 += 1;
-                    bucket.1 += e.dur_us;
-                }
-            }
-            EventKind::Instant => match e.name {
-                "rpc_retry" => retries += 1,
-                "rpc_reconnect" => reconnects += 1,
-                _ => {}
-            },
-        }
-    }
-    let stall_total = stall_imm.1 + stall_l0.1 + stall_other.1;
-    let pct = |us: u64| {
-        if stall_total == 0 {
-            0.0
-        } else {
-            100.0 * us as f64 / stall_total as f64
-        }
-    };
-    let mut out = String::new();
-    out.push_str("== dlsm-trace doctor ==\n");
-    out.push_str(&format!("events collected: {}\n", events.len()));
-    out.push_str("\nstall attribution:\n");
-    out.push_str(&format!(
-        "  immutable queue full : {:>6} stalls, {:>10} us ({:.1}%)\n",
-        stall_imm.0,
-        stall_imm.1,
-        pct(stall_imm.1)
-    ));
-    out.push_str(&format!(
-        "  L0 stop-writes limit : {:>6} stalls, {:>10} us ({:.1}%)\n",
-        stall_l0.0,
-        stall_l0.1,
-        pct(stall_l0.1)
-    ));
-    if stall_other.0 > 0 {
-        out.push_str(&format!(
-            "  other                : {:>6} stalls, {:>10} us ({:.1}%)\n",
-            stall_other.0,
-            stall_other.1,
-            pct(stall_other.1)
-        ));
-    }
-    out.push_str(&format!("  total                : {:>10} us\n", stall_total));
-    out.push_str(&format!("\nrpc retries: {retries}, reconnects: {reconnects}\n"));
-    out.push_str("\ntime by category (spans, wall-µs, incl. nesting):\n");
-    let mut cats: Vec<(&'static str, (u64, u64))> = cat_us.into_iter().collect();
-    cats.sort_by_key(|&(_, (_, us))| std::cmp::Reverse(us));
-    for (name, (count, us)) in cats {
-        out.push_str(&format!("  {name:<8} {count:>8} spans {us:>12} us\n"));
-    }
-    out
-}
-
 /// Collect every ring and write a Perfetto-loadable dump to `path`
 /// (parent directories are created).
 pub fn dump_to_file(path: &str) -> std::io::Result<()> {
@@ -1051,29 +980,6 @@ mod tests {
         // B of the leaf sits between B and E of the root.
         let root_b = json.find("\"ph\":\"B\",\"ts\"").unwrap();
         assert!(json[root_b..].contains("t_export_root") || json.contains("t_export_root"));
-    }
-
-    #[test]
-    fn doctor_attributes_stalls() {
-        let _g = test_lock();
-        set_level(Level::All);
-        clear();
-        {
-            let _s = span_arg(Category::Stall, "write_stall", STALL_IMM_QUEUE);
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        {
-            let _s = span_arg(Category::Stall, "write_stall", STALL_L0_LIMIT);
-        }
-        instant(Category::Rpc, "rpc_retry", 0);
-        instant(Category::Rpc, "rpc_reconnect", 1);
-        set_level(Level::Off);
-        let report = doctor(&collect_events());
-        assert!(report.contains("immutable queue full"), "{report}");
-        assert!(report.contains("L0 stop-writes limit"), "{report}");
-        assert!(report.contains("rpc retries: 1, reconnects: 1"), "{report}");
-        let imm_line = report.lines().find(|l| l.contains("immutable queue full")).unwrap();
-        assert!(imm_line.contains("1 stalls"), "{imm_line}");
     }
 
     #[test]

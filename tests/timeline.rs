@@ -1,9 +1,10 @@
-//! End-to-end reconciliation of the stall episodes `dlsm-timeline` folds
-//! from the trace rings against the engine's stall telemetry: drive a Db
-//! into real write stalls and check that the folded episodes account for
-//! exactly the microseconds the engine added to its `stall_*_micros`
-//! counters (the invariant `artifact_check timeline` enforces on benchmark
-//! artifacts, DESIGN.md §14) — at both levels that record stalls.
+//! End-to-end reconciliation of the stall episodes `dlsm_trace` folds from
+//! the trace rings against the engine's stall telemetry: drive a Db into
+//! real write stalls and check that the folded episodes, and the doctor
+//! report rendered from the same events, account for exactly the
+//! microseconds the engine added to its `stall_*_micros` counters (the
+//! invariant `artifact_check timeline` enforces on benchmark artifacts,
+//! DESIGN.md §8a) — at both levels that record stalls.
 //!
 //! The trace level and rings are process-global, so this file holds only
 //! these tests, and they take turns.
@@ -55,8 +56,16 @@ fn stall_episodes_reconcile_at(level: Level) -> Vec<dlsm_trace::Event> {
         db.put(&key(i), &value).unwrap();
     }
     let snap = db.telemetry_snapshot();
-    let engine_micros = snap.counter("stall_imm_micros") + snap.counter("stall_l0_micros");
-    let engine_events = snap.counter("stall_imm_events") + snap.counter("stall_l0_events");
+    // (events, micros) per stall reason, named as the doctor names them.
+    let per_reason = [
+        (dlsm_trace::STALL_IMM_QUEUE, "stall_imm_events", "stall_imm_micros"),
+        (dlsm_trace::STALL_L0_LIMIT, "stall_l0_events", "stall_l0_micros"),
+    ]
+    .map(|(reason, events, micros)| {
+        (dlsm_trace::reason_name(reason), snap.counter(events), snap.counter(micros))
+    });
+    let engine_events: u64 = per_reason.iter().map(|&(_, events, _)| events).sum();
+    let engine_micros: u64 = per_reason.iter().map(|&(_, _, micros)| micros).sum();
     let stats = db.stats().snapshot();
     db.shutdown();
     server.shutdown();
@@ -71,7 +80,7 @@ fn stall_episodes_reconcile_at(level: Level) -> Vec<dlsm_trace::Event> {
     assert_eq!(stats.stall_nanos, 1_000 * engine_micros, "{stats}");
     assert_eq!(dlsm_trace::lifecycle_overwritten(), 0, "a lifecycle ring wrapped");
     let events = dlsm_trace::collect_events();
-    let episodes = dlsm_timeline::fold_episodes(&events);
+    let episodes = dlsm_trace::fold_episodes(&events);
     assert_eq!(
         episodes.len() as u64,
         engine_events,
@@ -81,10 +90,16 @@ fn stall_episodes_reconcile_at(level: Level) -> Vec<dlsm_trace::Event> {
     // and no lifecycle record was lost, so the sums agree *exactly* —
     // stricter than the 5% artifact tolerance.
     assert_eq!(
-        dlsm_timeline::total_stalled_micros(&episodes),
+        dlsm_trace::total_stalled_micros(&episodes),
         engine_micros,
         "episode sum must reconcile with stall_imm_micros + stall_l0_micros"
     );
+    // The doctor report states the same exact figures, reason by reason.
+    let report = dlsm_trace::doctor(&events, &[], 0);
+    for (name, engine_events, engine_micros) in per_reason {
+        let row = format!("{name:<14} : {engine_events:>6} stalls, {engine_micros:>10} us");
+        assert!(report.contains(&row), "doctor must state `{row}`:\n{report}");
+    }
     // Flush context made it into the rings alongside the stalls.
     assert!(
         events
