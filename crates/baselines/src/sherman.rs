@@ -209,8 +209,8 @@ impl Sherman {
                 return Ok(());
             }
             // HOTPATH: Sherman's global on-chip lock *is* a remote spin lock;
-            // spinning here reproduces the baseline faithfully (ROADMAP item 3
-            // covers the dLSM-side wait refactor, not the baselines).
+            // spinning here reproduces the baseline faithfully (ROADMAP's parked
+            // completion-driven runtime covers dLSM's waits, not the baselines).
             std::thread::yield_now();
         }
     }

@@ -210,8 +210,9 @@ fn bench_merge(c: &mut Criterion) {
 }
 
 /// What `DbScan::next` adds to the merge per entry (reported, not gated): a
-/// clock pair plus a histogram record on every entry, the same on one entry
-/// in 16 with the group's weight, and the two `to_vec` of a 420 B record.
+/// clock pair plus a histogram record on every entry; the op clock's cost,
+/// a clock pair on one entry in 16 and a record of the timed value on every
+/// one; and the two `to_vec` of a 420 B record.
 fn bench_scan_entry_parts(c: &mut Criterion) {
     use std::hint::black_box;
     use std::time::Instant;
@@ -223,19 +224,16 @@ fn bench_scan_entry_parts(c: &mut Criterion) {
             black_box(&hist).record_exclusive(t0.elapsed().as_nanos() as u64);
         });
     });
-    let (mut unrecorded, mut sample) = (0u64, 0u64);
-    group.bench_function("clock_pair_and_record_1_in_16", |b| {
+    let (mut begun, mut repeat) = (0u64, 0u64);
+    group.bench_function("clock_pair_1_in_16_and_record", |b| {
         b.iter(|| {
-            let t0 = (unrecorded == 0).then(Instant::now);
+            let t0 = begun.is_multiple_of(16).then(Instant::now);
+            begun += 1;
             black_box(&hist);
             if let Some(t0) = t0 {
-                sample = t0.elapsed().as_nanos() as u64;
+                repeat = t0.elapsed().as_nanos() as u64;
             }
-            unrecorded += 1;
-            if unrecorded == 16 {
-                hist.record_exclusive_n(sample, unrecorded);
-                unrecorded = 0;
-            }
+            hist.record_exclusive(repeat);
         });
     });
     let (key, value) = (vec![7u8; 20], vec![0x42u8; 400]);

@@ -1,9 +1,9 @@
 //! The dLSM database: write path, read path, background work, snapshots.
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -13,6 +13,7 @@ use dlsm_sstable::bloom::bloom_hash;
 use dlsm_sstable::byte_addr::{TableGet, TableMeta};
 use dlsm_sstable::coding::{get_len_prefixed, get_u32, get_u64, put_len_prefixed, put_u32, put_u64};
 use dlsm_sstable::key::{SeqNo, ValueType};
+use dlsm_telemetry::OpClass;
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::compaction::{l0_trigger, pick_compaction, run_local, run_near_data};
@@ -22,11 +23,16 @@ use crate::flush::{flush_memtable, FlushTransport};
 use crate::handle::{Extent, GcSink, MetaKind, Origin, TableHandle};
 use crate::memtable::{MemGet, MemTable, ENTRY_OVERHEAD};
 use crate::remote::{fetch_wave, table_step, ReadChannel, RecordFetch, Step};
-use crate::scan::{DbScan, SAMPLE_EVERY};
+use crate::scan::DbScan;
 use crate::stats::DbStats;
-use crate::telemetry::{nanos, record_op, PutClock, PutPhase, ReadCounter, ReadStats, ReaderSlot};
+use crate::telemetry::{record_op, OpClock, ReaderSlot, SlotCounter, SlotStats, GET_PHASES, INSERT, RESERVE, STALL};
 use crate::version::{ReadView, Version, VersionEdit, VersionSet};
 use crate::{DbError, Result};
+
+thread_local! {
+    /// This thread's write slot in each database it has written to.
+    static WRITE_SLOTS: RefCell<Vec<(Weak<Shared>, Arc<ReaderSlot>)>> = const { RefCell::new(Vec::new()) };
+}
 
 pub(crate) struct Shared {
     pub(crate) ctx: Arc<ComputeContext>,
@@ -312,7 +318,7 @@ impl Shared {
     }
 
     /// The stall gate; a put that stalls is timed from the stall on.
-    fn wait_for_write_room(&self, clock: &mut PutClock) -> Result<()> {
+    fn wait_for_write_room(&self, clock: &mut OpClock<4>) -> Result<()> {
         if self.write_stall_check() {
             return Ok(());
         }
@@ -326,7 +332,7 @@ impl Shared {
             }
             // HOTPATH: write stall is the intended backpressure point (paper
             // Sec. X-C); writers must park until flush/compaction frees room.
-            // ROADMAP item 3 tracks making the wakeup edge-triggered.
+            // An edge-triggered wakeup is ROADMAP's parked completion-driven runtime.
             self.stall_cv.wait_for(&mut guard, Duration::from_millis(2));
         }
         drop(guard);
@@ -340,9 +346,11 @@ impl Shared {
     /// current MemTable decides whether the whole block belongs to it.
     /// In-range writers never lock. Under the naive protocol every table
     /// spans the whole sequence space, so only the size and arena triggers
-    /// switch.
+    /// switch. The call and its phases record into `slot`, the writing
+    /// thread's own.
     fn write_batch<K: AsRef<[u8]>, V: AsRef<[u8]>>(
         &self,
+        slot: &SlotStats,
         entries: &[(ValueType, K, V)],
     ) -> Result<crate::batch::BatchCommit> {
         let n = entries.len() as u64;
@@ -360,9 +368,9 @@ impl Shared {
             )));
         }
         let _sp = dlsm_trace::span_arg(dlsm_trace::Category::Db, "put", n);
-        let mut clock = PutClock::start();
+        let mut clock = slot.put_clock();
         self.wait_for_write_room(&mut clock)?;
-        clock.mark(PutPhase::Stall);
+        clock.mark(STALL);
         let _serializer = self.cfg.serialized_writes.then(|| self.write_serializer.lock());
         'refetch: loop {
             let base = self.seq.fetch_add(n, Ordering::AcqRel);
@@ -391,11 +399,11 @@ impl Shared {
                 }
                 // Insert under the read guard so a switch (write lock)
                 // cannot complete mid-block.
-                clock.mark(PutPhase::Reserve);
+                clock.mark(RESERVE);
                 let added = (base..)
                     .zip(entries)
                     .all(|(seq, (vt, k, v))| guard.add(seq, *vt, k.as_ref(), v.as_ref()).is_ok());
-                clock.mark(PutPhase::Insert);
+                clock.mark(INSERT);
                 if !added {
                     // Arena full mid-block: rotate and re-apply the whole
                     // block (the inserted prefix is shadowed by the retry).
@@ -413,19 +421,16 @@ impl Shared {
                 if let Some(id) = rotate {
                     clock.time_rest();
                     self.switch_full(id);
-                    clock.mark(PutPhase::Reserve);
+                    clock.mark(RESERVE);
                 }
                 // Read-your-writes: return once the block is visible.
                 self.publication.wait_visible(base + n - 1);
-                clock.mark(PutPhase::Publish);
-                for (vt, _, _) in entries {
-                    match vt {
-                        ValueType::Value => DbStats::bump(&self.stats.puts),
-                        ValueType::Deletion => DbStats::bump(&self.stats.deletes),
-                    }
-                }
-                // One Put sample per call (not per entry).
-                clock.finish(&self.telemetry);
+                let deletes = entries.iter().filter(|(vt, _, _)| *vt == ValueType::Deletion).count() as u64;
+                slot.add(SlotCounter::Puts, n - deletes);
+                slot.add(SlotCounter::Deletes, deletes);
+                // One Put sample per call (not per entry); the last stretch
+                // is the publication wait.
+                clock.finish(slot, OpClass::Put);
                 return Ok(crate::batch::BatchCommit { first_seq: base, count: n });
             }
         }
@@ -518,18 +523,43 @@ impl Db {
 
     /// Insert or overwrite `key`.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<SeqNo> {
-        Ok(self.shared.write_batch(&[(ValueType::Value, key, value)])?.first_seq)
+        Ok(self.with_write_slot(|slot| self.shared.write_batch(slot, &[(ValueType::Value, key, value)]))?.first_seq)
     }
 
     /// Apply `batch` atomically-in-order under one consecutive sequence
     /// block (paper Sec. II-C).
     pub fn write(&self, batch: &crate::batch::WriteBatch) -> Result<crate::batch::BatchCommit> {
-        self.shared.write_batch(&batch.entries)
+        self.with_write_slot(|slot| self.shared.write_batch(slot, &batch.entries))
     }
 
     /// Delete `key` (writes a tombstone).
     pub fn delete(&self, key: &[u8]) -> Result<SeqNo> {
-        Ok(self.shared.write_batch(&[(ValueType::Deletion, key, b"")])?.first_seq)
+        Ok(self.with_write_slot(|slot| self.shared.write_batch(slot, &[(ValueType::Deletion, key, b"")]))?.first_seq)
+    }
+
+    /// Run `f` on this thread's write slot here, registered at its first
+    /// write and retired by the registry once the thread exits; a hit touches
+    /// no reference count. Where the thread-local is gone (thread teardown)
+    /// or busy, `f` gets a slot of its own, which retires once dropped.
+    fn with_write_slot<T>(&self, f: impl FnOnce(&SlotStats) -> T) -> T {
+        if WRITE_SLOTS.try_with(|_| ()).is_err() {
+            return f(&self.shared.stats.readers.register().stats);
+        }
+        // `with` panics only on a destroyed thread-local, ruled out above.
+        WRITE_SLOTS.with(|slots| {
+            if let Ok(slots) = slots.try_borrow() {
+                if let Some((_, slot)) = slots.iter().find(|(db, _)| std::ptr::eq(db.as_ptr(), Arc::as_ptr(&self.shared))) {
+                    return f(&slot.stats);
+                }
+            }
+            let slot = self.shared.stats.readers.register();
+            if let Ok(mut slots) = slots.try_borrow_mut() {
+                // A miss prunes the slots of databases that are gone.
+                slots.retain(|(db, _)| db.strong_count() > 0);
+                slots.push((Arc::downgrade(&self.shared), Arc::clone(&slot)));
+            }
+            f(&slot.stats)
+        })
     }
 
     /// The current sequence horizon (reads at this snapshot see every
@@ -544,7 +574,7 @@ impl Db {
     pub fn try_reader(&self) -> Result<DbReader> {
         let channel = self.shared.read_channel()?;
         let slot = self.shared.stats.readers.register();
-        Ok(DbReader { shared: Arc::clone(&self.shared), channel, slot, last: LastTimed::default() })
+        Ok(DbReader { shared: Arc::clone(&self.shared), channel, slot })
     }
 
     /// Infallible convenience wrapper over [`Db::try_reader`] for benches,
@@ -870,16 +900,6 @@ pub struct DbReader {
     shared: Arc<Shared>,
     channel: ReadChannel,
     slot: Arc<ReaderSlot>,
-    last: LastTimed,
-}
-
-/// What a reader's gets between two timed ones repeat (ns): its last timed
-/// miss and hit, and stay in each phase; and how many gets it has begun.
-#[derive(Default)]
-struct LastTimed {
-    gets: Cell<u64>,
-    op: [Cell<u64>; 2],
-    phase: [Cell<u64>; 3],
 }
 
 /// How one key's walk over a pinned view ended.
@@ -905,79 +925,15 @@ trait WalkVisitor {
 
 impl WalkVisitor for () {}
 
-/// The [`WalkVisitor`] of a `get`: feeds the call and its phases into the
-/// reader's histograms and keeps the running phase's trace span open. A
-/// record fetch that follows the walk belongs to the phase that located it.
-/// One get in [`SAMPLE_EVERY`] is timed (all while tracing is on; DESIGN.md
-/// §8); the others record what the last timed one measured, so every
-/// histogram's count is exact at any instant.
-struct PhaseClock<'a> {
-    stats: &'a ReadStats,
-    last: &'a LastTimed,
-    /// When a timed get was called.
-    called: Option<Instant>,
-    /// When the running phase began, if it is being timed.
-    phase_began: Option<Instant>,
-    phase: usize,
-    span: Option<dlsm_trace::Span>,
-}
+/// A `get`'s [`WalkVisitor`]: its [`OpClock`] marks each phase the walk
+/// leaves, and the running phase's trace span stays open.
+struct GetClock(OpClock<3>, Option<dlsm_trace::Span>);
 
-const PHASES: [&str; 3] = ["get_memtable", "get_l0", "get_deep"];
-
-impl<'a> PhaseClock<'a> {
-    fn start(stats: &'a ReadStats, last: &'a LastTimed) -> PhaseClock<'a> {
-        let n = last.gets.replace(last.gets.get() + 1);
-        let called = (n.is_multiple_of(SAMPLE_EVERY) || dlsm_trace::enabled()).then(Instant::now);
-        let mut clock = PhaseClock { stats, last, called, phase_began: None, phase: 0, span: None };
-        clock.enter(0, called);
-        clock
-    }
-
-    /// Begin `phase` at `now` (read only if need be). A get that is not
-    /// timed still times a phase its reader has no sample of.
-    fn enter(&mut self, phase: usize, now: Option<Instant>) {
-        let timed = self.called.is_some() || self.last.phase[phase].get() == 0;
-        self.phase_began = timed.then(|| now.unwrap_or_else(Instant::now));
-        self.phase = phase;
-        self.span = Some(dlsm_trace::span(dlsm_trace::Category::Db, PHASES[phase]));
-    }
-
-    /// End the running phase; the clock, if this had to read it.
-    fn close_phase(&mut self) -> Option<Instant> {
-        let now = self.phase_began.map(|_| Instant::now());
-        let last = &self.last.phase[self.phase];
-        if let (Some(began), Some(now)) = (self.phase_began, now) {
-            last.set(nanos(now - began));
-        }
-        let hists = [&self.stats.get_memtable, &self.stats.get_l0, &self.stats.get_deep];
-        hists[self.phase].record_exclusive(last.get());
-        self.span = None;
-        now
-    }
-
-    /// The call succeeded: record its last phase and its latency.
-    fn finish(mut self, hit: bool) {
-        let now = self.close_phase();
-        let class = if hit {
-            self.stats.add(ReadCounter::GetHits, 1);
-            dlsm_telemetry::OpClass::GetHit
-        } else {
-            dlsm_telemetry::OpClass::GetMiss
-        };
-        let last = &self.last.op[usize::from(hit)];
-        if let (Some(called), Some(now)) = (self.called, now) {
-            last.set(nanos(now - called));
-        }
-        // A reader that has timed no hit (miss) yet began with the other.
-        let took = if last.get() == 0 { self.last.op[usize::from(!hit)].get() } else { last.get() };
-        self.stats.record_ops(class, Duration::from_nanos(took), 1);
-    }
-}
-
-impl WalkVisitor for PhaseClock<'_> {
+impl WalkVisitor for GetClock {
     fn next_phase(&mut self) {
-        let now = self.close_phase();
-        self.enter((self.phase + 1).min(PHASES.len() - 1), now);
+        self.1 = None;
+        self.0.mark(self.0.phase);
+        self.1 = Some(dlsm_trace::span(dlsm_trace::Category::Db, GET_PHASES[self.0.phase]));
     }
 }
 
@@ -1065,9 +1021,13 @@ impl DbReader {
 
     fn get_in(&self, view: &ReadView, seq: SeqNo, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let _sp = dlsm_trace::span(dlsm_trace::Category::Db, "get");
-        let mut clock = PhaseClock::start(&self.slot.stats, &self.last);
+        let stats = &self.slot.stats;
+        let span = dlsm_trace::span(dlsm_trace::Category::Db, GET_PHASES[0]);
+        let mut clock = GetClock(stats.get_clock(), Some(span));
         let found = self.lookup(view, seq, key, &mut clock)?;
-        clock.finish(found.is_some());
+        stats.add(SlotCounter::GetHits, u64::from(found.is_some()));
+        drop(clock.1);
+        clock.0.finish(stats, if found.is_some() { OpClass::GetHit } else { OpClass::GetMiss });
         Ok(found)
     }
 
@@ -1100,7 +1060,7 @@ impl DbReader {
         visitor: &mut impl WalkVisitor,
     ) -> Result<Walk<'v>> {
         let stats = &self.slot.stats;
-        stats.add(ReadCounter::Gets, 1);
+        stats.add(SlotCounter::Gets, 1);
         // MemTables, newest first. The first table holding any visible
         // version wins — correct because table seq ranges are disjoint and
         // ordered (Sec. IV).
@@ -1110,7 +1070,7 @@ impl DbReader {
             match got {
                 MemGet::Found(v) => return Ok(Walk::Found(v)),
                 MemGet::Deleted => {
-                    stats.add(ReadCounter::GetTombstones, 1);
+                    stats.add(SlotCounter::GetTombstones, 1);
                     return Ok(Walk::Absent);
                 }
                 MemGet::NotFound => {}
@@ -1163,7 +1123,7 @@ impl DbReader {
         Ok(match got {
             TableGet::Found(v) => Some(Walk::Found(v)),
             TableGet::Deleted => {
-                stats.add(ReadCounter::GetTombstones, 1);
+                stats.add(SlotCounter::GetTombstones, 1);
                 Some(Walk::Absent)
             }
             TableGet::NotFound => None,
@@ -1198,7 +1158,7 @@ impl DbReader {
                 out[i] = Some(fetch.finish(self.shared.cache.as_ref())?);
             }
             let hits = out.iter().filter(|v| v.is_some()).count();
-            self.slot.stats.add(ReadCounter::GetHits, hits as u64);
+            self.slot.stats.add(SlotCounter::GetHits, hits as u64);
             Ok(out)
         })
     }
@@ -1539,5 +1499,76 @@ fn compaction_loop(shared: Arc<Shared>) {
                 std::thread::sleep(Duration::from_millis(backoff));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::shard::ShardedDb;
+    use dlsm_memnode::{MemServer, MemServerConfig};
+    use dlsm_telemetry::OpClass;
+    use rdma_sim::{Fabric, NetworkProfile};
+
+    fn live_slots(db: &Db) -> usize {
+        let mut n = 0;
+        db.shared.stats.readers.for_each_live(|_| n += 1);
+        n
+    }
+
+    fn cached_slots() -> usize {
+        WRITE_SLOTS.with(|slots| slots.borrow().len())
+    }
+
+    fn assert_puts(db: &Db, n: u64) {
+        assert_eq!(db.stats().snapshot().puts, n);
+        assert_eq!(db.telemetry_snapshot().op(OpClass::Put).count(), n);
+    }
+
+    /// A writer thread holds one slot per database it writes to, found
+    /// again on every later write; a database that is gone leaves the
+    /// thread-local at the next miss, and a thread that is gone leaves the
+    /// registry at its next sweep, its counts kept.
+    #[test]
+    fn a_writer_thread_holds_one_slot_per_database() {
+        let fabric = Fabric::new(NetworkProfile::instant());
+        let cfg = MemServerConfig { region_size: 64 << 20, flush_zone: 32 << 20, compaction_workers: 1, dispatchers: 1 };
+        let server = MemServer::start(&fabric, cfg);
+        let mem = MemNodeHandle::from_server(&server);
+        let ctx = ComputeContext::new(&fabric);
+        let open = || Db::open(Arc::clone(&ctx), Arc::clone(&mem), DbConfig::small()).unwrap();
+        let (a, b) = (Arc::new(open()), open());
+        let sharded = ShardedDb::open(Arc::clone(&ctx), &[Arc::clone(&mem)], DbConfig::small(), 2).unwrap();
+        let key = |i: u64| i.wrapping_mul(0x9E3779B97F4A7C15).to_be_bytes();
+        for i in 0..300u64 {
+            a.put(&key(i), b"a").unwrap();
+            b.put(&key(i), b"b").unwrap();
+            sharded.put(&key(i), b"s").unwrap();
+        }
+        let all = || [&*a, &b].into_iter().chain(sharded.shards());
+        assert!(all().all(|db| live_slots(db) == 1));
+        assert_eq!(cached_slots(), 4);
+        assert_puts(&a, 300);
+        assert_puts(&b, 300);
+        let per_shard: Vec<u64> = sharded.shards().iter().map(|db| db.stats().snapshot().puts).collect();
+        assert_eq!(per_shard.iter().sum::<u64>(), 300, "{per_shard:?}");
+        assert!(per_shard.iter().all(|&n| n > 0), "{per_shard:?}");
+
+        drop(b);
+        a.put(&key(300), b"a").unwrap();
+        assert_eq!(cached_slots(), 4, "a hit prunes nothing");
+        let c = open();
+        c.put(&key(0), b"c").unwrap();
+        assert_eq!(cached_slots(), 4, "the miss pruned the dropped database's slot");
+        assert_eq!(live_slots(&c), 1);
+
+        // `join` returns once the thread, its thread-locals included, is gone.
+        let writer = Arc::clone(&a);
+        std::thread::spawn(move || writer.put(&key(301), b"a").unwrap()).join().unwrap();
+        assert_eq!(live_slots(&a), 1, "the exited writer's slot is retired");
+        assert_puts(&a, 302);
+        drop((c, sharded));
+        a.shutdown();
+        server.shutdown();
     }
 }

@@ -111,5 +111,5 @@ fn collect_shard(shared: &Shared, labels: &[(&'static str, &str)], out: &mut Sam
         out.gauge_with("dlsm_cache_capacity_bytes", labels, cs.capacity_bytes as f64);
     }
 
-    out.push_telemetry("dlsm_", labels, &shared.telemetry_snapshot());
+    out.push_telemetry("dlsm_", labels, &r.telemetry);
 }

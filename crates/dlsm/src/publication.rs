@@ -80,7 +80,7 @@ impl Publication {
             if spins.is_multiple_of(16) {
                 // HOTPATH: read-your-writes publication wait; gaps close in
                 // nanoseconds (a racing writer's store), so spinning beats a
-                // parked wait. ROADMAP item 3 tracks bounding the spin.
+                // parked wait. Bounding it is ROADMAP's parked completion-driven runtime.
                 std::thread::yield_now();
             } else {
                 // HOTPATH: same publication wait (see above).

@@ -25,7 +25,7 @@ use dlsm_sstable::SstError;
 use rdma_sim::QueuePair;
 
 use crate::handle::{MetaKind, TableHandle};
-use crate::telemetry::{ReadCounter, ReadStats};
+use crate::telemetry::{SlotCounter, SlotStats};
 use crate::Result;
 
 /// A thread-local queue pair shared by a reader's table sources.
@@ -149,7 +149,7 @@ impl AsRef<[u8]> for ArcBytes {
 struct TableFetcher<'a> {
     cache: &'a ReadCache,
     table: u64,
-    stats: &'a ReadStats,
+    stats: &'a SlotStats,
     /// Whether the block pool wants the block the last `fetch` missed.
     admit: Cell<bool>,
 }
@@ -158,7 +158,7 @@ impl BlockFetcher for TableFetcher<'_> {
     fn fetch(&self, offset: u64, len: usize) -> Option<Arc<Vec<u8>>> {
         if let Some(image) = self.cache.extent_get(self.table) {
             let block = image.get(offset as usize..offset as usize + len)?;
-            self.stats.add(ReadCounter::L0CacheHits, 1);
+            self.stats.add(SlotCounter::L0CacheHits, 1);
             return Some(Arc::new(block.to_vec()));
         }
         match self.cache.block_probe(self.table, offset, len) {
@@ -259,7 +259,7 @@ pub(crate) fn table_step<'v>(
     hash: u32,
     seq: SeqNo,
     cache: Option<&Arc<ReadCache>>,
-    stats: &ReadStats,
+    stats: &SlotStats,
 ) -> Result<Step<'v>> {
     let meta = match &t.meta {
         MetaKind::ByteAddr(meta) => meta,
@@ -277,7 +277,7 @@ pub(crate) fn table_step<'v>(
     };
     let (index, offset, len) = match meta.locate_hashed(user_key, hash, seq) {
         Locate::NotFound => {
-            stats.add(ReadCounter::BloomSkips, 1);
+            stats.add(SlotCounter::BloomSkips, 1);
             return Ok(Step::Done(TableGet::NotFound));
         }
         Locate::Deleted => return Ok(Step::Done(TableGet::Deleted)),
@@ -288,7 +288,7 @@ pub(crate) fn table_step<'v>(
     if let Some(c) = cache {
         match c.extent_probe(t.id, t.extent.len, len as u64) {
             ExtentProbe::Image(image) => {
-                stats.add(ReadCounter::L0CacheHits, 1);
+                stats.add(SlotCounter::L0CacheHits, 1);
                 return local_record(&image, offset, len, ikey);
             }
             ExtentProbe::Missing { promote: true } => {
@@ -433,7 +433,7 @@ mod tests {
         handle: &TableHandle,
         user_key: &[u8],
         seq: SeqNo,
-        stats: &ReadStats,
+        stats: &SlotStats,
     ) -> Result<TableGet> {
         let hash = dlsm_sstable::bloom::bloom_hash(user_key);
         match table_step(channel, handle, user_key, hash, seq, None, stats)? {
@@ -477,7 +477,7 @@ mod tests {
         let channel =
             ReadChannel::one_sided(fabric.create_qp(compute.id(), memory.id()).unwrap());
         let before = fabric.stats().snapshot();
-        let stats = ReadStats::default();
+        let stats = SlotStats::default();
         let got = table_get(&channel, &handle, b"key0042", 100, &stats).unwrap();
         assert_eq!(got, TableGet::Found(b"val42".to_vec()));
         let d = fabric.stats().snapshot().delta(&before);

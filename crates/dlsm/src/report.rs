@@ -30,6 +30,7 @@ use crate::db::{Db, Shared};
 use crate::handle::Origin;
 use crate::shard::ShardedDb;
 use crate::stats::DbStatsSnapshot;
+use crate::telemetry::{GET_PHASES, PUT_PHASES};
 
 /// The GC origins, in the order of [`StatsReport::live_bytes`] and
 /// [`StatsReport::live_extents`].
@@ -98,6 +99,9 @@ pub struct StatsReport {
     pub cache: Option<dlsm_cache::CacheStatsSnapshot>,
     /// Every [`crate::DbStats`] counter at report time.
     pub counters: DbStatsSnapshot,
+    /// The shard's telemetry (DESIGN.md §8): what `/metrics` renders beside
+    /// the gauges above, and what the put and get ledger lines read.
+    pub telemetry: dlsm_telemetry::TelemetrySnapshot,
 }
 
 impl StatsReport {
@@ -215,6 +219,16 @@ impl std::fmt::Display for StatsReport {
                 mib(self.counters.compaction_bytes_out),
             )?;
         }
+        // Each class's time and its phases' shares, which sum to 100 %.
+        for (class, phases) in [("Put", &PUT_PHASES[..]), ("Get", &GET_PHASES[..])] {
+            let nanos = phases.iter().map(|p| self.telemetry.breakdown_hist(p).sum());
+            let total: u64 = nanos.clone().sum();
+            write!(f, "{class} ledger: {:.3} s", total as f64 / 1e9)?;
+            for (phase, ns) in phases.iter().zip(nanos) {
+                write!(f, ", {phase} {:.1}%", 100.0 * ns as f64 / total.max(1) as f64)?;
+            }
+            writeln!(f)?;
+        }
         writeln!(f, "Counters: {}", self.counters)
     }
 }
@@ -300,6 +314,7 @@ impl Shared {
             gc_backlog: self.gc.remote_pending_len(),
             cache: self.cache.as_ref().map(|c| c.snapshot()),
             counters,
+            telemetry: self.telemetry_snapshot(),
         };
         drop(version); // held until after the in_use read
         report

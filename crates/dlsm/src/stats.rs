@@ -3,17 +3,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use crate::telemetry::{ReadCounter, Readers, StallReason};
+use crate::telemetry::{Readers, StallReason};
 
-/// Counters exported by one [`crate::Db`]: shared atomics for the write
-/// side and background work, per-reader blocks (summed on read) for gets.
+/// Counters exported by one [`crate::Db`]: shared atomics for background
+/// work, per-thread slots (summed on read) for foreground ops.
 #[derive(Debug, Default)]
 pub struct DbStats {
-    /// Successful `put`s.
-    pub puts: AtomicU64,
-    /// Successful `delete`s.
-    pub deletes: AtomicU64,
-    /// The reader slots: `gets` and `get_hits` are sums over them.
+    /// The per-thread slots, summed for `puts`, `deletes`, `gets`, `get_hits`.
     pub(crate) readers: Readers,
     /// MemTable switches.
     pub switches: AtomicU64,
@@ -96,11 +92,12 @@ impl DbStats {
     /// time — the snapshot is `Copy`, diffable, and printable.
     pub fn snapshot(&self) -> DbStatsSnapshot {
         let stalls = self.stalls();
+        let [puts, deletes, gets, get_hits, ..] = self.readers.counters();
         DbStatsSnapshot {
-            puts: Self::get(&self.puts),
-            deletes: Self::get(&self.deletes),
-            gets: self.readers.counter(ReadCounter::Gets),
-            get_hits: self.readers.counter(ReadCounter::GetHits),
+            puts,
+            deletes,
+            gets,
+            get_hits,
             switches: Self::get(&self.switches),
             reseqs: Self::get(&self.reseqs),
             flushes: Self::get(&self.flushes),
@@ -282,13 +279,14 @@ impl std::fmt::Display for DbStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::SlotCounter;
 
     #[test]
     fn counters_accumulate() {
         let s = DbStats::default();
-        DbStats::bump(&s.puts);
+        s.readers.register().stats.add(SlotCounter::Puts, 1);
         DbStats::add(&s.flush_bytes, 1 << 21);
-        assert_eq!(DbStats::get(&s.puts), 1);
+        assert_eq!(s.snapshot().puts, 1);
         assert_eq!(DbStats::get(&s.flush_bytes), 1 << 21);
         let text = s.to_string();
         assert!(text.contains("puts=1"));
@@ -298,14 +296,15 @@ mod tests {
     #[test]
     fn snapshot_copies_and_diffs() {
         let s = DbStats::default();
-        DbStats::bump(&s.puts);
+        let writer = s.readers.register();
+        writer.stats.add(SlotCounter::Puts, 1);
         DbStats::add(&s.flush_bytes, 100);
         let before = s.snapshot();
         assert_eq!(before.puts, 1);
         assert_eq!(before.flush_bytes, 100);
         assert_eq!(before.to_string(), s.to_string());
-        DbStats::bump(&s.puts);
-        s.readers.register().stats.add(ReadCounter::Gets, 1);
+        writer.stats.add(SlotCounter::Puts, 1);
+        s.readers.register().stats.add(SlotCounter::Gets, 1);
         let d = s.snapshot().delta(&before);
         assert_eq!(d.puts, 1);
         assert_eq!(d.gets, 1);
@@ -316,8 +315,8 @@ mod tests {
     fn snapshot_merges_across_shards() {
         let a = DbStats::default();
         let b = DbStats::default();
-        DbStats::add(&a.puts, 3);
-        DbStats::add(&b.puts, 4);
+        a.readers.register().stats.add(SlotCounter::Puts, 3);
+        b.readers.register().stats.add(SlotCounter::Puts, 4);
         b.note_stall(StallReason::L0Limit, 40);
         let mut m = a.snapshot();
         m.merge(&b.snapshot());

@@ -1,15 +1,10 @@
-//! Compute-side telemetry: op-class latency histograms, read-path breakdown
-//! spans, and RPC/RDMA accounting (DESIGN.md §8).
-//!
-//! The write side records into the one [`DbTelemetry`] in each
-//! [`crate::Db`]'s shared state (a few relaxed atomic RMWs per op); the read
-//! side records into a [`ReadStats`] block per [`crate::DbReader`], which
-//! only that reader writes, so readers never meet on a cache line. Reading
-//! freezes the shared half plus every reader block into one
-//! [`TelemetrySnapshot`], which merges across shards and diffs against an
-//! earlier snapshot for phase measurement.
+//! Compute-side telemetry (DESIGN.md §8): every foreground op records into
+//! a [`ReaderSlot`] only its thread writes — a [`crate::DbReader`]'s, or a
+//! writer thread's in each database it writes to — timed by one [`OpClock`];
+//! flushes and compactions record into the shared [`DbTelemetry`]. Reading
+//! freezes both into one [`TelemetrySnapshot`], which merges across shards
+//! and diffs against an earlier snapshot for phase measurement.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -18,88 +13,144 @@ use dlsm_memnode::ClientNetStats;
 use dlsm_telemetry::{Histogram, OpClass, OpHistograms, TelemetrySnapshot, VerbTraffic};
 use parking_lot::Mutex;
 
-use crate::scan::SAMPLE_EVERY;
 use crate::version::ReadView;
 
-/// Lock-free write-side telemetry shared by one database instance and every
-/// flush thread and compaction coordinator it spawns.
+/// Lock-free telemetry shared by one database instance and every flush
+/// thread and compaction coordinator it spawns.
 #[derive(Debug, Default)]
 pub struct DbTelemetry {
-    /// Latency per write-side op class (put, flush, compaction round-trip);
-    /// get and scan-next latencies live in the reader blocks.
+    /// `Flush` and `CompactRpc` latency, one sample per job.
     pub ops: OpHistograms,
     /// RPC retry/reconnect totals aggregated over every client this
     /// database opens (flush, GC, compaction pool, two-sided readers).
     pub net: Arc<ClientNetStats>,
-    /// A timed put's phases, in [`PUT_PHASES`] order.
-    pub put_phases: [Histogram; 4],
 }
 
 /// A put's phases: the stall gate, sequence reservation plus the table
 /// guard (and any switch), the skip-list insert, the publication wait.
 pub const PUT_PHASES: [&str; 4] = ["put_stall", "put_reserve", "put_insert", "put_publish"];
 
-/// The phase [`PutClock::mark`] closes, in [`PUT_PHASES`] order.
-pub(crate) enum PutPhase { Stall, Reserve, Insert, Publish }
+/// Indexes into [`PUT_PHASES`].
+pub(crate) const STALL: usize = 0;
+pub(crate) const RESERVE: usize = 1;
+pub(crate) const INSERT: usize = 2;
 
-thread_local! {
-    /// This thread's puts so far, and what its last scheduled put took (ns).
-    static PUTS: (Cell<u64>, Cell<u64>) = const { (Cell::new(0), Cell::new(0)) };
+/// A get's phases: the MemTables, L0, the deeper levels. A record fetch
+/// belongs to the phase that located the record.
+pub const GET_PHASES: [&str; 3] = ["get_memtable", "get_l0", "get_deep"];
+
+/// A slot times one op of each family in this many (DESIGN.md §8).
+pub(crate) const SAMPLE_EVERY: u64 = 16;
+
+/// Read a word of a slot.
+fn load(word: &AtomicU64) -> u64 {
+    // ORDERING: relaxed — a slot word has one writer; each word is exact on its own.
+    word.load(Ordering::Relaxed)
 }
 
-/// The clock of one put (DESIGN.md §8): a writer thread schedules one put
-/// in [`SAMPLE_EVERY`], and every put while tracing is on; a put that
-/// stalls or switches a table is also timed, from then on. An untimed put
-/// records its thread's last scheduled latency, so `Put`'s count is exact;
-/// a put timed only because it stalled or switched records its own latency
-/// and is never repeated, so it counts once (as `LastTimed` does for gets).
-/// Only timed puts feed [`PUT_PHASES`].
-pub(crate) struct PutClock {
-    called: Option<Instant>,
-    last: Option<Instant>,
+/// Write a word of a slot; only the slot's owner calls this.
+fn store(word: &AtomicU64, v: u64) {
+    // ORDERING: relaxed — single-writer word (see `load`).
+    word.store(v, Ordering::Relaxed);
+}
+
+/// The one op clock (DESIGN.md §8): the `N` phases of an op tile its call.
+/// A slot times one op of each family in [`SAMPLE_EVERY`] (all while
+/// tracing), and an untimed one from a stall, a switch or a phase the slot
+/// has no value for; a stretch the clock did not see repeats the slot's
+/// last timed value for that class and phase. `finish` records each phase
+/// passed and the call as their sum; a failed op records nothing. The
+/// clock's own work falls inside the call it times.
+pub(crate) struct OpClock<const N: usize> {
+    /// The family's rows of `SlotStats::repeats`: its first class's, then
+    /// its other's (the same row for one class).
+    rows: [usize; 2],
+    /// Its first phase in `SlotStats::phases` (scan-next's is the call).
+    hists: Option<usize>,
     scheduled: bool,
-    phases: [u64; 4],
+    /// Phases the slot had no value for when the op began.
+    fresh: [bool; N],
+    /// The last mark, once the clock runs.
+    last: Option<Instant>,
+    /// The phase the op is in; marks move it forward only.
+    pub(crate) phase: usize,
+    /// Per phase: the ns measured, and whether a stretch went unseen.
+    took: [Option<u64>; N],
+    repeated: [bool; N],
 }
 
-impl PutClock {
-    pub(crate) fn start() -> PutClock {
-        let n = PUTS.with(|(puts, _)| puts.replace(puts.get() + 1));
+impl<const N: usize> OpClock<N> {
+    fn start(slot: &SlotStats, rows: [usize; 2], hists: Option<usize>) -> Self {
+        let begun = &slot.begun[rows[0]];
+        let n = load(begun);
+        store(begun, n + 1);
         let scheduled = n.is_multiple_of(SAMPLE_EVERY) || dlsm_trace::enabled();
-        let now = scheduled.then(Instant::now);
-        PutClock { called: now, last: now, scheduled, phases: [0; 4] }
+        let last = scheduled.then(Instant::now);
+        let fresh = std::array::from_fn(|p| slot.repeat(rows, rows[0], p) == 0);
+        let (took, repeated) = ([None; N], [false; N]);
+        let mut clock = OpClock { rows, hists, scheduled, fresh, last, phase: 0, took, repeated };
+        clock.enter(0);
+        clock
     }
 
-    /// Time the rest of this put, if it is not timed already.
+    fn enter(&mut self, phase: usize) {
+        self.phase = phase;
+        if self.fresh[phase] {
+            self.time_rest();
+        }
+    }
+
+    /// Time the rest of the op from here (a stall, a MemTable switch).
     pub(crate) fn time_rest(&mut self) {
-        if self.called.is_none() {
-            let now = Some(Instant::now());
-            (self.called, self.last) = (now, now);
+        self.last.get_or_insert_with(Instant::now);
+    }
+
+    /// The stretch since the last mark belongs to `phase`; an op at or
+    /// before `phase` then enters the next one.
+    pub(crate) fn mark(&mut self, phase: usize) {
+        self.close(phase);
+        if phase >= self.phase && phase + 1 < N {
+            self.enter(phase + 1);
         }
     }
 
-    /// Add the time since the last mark to `phase`, if this put is timed.
-    pub(crate) fn mark(&mut self, phase: PutPhase) {
-        if let Some(last) = self.last {
-            let now = Instant::now();
-            self.phases[phase as usize] += nanos(now - last);
-            self.last = Some(now);
-        }
-    }
-
-    /// Record the put's one `Put` sample and, if it was timed, its phases.
-    pub(crate) fn finish(self, t: &DbTelemetry) {
-        let took = match (self.called, self.last) {
-            (Some(called), Some(now)) => {
-                let took = nanos(now - called);
-                if self.scheduled {
-                    PUTS.with(|(_, last)| last.set(took));
-                }
-                t.put_phases.iter().zip(self.phases).for_each(|(hist, ns)| hist.record(ns));
-                took
+    fn close(&mut self, phase: usize) {
+        match self.last {
+            Some(last) => {
+                let now = Instant::now();
+                *self.took[phase].get_or_insert(0) += nanos(now - last);
+                self.last = Some(now);
             }
-            _ => PUTS.with(|(_, last)| last.get()),
-        };
-        record_op(&t.ops, OpClass::Put, Duration::from_nanos(took));
+            None => self.repeated[phase] = true,
+        }
+    }
+
+    /// Record the op into `slot` as `class`: each phase it passed (the last
+    /// stretch closes once the phases before it are in) and the call as their sum.
+    pub(crate) fn finish(mut self, slot: &SlotStats, class: OpClass) {
+        let row = self.rows[usize::from(class == OpClass::GetMiss)];
+        let mut call = 0;
+        for p in 0..N {
+            if p == self.phase {
+                self.close(p);
+            }
+            if !self.repeated[p] && self.took[p].is_none() {
+                continue;
+            }
+            let took = self.took[p].unwrap_or(0);
+            let ns = took + if self.repeated[p] { slot.repeat(self.rows, row, p) } else { 0 };
+            // A stall's or a switch's time is never repeated.
+            if !self.repeated[p] && (self.scheduled || self.fresh[p]) {
+                store(&slot.repeats[row][p], took);
+            }
+            self.hists.inspect(|at| slot.phases[at + p].record_exclusive(ns));
+            call += ns;
+        }
+        slot.ops.hist(class).record_exclusive(call);
+        // Tracing schedules every op, so an untimed one has no trace.
+        if let Some(ctx) = self.scheduled.then(dlsm_trace::current_ctx).flatten() {
+            slot.ops.exemplars(class).record(call, ctx.trace_id);
+        }
     }
 }
 
@@ -132,8 +183,7 @@ impl StallReason {
 
 /// Record one finished op, pinning the sample to the op's open trace (if
 /// any) so high-bucket latencies carry an exemplar trace id. Call while the
-/// op span is still open; with tracing off this is exactly
-/// `ops.record_elapsed`.
+/// op span is still open; with tracing off this is exactly `ops.record`.
 #[inline]
 pub(crate) fn record_op(ops: &OpHistograms, class: OpClass, d: Duration) {
     match dlsm_trace::current_ctx() {
@@ -144,18 +194,22 @@ pub(crate) fn record_op(ops: &OpHistograms, class: OpClass, d: Duration) {
 
 /// Freeze `ops` (histograms and their ≥ p99 exemplars) into `s`.
 fn freeze_ops(ops: &OpHistograms, s: &mut TelemetrySnapshot) {
-    s.ops = ops.snapshot().to_vec();
-    for class in OpClass::ALL {
-        let high = ops.exemplars_above_p99(class);
+    let hists = ops.snapshot();
+    for (class, hist) in OpClass::ALL.into_iter().zip(&hists).filter(|(_, h)| h.count() > 0) {
+        let high = ops.exemplars(class).snapshot_above(hist.p99());
         if !high.is_empty() {
             s.set_exemplars(class.name(), high);
         }
     }
+    s.ops = hists.into();
 }
 
-/// The read side's event counters, by index into a [`ReadStats`] block.
+/// A slot's event counters, by index into a [`SlotStats`] block.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum ReadCounter {
+pub(crate) enum SlotCounter {
+    /// Entries written by `put` and by `delete` (a batch counts each).
+    Puts,
+    Deletes,
     /// Keys looked up (`get` counts one, `multi_get` one per key).
     Gets,
     /// Lookups that found a live value.
@@ -171,82 +225,87 @@ pub(crate) enum ReadCounter {
     GetTombstones,
 }
 
-const READ_COUNTER_NAMES: [&str; 5] =
-    ["gets", "get_hits", "bloom_skips", "l0_cache_hits", "get_tombstones"];
+const COUNTER_NAMES: [&str; 7] =
+    ["puts", "deletes", "gets", "get_hits", "bloom_skips", "l0_cache_hits", "get_tombstones"];
 
-/// Everything the read side records, owned by one [`crate::DbReader`] (and
-/// the scans it opens, which stay on its thread). One writer, so a counter
-/// increment is a plain load + store and a histogram record touches only
-/// lines no other reader writes; any thread may read, and sees exact values.
+/// Everything the foreground ops of one thread record in one database: a
+/// [`crate::DbReader`]'s gets and the scans it opens, or a writer thread's
+/// puts, deletes and batches. One writer, so a counter increment is a plain
+/// load + store and a histogram record touches only lines no other thread
+/// writes; any thread may read, and sees exact values.
 #[derive(Debug, Default)]
-pub struct ReadStats {
-    /// `GetHit` / `GetMiss` / `ScanNext` latency. A `multi_get` call feeds
-    /// no latency histogram: its keys overlap in time, so none has a
-    /// latency of its own (DESIGN.md §8).
+pub struct SlotStats {
+    /// `Put`, `GetHit`, `GetMiss` and `ScanNext` latency, one sample per call
+    /// (none for a `multi_get`: its keys overlap in time; DESIGN.md §8).
     pub ops: OpHistograms,
-    /// Time a `get` spends probing MemTables (every get enters this phase).
-    pub get_memtable: Histogram,
-    /// Time a `get` spends on overlapping L0 tables, the record fetch
-    /// included when L0 holds the key (only gets that miss the MemTables).
-    pub get_l0: Histogram,
-    /// Time a `get` spends on levels ≥ 1, likewise.
-    pub get_deep: Histogram,
-    counters: [AtomicU64; 5],
+    /// [`PUT_PHASES`] (one sample per put), then [`GET_PHASES`] (one per
+    /// get that entered the phase).
+    pub phases: [Histogram; 7],
+    counters: [AtomicU64; 7],
+    /// The clocks' repeat values: per class (put, get hit, get miss,
+    /// scan-next) what its last timed op measured in each phase, 0 while
+    /// there is none.
+    repeats: [[AtomicU64; 4]; 4],
+    /// Ops begun per family, at its first class's index: the schedule.
+    begun: [AtomicU64; 4],
 }
 
-impl ReadStats {
+impl SlotStats {
     #[inline]
-    pub(crate) fn add(&self, counter: ReadCounter, n: u64) {
+    pub(crate) fn add(&self, counter: SlotCounter, n: u64) {
         let c = &self.counters[counter as usize];
-        // ORDERING: relaxed — single-writer statistics (see the type docs).
-        c.store(c.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+        store(c, load(c) + n);
     }
 
-    fn counter(&self, counter: ReadCounter) -> u64 {
-        // ORDERING: relaxed — stats read; each word is exact on its own.
-        self.counters[counter as usize].load(Ordering::Relaxed)
+    pub(crate) fn put_clock(&self) -> OpClock<4> {
+        OpClock::start(self, [0, 0], Some(0))
     }
 
-    /// [`record_op`] into this block, for `n` ops of which one was timed, at
-    /// `d`: same exemplar rule, single-writer histogram record.
-    #[inline]
-    pub(crate) fn record_ops(&self, class: OpClass, d: Duration, n: u64) {
-        self.ops.hist(class).record_exclusive_n(nanos(d), n);
-        if let Some(ctx) = dlsm_trace::current_ctx() {
-            self.ops.exemplars(class).record(nanos(d), ctx.trace_id);
-        }
+    pub(crate) fn get_clock(&self) -> OpClock<3> {
+        OpClock::start(self, [1, 2], Some(PUT_PHASES.len()))
+    }
+
+    pub(crate) fn scan_clock(&self) -> OpClock<1> {
+        OpClock::start(self, [3, 3], None)
+    }
+
+    /// What the class in row `row` of `rows` last measured in `phase`, or
+    /// the other class's value while it has none (0: the slot has none).
+    fn repeat(&self, rows: [usize; 2], row: usize, phase: usize) -> u64 {
+        let mine = load(&self.repeats[row][phase]);
+        if mine != 0 { mine } else { load(&self.repeats[rows[usize::from(row == rows[0])]][phase]) }
     }
 
     fn snapshot(&self) -> TelemetrySnapshot {
-        let mut s = TelemetrySnapshot::new();
+        let mut s = TelemetrySnapshot::default();
         freeze_ops(&self.ops, &mut s);
-        s.set_breakdown("get_memtable", self.get_memtable.snapshot());
-        s.set_breakdown("get_l0", self.get_l0.snapshot());
-        s.set_breakdown("get_deep", self.get_deep.snapshot());
-        for (c, name) in self.counters.iter().zip(READ_COUNTER_NAMES) {
-            // ORDERING: relaxed — stats read; each word is exact on its own.
-            s.set_counter(name, c.load(Ordering::Relaxed));
+        for (hist, name) in self.phases.iter().zip(PUT_PHASES.iter().chain(&GET_PHASES)) {
+            s.set_breakdown(name, hist.snapshot());
+        }
+        for (c, name) in self.counters.iter().zip(COUNTER_NAMES) {
+            s.set_counter(name, load(c));
         }
         s
     }
 }
 
-/// What one [`crate::DbReader`] registers with its database: the
-/// [`ReadView`] it keeps between calls, and its counters.
+/// What one thread registers with a database: for a [`crate::DbReader`],
+/// the [`ReadView`] it keeps between calls, and the [`SlotStats`] its ops
+/// record into.
 #[derive(Default)]
 pub(crate) struct ReaderSlot {
     /// The reader's view while the reader is idle. A call checks it out
     /// (the slot is empty while the call runs — the in-use mark) and puts
     /// it back only if it is still the published one; whoever publishes a
     /// view empties the idle slots it superseded. The lock is held for the
-    /// pointer move only, never across the call.
+    /// pointer move only, never across the call. A writer's slot holds none.
     pub(crate) view: Mutex<Option<Arc<ReadView>>>,
-    pub(crate) stats: ReadStats,
+    pub(crate) stats: SlotStats,
 }
 
-/// Every reader slot of one database: the live ones, plus the frozen sum of
-/// the blocks whose reader (and scans) are gone. Totals are retired + Σ
-/// live, so they are exact at any instant with no flush call.
+/// Every slot of one database: the live ones, plus the frozen sum of the
+/// blocks whose owner (reader and scans, or writer thread) is gone. Totals
+/// are retired + Σ live, so they are exact at any instant with no flush call.
 #[derive(Default)]
 pub(crate) struct Readers {
     inner: Mutex<ReadersInner>,
@@ -258,51 +317,42 @@ struct ReadersInner {
     live: Vec<Arc<ReaderSlot>>,
 }
 
-impl ReadersInner {
-    /// Fold into `retired` every slot nobody but this registry holds: its
-    /// reader and scans are dropped, so it will never change again.
-    fn sweep(&mut self) {
-        let retired = &mut self.retired;
+impl Readers {
+    /// The registry, with every slot nobody else holds folded into
+    /// `retired`: its owner is gone, so it will never change again.
+    fn swept(&self) -> parking_lot::MutexGuard<'_, ReadersInner> {
+        let mut inner = self.inner.lock();
+        let ReadersInner { retired, live } = &mut *inner;
         // `get_mut` succeeds only for the last reference, and acquires the
         // last owner's release of its own: its final records are visible.
-        self.live.retain_mut(|slot| match Arc::get_mut(slot) {
-            Some(slot) => {
-                retired.merge(&slot.stats.snapshot());
-                false
-            }
-            None => true,
-        });
+        live.retain_mut(|slot| Arc::get_mut(slot).map(|slot| retired.merge(&slot.stats.snapshot())).is_none());
+        inner
     }
-}
 
-impl Readers {
     pub(crate) fn register(&self) -> Arc<ReaderSlot> {
         let slot = Arc::new(ReaderSlot::default());
-        let mut inner = self.inner.lock();
-        inner.sweep();
-        inner.live.push(Arc::clone(&slot));
+        self.swept().live.push(Arc::clone(&slot));
         slot
     }
 
-    /// Visit the slot of every reader that is still alive.
-    pub(crate) fn for_each_live(&self, mut f: impl FnMut(&ReaderSlot)) {
-        let mut inner = self.inner.lock();
-        inner.sweep();
-        inner.live.iter().for_each(|slot| f(slot));
+    /// Visit every slot that is still alive.
+    pub(crate) fn for_each_live(&self, f: impl FnMut(&Arc<ReaderSlot>)) {
+        self.swept().live.iter().for_each(f);
     }
 
-    /// One counter's total over all readers, past and present.
-    pub(crate) fn counter(&self, counter: ReadCounter) -> u64 {
-        let mut inner = self.inner.lock();
-        inner.sweep();
-        inner.retired.counter(READ_COUNTER_NAMES[counter as usize])
-            + inner.live.iter().map(|slot| slot.stats.counter(counter)).sum::<u64>()
+    /// Every counter's total over all slots, past and present, in
+    /// [`SlotCounter`] order.
+    pub(crate) fn counters(&self) -> [u64; 7] {
+        let inner = self.swept();
+        std::array::from_fn(|i| {
+            let live = inner.live.iter().map(|slot| load(&slot.stats.counters[i]));
+            inner.retired.counter(COUNTER_NAMES[i]) + live.sum::<u64>()
+        })
     }
 
-    /// Histograms and counters summed over all readers, past and present.
+    /// Histograms and counters summed over all slots, past and present.
     pub(crate) fn snapshot(&self) -> TelemetrySnapshot {
-        let mut inner = self.inner.lock();
-        inner.sweep();
+        let inner = self.swept();
         let mut s = inner.retired.clone();
         for slot in &inner.live {
             s.merge(&slot.stats.snapshot());
@@ -318,19 +368,16 @@ impl std::fmt::Debug for Readers {
 }
 
 impl DbTelemetry {
-    /// Freeze the write-side op histograms and counters; the read side is
-    /// merged in by [`crate::Db::telemetry_snapshot`]. RDMA verb traffic is
-    /// attached by callers that own a channel or fabric (see
+    /// Freeze the flush and compaction histograms and the RPC counters; the
+    /// slots are merged in by [`crate::Db::telemetry_snapshot`]. RDMA verb
+    /// traffic is attached by callers that own a channel or fabric (see
     /// [`verb_traffic`]) so shard merges never double-count the fabric.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let mut s = TelemetrySnapshot::new();
+        let mut s = TelemetrySnapshot::default();
         freeze_ops(&self.ops, &mut s);
         let (retries, reconnects) = self.net.totals();
         s.set_counter("rpc_retries", retries);
         s.set_counter("rpc_reconnects", reconnects);
-        for (hist, name) in self.put_phases.iter().zip(PUT_PHASES) {
-            s.set_breakdown(name, hist.snapshot());
-        }
         s
     }
 }
@@ -355,22 +402,23 @@ mod tests {
     use dlsm_telemetry::OpClass;
 
     #[test]
-    fn reader_blocks_sum_exactly_before_and_after_retirement() {
+    fn slots_sum_exactly_before_and_after_retirement() {
         let readers = Readers::default();
         let a = readers.register();
         let b = readers.register();
         a.stats.ops.record(OpClass::GetHit, 1_000);
-        a.stats.get_memtable.record(200);
-        a.stats.add(ReadCounter::BloomSkips, 2);
-        b.stats.add(ReadCounter::BloomSkips, 1);
-        b.stats.add(ReadCounter::GetTombstones, 1);
+        a.stats.phases[PUT_PHASES.len()].record(200);
+        a.stats.add(SlotCounter::BloomSkips, 2);
+        b.stats.add(SlotCounter::BloomSkips, 1);
+        b.stats.add(SlotCounter::GetTombstones, 1);
+        b.stats.add(SlotCounter::Puts, 4);
         let check = |readers: &Readers| {
             let s = readers.snapshot();
             assert_eq!(s.op(OpClass::GetHit).count(), 1);
             assert_eq!(s.breakdown_hist("get_memtable").count(), 1);
             assert_eq!(s.counter("bloom_skips"), 3);
             assert_eq!(s.counter("get_tombstones"), 1);
-            assert_eq!(readers.counter(ReadCounter::BloomSkips), 3);
+            assert_eq!(readers.counters(), [4, 0, 0, 0, 3, 0, 1]);
         };
         check(&readers);
         drop(a); // folded into the retired total at the next look
@@ -381,6 +429,48 @@ mod tests {
         readers.for_each_live(|_| live += 1);
         assert_eq!(live, 0);
         assert_eq!(DbTelemetry::default().snapshot().counter("rpc_retries"), 0);
+    }
+
+    /// The clock's rules on one slot: the first get of each class is
+    /// timed, untimed gets repeat per class (the other class's value while
+    /// theirs has none), a phase with no value is timed where it is
+    /// entered, and the phases sum to the calls at every step.
+    #[test]
+    fn op_clock_phases_sum_to_the_calls() {
+        let slot = SlotStats::default();
+        let ledger = |slot: &SlotStats| {
+            let s = slot.snapshot();
+            let calls = [OpClass::GetHit, OpClass::GetMiss].map(|c| s.op(c));
+            let phases = GET_PHASES.map(|p| s.breakdown_hist(p));
+            let count = |h: &[dlsm_telemetry::HistSnapshot]| h.iter().map(|h| h.count()).collect::<Vec<_>>();
+            let sum = |h: &[dlsm_telemetry::HistSnapshot]| h.iter().map(|h| h.sum()).sum::<u64>();
+            (count(&calls), count(&phases), sum(&calls), sum(&phases))
+        };
+        let get = |deepest: usize, class: OpClass| {
+            let mut clock = slot.get_clock();
+            for p in 0..deepest {
+                std::thread::sleep(Duration::from_micros(20));
+                clock.mark(p);
+            }
+            std::thread::sleep(Duration::from_micros(20));
+            clock.finish(&slot, class);
+        };
+        get(0, OpClass::GetHit); // scheduled: the MemTable phase has a value
+        get(2, OpClass::GetMiss); // untimed; times L0 and deeper, fresh
+        get(1, OpClass::GetHit);
+        let (calls, phases, call_sum, phase_sum) = ledger(&slot);
+        assert_eq!((calls, phases), (vec![2, 1], vec![3, 2, 1]));
+        assert_eq!(call_sum, phase_sum);
+        let repeats = |row: usize| slot.repeats[row][..3].iter().map(load).collect::<Vec<_>>();
+        assert!(repeats(1)[0] > 0 && repeats(1)[1..] == [0, 0], "{:?}", repeats(1));
+        assert!(repeats(2)[0] == 0 && repeats(2)[1] > 0 && repeats(2)[2] > 0, "{:?}", repeats(2));
+        for n in 3..40 {
+            get(n % 3, [OpClass::GetHit, OpClass::GetMiss][n % 2]);
+            let (calls, phases, call_sum, phase_sum) = ledger(&slot);
+            assert_eq!(calls.iter().sum::<u64>(), n as u64 + 1);
+            assert_eq!(phases[0], n as u64 + 1);
+            assert_eq!(call_sum, phase_sum);
+        }
     }
 
     #[test]

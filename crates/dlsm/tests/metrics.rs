@@ -193,6 +193,43 @@ fn stats_report_reconciles_with_live_extents() {
     srv.shutdown();
 }
 
+/// The report's ledger lines read the phase histograms: each class's
+/// phases add up to its calls' total exactly, so the shares it prints for
+/// `put` and `get` sum to 100 % (up to the rounding of each to 0.1 %).
+#[test]
+fn the_report_ledger_shares_sum_to_one_hundred_percent() {
+    use dlsm_telemetry::OpClass;
+    let fabric = Fabric::new(NetworkProfile::instant());
+    let srv = server(&fabric);
+    let db = open_db(&fabric, &srv);
+    for i in 0..5_000u64 {
+        db.put(&key(i), format!("value-{i:08}").as_bytes()).unwrap();
+    }
+    let mut reader = db.reader();
+    for i in (0..10_000u64).step_by(3) {
+        assert_eq!(reader.get(&key(i)).unwrap().is_some(), i < 5_000);
+    }
+    let report = db.stats_report();
+    let tel = &report.telemetry;
+    let calls = |classes: &[OpClass]| classes.iter().map(|&c| tel.op(c).sum()).sum::<u64>();
+    let phases = |names: &[&str]| names.iter().map(|p| tel.breakdown_hist(p).sum()).sum::<u64>();
+    assert_eq!(phases(&dlsm::telemetry::PUT_PHASES), calls(&[OpClass::Put]), "{report}");
+    assert_eq!(phases(&dlsm::telemetry::GET_PHASES), calls(&[OpClass::GetHit, OpClass::GetMiss]), "{report}");
+    assert_eq!(tel.op(OpClass::Put).count(), 5_000);
+    let text = report.to_string();
+    for (class, phases) in [("Put", 4), ("Get", 3)] {
+        let line = text.lines().find(|l| l.starts_with(&format!("{class} ledger: "))).expect("ledger line");
+        let shares: Vec<f64> =
+            line.split(", ").skip(1).map(|part| part.rsplit(' ').next().unwrap().trim_end_matches('%').parse().unwrap()).collect();
+        assert_eq!(shares.len(), phases, "{line}");
+        let total: f64 = shares.iter().sum();
+        assert!((total - 100.0).abs() <= 0.05 * phases as f64 + 1e-9, "{line}");
+    }
+    drop(reader);
+    db.shutdown();
+    srv.shutdown();
+}
+
 #[test]
 fn sharded_db_labels_shards_and_renders_reports() {
     let fabric = Fabric::new(NetworkProfile::instant());

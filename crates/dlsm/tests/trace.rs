@@ -7,11 +7,13 @@
 //! dispatch span is a child of the compute-side call span.
 
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dlsm::{ComputeContext, Db, DbConfig, MemNodeHandle};
 use dlsm_memnode::{MemServer, MemServerConfig, RpcClient};
-use dlsm_trace::{Category, Event, EventKind};
+use dlsm_telemetry::{OpClass, TelemetrySnapshot};
+use dlsm_trace::{Category, Event, EventKind, Level};
 use rdma_sim::{Fabric, NetworkProfile, Verb};
 
 /// Spans named `name` that descend from `outer` by `parent_id` — causal
@@ -34,11 +36,17 @@ fn within<'a>(events: &'a [Event], outer: &Event, name: &str) -> Vec<&'a Event> 
         .collect()
 }
 
-#[test]
-fn traced_get_and_cross_node_dispatch() {
-    let fabric = Fabric::new(NetworkProfile::instant());
+/// One test at a time: the trace level and the rings are process-wide.
+static TRACING: Mutex<()> = Mutex::new(());
+
+fn deep_key(i: u64) -> Vec<u8> {
+    format!("trace{:06}", i * 7919 % 100_000).into_bytes()
+}
+
+/// A tree whose keys `0..3_000` (at generation 4) reach L2 or deeper.
+fn deep_tree(fabric: &Arc<Fabric>) -> (MemServer, Db) {
     let server = MemServer::start(
-        &fabric,
+        fabric,
         MemServerConfig {
             region_size: 256 << 20,
             flush_zone: 128 << 20,
@@ -46,7 +54,7 @@ fn traced_get_and_cross_node_dispatch() {
             dispatchers: 1,
         },
     );
-    let ctx = ComputeContext::new(&fabric);
+    let ctx = ComputeContext::new(fabric);
     let mem = MemNodeHandle::from_server(&server);
     // Tiny tables so the tree reaches L2 quickly; no read cache (the
     // default) so every deep probe that fetches goes over the fabric.
@@ -59,11 +67,9 @@ fn traced_get_and_cross_node_dispatch() {
         ..DbConfig::small()
     };
     let db = Db::open(ctx, mem, cfg).unwrap();
-
-    let key = |i: u64| format!("trace{:06}", i * 7919 % 100_000).into_bytes();
     for generation in 0..5u64 {
         for i in 0..3_000u64 {
-            db.put(&key(i), &generation.to_le_bytes()).unwrap();
+            db.put(&deep_key(i), &generation.to_le_bytes()).unwrap();
         }
         db.force_flush().unwrap();
     }
@@ -71,6 +77,16 @@ fn traced_get_and_cross_node_dispatch() {
     let shape = db.level_shape();
     let deepest = shape.iter().rposition(|&c| c > 0).unwrap_or(0);
     assert!(deepest >= 2, "tree never grew deep: {shape:?}");
+    (server, db)
+}
+
+#[test]
+fn traced_get_and_cross_node_dispatch() {
+    let _one = TRACING.lock().unwrap_or_else(|e| e.into_inner());
+    let fabric = Fabric::new(NetworkProfile::instant());
+    let (server, db) = deep_tree(&fabric);
+    let key = deep_key;
+    let shape = db.level_shape();
 
     // ---- Traced point gets: probes, then one rdma_read for the record. ----
     let mut reader = db.reader();
@@ -155,6 +171,65 @@ fn traced_get_and_cross_node_dispatch() {
     let root_ev = events.iter().find(|e| e.span_id == call.parent_id).expect("root span");
     assert_eq!(root_ev.name, "test_root");
 
+    db.shutdown();
+    server.shutdown();
+}
+
+/// Each class's phases tile its calls (DESIGN.md §8), with tracing off and
+/// with every op traced: Σ put phases = `put`, Σ get phases = `get_hit` +
+/// `get_miss` over gets that end in a MemTable, in L0 and deeper, hit or
+/// miss, and `scan_next` counts a scan's entries as they are yielded,
+/// whether it is dropped part-way or run to its end.
+#[test]
+fn every_op_class_ledger_adds_up_at_every_trace_level() {
+    let _one = TRACING.lock().unwrap_or_else(|e| e.into_inner());
+    let fabric = Fabric::new(NetworkProfile::instant());
+    let (server, db) = deep_tree(&fabric);
+    let mut reader = db.reader();
+    let check = |before: &TelemetrySnapshot, ops: u64| {
+        let d = db.telemetry_snapshot().delta(before);
+        let sums = |names: &[&str]| names.iter().map(|p| d.breakdown_hist(p).sum()).sum::<u64>();
+        let put = d.op(OpClass::Put);
+        assert_eq!(sums(&dlsm::telemetry::PUT_PHASES), put.sum());
+        assert!(dlsm::telemetry::PUT_PHASES.iter().all(|p| d.breakdown_hist(p).count() == put.count()));
+        let (hit, miss) = (d.op(OpClass::GetHit), d.op(OpClass::GetMiss));
+        assert_eq!(sums(&dlsm::telemetry::GET_PHASES), hit.sum() + miss.sum());
+        assert_eq!(d.breakdown_hist("get_memtable").count(), hit.count() + miss.count());
+        assert_eq!(put.count() + hit.count() + miss.count() + d.op(OpClass::ScanNext).count(), ops);
+        d
+    };
+    for (level, generation) in [(Level::Off, 5u64), (Level::All, 6)] {
+        dlsm_trace::set_level(level);
+        let before = db.telemetry_snapshot();
+        // Puts: keys 0..100 move to the MemTable.
+        for i in 0..100u64 {
+            db.put(&deep_key(i), &generation.to_le_bytes()).unwrap();
+        }
+        let mut ops = check(&before, 100).op(OpClass::Put).count();
+        // Gets: MemTable hits, hits below it, misses.
+        for i in (0..3_000u64).step_by(7) {
+            let want = if i < 100 { generation } else { 4 };
+            assert_eq!(reader.get(&deep_key(i)).unwrap(), Some(want.to_le_bytes().to_vec()));
+            assert_eq!(reader.get(format!("absent{i:06}").as_bytes()).unwrap(), None);
+            ops += 2;
+        }
+        let d = check(&before, ops);
+        assert!(["get_l0", "get_deep"].iter().all(|p| d.breakdown_hist(p).count() > 0), "{level:?}");
+        // Scans: partial, dropped mid-way, run to the end.
+        ops += reader.scan(b"").unwrap().take(20).count() as u64;
+        check(&before, ops);
+        let mut scan = reader.scan(b"trace01").unwrap();
+        for _ in 0..37 {
+            scan.next().unwrap().unwrap();
+            ops += 1;
+            check(&before, ops);
+        }
+        drop(scan);
+        ops += reader.scan_range(b"trace02", b"trace03").unwrap().count() as u64;
+        check(&before, ops);
+    }
+    dlsm_trace::set_level(Level::Off);
+    drop(reader);
     db.shutdown();
     server.shutdown();
 }

@@ -308,7 +308,7 @@ impl RpcClient {
             spins += 1;
             if spins.is_multiple_of(64) {
                 // HOTPATH: two-sided RPC completion is flag-polled like a real
-                // RNIC doorbell; event-driven wakeups are ROADMAP item 3.
+                // RNIC doorbell; event-driven wakeups: ROADMAP's parked async runtime.
                 std::thread::yield_now();
             } else {
                 // HOTPATH: same doorbell poll (see above).

@@ -32,8 +32,8 @@ pub fn spin_until(t: Instant) {
         }
         let remaining = t - now;
         // This *is* the simulated NIC — modelled fabric latency is realised
-        // by waiting out the deadline. Not an engine stall; ROADMAP item 3
-        // concerns the engine's own waits, not the simulator clock.
+        // by waiting out the deadline. Not an engine stall: ROADMAP's parked
+        // completion-driven runtime is about the engine's own waits.
         if remaining > SPIN_WINDOW {
             // HOTPATH: simulated-NIC clock wait (see above).
             std::thread::sleep(remaining - SPIN_WINDOW);
@@ -416,7 +416,7 @@ impl QueuePair {
                         return Err(RdmaError::RecvTimeout);
                     }
                     // HOTPATH: CQ spin-poll mirrors real ibv_poll_cq usage;
-                    // event-driven completion channels are ROADMAP item 3.
+                    // event channels are ROADMAP's parked completion-driven runtime.
                     std::thread::yield_now();
                 }
             }

@@ -119,21 +119,12 @@ impl Histogram {
     /// threads stay exact; a second concurrent recorder would lose updates.
     #[inline]
     pub fn record_exclusive(&self, v: u64) {
-        self.record_exclusive_n(v, 1);
-    }
-
-    /// [`Histogram::record_exclusive`] of `n` samples of value `v` at once:
-    /// a recorder that measures one event in `n` gives the measured one the
-    /// weight of all, and count and sum stay those of every event.
-    #[inline]
-    pub fn record_exclusive_n(&self, v: u64, n: u64) {
         let bucket = &self.buckets[bucket_index(v)];
         // ORDERING: relaxed — single-writer words (see above); snapshots
         // are approximate while recording, as for `record`.
-        bucket.store(bucket.load(Ordering::Relaxed) + n, Ordering::Relaxed);
-        let total = v.wrapping_mul(n);
+        bucket.store(bucket.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         // ORDERING: relaxed — same single-writer discipline.
-        self.sum.store(self.sum.load(Ordering::Relaxed).wrapping_add(total), Ordering::Relaxed);
+        self.sum.store(self.sum.load(Ordering::Relaxed).wrapping_add(v), Ordering::Relaxed);
         // ORDERING: relaxed — same single-writer discipline.
         if v > self.max.load(Ordering::Relaxed) {
             // ORDERING: relaxed — same single-writer discipline.

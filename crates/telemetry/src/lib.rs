@@ -114,11 +114,6 @@ impl OpHistograms {
         self.exemplars[class.idx()].record(nanos, trace_id);
     }
 
-    #[inline]
-    pub fn record_elapsed(&self, class: OpClass, d: std::time::Duration) {
-        self.hists[class.idx()].record_elapsed(d);
-    }
-
     pub fn snapshot(&self) -> [HistSnapshot; 6] {
         OpClass::ALL.map(|c| self.hists[c.idx()].snapshot())
     }

@@ -715,16 +715,16 @@ fn scan_next_counts_every_entry_yielded() {
         assert_eq!(reader.scan(b"").unwrap().take(n as usize).count() as u64, n);
         assert_eq!(count() - before, n, "take({n})");
     }
-    // Dropped mid-way: whole groups are in as they complete, the rest on drop.
+    // Dropped mid-way: every entry is in as it is yielded, none on drop.
     let before = count();
     let mut scan = reader.scan(b"key00000100").unwrap();
     for _ in 0..37 {
         scan.next().unwrap().unwrap();
     }
-    assert_eq!(count() - before, 32);
+    assert_eq!(count() - before, 37);
     drop(scan);
     assert_eq!(count() - before, 37);
-    // Run to the end and kept: settled when it ends, and only once.
+    // Run to the end and kept: the end records nothing, and only once.
     let before = count();
     let mut scan = reader.scan_range(b"key00000100", b"key00000121").unwrap();
     assert_eq!(scan.by_ref().count(), 21);

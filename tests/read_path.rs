@@ -282,17 +282,27 @@ fn reader_counters_are_exact_while_the_readers_live() {
         assert_eq!(tel.op(OpClass::GetHit).count(), stats.get_hits);
         assert_eq!(tel.breakdown_hist("get_memtable").count(), 2 * PER_READER);
         assert_eq!(tel.counter("gets"), 2 * PER_READER);
+        assert_get_phases_sum_to_the_calls(&tel);
         checked.wait();
     });
     // ...and nothing is lost or repeated when the blocks retire.
     let stats = db.stats().snapshot().delta(&before.0);
     assert_eq!(stats.gets, 2 * PER_READER);
-    assert_eq!(
-        db.telemetry_snapshot().delta(&before.1).breakdown_hist("get_memtable").count(),
-        2 * PER_READER
-    );
+    let tel = db.telemetry_snapshot().delta(&before.1);
+    assert_eq!(tel.breakdown_hist("get_memtable").count(), 2 * PER_READER);
+    assert_get_phases_sum_to_the_calls(&tel);
     db.shutdown();
     r.server.shutdown();
+}
+
+/// The get ledger's identity (DESIGN.md §8): the three phases tile every
+/// get, so their sums add up to the hit and miss histograms' exactly, and
+/// these gets went below the MemTables.
+fn assert_get_phases_sum_to_the_calls(tel: &dlsm_repro::telemetry::TelemetrySnapshot) {
+    let phases = ["get_memtable", "get_l0", "get_deep"].map(|p| tel.breakdown_hist(p));
+    let calls = tel.op(OpClass::GetHit).sum() + tel.op(OpClass::GetMiss).sum();
+    assert_eq!(phases.iter().map(|h| h.sum()).sum::<u64>(), calls, "{phases:?}");
+    assert!(phases[1].count() + phases[2].count() > 0, "no get left the MemTables");
 }
 
 /// A get is timed one time in sixteen and the other fifteen repeat what that

@@ -16,7 +16,7 @@ use dlsm_repro::memnode::{MemServer, MemServerConfig};
 use dlsm_repro::rdma_sim::{Fabric, NetworkProfile};
 use dlsm_trace::{Category, EventKind, Level};
 
-const PUTS: u64 = 8_000;
+const WRITES: u64 = 8_000;
 
 fn key(i: u64) -> Vec<u8> {
     (i.wrapping_mul(0x9E3779B97F4A7C15)).to_be_bytes().to_vec()
@@ -52,7 +52,7 @@ fn stall_episodes_reconcile_at(level: Level) -> Vec<dlsm_trace::Event> {
     };
     let db = Db::open(ctx, mem, cfg).unwrap();
     let value = vec![0xA5u8; 256];
-    for i in 0..PUTS {
+    for i in 0..WRITES {
         db.put(&key(i), &value).unwrap();
     }
     let snap = db.telemetry_snapshot();
@@ -122,5 +122,5 @@ fn stall_episodes_reconcile_with_engine_counters_at_the_lifecycle_level() {
 fn stall_episodes_reconcile_with_engine_counters_when_every_op_is_traced() {
     let events = stall_episodes_reconcile_at(Level::All);
     let puts = events.iter().filter(|e| e.name == "put").count() as u64;
-    assert!(puts > 0 && puts < PUTS, "{puts} put spans: the writer's op ring must have wrapped");
+    assert!(puts > 0 && puts < WRITES, "{puts} put spans: the writer's op ring must have wrapped");
 }
