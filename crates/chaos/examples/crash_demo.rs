@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dlsm::{ComputeContext, Db, DbConfig, MemNodeHandle};
 use dlsm_chaos::{kb, script, CrashDriver};
@@ -66,7 +66,10 @@ fn main() {
     )
     .unwrap();
 
-    let epoch = Instant::now();
+    // One window on the fabric's clock: the plan blackholes the node's
+    // traffic and the driver crashes its threads over the same interval.
+    let t0 = fabric.now();
+    let (crash_from, crash_until) = (t0 + CRASH_FROM, t0 + CRASH_UNTIL);
     let plan = Arc::new(
         ChaosPlan::new(seed)
             .drop(Verb::Send, 0.02)
@@ -74,10 +77,10 @@ fn main() {
             .drop(Verb::FetchAdd, 0.01)
             .jitter(Verb::Read, Duration::from_micros(80))
             .jitter(Verb::Write, Duration::from_micros(80))
-            .crash_window(mem_node, CRASH_FROM, CRASH_UNTIL),
+            .crash_window(mem_node, crash_from, crash_until),
     );
     fabric.set_fault_hook(Some(plan.clone()));
-    let driver = CrashDriver::spawn(server, epoch, CRASH_FROM, CRASH_UNTIL);
+    let driver = CrashDriver::spawn(server, Arc::clone(&fabric), crash_from, crash_until);
 
     let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
     for (i, (is_put, k, version)) in script(seed, OPS, KEY_SPACE).into_iter().enumerate() {

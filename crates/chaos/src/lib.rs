@@ -10,11 +10,9 @@
 //! reproduce a failure, re-run the test whose seed it names.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use dlsm_memnode::MemServer;
-use dlsm_metrics::MetricsRegistry;
-use rdma_sim::ChaosPlan;
+use rdma_sim::{Fabric, SimTime};
 
 /// One scripted operation: `put` (false = delete), key, version counter.
 pub type Op = (bool, u64, u64);
@@ -45,22 +43,23 @@ pub fn kb(k: u64) -> Vec<u8> {
 /// Drives `MemServer::crash()` / `restart()` on a schedule matching a
 /// [`rdma_sim::ChaosPlan`] crash window: the fabric blackholes the node's
 /// traffic during `[from, until)` while this thread stops and later resumes
-/// the server's threads, so both the network and the CPU side of the failure
-/// are modeled. Join with [`CrashDriver::join`] to get the server back; join
-/// blocks until the restart has happened, so the caller may simply join as
-/// soon as its workload is done.
+/// the server's threads, both on the fabric's clock, so the network and the
+/// CPU side of the failure are modeled over one interval. Join with
+/// [`CrashDriver::join`] to get the server back; join blocks until the
+/// restart has happened, so the caller may simply join as soon as its
+/// workload is done.
 pub struct CrashDriver {
     handle: std::thread::JoinHandle<MemServer>,
 }
 
 impl CrashDriver {
     /// Take ownership of `server` and crash/restart it over `[from, until)`
-    /// measured from `epoch` (pass the instant the `ChaosPlan` was built).
-    pub fn spawn(mut server: MemServer, epoch: Instant, from: Duration, until: Duration) -> Self {
+    /// of `fabric`'s time (the `ChaosPlan` crash window's edges).
+    pub fn spawn(mut server: MemServer, fabric: Arc<Fabric>, from: SimTime, until: SimTime) -> Self {
         let handle = std::thread::spawn(move || {
-            sleep_until(epoch + from);
+            fabric.wait_until(from);
             server.crash();
-            sleep_until(epoch + until);
+            fabric.wait_until(until);
             server.restart();
             server
         });
@@ -71,28 +70,6 @@ impl CrashDriver {
     pub fn join(self) -> MemServer {
         self.handle.join().expect("crash driver panicked")
     }
-}
-
-fn sleep_until(deadline: Instant) {
-    let now = Instant::now();
-    if deadline > now {
-        std::thread::sleep(deadline - now);
-    }
-}
-
-/// Export a [`ChaosPlan`]'s live state to `reg`: the seed (so a scrape of a
-/// red run names its reproduction), cumulative dropped/blackholed
-/// completions, and how many partition/crash windows are open right now.
-pub fn register_chaos_metrics(plan: &Arc<ChaosPlan>, reg: &MetricsRegistry) {
-    let plan = Arc::clone(plan);
-    reg.register(move |out: &mut dlsm_metrics::Sample| {
-        out.gauge("chaos_seed", plan.seed() as f64);
-        let (partitions, crashes) = plan.active_windows();
-        out.gauge("chaos_active_partition_windows", partitions as f64);
-        out.gauge("chaos_active_crash_windows", crashes as f64);
-        out.counter_with("chaos_dropped_completions", &[], plan.drops());
-        out.counter_with("chaos_blackholed_ops", &[], plan.blackholes());
-    });
 }
 
 /// Dumps a stats report to stderr if the current thread unwinds while the
@@ -140,25 +117,6 @@ mod tests {
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), 500);
-    }
-
-    #[test]
-    fn chaos_collector_exports_plan_state() {
-        use rdma_sim::NodeId;
-
-        let plan = Arc::new(
-            ChaosPlan::new(0xC0FFEE)
-                .crash_window(NodeId(1), Duration::ZERO, Duration::from_secs(3600))
-                .partition_window(NodeId(2), Duration::from_secs(3600), Duration::from_secs(3601)),
-        );
-        let reg = MetricsRegistry::new();
-        register_chaos_metrics(&plan, &reg);
-        let sample = reg.gather();
-        assert_eq!(sample.gauge_value("chaos_seed", &[]), Some(0xC0FFEE as f64));
-        assert_eq!(sample.gauge_value("chaos_active_crash_windows", &[]), Some(1.0));
-        assert_eq!(sample.gauge_value("chaos_active_partition_windows", &[]), Some(0.0));
-        let text = reg.render();
-        assert!(text.contains("chaos_dropped_completions_total 0"), "{text}");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dlsm::handle::Origin;
 use dlsm::{CacheConfig, ComputeContext, Db, DbConfig, DbReader, MemNodeHandle};
@@ -105,7 +105,10 @@ fn run_chaos(seed: u64) {
     // any failed assertion below.
     let _stats_dump = dlsm_chaos::ReportOnPanic::new(|| db.stats_report().to_string());
 
-    let epoch = Instant::now();
+    // One window on the fabric's clock: the plan blackholes the node's
+    // traffic and the driver crashes its threads over the same interval.
+    let t0 = fabric.now();
+    let (crash_from, crash_until) = (t0 + CRASH_FROM, t0 + CRASH_UNTIL);
     let plan = Arc::new(
         ChaosPlan::new(seed)
             .drop(Verb::Send, 0.02)
@@ -113,10 +116,10 @@ fn run_chaos(seed: u64) {
             .drop(Verb::FetchAdd, 0.01)
             .jitter(Verb::Read, Duration::from_micros(80))
             .jitter(Verb::Write, Duration::from_micros(80))
-            .crash_window(mem_node, CRASH_FROM, CRASH_UNTIL),
+            .crash_window(mem_node, crash_from, crash_until),
     );
     fabric.set_fault_hook(Some(plan.clone()));
-    let driver = CrashDriver::spawn(server, epoch, CRASH_FROM, CRASH_UNTIL);
+    let driver = CrashDriver::spawn(server, Arc::clone(&fabric), crash_from, crash_until);
 
     // Single-threaded workload against the model. Acked mutations are
     // recorded in the model the moment the call returns; anything the model

@@ -139,7 +139,7 @@ impl Shared {
     /// exports.
     pub(crate) fn telemetry_snapshot(&self) -> dlsm_telemetry::TelemetrySnapshot {
         let mut s = self.telemetry.snapshot();
-        s.merge(&self.stats.readers.snapshot());
+        self.stats.readers.fold_into(&mut s);
         for (name, v) in self.stats.snapshot().named_counters() {
             s.set_counter(name, v);
         }

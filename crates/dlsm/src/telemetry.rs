@@ -192,18 +192,6 @@ pub(crate) fn record_op(ops: &OpHistograms, class: OpClass, d: Duration) {
     }
 }
 
-/// Freeze `ops` (histograms and their ≥ p99 exemplars) into `s`.
-fn freeze_ops(ops: &OpHistograms, s: &mut TelemetrySnapshot) {
-    let hists = ops.snapshot();
-    for (class, hist) in OpClass::ALL.into_iter().zip(&hists).filter(|(_, h)| h.count() > 0) {
-        let high = ops.exemplars(class).snapshot_above(hist.p99());
-        if !high.is_empty() {
-            s.set_exemplars(class.name(), high);
-        }
-    }
-    s.ops = hists.into();
-}
-
 /// A slot's event counters, by index into a [`SlotStats`] block.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum SlotCounter {
@@ -276,16 +264,16 @@ impl SlotStats {
         if mine != 0 { mine } else { load(&self.repeats[rows[usize::from(row == rows[0])]][phase]) }
     }
 
-    fn snapshot(&self) -> TelemetrySnapshot {
-        let mut s = TelemetrySnapshot::default();
-        freeze_ops(&self.ops, &mut s);
+    /// Add this slot's histograms, exemplars and counters to `s`: the one
+    /// path by which a slot reaches a snapshot, live or retired.
+    fn fold_into(&self, s: &mut TelemetrySnapshot) {
+        self.ops.fold_into(s);
         for (hist, name) in self.phases.iter().zip(PUT_PHASES.iter().chain(&GET_PHASES)) {
-            s.set_breakdown(name, hist.snapshot());
+            hist.fold_into(s.breakdown_mut(name));
         }
         for (c, name) in self.counters.iter().zip(COUNTER_NAMES) {
-            s.set_counter(name, load(c));
+            s.add_counter(name, load(c));
         }
-        s
     }
 }
 
@@ -325,7 +313,7 @@ impl Readers {
         let ReadersInner { retired, live } = &mut *inner;
         // `get_mut` succeeds only for the last reference, and acquires the
         // last owner's release of its own: its final records are visible.
-        live.retain_mut(|slot| Arc::get_mut(slot).map(|slot| retired.merge(&slot.stats.snapshot())).is_none());
+        live.retain_mut(|slot| Arc::get_mut(slot).map(|slot| slot.stats.fold_into(retired)).is_none());
         inner
     }
 
@@ -350,14 +338,14 @@ impl Readers {
         })
     }
 
-    /// Histograms and counters summed over all slots, past and present.
-    pub(crate) fn snapshot(&self) -> TelemetrySnapshot {
+    /// Add histograms and counters summed over all slots, past and
+    /// present, to `s`.
+    pub(crate) fn fold_into(&self, s: &mut TelemetrySnapshot) {
         let inner = self.swept();
-        let mut s = inner.retired.clone();
+        s.merge(&inner.retired);
         for slot in &inner.live {
-            s.merge(&slot.stats.snapshot());
+            slot.stats.fold_into(s);
         }
-        s
     }
 }
 
@@ -374,7 +362,7 @@ impl DbTelemetry {
     /// [`verb_traffic`]) so shard merges never double-count the fabric.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let mut s = TelemetrySnapshot::default();
-        freeze_ops(&self.ops, &mut s);
+        self.ops.fold_into(&mut s);
         let (retries, reconnects) = self.net.totals();
         s.set_counter("rpc_retries", retries);
         s.set_counter("rpc_reconnects", reconnects);
@@ -413,7 +401,8 @@ mod tests {
         b.stats.add(SlotCounter::GetTombstones, 1);
         b.stats.add(SlotCounter::Puts, 4);
         let check = |readers: &Readers| {
-            let s = readers.snapshot();
+            let mut s = TelemetrySnapshot::default();
+            readers.fold_into(&mut s);
             assert_eq!(s.op(OpClass::GetHit).count(), 1);
             assert_eq!(s.breakdown_hist("get_memtable").count(), 1);
             assert_eq!(s.counter("bloom_skips"), 3);
@@ -439,7 +428,8 @@ mod tests {
     fn op_clock_phases_sum_to_the_calls() {
         let slot = SlotStats::default();
         let ledger = |slot: &SlotStats| {
-            let s = slot.snapshot();
+            let mut s = TelemetrySnapshot::default();
+            slot.fold_into(&mut s);
             let calls = [OpClass::GetHit, OpClass::GetMiss].map(|c| s.op(c));
             let phases = GET_PHASES.map(|p| s.breakdown_hist(p));
             let count = |h: &[dlsm_telemetry::HistSnapshot]| h.iter().map(|h| h.count()).collect::<Vec<_>>();

@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
+use crate::clock::{Clock, SimTime};
 use crate::fault::FaultHook;
 use crate::node::{Node, NodeId};
 use crate::profile::NetworkProfile;
@@ -28,6 +29,7 @@ use crate::verbs::RdmaError;
 /// ```
 pub struct Fabric {
     profile: NetworkProfile,
+    clock: Clock,
     nodes: RwLock<Vec<Arc<Node>>>,
     stats: FabricStats,
     fault: RwLock<Option<Arc<dyn FaultHook>>>,
@@ -41,6 +43,7 @@ impl Fabric {
     pub fn new(profile: NetworkProfile) -> Arc<Fabric> {
         Arc::new(Fabric {
             profile,
+            clock: Clock::new(),
             nodes: RwLock::new(Vec::new()),
             stats: FabricStats::default(),
             fault: RwLock::new(None),
@@ -53,10 +56,20 @@ impl Fabric {
         &self.profile
     }
 
+    /// The fabric's clock: every deadline and fault window is on it.
+    pub fn now(&self) -> SimTime {
+        self.clock.now()
+    }
+
+    /// Wait until [`Fabric::now`] reaches `t`; returns at once if it has.
+    pub fn wait_until(&self, t: SimTime) {
+        self.clock.wait_until(t);
+    }
+
     /// Attach a new node and return its handle.
     pub fn add_node(self: &Arc<Self>) -> Arc<Node> {
         let mut nodes = self.nodes.write();
-        let node = Arc::new(Node::new(NodeId(nodes.len() as u32)));
+        let node = Arc::new(Node::new(NodeId(nodes.len() as u32), self.clock));
         nodes.push(Arc::clone(&node));
         node
     }

@@ -13,8 +13,10 @@
 //!   FIFO order per queue pair, exactly the property dLSM's flush-buffer
 //!   recycling relies on (paper Sec. X-C).
 //! * A **cost model** ([`NetworkProfile`]) charges every verb a base latency
-//!   plus a size-proportional bandwidth term, enforced in real wall-clock
-//!   time: a completion only becomes pollable once its deadline has passed.
+//!   plus a size-proportional bandwidth term. Deadlines are [`SimTime`]s on
+//!   the fabric's one clock ([`Fabric::now`]); a completion only becomes
+//!   pollable once its deadline has passed, and [`Fabric::wait_until`] is
+//!   the one wait (today both run on the host's wall clock).
 //!   The profile for a Mellanox EDR ConnectX-4 NIC reproduces the paper's
 //!   observation of a ~100x efficiency gap between 64 B and 1 MB transfers.
 //! * The node that *owns* a region may access it directly through
@@ -23,13 +25,15 @@
 //!   profitable.
 //! * Fabric-wide **statistics** ([`FabricStats`]) count operations and bytes
 //!   per verb so experiments can report network traffic.
-//! * Optional **fault injection** ([`FaultHook`]) adds delay or drops
-//!   completions to exercise timeout/retry paths.
+//! * Optional **fault injection** ([`FaultHook`], [`ChaosPlan`]) adds delay,
+//!   drops completions or blackholes a node over a window of fabric time, to
+//!   exercise timeout/retry paths.
 //!
 //! Like real RDMA, the simulator does **not** police concurrent conflicting
 //! access to the same bytes; higher layers must ensure disjointness (the LSM
 //! structures here are write-once).
 
+pub mod clock;
 pub mod fabric;
 pub mod fault;
 pub mod msg;
@@ -40,8 +44,9 @@ pub mod region;
 pub mod stats;
 pub mod verbs;
 
+pub use clock::SimTime;
 pub use fabric::Fabric;
-pub use fault::{ChaosPlan, FaultAction, FaultHook, FaultPlan, OpContext, Window, WindowKind};
+pub use fault::{ChaosPlan, FaultAction, FaultHook, OpContext};
 pub use msg::{ImmEvent, Message};
 pub use node::{Node, NodeId};
 pub use profile::NetworkProfile;

@@ -1,7 +1,6 @@
 //! Two-sided message and immediate-event types.
 
-use std::time::Instant;
-
+use crate::clock::SimTime;
 use crate::node::NodeId;
 
 /// A two-sided message delivered to a node's inbox via SEND.
@@ -15,7 +14,7 @@ pub struct Message {
     pub src: NodeId,
     /// Message payload (ownership transferred to the receiver).
     pub payload: Vec<u8>,
-    pub(crate) ready_at: Instant,
+    pub(crate) ready_at: SimTime,
 }
 
 /// An immediate event raised at the target node by WRITE-with-IMMEDIATE.
@@ -31,5 +30,5 @@ pub struct ImmEvent {
     pub imm: u32,
     /// Payload length of the carrying write.
     pub bytes: usize,
-    pub(crate) ready_at: Instant,
+    pub(crate) ready_at: SimTime,
 }

@@ -2,11 +2,12 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::RwLock;
 
+use crate::clock::Clock;
 use crate::msg::{ImmEvent, Message};
 use crate::region::{MemoryRegion, MrId};
 use crate::verbs::RdmaError;
@@ -20,6 +21,8 @@ pub struct NodeId(pub u32);
 /// One endpoint on the fabric.
 pub struct Node {
     id: NodeId,
+    /// The fabric's clock: receives wait out a delivery's deadline on it.
+    clock: Clock,
     regions: RwLock<Vec<Arc<MemoryRegion>>>,
     next_rkey: AtomicU32,
     pub(crate) inbox_tx: Sender<Message>,
@@ -29,11 +32,12 @@ pub struct Node {
 }
 
 impl Node {
-    pub(crate) fn new(id: NodeId) -> Node {
+    pub(crate) fn new(id: NodeId, clock: Clock) -> Node {
         let (inbox_tx, inbox_rx) = unbounded();
         let (imm_tx, imm_rx) = unbounded();
         Node {
             id,
+            clock,
             regions: RwLock::new(Vec::new()),
             next_rkey: AtomicU32::new(0x5EED_0001),
             inbox_tx,
@@ -73,11 +77,6 @@ impl Node {
             .ok_or(RdmaError::UnknownRegion { node: self.id.0, mr: mr.0 })
     }
 
-    /// Number of regions registered so far.
-    pub fn region_count(&self) -> usize {
-        self.regions.read().len()
-    }
-
     /// Block until a two-sided message arrives (or `timeout` elapses).
     ///
     /// The timeout bounds the wait for a message to be *posted*; once one is
@@ -91,28 +90,8 @@ impl Node {
         // HOTPATH: a two-sided receive blocks by design. Its callers are the
         // memory node's dispatcher threads; the compute node reads one-sided.
         let msg = self.inbox_rx.recv_timeout(timeout).map_err(|_| RdmaError::RecvTimeout)?;
-        crate::qp::spin_until(msg.ready_at);
+        self.clock.wait_until(msg.ready_at);
         Ok(msg)
-    }
-
-    /// Non-blocking receive; returns `None` if no message is *ready* (a
-    /// message still in flight is left queued).
-    pub fn try_recv(&self) -> Option<Message> {
-        match self.inbox_rx.try_recv() {
-            Ok(msg) => {
-                if msg.ready_at > Instant::now() {
-                    // Still on the wire: requeue and report empty. FIFO per
-                    // sender is preserved because ready times are monotone
-                    // per sender and this is the only consumer path that
-                    // requeues.
-                    let _ = self.inbox_tx.send(msg);
-                    None
-                } else {
-                    Some(msg)
-                }
-            }
-            Err(_) => None,
-        }
     }
 
     /// Block until an immediate event (from WRITE-with-IMMEDIATE) arrives.
@@ -120,13 +99,8 @@ impl Node {
     pub fn recv_imm(&self, timeout: Duration) -> Result<ImmEvent, RdmaError> {
         // HOTPATH: as `recv`; the caller is `ImmWaiter`'s notifier thread.
         let ev = self.imm_rx.recv_timeout(timeout).map_err(|_| RdmaError::RecvTimeout)?;
-        crate::qp::spin_until(ev.ready_at);
+        self.clock.wait_until(ev.ready_at);
         Ok(ev)
-    }
-
-    /// Messages currently queued (ready or in flight).
-    pub fn inbox_len(&self) -> usize {
-        self.inbox_rx.len()
     }
 }
 
@@ -142,45 +116,34 @@ impl std::fmt::Debug for Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::SimTime;
 
     #[test]
     fn register_and_lookup_regions() {
-        let n = Node::new(NodeId(3));
+        let n = Node::new(NodeId(3), Clock::new());
         let r0 = n.register_region(64);
         let r1 = n.register_region(128);
         assert_ne!(r0.rkey(), r1.rkey());
         assert_eq!(n.region(MrId(0)).unwrap().len(), 64);
         assert_eq!(n.region(MrId(1)).unwrap().len(), 128);
         assert!(n.region(MrId(2)).is_err());
-        assert_eq!(n.region_count(), 2);
     }
 
     #[test]
     fn recv_times_out_on_empty_inbox() {
-        let n = Node::new(NodeId(0));
+        let n = Node::new(NodeId(0), Clock::new());
         let err = n.recv(Duration::from_millis(5)).unwrap_err();
         assert_eq!(err, RdmaError::RecvTimeout);
-        assert!(n.try_recv().is_none());
     }
 
     #[test]
     fn ready_message_is_received() {
-        let n = Node::new(NodeId(0));
+        let n = Node::new(NodeId(0), Clock::new());
         n.inbox_tx
-            .send(Message { src: NodeId(9), payload: vec![1, 2, 3], ready_at: Instant::now() })
+            .send(Message { src: NodeId(9), payload: vec![1, 2, 3], ready_at: SimTime::ZERO })
             .unwrap();
         let m = n.recv(Duration::from_secs(1)).unwrap();
         assert_eq!(m.src, NodeId(9));
         assert_eq!(m.payload, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn try_recv_defers_in_flight_message() {
-        let n = Node::new(NodeId(0));
-        let ready_at = Instant::now() + Duration::from_millis(20);
-        n.inbox_tx.send(Message { src: NodeId(1), payload: vec![7], ready_at }).unwrap();
-        assert!(n.try_recv().is_none(), "in-flight message must not be visible yet");
-        crate::qp::spin_until(ready_at);
-        assert!(n.try_recv().is_some());
     }
 }

@@ -9,47 +9,15 @@
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use crate::clock::SimTime;
 use crate::fabric::Fabric;
 use crate::fault::{FaultAction, OpContext};
 use crate::msg::{ImmEvent, Message};
 use crate::node::{Node, NodeId};
 use crate::region::{MemoryRegion, RemoteAddr};
 use crate::verbs::{Completion, RdmaError, Verb, WrId};
-
-/// Spin (or sleep, for long waits) until the wall clock reaches `t`.
-///
-/// Long waits sleep most of the interval to avoid starving other simulated
-/// threads of cores; the final stretch is spun for precision.
-pub fn spin_until(t: Instant) {
-    const SPIN_WINDOW: Duration = Duration::from_micros(60);
-    let mut spins = 0u32;
-    loop {
-        let now = Instant::now();
-        if now >= t {
-            return;
-        }
-        let remaining = t - now;
-        // This *is* the simulated NIC — modelled fabric latency is realised
-        // by waiting out the deadline. Not an engine stall: ROADMAP's parked
-        // completion-driven runtime is about the engine's own waits.
-        if remaining > SPIN_WINDOW {
-            // HOTPATH: simulated-NIC clock wait (see above).
-            std::thread::sleep(remaining - SPIN_WINDOW);
-        } else {
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                // HOTPATH: same clock wait; yielding keeps core-starved
-                // hosts from stalling the completing thread.
-                std::thread::yield_now();
-            } else {
-                // HOTPATH: same clock wait (see above).
-                std::hint::spin_loop();
-            }
-        }
-    }
-}
 
 /// A completion queue: pending completions ordered by deadline (FIFO, since
 /// deadlines are made monotone per queue pair).
@@ -74,7 +42,7 @@ impl CompletionQueue {
     }
 
     /// Pop the oldest completion if its deadline has passed by `now`.
-    fn pop_ready(&mut self, now: Instant) -> Option<Completion> {
+    fn pop_ready(&mut self, now: SimTime) -> Option<Completion> {
         if self.pending.front()?.completed_at > now {
             return None;
         }
@@ -82,7 +50,7 @@ impl CompletionQueue {
     }
 
     /// Deadline of the oldest pending completion, if any.
-    fn head_deadline(&self) -> Option<Instant> {
+    fn head_deadline(&self) -> Option<SimTime> {
         self.pending.front().map(|c| c.completed_at)
     }
 }
@@ -90,7 +58,7 @@ impl CompletionQueue {
 /// Outcome of charging one work request against the cost model + fault hook.
 enum ChargeOutcome {
     /// Deliver normally; completion ready at the instant.
-    Deliver(Instant),
+    Deliver(SimTime),
     /// Payload side effects land, but the completion (and any delivery)
     /// is lost.
     LostAck,
@@ -100,7 +68,7 @@ enum ChargeOutcome {
 
 impl ChargeOutcome {
     /// The completion deadline, when one will arrive.
-    fn ready(&self) -> Option<Instant> {
+    fn ready(&self) -> Option<SimTime> {
         match self {
             ChargeOutcome::Deliver(t) => Some(*t),
             _ => None,
@@ -124,7 +92,7 @@ pub struct QueuePair {
     last_region: Option<Arc<MemoryRegion>>,
     cq: CompletionQueue,
     /// Monotone per-QP completion horizon, enforcing FIFO completions.
-    last_ready: Instant,
+    last_ready: SimTime,
     /// Send-queue depth limit (outstanding, un-polled work requests).
     max_outstanding: usize,
     /// Every verb posted on this queue pair; the fabric-wide stats are the
@@ -141,7 +109,7 @@ impl QueuePair {
             peer,
             last_region: None,
             cq: CompletionQueue::default(),
-            last_ready: Instant::now(),
+            last_ready: SimTime::ZERO,
             max_outstanding: 256,
         }
     }
@@ -208,10 +176,9 @@ impl QueuePair {
         let profile = *self.fabric.profile();
         // The posting thread pays the doorbell cost synchronously; the
         // request is on the wire at `posted`.
-        let mut posted = Instant::now();
+        let posted = self.fabric.now() + profile.post_overhead;
         if !profile.post_overhead.is_zero() {
-            posted += profile.post_overhead;
-            spin_until(posted);
+            self.fabric.wait_until(posted);
         }
         self.traffic.accumulate(verb, bytes);
         let mut latency = profile.transfer_cost(bytes);
@@ -219,7 +186,7 @@ impl QueuePair {
             latency += profile.two_sided_extra;
         }
         if let Some(hook) = self.fabric.fault() {
-            let ctx = OpContext { verb, bytes, src: self.local, dst };
+            let ctx = OpContext { verb, bytes, src: self.local, dst, at: posted };
             latency += hook.delay(&ctx);
             match hook.action(&ctx) {
                 FaultAction::Deliver => {}
@@ -232,7 +199,7 @@ impl QueuePair {
         Ok(ChargeOutcome::Deliver(ready))
     }
 
-    fn complete(&mut self, wr_id: WrId, verb: Verb, bytes: usize, old: u64, ready: Instant) {
+    fn complete(&mut self, wr_id: WrId, verb: Verb, bytes: usize, old: u64, ready: SimTime) {
         self.cq.push(Completion {
             wr_id,
             verb,
@@ -385,7 +352,7 @@ impl QueuePair {
 
     /// Poll up to `max` ready completions without blocking.
     pub fn poll(&mut self, max: usize) -> Vec<Completion> {
-        let now = Instant::now();
+        let now = self.fabric.now();
         let mut out = Vec::new();
         while out.len() < max {
             match self.cq.pop_ready(now) {
@@ -399,7 +366,7 @@ impl QueuePair {
     /// Poll exactly one completion, blocking until one is ready or `timeout`
     /// elapses.
     pub fn poll_one_blocking(&mut self, timeout: Duration) -> Result<Completion, RdmaError> {
-        let mut now = Instant::now();
+        let mut now = self.fabric.now();
         let deadline = now + timeout;
         loop {
             if let Some(c) = self.cq.pop_ready(now) {
@@ -407,17 +374,14 @@ impl QueuePair {
             }
             match self.cq.head_deadline() {
                 Some(t) if t <= deadline => {
-                    spin_until(t);
+                    self.fabric.wait_until(t);
                     now = t; // reached: the head pops without another clock read
                 }
                 _ => {
-                    now = Instant::now();
-                    if now >= deadline {
-                        return Err(RdmaError::RecvTimeout);
-                    }
-                    // HOTPATH: CQ spin-poll mirrors real ibv_poll_cq usage;
-                    // event channels are ROADMAP's parked completion-driven runtime.
-                    std::thread::yield_now();
+                    // Only this queue pair's own posts fill its CQ, so
+                    // nothing can complete before `deadline`: wait it out.
+                    self.fabric.wait_until(deadline);
+                    return Err(RdmaError::RecvTimeout);
                 }
             }
         }
@@ -459,7 +423,10 @@ impl QueuePair {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Instant;
+
     use super::*;
+    use crate::fault::FaultHook;
     use crate::profile::NetworkProfile;
 
     fn setup() -> (Arc<Fabric>, QueuePair, Arc<crate::region::MemoryRegion>) {
@@ -597,17 +564,55 @@ mod tests {
 
     #[test]
     fn dropped_write_never_completes() {
-        use crate::fault::FaultPlan;
         let fabric = Fabric::new(NetworkProfile::instant());
         let c = fabric.add_node();
         let m = fabric.add_node();
         let region = m.register_region(64);
-        fabric.set_fault_hook(Some(Arc::new(FaultPlan::drop_every_nth(Verb::Write, 1))));
+        fabric.set_fault_hook(Some(Arc::new(crate::ChaosPlan::new(1).drop(Verb::Write, 1.0))));
         let mut qp = fabric.create_qp(c.id(), m.id()).unwrap();
         qp.post_write(b"x", region.addr(0), 9).unwrap();
         assert!(qp.poll_one_blocking(Duration::from_millis(10)).is_err());
         fabric.set_fault_hook(None);
         qp.write_sync(b"y", region.addr(0)).unwrap();
+    }
+
+    /// Records each posted request's `(at, bytes)`.
+    #[derive(Default)]
+    struct PostLog(parking_lot::Mutex<Vec<(SimTime, usize)>>);
+
+    impl FaultHook for PostLog {
+        fn action(&self, ctx: &OpContext) -> FaultAction {
+            self.0.lock().push((ctx.at, ctx.bytes));
+            FaultAction::Deliver
+        }
+    }
+
+    #[test]
+    fn completions_land_after_the_post_instant_plus_the_transfer_cost() {
+        let profile = NetworkProfile::edr_100g();
+        let fabric = Fabric::new(profile);
+        let c = fabric.add_node();
+        let m = fabric.add_node();
+        let region = m.register_region(1 << 20);
+        let log = Arc::new(PostLog::default());
+        fabric.set_fault_hook(Some(log.clone()));
+        let mut qp = fabric.create_qp(c.id(), m.id()).unwrap();
+        let sizes = [64usize, 1 << 18, 8, 4096, 1 << 16, 420];
+        for (i, &n) in sizes.iter().enumerate() {
+            qp.post_write(&vec![7u8; n], region.addr(0), i as u64).unwrap();
+        }
+        let mut buf = vec![0u8; 420];
+        qp.post_read(region.addr(0), &mut buf, 99).unwrap();
+        let done = qp.drain().unwrap();
+        fabric.set_fault_hook(None);
+        let posts = log.0.lock().clone();
+        assert_eq!(posts.len(), sizes.len() + 1);
+        assert!(posts.windows(2).all(|w| w[0].0 <= w[1].0), "post instants went back: {posts:?}");
+        for ((at, bytes), c) in posts.iter().zip(&done) {
+            assert_eq!(*bytes, c.bytes);
+            let earliest = *at + profile.transfer_cost(*bytes);
+            assert!(c.completed_at >= earliest, "{c:?} posted at {at:?}");
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Work-request verbs, completions and error types.
 
 use std::fmt;
-use std::time::Instant;
+
+use crate::clock::SimTime;
 
 /// Opaque caller-chosen work-request identifier, echoed in the completion
 /// (mirrors `ibv_wr_id`). dLSM uses it to identify which flush buffer a
@@ -62,7 +63,7 @@ pub struct Completion {
     /// For atomics: the value read from remote memory before the operation.
     pub old_value: u64,
     /// Simulated hardware timestamp at which the op completed.
-    pub completed_at: Instant,
+    pub completed_at: SimTime,
 }
 
 /// Errors surfaced by the simulated fabric.

@@ -83,6 +83,13 @@ impl ExemplarStore {
         });
     }
 
+    /// True while no exemplar was ever offered with a trace id.
+    pub fn is_empty(&self) -> bool {
+        // ORDERING: relaxed — a hint: a record racing this read may be missed,
+        // as it may be by a snapshot.
+        self.next_seq.load(Ordering::Relaxed) == 0
+    }
+
     /// One seqlock read of a bucket slot; `None` if never written or torn.
     fn read(&self, bucket: usize) -> Option<Exemplar> {
         let [value_ns, trace_id, seq] = self.slots[bucket].read()?;

@@ -151,22 +151,33 @@ impl Histogram {
 
     /// Freeze the current contents.
     pub fn snapshot(&self) -> HistSnapshot {
-        let mut buckets = vec![0u64; BUCKETS];
-        let mut count = 0u64;
-        for (b, a) in buckets.iter_mut().zip(self.buckets.iter()) {
+        let mut s = HistSnapshot::default();
+        self.fold_into(&mut s);
+        s
+    }
+
+    /// Add the current contents to `into`, as [`HistSnapshot::merge`] of a
+    /// [`snapshot`](Histogram::snapshot) would, without building one. An
+    /// empty histogram costs two loads: every sample raises `max` or, if
+    /// it is 0, lands in bucket 0.
+    pub fn fold_into(&self, into: &mut HistSnapshot) {
+        // ORDERING: relaxed — as the bucket loads below; a sample recorded
+        // concurrently is missed or seen, as by any snapshot.
+        if self.max.load(Ordering::Relaxed) == 0 && self.buckets[0].load(Ordering::Relaxed) == 0 {
+            return;
+        }
+        for (b, a) in into.buckets.iter_mut().zip(self.buckets.iter()) {
             // ORDERING: relaxed — snapshots taken while recorders are live
             // are approximate by contract; quiescent readers (benchmark
             // end) are ordered by the thread join.
-            *b = a.load(Ordering::Relaxed);
-            count += *b;
+            let n = a.load(Ordering::Relaxed);
+            *b += n;
+            into.count += n;
         }
-        HistSnapshot {
-            buckets,
-            count,
-            // ORDERING: relaxed — see the bucket loads above.
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-        }
+        // ORDERING: relaxed — see the bucket loads above.
+        into.sum = into.sum.wrapping_add(self.sum.load(Ordering::Relaxed));
+        // ORDERING: relaxed — see the bucket loads above.
+        into.max = into.max.max(self.max.load(Ordering::Relaxed));
     }
 }
 

@@ -118,9 +118,24 @@ impl OpHistograms {
         OpClass::ALL.map(|c| self.hists[c.idx()].snapshot())
     }
 
+    /// Add every class's histogram to `s`, and its exemplars at or above
+    /// this block's own p99 (see [`TelemetrySnapshot::add_exemplars`]).
+    pub fn fold_into(&self, s: &mut TelemetrySnapshot) {
+        for class in OpClass::ALL {
+            self.hists[class.idx()].fold_into(s.op_mut(class));
+            let high = self.exemplars_above_p99(class);
+            if !high.is_empty() {
+                s.add_exemplars(class.name(), &high);
+            }
+        }
+    }
+
     /// Exemplars for `class` in buckets at or above this class's current
     /// p99 — the cut [`TelemetrySnapshot`] carries.
     pub fn exemplars_above_p99(&self, class: OpClass) -> Vec<Exemplar> {
+        if self.exemplars[class.idx()].is_empty() {
+            return Vec::new();
+        }
         let h = self.hists[class.idx()].snapshot();
         if h.count() == 0 {
             return Vec::new();
@@ -165,6 +180,16 @@ pub struct TelemetrySnapshot {
     pub exemplars: Vec<(String, Vec<Exemplar>)>,
 }
 
+/// The value named `name` in a list sorted by name, inserted as
+/// `T::default()` where it is missing.
+fn named<'a, T: Default>(list: &'a mut Vec<(String, T)>, name: &str) -> &'a mut T {
+    let i = list.binary_search_by(|(n, _)| n.as_str().cmp(name)).unwrap_or_else(|i| {
+        list.insert(i, (name.to_string(), T::default()));
+        i
+    });
+    &mut list[i].1
+}
+
 /// Exemplars retained per op class after a merge (slowest kept).
 pub const MAX_EXEMPLARS_PER_CLASS: usize = 32;
 
@@ -182,6 +207,14 @@ impl TelemetrySnapshot {
         self.ops.get(class.idx()).cloned().unwrap_or_default()
     }
 
+    /// One op class's histogram, to add to.
+    pub fn op_mut(&mut self, class: OpClass) -> &mut HistSnapshot {
+        if self.ops.len() <= class.idx() {
+            self.ops.resize(OpClass::ALL.len(), HistSnapshot::default());
+        }
+        &mut self.ops[class.idx()]
+    }
+
     /// Named breakdown histogram, or an empty one.
     pub fn breakdown_hist(&self, name: &str) -> HistSnapshot {
         self.breakdown
@@ -197,17 +230,21 @@ impl TelemetrySnapshot {
     }
 
     pub fn set_counter(&mut self, name: &str, v: u64) {
-        match self.counters.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-            Ok(i) => self.counters[i].1 = v,
-            Err(i) => self.counters.insert(i, (name.to_string(), v)),
-        }
+        *named(&mut self.counters, name) = v;
+    }
+
+    /// Add `v` to a named counter (created at 0).
+    pub fn add_counter(&mut self, name: &str, v: u64) {
+        *named(&mut self.counters, name) += v;
     }
 
     pub fn set_breakdown(&mut self, name: &str, h: HistSnapshot) {
-        match self.breakdown.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-            Ok(i) => self.breakdown[i].1 = h,
-            Err(i) => self.breakdown.insert(i, (name.to_string(), h)),
-        }
+        *named(&mut self.breakdown, name) = h;
+    }
+
+    /// A named breakdown histogram (created empty), to add to.
+    pub fn breakdown_mut(&mut self, name: &str) -> &mut HistSnapshot {
+        named(&mut self.breakdown, name)
     }
 
     /// Exemplars recorded for one op-class name (empty if absent).
@@ -220,10 +257,17 @@ impl TelemetrySnapshot {
     }
 
     pub fn set_exemplars(&mut self, name: &str, v: Vec<Exemplar>) {
-        match self.exemplars.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-            Ok(i) => self.exemplars[i].1 = v,
-            Err(i) => self.exemplars.insert(i, (name.to_string(), v)),
-        }
+        *named(&mut self.exemplars, name) = v;
+    }
+
+    /// Exemplars from another source: union with this class's, slowest
+    /// first, capped at [`MAX_EXEMPLARS_PER_CLASS`] so merged snapshots stay
+    /// bounded.
+    pub fn add_exemplars(&mut self, name: &str, theirs: &[Exemplar]) {
+        let mine = named(&mut self.exemplars, name);
+        mine.extend_from_slice(theirs);
+        mine.sort_by_key(|e| std::cmp::Reverse(e.value_ns));
+        mine.truncate(MAX_EXEMPLARS_PER_CLASS);
     }
 
     /// RDMA traffic for one verb name, as `(ops, bytes)` (0 if absent).
@@ -251,16 +295,10 @@ impl TelemetrySnapshot {
             a.merge(b);
         }
         for (name, h) in &other.breakdown {
-            match self.breakdown.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-                Ok(i) => self.breakdown[i].1.merge(h),
-                Err(i) => self.breakdown.insert(i, (name.clone(), h.clone())),
-            }
+            self.breakdown_mut(name).merge(h);
         }
         for (name, v) in &other.counters {
-            match self.counters.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-                Ok(i) => self.counters[i].1 += v,
-                Err(i) => self.counters.insert(i, (name.clone(), *v)),
-            }
+            self.add_counter(name, *v);
         }
         for t in &other.rdma {
             if let Some(mine) = self.rdma.iter_mut().find(|m| m.verb == t.verb) {
@@ -270,14 +308,8 @@ impl TelemetrySnapshot {
                 self.rdma.push(t.clone());
             }
         }
-        // Exemplars from different sources: union per class, slowest
-        // first, capped so merged snapshots stay bounded.
         for (name, theirs) in &other.exemplars {
-            let mut combined = self.exemplars_for(name).to_vec();
-            combined.extend(theirs.iter().copied());
-            combined.sort_by_key(|e| std::cmp::Reverse(e.value_ns));
-            combined.truncate(MAX_EXEMPLARS_PER_CLASS);
-            self.set_exemplars(name, combined);
+            self.add_exemplars(name, theirs);
         }
     }
 
@@ -310,9 +342,7 @@ impl TelemetrySnapshot {
             .map(|(n, h)| (n.clone(), h.delta(&earlier.breakdown_hist(n))))
             .collect();
         for (n, _) in &earlier.breakdown {
-            if let Err(i) = breakdown.binary_search_by(|(m, _)| m.as_str().cmp(n)) {
-                breakdown.insert(i, (n.clone(), HistSnapshot::default()));
-            }
+            named(&mut breakdown, n);
         }
         let mut counters: Vec<(String, u64)> = self
             .counters
@@ -320,9 +350,7 @@ impl TelemetrySnapshot {
             .map(|(n, v)| (n.clone(), v.saturating_sub(earlier.counter(n))))
             .collect();
         for (n, _) in &earlier.counters {
-            if let Err(i) = counters.binary_search_by(|(m, _)| m.as_str().cmp(n)) {
-                counters.insert(i, (n.clone(), 0));
-            }
+            named(&mut counters, n);
         }
         let mut rdma: Vec<VerbTraffic> = self
             .rdma

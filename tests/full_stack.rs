@@ -123,14 +123,20 @@ fn near_data_vs_compute_side_traffic_asymmetry() {
 
 #[test]
 fn fabric_delay_fault_does_not_break_correctness() {
-    use dlsm_repro::rdma_sim::FaultPlan;
+    use dlsm_repro::rdma_sim::{FaultHook, OpContext};
+    use std::time::Duration;
+    /// Delays every operation by exactly 200 µs.
+    struct DelayAll;
+    impl FaultHook for DelayAll {
+        fn delay(&self, _: &OpContext) -> Duration {
+            Duration::from_micros(200)
+        }
+    }
     let fabric = Fabric::new(NetworkProfile::instant());
     let srv = server(&fabric);
     let d = deps(&fabric, &srv);
     // Every operation delayed by 200 us: slow, but correct.
-    fabric.set_fault_hook(Some(Arc::new(FaultPlan::delay_all(
-        std::time::Duration::from_micros(200),
-    ))));
+    fabric.set_fault_hook(Some(Arc::new(DelayAll)));
     let engine = build_dlsm(&d, DbConfig::small(), 1).unwrap();
     for i in 0..300u64 {
         engine.put(&key(i), b"delayed").unwrap();
