@@ -53,7 +53,6 @@ fn main() {
         ComputeContext::new(&fabric),
         MemNodeHandle::from_server(&server),
         DbConfig {
-            flush_poll_timeout: Duration::from_millis(300),
             rpc_retry: RetryPolicy {
                 max_attempts: 24,
                 backoff: Duration::from_millis(2),

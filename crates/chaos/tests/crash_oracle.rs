@@ -47,9 +47,6 @@ fn read_with_retry(reader: &mut DbReader, key: &[u8]) -> Option<Option<Vec<u8>>>
 
 fn chaos_config() -> DbConfig {
     DbConfig {
-        // Short write-completion poll: a dropped flush WRITE fails the flush
-        // quickly (freeing its extent) and the flush loop retries.
-        flush_poll_timeout: Duration::from_millis(300),
         // Generous retry budget so RPCs ride out the crash window instead of
         // surfacing errors; reconnect covers the restarted node.
         rpc_retry: RetryPolicy {
@@ -59,7 +56,9 @@ fn chaos_config() -> DbConfig {
             reconnect_after: 2,
             // Fail blackholed attempts fast; the 120 s compaction call
             // timeout would otherwise burn seconds per attempt during the
-            // crash window.
+            // crash window. It also bounds the flush's wait for one WRITE
+            // completion: a dropped one fails the flush quickly (freeing its
+            // extent) and the flush loop retries.
             attempt_timeout: Some(Duration::from_millis(200)),
         },
         // Chaos runs with the read cache ON (ISSUE 7): dropped completions,
@@ -81,7 +80,7 @@ fn chaos_config() -> DbConfig {
 
 fn run_chaos(seed: u64) {
     let fabric = Fabric::new(NetworkProfile::instant());
-    let server = MemServer::start(
+    let booted = MemServer::start(
         &fabric,
         MemServerConfig {
             region_size: 128 << 20,
@@ -90,9 +89,13 @@ fn run_chaos(seed: u64) {
             dispatchers: 1,
         },
     );
-    let mem_node = server.node_id();
+    let mem_node = booted.node_id();
     let ctx = ComputeContext::new(&fabric);
-    let mem = MemNodeHandle::from_server(&server);
+    let mem = MemNodeHandle::from_server(&booted);
+    // Declared before `db`, so dropped after it: a failed assertion unwinds
+    // the Db — and ends its in-flight RPCs — while the memory node still
+    // answers, instead of letting them run out their retry budget.
+    let (driver, server);
     let db = Db::open(ctx, mem, chaos_config()).unwrap();
 
     // Flight recorder: trace the whole chaos run; if any oracle below
@@ -119,7 +122,7 @@ fn run_chaos(seed: u64) {
             .crash_window(mem_node, crash_from, crash_until),
     );
     fabric.set_fault_hook(Some(plan.clone()));
-    let driver = CrashDriver::spawn(server, Arc::clone(&fabric), crash_from, crash_until);
+    driver = CrashDriver::spawn(booted, Arc::clone(&fabric), crash_from, crash_until);
 
     // Single-threaded workload against the model. Acked mutations are
     // recorded in the model the moment the call returns; anything the model
@@ -164,7 +167,7 @@ fn run_chaos(seed: u64) {
     // lift the chaos for verification: the question is whether the damage
     // done *during* the run corrupted anything, not whether verification
     // itself can fail.
-    let server = driver.join();
+    server = driver.join();
     assert!(!server.is_crashed(), "seed {seed:#x}: driver left the node down");
     assert_eq!(
         server.stats().restarts.load(Ordering::Relaxed),

@@ -1,7 +1,8 @@
 //! Model-check the flush-ring recycle discipline from
-//! `crates/dlsm/src/flush.rs` in miniature: the flusher posts RDMA writes
+//! `crates/dlsm/src/remote.rs` in miniature: the flusher posts RDMA writes
 //! from a small ring of buffers and may only reuse a buffer after the NIC
-//! reports its write complete (FIFO, like `FlushSink::recycle_ready`).
+//! reports its write complete (FIFO, like `FlushSink::recycle` over
+//! `Channel::poll_writes`).
 //! Reusing early would let the NIC transmit bytes from the *next* flush
 //! under the old extent — silent SSTable corruption.
 //!
@@ -55,9 +56,9 @@ impl Ring {
         self.buf.store(1, Ordering::Relaxed);
         self.posted.store(true, Ordering::Release);
         // Recycle attempt for flush #2. The real FlushSink blocks in
-        // recycle_ready()/poll_one_blocking(); in the model we simply skip
-        // the reuse when the completion has not landed yet (taking a fresh
-        // buffer instead), so no spin loop is needed.
+        // `recycle(true)`, a blocking `Channel::poll_writes`; in the model
+        // we simply skip the reuse when the completion has not landed yet
+        // (taking a fresh buffer instead), so no spin loop is needed.
         if !checked_recycle || self.done.load(Ordering::Acquire) {
             self.buf.store(2, Ordering::Relaxed);
         }

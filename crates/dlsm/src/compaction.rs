@@ -26,16 +26,18 @@ use dlsm_cache::ReadCache;
 use dlsm_memnode::{ClientNetStats, CompactArgs, CompactReply, InputTable, OutputTable, RpcClient, TableFormat};
 use dlsm_sstable::bloom::BloomFilter;
 use dlsm_sstable::byte_addr::{ByteAddrBuilder, TableMeta};
-use dlsm_sstable::block::BlockTableBuilder;
+use dlsm_sstable::block::{BlockTableBuilder, BlockTableReader};
 use dlsm_sstable::coding::get_len_prefixed;
 use dlsm_sstable::iter::{ClampIter, MergingIter};
 use dlsm_sstable::key::{self, SeqNo};
 use dlsm_sstable::merge::{CompactionIter, MergeConfig};
+use dlsm_sstable::source::SliceSource;
 use dlsm_sstable::ForwardIter;
 
 use crate::config::DbConfig;
 use crate::context::{ComputeContext, MemNodeHandle};
 use crate::handle::{Extent, GcSink, MetaKind, Origin, TableHandle};
+use crate::remote::{table_scan, Channel, RemoteSource};
 use crate::version::Version;
 use crate::{DbError, Result};
 
@@ -369,7 +371,7 @@ pub fn run_near_data(
                     None => dlsm_trace::span(dlsm_trace::Category::Compact, "compact_subtask"),
                 };
                 let reply = client.compact(&args, ctx.waiter(), Duration::from_secs(120))?;
-                outputs_from_reply(job, lo, hi, ctx, memnode, cfg, gc, next_id, &reply, cache)
+                outputs_from_reply(job, lo, hi, ctx, memnode, cfg, gc, next_id, &reply, cache, net)
             }));
         }
         // Every sub-task is joined before any result is looked at: a failed
@@ -400,6 +402,7 @@ pub fn run_near_data(
 /// output table, and its image where `cache` holds the inputs' and somebody
 /// reads them. The outputs are the caller's to free once the memory node
 /// has answered — by their handles, or here and now if the reply is refused.
+/// Block outputs are read back over a [`Channel`] reporting into `net`.
 #[allow(clippy::too_many_arguments)]
 pub fn outputs_from_reply(
     job: &CompactionJob,
@@ -412,9 +415,10 @@ pub fn outputs_from_reply(
     next_id: &(dyn Fn() -> u64 + Sync),
     reply: &CompactReply,
     cache: Option<&Arc<ReadCache>>,
+    net: &Arc<ClientNetStats>,
 ) -> Result<CompactionOutcome> {
     let extent = |o: &OutputTable| Extent { offset: o.offset, len: o.len };
-    let (described, images) = describe_outputs(job, lo, hi, ctx, memnode, cfg, reply, cache)
+    let (described, images) = describe_outputs(job, lo, hi, ctx, memnode, cfg, reply, cache, net)
         .inspect_err(|_| reply.outputs.iter().for_each(|o| gc.enqueue(Origin::MemNode, extent(o))))?;
     let handle = |(o, (meta, smallest, largest, n)): (&OutputTable, Described)| {
         let gc = Some(Arc::clone(gc));
@@ -482,6 +486,7 @@ fn describe_outputs(
     cfg: &DbConfig,
     reply: &CompactReply,
     cache: Option<&Arc<ReadCache>>,
+    net: &Arc<ClientNetStats>,
 ) -> Result<(Vec<Described>, Vec<Option<Image>>)> {
     match cfg.format {
         TableFormat::ByteAddr => {
@@ -533,14 +538,14 @@ fn describe_outputs(
         }
         TableFormat::Block(block_size) => {
             // Reply carries only the key bounds; fetch each table's index and
-            // filter (3 remote reads) to populate the compute-side cache.
+            // filter (3 remote reads, over one channel for the reply) to
+            // populate the compute-side cache.
+            let channel = Channel::open(ctx, memnode, cfg, net)?;
             let describe = |out: &OutputTable| -> Result<Described> {
                 let (smallest, n1) = get_len_prefixed(&out.meta, 0)?;
                 let (largest, _) = get_len_prefixed(&out.meta, n1)?;
-                let qp = ctx.fabric().create_qp(ctx.node().id(), memnode.node_id())?;
-                let channel = crate::remote::ReadChannel::one_sided(qp);
-                let source = crate::remote::RemoteSource::new(channel, memnode.remote().addr(out.offset), out.len);
-                let reader = dlsm_sstable::block::BlockTableReader::open(source)?;
+                let source = RemoteSource::new(channel.clone(), memnode.remote().addr(out.offset), out.len);
+                let reader = BlockTableReader::open(source)?;
                 let n = reader.num_entries();
                 Ok((MetaKind::Block(reader.meta_cache(), block_size), smallest.to_vec(), largest.to_vec(), n))
             };
@@ -567,16 +572,13 @@ pub fn run_local(
     let boundaries = pick_boundaries(job, cfg.compaction_subtasks.max(1));
     let ranges = subranges(&boundaries);
 
-    /// (image, meta, smallest, largest) of a staged byte-addressable output.
-    type StagedByteAddr = (Vec<u8>, TableMeta, Vec<u8>, Vec<u8>);
-    /// (image, smallest, largest, entries) of a staged block output.
-    type StagedBlock = (Vec<u8>, Vec<u8>, Vec<u8>, u64);
+    /// A merged output table built in compute-node memory: its image and
+    /// what describes it, taken from the image itself.
+    type Staged = (Vec<u8>, Described);
 
     struct SubResult {
-        staged: Vec<StagedByteAddr>,
-        block_staged: Vec<StagedBlock>,
+        staged: Vec<Staged>,
         records_in: u64,
-        records_out: u64,
     }
 
     let subresults: Vec<SubResult> = std::thread::scope(|scope| {
@@ -584,7 +586,7 @@ pub fn run_local(
         for (lo, hi) in &ranges {
             let job = &*job;
             handles.push(scope.spawn(move || -> Result<SubResult> {
-                let channel = read_channel_for(ctx, memnode, cfg, net)?;
+                let channel = Channel::open(ctx, memnode, cfg, net)?;
                 let iters: Vec<Box<dyn ForwardIter>> = job
                     .all_inputs()
                     // Compaction sweeps every input once; caching those
@@ -593,7 +595,7 @@ pub fn run_local(
                     // sub-task prefetches past what it merges.
                     .map(|t| {
                         let window = cfg.scan_prefetch;
-                        crate::remote::table_scan(&channel, t, hi, window as u64, window, None).boxed()
+                        table_scan(&channel, t, hi, window as u64, window, None).boxed()
                     })
                     .collect();
                 let merged =
@@ -606,19 +608,13 @@ pub fn run_local(
                 // An output is cut only where a user key starts: two tables of
                 // one level never share a key (the memory node's rule too).
                 let room = |len: u64, it: &CompactionIter<_>| len < cfg.sstable_size || !it.first_of_key();
-                let mut r = SubResult {
-                    staged: Vec::new(),
-                    block_staged: Vec::new(),
-                    records_in: 0,
-                    records_out: 0,
-                };
-                match cfg.format {
-                    TableFormat::ByteAddr => {
-                        while it.valid() {
+                let mut staged = Vec::new();
+                while it.valid() {
+                    staged.push(match cfg.format {
+                        TableFormat::ByteAddr => {
                             let mut b = ByteAddrBuilder::new(Vec::new(), cfg.bits_per_key);
                             while it.valid() && room(b.data_len(), &it) {
                                 b.add(it.key(), it.value())?;
-                                r.records_out += 1;
                                 it.next()?;
                             }
                             let (image, meta) = b.finish();
@@ -626,11 +622,10 @@ pub fn run_local(
                             // an empty builder has room (`DbConfig::normalized` refuses sstable_size 0).
                             let s = meta.smallest().expect("non-empty").to_vec();
                             let l = meta.largest().expect("non-empty").to_vec();
-                            r.staged.push((image, meta, s, l));
+                            let n = meta.num_entries;
+                            (image, (MetaKind::ByteAddr(Arc::new(meta)), s, l, n))
                         }
-                    }
-                    TableFormat::Block(bs) => {
-                        while it.valid() {
+                        TableFormat::Block(bs) => {
                             let mut b =
                                 BlockTableBuilder::new(Vec::new(), bs as usize, cfg.bits_per_key);
                             let mut s = Vec::new();
@@ -642,17 +637,17 @@ pub fn run_local(
                                 l.clear();
                                 l.extend_from_slice(it.key());
                                 b.add(it.key(), it.value())?;
-                                r.records_out += 1;
                                 it.next()?;
                             }
                             let n = b.num_entries();
                             let (image, _) = b.finish()?;
-                            r.block_staged.push((image, s, l, n));
+                            // Index and filter from the bytes in hand: no readback.
+                            let meta = BlockTableReader::open(SliceSource(&image[..]))?.meta_cache();
+                            (image, (MetaKind::Block(meta, bs), s, l, n))
                         }
-                    }
+                    });
                 }
-                r.records_in = it.records_seen();
-                Ok(r)
+                Ok(SubResult { staged, records_in: it.records_seen() })
             }));
         }
         handles
@@ -663,117 +658,83 @@ pub fn run_local(
             .collect::<Result<Vec<_>>>()
     })?;
 
-    // Write staged outputs back to the flush zone (compute-owned memory),
-    // through the configured data path.
-    let mut qp = match cfg.data_path {
-        crate::config::DataPath::OneSided => {
-            Some(ctx.fabric().create_qp(ctx.node().id(), memnode.node_id())?)
-        }
-        crate::config::DataPath::TwoSidedRpc => None,
-    };
-    let mut rpc = match cfg.data_path {
-        crate::config::DataPath::OneSided => None,
-        crate::config::DataPath::TwoSidedRpc => Some(
-            RpcClient::new(ctx.fabric(), ctx.node(), memnode.node_id(), (1 << 20) + (64 << 10))?
-                .with_policy(cfg.rpc_retry)
-                .with_net_stats(Arc::clone(net)),
-        ),
-    };
-    let mut outcome = CompactionOutcome::default();
+    // Write staged outputs back to the flush zone (compute-owned memory).
+    let channel = Channel::open(ctx, memnode, cfg, net)?;
     let alloc = memnode.flush_alloc();
-    let mut write_back = |image: &[u8]| -> Result<Extent> {
-        let len = image.len() as u64;
-        let offset = alloc.alloc(len).ok_or(DbError::OutOfRemoteMemory { requested: len })?;
-        // Large sequential writes in 1 MiB units.
-        let mut pos = 0usize;
-        while pos < image.len() {
-            let chunk = (image.len() - pos).min(1 << 20);
-            let slice = &image[pos..pos + chunk];
-            let dst = offset + pos as u64;
-            match (&mut qp, &mut rpc) {
-                (Some(qp), _) => qp.write_sync(slice, memnode.remote().addr(dst))?,
-                (None, Some(rpc)) => rpc
-                    .write_file(dst, slice, std::time::Duration::from_secs(10))
-                    .map_err(crate::DbError::from)?,
-                // PANIC-SAFE: `qp` is set for `OneSided` and `rpc` for `TwoSidedRpc`,
-                // both from the one `cfg.data_path` above.
-                (None, None) => unreachable!(),
-            }
-            pos += chunk;
-        }
-        Ok(Extent { offset, len })
-    };
+    let mut outcome = CompactionOutcome::default();
     for sr in subresults {
         outcome.records_in += sr.records_in;
-        outcome.records_out += sr.records_out;
-        for (image, meta, s, l) in sr.staged {
-            let extent = write_back(&image)?;
-            let n = meta.num_entries;
-            outcome.outputs.push(TableHandle::new(
-                next_id(),
-                memnode.remote(),
-                extent,
-                Origin::Compute,
-                MetaKind::ByteAddr(Arc::new(meta)),
-                s,
-                l,
-                n,
-                Some(Arc::clone(gc)),
-            ));
-            outcome.images.push(Some(Arc::new(image)));
-        }
-        for (image, s, l, n) in sr.block_staged {
-            let extent = write_back(&image)?;
-            // PANIC-SAFE: `block_staged` is filled only in the `TableFormat::Block`
-            // arm of the same `cfg.format`.
-            let TableFormat::Block(bs) = cfg.format else { unreachable!() };
-            let channel = read_channel_for(ctx, memnode, cfg, net)?;
-            let source = crate::remote::RemoteSource::new(
-                channel,
-                memnode.remote().addr(extent.offset),
-                extent.len,
-            );
-            let reader = dlsm_sstable::block::BlockTableReader::open(source)?;
-            outcome.outputs.push(TableHandle::new(
-                next_id(),
-                memnode.remote(),
-                extent,
-                Origin::Compute,
-                MetaKind::Block(reader.meta_cache(), bs),
-                s,
-                l,
-                n,
-                Some(Arc::clone(gc)),
-            ));
+        for (image, (meta, s, l, n)) in sr.staged {
+            let len = image.len() as u64;
+            let offset = alloc.alloc(len).ok_or(DbError::OutOfRemoteMemory { requested: len })?;
+            channel.write(&image, memnode.remote().addr(offset)).inspect_err(|_| alloc.free(offset, len))?;
+            let extent = Extent { offset, len };
+            let gc = Some(Arc::clone(gc));
+            outcome.records_out += n;
+            outcome.outputs.push(TableHandle::new(next_id(), memnode.remote(), extent, Origin::Compute, meta, s, l, n, gc));
             outcome.images.push(Some(Arc::new(image)));
         }
     }
     Ok(outcome)
 }
 
-/// Build a [`crate::remote::ReadChannel`] for compaction I/O per the
-/// configured data path.
-fn read_channel_for(
-    ctx: &ComputeContext,
-    memnode: &MemNodeHandle,
-    cfg: &DbConfig,
-    net: &Arc<ClientNetStats>,
-) -> Result<crate::remote::ReadChannel> {
-    match cfg.data_path {
-        crate::config::DataPath::OneSided => Ok(crate::remote::ReadChannel::one_sided(
-            ctx.fabric().create_qp(ctx.node().id(), memnode.node_id())?,
-        )),
-        crate::config::DataPath::TwoSidedRpc => {
-            Ok(crate::remote::ReadChannel::two_sided(
-                RpcClient::new(
-                    ctx.fabric(),
-                    ctx.node(),
-                    memnode.node_id(),
-                    cfg.scan_prefetch + (64 << 10),
-                )?
-                .with_policy(cfg.rpc_retry)
-                .with_net_stats(Arc::clone(net)),
-            ))
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::flush::flush_memtable;
+    use crate::memtable::MemTable;
+    use dlsm_memnode::{MemServer, MemServerConfig};
+    use dlsm_sstable::key::ValueType;
+    use rdma_sim::{Fabric, NetworkProfile};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A compute-side block output describes itself from the image it was
+    /// staged in, with no readback: that description must be the one a
+    /// readback of the written extent gives.
+    #[test]
+    fn a_compute_side_block_output_is_described_as_its_readback_would_be() {
+        let fabric = Fabric::new(NetworkProfile::instant());
+        let server = MemServer::start(
+            &fabric,
+            MemServerConfig { region_size: 16 << 20, flush_zone: 8 << 20, compaction_workers: 1, dispatchers: 1 },
+        );
+        let ctx = ComputeContext::new(&fabric);
+        let memnode = MemNodeHandle::from_server(&server);
+        let cfg = DbConfig {
+            format: TableFormat::Block(1024),
+            near_data_compaction: false,
+            sstable_size: 16 << 10,
+            ..DbConfig::small()
+        };
+        let net = Arc::default();
+        let channel = Channel::open(&ctx, &memnode, &cfg, &net).unwrap();
+        // Two overlapping L0 tables: every other key, then every third.
+        let inputs = (1..=2u64)
+            .map(|t| {
+                let mem = MemTable::new(t, 0..10_000, 1 << 20, 2 << 20);
+                for i in (0..600u64).step_by(t as usize + 1) {
+                    let key = format!("key{i:05}");
+                    mem.add(t * 1000 + i, ValueType::Value, key.as_bytes(), &[t as u8; 90]).unwrap();
+                }
+                let out = flush_memtable(&mem, &memnode, &channel, cfg.format, 10, 8 << 10, 4, false).unwrap();
+                let (extent, meta, n) = (out.extent, out.meta, out.num_entries);
+                TableHandle::new(t, memnode.remote(), extent, Origin::Compute, meta, out.smallest, out.largest, n, None)
+            })
+            .collect();
+        let job = CompactionJob { level: 0, inputs_lo: inputs, inputs_hi: Vec::new(), drop_deletions: true };
+        let gc = GcSink::new(Arc::clone(memnode.flush_alloc()));
+        let ids = AtomicU64::new(100);
+        let next_id = || ids.fetch_add(1, Ordering::Relaxed);
+        let out = run_local(&job, &ctx, &memnode, &cfg, u64::MAX >> 8, &gc, &next_id, &net).unwrap();
+        assert!(out.outputs.len() > 1, "{} outputs", out.outputs.len());
+        assert_eq!(out.records_out, 400);
+        for t in &out.outputs {
+            let MetaKind::Block(staged, 1024) = &t.meta else { panic!("block output expected") };
+            let readback = BlockTableReader::open(RemoteSource::for_table(&channel, t)).unwrap().meta_cache();
+            assert_eq!(*staged, readback, "table {}", t.id);
+            assert_eq!(staged.num_entries(), t.num_entries);
         }
+        drop(out);
+        server.shutdown();
     }
 }

@@ -1,7 +1,5 @@
 //! Database configuration.
 
-use std::time::Duration;
-
 use dlsm_cache::CacheConfig;
 use dlsm_memnode::{RetryPolicy, TableFormat};
 
@@ -97,15 +95,12 @@ pub struct DbConfig {
     /// disables caching and reads behave exactly as before.
     pub cache: CacheConfig,
     /// Retry/backoff policy applied to every RPC client the database opens
-    /// (flush, GC, read channels, near-data compaction). Timed-out calls
+    /// (flush, GC, data channels, near-data compaction). Timed-out calls
     /// are re-issued under the same request id; the memory node dedups.
+    /// Its `attempt_timeout` (10 s if unset) is also how long a data channel
+    /// waits for one WRITE completion before failing the flush, which frees
+    /// the extent and lets the flush loop retry the whole MemTable.
     pub rpc_retry: RetryPolicy,
-    /// How long the one-sided flush pipeline waits for a single WRITE
-    /// completion before failing the flush (which frees the extent and
-    /// lets the flush loop retry the whole MemTable). Keep short under
-    /// fault injection so a dropped completion cannot stall a flush
-    /// thread for long.
-    pub flush_poll_timeout: Duration,
 }
 
 impl Default for DbConfig {
@@ -133,7 +128,6 @@ impl Default for DbConfig {
             serialized_writes: false,
             cache: CacheConfig::default(),
             rpc_retry: RetryPolicy::default(),
-            flush_poll_timeout: Duration::from_secs(10),
         }
     }
 }

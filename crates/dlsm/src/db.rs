@@ -8,7 +8,6 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use dlsm_memnode::RpcClient;
-use rdma_sim::QueuePair;
 use dlsm_sstable::bloom::bloom_hash;
 use dlsm_sstable::byte_addr::{TableGet, TableMeta};
 use dlsm_sstable::coding::{get_len_prefixed, get_u32, get_u64, put_len_prefixed, put_u32, put_u64};
@@ -17,12 +16,12 @@ use dlsm_telemetry::OpClass;
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::compaction::{l0_trigger, pick_compaction, run_local, run_near_data};
-use crate::config::{DataPath, DbConfig, SwitchProtocol};
+use crate::config::{DbConfig, SwitchProtocol};
 use crate::context::{ComputeContext, MemNodeHandle};
-use crate::flush::{flush_memtable, FlushTransport};
+use crate::flush::flush_memtable;
 use crate::handle::{Extent, GcSink, MetaKind, Origin, TableHandle};
 use crate::memtable::{MemGet, MemTable, ENTRY_OVERHEAD};
-use crate::remote::{fetch_wave, table_step, ReadChannel, RecordFetch, Step};
+use crate::remote::{fetch_wave, table_step, Channel, RecordFetch, Step};
 use crate::scan::DbScan;
 use crate::stats::DbStats;
 use crate::telemetry::{record_op, OpClock, ReaderSlot, SlotCounter, SlotStats, GET_PHASES, INSERT, RESERVE, STALL};
@@ -117,22 +116,9 @@ impl Shared {
         self.publication.horizon()
     }
 
-    pub(crate) fn read_channel(&self) -> Result<ReadChannel> {
-        match self.cfg.data_path {
-            DataPath::OneSided => Ok(ReadChannel::one_sided(
-                self.ctx.fabric().create_qp(self.ctx.node().id(), self.memnode.node_id())?,
-            )),
-            DataPath::TwoSidedRpc => Ok(ReadChannel::two_sided(
-                RpcClient::new(
-                    self.ctx.fabric(),
-                    self.ctx.node(),
-                    self.memnode.node_id(),
-                    self.cfg.scan_prefetch + (64 << 10),
-                )?
-                .with_policy(self.cfg.rpc_retry)
-                .with_net_stats(Arc::clone(&self.telemetry.net)),
-            )),
-        }
+    /// A new data channel to the memory node, for the calling thread.
+    pub(crate) fn channel(&self) -> Result<Channel> {
+        Channel::open(&self.ctx, &self.memnode, &self.cfg, &self.telemetry.net)
     }
 
     /// See [`Db::telemetry_snapshot`]; also what the metrics collector
@@ -572,7 +558,7 @@ impl Db {
     /// for the two-sided data path). Fails only if the fabric refuses a new
     /// connection to the memnode (e.g. during a partition window).
     pub fn try_reader(&self) -> Result<DbReader> {
-        let channel = self.shared.read_channel()?;
+        let channel = self.shared.channel()?;
         let slot = self.shared.stats.readers.register();
         Ok(DbReader { shared: Arc::clone(&self.shared), channel, slot })
     }
@@ -757,6 +743,7 @@ impl Db {
         let mut off = 12;
         let mut edit = VersionEdit::default();
         let mut max_id = 0u64;
+        let channel = shared.channel()?;
         for level in 0..levels.min(shared.cfg.max_levels) {
             let count = get_u32(checkpoint, off)? as usize;
             off += 4;
@@ -787,7 +774,7 @@ impl Db {
                         let bs = get_u32(checkpoint, off)?;
                         off += 4;
                         let source = crate::remote::RemoteSource::new(
-                            shared.read_channel()?,
+                            channel.clone(),
                             shared.memnode.remote().addr(offset),
                             len,
                         );
@@ -898,7 +885,7 @@ impl Drop for Snapshot {
 /// a read writes no cache line another reader touches.
 pub struct DbReader {
     shared: Arc<Shared>,
-    channel: ReadChannel,
+    channel: Channel,
     slot: Arc<ReaderSlot>,
 }
 
@@ -1197,32 +1184,7 @@ impl Drop for DbReader {
 }
 
 fn flush_loop(shared: Arc<Shared>, rx: Receiver<Arc<MemTable>>) {
-    // Owned connection, built exactly once: no Option, so the flush loop
-    // has no expect() whose invariant needs arguing.
-    enum FlushConn {
-        TwoSided(Box<RpcClient>),
-        OneSided(QueuePair),
-    }
-    let two_sided = shared.cfg.data_path == DataPath::TwoSidedRpc;
-    let mut conn = if two_sided {
-        match RpcClient::new(
-            shared.ctx.fabric(),
-            shared.ctx.node(),
-            shared.memnode.node_id(),
-            shared.cfg.flush_buf_size + (64 << 10),
-        ) {
-            Ok(c) => FlushConn::TwoSided(Box::new(
-                c.with_policy(shared.cfg.rpc_retry)
-                    .with_net_stats(Arc::clone(&shared.telemetry.net)),
-            )),
-            Err(_) => return,
-        }
-    } else {
-        match shared.ctx.fabric().create_qp(shared.ctx.node().id(), shared.memnode.node_id()) {
-            Ok(qp) => FlushConn::OneSided(qp),
-            Err(_) => return,
-        }
-    };
+    let Ok(channel) = shared.channel() else { return };
     loop {
         // HOTPATH: the flush thread idles on its queue; the timeout rechecks
         // `stopping`.
@@ -1248,20 +1210,15 @@ fn flush_loop(shared: Arc<Shared>, rx: Receiver<Arc<MemTable>>) {
         let out = loop {
             attempts += 1;
             let t_flush = Instant::now();
-            let mut transport = match &mut conn {
-                FlushConn::TwoSided(rpc) => FlushTransport::TwoSided(rpc),
-                FlushConn::OneSided(qp) => FlushTransport::OneSided(qp),
-            };
             match flush_memtable(
                 &mem,
                 &shared.memnode,
-                &mut transport,
+                &channel,
                 shared.cfg.format,
                 shared.cfg.bits_per_key,
                 shared.cfg.flush_buf_size,
                 shared.cfg.flush_buf_count,
                 want_local,
-                shared.cfg.flush_poll_timeout,
             ) {
                 Ok(out) => {
                     record_op(&shared.telemetry.ops, dlsm_telemetry::OpClass::Flush, t_flush.elapsed());

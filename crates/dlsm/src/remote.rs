@@ -1,90 +1,179 @@
-//! Reading remote SSTables from the compute node.
+//! The compute node's data channel to a memory node, and the reads and
+//! writes of table bytes over it.
 //!
-//! A [`RemoteSource`] is a [`DataSource`] over a [`ReadChannel`]:
+//! A [`Channel`] is the one place that knows how table bytes move; which
+//! way is decided once, in [`Channel::open`], from
+//! [`DbConfig::data_path`]:
 //!
-//! * [`ReadChannel::OneSided`] — dLSM's path: each `read` is a synchronous
-//!   one-sided RDMA read on a thread-local queue pair (Sec. X-B).
-//! * [`ReadChannel::TwoSided`] — the Nova-LSM-style tmpfs path: each `read`
-//!   is an RPC; the memory node copies the bytes into the reply buffer and
-//!   the requester copies them out — the longer path with the extra memory
-//!   copy the paper blames for Nova-LSM's read performance (Sec. XI-C2).
+//! * **One-sided** — dLSM's path: synchronous READs and asynchronous WRITEs
+//!   on a thread-local queue pair (Sec. X-B). A flush posts its WRITEs from
+//!   a FIFO ring of buffers ([`FlushSink`]) and recycles each buffer when its
+//!   completion arrives (Sec. X-C).
+//! * **Two-sided** — the Nova-LSM-style tmpfs path: every read and write is
+//!   an RPC; the memory node copies the bytes into the reply buffer and the
+//!   requester copies them out — the longer path with the extra memory copy
+//!   the paper blames for Nova-LSM's read performance (Sec. XI-C2). A posted
+//!   write has completed when the post returns, so the same ring serves it.
+//!
+//! A [`RemoteSource`] is a [`DataSource`] over one table extent on a channel.
 
 use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
 use dlsm_cache::{BlockProbe, ExtentProbe, ReadCache};
-use dlsm_memnode::RpcClient;
+use dlsm_memnode::{ClientNetStats, RpcClient};
 use dlsm_sstable::block::{BlockFetcher, BlockTableReader};
-use dlsm_sstable::byte_addr::{record_value, ByteAddrIter, Locate, TableGet};
+use dlsm_sstable::byte_addr::{record_value, ByteAddrIter, Locate, TableGet, TableSink};
 use dlsm_sstable::iter::ForwardIter;
 use dlsm_sstable::key::SeqNo;
 use dlsm_sstable::source::{DataSource, SliceSource};
 use dlsm_sstable::SstError;
-use rdma_sim::QueuePair;
+use rdma_sim::{QueuePair, RemoteAddr};
 
+use crate::config::{DataPath, DbConfig};
+use crate::context::{ComputeContext, MemNodeHandle};
 use crate::handle::{MetaKind, TableHandle};
 use crate::telemetry::{SlotCounter, SlotStats};
 use crate::Result;
 
-/// A thread-local queue pair shared by a reader's table sources.
-pub type SharedQp = Rc<RefCell<QueuePair>>;
+/// The bytes one synchronous [`Channel::write`] moves per WRITE or RPC.
+const WRITE_CHUNK: usize = 1 << 20;
 
-/// A thread-local RPC client shared by a reader's table sources.
-pub type SharedRpc = Rc<RefCell<RpcClient>>;
-
-/// How table bytes are fetched from the memory node.
+/// The compute node's data channel to one memory node. Clones share the
+/// connection, which belongs to the thread that opened it (Sec. X-B:
+/// thread-local queue pairs).
 #[derive(Clone)]
-pub enum ReadChannel {
-    /// One-sided RDMA reads (dLSM and the RocksDB-RDMA baselines).
-    OneSided(SharedQp),
-    /// Two-sided RPC reads through the memory node's CPU (Nova-LSM style).
-    TwoSided(SharedRpc),
+pub struct Channel {
+    link: Link,
+    /// The longest one completion or one RPC attempt may take.
+    wait: Duration,
 }
 
-impl ReadChannel {
-    /// Wrap a queue pair.
-    pub fn one_sided(qp: QueuePair) -> ReadChannel {
-        ReadChannel::OneSided(Rc::new(RefCell::new(qp)))
-    }
+#[derive(Clone)]
+enum Link {
+    /// One-sided verbs (dLSM and the RocksDB-RDMA baselines).
+    OneSided(Rc<RefCell<QueuePair>>),
+    /// Two-sided RPCs through the memory node's CPU (Nova-LSM style).
+    TwoSided(Rc<RefCell<RpcClient>>),
+}
 
-    /// Wrap an RPC client.
-    pub fn two_sided(client: RpcClient) -> ReadChannel {
-        ReadChannel::TwoSided(Rc::new(RefCell::new(client)))
+fn source_error(e: impl std::fmt::Display) -> SstError {
+    SstError::Source(e.to_string())
+}
+
+impl Channel {
+    /// Connect this compute node to `memnode` the way `cfg.data_path` says.
+    /// An RPC channel reports its retries into `net` and holds one scan
+    /// fetch (`cfg.scan_prefetch`) per reply; a write of any size is one
+    /// request.
+    pub fn open(
+        ctx: &ComputeContext,
+        memnode: &MemNodeHandle,
+        cfg: &DbConfig,
+        net: &Arc<ClientNetStats>,
+    ) -> Result<Channel> {
+        let link = match cfg.data_path {
+            DataPath::OneSided => Link::OneSided(Rc::new(RefCell::new(
+                ctx.fabric().create_qp(ctx.node().id(), memnode.node_id())?,
+            ))),
+            DataPath::TwoSidedRpc => Link::TwoSided(Rc::new(RefCell::new(
+                RpcClient::new(ctx.fabric(), ctx.node(), memnode.node_id(), cfg.scan_prefetch + (64 << 10))?
+                    .with_policy(cfg.rpc_retry)
+                    .with_net_stats(Arc::clone(net)),
+            ))),
+        };
+        Ok(Channel { link, wait: cfg.rpc_retry.attempt_timeout.unwrap_or(Duration::from_secs(10)) })
     }
 
     /// Lifetime RDMA traffic carried by this channel — what this reader's
     /// fetches cost the fabric, attributable per operation via deltas.
     pub fn traffic(&self) -> rdma_sim::StatsSnapshot {
-        match self {
-            ReadChannel::OneSided(qp) => qp.borrow().traffic(),
-            ReadChannel::TwoSided(client) => client.borrow().traffic(),
+        match &self.link {
+            Link::OneSided(qp) => qp.borrow().traffic(),
+            Link::TwoSided(client) => client.borrow().traffic(),
         }
+    }
+
+    /// Read `dst.len()` bytes at `src`, waiting for them.
+    pub fn read(&self, src: RemoteAddr, dst: &mut [u8]) -> dlsm_sstable::Result<()> {
+        match &self.link {
+            Link::OneSided(qp) => qp.borrow_mut().read_sync(src, dst).map_err(source_error),
+            Link::TwoSided(client) => {
+                // RPC reads are bounded by the reply buffer; chunk as needed.
+                let mut client = client.borrow_mut();
+                let max = client.max_read_len();
+                for (i, chunk) in dst.chunks_mut(max).enumerate() {
+                    let offset = src.offset + (i * max) as u64;
+                    let bytes =
+                        client.read_file(offset, chunk.len() as u32, self.wait).map_err(source_error)?;
+                    if bytes.len() != chunk.len() {
+                        return Err(SstError::Source("short RPC read".into()));
+                    }
+                    // The extra copy of the tmpfs path.
+                    chunk.copy_from_slice(&bytes);
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Start a WRITE of `src` to `dst`; `src` may be reused once
+    /// [`Channel::poll_writes`] has counted it complete. A two-sided write
+    /// is an RPC that has completed when this returns.
+    fn post_write(&self, src: &[u8], dst: RemoteAddr) -> dlsm_sstable::Result<()> {
+        match &self.link {
+            Link::OneSided(qp) => qp.borrow_mut().post_write(src, dst, 0).map_err(source_error),
+            Link::TwoSided(client) => {
+                client.borrow_mut().write_file(dst.offset, src, self.wait).map_err(source_error)
+            }
+        }
+    }
+
+    /// How many of the `posted` writes not yet counted have completed, in
+    /// the order they were posted (completions are FIFO per queue pair).
+    /// With `block`, at least one: a write that does not complete within
+    /// the channel's wait is an error.
+    fn poll_writes(&self, posted: usize, block: bool) -> dlsm_sstable::Result<usize> {
+        match &self.link {
+            Link::OneSided(qp) if block => {
+                qp.borrow_mut().poll_one_blocking(self.wait).map(|_| 1).map_err(source_error)
+            }
+            Link::OneSided(qp) => Ok(qp.borrow_mut().poll(usize::MAX).len()),
+            Link::TwoSided(_) => Ok(posted),
+        }
+    }
+
+    /// Write `src` to `dst` and wait for it, [`WRITE_CHUNK`] bytes at a
+    /// time (a compute-side compaction's outputs).
+    pub fn write(&self, src: &[u8], dst: RemoteAddr) -> dlsm_sstable::Result<()> {
+        for (i, chunk) in src.chunks(WRITE_CHUNK).enumerate() {
+            self.post_write(chunk, dst.add((i * WRITE_CHUNK) as u64))?;
+            self.poll_writes(1, true)?;
+        }
+        Ok(())
     }
 }
 
 /// [`DataSource`] over one remote table extent.
 #[derive(Clone)]
 pub struct RemoteSource {
-    channel: ReadChannel,
-    base: rdma_sim::RemoteAddr,
+    channel: Channel,
+    base: RemoteAddr,
     len: u64,
 }
 
 impl RemoteSource {
     /// View `len` bytes at `base` as a table.
-    pub fn new(channel: ReadChannel, base: rdma_sim::RemoteAddr, len: u64) -> RemoteSource {
+    pub fn new(channel: Channel, base: RemoteAddr, len: u64) -> RemoteSource {
         RemoteSource { channel, base, len }
     }
 
     /// Source for `handle`'s extent.
-    pub fn for_table(channel: &ReadChannel, handle: &TableHandle) -> RemoteSource {
-        RemoteSource {
-            channel: channel.clone(),
-            base: handle.home.addr(handle.extent.offset),
-            len: handle.extent.len,
-        }
+    pub fn for_table(channel: &Channel, handle: &TableHandle) -> RemoteSource {
+        RemoteSource::new(channel.clone(), handle.home.addr(handle.extent.offset), handle.extent.len)
     }
 }
 
@@ -97,38 +186,116 @@ impl DataSource for RemoteSource {
                 self.len
             )));
         }
-        match &self.channel {
-            ReadChannel::OneSided(qp) => qp
-                .borrow_mut()
-                .read_sync(self.base.add(offset), dst)
-                .map_err(|e| SstError::Source(e.to_string())),
-            ReadChannel::TwoSided(client) => {
-                // RPC reads are bounded by the reply buffer; chunk as needed.
-                let mut client = client.borrow_mut();
-                let mut pos = 0usize;
-                while pos < dst.len() {
-                    let chunk = (dst.len() - pos).min(client.max_read_len());
-                    let bytes = client
-                        .read_file(
-                            self.base.offset + offset + pos as u64,
-                            chunk as u32,
-                            Duration::from_secs(10),
-                        )
-                        .map_err(|e| SstError::Source(e.to_string()))?;
-                    if bytes.len() != chunk {
-                        return Err(SstError::Source("short RPC read".into()));
-                    }
-                    // The extra copy of the tmpfs path.
-                    dst[pos..pos + chunk].copy_from_slice(&bytes);
-                    pos += chunk;
-                }
-                Ok(())
-            }
-        }
+        self.channel.read(self.base.add(offset), dst)
     }
 
     fn len(&self) -> u64 {
         self.len
+    }
+}
+
+/// A [`TableSink`] that streams into remote memory through a FIFO ring of
+/// pre-registered flush buffers (Sec. X-C). When a buffer fills, its WRITE
+/// is posted and serialization continues into the next buffer without
+/// waiting. In-flight buffers form a FIFO queue mirroring the queue pair's
+/// send queue: every time a new WRITE is posted, ready completions are
+/// polled and the corresponding *head* buffers are recycled (completion k
+/// always refers to the k-th oldest buffer). A full ring waits for its head.
+pub struct FlushSink<'c> {
+    channel: &'c Channel,
+    base: RemoteAddr,
+    cap: u64,
+    remote_pos: u64,
+    cur: Vec<u8>,
+    buf_size: usize,
+    /// Buffers whose WRITE is posted but not yet completed, oldest first.
+    in_flight: VecDeque<Vec<u8>>,
+    /// Recycled buffers ready for reuse.
+    free: Vec<Vec<u8>>,
+    max_in_flight: usize,
+}
+
+impl<'c> FlushSink<'c> {
+    /// Stream into `[base, base + cap)` using `buf_count` buffers of
+    /// `buf_size` bytes. A WRITE that does not complete within the
+    /// channel's wait fails the flush — which frees the whole extent —
+    /// instead of stalling the flush thread.
+    pub fn new(channel: &'c Channel, base: RemoteAddr, cap: u64, buf_size: usize, buf_count: usize) -> FlushSink<'c> {
+        FlushSink {
+            channel,
+            base,
+            cap,
+            remote_pos: 0,
+            cur: Vec::with_capacity(buf_size),
+            buf_size,
+            in_flight: VecDeque::new(),
+            free: Vec::new(),
+            max_in_flight: buf_count.max(2),
+        }
+    }
+
+    /// Bytes written (including the buffer still being filled).
+    pub fn written(&self) -> u64 {
+        self.remote_pos + self.cur.len() as u64
+    }
+
+    /// Recycle the buffers of completed WRITEs, waiting for at least one
+    /// with `block`.
+    fn recycle(&mut self, block: bool) -> dlsm_sstable::Result<()> {
+        let done = self.channel.poll_writes(self.in_flight.len(), block)?;
+        for _ in 0..done {
+            if let Some(buf) = self.in_flight.pop_front() {
+                self.free.push(buf);
+            }
+        }
+        Ok(())
+    }
+
+    fn submit_current(&mut self) -> dlsm_sstable::Result<()> {
+        if self.cur.is_empty() {
+            return Ok(());
+        }
+        self.channel.post_write(&self.cur, self.base.add(self.remote_pos))?;
+        self.remote_pos += self.cur.len() as u64;
+        let filled = std::mem::take(&mut self.cur);
+        self.in_flight.push_back(filled);
+        // Reuse a finished buffer if one is ready; otherwise allocate a new
+        // one — unless the ring is at capacity, in which case wait for the
+        // head to finish (backpressure).
+        self.recycle(false)?;
+        while self.in_flight.len() >= self.max_in_flight {
+            self.recycle(true)?;
+        }
+        self.cur = self.free.pop().unwrap_or_else(|| Vec::with_capacity(self.buf_size));
+        self.cur.clear();
+        Ok(())
+    }
+
+    /// Flush the partial buffer and wait for every outstanding WRITE.
+    pub fn finish(mut self) -> dlsm_sstable::Result<u64> {
+        self.submit_current()?;
+        while !self.in_flight.is_empty() {
+            self.recycle(true)?;
+        }
+        Ok(self.remote_pos)
+    }
+}
+
+impl TableSink for FlushSink<'_> {
+    fn append(&mut self, mut data: &[u8]) -> dlsm_sstable::Result<()> {
+        if self.written() + data.len() as u64 > self.cap {
+            return Err(SstError::SinkFull);
+        }
+        while !data.is_empty() {
+            let room = self.buf_size - self.cur.len();
+            let take = room.min(data.len());
+            self.cur.extend_from_slice(&data[..take]);
+            data = &data[take..];
+            if self.cur.len() >= self.buf_size {
+                self.submit_current()?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -180,7 +347,7 @@ impl BlockFetcher for TableFetcher<'_> {
 /// Fetch `handle`'s whole extent in one fabric read (the on-demand
 /// promotion path: a table that keeps missing earns a single large read so
 /// every later probe is local).
-fn fetch_extent_image(channel: &ReadChannel, handle: &TableHandle) -> Result<Arc<Vec<u8>>> {
+fn fetch_extent_image(channel: &Channel, handle: &TableHandle) -> Result<Arc<Vec<u8>>> {
     let source = RemoteSource::for_table(channel, handle);
     let mut buf = vec![0u8; handle.extent.len as usize];
     source.read(0, &mut buf)?;
@@ -253,7 +420,7 @@ fn local_record(bytes: &[u8], offset: u64, len: usize, ikey: &[u8]) -> Result<St
 /// admitting. What is left is one fabric READ, returned for the caller to
 /// post with the rest of its wave.
 pub(crate) fn table_step<'v>(
-    channel: &ReadChannel,
+    channel: &Channel,
     t: &'v TableHandle,
     user_key: &[u8],
     hash: u32,
@@ -316,16 +483,16 @@ pub(crate) fn table_step<'v>(
 /// pair and then all are polled, so the wave costs one round trip rather
 /// than one per READ. A point get is the one-record wave; a scan's wave is
 /// the first chunk of each of its sorted runs.
-pub(crate) fn fetch_wave<T>(channel: &ReadChannel, wave: &mut [Fetch<'_, T>]) -> Result<()> {
+pub(crate) fn fetch_wave<T>(channel: &Channel, wave: &mut [Fetch<'_, T>]) -> Result<()> {
     /// READs in flight at once (the send queue holds 256).
     const DEPTH: usize = 128;
     if wave.is_empty() {
         return Ok(());
     }
-    let qp = match channel {
-        ReadChannel::OneSided(qp) => qp,
+    let qp = match &channel.link {
+        Link::OneSided(qp) => qp,
         // No posting interface on the RPC path: one call per READ.
-        ReadChannel::TwoSided(_) => {
+        Link::TwoSided(_) => {
             for f in wave {
                 RemoteSource::for_table(channel, f.table).read(f.offset, &mut f.buf)?;
             }
@@ -376,7 +543,7 @@ impl TableScan {
 /// frequencies, or touch the block pool, so sequential sweeps cannot
 /// displace the point-read working set.
 pub(crate) fn table_scan(
-    channel: &ReadChannel,
+    channel: &Channel,
     handle: &TableHandle,
     end: &[u8],
     fetched: u64,
@@ -405,19 +572,31 @@ pub(crate) fn table_scan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::RemoteRegion;
+    use dlsm_memnode::{MemServer, MemServerConfig};
     use dlsm_sstable::byte_addr::ByteAddrBuilder;
     use dlsm_sstable::key::{InternalKey, ValueType};
-    use rdma_sim::{Fabric, NetworkProfile, Verb};
+    use rdma_sim::{Fabric, MemoryRegion, NetworkProfile, Verb};
+
+    /// A channel from a new compute node to the node that owns `region`.
+    fn channel_to(fabric: &Arc<Fabric>, region: &MemoryRegion, cfg: &DbConfig) -> Channel {
+        let ctx = ComputeContext::new(fabric);
+        let memnode = MemNodeHandle::with_window(RemoteRegion::of(region), 0, 0);
+        Channel::open(&ctx, &memnode, cfg, &Arc::default()).unwrap()
+    }
+
+    /// A one-sided channel to a bare memory node with a 1 MiB region.
+    fn one_sided() -> (Arc<Fabric>, Arc<MemoryRegion>, Channel) {
+        let fabric = Fabric::new(NetworkProfile::instant());
+        let region = fabric.add_node().register_region(1 << 20);
+        let channel = channel_to(&fabric, &region, &DbConfig::default());
+        (fabric, region, channel)
+    }
 
     #[test]
     fn remote_source_reads_over_fabric() {
-        let fabric = Fabric::new(NetworkProfile::instant());
-        let compute = fabric.add_node();
-        let memory = fabric.add_node();
-        let region = memory.register_region(1 << 16);
+        let (fabric, region, channel) = one_sided();
         region.local_write(128, b"remote-table-bytes").unwrap();
-        let channel =
-            ReadChannel::one_sided(fabric.create_qp(compute.id(), memory.id()).unwrap());
         let src = RemoteSource::new(channel, region.addr(128), 18);
         let mut buf = [0u8; 5];
         src.read(7, &mut buf).unwrap();
@@ -429,7 +608,7 @@ mod tests {
     /// Point lookup against one table handle, start to finish: one
     /// [`table_step`] and, if it asks for one, the record READ.
     fn table_get(
-        channel: &ReadChannel,
+        channel: &Channel,
         handle: &TableHandle,
         user_key: &[u8],
         seq: SeqNo,
@@ -447,11 +626,7 @@ mod tests {
 
     #[test]
     fn point_get_issues_single_record_read() {
-        let fabric = Fabric::new(NetworkProfile::instant());
-        let compute = fabric.add_node();
-        let memory = fabric.add_node();
-        let region = memory.register_region(1 << 20);
-
+        let (fabric, region, channel) = one_sided();
         let mut b = ByteAddrBuilder::new(Vec::new(), 10);
         for i in 0..100 {
             b.add(
@@ -465,7 +640,7 @@ mod tests {
 
         let handle = crate::handle::TableHandle::new(
             1,
-            crate::context::RemoteRegion::of(&region),
+            RemoteRegion::of(&region),
             crate::handle::Extent { offset: 0, len: data.len() as u64 },
             crate::handle::Origin::External,
             MetaKind::ByteAddr(Arc::new(meta)),
@@ -474,8 +649,6 @@ mod tests {
             100,
             None,
         );
-        let channel =
-            ReadChannel::one_sided(fabric.create_qp(compute.id(), memory.id()).unwrap());
         let before = fabric.stats().snapshot();
         let stats = SlotStats::default();
         let got = table_get(&channel, &handle, b"key0042", 100, &stats).unwrap();
@@ -492,24 +665,57 @@ mod tests {
     }
 
     #[test]
-    fn two_sided_channel_reads_through_rpc() {
-        use dlsm_memnode::{MemServer, MemServerConfig};
+    fn two_sided_channel_reads_and_writes_through_rpc() {
         let fabric = Fabric::new(NetworkProfile::instant());
-        let compute = fabric.add_node();
         let server = MemServer::start(
             &fabric,
             MemServerConfig { region_size: 1 << 20, flush_zone: 1 << 19, compaction_workers: 1, dispatchers: 1 },
         );
+        let cfg = DbConfig { data_path: DataPath::TwoSidedRpc, scan_prefetch: 4096, ..DbConfig::default() };
+        let channel = channel_to(&fabric, server.region(), &cfg);
         server.region().local_write(256, b"tmpfs-table").unwrap();
-        let client = RpcClient::new(&fabric, &compute, server.node_id(), 4096).unwrap();
-        let channel = ReadChannel::two_sided(client);
-        let src = RemoteSource::new(channel, server.region().addr(256), 11);
+        let src = RemoteSource::new(channel.clone(), server.region().addr(256), 11);
         let mut buf = [0u8; 11];
         src.read(0, &mut buf).unwrap();
         assert_eq!(&buf, b"tmpfs-table");
-        // No one-sided reads were used by the client data path itself (the
-        // server-side reply write is one-sided, but the requester never
-        // posted an RDMA read).
+        // Larger than one reply: read in reply-sized calls.
+        let payload: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
+        channel.write(&payload, server.region().addr(4096)).unwrap();
+        let mut back = vec![0u8; 10_000];
+        channel.read(server.region().addr(4096), &mut back).unwrap();
+        assert_eq!(back, payload);
+        // The flush ring runs on it too: every post has completed.
+        let mut sink = FlushSink::new(&channel, server.region().addr(16 << 10), 1 << 16, 64, 2);
+        sink.append(&payload).unwrap();
+        assert_eq!(sink.finish().unwrap(), 10_000);
+        server.region().local_read(16 << 10, &mut back).unwrap();
+        assert_eq!(back, payload);
+        // The requester posted nothing but SENDs (the memory node's replies
+        // are its own one-sided WRITEs).
+        let t = channel.traffic();
+        assert!(t.ops(Verb::Send) > 3);
+        assert_eq!(t.ops(Verb::Send), t.total_ops(), "a two-sided channel posted a one-sided verb");
         server.shutdown();
+    }
+
+    #[test]
+    fn sink_ring_recycles_buffers_fifo() {
+        let (_fabric, region, channel) = one_sided();
+        let mut sink = FlushSink::new(&channel, region.addr(0), 1 << 20, 64, 3);
+        let payload: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
+        sink.append(&payload).unwrap();
+        let written = sink.finish().unwrap();
+        assert_eq!(written, 10_000);
+        let mut back = vec![0u8; 10_000];
+        region.local_read(0, &mut back).unwrap();
+        assert_eq!(back, payload);
+    }
+
+    #[test]
+    fn sink_full_when_extent_too_small() {
+        let (_fabric, region, channel) = one_sided();
+        let mut sink = FlushSink::new(&channel, region.addr(0), 100, 64, 2);
+        assert!(sink.append(&[1u8; 99]).is_ok());
+        assert_eq!(sink.append(&[1u8; 2]), Err(SstError::SinkFull));
     }
 }

@@ -19,7 +19,7 @@ use dlsm_sstable::key::{self, InternalKey, SeqNo, ValueType};
 
 use crate::db::Shared;
 use crate::handle::TableHandle;
-use crate::remote::{fetch_wave, table_scan, Fetch, ReadChannel, RemoteSource, TableScan};
+use crate::remote::{fetch_wave, table_scan, Fetch, Channel, RemoteSource, TableScan};
 use crate::telemetry::ReaderSlot;
 use crate::version::ReadView;
 use crate::Result;
@@ -156,7 +156,7 @@ impl DbScan {
     /// fetch their first chunks in one wave, merge.
     pub(crate) fn build(
         shared: &Arc<Shared>,
-        channel: &ReadChannel,
+        channel: &Channel,
         reader: Arc<ReaderSlot>,
         view: Arc<ReadView>,
         snapshot: SeqNo,

@@ -198,17 +198,6 @@ impl RpcClient {
         self.reconnects
     }
 
-    /// Create another client to the same memory node with the same buffer
-    /// sizes and policy (each thread/task gets its own queue pair and
-    /// buffers).
-    pub fn reopen(&self) -> Result<RpcClient> {
-        let mut c =
-            RpcClient::new(&self.fabric, &self.local_node, self.remote, self.reply_len as usize)?
-                .with_policy(self.policy);
-        c.net = self.net.clone();
-        Ok(c)
-    }
-
     /// Recreate the queue pair to the memory node. The registered local
     /// buffer (and thus the reply descriptor) is unchanged.
     pub fn reconnect(&mut self) -> Result<()> {

@@ -245,7 +245,7 @@ pub struct BlockTableReader<S: DataSource> {
     num_entries: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct BlockHandleOwned {
     last_key: Vec<u8>,
     offset: u64,
@@ -428,7 +428,7 @@ impl<S: DataSource> BlockTableReader<S> {
 
 /// Cached, shareable metadata of one block table: parsed index, bloom
 /// filter and entry count (what the compute node keeps in its table cache).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockMetaCache {
     index: Arc<Vec<BlockHandleOwned>>,
     bloom: Arc<BloomFilter>,

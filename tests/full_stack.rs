@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the full stack from fabric to engines.
 
-use std::sync::Arc;
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 
 use dlsm_repro::baselines::{
     build_dlsm, build_memory_rocksdb, build_nova_lsm, build_rocksdb_rdma, Engine, EngineDeps,
@@ -8,7 +9,7 @@ use dlsm_repro::baselines::{
 };
 use dlsm_repro::dlsm::{ComputeContext, DbConfig, MemNodeHandle};
 use dlsm_repro::memnode::{MemServer, MemServerConfig};
-use dlsm_repro::rdma_sim::{Fabric, NetworkProfile, Verb};
+use dlsm_repro::rdma_sim::{Fabric, FaultAction, FaultHook, NetworkProfile, NodeId, OpContext, Verb};
 
 fn server(fabric: &Arc<Fabric>) -> MemServer {
     MemServer::start(
@@ -63,6 +64,23 @@ fn contract(engine: &dyn Engine, n: u64) {
     assert_eq!(reader.scan_all().unwrap(), live, "{}: scan count", engine.name());
 }
 
+/// Which verbs each node posted; perturbs nothing.
+#[derive(Default)]
+struct PostedVerbs(Mutex<BTreeSet<(NodeId, String)>>);
+
+impl FaultHook for PostedVerbs {
+    fn action(&self, op: &OpContext) -> FaultAction {
+        self.0.lock().unwrap().insert((op.src, format!("{:?}", op.verb)));
+        FaultAction::Deliver
+    }
+}
+
+impl PostedVerbs {
+    fn by(&self, node: NodeId) -> Vec<String> {
+        self.0.lock().unwrap().iter().filter(|(src, _)| *src == node).map(|(_, verb)| verb.clone()).collect()
+    }
+}
+
 #[test]
 fn all_lsm_engines_fulfil_the_contract() {
     let fabric = Fabric::new(NetworkProfile::instant());
@@ -73,7 +91,20 @@ fn all_lsm_engines_fulfil_the_contract() {
     contract(&build_dlsm(&d, cfg.clone(), 4).unwrap(), 3_000);
     contract(&build_rocksdb_rdma(&d, cfg.clone(), 8192).unwrap(), 3_000);
     contract(&build_memory_rocksdb(&d, cfg.clone()).unwrap(), 2_000);
-    contract(&build_nova_lsm(&d, cfg, 4).unwrap(), 2_000);
+    contract(&build_nova_lsm(&d, cfg.clone(), 4).unwrap(), 2_000);
+    // Nova-LSM again, on a compute node of its own and with tables small
+    // enough that it flushes and compacts: two-sided for every byte it
+    // moves, compute-side compaction and block tables included.
+    let nova = deps(&fabric, &srv);
+    let posted = Arc::new(PostedVerbs::default());
+    fabric.set_fault_hook(Some(posted.clone()));
+    let small = DbConfig { memtable_size: 16 << 10, sstable_size: 16 << 10, l0_compaction_trigger: 2, ..cfg };
+    let engine = build_nova_lsm(&nova, small, 4).unwrap();
+    contract(&engine, 8_000);
+    let stats = engine.db().stats_snapshot();
+    assert!(stats.flushes > 0 && stats.compactions > 0, "{} flushes, {} compactions", stats.flushes, stats.compactions);
+    engine.shutdown();
+    assert_eq!(posted.by(nova.ctx.node().id()), ["Send"], "Nova-LSM posted a one-sided verb");
     srv.shutdown();
 }
 

@@ -647,7 +647,7 @@ fn corrupt_replies_are_refused_and_their_outputs_reclaimed() {
         let gc = GcSink::new(Arc::clone(r.mem.flush_alloc()));
         let honest: Vec<(u64, u64)> = reply.outputs.iter().map(|o| (o.offset, o.len)).collect();
         corrupt(&mut reply);
-        let err = outputs_from_reply(&job, b"", b"", &r.ctx, &r.mem, &cfg, &gc, &next_id, &reply, None)
+        let err = outputs_from_reply(&job, b"", b"", &r.ctx, &r.mem, &cfg, &gc, &next_id, &reply, None, &Arc::default())
             .err()
             .unwrap_or_else(|| panic!("{what}: accepted"));
         assert!(matches!(err, DbError::Sst(_)), "{what}: {err}");
@@ -660,7 +660,7 @@ fn corrupt_replies_are_refused_and_their_outputs_reclaimed() {
     }
     // Untouched, the reply is what `run_near_data` makes of the job.
     let gc = GcSink::new(Arc::clone(r.mem.flush_alloc()));
-    let out = outputs_from_reply(&job, b"", b"", &r.ctx, &r.mem, &cfg, &gc, &next_id, &reply, None).unwrap();
+    let out = outputs_from_reply(&job, b"", b"", &r.ctx, &r.mem, &cfg, &gc, &next_id, &reply, None, &Arc::default()).unwrap();
     let again = r.run(&job, &cfg);
     assert!(r.image(&out.outputs) == r.image(&again.outputs));
     assert_eq!((out.records_in, out.records_out, out.reply_bytes), (again.records_in, again.records_out, again.reply_bytes));

@@ -4,13 +4,13 @@
 //! index, fetch only `[offset(start), offset(end))`, open all runs in one
 //! wave (DESIGN.md §5.11).
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex};
 
 use dlsm_repro::dlsm::handle::{MetaKind, TableHandle};
 use dlsm_repro::dlsm::{CacheConfig, ComputeContext, DataPath, Db, DbConfig, DbReader, MemNodeHandle};
 use dlsm_repro::memnode::{MemServer, MemServerConfig, TableFormat};
-use dlsm_repro::rdma_sim::{Fabric, NetworkProfile, Verb};
+use dlsm_repro::rdma_sim::{Fabric, FaultAction, FaultHook, NetworkProfile, NodeId, OpContext, Verb};
 use dlsm_repro::sstable::byte_addr::TableMeta;
 use dlsm_repro::sstable::{InternalKey, MAX_SEQ};
 use dlsm_trace::{Event, EventKind};
@@ -97,9 +97,28 @@ fn model_range(model: &Model, start: &[u8], end: &[u8]) -> Vec<(Vec<u8>, Vec<u8>
         .collect()
 }
 
+/// Which verbs each node posted; perturbs nothing.
+#[derive(Default)]
+struct PostedVerbs(Mutex<BTreeSet<(NodeId, String)>>);
+
+impl FaultHook for PostedVerbs {
+    fn action(&self, op: &OpContext) -> FaultAction {
+        self.0.lock().unwrap().insert((op.src, format!("{:?}", op.verb)));
+        FaultAction::Deliver
+    }
+}
+
+impl PostedVerbs {
+    fn by(&self, node: NodeId) -> Vec<String> {
+        self.0.lock().unwrap().iter().filter(|(src, _)| *src == node).map(|(_, verb)| verb.clone()).collect()
+    }
+}
+
 fn scans_equal_model(format: TableFormat, data_path: DataPath, cache: CacheConfig) {
     let what = format!("{format:?} {data_path:?} cache {}", cache.capacity_bytes);
     let r = rig();
+    let posted = Arc::new(PostedVerbs::default());
+    r.ctx.fabric().set_fault_hook(Some(posted.clone()));
     let db = r.open(DbConfig {
         memtable_size: 16 << 10,
         sstable_size: 16 << 10,
@@ -174,6 +193,11 @@ fn scans_equal_model(format: TableFormat, data_path: DataPath, cache: CacheConfi
     assert_eq!(collect(reader.scan(b"").unwrap()), model_range(&model, b"", b""), "{what}: full scan");
     drop((reader, snap));
     db.shutdown();
+    // Two-sided means two-sided for every byte the compute node moves:
+    // reads, flushes and the readback of near-data outputs alike.
+    if data_path == DataPath::TwoSidedRpc {
+        assert_eq!(posted.by(r.ctx.node().id()), ["Send"], "{what}: the compute node posted a one-sided verb");
+    }
     r.server.shutdown();
 }
 
