@@ -578,18 +578,19 @@ mod tests {
     use dlsm_sstable::key::{InternalKey, ValueType};
     use rdma_sim::{Fabric, MemoryRegion, NetworkProfile, Verb};
 
-    /// A channel from a new compute node to the node that owns `region`.
-    fn channel_to(fabric: &Arc<Fabric>, region: &MemoryRegion, cfg: &DbConfig) -> Channel {
+    /// A channel from a new compute node to the node that owns `region`,
+    /// counting its RPC retries in `net`.
+    fn channel_to(fabric: &Arc<Fabric>, region: &MemoryRegion, cfg: &DbConfig, net: &Arc<ClientNetStats>) -> Channel {
         let ctx = ComputeContext::new(fabric);
         let memnode = MemNodeHandle::with_window(RemoteRegion::of(region), 0, 0);
-        Channel::open(&ctx, &memnode, cfg, &Arc::default()).unwrap()
+        Channel::open(&ctx, &memnode, cfg, net).unwrap()
     }
 
     /// A one-sided channel to a bare memory node with a 1 MiB region.
     fn one_sided() -> (Arc<Fabric>, Arc<MemoryRegion>, Channel) {
         let fabric = Fabric::new(NetworkProfile::instant());
         let region = fabric.add_node().register_region(1 << 20);
-        let channel = channel_to(&fabric, &region, &DbConfig::default());
+        let channel = channel_to(&fabric, &region, &DbConfig::default(), &Arc::default());
         (fabric, region, channel)
     }
 
@@ -672,7 +673,7 @@ mod tests {
             MemServerConfig { region_size: 1 << 20, flush_zone: 1 << 19, compaction_workers: 1, dispatchers: 1 },
         );
         let cfg = DbConfig { data_path: DataPath::TwoSidedRpc, scan_prefetch: 4096, ..DbConfig::default() };
-        let channel = channel_to(&fabric, server.region(), &cfg);
+        let channel = channel_to(&fabric, server.region(), &cfg, &Arc::default());
         server.region().local_write(256, b"tmpfs-table").unwrap();
         let src = RemoteSource::new(channel.clone(), server.region().addr(256), 11);
         let mut buf = [0u8; 11];
@@ -695,6 +696,31 @@ mod tests {
         let t = channel.traffic();
         assert!(t.ops(Verb::Send) > 3);
         assert_eq!(t.ops(Verb::Send), t.total_ops(), "a two-sided channel posted a one-sided verb");
+        server.shutdown();
+    }
+
+    /// A read past the end of the memory node's region fails at once on
+    /// either path: the one-sided READ on its verb, the RPC with the error
+    /// the memory node answers — never a retried timeout.
+    #[test]
+    fn a_read_past_the_region_fails_at_once_on_both_paths() {
+        let fabric = Fabric::new(NetworkProfile::instant());
+        let server = MemServer::start(
+            &fabric,
+            MemServerConfig { region_size: 1 << 20, flush_zone: 1 << 19, compaction_workers: 1, dispatchers: 1 },
+        );
+        let end = server.region().addr(server.region().len() as u64 - 8);
+        for data_path in [DataPath::OneSided, DataPath::TwoSidedRpc] {
+            let rpc_retry = dlsm_memnode::RetryPolicy {
+                attempt_timeout: Some(Duration::from_millis(200)),
+                ..dlsm_memnode::RetryPolicy::default()
+            };
+            let cfg = DbConfig { data_path, scan_prefetch: 4096, rpc_retry, ..DbConfig::default() };
+            let net = Arc::new(ClientNetStats::default());
+            let channel = channel_to(&fabric, server.region(), &cfg, &net);
+            assert!(channel.read(end, &mut [0u8; 64]).is_err(), "{data_path:?}: read past the region");
+            assert_eq!(net.totals(), (0, 0), "{data_path:?}: an answered error was retried");
+        }
         server.shutdown();
     }
 

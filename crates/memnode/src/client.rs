@@ -2,10 +2,13 @@
 //!
 //! [`RpcClient`] is thread-local (one queue pair and one registered
 //! reply/argument buffer per thread, per the dLSM RDMA-manager design,
-//! Sec. X-B). General-purpose calls poll a flag word at the end of the reply
-//! buffer (Sec. X-D1). Compaction calls sleep on a condition variable and
-//! are woken by [`ImmWaiter`] — the "thread notifier" that routes
-//! WRITE-with-IMMEDIATE events to requesters by unique id (Sec. X-D2).
+//! Sec. X-B). Every op goes through one call: post the SEND, then wait for
+//! the reply frame in the reply buffer. The only choice is how to wait: a
+//! general-purpose call polls the flag word at the end of the buffer
+//! (Sec. X-D1); a compaction sleeps on a condition variable until
+//! [`ImmWaiter`] — the "thread notifier" that routes WRITE-with-IMMEDIATE
+//! events to requesters by unique id — wakes it (Sec. X-D2). An error
+//! status in the reply is the call's result at once.
 //!
 //! Every call is made survivable over a lossy fabric by a [`RetryPolicy`]:
 //! a timed-out attempt is re-issued under the **same request id** after
@@ -13,6 +16,7 @@
 //! at-most-once execution even for non-idempotent ops (`free_batch`,
 //! `compact`). After repeated timeouts the client also **reconnects** (a
 //! fresh queue pair), covering a memory node that crashed and restarted.
+//! [`ClientNetStats`] counts both.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -63,11 +67,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (the pre-retry protocol behavior).
-    pub fn none() -> RetryPolicy {
-        RetryPolicy { max_attempts: 1, ..RetryPolicy::default() }
-    }
-
     fn backoff_for(&self, retry: u32) -> Duration {
         let exp = self.backoff.saturating_mul(1u32 << retry.min(16));
         exp.min(self.max_backoff)
@@ -83,9 +82,8 @@ impl RetryPolicy {
 
 /// Shared (atomic) network-health counters a set of [`RpcClient`]s can
 /// report into — e.g. every client one `Db` opens across its flush, GC,
-/// compaction, and read threads. The per-client `retries()`/`reconnects()`
-/// accessors only cover one client's lifetime; this aggregate is what the
-/// chaos harness checks against the server's dedup/replay counters.
+/// compaction, and read threads; the one count of retries and reconnects.
+/// The chaos harness checks it against the server's dedup/replay counters.
 #[derive(Debug, Default)]
 pub struct ClientNetStats {
     /// Attempts re-issued after a timeout, across all attached clients.
@@ -114,9 +112,8 @@ pub struct RpcClient {
     arg_off: u64,
     arg_len: u32,
     policy: RetryPolicy,
-    retries: u64,
-    reconnects: u64,
-    /// Optional aggregate sink shared with sibling clients.
+    /// Where retries and reconnects are counted, shared with sibling
+    /// clients.
     net: Option<Arc<ClientNetStats>>,
     /// Traffic of queue pairs retired by [`RpcClient::reconnect`], so
     /// [`RpcClient::traffic`] spans the client's whole lifetime.
@@ -146,8 +143,6 @@ impl RpcClient {
             arg_off: buf_size as u64,
             arg_len: buf_size as u32,
             policy: RetryPolicy::default(),
-            retries: 0,
-            reconnects: 0,
             net: None,
             traffic_carried: rdma_sim::StatsSnapshot::default(),
         })
@@ -159,13 +154,7 @@ impl RpcClient {
         self
     }
 
-    /// The active retry policy.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
-    /// Report retries/reconnects into a shared aggregate as well as the
-    /// per-client counters (builder style).
+    /// Count retries and reconnects in a shared aggregate (builder style).
     pub fn with_net_stats(mut self, net: Arc<ClientNetStats>) -> RpcClient {
         self.net = Some(net);
         self
@@ -180,22 +169,11 @@ impl RpcClient {
     }
 
     fn note_retry(&mut self) {
-        self.retries += 1;
         dlsm_trace::instant(dlsm_trace::Category::Rpc, "rpc_retry", 0);
         if let Some(net) = &self.net {
             // ORDERING: relaxed — retry counter; reporting only.
             net.retries.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Attempts re-issued after a timeout, over this client's lifetime.
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// Queue-pair recreations after repeated timeouts.
-    pub fn reconnects(&self) -> u64 {
-        self.reconnects
     }
 
     /// Recreate the queue pair to the memory node. The registered local
@@ -204,18 +182,12 @@ impl RpcClient {
         let fresh = self.fabric.create_qp(self.local_node.id(), self.remote)?;
         let old = std::mem::replace(&mut self.qp, fresh);
         self.traffic_carried.merge(&old.traffic());
-        self.reconnects += 1;
         dlsm_trace::instant(dlsm_trace::Category::Rpc, "rpc_reconnect", self.remote.0 as u64);
         if let Some(net) = &self.net {
             // ORDERING: relaxed — reconnect counter; reporting only.
             net.reconnects.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
-    }
-
-    /// The memory node this client talks to.
-    pub fn remote_node(&self) -> NodeId {
-        self.remote
     }
 
     /// Descriptor of this client's reply buffer (attached to every request).
@@ -228,26 +200,28 @@ impl RpcClient {
         }
     }
 
-    fn flag_off(&self) -> u64 {
-        u64::from(self.reply_len) - 8
-    }
-
     fn fresh_req_id() -> u64 {
         // ORDERING: relaxed — request-id generation needs uniqueness only.
         NEXT_REQ_ID.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Issue `request` with bounded retry: each timed-out attempt is
-    /// re-issued under the same request id after exponential backoff, and
-    /// the queue pair is recreated after `reconnect_after` consecutive
-    /// timeouts. `timeout` bounds each attempt.
-    fn call(&mut self, request: &Request, timeout: Duration) -> Result<Vec<u8>> {
+    /// Issue `request` under `req_id` until it is answered: each timed-out
+    /// attempt is re-issued under the same id after exponential backoff,
+    /// and the queue pair is recreated after `reconnect_after` consecutive
+    /// timeouts. `timeout` bounds each attempt; `wake` is the cell a
+    /// compaction sleeps on. Returns the reply's payload.
+    fn call(
+        &mut self,
+        req_id: u64,
+        request: &Request,
+        wake: Option<&WaitCell>,
+        timeout: Duration,
+    ) -> Result<Vec<u8>> {
         let _sp = dlsm_trace::span_arg(dlsm_trace::Category::Rpc, "rpc_call", request.op() as u64);
-        let req_id = Self::fresh_req_id();
         // Context is captured once, at encode time: retries re-send the
         // same bytes, so the server-side child hangs off this one span no
         // matter which attempt it serves (dedup-friendly).
-        let encoded = request.encode_with_ctx(req_id, dlsm_trace::current_ctx());
+        let encoded = request.encode(req_id, dlsm_trace::current_ctx());
         let timeout = self.policy.per_attempt(timeout);
         for attempt in 0..self.policy.max_attempts.max(1) {
             if attempt > 0 {
@@ -259,7 +233,7 @@ impl RpcClient {
                 // timed out — latency is dominated by the loss, not the sleep.
                 std::thread::sleep(self.policy.backoff_for(attempt - 1));
             }
-            match self.attempt(&encoded, req_id, timeout) {
+            match self.attempt(&encoded, req_id, wake, timeout) {
                 Err(MemNodeError::Timeout) => continue,
                 other => return other,
             }
@@ -267,11 +241,27 @@ impl RpcClient {
         Err(MemNodeError::Timeout)
     }
 
-    /// One attempt: post the SEND, await its completion, poll the flag until
-    /// the reply frame carrying `req_id` lands.
-    fn attempt(&mut self, encoded: &[u8], req_id: u64, timeout: Duration) -> Result<Vec<u8>> {
-        // Reset the flag before the responder can race us.
-        self.local.atomic_u64(self.flag_off())?.store(0, Ordering::Release);
+    /// One attempt: post the SEND, await its completion, then wait until
+    /// the reply frame carrying `req_id` lands — sleeping on `wake` when the
+    /// reply comes with an immediate, else polling the flag word.
+    fn attempt(
+        &mut self,
+        encoded: &[u8],
+        req_id: u64,
+        wake: Option<&WaitCell>,
+        timeout: Duration,
+    ) -> Result<Vec<u8>> {
+        let flag = ReplyFrame::flag_offset(self.reply_len);
+        // Disarm before the responder can race us, and again after a stale
+        // frame from an earlier call.
+        let rearm = |local: &MemoryRegion| -> Result<()> {
+            local.atomic_u64(flag)?.store(0, Ordering::Release);
+            if let Some(cell) = wake {
+                cell.reset();
+            }
+            Ok(())
+        };
+        rearm(&self.local)?;
         self.qp.post_send(encoded.to_vec(), 7)?;
         // A lost SEND completion is indistinguishable from a lost request;
         // treat either as a timeout so the retry path takes over.
@@ -281,15 +271,21 @@ impl RpcClient {
         let deadline = Instant::now() + timeout;
         let mut spins = 0u32;
         loop {
-            if self.local.atomic_load(self.flag_off())? != 0 {
-                match self.read_reply(req_id)? {
-                    Some(payload) => return Ok(payload),
-                    None => {
-                        // Stale frame from an earlier call: rearm the flag
-                        // and keep waiting for the real reply.
-                        self.local.atomic_u64(self.flag_off())?.store(0, Ordering::Release);
-                    }
+            let landed = match wake {
+                // HOTPATH: only compaction threads sleep for their reply,
+                // never a foreground op.
+                Some(cell) => cell.wait(deadline.saturating_duration_since(Instant::now())),
+                None => self.local.atomic_load(flag)? != 0,
+            };
+            if landed {
+                let frame =
+                    ReplyFrame::read(self.reply_len, |off, dst| Ok(self.local.local_read(off, dst)?))?;
+                let (id, body) = ReplyFrame::decode(&frame)?;
+                if id == req_id {
+                    return ReplyFrame::payload(body).map(<[u8]>::to_vec);
                 }
+                rearm(&self.local)?;
+                continue;
             }
             if Instant::now() >= deadline {
                 return Err(MemNodeError::Timeout);
@@ -306,46 +302,22 @@ impl RpcClient {
         }
     }
 
-    /// Read the reply frame; `None` when it carries a stale request id.
-    fn read_reply(&self, expect: u64) -> Result<Option<Vec<u8>>> {
-        let mut head = [0u8; ReplyFrame::HEADER];
-        self.local.local_read(0, &mut head)?;
-        let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
-        let req_id = u64::from_le_bytes([
-            head[4], head[5], head[6], head[7], head[8], head[9], head[10], head[11],
-        ]);
-        if len + ReplyFrame::HEADER + 8 > self.reply_len as usize {
-            return Err(MemNodeError::BadMessage(format!("reply length {len} out of range")));
-        }
-        if req_id != expect {
-            return Ok(None);
-        }
-        let mut payload = vec![0u8; len];
-        self.local.local_read(ReplyFrame::HEADER as u64, &mut payload)?;
-        Ok(Some(payload))
-    }
-
     /// Liveness/latency probe: echoes `payload`.
     pub fn ping(&mut self, payload: &[u8], timeout: Duration) -> Result<Vec<u8>> {
-        self.call(&Request::Ping { reply: self.reply_desc(), payload: payload.to_vec() }, timeout)
+        let req = Request::Ping { reply: self.reply_desc(), payload: payload.to_vec() };
+        self.call(Self::fresh_req_id(), &req, None, timeout)
     }
 
     /// Batched GC of extents in the memory node's compaction zone
     /// (Sec. V-B: frees are grouped locally and shipped together).
     pub fn free_batch(&mut self, extents: &[(u64, u64)], timeout: Duration) -> Result<()> {
-        let reply = self.call(
-            &Request::FreeBatch { reply: self.reply_desc(), extents: extents.to_vec() },
-            timeout,
-        )?;
-        if reply.first() != Some(&0) {
-            return Err(MemNodeError::RemoteError("free batch failed".into()));
-        }
-        Ok(())
+        let req = Request::FreeBatch { reply: self.reply_desc(), extents: extents.to_vec() };
+        self.call(Self::fresh_req_id(), &req, None, timeout).map(drop)
     }
 
     /// Largest payload a single [`RpcClient::read_file`] can return.
     pub fn max_read_len(&self) -> usize {
-        self.reply_len as usize - ReplyFrame::HEADER - 8
+        ReplyFrame::room(self.reply_len)
     }
 
     /// Two-sided "file" read from the memory node's region (the Nova-LSM
@@ -354,19 +326,14 @@ impl RpcClient {
         if len as usize > self.max_read_len() {
             return Err(MemNodeError::BadMessage("read larger than reply buffer".into()));
         }
-        self.call(&Request::ReadFile { reply: self.reply_desc(), offset, len }, timeout)
+        let req = Request::ReadFile { reply: self.reply_desc(), offset, len };
+        self.call(Self::fresh_req_id(), &req, None, timeout)
     }
 
     /// Two-sided "file" write into the memory node's region.
     pub fn write_file(&mut self, offset: u64, data: &[u8], timeout: Duration) -> Result<()> {
-        let reply = self.call(
-            &Request::WriteFile { reply: self.reply_desc(), offset, data: data.to_vec() },
-            timeout,
-        )?;
-        if reply.first() != Some(&0) {
-            return Err(MemNodeError::RemoteError("write failed".into()));
-        }
-        Ok(())
+        let req = Request::WriteFile { reply: self.reply_desc(), offset, data: data.to_vec() };
+        self.call(Self::fresh_req_id(), &req, None, timeout).map(drop)
     }
 
     /// Ask the memory node to cancel (or reclaim the outputs of) the
@@ -375,12 +342,8 @@ impl RpcClient {
     /// server frees finished outputs, tombstones in-flight work, and leaves
     /// a tombstone for a request that shows up later.
     pub fn cancel_compact(&mut self, target: u64, timeout: Duration) -> Result<()> {
-        let reply =
-            self.call(&Request::CancelCompact { reply: self.reply_desc(), target }, timeout)?;
-        if reply.first() != Some(&0) {
-            return Err(MemNodeError::RemoteError("cancel failed".into()));
-        }
-        Ok(())
+        let req = Request::CancelCompact { reply: self.reply_desc(), target };
+        self.call(Self::fresh_req_id(), &req, None, timeout).map(drop)
     }
 
     /// Near-data compaction: serialize `args` into the registered argument
@@ -388,11 +351,9 @@ impl RpcClient {
     /// WRITE-with-IMMEDIATE wakes this thread via `waiter`, then decode the
     /// reply.
     ///
-    /// A timed-out attempt is re-issued under the same request id (the
-    /// server dedups, so the compaction runs at most once). If all attempts
-    /// time out, a best-effort [`RpcClient::cancel_compact`] tells the
-    /// server to reclaim any outputs the orphaned compaction produces, so
-    /// no memory-node extent leaks.
+    /// If every attempt times out, a best-effort
+    /// [`RpcClient::cancel_compact`] tells the server to reclaim any outputs
+    /// the orphaned compaction produces, so no memory-node extent leaks.
     pub fn compact(
         &mut self,
         args: &CompactArgs,
@@ -408,7 +369,6 @@ impl RpcClient {
             )));
         }
         self.local.local_write(self.arg_off, &encoded)?;
-        let _sp = dlsm_trace::span(dlsm_trace::Category::Rpc, "rpc_compact");
         let (unique_id, cell) = waiter.register();
         let req_id = Self::fresh_req_id();
         let req = Request::Compact {
@@ -421,70 +381,13 @@ impl RpcClient {
                 len: encoded.len() as u32,
             },
         };
-        let wire = req.encode_with_ctx(req_id, dlsm_trace::current_ctx());
-        let attempt_timeout = self.policy.per_attempt(timeout);
-        let result = (|| {
-            for attempt in 0..self.policy.max_attempts.max(1) {
-                if attempt > 0 {
-                    self.note_retry();
-                    if self.policy.reconnect_after != 0 && attempt >= self.policy.reconnect_after {
-                        let _ = self.reconnect();
-                    }
-                    // HOTPATH: retry backoff only runs after an attempt already
-                // timed out — latency is dominated by the loss, not the sleep.
-                std::thread::sleep(self.policy.backoff_for(attempt - 1));
-                }
-                match self.compact_attempt(&wire, req_id, &cell, attempt_timeout) {
-                    Err(MemNodeError::Timeout) => continue,
-                    other => return other,
-                }
-            }
-            Err(MemNodeError::Timeout)
-        })();
+        let reply = self.call(req_id, &req, Some(&cell), timeout);
         waiter.unregister(unique_id);
-        if matches!(result, Err(MemNodeError::Timeout)) {
+        if matches!(reply, Err(MemNodeError::Timeout)) {
             // The compaction may still complete server-side; reclaim it.
             let _ = self.cancel_compact(req_id, timeout.min(Duration::from_secs(5)));
         }
-        result
-    }
-
-    fn compact_attempt(
-        &mut self,
-        wire: &[u8],
-        req_id: u64,
-        cell: &Arc<WaitCell>,
-        timeout: Duration,
-    ) -> Result<CompactReply> {
-        cell.reset();
-        self.qp.post_send(wire.to_vec(), 8)?;
-        if self.qp.poll_one_blocking(timeout.min(Duration::from_secs(10))).is_err() {
-            return Err(MemNodeError::Timeout);
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            // HOTPATH: the compaction RPC waits for its reply; only compaction
-            // threads call `compact`, never a foreground op.
-            if remaining.is_zero() || !cell.wait(remaining) {
-                return Err(MemNodeError::Timeout);
-            }
-            match self.read_reply(req_id)? {
-                Some(payload) => {
-                    let (&status, body) = payload
-                        .split_first()
-                        .ok_or_else(|| MemNodeError::BadMessage("empty compaction reply".into()))?;
-                    if status != 0 {
-                        return Err(MemNodeError::RemoteError(
-                            String::from_utf8_lossy(body).into_owned(),
-                        ));
-                    }
-                    return CompactReply::decode(body);
-                }
-                // Stale wake-up (frame from an earlier request); rearm.
-                None => cell.reset(),
-            }
-        }
+        CompactReply::decode(&reply?)
     }
 }
 
@@ -627,6 +530,50 @@ mod tests {
         let (fabric, compute, server) = cluster();
         let mut client = RpcClient::new(&fabric, &compute, server.node_id(), 256).unwrap();
         assert!(client.read_file(0, 1024, Duration::from_secs(1)).is_err());
+        server.shutdown();
+    }
+
+    /// A client on `server` whose retries are counted in the returned stats.
+    fn counted(fabric: &Arc<Fabric>, compute: &Arc<Node>, server: &MemServer, buf: usize) -> (RpcClient, Arc<ClientNetStats>) {
+        let net = Arc::new(ClientNetStats::default());
+        let client = RpcClient::new(fabric, compute, server.node_id(), buf).unwrap().with_net_stats(Arc::clone(&net));
+        (client, net)
+    }
+
+    /// A request the memory node cannot execute is answered with its error
+    /// at once — not with silence the client retries into a timeout.
+    #[test]
+    fn a_failed_request_is_answered_not_retried() {
+        let (fabric, compute, server) = cluster();
+        let (mut client, net) = counted(&fabric, &compute, &server, 1 << 16);
+        let end = server.region().len() as u64;
+        let wait = Duration::from_millis(200);
+        let err = client.read_file(end - 4, 64, wait).unwrap_err();
+        assert!(matches!(err, MemNodeError::RemoteError(_)), "read past the region: {err:?}");
+        let err = client.write_file(end - 4, &[7; 64], wait).unwrap_err();
+        assert!(matches!(err, MemNodeError::RemoteError(_)), "write past the region: {err:?}");
+        assert_eq!(net.totals(), (0, 0), "an answered error was retried");
+        // The errors were not cached: the same region still reads and writes.
+        client.write_file(end - 4, b"tail", wait).unwrap();
+        assert_eq!(client.read_file(end - 4, 4, wait).unwrap(), b"tail");
+        server.shutdown();
+    }
+
+    /// A ping whose echo does not fit the reply buffer fails with an error
+    /// status: nothing is retried, and nothing undeliverable is cached and
+    /// replayed.
+    #[test]
+    fn an_echo_larger_than_the_reply_buffer_is_refused_at_once() {
+        let (fabric, compute, server) = cluster();
+        let (mut client, net) = counted(&fabric, &compute, &server, 4096);
+        let err = client.ping(&[1; 5000], Duration::from_millis(200)).unwrap_err();
+        assert!(
+            matches!(&err, MemNodeError::RemoteError(m) if m.contains("exceeds the 4096-byte reply buffer")),
+            "{err:?}"
+        );
+        assert_eq!(net.totals(), (0, 0), "a refused reply was retried");
+        assert_eq!(server.stats().replays.load(Ordering::Relaxed), 0, "a reply that never fit was replayed");
+        assert_eq!(client.ping(b"small", Duration::from_millis(200)).unwrap(), b"small");
         server.shutdown();
     }
 
@@ -773,8 +720,8 @@ mod tests {
         let plan =
             ChaosPlan::new(seed).drop(Verb::Send, 0.15).drop(Verb::Write, 0.10).drop(Verb::FetchAdd, 0.10);
         fabric.set_fault_hook(Some(Arc::new(plan)));
-        let mut client = RpcClient::new(&fabric, &compute, server.node_id(), 4096)
-            .unwrap()
+        let (client, net) = counted(&fabric, &compute, &server, 4096);
+        let mut client = client
             .with_policy(RetryPolicy {
                 max_attempts: 25,
                 backoff: Duration::from_millis(1),
@@ -790,7 +737,7 @@ mod tests {
             assert_eq!(reply, msg, "wrong echo under seed {seed:#x}");
         }
         fabric.set_fault_hook(None);
-        assert!(client.retries() > 0, "a 15% send-drop rate over 30 pings must cause retries");
+        assert!(net.totals().0 > 0, "a 15% send-drop rate over 30 pings must cause retries");
         server.shutdown();
     }
 
@@ -821,8 +768,8 @@ mod tests {
 
         let (fabric, compute, server) = cluster();
         fabric.set_fault_hook(Some(Arc::new(DelayFirstSend { remaining: AtomicU64::new(1) })));
-        let mut client = RpcClient::new(&fabric, &compute, server.node_id(), 4096)
-            .unwrap()
+        let (client, net) = counted(&fabric, &compute, &server, 4096);
+        let mut client = client
             .with_policy(RetryPolicy {
                 max_attempts: 10,
                 backoff: Duration::from_millis(2),
@@ -832,7 +779,7 @@ mod tests {
             });
         let reply = client.ping(b"dedup-me", Duration::from_millis(50)).unwrap();
         assert_eq!(reply, b"dedup-me");
-        assert!(client.retries() >= 1, "the delayed first attempt must have timed out");
+        assert!(net.totals().0 >= 1, "the delayed first attempt must have timed out");
         fabric.set_fault_hook(None);
         // The late duplicate(s) must be answered from the dedup window, not
         // executed again.
@@ -850,8 +797,8 @@ mod tests {
     #[test]
     fn client_survives_memnode_crash_and_restart() {
         let (fabric, compute, mut server) = cluster();
-        let mut client = RpcClient::new(&fabric, &compute, server.node_id(), 4096)
-            .unwrap()
+        let (client, net) = counted(&fabric, &compute, &server, 4096);
+        let mut client = client
             .with_policy(RetryPolicy {
                 max_attempts: 40,
                 backoff: Duration::from_millis(4),
@@ -874,7 +821,7 @@ mod tests {
         assert_eq!(reply, b"after-crash");
         let server = handle.join().unwrap();
         assert_eq!(server.stats().restarts.load(Ordering::Relaxed), 1);
-        assert!(client.retries() >= 1, "pinging a crashed node must require retries");
+        assert!(net.totals().0 >= 1, "pinging a crashed node must require retries");
         server.shutdown();
     }
 }

@@ -9,18 +9,20 @@
 //!   **compaction zone** controlled by the memory node itself, so near-data
 //!   compaction can allocate outputs without a network round trip
 //!   (Sec. V-A).
-//! * [`wire`] — hand-rolled little-endian request/reply formats.
+//! * [`wire`] — hand-rolled little-endian request/reply formats; every reply
+//!   is one [`ReplyFrame`], `[status][payload]`.
 //! * [`server`] — the dispatcher + worker threads: general-purpose RPCs
-//!   (ping, read, write, free-batch) are answered inline with the reply
-//!   **bypassing the dispatcher** via a one-sided RDMA write into the
-//!   requester's polling buffer (Sec. X-D1); compaction requests go to a
-//!   core-budgeted worker pool (the Fig. 12 knob) and reply with
-//!   WRITE-with-IMMEDIATE to wake the sleeping requester (Sec. X-D2).
+//!   (ping, read, write, free-batch) are executed inline, compaction
+//!   requests by a core-budgeted worker pool (the Fig. 12 knob). Every
+//!   request is answered the same way, **bypassing the requester's
+//!   dispatcher** with a one-sided RDMA write into its reply buffer, and a
+//!   raised flag word: polled for (Sec. X-D1), or, for a compaction, a
+//!   WRITE-with-IMMEDIATE that wakes the sleeping requester (Sec. X-D2).
 //! * [`compactor`] — executes a compaction entirely against local DRAM:
 //!   merge inputs with the shared [`dlsm_sstable::merge::CompactionIter`],
 //!   build outputs in the compaction zone, return their metadata.
 //! * [`client`] — the compute-node side: `RpcClient` (thread-local queue
-//!   pair + registered reply/argument buffers, boolean-flag polling) and
+//!   pair + registered reply/argument buffers, one retry loop) and
 //!   `ImmWaiter` (the thread notifier that routes immediate events to
 //!   sleeping compaction requesters by unique id).
 

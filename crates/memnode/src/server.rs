@@ -5,21 +5,28 @@
 //! into the compute-controlled **flush zone** and the server-controlled
 //! **compaction zone**, and two thread pools:
 //!
-//! * **dispatchers** drain the node's inbox and answer general-purpose RPCs
-//!   inline, writing replies one-sided into the requester's polling buffer
-//!   so the reply path bypasses any requester-side dispatcher (Sec. X-D1);
+//! * **dispatchers** drain the node's inbox and execute general-purpose
+//!   RPCs inline;
 //! * **compaction workers** (the remote-CPU-core budget of Fig. 12) pull
 //!   compaction jobs from a queue, RDMA-read the argument from the
-//!   requester, run the merge against local DRAM, and reply with a
-//!   WRITE-with-IMMEDIATE that wakes the sleeping requester (Sec. X-D2).
+//!   requester and run the merge against local DRAM.
+//!
+//! Both answer through one path, `Core::answer`: every request is answered,
+//! an error with its status. The reply is WRITTEN one-sided into the
+//! requester's reply buffer, bypassing any requester-side dispatcher, and
+//! the flag word at the buffer's end is raised with a FETCH_ADD the
+//! requester polls for (Sec. X-D1) — or, for a compaction, with a
+//! WRITE-with-IMMEDIATE that wakes the sleeping requester (Sec. X-D2).
 //!
 //! Because clients retry timed-out calls, every request carries a request
 //! id and the server keeps a per-client [`DedupMap`]: a duplicate of an
 //! in-flight request is dropped, a duplicate of a completed request replays
 //! the cached reply without re-executing (at-most-once execution for
-//! non-idempotent ops like `FreeBatch` and `Compact`), and a
-//! `CancelCompact` reclaims the outputs of a compaction whose requester
-//! gave up — so a lost RPC can never leak a compaction-zone extent.
+//! non-idempotent ops like `FreeBatch` and `Compact`), an error is never
+//! cached, and a `CancelCompact` reclaims the outputs of a compaction whose
+//! requester gave up — so a lost RPC can never leak a compaction-zone
+//! extent. A reply is cached only once it is known to fit the requester's
+//! buffer: nothing undeliverable is replayed.
 //!
 //! [`MemServer::crash`] / [`MemServer::restart`] model a memory-node
 //! failure: threads stop and in-flight messages are lost, but the
@@ -38,7 +45,7 @@ use rdma_sim::{Fabric, MemoryRegion, Node, NodeId, QueuePair};
 use crate::alloc::RegionAllocator;
 use crate::compactor::execute_compaction;
 use crate::wire::{BufDesc, CompactArgs, ReplyFrame, Request};
-use crate::{MemNodeError, Result};
+use crate::Result;
 
 /// How long the server waits for one of its own reply-path completions.
 /// Legitimate completions arrive in microseconds in the simulator; a
@@ -90,9 +97,10 @@ pub struct ServerStats {
     pub records_out: AtomicU64,
     /// Extents freed via the GC RPC.
     pub freed_extents: AtomicU64,
-    /// General-purpose RPCs served.
+    /// RPC requests received, compactions included.
     pub rpcs: AtomicU64,
-    /// Compactions that failed (error status replied).
+    /// Requests answered with an error status, and replies that could not
+    /// be delivered.
     pub failures: AtomicU64,
     /// Cached replies re-delivered for retried requests.
     pub replays: AtomicU64,
@@ -149,17 +157,15 @@ impl ServerStats {
 }
 
 /// A reply the server remembers so a retried request can be answered
-/// without re-executing.
+/// without re-executing. Only ok replies are remembered: an error is
+/// answered and forgotten, so a retry re-executes.
 #[derive(Debug, Clone)]
 pub struct CachedReply {
-    /// The framed payload as delivered (for compactions this includes the
-    /// leading status byte).
-    pub payload: Vec<u8>,
+    /// The reply body as delivered, `[0][payload]`.
+    pub body: Vec<u8>,
     /// Compaction-zone extents owned by this reply's outputs; freed if the
     /// request is canceled instead of acknowledged.
     pub extents: Vec<(u64, u64)>,
-    /// Whether the reply is delivered compaction-style (WRITE-with-IMM).
-    pub compact: bool,
 }
 
 enum Entry {
@@ -284,70 +290,62 @@ impl DedupMap {
     }
 }
 
-struct CompactJob {
+/// Where a request is answered: its requester, its id, the requester's
+/// reply buffer, and the immediate that wakes the requester if it sleeps
+/// ([`Request::wake`]).
+#[derive(Clone, Copy)]
+struct ReplyTo {
     src: NodeId,
     req_id: u64,
     reply: BufDesc,
-    unique_id: u32,
+    wake: Option<u32>,
+}
+
+struct CompactJob {
+    to: ReplyTo,
     args: BufDesc,
-    /// Requester's trace context (wire header v2), if it sent one.
+    /// Requester's trace context, if it sent one.
     trace: Option<dlsm_trace::TraceCtx>,
+}
+
+/// What every dispatcher and compaction worker shares: the node, its
+/// region and zone allocator, the counters and the dedup window. All of it
+/// survives [`MemServer::crash`].
+#[derive(Clone)]
+struct Core {
+    fabric: Arc<Fabric>,
+    node: Arc<Node>,
+    region: Arc<MemoryRegion>,
+    allocator: Arc<RegionAllocator>,
+    stats: Arc<ServerStats>,
+    dedup: Arc<DedupMap>,
 }
 
 /// A running memory node.
 pub struct MemServer {
-    fabric: Arc<Fabric>,
-    node: Arc<Node>,
-    region: Arc<MemoryRegion>,
+    core: Core,
     cfg: MemServerConfig,
-    allocator: Arc<RegionAllocator>,
-    stats: Arc<ServerStats>,
-    dedup: Arc<DedupMap>,
     stop: Arc<AtomicBool>,
     threads: Vec<std::thread::JoinHandle<()>>,
     crashed: bool,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn spawn_threads(
-    fabric: &Arc<Fabric>,
-    node: &Arc<Node>,
-    region: &Arc<MemoryRegion>,
-    allocator: &Arc<RegionAllocator>,
-    stats: &Arc<ServerStats>,
-    dedup: &Arc<DedupMap>,
+    core: &Core,
     stop: &Arc<AtomicBool>,
     cfg: &MemServerConfig,
 ) -> Vec<std::thread::JoinHandle<()>> {
     let (tx, rx) = unbounded::<CompactJob>();
     let mut threads = Vec::new();
     for _ in 0..cfg.dispatchers.max(1) {
-        let ctx = DispatchCtx {
-            fabric: Arc::clone(fabric),
-            node: Arc::clone(node),
-            region: Arc::clone(region),
-            allocator: Arc::clone(allocator),
-            stats: Arc::clone(stats),
-            dedup: Arc::clone(dedup),
-            stop: Arc::clone(stop),
-            compact_tx: tx.clone(),
-        };
-        threads.push(std::thread::spawn(move || dispatcher_loop(ctx)));
+        let (core, stop, tx) = (core.clone(), Arc::clone(stop), tx.clone());
+        threads.push(std::thread::spawn(move || dispatcher_loop(&core, &stop, &tx)));
     }
     drop(tx);
     for _ in 0..cfg.compaction_workers.max(1) {
-        let ctx = WorkerCtx {
-            fabric: Arc::clone(fabric),
-            node_id: node.id(),
-            region: Arc::clone(region),
-            allocator: Arc::clone(allocator),
-            stats: Arc::clone(stats),
-            dedup: Arc::clone(dedup),
-            rx: rx.clone(),
-        };
-        threads.push(std::thread::spawn(move || worker_loop(ctx)));
+        let (core, rx) = (core.clone(), rx.clone());
+        threads.push(std::thread::spawn(move || worker_loop(&core, &rx)));
     }
-    drop(rx);
     threads
 }
 
@@ -358,38 +356,30 @@ impl MemServer {
         // PANIC-SAFE: start-up argument check, before any thread exists.
         assert!(cfg.flush_zone <= cfg.region_size as u64, "flush zone exceeds region");
         let node = fabric.add_node();
-        let region = node.register_region(cfg.region_size);
-        let allocator = Arc::new(RegionAllocator::new(
-            cfg.flush_zone,
-            cfg.region_size as u64 - cfg.flush_zone,
-        ));
-        let stats = Arc::new(ServerStats::default());
-        let dedup = Arc::new(DedupMap::new(1024));
-        let stop = Arc::new(AtomicBool::new(false));
-        let threads =
-            spawn_threads(fabric, &node, &region, &allocator, &stats, &dedup, &stop, &cfg);
-        MemServer {
+        let core = Core {
             fabric: Arc::clone(fabric),
+            region: node.register_region(cfg.region_size),
             node,
-            region,
-            cfg,
-            allocator,
-            stats,
-            dedup,
-            stop,
-            threads,
-            crashed: false,
-        }
+            allocator: Arc::new(RegionAllocator::new(
+                cfg.flush_zone,
+                cfg.region_size as u64 - cfg.flush_zone,
+            )),
+            stats: Arc::new(ServerStats::default()),
+            dedup: Arc::new(DedupMap::new(1024)),
+        };
+        let stop = Arc::new(AtomicBool::new(false));
+        let threads = spawn_threads(&core, &stop, &cfg);
+        MemServer { core, cfg, stop, threads, crashed: false }
     }
 
     /// This server's node id (RPC target for clients).
     pub fn node_id(&self) -> NodeId {
-        self.node.id()
+        self.core.node.id()
     }
 
     /// The server's registered region (clients address SSTables within it).
     pub fn region(&self) -> &Arc<MemoryRegion> {
-        &self.region
+        &self.core.region
     }
 
     /// Length of the compute-controlled flush zone.
@@ -404,17 +394,17 @@ impl MemServer {
 
     /// Server-side counters.
     pub fn stats(&self) -> &Arc<ServerStats> {
-        &self.stats
+        &self.core.stats
     }
 
     /// A point-in-time telemetry snapshot: [`ServerStats::snapshot`].
     pub fn telemetry_snapshot(&self) -> dlsm_telemetry::TelemetrySnapshot {
-        self.stats.snapshot()
+        self.core.stats.snapshot()
     }
 
     /// The at-most-once request window.
     pub fn dedup(&self) -> &Arc<DedupMap> {
-        &self.dedup
+        &self.core.dedup
     }
 
     /// Register this server's live state with a metrics registry: region
@@ -426,10 +416,10 @@ impl MemServer {
     /// which [`MemServer::crash`]/[`MemServer::restart`] preserve — so a
     /// registered collector stays accurate across a crash cycle.
     pub fn register_metrics(&self, reg: &dlsm_metrics::MetricsRegistry) {
-        let node = self.node.id().0.to_string();
-        let allocator = Arc::clone(&self.allocator);
-        let stats = Arc::clone(&self.stats);
-        let dedup = Arc::clone(&self.dedup);
+        let node = self.node_id().0.to_string();
+        let allocator = Arc::clone(&self.core.allocator);
+        let stats = Arc::clone(&self.core.stats);
+        let dedup = Arc::clone(&self.core.dedup);
         let region_size = self.cfg.region_size as u64;
         let flush_zone = self.cfg.flush_zone;
         reg.register(move |out: &mut dlsm_metrics::Sample| {
@@ -470,12 +460,12 @@ impl MemServer {
 
     /// Bytes in use in the compaction zone.
     pub fn compaction_zone_in_use(&self) -> u64 {
-        self.allocator.in_use()
+        self.core.allocator.in_use()
     }
 
     /// The fabric this server is attached to.
     pub fn fabric(&self) -> &Arc<Fabric> {
-        &self.fabric
+        &self.core.fabric
     }
 
     /// Whether the server is currently crashed (threads stopped).
@@ -500,7 +490,7 @@ impl MemServer {
         }
         // Anything the threads were tracking died with them; retried
         // requests must re-execute rather than wait forever.
-        self.dedup.sweep_in_flight();
+        self.core.dedup.sweep_in_flight();
         self.crashed = true;
     }
 
@@ -512,21 +502,12 @@ impl MemServer {
             return;
         }
         // HOTPATH: a zero timeout drains the inboxes without waiting.
-        while self.node.recv(Duration::ZERO).is_ok() {}
-        while self.node.recv_imm(Duration::ZERO).is_ok() {}
+        while self.core.node.recv(Duration::ZERO).is_ok() {}
+        while self.core.node.recv_imm(Duration::ZERO).is_ok() {}
         self.stop = Arc::new(AtomicBool::new(false));
-        self.threads = spawn_threads(
-            &self.fabric,
-            &self.node,
-            &self.region,
-            &self.allocator,
-            &self.stats,
-            &self.dedup,
-            &self.stop,
-            &self.cfg,
-        );
+        self.threads = spawn_threads(&self.core, &self.stop, &self.cfg);
         // ORDERING: relaxed — restart counter; reporting only.
-        self.stats.restarts.fetch_add(1, Ordering::Relaxed);
+        self.core.stats.restarts.fetch_add(1, Ordering::Relaxed);
         self.crashed = false;
     }
 
@@ -548,275 +529,185 @@ impl Drop for MemServer {
     }
 }
 
-struct DispatchCtx {
-    fabric: Arc<Fabric>,
-    node: Arc<Node>,
-    region: Arc<MemoryRegion>,
-    allocator: Arc<RegionAllocator>,
-    stats: Arc<ServerStats>,
-    dedup: Arc<DedupMap>,
-    stop: Arc<AtomicBool>,
-    compact_tx: Sender<CompactJob>,
-}
+/// A thread's queue pairs to the requesters it answers, one per node.
+type Qps = HashMap<NodeId, QueuePair>;
 
-/// Write a [`ReplyFrame`] into the requester's reply buffer, then bump the
-/// completion flag (the last word of the buffer) with a remote atomic.
-///
-/// The payload write is awaited *before* the flag is raised so a poller can
-/// never observe the flag without the payload (in the simulator, payload
-/// bytes land at post time but the flag is only bumped after the payload's
-/// completion deadline has passed — mirroring real RDMA's in-order delivery
-/// within a queue pair).
-fn reply_general(
-    qp: &mut QueuePair,
-    reply: &BufDesc,
-    region_of: &Arc<Node>,
-    req_id: u64,
-    payload: &[u8],
-) -> Result<()> {
-    let target = region_of.region(rdma_sim::MrId(reply.mr))?;
-    let base = target.addr(reply.offset);
-    // rkey comes from the descriptor, not the region lookup: enforce it.
-    let base = rdma_sim::RemoteAddr { rkey: reply.rkey, ..base };
-    if payload.len() + ReplyFrame::HEADER + 8 > reply.len as usize {
-        return Err(MemNodeError::BadMessage(format!(
-            "reply of {} bytes exceeds reply buffer of {}",
-            payload.len(),
-            reply.len
-        )));
+impl Core {
+    fn qp_for<'a>(&self, qps: &'a mut Qps, remote: NodeId) -> Result<&'a mut QueuePair> {
+        Ok(match qps.entry(remote) {
+            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(self.fabric.create_qp(self.node.id(), remote)?)
+            }
+        })
     }
-    let framed = ReplyFrame::encode(req_id, payload);
-    qp.post_write(&framed, base, 1)?;
-    // Await the payload before raising the flag.
-    qp.poll_one_blocking(REPLY_POLL)?;
-    let flag_addr = base.add(u64::from(reply.len) - 8);
-    qp.fetch_add(flag_addr, 1)?;
-    Ok(())
+
+    /// Deliver `body` as the answer `to` a request: WRITE the
+    /// [`ReplyFrame`] into the requester's reply buffer and await it, then
+    /// raise the flag word — with a FETCH_ADD the requester polls for, or,
+    /// when the request asked to be woken, a WRITE-with-IMMEDIATE carrying
+    /// the wake-up id to its thread notifier (Sec. X-D). The frame is
+    /// awaited before the flag so a waiter never sees the flag without it
+    /// (in the simulator, bytes land at post time but the flag only after
+    /// the frame's completion deadline — real RDMA's in-order delivery
+    /// within a queue pair).
+    fn deliver(&self, qps: &mut Qps, to: &ReplyTo, body: &[u8]) {
+        let delivered = (|| -> Result<()> {
+            let qp = self.qp_for(qps, to.src)?;
+            let base = remote_addr(to.src, &to.reply);
+            qp.post_write(&ReplyFrame::encode(to.req_id, body), base, 1)?;
+            qp.poll_one_blocking(REPLY_POLL)?;
+            let flag = base.add(ReplyFrame::flag_offset(to.reply.len));
+            match to.wake {
+                None => {
+                    qp.fetch_add(flag, 1)?;
+                }
+                Some(imm) => {
+                    qp.post_write_imm(&1u64.to_le_bytes(), flag, imm, 2)?;
+                    qp.poll_one_blocking(REPLY_POLL)?;
+                }
+            }
+            Ok(())
+        })();
+        if let Err(e) = delivered {
+            // The requester's retry gets the cached reply, or re-executes.
+            eprintln!("memnode: reply delivery failed: {e}");
+            // ORDERING: relaxed — failure counter; reporting only.
+            self.stats.failures.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Answer a request with `outcome`, whose payload owns the
+    /// compaction-zone `extents`. An ok reply that fits the requester's
+    /// buffer is remembered in the dedup window, then delivered — unless
+    /// the requester canceled it meanwhile, when it is dropped. Anything
+    /// else — an execution error, a payload the buffer cannot take — is
+    /// answered with an error status and forgotten, and its extents freed.
+    fn answer(&self, qps: &mut Qps, to: &ReplyTo, outcome: Result<Vec<u8>>, extents: Vec<(u64, u64)>) {
+        let (ok, body) = ReplyFrame::body(outcome, to.reply.len);
+        let cached = CachedReply { body, extents };
+        if !ok {
+            cached.extents.iter().for_each(|&(off, len)| self.allocator.free(off, len));
+            self.dedup.abort(to.src, to.req_id);
+            // ORDERING: relaxed — failure counter; reporting only.
+            self.stats.failures.fetch_add(1, Ordering::Relaxed);
+        } else if !self.dedup.complete(to.src, to.req_id, cached.clone()) {
+            // Canceled while executing: the requester is gone, so the
+            // outputs would otherwise leak. Reclaim and say nothing.
+            cached.extents.iter().for_each(|&(off, len)| self.allocator.free(off, len));
+            // ORDERING: relaxed — cancel counter; reporting only.
+            self.stats.canceled.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        self.deliver(qps, to, &cached.body);
+    }
 }
 
-/// The longest body a reply buffer takes, between frame header and flag word.
-fn reply_room(reply: &BufDesc) -> usize {
-    (reply.len as usize).saturating_sub(ReplyFrame::HEADER + 8)
+/// `desc` on node `node`. The rkey is the descriptor's: the fabric
+/// enforces it.
+fn remote_addr(node: NodeId, desc: &BufDesc) -> rdma_sim::RemoteAddr {
+    rdma_sim::RemoteAddr { node, mr: rdma_sim::MrId(desc.mr), offset: desc.offset, rkey: desc.rkey }
 }
 
-/// Deliver a compaction-style reply: frame one-sided into the requester's
-/// reply buffer, then WRITE-with-IMMEDIATE carrying `unique_id` to wake
-/// the sleeping requester. `body` is `[status u8][payload]`. The requester
-/// sleeps until it is answered, so it always is: a body its buffer cannot
-/// take goes as an error status, cut to what the buffer does take.
-#[allow(clippy::too_many_arguments)]
-fn deliver_compact_reply(
-    fabric: &Arc<Fabric>,
-    local: NodeId,
-    qps: &mut HashMap<NodeId, QueuePair>,
-    src: NodeId,
-    req_id: u64,
-    reply: &BufDesc,
-    unique_id: u32,
-    body: &[u8],
-) -> Result<()> {
-    let qp = qp_for(fabric, local, src, qps)?;
-    let requester = fabric.node(src)?;
-    let target = requester.region(rdma_sim::MrId(reply.mr))?;
-    let base = rdma_sim::RemoteAddr { rkey: reply.rkey, ..target.addr(reply.offset) };
-    const REFUSAL: &[u8] = b"\x01compaction reply exceeds the reply buffer";
-    let room = reply_room(reply);
-    let body = if body.len() > room { &REFUSAL[..REFUSAL.len().min(room)] } else { body };
-    let framed = ReplyFrame::encode(req_id, body);
-    qp.post_write(&framed, base, 1)?;
-    qp.poll_one_blocking(REPLY_POLL)?;
-    // The immediate wakes the requester; the written word is unused.
-    let flag_addr = base.add(u64::from(reply.len) - 8);
-    qp.post_write_imm(&1u64.to_le_bytes(), flag_addr, unique_id, 2)?;
-    qp.poll_one_blocking(REPLY_POLL)?;
-    Ok(())
+/// A server span, a child of the requester's span when the request carried
+/// its context.
+fn server_span(name: &'static str, trace: Option<dlsm_trace::TraceCtx>) -> dlsm_trace::Span {
+    match trace {
+        Some(c) => dlsm_trace::span_child_of(dlsm_trace::Category::Server, name, c),
+        None => dlsm_trace::span(dlsm_trace::Category::Server, name),
+    }
 }
 
-fn dispatcher_loop(ctx: DispatchCtx) {
-    dlsm_trace::set_thread_node(u64::from(ctx.node.id().0) + 1, "memnode");
-    let mut qps: HashMap<NodeId, QueuePair> = HashMap::new();
-    while !ctx.stop.load(Ordering::Acquire) {
+fn dispatcher_loop(core: &Core, stop: &AtomicBool, compact_tx: &Sender<CompactJob>) {
+    dlsm_trace::set_thread_node(u64::from(core.node.id().0) + 1, "memnode");
+    let mut qps = Qps::new();
+    while !stop.load(Ordering::Acquire) {
         // HOTPATH: a memory-node dispatcher thread waits for requests; the
         // timeout rechecks `stop`.
-        let msg = match ctx.node.recv(Duration::from_millis(20)) {
-            Ok(m) => m,
-            Err(_) => continue,
-        };
+        let Ok(msg) = core.node.recv(Duration::from_millis(20)) else { continue };
         // ORDERING: relaxed — RPC stats counter; reporting only.
-        ctx.stats.rpcs.fetch_add(1, Ordering::Relaxed);
-        let (req_id, trace, req) = match Request::decode_with_ctx(&msg.payload) {
-            Ok(r) => r,
-            Err(_) => continue, // malformed: drop (client times out)
-        };
-        let src = msg.src;
-        match ctx.dedup.begin(src, req_id) {
+        core.stats.rpcs.fetch_add(1, Ordering::Relaxed);
+        // A malformed request names no reply buffer to answer in: drop it.
+        let Ok((req_id, trace, req)) = Request::decode(&msg.payload) else { continue };
+        let to = ReplyTo { src: msg.src, req_id, reply: req.reply_desc(), wake: req.wake() };
+        match core.dedup.begin(to.src, req_id) {
             DedupDecision::Execute => {}
             DedupDecision::InFlight => {
                 // ORDERING: relaxed — dedup/replay counters; reporting only.
-                ctx.stats.dup_dropped.fetch_add(1, Ordering::Relaxed);
+                core.stats.dup_dropped.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
             DedupDecision::Replay(cached) => {
                 // ORDERING: relaxed — dedup/replay counters; reporting only.
-                ctx.stats.replays.fetch_add(1, Ordering::Relaxed);
-                // Re-deliver into *this* request's reply buffer (the
-                // retrying client may have reconnected).
-                let reply = req.reply_desc();
-                let result = if cached.compact {
-                    let unique_id = match req {
-                        Request::Compact { unique_id, .. } => unique_id,
-                        _ => 0,
-                    };
-                    deliver_compact_reply(
-                        &ctx.fabric,
-                        ctx.node.id(),
-                        &mut qps,
-                        src,
-                        req_id,
-                        &reply,
-                        unique_id,
-                        &cached.payload,
-                    )
-                } else {
-                    (|| {
-                        let requester = ctx.fabric.node(src)?;
-                        let qp = qp_for(&ctx.fabric, ctx.node.id(), src, &mut qps)?;
-                        reply_general(qp, &reply, &requester, req_id, &cached.payload)
-                    })()
-                };
-                if let Err(e) = result {
-                    eprintln!("memnode: replay delivery failed: {e}");
-                    // ORDERING: relaxed — failure counter; reporting only.
-                    ctx.stats.failures.fetch_add(1, Ordering::Relaxed);
-                }
+                core.stats.replays.fetch_add(1, Ordering::Relaxed);
+                // Into *this* request's reply buffer, with its own wake-up
+                // (the retrying client may have reconnected).
+                core.deliver(&mut qps, &to, &cached.body);
                 continue;
             }
         }
-        // Compactions are long-running: hand to the core-budgeted worker
-        // pool (the dedup entry stays in-flight until the worker finishes).
-        if let Request::Compact { reply, unique_id, args } = req {
-            let _ = ctx.compact_tx.send(CompactJob { src, req_id, reply, unique_id, args, trace });
-            continue;
-        }
         // Server-side dispatch span: a child of the compute-node RPC span
-        // that sent this request (when the v2 header carried its context).
-        let _sp = match trace {
-            Some(c) => dlsm_trace::span_child_of(dlsm_trace::Category::Server, "server_dispatch", c),
-            None => dlsm_trace::span(dlsm_trace::Category::Server, "server_dispatch"),
-        };
-        let reply = req.reply_desc();
+        // that sent this request.
+        let _sp = server_span("server_dispatch", trace);
         let t_serve = Instant::now();
-        let executed: Result<Vec<u8>> = (|| match req {
+        let outcome = match req {
+            // Compactions are long-running: the core-budgeted worker pool
+            // runs and answers them (the dedup entry stays in flight until
+            // it does).
+            Request::Compact { args, .. } => {
+                let _ = compact_tx.send(CompactJob { to, args, trace });
+                continue;
+            }
             Request::Ping { payload, .. } => Ok(payload),
             Request::FreeBatch { extents, .. } => {
                 for (off, len) in &extents {
-                    ctx.allocator.free(*off, *len);
+                    core.allocator.free(*off, *len);
                     // ORDERING: relaxed — freed-extent counter; reporting only.
-                    ctx.stats.freed_extents.fetch_add(1, Ordering::Relaxed);
+                    core.stats.freed_extents.fetch_add(1, Ordering::Relaxed);
                 }
-                Ok(vec![0u8])
+                Ok(Vec::new())
             }
             Request::ReadFile { offset, len, .. } => {
-                // tmpfs-style read: copy out of the region into the
-                // reply (the extra memory copy the paper blames on the
-                // Nova-LSM read path).
+                // tmpfs-style read: copy out of the region into the reply
+                // (the extra memory copy the paper blames on the Nova-LSM
+                // read path).
                 let mut data = vec![0u8; len as usize];
-                ctx.region.local_read(offset, &mut data)?;
-                Ok(data)
+                core.region.local_read(offset, &mut data).map(|()| data).map_err(Into::into)
             }
             Request::WriteFile { offset, data, .. } => {
-                ctx.region.local_write(offset, &data)?;
-                Ok(vec![0u8])
+                core.region.local_write(offset, &data).map(|()| Vec::new()).map_err(Into::into)
             }
             Request::CancelCompact { target, .. } => {
-                if let Some(cached) = ctx.dedup.cancel(src, target) {
+                if let Some(cached) = core.dedup.cancel(to.src, target) {
                     for (off, len) in &cached.extents {
-                        ctx.allocator.free(*off, *len);
+                        core.allocator.free(*off, *len);
                     }
                 }
                 // ORDERING: relaxed — cancel counter; reporting only.
-                ctx.stats.canceled.fetch_add(1, Ordering::Relaxed);
-                Ok(vec![0u8])
-            }
-            // PANIC-SAFE: `Compact` went to the worker pool and `continue`d above.
-            Request::Compact { .. } => unreachable!("handled above"),
-        })();
-        let result: Result<()> = match executed {
-            Ok(payload) => {
-                let cached =
-                    CachedReply { payload: payload.clone(), extents: Vec::new(), compact: false };
-                if ctx.dedup.complete(src, req_id, cached) {
-                    (|| {
-                        let requester = ctx.fabric.node(src)?;
-                        let qp = qp_for(&ctx.fabric, ctx.node.id(), src, &mut qps)?;
-                        reply_general(qp, &reply, &requester, req_id, &payload)
-                    })()
-                } else {
-                    Ok(()) // canceled: no delivery
-                }
-            }
-            Err(e) => {
-                // Errors are never cached; a retry re-executes.
-                ctx.dedup.abort(src, req_id);
-                Err(e)
+                core.stats.canceled.fetch_add(1, Ordering::Relaxed);
+                Ok(Vec::new())
             }
         };
-        if let Err(e) = result {
-            eprintln!("memnode: rpc dispatch failed: {e}");
-            // ORDERING: relaxed — failure counter; reporting only.
-            ctx.stats.failures.fetch_add(1, Ordering::Relaxed);
-        }
-        ctx.stats.dispatch.record_elapsed(t_serve.elapsed());
+        core.answer(&mut qps, &to, outcome, Vec::new());
+        core.stats.dispatch.record_elapsed(t_serve.elapsed());
     }
 }
 
-fn qp_for<'a>(
-    fabric: &Arc<Fabric>,
-    local: NodeId,
-    remote: NodeId,
-    qps: &'a mut HashMap<NodeId, QueuePair>,
-) -> Result<&'a mut QueuePair> {
-    if let std::collections::hash_map::Entry::Vacant(e) = qps.entry(remote) {
-        e.insert(fabric.create_qp(local, remote)?);
-    }
-    // PANIC-SAFE: a vacant entry was filled just above.
-    Ok(qps.get_mut(&remote).expect("just inserted"))
-}
-
-struct WorkerCtx {
-    fabric: Arc<Fabric>,
-    node_id: NodeId,
-    region: Arc<MemoryRegion>,
-    allocator: Arc<RegionAllocator>,
-    stats: Arc<ServerStats>,
-    dedup: Arc<DedupMap>,
-    rx: Receiver<CompactJob>,
-}
-
-fn worker_loop(ctx: WorkerCtx) {
-    dlsm_trace::set_thread_node(u64::from(ctx.node_id.0) + 1, "memnode");
-    let mut qps: HashMap<NodeId, QueuePair> = HashMap::new();
+fn worker_loop(core: &Core, rx: &Receiver<CompactJob>) {
+    dlsm_trace::set_thread_node(u64::from(core.node.id().0) + 1, "memnode");
+    let mut qps = Qps::new();
     // Workers exit when the channel closes (all dispatchers stopped).
     // HOTPATH: a memory-node compaction worker waits for jobs.
-    while let Ok(job) = ctx.rx.recv() {
+    while let Ok(job) = rx.recv() {
         // The whole job — argument pull, merge, reply delivery — hangs off
         // the compute-node span that requested the compaction.
-        let _sp = match job.trace {
-            Some(c) => {
-                dlsm_trace::span_child_of(dlsm_trace::Category::Server, "server_compact_merge", c)
-            }
-            None => dlsm_trace::span(dlsm_trace::Category::Server, "server_compact_merge"),
-        };
-        type Outcome = Result<(Vec<u8>, Vec<(u64, u64)>)>;
-        let outcome: Outcome = (|| {
-            let qp = qp_for(&ctx.fabric, ctx.node_id, job.src, &mut qps)?;
+        let _sp = server_span("server_compact_merge", job.trace);
+        let merged = (|| {
+            let qp = core.qp_for(&mut qps, job.to.src)?;
             // Pull the (large) argument from the requester with an RDMA
             // read instead of inlining it in the request (Sec. X-D2).
-            let requester = ctx.fabric.node(job.src)?;
-            let arg_region = requester.region(rdma_sim::MrId(job.args.mr))?;
             let mut arg_buf = vec![0u8; job.args.len as usize];
-            let addr = rdma_sim::RemoteAddr { rkey: job.args.rkey, ..arg_region.addr(job.args.offset) };
-            qp.post_read(addr, &mut arg_buf, u64::MAX)?;
+            qp.post_read(remote_addr(job.to.src, &job.args), &mut arg_buf, u64::MAX)?;
             let deadline = Instant::now() + ARG_READ_POLL;
             loop {
                 let left = deadline.saturating_duration_since(Instant::now());
@@ -827,72 +718,22 @@ fn worker_loop(ctx: WorkerCtx) {
             }
             let args = CompactArgs::decode(&arg_buf)?;
             let t0 = Instant::now();
-            let reply = execute_compaction(&ctx.region, &ctx.allocator, &args);
+            let reply = execute_compaction(&core.region, &core.allocator, &args);
             // ORDERING: relaxed — compaction stats counters; reporting only.
-            ctx.stats.busy_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            ctx.stats.merge.record_elapsed(t0.elapsed());
+            core.stats.busy_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            core.stats.merge.record_elapsed(t0.elapsed());
             let reply = reply?;
             // ORDERING: relaxed — compaction stats counters; reporting only.
-            ctx.stats.compactions.fetch_add(1, Ordering::Relaxed);
-            ctx.stats.records_in.fetch_add(reply.records_in, Ordering::Relaxed);
-            ctx.stats.records_out.fetch_add(reply.records_out, Ordering::Relaxed);
-            let extents: Vec<(u64, u64)> = reply.outputs.iter().map(|o| (o.offset, o.len)).collect();
-            let encoded = reply.encode();
-            if 1 + encoded.len() > reply_room(&job.reply) {
-                // A job its requester cannot be told about has failed, and
-                // nobody will learn of its outputs.
-                extents.iter().for_each(|&(off, len)| ctx.allocator.free(off, len));
-                let (need, have) = (1 + encoded.len(), job.reply.len);
-                return Err(MemNodeError::BadMessage(format!("compaction reply of {need} bytes exceeds the {have}-byte reply buffer")));
-            }
-            Ok((encoded, extents))
+            core.stats.compactions.fetch_add(1, Ordering::Relaxed);
+            core.stats.records_in.fetch_add(reply.records_in, Ordering::Relaxed);
+            core.stats.records_out.fetch_add(reply.records_out, Ordering::Relaxed);
+            Ok(reply)
         })();
-        // Body delivered to the requester: [status u8][payload].
-        let body = match outcome {
-            Ok((encoded, extents)) => {
-                let mut body = Vec::with_capacity(1 + encoded.len());
-                body.push(0u8);
-                body.extend_from_slice(&encoded);
-                let cached =
-                    CachedReply { payload: body.clone(), extents: extents.clone(), compact: true };
-                if !ctx.dedup.complete(job.src, job.req_id, cached) {
-                    // Canceled while running: the requester is gone, so the
-                    // outputs would otherwise leak. Reclaim and move on.
-                    for (off, len) in extents {
-                        ctx.allocator.free(off, len);
-                    }
-                    // ORDERING: relaxed — cancel counter; reporting only.
-                    ctx.stats.canceled.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                body
-            }
-            Err(e) => {
-                // ORDERING: relaxed — failure counter; reporting only.
-                ctx.stats.failures.fetch_add(1, Ordering::Relaxed);
-                // Errors are never cached; the retry re-executes.
-                ctx.dedup.abort(job.src, job.req_id);
-                let mut body = vec![1u8];
-                body.extend_from_slice(e.to_string().into_bytes().as_slice());
-                body
-            }
+        let (outcome, extents) = match merged {
+            Ok(reply) => (Ok(reply.encode()), reply.outputs.iter().map(|o| (o.offset, o.len)).collect()),
+            Err(e) => (Err(e), Vec::new()),
         };
-        if let Err(e) = deliver_compact_reply(
-            &ctx.fabric,
-            ctx.node_id,
-            &mut qps,
-            job.src,
-            job.req_id,
-            &job.reply,
-            job.unique_id,
-            &body,
-        ) {
-            // A lost reply leaves the requester sleeping until its timeout;
-            // the retry will replay the cached reply. Make the cause loud.
-            eprintln!("memnode: failed to deliver compaction reply: {e}");
-            // ORDERING: relaxed — failure counter; reporting only.
-            ctx.stats.failures.fetch_add(1, Ordering::Relaxed);
-        }
+        core.answer(&mut qps, &job.to, outcome, extents);
     }
 }
 
@@ -912,7 +753,7 @@ mod tests {
     }
 
     fn reply(tag: u8) -> CachedReply {
-        CachedReply { payload: vec![tag], extents: vec![], compact: false }
+        CachedReply { body: vec![0, tag], extents: vec![] }
     }
 
     #[test]
@@ -924,7 +765,7 @@ mod tests {
         assert!(matches!(map.begin(c, 7), DedupDecision::InFlight));
         assert!(map.complete(c, 7, reply(42)));
         match map.begin(c, 7) {
-            DedupDecision::Replay(r) => assert_eq!(r.payload, vec![42]),
+            DedupDecision::Replay(r) => assert_eq!(r.body, vec![0, 42]),
             _ => panic!("expected replay"),
         }
     }
@@ -950,7 +791,7 @@ mod tests {
         assert!(map.complete(
             c,
             10,
-            CachedReply { payload: vec![1], extents: vec![(0, 8)], compact: true }
+            CachedReply { body: vec![0, 1], extents: vec![(0, 8)] }
         ));
         let r = map.cancel(c, 10).expect("done reply returned");
         assert_eq!(r.extents, vec![(0, 8)]);
@@ -990,7 +831,7 @@ mod tests {
             },
         );
         server.region().local_write(64, b"survives-crash").unwrap();
-        let off = server.allocator.alloc(1024).unwrap();
+        let off = server.core.allocator.alloc(1024).unwrap();
         let used = server.compaction_zone_in_use();
         assert!(used >= 1024);
 
@@ -1004,7 +845,7 @@ mod tests {
         server.region().local_read(64, &mut back).unwrap();
         assert_eq!(&back, b"survives-crash");
         assert_eq!(server.compaction_zone_in_use(), used);
-        server.allocator.free(off, 1024);
+        server.core.allocator.free(off, 1024);
         server.shutdown();
     }
 }

@@ -3,18 +3,22 @@
 //! Every request is a two-sided SEND whose payload starts with an opcode, a
 //! **request id**, and the requester's **reply-buffer descriptor**
 //! `(mr, offset, rkey, len)`; the responder answers with a one-sided WRITE
-//! into that buffer, bypassing any dispatcher on the requester side (paper
-//! Sec. X-D1). The compaction request additionally carries a unique id (the
-//! wake-up immediate) and an **argument-buffer descriptor** that the
-//! responder pulls with an RDMA read, keeping the SEND itself small
-//! (Sec. X-D2).
+//! of a [`ReplyFrame`] into that buffer, bypassing any dispatcher on the
+//! requester side (paper Sec. X-D1). The compaction request additionally
+//! carries a unique id (the wake-up immediate) and an **argument-buffer
+//! descriptor** that the responder pulls with an RDMA read, keeping the SEND
+//! itself small (Sec. X-D2).
+//!
+//! Every request is answered, and every reply body is `[status u8][payload]`:
+//! status 0 carries the op's payload, any other status a UTF-8 message.
+//! [`ReplyFrame`] is the one owner of the reply buffer's layout.
 //!
 //! Request ids make the protocol safe to retry over a lossy fabric: a
 //! client re-issues a timed-out request under the *same* id, and the server
 //! deduplicates — non-idempotent ops (extent frees, compactions) execute at
 //! most once, with the cached reply replayed for duplicates. Replies echo
-//! the id in their frame ([`ReplyFrame`]) so a poller can tell a late,
-//! stale reply from the one it is waiting for.
+//! the id in their frame so a poller can tell a late, stale reply from the
+//! one it is waiting for.
 
 #![deny(clippy::cast_possible_truncation)]
 
@@ -24,11 +28,10 @@ use dlsm_trace::TraceCtx;
 
 use crate::{MemNodeError, Result};
 
-/// Header version flag on the opcode byte: when set, sixteen extra bytes
-/// — `[trace_id u64][span_id u64]` — follow the request id, carrying the
+/// Trace flag on the opcode byte: set exactly when sixteen extra bytes —
+/// `[trace_id u64][span_id u64]` — follow the request id, carrying the
 /// sender's tracing context so memory-node work appears as a child of the
-/// compute-node span that caused it. Frames without the flag are the v1
-/// format and decode unchanged (back-compat).
+/// compute-node span that caused it.
 pub const TRACE_FLAG: u8 = 0x80;
 
 /// RPC opcodes.
@@ -64,33 +67,96 @@ impl Op {
     }
 }
 
-/// Framing of every reply written one-sided into the requester's polling
-/// buffer: `[payload len u32][req_id u64][payload]`, with the completion
-/// flag word occupying the final 8 bytes of the buffer. The echoed request
-/// id lets the poller reject frames left over from earlier, retried calls.
+/// The reply buffer's layout, known here only: a frame
+/// `[body len u32][req_id u64][status u8][payload]` at its front and the
+/// completion flag word in its last 8 bytes. The echoed request id lets the
+/// waiter reject frames left over from earlier, retried calls.
 pub struct ReplyFrame;
 
 impl ReplyFrame {
-    /// Bytes before the payload.
+    /// Bytes before the body.
     pub const HEADER: usize = 12;
+    /// Bytes of the flag word at the end of every reply buffer.
+    const FLAG: usize = 8;
 
-    /// Frame `payload` for request `req_id`.
-    pub fn encode(req_id: u64, payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(Self::HEADER + payload.len());
-        put_len32(&mut out, payload.len());
+    /// The longest payload a `len`-byte reply buffer takes: what is left
+    /// between the header and status byte and the flag word.
+    pub fn room(len: u32) -> usize {
+        (len as usize).saturating_sub(Self::HEADER + 1 + Self::FLAG)
+    }
+
+    /// Offset of the flag word in a `len`-byte reply buffer.
+    pub fn flag_offset(len: u32) -> u64 {
+        u64::from(len).saturating_sub(Self::FLAG as u64)
+    }
+
+    /// The body answering `outcome` in a `len`-byte reply buffer: the
+    /// payload under status 0, or an error's message under status 1. A
+    /// payload longer than [`room`](Self::room) is an error too — a reply
+    /// the buffer cannot take fails its request — and a message is cut to
+    /// the room. Returns whether the body is an ok one.
+    pub fn body(outcome: Result<Vec<u8>>, len: u32) -> (bool, Vec<u8>) {
+        let room = Self::room(len);
+        let outcome = outcome.and_then(|payload| match payload.len() {
+            n if n <= room => Ok(payload),
+            n => Err(MemNodeError::BadMessage(format!("reply of {n} bytes exceeds the {len}-byte reply buffer"))),
+        });
+        match outcome {
+            Ok(mut payload) => {
+                payload.insert(0, 0);
+                (true, payload)
+            }
+            Err(e) => {
+                let mut body = vec![1u8];
+                let msg = e.to_string();
+                body.extend_from_slice(&msg.as_bytes()[..msg.len().min(room)]);
+                (false, body)
+            }
+        }
+    }
+
+    /// Frame `body` for request `req_id`.
+    pub fn encode(req_id: u64, body: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(Self::HEADER + body.len());
+        put_len32(&mut out, body.len());
         put_u64(&mut out, req_id);
-        out.extend_from_slice(payload);
+        out.extend_from_slice(body);
         out
     }
 
-    /// Parse a frame, returning `(req_id, payload)`.
+    /// Parse a frame, returning `(req_id, body)`.
     pub fn decode(buf: &[u8]) -> Result<(u64, &[u8])> {
         let len = get_u32(buf, 0).map_err(bad)? as usize;
         let req_id = get_u64(buf, 4).map_err(bad)?;
-        let payload = buf
+        let body = buf
             .get(Self::HEADER..Self::HEADER + len)
-            .ok_or_else(|| MemNodeError::BadMessage(format!("truncated reply frame ({len} byte payload)")))?;
-        Ok((req_id, payload))
+            .ok_or_else(|| MemNodeError::BadMessage(format!("truncated reply frame ({len} byte body)")))?;
+        Ok((req_id, body))
+    }
+
+    /// Read the frame at the front of a `len`-byte reply buffer through
+    /// `read(offset, dst)`: its header, then the body the header announces,
+    /// which must end before the flag word. [`decode`](Self::decode) it.
+    pub fn read(len: u32, read: impl Fn(u64, &mut [u8]) -> Result<()>) -> Result<Vec<u8>> {
+        let mut frame = vec![0u8; Self::HEADER];
+        read(0, &mut frame)?;
+        let body = get_u32(&frame, 0).map_err(bad)? as usize;
+        if body > 1 + Self::room(len) {
+            return Err(MemNodeError::BadMessage(format!("reply length {body} out of range")));
+        }
+        frame.resize(Self::HEADER + body, 0);
+        read(Self::HEADER as u64, &mut frame[Self::HEADER..])?;
+        Ok(frame)
+    }
+
+    /// The payload of an ok `body`; an error status is the
+    /// [`MemNodeError::RemoteError`] it carries.
+    pub fn payload(body: &[u8]) -> Result<&[u8]> {
+        match body.split_first() {
+            Some((0, payload)) => Ok(payload),
+            Some((_, msg)) => Err(MemNodeError::RemoteError(String::from_utf8_lossy(msg).into_owned())),
+            None => Err(MemNodeError::BadMessage("empty reply body".into())),
+        }
     }
 }
 
@@ -398,17 +464,11 @@ pub enum Request {
 }
 
 impl Request {
-    /// Serialize a request into a SEND payload under request id `req_id`
-    /// (v1 framing, no trace context). Retries of the same logical request
-    /// must reuse the same id so the server can deduplicate.
-    pub fn encode(&self, req_id: u64) -> Vec<u8> {
-        self.encode_with_ctx(req_id, None)
-    }
-
-    /// Serialize under `req_id`, optionally attaching the sender's trace
-    /// context (v2 framing, [`TRACE_FLAG`] on the op byte). With
-    /// `ctx = None` the bytes are identical to the v1 [`encode`](Self::encode).
-    pub fn encode_with_ctx(&self, req_id: u64, ctx: Option<TraceCtx>) -> Vec<u8> {
+    /// Serialize into a SEND payload under `req_id`, carrying the sender's
+    /// trace context when there is one ([`TRACE_FLAG`] on the op byte).
+    /// Retries of the same logical request must reuse the same id so the
+    /// server can deduplicate.
+    pub fn encode(&self, req_id: u64, ctx: Option<TraceCtx>) -> Vec<u8> {
         let mut out = Vec::new();
         let flag = if ctx.is_some() { TRACE_FLAG } else { 0 };
         // LOSSY: Op discriminants are 1..=6, always below TRACE_FLAG (0x80).
@@ -461,17 +521,8 @@ impl Request {
         }
     }
 
-    /// Parse a SEND payload into `(req_id, request)`, dropping any trace
-    /// context.
-    pub fn decode(buf: &[u8]) -> Result<(u64, Request)> {
-        let (req_id, _ctx, req) = Self::decode_with_ctx(buf)?;
-        Ok((req_id, req))
-    }
-
     /// Parse a SEND payload into `(req_id, trace context, request)`.
-    /// Accepts both framings: v1 frames (no [`TRACE_FLAG`]) yield
-    /// `ctx = None`.
-    pub fn decode_with_ctx(buf: &[u8]) -> Result<(u64, Option<TraceCtx>, Request)> {
+    pub fn decode(buf: &[u8]) -> Result<(u64, Option<TraceCtx>, Request)> {
         let first = *buf.first().ok_or_else(|| MemNodeError::BadMessage("empty".into()))?;
         let op = Op::from_u8(first & !TRACE_FLAG)
             .ok_or_else(|| MemNodeError::BadMessage(format!("bad op {}", buf[0])))?;
@@ -519,6 +570,16 @@ impl Request {
         Ok((req_id, ctx, req))
     }
 
+    /// The immediate that wakes this request's requester when its reply
+    /// lands: a compaction's unique id (its requester sleeps until woken,
+    /// Sec. X-D2); `None` for the rest, whose requesters poll the flag word.
+    pub fn wake(&self) -> Option<u32> {
+        match self {
+            Request::Compact { unique_id, .. } => Some(*unique_id),
+            _ => None,
+        }
+    }
+
     /// The reply-buffer descriptor attached to this request.
     pub fn reply_desc(&self) -> BufDesc {
         match self {
@@ -540,20 +601,42 @@ mod tests {
         BufDesc { mr: i, offset: u64::from(i) * 7, rkey: i ^ 0xAA, len: 4096 }
     }
 
-    #[test]
-    fn requests_roundtrip() {
-        let cases = vec![
-            Request::Ping { reply: desc(1), payload: b"hello".to_vec() },
+    fn one_of_each() -> Vec<Request> {
+        vec![
+            Request::Ping { reply: desc(1), payload: b"hi".to_vec() },
             Request::FreeBatch { reply: desc(2), extents: vec![(0, 64), (128, 4096)] },
             Request::Compact { reply: desc(3), unique_id: 77, args: desc(4) },
             Request::ReadFile { reply: desc(5), offset: 4096, len: 512 },
             Request::WriteFile { reply: desc(6), offset: 8192, data: vec![1, 2, 3] },
             Request::CancelCompact { reply: desc(7), target: 0xDEAD_BEEF },
+        ]
+    }
+
+    /// The request bytes, pinned: one context-free frame per op, field by
+    /// field — `[op][req_id][reply mr, offset, rkey, len][body]`. A change
+    /// here is a change of the traffic.
+    #[test]
+    fn context_free_frames_are_pinned() {
+        let golden = [
+            "01 0007060504030201 010000000700000000000000ab00000000100000 6869",
+            "02 0107060504030201 020000000e00000000000000a800000000100000 02000000 \
+             0000000000000000 4000000000000000 8000000000000000 0010000000000000",
+            "03 0207060504030201 030000001500000000000000a900000000100000 4d000000 \
+             040000001c00000000000000ae00000000100000",
+            "04 0307060504030201 050000002300000000000000af00000000100000 0010000000000000 00020000",
+            "05 0407060504030201 060000002a00000000000000ac00000000100000 0020000000000000 010203",
+            "06 0507060504030201 070000003100000000000000ad00000000100000 efbeadde00000000",
         ];
-        for (i, r) in cases.into_iter().enumerate() {
-            let req_id = 1000 + i as u64;
-            let enc = r.encode(req_id);
-            assert_eq!(Request::decode(&enc).unwrap(), (req_id, r));
+        for (i, (r, hex)) in one_of_each().into_iter().zip(golden).enumerate() {
+            let digits: Vec<u8> = hex.bytes().filter(u8::is_ascii_hexdigit).collect();
+            let want: Vec<u8> = digits
+                .chunks(2)
+                .map(|d| u8::from_str_radix(std::str::from_utf8(d).unwrap(), 16).unwrap())
+                .collect();
+            let req_id = 0x0102_0304_0506_0700 + i as u64;
+            let frame = r.encode(req_id, None);
+            assert_eq!(frame, want, "{:?}", r.op());
+            assert_eq!(Request::decode(&frame).unwrap(), (req_id, None, r));
         }
     }
 
@@ -561,64 +644,88 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(Request::decode(&[]).is_err());
         assert!(Request::decode(&[99, 0, 0]).is_err());
-        let enc = Request::ReadFile { reply: desc(1), offset: 1, len: 2 }.encode(7);
+        let enc = Request::ReadFile { reply: desc(1), offset: 1, len: 2 }.encode(7, None);
         assert!(Request::decode(&enc[..enc.len() - 4]).is_err());
         // A trace flag does not launder an unknown opcode.
         assert!(Request::decode(&[TRACE_FLAG | 9, 0, 0]).is_err());
     }
 
-    /// Header version bump: v1 frames (no trace flag) must keep decoding —
-    /// old encoders against a new server — and the v2 framing must carry
-    /// the context through unchanged.
+    /// A context sets the flag and adds its sixteen bytes after the request
+    /// id, and round-trips; the rest of the frame is the context-free one.
     #[test]
-    fn trace_ctx_header_both_encodings() {
+    fn trace_ctx_rides_in_the_header() {
         let ctx = TraceCtx { trace_id: 0x1122_3344_5566_7788, span_id: 0x99AA_BBCC_DDEE_FF00 };
-        let cases = vec![
-            Request::Ping { reply: desc(1), payload: b"hello".to_vec() },
-            Request::FreeBatch { reply: desc(2), extents: vec![(0, 64), (128, 4096)] },
-            Request::Compact { reply: desc(3), unique_id: 77, args: desc(4) },
-            Request::ReadFile { reply: desc(5), offset: 4096, len: 512 },
-            Request::WriteFile { reply: desc(6), offset: 8192, data: vec![1, 2, 3] },
-            Request::CancelCompact { reply: desc(7), target: 0xDEAD_BEEF },
-        ];
-        for (i, r) in cases.into_iter().enumerate() {
+        for (i, r) in one_of_each().into_iter().enumerate() {
             let req_id = 2000 + i as u64;
-            // v1 (old format): no flag byte, context decodes as None.
-            let v1 = r.encode(req_id);
-            assert_eq!(v1[0] & TRACE_FLAG, 0, "v1 frame must not carry the flag");
-            assert_eq!(v1, r.encode_with_ctx(req_id, None), "encode must stay v1-identical");
-            assert_eq!(Request::decode_with_ctx(&v1).unwrap(), (req_id, None, r.clone()));
-            // v2: flag set, 16 extra header bytes, context round-trips.
-            let v2 = r.encode_with_ctx(req_id, Some(ctx));
-            assert_eq!(v2[0], v1[0] | TRACE_FLAG);
-            assert_eq!(v2.len(), v1.len() + 16);
-            assert_eq!(Request::decode_with_ctx(&v2).unwrap(), (req_id, Some(ctx), r.clone()));
-            // The ctx-blind decoder still accepts v2 frames.
-            assert_eq!(Request::decode(&v2).unwrap(), (req_id, r));
+            let plain = r.encode(req_id, None);
+            assert_eq!(plain[0] & TRACE_FLAG, 0, "a context-free frame must not carry the flag");
+            let traced = r.encode(req_id, Some(ctx));
+            assert_eq!(traced[0], plain[0] | TRACE_FLAG);
+            assert_eq!(traced.len(), plain.len() + 16);
+            assert_eq!((&traced[1..9], &traced[25..]), (&plain[1..9], &plain[9..]));
+            assert_eq!(Request::decode(&traced).unwrap(), (req_id, Some(ctx), r));
         }
     }
 
     #[test]
     fn trace_ctx_truncated_header_rejected() {
         let r = Request::ReadFile { reply: desc(1), offset: 1, len: 2 };
-        let v2 = r.encode_with_ctx(7, Some(TraceCtx { trace_id: 1, span_id: 2 }));
+        let traced = r.encode(7, Some(TraceCtx { trace_id: 1, span_id: 2 }));
         // Chop inside the 16-byte context extension: must error, not panic.
-        assert!(Request::decode_with_ctx(&v2[..20]).is_err());
+        assert!(Request::decode(&traced[..20]).is_err());
     }
 
     #[test]
     fn reply_frame_roundtrip_and_truncation() {
         let frame = ReplyFrame::encode(0xFEED_F00D, b"payload-bytes");
-        let (id, payload) = ReplyFrame::decode(&frame).unwrap();
+        let (id, body) = ReplyFrame::decode(&frame).unwrap();
         assert_eq!(id, 0xFEED_F00D);
-        assert_eq!(payload, b"payload-bytes");
-        // Truncated header and truncated payload both error, never panic.
+        assert_eq!(body, b"payload-bytes");
+        // Truncated header and truncated body both error, never panic.
         assert!(ReplyFrame::decode(&frame[..3]).is_err());
         assert!(ReplyFrame::decode(&frame[..frame.len() - 1]).is_err());
-        // Empty payloads are legal.
+        // Empty bodies frame too.
         let empty = ReplyFrame::encode(1, &[]);
-        let (id, payload) = ReplyFrame::decode(&empty).unwrap();
-        assert_eq!((id, payload.len()), (1, 0));
+        let (id, body) = ReplyFrame::decode(&empty).unwrap();
+        assert_eq!((id, body.len()), (1, 0));
+    }
+
+    /// A reply body is `[status][payload]`; a payload the buffer cannot take
+    /// and an error both go as an error status that fits the buffer, and the
+    /// frame reads back from the buffer's front.
+    #[test]
+    fn reply_bodies_fit_their_buffer() {
+        let len = 64u32;
+        let room = ReplyFrame::room(len);
+        assert_eq!((room, ReplyFrame::flag_offset(len)), (43, 56));
+        let (ok, body) = ReplyFrame::body(Ok(vec![7; room]), len);
+        assert!(ok);
+        assert_eq!(ReplyFrame::payload(&body).unwrap(), &[7; 43][..]);
+        let (ok, body) = ReplyFrame::body(Ok(vec![7; room + 1]), len);
+        assert!(!ok && body.len() <= 1 + room);
+        let err = ReplyFrame::payload(&body).unwrap_err();
+        assert!(matches!(&err, MemNodeError::RemoteError(m) if m.starts_with("bad rpc message: reply of 44 bytes")), "{err:?}");
+        let (ok, body) = ReplyFrame::body(Err(MemNodeError::Timeout), len);
+        assert!(!ok);
+        assert_eq!(ReplyFrame::payload(&body), Err(MemNodeError::RemoteError("rpc timeout".into())));
+        assert!(ReplyFrame::payload(&[]).is_err());
+
+        // Read back through the buffer's own bytes; a header that announces
+        // more than the room is refused before any body is read.
+        let mut buf = vec![0u8; len as usize];
+        let frame = ReplyFrame::encode(9, &ReplyFrame::body(Ok(b"echo".to_vec()), len).1);
+        buf[..frame.len()].copy_from_slice(&frame);
+        let read = |b: &[u8], off: u64, dst: &mut [u8]| {
+            let at = usize::try_from(off).unwrap();
+            dst.copy_from_slice(&b[at..at + dst.len()]);
+            Ok(())
+        };
+        let read_back = ReplyFrame::read(len, |o, d| read(&buf, o, d)).unwrap();
+        assert_eq!(read_back, frame);
+        let (id, body) = ReplyFrame::decode(&read_back).unwrap();
+        assert_eq!((id, ReplyFrame::payload(body).unwrap()), (9, &b"echo"[..]));
+        buf[..4].copy_from_slice(&u32::try_from(room + 2).unwrap().to_le_bytes());
+        assert!(ReplyFrame::read(len, |o, d| read(&buf, o, d)).is_err());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! joins the originating trace and names a real parent span.
 //!
 //! Lives in the memnode crate (not `dlsm-trace`) so the context can take
-//! the production path through `Request::encode_with_ctx` /
-//! `decode_with_ctx` without a dev-dependency cycle.
+//! the production path through `Request::encode` / `Request::decode`
+//! without a dev-dependency cycle.
 
 use std::sync::{Barrier, Mutex, OnceLock};
 
@@ -26,8 +26,8 @@ fn test_lock() -> &'static Mutex<()> {
 fn roundtrip_ctx(ctx: dlsm_trace::TraceCtx) -> dlsm_trace::TraceCtx {
     let reply = BufDesc { mr: 1, offset: 0, rkey: 7, len: 64 };
     let req = Request::Ping { reply, payload: vec![0xAB; 3] };
-    let frame = req.encode_with_ctx(42, Some(ctx));
-    let (req_id, decoded, back) = Request::decode_with_ctx(&frame).expect("valid frame");
+    let frame = req.encode(42, Some(ctx));
+    let (req_id, decoded, back) = Request::decode(&frame).expect("valid frame");
     assert_eq!(req_id, 42);
     assert_eq!(back, req);
     decoded.expect("ctx survives the header")

@@ -26,8 +26,11 @@ proptest! {
         let _ = CompactReply::decode(&bytes);
     }
 
+    /// Every request round-trips, with and without a trace context, and
+    /// the context only sets the flag and adds its sixteen bytes.
     #[test]
     fn request_roundtrip(
+        ctx in prop::option::of((any::<u64>(), any::<u64>())),
         reply in desc_strategy(),
         payload in prop::collection::vec(any::<u8>(), 0..128),
         offset in any::<u64>(),
@@ -46,8 +49,15 @@ proptest! {
             Request::WriteFile { reply, offset, data: payload },
             Request::CancelCompact { reply, target },
         ];
+        let ctx = ctx.map(|(trace_id, span_id)| dlsm_trace::TraceCtx { trace_id, span_id });
         for r in cases {
-            prop_assert_eq!(Request::decode(&r.encode(req_id)).unwrap(), (req_id, r));
+            let frame = r.encode(req_id, ctx);
+            if ctx.is_some() {
+                let plain = r.encode(req_id, None);
+                prop_assert_eq!(frame[0], plain[0] | dlsm_memnode::wire::TRACE_FLAG);
+                prop_assert_eq!(frame.len(), plain.len() + 16);
+            }
+            prop_assert_eq!(Request::decode(&frame).unwrap(), (req_id, ctx, r));
         }
     }
 
@@ -76,6 +86,35 @@ proptest! {
         let old = ReplyFrame::encode(stale_id, &payload);
         let (old_id, _) = ReplyFrame::decode(&old).unwrap();
         prop_assert_eq!(old_id == req_id, stale_id == req_id);
+    }
+
+    /// Every reply body fits the buffer it answers into: a payload within
+    /// the room goes as is, anything longer as an error status, and either
+    /// reads back whole from the buffer's front.
+    #[test]
+    fn reply_bodies_always_fit(
+        req_id in any::<u64>(),
+        payload in prop::collection::vec(any::<u8>(), 0..256),
+        len in 0u32..320,
+    ) {
+        let fits = payload.len() <= ReplyFrame::room(len);
+        let (ok, body) = ReplyFrame::body(Ok(payload.clone()), len);
+        prop_assert_eq!(ok, fits);
+        prop_assert!(body.len() <= 1 + ReplyFrame::room(len));
+        match ReplyFrame::payload(&body) {
+            Ok(got) => prop_assert!(fits && got == &payload[..]),
+            Err(e) => prop_assert!(!fits && matches!(e, dlsm_memnode::MemNodeError::RemoteError(_))),
+        }
+        let mut buf = vec![0u8; len as usize];
+        let frame = ReplyFrame::encode(req_id, &body);
+        if frame.len() <= buf.len() {
+            buf[..frame.len()].copy_from_slice(&frame);
+            let read = ReplyFrame::read(len, |off, dst| {
+                dst.copy_from_slice(&buf[off as usize..off as usize + dst.len()]);
+                Ok(())
+            });
+            prop_assert_eq!(read.unwrap(), frame);
+        }
     }
 
     /// Under an arbitrary interleaving of request arrivals (including
@@ -111,11 +150,7 @@ proptest! {
                 },
                 1 => {
                     if running.remove(&id) {
-                        let cached = CachedReply {
-                            payload: vec![id as u8],
-                            extents: vec![],
-                            compact: false,
-                        };
+                        let cached = CachedReply { body: vec![0, id as u8], extents: vec![] };
                         if map.complete(client, id, cached) {
                             done.insert(id);
                         } else {
