@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use dlsm_check::shim::thread;
 use dlsm_check::Checker;
-use dlsm_skiplist::{BytewiseComparator, SkipList};
+use dlsm_skiplist::{BytewiseComparator, SkipList, SpareArena};
 
 /// Two writers inserting disjoint keys: every key must be present and the
 /// list must come out sorted, in every interleaving the scheduler can
@@ -129,4 +129,51 @@ fn one_of_two_racing_reservations_fits() {
         report.violation
     );
     assert!(report.complete, "state space truncated at {} executions", report.executions);
+}
+
+/// Two writers and a reader on a recycled arena whose every byte is 0xA5,
+/// so a tower word nobody stored points far outside the arena: the reader
+/// that sees a writer's second key sees its first, every scan is sorted, and
+/// all three keys are there at the end. Nothing of a node is left to the
+/// arena's prior contents (DESIGN.md §5.3).
+#[test]
+fn two_writers_and_a_reader_on_a_recycled_dirty_arena() {
+    const CAPACITY: usize = 16 << 10;
+    // Outside any execution: the arena size a list of CAPACITY asks for.
+    let arena_bytes = SkipList::with_capacity(BytewiseComparator, CAPACITY).capacity();
+    let report = Checker::new("skiplist-recycled-dirty")
+        .preemption_bound(2)
+        .explore(move || {
+            let spare = Arc::new(SpareArena::default());
+            let (dirty, _) = spare.take(arena_bytes);
+            let (all, _) = dirty.reserve(arena_bytes - 8, 0).unwrap();
+            // SAFETY: the whole arena was just reserved here; nothing else holds it.
+            unsafe { dirty.write(all, &vec![0xA5; arena_bytes - 8]) };
+            spare.put(dirty);
+            let (list, allocated) = SkipList::recycling(BytewiseComparator, CAPACITY, &spare);
+            assert!(!allocated, "the dirty arena was not recycled");
+            let list = Arc::new(list);
+            let (l1, l2) = (Arc::clone(&list), Arc::clone(&list));
+            let t1 = thread::spawn(move || {
+                l1.insert(b"alpha", b"1").unwrap();
+                l1.insert(b"delta", b"2").unwrap();
+            });
+            let t2 = thread::spawn(move || l2.insert(b"bravo", b"3").unwrap());
+            if list.get(b"delta").is_some() {
+                assert_eq!(list.get(b"alpha"), Some(&b"1"[..]), "reader saw delta but not alpha");
+            }
+            let keys: Vec<&[u8]> = list.iter().map(|(k, _)| k).collect();
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "reader saw {keys:?}");
+            t1.join().unwrap();
+            t2.join().unwrap();
+            let all: Vec<_> = list.iter().collect();
+            assert_eq!(all, [(&b"alpha"[..], &b"1"[..]), (b"bravo", b"3"), (b"delta", b"2")]);
+        });
+    assert!(
+        report.violation.is_none(),
+        "skiplist recycled-arena violation: {:?}",
+        report.violation
+    );
+    assert!(report.complete, "state space truncated at {} executions", report.executions);
+    assert!(report.executions >= 1000, "explored only {} interleavings", report.executions);
 }

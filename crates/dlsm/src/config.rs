@@ -2,6 +2,7 @@
 
 use dlsm_cache::CacheConfig;
 use dlsm_memnode::{RetryPolicy, TableFormat};
+use dlsm_skiplist::list::{MAX_CAPACITY, MAX_NODE_OVERHEAD};
 
 /// How the MemTable is switched when it fills (paper Sec. IV).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,6 +158,12 @@ impl DbConfig {
         assert!(self.flush_buf_size >= 4 << 10, "flush buffers must hold a record");
         // PANIC-SAFE: as above; compaction cuts its outputs by sstable_size.
         assert!(self.sstable_size > 0, "sstable_size must be positive");
+        // PANIC-SAFE: as above; the skip-list arena's offsets are 32-bit.
+        assert!(
+            self.arena_capacity() <= MAX_CAPACITY,
+            "memtable_size {} needs an arena past 32-bit offsets",
+            self.memtable_size
+        );
         self
     }
 
@@ -169,10 +176,11 @@ impl DbConfig {
     }
 
     /// Bytes to reserve in the skip-list arena for one MemTable: the size
-    /// limit plus slack for node/link overhead so a size-triggered switch
-    /// fires before the arena does.
+    /// limit, plus the most node overhead a full sequence range of entries
+    /// takes, plus 64 KiB so a size-triggered switch fires before the arena
+    /// does. One table's worth: the arena is two-ended, so no 2× slack.
     pub fn arena_capacity(&self) -> usize {
-        self.memtable_size * 2 + (self.seq_range_width() as usize) * 48 + (64 << 10)
+        self.memtable_size + (self.seq_range_width() as usize) * MAX_NODE_OVERHEAD + (64 << 10)
     }
 }
 
@@ -212,9 +220,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "needs an arena past 32-bit offsets")]
+    fn a_memtable_past_32_bit_arena_offsets_is_refused_at_open() {
+        let _ = DbConfig { memtable_size: 4 << 30, ..DbConfig::small() }.normalized();
+    }
+
+    #[test]
     fn arena_capacity_exceeds_memtable_size() {
         let c = DbConfig::small().normalized();
         assert!(c.arena_capacity() > c.memtable_size);
-        assert_eq!(c.arena_capacity(), (128 << 10) + 139 * 48 + (64 << 10));
+        assert_eq!(MAX_NODE_OVERHEAD, 67);
+        assert_eq!(c.arena_capacity(), (64 << 10) + 139 * 67 + (64 << 10));
+        let c = DbConfig::default();
+        assert_eq!(c.arena_capacity(), (8 << 20) + 17_848 * 67 + (64 << 10));
     }
 }

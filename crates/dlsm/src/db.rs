@@ -51,6 +51,9 @@ pub(crate) struct Shared {
     pub(crate) imm_count: AtomicUsize,
     pub(crate) flush_queue_len: AtomicUsize,
     switch_lock: Mutex<()>,
+    /// The arena of the last retired MemTable its last holder dropped; the
+    /// next switch takes it (DESIGN.md §5.3).
+    spare: Arc<dlsm_skiplist::SpareArena>,
     /// Table/MemTable id generator (L0 ordering relies on flush ids).
     next_id: AtomicU64,
     pub(crate) versions: VersionSet,
@@ -226,7 +229,8 @@ impl Shared {
     fn do_switch(&self, start: SeqNo) {
         let _sp = dlsm_trace::span(dlsm_trace::Category::Db, "memtable_switch");
         // ORDERING: relaxed — id generation needs uniqueness only, which the atomic RMW provides at any ordering.
-        let new = memtable(&self.cfg, self.next_id.fetch_add(1, Ordering::Relaxed), start);
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let new = memtable(&self.cfg, &self.spare, &self.stats, id, start);
         let start = new.range.start;
         let (old, keep_old) = {
             // Under the write lock no insert is in flight, so "empty" is
@@ -423,15 +427,26 @@ impl Shared {
     }
 }
 
-/// A MemTable whose pre-assigned range starts at `start` (Sec. IV). The
-/// naive protocol has no range discipline, so its tables span the whole
-/// sequence space and the write loop's range checks never fire.
-fn memtable(cfg: &DbConfig, id: u64, start: SeqNo) -> Arc<MemTable> {
+/// A MemTable whose pre-assigned range starts at `start` (Sec. IV), over
+/// the spare arena when there is one. The naive protocol has no range
+/// discipline, so its tables span the whole sequence space and the write
+/// loop's range checks never fire.
+fn memtable(
+    cfg: &DbConfig,
+    spare: &Arc<dlsm_skiplist::SpareArena>,
+    stats: &DbStats,
+    id: u64,
+    start: SeqNo,
+) -> Arc<MemTable> {
     let range = match cfg.switch_protocol {
         SwitchProtocol::SeqRange => start..start + cfg.seq_range_width(),
         SwitchProtocol::NaiveDoubleChecked => 0..dlsm_sstable::key::MAX_SEQ,
     };
-    Arc::new(MemTable::new(id, range, cfg.memtable_size, cfg.arena_capacity()))
+    let (mem, allocated) = MemTable::recycling(id, range, cfg.memtable_size, cfg.arena_capacity(), spare);
+    if allocated {
+        DbStats::bump(&stats.memtable_allocs);
+    }
+    Arc::new(mem)
 }
 
 /// A dLSM database instance — one shard: one LSM-tree whose MemTables live
@@ -453,7 +468,8 @@ impl Db {
         let cfg = cfg.normalized();
         let (flush_tx, flush_rx) = unbounded();
         let gc = GcSink::new(Arc::clone(memnode.flush_alloc()));
-        let first = memtable(&cfg, 0, 1);
+        let (spare, stats) = (Arc::default(), DbStats::default());
+        let first = memtable(&cfg, &spare, &stats, 0, 1);
         let versions = VersionSet::new(cfg.max_levels);
         let shared = Arc::new(Shared {
             ctx,
@@ -469,6 +485,7 @@ impl Db {
             imm_count: AtomicUsize::new(0),
             flush_queue_len: AtomicUsize::new(0),
             switch_lock: Mutex::new(()),
+            spare,
             next_id: AtomicU64::new(1),
             versions,
             l0_count: AtomicUsize::new(0),
@@ -478,7 +495,7 @@ impl Db {
             work_cv: Condvar::new(),
             flush_tx,
             gc,
-            stats: DbStats::default(),
+            stats,
             telemetry: Arc::new(crate::telemetry::DbTelemetry::default()),
             stopping: AtomicBool::new(false),
             snapshots: Mutex::new(BTreeMap::new()),
@@ -1287,6 +1304,9 @@ fn flush_loop(shared: Arc<Shared>, rx: Receiver<Arc<MemTable>>) {
             });
         });
         shared.release_idle_views();
+        // Let go of the table before the queue says it is done: a quiesced
+        // shard pins no retired MemTable, so its arena is the spare.
+        drop(mem);
         shared.flush_queue_len.fetch_sub(1, Ordering::AcqRel);
         shared.notify_stall();
         shared.notify_work();

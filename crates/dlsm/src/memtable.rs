@@ -4,7 +4,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use dlsm_skiplist::list::MAX_NODE_OVERHEAD;
-use dlsm_skiplist::{ArcSkipIter, ArenaFull, SkipList};
+use dlsm_skiplist::{ArcSkipIter, ArenaFull, SkipList, SpareArena};
 use dlsm_sstable::iter::ForwardIter;
 use dlsm_sstable::key::{self, InternalKeyComparator, SeqNo, ValueType};
 
@@ -47,14 +47,28 @@ pub struct MemTable {
 impl MemTable {
     /// Create a table covering `range` with an arena of `arena_bytes`.
     pub fn new(id: u64, range: Range<SeqNo>, size_limit: usize, arena_bytes: usize) -> MemTable {
-        MemTable {
+        Self::recycling(id, range, size_limit, arena_bytes, &Arc::default()).0
+    }
+
+    /// [`MemTable::new`] over `spare`'s arena when it keeps one
+    /// ([`SkipList::recycling`]); the flag says the arena was allocated.
+    pub(crate) fn recycling(
+        id: u64,
+        range: Range<SeqNo>,
+        size_limit: usize,
+        arena_bytes: usize,
+        spare: &Arc<SpareArena>,
+    ) -> (MemTable, bool) {
+        let (list, allocated) = SkipList::recycling(InternalKeyComparator, arena_bytes, spare);
+        let mem = MemTable {
             id,
             range,
             flush_order: std::sync::atomic::AtomicU64::new(u64::MAX),
             tombstones: std::sync::atomic::AtomicU64::new(0),
-            list: Arc::new(SkipList::with_capacity(InternalKeyComparator, arena_bytes)),
+            list: Arc::new(list),
             size_limit,
-        }
+        };
+        (mem, allocated)
     }
 
     /// Whether `seq` belongs to this table.

@@ -13,6 +13,9 @@ pub struct DbStats {
     pub(crate) readers: Readers,
     /// MemTable switches.
     pub switches: AtomicU64,
+    /// MemTable arenas allocated rather than recycled (the first table's
+    /// included).
+    pub memtable_allocs: AtomicU64,
     /// Sequence numbers abandoned and re-fetched (stale or arena-full).
     pub reseqs: AtomicU64,
     /// Completed MemTable flushes.
@@ -99,6 +102,7 @@ impl DbStats {
             gets,
             get_hits,
             switches: Self::get(&self.switches),
+            memtable_allocs: Self::get(&self.memtable_allocs),
             reseqs: Self::get(&self.reseqs),
             flushes: Self::get(&self.flushes),
             flush_bytes: Self::get(&self.flush_bytes),
@@ -135,6 +139,8 @@ pub struct DbStatsSnapshot {
     pub get_hits: u64,
     /// MemTable switches.
     pub switches: u64,
+    /// MemTable arenas allocated rather than recycled.
+    pub memtable_allocs: u64,
     /// Sequence numbers abandoned and re-fetched.
     pub reseqs: u64,
     /// Completed MemTable flushes.
@@ -199,6 +205,7 @@ impl DbStatsSnapshot {
         f(&mut self.gets, other.gets);
         f(&mut self.get_hits, other.get_hits);
         f(&mut self.switches, other.switches);
+        f(&mut self.memtable_allocs, other.memtable_allocs);
         f(&mut self.reseqs, other.reseqs);
         f(&mut self.flushes, other.flushes);
         f(&mut self.flush_bytes, other.flush_bytes);
@@ -221,13 +228,14 @@ impl DbStatsSnapshot {
 
     /// The counters as `(name, value)` pairs, for telemetry export. The
     /// stall totals are left out: telemetry carries them per reason.
-    pub fn named_counters(&self) -> [(&'static str, u64); 21] {
+    pub fn named_counters(&self) -> [(&'static str, u64); 22] {
         [
             ("puts", self.puts),
             ("deletes", self.deletes),
             ("gets", self.gets),
             ("get_hits", self.get_hits),
             ("switches", self.switches),
+            ("memtable_allocs", self.memtable_allocs),
             ("reseqs", self.reseqs),
             ("flushes", self.flushes),
             ("flush_bytes", self.flush_bytes),
@@ -252,11 +260,12 @@ impl std::fmt::Display for DbStatsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "puts={} gets={} (hits={}) switches={} flushes={} ({} MiB) compactions={} (subtasks={}, {}→{} records) stalls={} ({:?}) gc_batches={}",
+            "puts={} gets={} (hits={}) switches={} memtable_allocs={} flushes={} ({} MiB) compactions={} (subtasks={}, {}→{} records) stalls={} ({:?}) gc_batches={}",
             self.puts,
             self.gets,
             self.get_hits,
             self.switches,
+            self.memtable_allocs,
             self.flushes,
             self.flush_bytes >> 20,
             self.compactions,
@@ -324,7 +333,7 @@ mod tests {
         assert_eq!(m.stall_events, 1);
         let named: std::collections::HashMap<_, _> = m.named_counters().into_iter().collect();
         assert_eq!(named["puts"], 7);
-        assert_eq!(named.len(), 21);
+        assert_eq!(named.len(), 22);
     }
 
     #[test]

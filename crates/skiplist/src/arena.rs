@@ -1,16 +1,19 @@
 //! Concurrent two-ended bump arena.
 //!
-//! A fixed-capacity, zeroed, 8-byte-aligned memory block. One reservation
+//! A fixed-capacity, 8-byte-aligned memory block. One reservation
 //! takes a 4-aligned range from the front and a range from the back in a
 //! single CAS on a packed `front | back << 32` word, so a skip-list node
 //! (header, tower, key) and its value come from one atomic step and the
 //! nodes a search walks pack densely, away from the values it skips.
-//! Nothing is freed individually; the whole arena is released when dropped.
-//! Offsets (not pointers) are handed out so the skip list can store 4-byte
-//! links.
+//! Nothing is freed individually; the whole arena is emptied at once, when
+//! a [`SpareArena`] hands it out again or when it is dropped. Its bytes start
+//! as whatever the allocator or the last user left there: the skip list
+//! stores every word it reads before it publishes it. Offsets (not pointers)
+//! are handed out so the skip list can store 4-byte links.
 
 use crate::sync::{AtomicU64, Ordering};
-use std::alloc::{alloc_zeroed, dealloc, Layout};
+use std::alloc::{alloc, dealloc, Layout};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Error returned when the arena has no room for a reservation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,14 +65,14 @@ impl Arena {
     /// Panics if `cap` exceeds `u32::MAX` (offsets are 32-bit).
     pub fn with_capacity(cap: usize) -> Arena {
         let cap = cap.max(16).next_multiple_of(8);
-        // PANIC-SAFE: documented constructor contract (see # Panics); arena
-        // sizes come from DbConfig, not from user data. Allocation failure
-        // has no recovery at this layer.
+        // PANIC-SAFE: the # Panics contract; `DbConfig::normalized` refuses
+        // at open a MemTable whose arena is past `list::MAX_CAPACITY`.
         assert!(cap <= u32::MAX as usize, "arena capacity must fit in u32 offsets");
         // PANIC-SAFE: (cap <= u32::MAX, align 8) is always a valid Layout.
         let layout = Layout::from_size_align(cap, 8).expect("arena layout");
-        // SAFETY: non-zero size. Zeroed so atomic link words start as null.
-        let ptr = unsafe { alloc_zeroed(layout) };
+        // SAFETY: non-zero size. The bytes are uninitialized; nothing reads
+        // one before a reservation has written it.
+        let ptr = unsafe { alloc(layout) };
         // PANIC-SAFE: aborting on OOM matches std collection behaviour.
         assert!(!ptr.is_null(), "arena allocation of {cap} bytes failed");
         Arena { ptr, cap, bump: Bump(AtomicU64::new(8)) }
@@ -94,9 +97,10 @@ impl Arena {
     /// been taken from the back).
     pub fn reserve(&self, front: usize, back: usize) -> Result<(u32, u32), ArenaFull> {
         let (cap, requested) = (self.cap as u64, front.saturating_add(back));
-        // Each end only *reserves* a range; it publishes no data. The memory
-        // was zeroed before the arena was shared, and what a reservation
-        // holds is published by the skip list's Release CAS.
+        // Each end only *reserves* a range; it publishes no data. What a
+        // reservation holds — every byte of it the list will read, tower
+        // words included — is written by the reserving thread and
+        // published by the skip list's Release CAS.
         // ORDERING: relaxed — reservation only; see above.
         let mut word = self.bump.0.load(Ordering::Relaxed);
         loop {
@@ -144,6 +148,42 @@ impl Arena {
     pub unsafe fn slice(&self, offset: u32, len: usize) -> &[u8] {
         debug_assert!(offset as usize + len <= self.cap);
         std::slice::from_raw_parts(self.ptr.add(offset as usize), len)
+    }
+}
+
+/// One spare arena for a user that builds lists of one size again and again
+/// (a database shard's MemTables): [`crate::SkipList::recycling`] takes it
+/// from here and gives it back when the list drops, so in steady state a new
+/// list allocates nothing. One slot: an arena returned while one is kept
+/// replaces it, and the older is freed.
+#[derive(Debug, Default)]
+pub struct SpareArena(Mutex<Option<Arena>>);
+
+impl SpareArena {
+    /// An empty arena of at least `cap` bytes: the spare if it is that
+    /// large, else a new allocation. The flag says it was allocated.
+    pub fn take(&self, cap: usize) -> (Arena, bool) {
+        let spare = self.slot().take();
+        match spare {
+            Some(mut arena) if arena.cap >= cap => {
+                // Every reservation forgotten; the bytes stay as the last
+                // user left them. Owning the arena proves nobody reads them.
+                arena.bump = Bump(AtomicU64::new(8));
+                (arena, false)
+            }
+            _ => (Arena::with_capacity(cap), true),
+        }
+    }
+
+    /// Keep `arena` as the spare.
+    pub fn put(&self, arena: Arena) {
+        // The older spare, if any, is freed after the lock is released.
+        let _older = self.slot().replace(arena);
+    }
+
+    fn slot(&self) -> MutexGuard<'_, Option<Arena>> {
+        // A panic under this lock leaves the slot whole: it only moves an arena.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -9,9 +9,12 @@
 //!   [`Arena`]: an insert reserves its node (header, tower, key) at the
 //!   front and its value at the back with one CAS on a packed
 //!   `front | back << 32` word, so searches walk densely packed nodes and
-//!   never step over a value. Nothing is ever freed individually — the
-//!   whole table is dropped at once after it has been flushed (LSM
-//!   MemTables are bounded, so the arena can be pre-sized).
+//!   never step over a value. Nothing is ever freed individually: when
+//!   the last holder of a flushed table drops it, the whole arena is freed
+//!   or, for a list built by [`SkipList::recycling`], handed to a
+//!   [`SpareArena`] for the next table (LSM MemTables are bounded, so the
+//!   arena can be pre-sized). The arena is never zeroed: a node's every
+//!   word, its tower included, is stored before the node is published.
 //! * Forward pointers are `AtomicU32` arena offsets; insertion links a node
 //!   level-by-level with CAS, re-searching the splice on contention.
 //! * Entries are never deleted or overwritten (deletes are tombstone values,
@@ -27,6 +30,6 @@ pub mod comparator;
 pub mod list;
 mod sync;
 
-pub use arena::{Arena, ArenaFull};
+pub use arena::{Arena, ArenaFull, SpareArena};
 pub use comparator::{BytewiseComparator, Comparator};
 pub use list::{ArcSkipIter, Cursor, SkipList, SkipListIter};

@@ -2,8 +2,10 @@
 
 use crate::sync::{AtomicU32, AtomicUsize, Ordering as AtOrd};
 use std::cmp::Ordering;
+use std::mem::ManuallyDrop;
+use std::sync::Arc;
 
-use crate::arena::{Arena, ArenaFull};
+use crate::arena::{Arena, ArenaFull, SpareArena};
 use crate::comparator::Comparator;
 
 /// Tallest tower; with branching factor 4 this covers far more entries than
@@ -29,6 +31,12 @@ const HEADER_SIZE: usize = std::mem::size_of::<NodeHeader>();
 /// header, the tallest tower and the front's alignment padding.
 pub const MAX_NODE_OVERHEAD: usize = HEADER_SIZE + 4 * MAX_HEIGHT + 3;
 
+/// Arena bytes a list takes besides its `capacity`: room for the head node.
+const HEAD_SLACK: usize = 256;
+
+/// The largest `capacity` a list accepts: its arena's offsets are 32-bit.
+pub const MAX_CAPACITY: usize = (u32::MAX as usize & !7) - HEAD_SLACK;
+
 /// `len` on a line of its own: every insert bumps it, and no seek reads it.
 #[repr(align(64))]
 struct Len(AtomicUsize);
@@ -50,7 +58,9 @@ struct Len(AtomicUsize);
 /// assert_eq!(pairs, vec![(&b"a"[..], &b"1"[..]), (&b"b"[..], &b"2"[..])]);
 /// ```
 pub struct SkipList<C: Comparator> {
-    arena: Arena,
+    /// Returned to `spare` when the list drops.
+    arena: ManuallyDrop<Arena>,
+    spare: Arc<SpareArena>,
     cmp: C,
     head: u32,
     max_height: AtomicUsize,
@@ -60,13 +70,27 @@ pub struct SkipList<C: Comparator> {
 impl<C: Comparator> SkipList<C> {
     /// Create a list whose arena holds `capacity` bytes of nodes + keys +
     /// values. Inserting beyond capacity returns [`ArenaFull`].
+    ///
+    /// # Panics
+    /// Panics if `capacity` exceeds [`MAX_CAPACITY`].
     pub fn with_capacity(cmp: C, capacity: usize) -> SkipList<C> {
-        let arena = Arena::with_capacity(capacity + 256);
-        // PANIC-SAFE: the +256 slack above guarantees the head node (fixed,
-        // 64 bytes) always fits in a fresh arena.
+        Self::recycling(cmp, capacity, &Arc::default()).0
+    }
+
+    /// A list like [`Self::with_capacity`] whose arena is `spare`'s when it
+    /// keeps one of this size, and goes back to `spare` when the list
+    /// drops: the last holder of a list returns it, so no reader of this
+    /// list ever sees its bytes reused. The flag says the arena was
+    /// allocated rather than recycled.
+    pub fn recycling(cmp: C, capacity: usize, spare: &Arc<SpareArena>) -> (SkipList<C>, bool) {
+        let (arena, allocated) = spare.take(capacity + HEAD_SLACK);
+        // PANIC-SAFE: the HEAD_SLACK added to every capacity guarantees the
+        // head node (fixed, 64 bytes) always fits in an empty arena.
         let head = Self::alloc_node_in(&arena, MAX_HEIGHT, b"", b"")
             .expect("arena sized for at least the head node");
-        SkipList { arena, cmp, head, max_height: AtomicUsize::new(1), len: Len(AtomicUsize::new(0)) }
+        let (arena, spare) = (ManuallyDrop::new(arena), Arc::clone(spare));
+        let list = SkipList { arena, spare, cmp, head, max_height: AtomicUsize::new(1), len: Len(AtomicUsize::new(0)) };
+        (list, allocated)
     }
 
     /// Number of entries.
@@ -93,17 +117,25 @@ impl<C: Comparator> SkipList<C> {
     }
 
     /// Reserve a node of `height` with its key at the front and its value
-    /// at the back in one step, and fill in everything but the links.
+    /// at the back in one step, and write all of it: header, key, value and
+    /// a tower of null links. The arena may hold any bytes, so no word of
+    /// the node is left unwritten.
     fn alloc_node_in(arena: &Arena, height: usize, key: &[u8], value: &[u8]) -> Result<u32, ArenaFull> {
         let tower = HEADER_SIZE + height * 4;
         let (node, val_off) = arena.reserve(tower + key.len(), value.len())?;
         // SAFETY: both ranges are this thread's until the node is published;
-        // the node is in bounds and 4-aligned, and its links were zeroed by
-        // the arena (null = 0). Lengths fit in u32: the reservation did.
+        // the node is in bounds and 4-aligned, and the tower written below
+        // lies inside it. Lengths fit in u32: the reservation did.
         unsafe {
             let hdr = arena.ptr_at(node) as *mut NodeHeader;
             let (key_len, val_len) = (key.len() as u32, value.len() as u32);
             hdr.write(NodeHeader { key_len, val_off, val_len, height: height as u32 });
+            for level in 0..height {
+                let link = &*(arena.ptr_at(node + (HEADER_SIZE + level * 4) as u32) as *const AtomicU32);
+                // ORDERING: relaxed — pre-publication store to a private
+                // node; the Release CAS that links it publishes it.
+                link.store(0, AtOrd::Relaxed);
+            }
             arena.write(node + tower as u32, key);
             arena.write(val_off, value);
         }
@@ -119,8 +151,9 @@ impl<C: Comparator> SkipList<C> {
     }
 
     /// # Safety
-    /// `node` as for [`Self::header`]; the link array is zero-initialized
-    /// by the arena, so reading any level below the node's height is sound.
+    /// `node` as for [`Self::header`]; `alloc_node_in` stored every word of
+    /// the link array before the node could be reached, so reading any level
+    /// below the node's height is sound.
     #[inline]
     unsafe fn link(&self, node: u32, level: usize) -> &AtomicU32 {
         debug_assert!(level < self.header(node).height as usize);
@@ -340,6 +373,13 @@ impl<C: Comparator> std::fmt::Debug for SkipList<C> {
             .field("len", &self.len())
             .field("memory_usage", &self.memory_usage())
             .finish()
+    }
+}
+
+impl<C: Comparator> Drop for SkipList<C> {
+    fn drop(&mut self) {
+        // SAFETY: the list is being dropped, so `arena` is never used again.
+        self.spare.put(unsafe { ManuallyDrop::take(&mut self.arena) });
     }
 }
 
@@ -611,5 +651,51 @@ mod tests {
         }
         writer.join().unwrap();
         assert_eq!(l.len(), 20_000);
+    }
+
+    /// A tombstone first, so its empty value sits at the back edge, then
+    /// values of every length from 0 to 39 B; returns what a scan reads.
+    fn fill_and_read(l: &SkipList<BytewiseComparator>) -> Vec<(Vec<u8>, Vec<u8>)> {
+        l.insert(b"tomb", b"").unwrap();
+        for i in 0..40u8 {
+            l.insert(&[b'k', i], &vec![i; i as usize]).unwrap();
+        }
+        let tomb = l.seek_node(b"tomb");
+        // SAFETY: `tomb` is a published node of this list.
+        assert_eq!(unsafe { l.header(tomb) }.val_off as usize, l.capacity(), "tombstone off the back edge");
+        assert_eq!(l.get(b"tomb"), Some(&b""[..]));
+        l.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect()
+    }
+
+    /// A recycled arena whose every byte is 0xA5 (so every stale tower word
+    /// points far outside it) reads exactly like a fresh one, and a list
+    /// returns its arena only when its last holder drops it.
+    #[test]
+    fn a_recycled_dirty_arena_reads_like_a_fresh_one() {
+        const CAP: usize = 4 << 10;
+        let fresh = fill_and_read(&list(CAP));
+        let spare = Arc::new(SpareArena::default());
+        let (dirty, allocated) = spare.take(CAP + HEAD_SLACK);
+        assert!(allocated);
+        let (all, _) = dirty.reserve(dirty.capacity() - 8, 0).unwrap();
+        // SAFETY: the whole arena was just reserved here.
+        unsafe { dirty.write(all, &vec![0xA5; dirty.capacity() - 8]) };
+        spare.put(dirty);
+
+        let (l, allocated) = SkipList::recycling(BytewiseComparator, CAP, &spare);
+        assert!(!allocated, "the spare arena was not reused");
+        assert_eq!((l.len(), l.memory_usage()), (0, list(CAP).memory_usage()));
+        assert!(l.iter().next().is_none() && l.seek_ge(b"").is_none());
+        assert_eq!(fill_and_read(&l), fresh);
+
+        let l = Arc::new(l);
+        let pinned = ArcSkipIter::new(Arc::clone(&l));
+        drop(l);
+        assert!(spare.take(CAP + HEAD_SLACK).1, "a pinned list gave its arena back");
+        assert_eq!(pinned.key(), b"k\0");
+        drop(pinned);
+        let (l, allocated) = SkipList::recycling(BytewiseComparator, CAP, &spare);
+        assert!(!allocated, "the last holder did not give the arena back");
+        assert_eq!(fill_and_read(&l), fresh);
     }
 }

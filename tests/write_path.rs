@@ -117,7 +117,7 @@ fn a_write_larger_than_a_memtable_is_refused_before_it_draws_a_sequence_number()
     let writer = Arc::clone(&db);
     let helper = std::thread::spawn(move || {
         let put = writer.put(b"big", &[7; 1 << 20]);
-        // Each entry fits an arena (≈ 199 KiB); the four together do not.
+        // Each entry fits an arena (≈ 137 KiB); the four together do not.
         let mut batch = WriteBatch::new();
         for i in 0..4u8 {
             batch.put(&[b'b', i], &[i; 64 << 10]);
@@ -159,6 +159,59 @@ fn the_largest_write_an_empty_memtable_holds_is_accepted_and_one_byte_more_is_re
     db.wait_until_quiescent();
     assert_eq!(db.stats().snapshot().flushes, 1);
     assert_eq!(reader.get(b"largest").unwrap().as_deref(), Some(&value[..]));
+    drop(reader);
+    db.shutdown();
+    server.shutdown();
+}
+
+/// `n` puts of keys `0..n` whose values are all `fill`, then the table
+/// switched and flushed and the engine quiesced.
+fn fill_one_table(db: &Db, n: u64, fill: u8) {
+    for k in 0..n {
+        db.put(&key(k), &[fill; 128]).unwrap();
+    }
+    db.force_flush().unwrap();
+    db.wait_until_quiescent();
+}
+
+/// A switch allocates nothing once a retired table's arena has come back
+/// (DESIGN.md §5.3): when every table is flushed and let go before the next
+/// one fills, two arenas serve 50 switches — the first table's and the
+/// second's, taken while the first was still being flushed.
+#[test]
+fn a_quiesced_writer_switches_fifty_times_over_two_arenas() {
+    let (server, db) = open();
+    for table in 0..50u8 {
+        fill_one_table(&db, 100, table);
+    }
+    let stats = db.stats().snapshot();
+    assert_eq!((stats.switches, stats.memtable_allocs), (50, 2), "{stats}");
+    db.shutdown();
+    server.shutdown();
+}
+
+/// An arena returns only when the last holder of its table lets go: a scan
+/// opened on a table keeps reading its own bytes over nine switches while
+/// eight later tables write other bytes into recycled arenas, and the arena
+/// it pins is one allocation more than the quiesced writer's two.
+#[test]
+fn a_pinned_memtable_is_never_recycled_under_its_scan() {
+    let (server, db) = open();
+    for k in 0..100 {
+        db.put(&key(k), &[0xEE; 128]).unwrap();
+    }
+    let mut reader = db.reader();
+    let mut scan = reader.scan(b"").unwrap();
+    let first = scan.next().unwrap().unwrap();
+    for table in 0..8u8 {
+        fill_one_table(&db, 100, table);
+    }
+    let stats = db.stats().snapshot();
+    assert_eq!((stats.switches, stats.memtable_allocs), (9, 3), "{stats}");
+    let mut want: Vec<_> = (0..100).map(|k| (key(k), vec![0xEE; 128])).collect();
+    want.sort();
+    let got: Vec<_> = std::iter::once(Ok(first)).chain(scan).collect::<Result<_, _>>().unwrap();
+    assert!(got == want, "the scan read bytes that are not its table's");
     drop(reader);
     db.shutdown();
     server.shutdown();
