@@ -1,12 +1,11 @@
 //! The dLSM database: write path, read path, background work, snapshots.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use dlsm_memnode::RpcClient;
 use dlsm_sstable::bloom::bloom_hash;
 use dlsm_sstable::byte_addr::{TableGet, TableMeta};
@@ -25,7 +24,7 @@ use crate::remote::{fetch_wave, table_step, Channel, RecordFetch, Step};
 use crate::scan::DbScan;
 use crate::stats::DbStats;
 use crate::telemetry::{record_op, OpClock, ReaderSlot, SlotCounter, SlotStats, GET_PHASES, INSERT, RESERVE, STALL};
-use crate::version::{ReadView, Version, VersionEdit, VersionSet};
+use crate::version::{ReadView, Version, VersionEdit};
 use crate::{DbError, Result};
 
 thread_local! {
@@ -41,34 +40,28 @@ pub(crate) struct Shared {
     pub(crate) seq: AtomicU64,
     /// The MemTable writers insert into; readers never take this lock.
     pub(crate) current: RwLock<Arc<MemTable>>,
-    /// The published [`ReadView`]; the lock serializes the three
-    /// publishers (switch, flush install, compaction install) and is taken
-    /// by a reader only to refresh.
-    view: Mutex<Arc<ReadView>>,
+    /// The engine's one monitor (DESIGN.md §5.6): it serializes the three
+    /// publishers (switch, flush install, compaction install); a reader
+    /// takes it only to refresh.
+    view: Mutex<Monitor>,
+    /// The monitor's one condvar, which every engine wait parks on.
+    signal: Condvar,
     /// Id of the published view — the one word a read loads to validate
     /// the view it cached.
     view_id: ViewId,
     pub(crate) imm_count: AtomicUsize,
-    pub(crate) flush_queue_len: AtomicUsize,
     switch_lock: Mutex<()>,
     /// The arena of the last retired MemTable its last holder dropped; the
     /// next switch takes it (DESIGN.md §5.3).
     spare: Arc<dlsm_skiplist::SpareArena>,
     /// Table/MemTable id generator (L0 ordering relies on flush ids).
     next_id: AtomicU64,
-    pub(crate) versions: VersionSet,
     l0_count: AtomicUsize,
-    stall_lock: Mutex<()>,
-    stall_cv: Condvar,
-    work_lock: Mutex<()>,
-    work_cv: Condvar,
-    flush_tx: Sender<Arc<MemTable>>,
     pub(crate) gc: Arc<GcSink>,
     pub(crate) stats: DbStats,
     pub(crate) telemetry: Arc<crate::telemetry::DbTelemetry>,
     stopping: AtomicBool,
     snapshots: Mutex<BTreeMap<SeqNo, usize>>,
-    compaction_idle: AtomicBool,
     /// The L0 trigger of the compactor's last pick ([`l0_trigger`]).
     l0_trigger: AtomicUsize,
     /// Global write mutex for `serialized_writes` (baseline emulation).
@@ -77,15 +70,21 @@ pub(crate) struct Shared {
     publication: crate::publication::Publication,
     /// Compute-side read cache (blocks + hot extents); `None` when disabled.
     pub(crate) cache: Option<Arc<dlsm_cache::ReadCache>>,
-    /// Next retirement order to assign (at switch time).
-    retire_counter: AtomicU64,
-    /// Retirement order whose flush should install next; flush workers
-    /// serialize on this so L0 receives tables strictly in MemTable order
-    /// even though serialization runs in parallel.
-    install_turn: Mutex<u64>,
-    install_cv: Condvar,
     /// When this shard was opened (the stats report's uptime).
     pub(crate) opened_at: Instant,
+}
+
+/// What [`Shared::view`] guards.
+struct Monitor {
+    /// The published view. Its immutables, newest first, are the retired
+    /// MemTables in retirement order: the last one installs next.
+    view: Arc<ReadView>,
+    /// Retired MemTables no flush thread has taken yet, oldest first.
+    queue: VecDeque<Arc<MemTable>>,
+    /// Retired MemTables queued or being flushed (the flush-queue gauge).
+    in_flight: usize,
+    /// The compactor found no job at its last pick.
+    compactor_idle: bool,
 }
 
 /// On a line of its own: every read loads it, and it must not share a line
@@ -145,36 +144,37 @@ impl Shared {
         s
     }
 
-    fn notify_stall(&self) {
-        let _g = self.stall_lock.lock();
-        self.stall_cv.notify_all();
-    }
-
-    fn notify_work(&self) {
-        let _g = self.work_lock.lock();
-        self.work_cv.notify_all();
-    }
-
     /// Pin the published view: the refresh path of a reader whose cached
     /// view was superseded, and how a snapshot is taken.
-    fn pin(&self) -> Arc<ReadView> {
-        Arc::clone(&self.view.lock())
+    pub(crate) fn pin(&self) -> Arc<ReadView> {
+        Arc::clone(&self.view.lock().view)
     }
 
-    /// Publish the successor of the current view, built by `next` from it.
-    /// The only place the read-visible set changes. Two rules keep reads
-    /// consistent (DESIGN.md §5.5, model-checked in `model_readview.rs`):
-    /// a reader loads its horizon *before* it validates its view against
-    /// `view_id`, and a view is published *before* anything it newly holds
-    /// can accept a write — so whatever a horizon covers is in the view
-    /// that passes validation after it.
-    fn publish_view(&self, next: impl FnOnce(&ReadView) -> (Vec<Arc<MemTable>>, Arc<Version>)) {
-        let mut view = self.view.lock();
-        let (mems, version) = next(&view);
+    /// Retired MemTables queued or being flushed.
+    pub(crate) fn flush_queue_len(&self) -> usize {
+        self.view.lock().in_flight
+    }
+
+    /// Publish, under the monitor `m`, the successor of the current view,
+    /// built by `next` from it, and wake every waiter. The only place the
+    /// read-visible set changes. Two rules keep reads consistent (DESIGN.md
+    /// §5.5, model-checked in `model_readview.rs`): a reader loads its
+    /// horizon *before* it validates its view against `view_id`, and a view
+    /// is published *before* anything it newly holds can accept a write —
+    /// so whatever a horizon covers is in the view that passes validation
+    /// after it.
+    fn publish_view(&self, m: &mut Monitor, next: impl FnOnce(&ReadView) -> (Vec<Arc<MemTable>>, Arc<Version>)) {
+        let (mems, version) = next(&m.view);
         self.imm_count.store(mems.len() - 1, Ordering::Release);
         self.l0_count.store(version.level(0).len(), Ordering::Release);
-        *view = Arc::new(ReadView { id: view.id + 1, mems, version });
-        self.view_id.0.store(view.id, Ordering::Release);
+        m.view = Arc::new(ReadView { id: m.view.id + 1, mems, version });
+        self.view_id.0.store(m.view.id, Ordering::Release);
+        self.signal.notify_all();
+    }
+
+    /// Publish the current version with `edit` applied.
+    fn install_edit(&self, edit: &VersionEdit) {
+        self.publish_view(&mut self.view.lock(), |view| (view.mems.clone(), Arc::new(view.version.apply(edit))));
     }
 
     /// After a publication: empty the slot of every idle reader whose view
@@ -232,23 +232,26 @@ impl Shared {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let new = memtable(&self.cfg, &self.spare, &self.stats, id, start);
         let start = new.range.start;
-        let (old, keep_old) = {
+        let queued = {
             // Under the write lock no insert is in flight, so "empty" is
             // final, and the view that holds `new` is published before the
             // swap lets any writer reach `new`. The retiring table stays
-            // in the view until its flush installs.
+            // in the view until its flush installs, and is queued under the
+            // same guard: the publication's notify announces it.
             let mut cur = self.current.write();
             let keep_old = !cur.is_empty();
-            if keep_old {
-                let order = self.retire_counter.fetch_add(1, Ordering::AcqRel);
-                cur.flush_order.store(order, Ordering::Release);
-            }
-            self.publish_view(|view| {
+            let mut m = self.view.lock();
+            self.publish_view(&mut m, |view| {
                 let mut mems = vec![Arc::clone(&new)];
                 mems.extend_from_slice(&view.mems[usize::from(!keep_old)..]);
                 (mems, Arc::clone(&view.version))
             });
-            (std::mem::replace(&mut *cur, new), keep_old)
+            let old = std::mem::replace(&mut *cur, new);
+            keep_old.then(|| {
+                m.queue.push_back(old);
+                m.in_flight += 1;
+                m.in_flight
+            })
         };
         self.release_idle_views();
         let prev = self.seq.fetch_max(start, Ordering::AcqRel);
@@ -258,33 +261,9 @@ impl Shared {
             self.publication.publish(prev, start - prev);
         }
         DbStats::bump(&self.stats.switches);
-        if keep_old {
-            let queued = self.flush_queue_len.fetch_add(1, Ordering::Release) + 1;
+        if let Some(queued) = queued {
             dlsm_trace::instant(dlsm_trace::Category::Flush, "flush_enqueue", queued as u64);
-            let _ = self.flush_tx.send(old);
         }
-    }
-
-    /// Block until it is `order`'s turn to install a flush result, then run
-    /// `install` and pass the turn on. Serializing installs (not the
-    /// serialization work itself) preserves the LSM level invariant under
-    /// parallel flush threads.
-    fn install_in_order(&self, order: u64, install: impl FnOnce()) {
-        let _sp = dlsm_trace::span_arg(dlsm_trace::Category::Flush, "install", order);
-        let mut turn = self.install_turn.lock();
-        while *turn != order {
-            // HOTPATH: a flush thread waits for its install turn; the 50 ms
-            // timeout rechecks `stopping`. Foreground ops never install.
-            self.install_cv.wait_for(&mut turn, Duration::from_millis(50));
-            if self.stopping.load(Ordering::Acquire) && *turn != order {
-                // Give up ordering during shutdown rather than deadlocking
-                // on a worker that already exited.
-                break;
-            }
-        }
-        install();
-        *turn = (*turn).max(order) + 1;
-        self.install_cv.notify_all();
     }
 
     fn write_stall_check(&self) -> bool {
@@ -315,17 +294,18 @@ impl Shared {
         let reason = self.stall_reason();
         clock.time_rest();
         let t0 = Instant::now();
-        let mut guard = self.stall_lock.lock();
+        // `publish_view` stores both counts under the monitor.
+        let mut m = self.view.lock();
         while !self.write_stall_check() {
             if self.stopping.load(Ordering::Acquire) {
                 return Err(DbError::ShuttingDown);
             }
             // HOTPATH: write stall is the intended backpressure point (paper
-            // Sec. X-C); writers must park until flush/compaction frees room.
-            // An edge-triggered wakeup is ROADMAP's parked completion-driven runtime.
-            self.stall_cv.wait_for(&mut guard, Duration::from_millis(2));
+            // Sec. X-C); a writer parks on the monitor until a publication
+            // frees room, or shutdown.
+            self.signal.wait(&mut m);
         }
-        drop(guard);
+        drop(m);
         self.stats.note_stall(reason, t0.elapsed().as_micros() as u64);
         Ok(())
     }
@@ -466,47 +446,37 @@ impl Db {
         cfg: DbConfig,
     ) -> Result<Db> {
         let cfg = cfg.normalized();
-        let (flush_tx, flush_rx) = unbounded();
         let gc = GcSink::new(Arc::clone(memnode.flush_alloc()));
         let (spare, stats) = (Arc::default(), DbStats::default());
         let first = memtable(&cfg, &spare, &stats, 0, 1);
-        let versions = VersionSet::new(cfg.max_levels);
+        let view = ReadView { id: 0, mems: vec![Arc::clone(&first)], version: Arc::new(Version::empty(cfg.max_levels)) };
         let shared = Arc::new(Shared {
             ctx,
             memnode,
             seq: AtomicU64::new(1),
-            view: Mutex::new(Arc::new(ReadView {
-                id: 0,
-                mems: vec![Arc::clone(&first)],
-                version: versions.current(),
-            })),
+            view: Mutex::new(Monitor {
+                view: Arc::new(view),
+                queue: VecDeque::new(),
+                in_flight: 0,
+                compactor_idle: true,
+            }),
+            signal: Condvar::new(),
             view_id: ViewId(AtomicU64::new(0)),
             current: RwLock::new(first),
             imm_count: AtomicUsize::new(0),
-            flush_queue_len: AtomicUsize::new(0),
             switch_lock: Mutex::new(()),
             spare,
             next_id: AtomicU64::new(1),
-            versions,
             l0_count: AtomicUsize::new(0),
-            stall_lock: Mutex::new(()),
-            stall_cv: Condvar::new(),
-            work_lock: Mutex::new(()),
-            work_cv: Condvar::new(),
-            flush_tx,
             gc,
             stats,
             telemetry: Arc::new(crate::telemetry::DbTelemetry::default()),
             stopping: AtomicBool::new(false),
             snapshots: Mutex::new(BTreeMap::new()),
-            compaction_idle: AtomicBool::new(true),
             l0_trigger: AtomicUsize::new(cfg.l0_compaction_trigger),
             write_serializer: Mutex::new(()),
             publication: crate::publication::Publication::new(1),
             cache: dlsm_cache::ReadCache::new(cfg.cache.clone()),
-            retire_counter: AtomicU64::new(0),
-            install_turn: Mutex::new(0),
-            install_cv: Condvar::new(),
             opened_at: Instant::now(),
             cfg,
         });
@@ -514,8 +484,7 @@ impl Db {
         let mut threads = Vec::new();
         for _ in 0..shared.cfg.flush_threads.max(1) {
             let s = Arc::clone(&shared);
-            let rx = flush_rx.clone();
-            threads.push(std::thread::spawn(move || flush_loop(s, rx)));
+            threads.push(std::thread::spawn(move || flush_loop(s)));
         }
         {
             let s = Arc::clone(&shared);
@@ -636,7 +605,7 @@ impl Db {
 
     /// The current table layout, pinned.
     pub fn version(&self) -> Arc<Version> {
-        self.shared.versions.current()
+        Arc::clone(&self.shared.pin().version)
     }
 
     /// Tables per level of the current version.
@@ -676,36 +645,37 @@ impl Db {
                 self.shared.switch_full(id);
             }
         }
-        while self.shared.imm_count.load(Ordering::Acquire) > 0
-            || self.shared.flush_queue_len.load(Ordering::Acquire) > 0
-        {
-            if self.shared.stopping.load(Ordering::Acquire) {
+        let shared = &self.shared;
+        let mut m = shared.view.lock();
+        loop {
+            // Checked first: a flush cut short by shutdown installs nothing.
+            if shared.stopping.load(Ordering::Acquire) {
                 return Err(DbError::ShuttingDown);
             }
+            if m.view.mems.len() == 1 && m.in_flight == 0 {
+                return Ok(());
+            }
             // HOTPATH: `force_flush` blocks by contract; puts and gets never call it.
-            std::thread::sleep(Duration::from_millis(1));
+            shared.signal.wait(&mut m);
         }
-        Ok(())
     }
 
     /// Block until no flush or compaction work remains (used by read-only
-    /// benchmarks that start "after all background compaction finishes").
+    /// benchmarks that start "after all background compaction finishes"),
+    /// or the database shuts down.
     pub fn wait_until_quiescent(&self) {
+        let (shared, cfg) = (&self.shared, &self.shared.cfg);
+        let mut m = shared.view.lock();
         loop {
-            let flushed = self.shared.imm_count.load(Ordering::Acquire) == 0
-                && self.shared.flush_queue_len.load(Ordering::Acquire) == 0;
-            let idle = self.shared.compaction_idle.load(Ordering::Acquire);
-            // Judged as the compactor judges once writes stop: quiescent
-            // means L0 below `l0_compaction_trigger`.
-            let cfg = &self.shared.cfg;
-            let pending =
-                pick_compaction(&self.shared.versions.current(), cfg, l0_trigger(cfg, false), &mut Vec::new()).is_some();
-            if flushed && idle && !pending {
+            let flushed = m.view.mems.len() == 1 && m.in_flight == 0;
+            // Judged as the compactor judges once writes stop (its tick finds
+            // them stopped): quiescent means L0 below `l0_compaction_trigger`.
+            let pending = pick_compaction(&m.view.version, cfg, l0_trigger(cfg, false), &mut Vec::new()).is_some();
+            if (flushed && m.compactor_idle && !pending) || shared.stopping.load(Ordering::Acquire) {
                 return;
             }
-            self.shared.notify_work();
             // HOTPATH: `wait_until_quiescent` blocks by contract (benchmark set-up).
-            std::thread::sleep(Duration::from_millis(2));
+            shared.signal.wait(&mut m);
         }
     }
 
@@ -817,7 +787,7 @@ impl Db {
                 );
             }
         }
-        shared.publish_view(|view| (view.mems.clone(), shared.versions.install(&edit)));
+        shared.install_edit(&edit);
         let prev = shared.seq.fetch_max(seq, Ordering::AcqRel);
         if prev < seq {
             shared.publication.publish(prev, seq - prev);
@@ -839,9 +809,12 @@ impl Db {
         if self.down.swap(true, Ordering::AcqRel) {
             return;
         }
-        self.shared.stopping.store(true, Ordering::Release);
-        self.shared.notify_stall();
-        self.shared.notify_work();
+        {
+            // Stored under the monitor: a waiter sees it or is parked.
+            let _m = self.shared.view.lock();
+            self.shared.stopping.store(true, Ordering::Release);
+            self.shared.signal.notify_all();
+        }
         let threads = std::mem::take(&mut *self.threads.lock());
         for t in threads {
             let _ = t.join();
@@ -1200,18 +1173,21 @@ impl Drop for DbReader {
     }
 }
 
-fn flush_loop(shared: Arc<Shared>, rx: Receiver<Arc<MemTable>>) {
+fn flush_loop(shared: Arc<Shared>) {
     let Ok(channel) = shared.channel() else { return };
     loop {
-        // HOTPATH: the flush thread idles on its queue; the timeout rechecks
-        // `stopping`.
-        let mem = match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(m) => m,
-            Err(_) => {
-                if shared.stopping.load(Ordering::Acquire) && rx.is_empty() {
+        let mem = {
+            let mut m = shared.view.lock();
+            loop {
+                if let Some(mem) = m.queue.pop_front() {
+                    break mem;
+                }
+                if shared.stopping.load(Ordering::Acquire) {
                     return;
                 }
-                continue;
+                // HOTPATH: a flush thread idles on the monitor until a
+                // switch enqueues a MemTable, or shutdown.
+                shared.signal.wait(&mut m);
             }
         };
         // Mirror this table into the extent cache if an image of its size
@@ -1245,7 +1221,7 @@ fn flush_loop(shared: Arc<Shared>, rx: Receiver<Arc<MemTable>>) {
                     if shared.stopping.load(Ordering::Acquire) {
                         break None;
                     }
-                    shared.notify_work(); // nudge compaction/GC
+                    shared.signal.notify_all(); // nudge compaction/GC
                     // HOTPATH: flush-thread backoff while GC and compaction free space.
                     std::thread::sleep(Duration::from_millis(2));
                 }
@@ -1267,49 +1243,56 @@ fn flush_loop(shared: Arc<Shared>, rx: Receiver<Arc<MemTable>>) {
                 }
             }
         };
-        if let Some(out) = &out {
+        let mut edit = VersionEdit::default();
+        if let Some(mut out) = out {
             DbStats::add(&shared.stats.flush_bytes, out.extent.len);
             DbStats::add(&shared.stats.flush_tombstones, mem.tombstones());
+            let handle = TableHandle::new(
+                mem.id,
+                shared.memnode.remote(),
+                out.extent,
+                Origin::Compute,
+                out.meta,
+                std::mem::take(&mut out.smallest),
+                std::mem::take(&mut out.largest),
+                out.num_entries,
+                Some(Arc::clone(&shared.gc)),
+            );
+            if let (Some(c), Some(image)) = (&shared.cache, out.local_image.take()) {
+                // Flush-time admission: the freshest L0 table is by
+                // definition hot (every read consults it first).
+                c.extent_admit(handle.id, Arc::new(image));
+            }
+            edit.add(0, handle);
+            DbStats::bump(&shared.stats.flushes);
         }
-        // Serialization ran in parallel; installation happens strictly in
-        // MemTable retirement order (see `install_in_order`).
-        let order = mem.flush_order.load(Ordering::Acquire);
-        shared.install_in_order(order, || {
-            let mut edit = VersionEdit::default();
-            if let Some(mut out) = out {
-                let handle = TableHandle::new(
-                    mem.id,
-                    shared.memnode.remote(),
-                    out.extent,
-                    Origin::Compute,
-                    out.meta,
-                    std::mem::take(&mut out.smallest),
-                    std::mem::take(&mut out.largest),
-                    out.num_entries,
-                    Some(Arc::clone(&shared.gc)),
-                );
-                if let (Some(c), Some(image)) = (&shared.cache, out.local_image.take()) {
-                    // Flush-time admission: the freshest L0 table is by
-                    // definition hot (every read consults it first).
-                    c.extent_admit(handle.id, Arc::new(image));
-                }
-                edit.add(0, handle);
-                DbStats::bump(&shared.stats.flushes);
+        {
+            let _sp = dlsm_trace::span_arg(dlsm_trace::Category::Flush, "install", mem.id);
+            let mut m = shared.view.lock();
+            // Serialization ran in parallel; installs go in retirement order,
+            // which the view records: a flush installs once its table is the
+            // oldest immutable. During shutdown it installs anyway rather
+            // than wait on a thread that has exited.
+            while !m.view.mems.last().is_some_and(|oldest| Arc::ptr_eq(oldest, &mem))
+                && !shared.stopping.load(Ordering::Acquire)
+            {
+                // HOTPATH: a flush thread waits on the monitor for its
+                // install turn; foreground ops never install.
+                shared.signal.wait(&mut m);
             }
             // One publication adds the table and retires the MemTable: no
             // view holds both or neither.
-            shared.publish_view(|view| {
+            shared.publish_view(&mut m, |view| {
                 let mems = view.mems.iter().filter(|m| m.id != mem.id).cloned().collect();
-                (mems, shared.versions.install(&edit))
+                (mems, Arc::new(view.version.apply(&edit)))
             });
-        });
+        }
         shared.release_idle_views();
         // Let go of the table before the queue says it is done: a quiesced
         // shard pins no retired MemTable, so its arena is the spare.
         drop(mem);
-        shared.flush_queue_len.fetch_sub(1, Ordering::AcqRel);
-        shared.notify_stall();
-        shared.notify_work();
+        shared.view.lock().in_flight -= 1;
+        shared.signal.notify_all();
     }
 }
 
@@ -1360,16 +1343,22 @@ fn compaction_loop(shared: Arc<Shared>) {
         last_seq = seq;
         // ORDERING: relaxed — read only by gauges and reports.
         shared.l0_trigger.store(trigger, Ordering::Relaxed);
-        let version = shared.versions.current();
+        let version = Arc::clone(&shared.pin().version);
         let job = pick_compaction(&version, &shared.cfg, trigger, &mut compact_pointer);
         let Some(job) = job else {
-            shared.compaction_idle.store(true, Ordering::Release);
-            let mut g = shared.work_lock.lock();
-            // HOTPATH: the compaction thread idles until `notify_work` or 10 ms.
-            shared.work_cv.wait_for(&mut g, Duration::from_millis(10));
+            let mut m = shared.view.lock();
+            if !m.compactor_idle {
+                m.compactor_idle = true;
+                shared.signal.notify_all();
+            }
+            if !shared.stopping.load(Ordering::Acquire) {
+                // HOTPATH: the compaction thread idles on the monitor; its
+                // 10 ms tick is how it sees `seq` stand still (DESIGN.md §5.7).
+                shared.signal.wait_for(&mut m, Duration::from_millis(10));
+            }
             continue;
         };
-        shared.compaction_idle.store(false, Ordering::Release);
+        shared.view.lock().compactor_idle = false;
 
         let smallest_snapshot = shared.smallest_snapshot();
         // ORDERING: relaxed — id generation; uniqueness only.
@@ -1426,7 +1415,7 @@ fn compaction_loop(shared: Arc<Shared>) {
                         }
                     }
                 }
-                shared.publish_view(|view| (view.mems.clone(), shared.versions.install(&edit)));
+                shared.install_edit(&edit);
                 shared.release_idle_views();
                 if let Some(c) = &shared.cache {
                     // Version-aware invalidation: the inputs this edit
@@ -1453,7 +1442,6 @@ fn compaction_loop(shared: Arc<Shared>) {
                     &shared.stats.compaction_bytes_out,
                     outcome.outputs.iter().map(|t| t.extent.len).sum::<u64>(),
                 );
-                shared.notify_stall();
             }
             Err(e) => {
                 consecutive_failures += 1;
@@ -1467,7 +1455,7 @@ fn compaction_loop(shared: Arc<Shared>) {
                         alloc.in_use() >> 20,
                         alloc.capacity() >> 20,
                         alloc.fragments(),
-                        shared.versions.current().shape(),
+                        version.shape(),
                     );
                 }
                 // Back off: out-of-memory only clears once GC frees space.

@@ -32,11 +32,6 @@ pub struct MemTable {
     pub id: u64,
     /// Pre-assigned sequence range.
     pub range: Range<SeqNo>,
-    /// Retirement order, assigned when the table becomes immutable. Flush
-    /// results MUST be installed in this order: a newer table reaching L0
-    /// (or deeper, via compaction) before an older one is installed would
-    /// put newer versions *below* older ones and break reads.
-    pub flush_order: std::sync::atomic::AtomicU64,
     /// Tombstones successfully inserted into this table, so the flush path
     /// can account delete traffic without re-walking the skip list.
     tombstones: std::sync::atomic::AtomicU64,
@@ -63,7 +58,6 @@ impl MemTable {
         let mem = MemTable {
             id,
             range,
-            flush_order: std::sync::atomic::AtomicU64::new(u64::MAX),
             tombstones: std::sync::atomic::AtomicU64::new(0),
             list: Arc::new(list),
             size_limit,

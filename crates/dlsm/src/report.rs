@@ -23,6 +23,7 @@
 //! hammers this.
 
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::compaction::level_score;
@@ -252,7 +253,7 @@ impl Shared {
         let uptime = self.opened_at.elapsed();
 
         // Pinned BEFORE the allocator is read (module docs).
-        let version = self.versions.current();
+        let version = Arc::clone(&self.pin().version);
         let mut levels = Vec::with_capacity(version.level_count());
         let mut live_bytes = [0u64; 3];
         let mut live_extents = [0u64; 3];
@@ -299,7 +300,7 @@ impl Shared {
             memtable_entries,
             seq_headroom,
             imm_count: self.imm_count.load(Ordering::Acquire),
-            flush_queue_len: self.flush_queue_len.load(Ordering::Acquire),
+            flush_queue_len: self.flush_queue_len(),
             uptime,
             write_amp,
             read_amp,

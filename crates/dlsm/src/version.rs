@@ -1,15 +1,14 @@
 //! Copy-on-write LSM-tree metadata (paper Sec. III, V-B).
 //!
 //! A [`Version`] is an immutable snapshot of the table layout: one `Vec` of
-//! table handles per level. Installing an edit clones the affected levels
-//! under a short mutex (the paper measures a metadata change every ~0.02 s,
-//! so a mutex is plenty). Readers pin a version by cloning its `Arc`; the
-//! pinned `Arc`s of the handles inside keep every referenced SSTable alive,
-//! which is the entire snapshot-GC story.
+//! table handles per level. The published [`ReadView`] holds the one current
+//! version; an install applies its edit to it under the view's lock (the
+//! paper measures a metadata change every ~0.02 s, so a lock is plenty).
+//! Readers pin a version by cloning its `Arc`; the pinned `Arc`s of the
+//! handles inside keep every referenced SSTable alive, which is the entire
+//! snapshot-GC story.
 
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::handle::TableHandle;
 use crate::memtable::MemTable;
@@ -82,7 +81,7 @@ impl Version {
     }
 
     /// Apply `edit`, producing the next version.
-    fn apply(&self, edit: &VersionEdit) -> Version {
+    pub fn apply(&self, edit: &VersionEdit) -> Version {
         let mut next = self.clone();
         for (level, ids) in &edit.deleted {
             next.levels[*level].retain(|t| !ids.contains(&t.id));
@@ -138,31 +137,6 @@ impl VersionEdit {
     }
 }
 
-/// The mutable head of the version chain.
-pub struct VersionSet {
-    current: Mutex<Arc<Version>>,
-}
-
-impl VersionSet {
-    /// Start with an empty layout.
-    pub fn new(levels: usize) -> VersionSet {
-        VersionSet { current: Mutex::new(Arc::new(Version::empty(levels))) }
-    }
-
-    /// Pin the current version (cheap `Arc` clone).
-    pub fn current(&self) -> Arc<Version> {
-        Arc::clone(&self.current.lock())
-    }
-
-    /// Atomically apply `edit` on top of the current version.
-    pub fn install(&self, edit: &VersionEdit) -> Arc<Version> {
-        let mut cur = self.current.lock();
-        let next = Arc::new(cur.apply(edit));
-        *cur = Arc::clone(&next);
-        next
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,39 +168,41 @@ mod tests {
         )
     }
 
+    /// `Version::empty(levels)` with `edit` applied.
+    fn built(levels: usize, edit: &VersionEdit) -> Version {
+        Version::empty(levels).apply(edit)
+    }
+
     #[test]
     fn l0_orders_newest_first() {
-        let vs = VersionSet::new(3);
         let mut e = VersionEdit::default();
         e.add(0, handle(1, "a", "z"));
-        vs.install(&e);
+        let v1 = built(3, &e);
         let mut e = VersionEdit::default();
         e.add(0, handle(3, "a", "z"));
         e.add(0, handle(2, "a", "z"));
-        let v = vs.install(&e);
+        let v = v1.apply(&e);
         let ids: Vec<u64> = v.level(0).iter().map(|t| t.id).collect();
         assert_eq!(ids, vec![3, 2, 1]);
     }
 
     #[test]
     fn deeper_levels_order_by_smallest_key() {
-        let vs = VersionSet::new(3);
         let mut e = VersionEdit::default();
         e.add(1, handle(1, "m", "p"));
         e.add(1, handle(2, "a", "c"));
         e.add(1, handle(3, "x", "z"));
-        let v = vs.install(&e);
+        let v = built(3, &e);
         let ids: Vec<u64> = v.level(1).iter().map(|t| t.id).collect();
         assert_eq!(ids, vec![2, 1, 3]);
     }
 
     #[test]
     fn table_for_key_binary_search() {
-        let vs = VersionSet::new(3);
         let mut e = VersionEdit::default();
         e.add(1, handle(1, "a", "c"));
         e.add(1, handle(2, "m", "p"));
-        let v = vs.install(&e);
+        let v = built(3, &e);
         assert_eq!(v.table_for_key(1, b"b").unwrap().id, 1);
         assert_eq!(v.table_for_key(1, b"m").unwrap().id, 2);
         assert_eq!(v.table_for_key(1, b"p").unwrap().id, 2);
@@ -236,28 +212,27 @@ mod tests {
 
     #[test]
     fn edits_are_copy_on_write() {
-        let vs = VersionSet::new(2);
         let mut e = VersionEdit::default();
         e.add(0, handle(1, "a", "b"));
-        let v1 = vs.install(&e);
+        let v1 = built(2, &e);
         let mut e = VersionEdit::default();
         e.delete(0, vec![1]);
         e.add(1, handle(2, "a", "b"));
-        let v2 = vs.install(&e);
+        let v2 = v1.apply(&e);
         // The old pinned version still sees the old layout.
         assert_eq!(v1.shape(), vec![1, 0]);
         assert_eq!(v2.shape(), vec![0, 1]);
-        assert_eq!(vs.current().shape(), vec![0, 1]);
+        // The pinned version is still the base the edit applies to.
+        assert_eq!(v1.apply(&e).shape(), vec![0, 1]);
     }
 
     #[test]
     fn overlapping_filters_by_range() {
-        let vs = VersionSet::new(2);
         let mut e = VersionEdit::default();
         e.add(1, handle(1, "a", "c"));
         e.add(1, handle(2, "f", "h"));
         e.add(1, handle(3, "m", "z"));
-        let v = vs.install(&e);
+        let v = built(2, &e);
         let ids: Vec<u64> = v.overlapping(1, b"b", b"g").iter().map(|t| t.id).collect();
         assert_eq!(ids, vec![1, 2]);
         assert!(v.overlapping(1, b"d", b"e").is_empty());
@@ -265,11 +240,10 @@ mod tests {
 
     #[test]
     fn level_bytes_sums_extents() {
-        let vs = VersionSet::new(2);
         let mut e = VersionEdit::default();
         e.add(1, handle(1, "a", "b"));
         e.add(1, handle(2, "c", "d"));
-        let v = vs.install(&e);
+        let v = built(2, &e);
         assert_eq!(v.level_bytes(1), 200);
         assert_eq!(v.table_count(), 2);
     }

@@ -6,7 +6,7 @@ use dlsm::compaction::{l0_trigger, level_score, max_bytes_for_level, pick_bounda
 use dlsm::config::DbConfig;
 use dlsm::context::RemoteRegion;
 use dlsm::handle::{Extent, MetaKind, Origin, TableHandle};
-use dlsm::version::{Version, VersionEdit, VersionSet};
+use dlsm::version::{Version, VersionEdit};
 use dlsm_sstable::byte_addr::ByteAddrBuilder;
 use dlsm_sstable::key::{InternalKey, ValueType};
 use rdma_sim::{MrId, NodeId};
@@ -50,10 +50,9 @@ fn pick(v: &Version, writes_arriving: bool, ptr: &mut Vec<Vec<u8>>) -> Option<Co
 }
 
 fn version_with(edits: impl FnOnce(&mut VersionEdit)) -> Arc<Version> {
-    let vs = VersionSet::new(5);
     let mut e = VersionEdit::default();
     edits(&mut e);
-    vs.install(&e)
+    Arc::new(Version::empty(5).apply(&e))
 }
 
 #[test]

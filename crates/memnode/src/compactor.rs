@@ -8,10 +8,12 @@
 //! cross the network for a compaction are the small RPC argument and the
 //! output metadata in the reply (paper Sec. V).
 //!
-//! The same code also runs *on the compute node* when near-data compaction
-//! is disabled (the Fig. 12 "compaction on compute node" bar and the
-//! RocksDB-RDMA baselines) — callers simply hand it a remote-reading
-//! `DataSource` and a staging sink; see the `dlsm` crate.
+//! When near-data compaction is disabled (the Fig. 12 "compaction on
+//! compute node" bar and the RocksDB-RDMA baselines) this code does not run:
+//! `dlsm::compaction::run_local` has its own merge and builder loops, which
+//! read the inputs over the fabric and write the outputs back.
+//! `tests/merge_path.rs::every_sub_task_count_compacts_to_the_same_bytes`
+//! keeps the two byte-identical.
 
 use std::sync::Arc;
 

@@ -8,16 +8,17 @@
 //! L0 → L1 job retired, and every flushed table is accounted for.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dlsm_repro::dlsm::memtable::ENTRY_OVERHEAD;
 use dlsm_repro::dlsm::telemetry::PUT_PHASES;
 use dlsm_repro::dlsm::{
     ComputeContext, Db, DbConfig, DbError, DbStatsSnapshot, MemNodeHandle, SwitchProtocol, WriteBatch,
 };
-use dlsm_repro::memnode::{MemServer, MemServerConfig};
-use dlsm_repro::rdma_sim::{Fabric, NetworkProfile};
+use dlsm_repro::memnode::{MemServer, MemServerConfig, RetryPolicy};
+use dlsm_repro::rdma_sim::{Fabric, FaultAction, FaultHook, NetworkProfile, OpContext, Verb};
 use dlsm_repro::telemetry::OpClass;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -27,10 +28,13 @@ fn open() -> (MemServer, Db) {
 }
 
 fn open_with(db_cfg: DbConfig) -> (MemServer, Db) {
-    let fabric = Fabric::new(NetworkProfile::instant());
+    open_on(&Fabric::new(NetworkProfile::instant()), db_cfg)
+}
+
+fn open_on(fabric: &Arc<Fabric>, db_cfg: DbConfig) -> (MemServer, Db) {
     let cfg = MemServerConfig { region_size: 96 << 20, flush_zone: 48 << 20, compaction_workers: 2, dispatchers: 1 };
-    let server = MemServer::start(&fabric, cfg);
-    let ctx = ComputeContext::new(&fabric);
+    let server = MemServer::start(fabric, cfg);
+    let ctx = ComputeContext::new(fabric);
     let db = Db::open(ctx, MemNodeHandle::from_server(&server), db_cfg).unwrap();
     (server, db)
 }
@@ -468,4 +472,173 @@ fn puts_deletes_and_batches_share_one_pipeline_with_exact_counts() {
     assert_eq!(check_mixed(&db, &loads), state);
     db.shutdown();
     server.shutdown();
+}
+
+/// The engine's one monitor (DESIGN.md §5.6): installs follow MemTable
+/// order even when the flushes finish out of order, and every wait on the
+/// monitor hears shutdown.
+mod monitor {
+    use super::*;
+    use std::sync::OnceLock;
+
+    /// How long a slowed WRITE's completion is held back.
+    const SLOW: Duration = Duration::from_millis(200);
+
+    /// Slows every WRITE posted while armed (flushes are the only WRITEs)
+    /// and notes when it slowed the first.
+    #[derive(Default)]
+    struct SlowWrites {
+        armed: AtomicBool,
+        first: OnceLock<Instant>,
+    }
+
+    impl FaultHook for SlowWrites {
+        fn delay(&self, op: &OpContext) -> Duration {
+            if op.verb != Verb::Write || !self.armed.load(Ordering::Acquire) {
+                return Duration::ZERO;
+            }
+            self.first.get_or_init(Instant::now);
+            SLOW
+        }
+    }
+
+    /// Puts filler keys from `next` on until the database has switched
+    /// `switches` times in all; returns the next filler key.
+    fn put_until_switched(db: &Db, mut next: u64, switches: u64) -> u64 {
+        while db.stats().snapshot().switches < switches {
+            db.put(&key(next), &value(next, 0)).unwrap();
+            next += 1;
+        }
+        next
+    }
+
+    /// Key K holds an old value in MemTable A and a new one in B, the next.
+    /// A's flush WRITE completes 200 ms late, so B's flush, on the other
+    /// flush thread, finishes first and must wait for A's turn: until A's
+    /// WRITE can have completed, L0 stays empty, and a reader polling K
+    /// never goes back to the old value after it has seen the new one.
+    #[test]
+    fn installs_follow_memtable_order_when_flushes_finish_out_of_order() {
+        let fabric = Fabric::new(NetworkProfile::instant());
+        let hook = Arc::new(SlowWrites::default());
+        fabric.set_fault_hook(Some(hook.clone()));
+        let cfg = DbConfig { memtable_size: 4 << 10, flush_threads: 2, ..DbConfig::small() };
+        let (server, db) = open_on(&fabric, cfg);
+        let k = key(u64::MAX);
+        hook.armed.store(true, Ordering::Release);
+        db.put(&k, b"old").unwrap();
+        let next = put_until_switched(&db, 0, 1);
+        let a_posted = loop {
+            if let Some(&at) = hook.first.get() {
+                break at;
+            }
+            std::thread::yield_now();
+        };
+        hook.armed.store(false, Ordering::Release);
+        db.put(&k, b"new").unwrap();
+        let stop = AtomicBool::new(false);
+        let (polls, b_waited) = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut reader = db.reader();
+                let mut polls = 0u64;
+                while !stop.load(Ordering::Acquire) {
+                    let got = reader.get(&k).unwrap();
+                    assert_eq!(got.as_deref(), Some(&b"new"[..]), "poll {polls} read the older value after the newer one was acknowledged");
+                    polls += 1;
+                }
+                polls
+            });
+            put_until_switched(&db, next, 2);
+            // A flush counts itself before it waits for its turn, so the
+            // one flush done before A's WRITE can complete is B's.
+            let mut b_waited = false;
+            while a_posted.elapsed() < SLOW - Duration::from_millis(20) {
+                let flushes = db.stats().snapshot().flushes;
+                assert_eq!(db.level_shape()[0], 0, "a table reached L0 before the older flush finished");
+                b_waited |= flushes == 1;
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            db.force_flush().unwrap();
+            stop.store(true, Ordering::Release);
+            (reader.join().unwrap(), b_waited)
+        });
+        assert!(b_waited, "B's flush did not finish within A's delay, so it never waited for its turn");
+        assert!(polls > 0);
+        let stats = db.stats().snapshot();
+        assert_eq!((stats.flushes, db.level_shape()[0]), (2, 2), "{stats}");
+        assert_eq!(db.reader().get(&k).unwrap().as_deref(), Some(&b"new"[..]));
+        db.shutdown();
+        server.shutdown();
+    }
+
+    /// Loses every WRITE: no flush ever completes.
+    struct NoWrites;
+
+    impl FaultHook for NoWrites {
+        fn action(&self, op: &OpContext) -> FaultAction {
+            if op.verb == Verb::Write {
+                FaultAction::Blackhole
+            } else {
+                FaultAction::Deliver
+            }
+        }
+    }
+
+    /// With every flush failing and room for one immutable MemTable, a
+    /// writer parks at the stall gate and a caller in `force_flush`. Their
+    /// waits have no timeout, so only a notify ends them: both return
+    /// `ShuttingDown` within 2 s of shutdown, and `shutdown` returns, having
+    /// joined every engine thread — an idle database's too, whose flush
+    /// threads only shutdown's own notify wakes. A lost wakeup fails the
+    /// test rather than hanging it.
+    #[test]
+    fn no_waiter_misses_shutdown() {
+        let fabric = Fabric::new(NetworkProfile::instant());
+        fabric.set_fault_hook(Some(Arc::new(NoWrites)));
+        let rpc_retry = RetryPolicy { attempt_timeout: Some(Duration::from_millis(50)), ..RetryPolicy::default() };
+        let cfg = DbConfig { max_immutables: 1, rpc_retry, ..DbConfig::small() };
+        let (server, db) = open_on(&fabric, cfg);
+        let (idle_server, idle) = open_on(&fabric, DbConfig::small());
+        let (db, puts) = (Arc::new(db), Arc::new(AtomicU64::new(0)));
+        let (tx, rx) = mpsc::channel();
+        let writer = {
+            let (db, puts, tx) = (Arc::clone(&db), Arc::clone(&puts), tx.clone());
+            std::thread::spawn(move || loop {
+                let n = puts.load(Ordering::Acquire);
+                if let Err(e) = db.put(&key(n), &value(n, 0)) {
+                    return tx.send(("writer", Some(e))).unwrap();
+                }
+                puts.fetch_add(1, Ordering::AcqRel);
+            })
+        };
+        // Parked: a table retired, and the writer stopped moving.
+        let mut last = u64::MAX;
+        while db.stats().snapshot().switches == 0 || puts.load(Ordering::Acquire) != last {
+            last = puts.load(Ordering::Acquire);
+            std::thread::sleep(Duration::from_millis(100));
+        }
+        let flusher = {
+            let (db, tx) = (Arc::clone(&db), tx.clone());
+            std::thread::spawn(move || tx.send(("force_flush", db.force_flush().err())).unwrap())
+        };
+        std::thread::sleep(Duration::from_millis(200));
+        assert!(!writer.is_finished() && !flusher.is_finished(), "both must be parked");
+        let shut_at = Instant::now();
+        let shutdown = Arc::clone(&db);
+        std::thread::spawn(move || {
+            shutdown.shutdown();
+            idle.shutdown();
+            tx.send(("shutdown", None)).unwrap()
+        });
+        for _ in 0..3 {
+            let (who, got) = rx.recv_timeout(Duration::from_secs(10)).expect("a waiter missed shutdown");
+            let after = shut_at.elapsed();
+            if who != "shutdown" {
+                assert!(matches!(got, Some(DbError::ShuttingDown)), "the {who} got {got:?}");
+                assert!(after < Duration::from_secs(2), "the {who} returned {after:?} after shutdown");
+            }
+        }
+        server.shutdown();
+        idle_server.shutdown();
+    }
 }
